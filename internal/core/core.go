@@ -326,27 +326,30 @@ func (o *Optimizer) Execute(p *Plan, db *storage.Database, parallel int) (*engin
 // predictions — EXPLAIN ANALYZE for the §5 calculus. It returns the
 // accuracy report alongside the raw execution stats.
 func (o *Optimizer) Analyze(p *Plan, db *storage.Database, parallel int) (*accuracy.Report, *engine.ExecStats, error) {
-	return o.AnalyzeWith(p, db, parallel, nil)
+	return o.AnalyzeLive(context.Background(), p, nil, db, parallel, nil, nil)
 }
 
-// AnalyzeWith is Analyze over a specific exchange transport: a nil transport
-// keeps joins in-process, while an exchange.Cluster ships every join fragment
-// to shared-nothing worker processes and streams partitioned batches over the
-// wire — the same instrumented execution, distributed.
-func (o *Optimizer) AnalyzeWith(p *Plan, db *storage.Database, parallel int, tr exchange.Transport) (*accuracy.Report, *engine.ExecStats, error) {
-	return o.AnalyzeLive(context.Background(), p, db, parallel, tr, &engine.ExecStats{})
-}
-
-// AnalyzeLive is AnalyzeWith for observable, cancellable executions: the
-// caller supplies the ExecStats collector — so an in-flight registry can
-// sample its live per-operator counters while the plan runs — and a context
-// whose cancellation unwinds the execution at the engine's operator
-// checkpoints. The error on a cancelled run is the context's cause.
-func (o *Optimizer) AnalyzeLive(ctx context.Context, p *Plan, db *storage.Database, parallel int, tr exchange.Transport, stats *engine.ExecStats) (*accuracy.Report, *engine.ExecStats, error) {
+// AnalyzeLive is Analyze for served, observable, cancellable executions.
+// inst, when non-nil, is the query instance to run: a plan cached under a
+// template fingerprint is shared by every instance of the template, so the
+// selection literals and projection come from inst while relation order and
+// the plan stay the optimizer's. A nil transport keeps joins in-process; an
+// exchange.Cluster ships every join fragment to worker processes. The caller
+// may supply the ExecStats collector — so an in-flight registry can sample
+// its live per-operator counters while the plan runs — and a context whose
+// cancellation unwinds the execution at the engine's operator checkpoints.
+// The error on a cancelled run is the context's cause.
+func (o *Optimizer) AnalyzeLive(ctx context.Context, p *Plan, inst *query.Query, db *storage.Database, parallel int, tr exchange.Transport, stats *engine.ExecStats) (*accuracy.Report, *engine.ExecStats, error) {
 	if stats == nil {
 		stats = &engine.ExecStats{}
 	}
-	e := &engine.Executor{DB: db, Q: o.Q, Parallel: parallel, BatchSize: o.batchRows, Stats: stats, Transport: tr, Ctx: ctx}
+	q := o.Q
+	if inst != nil {
+		bound := *o.Q
+		bound.Selections, bound.Projection = inst.Selections, inst.Projection
+		q = &bound
+	}
+	e := &engine.Executor{DB: db, Q: q, Parallel: parallel, BatchSize: o.batchRows, Stats: stats, Transport: tr, Ctx: ctx}
 	if _, err := e.Execute(p.Tree); err != nil {
 		return nil, nil, err
 	}

@@ -39,37 +39,34 @@ func (r *Resultset) GroupBy(keys []query.ColumnRef, sumOf query.ColumnRef) ([]Gr
 	if sumPos < 0 {
 		return nil, fmt.Errorf("engine: aggregate column %v not in schema", sumOf)
 	}
-	type agg struct {
-		count, sum int64
-	}
 	// Group identity is the fixed-width binary encoding of the key values —
 	// exact (no formatting, no collisions) and allocation-free on the hot
 	// path: the map lookup with string(kb) doesn't copy, and only new groups
 	// materialize their key slice.
-	groups := map[string]*agg{}
-	keyOf := map[string][]int64{}
+	groups := map[string]*GroupedRow{}
 	kb := make([]byte, 0, 8*len(keyPos))
-	for _, row := range r.Rows {
-		kb = kb[:0]
-		for _, p := range keyPos {
-			kb = binary.LittleEndian.AppendUint64(kb, uint64(row[p]))
-		}
-		g, ok := groups[string(kb)]
-		if !ok {
-			kv := make([]int64, len(keyPos))
-			for i, p := range keyPos {
-				kv[i] = row[p]
+	for _, b := range r.batches {
+		sumCol := b.Cols[sumPos]
+		for i := range sumCol {
+			kb = kb[:0]
+			for _, p := range keyPos {
+				kb = binary.LittleEndian.AppendUint64(kb, uint64(b.Cols[p][i]))
 			}
-			g = &agg{}
-			groups[string(kb)] = g
-			keyOf[string(kb)] = kv
+			g, ok := groups[string(kb)]
+			if !ok {
+				g = &GroupedRow{Key: make([]int64, len(keyPos))}
+				for j, p := range keyPos {
+					g.Key[j] = b.Cols[p][i]
+				}
+				groups[string(kb)] = g
+			}
+			g.Count++
+			g.Sum += sumCol[i]
 		}
-		g.count++
-		g.sum += row[sumPos]
 	}
 	out := make([]GroupedRow, 0, len(groups))
-	for id, g := range groups {
-		out = append(out, GroupedRow{Key: keyOf[id], Count: g.count, Sum: g.sum})
+	for _, g := range groups {
+		out = append(out, *g)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		ka, kb := out[a].Key, out[b].Key

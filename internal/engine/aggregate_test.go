@@ -12,9 +12,9 @@ func aggFixture() *Resultset {
 		{Relation: "R", Column: "cat"},
 		{Relation: "R", Column: "amt"},
 	}
-	return &Resultset{Schema: s, Rows: []storage.Row{
+	return newRowResultset(s, []storage.Row{
 		{2, 10}, {1, 5}, {2, 20}, {1, 7}, {3, 1},
-	}}
+	})
 }
 
 func TestGroupBy(t *testing.T) {
@@ -46,9 +46,9 @@ func TestGroupByMultiKey(t *testing.T) {
 		{Relation: "R", Column: "b"},
 		{Relation: "R", Column: "v"},
 	}
-	r := &Resultset{Schema: s, Rows: []storage.Row{
+	r := newRowResultset(s, []storage.Row{
 		{1, 1, 10}, {1, 2, 20}, {1, 1, 30},
-	}}
+	})
 	groups, err := r.GroupBy(
 		[]query.ColumnRef{{Relation: "R", Column: "a"}, {Relation: "R", Column: "b"}},
 		query.ColumnRef{Relation: "R", Column: "v"})

@@ -53,9 +53,9 @@ func TestDistributedJoinMatchesSingleProcess(t *testing.T) {
 		}
 		sortRows(ns)
 		sortRows(nd)
-		if !reflect.DeepEqual(ns.Rows, nd.Rows) {
+		if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
 			t.Fatalf("%v: distributed rows differ from single-process (%d vs %d rows)",
-				method, len(nd.Rows), len(ns.Rows))
+				method, nd.Len(), ns.Len())
 		}
 		if single.Len() == 0 {
 			t.Fatalf("%v: join produced nothing; fixture broken", method)
@@ -76,7 +76,7 @@ func TestDistributedJoinMatchesSingleProcess(t *testing.T) {
 
 // sortRows orders rows lexicographically so multisets compare as slices.
 func sortRows(r *Resultset) {
-	rows := r.Rows
+	rows := r.Rows()
 	sort.Slice(rows, func(a, b int) bool {
 		for i := range rows[a] {
 			if rows[a][i] != rows[b][i] {

@@ -54,8 +54,9 @@ type Operator interface {
 
 // DefaultBatchRows is the rows-per-batch granularity used when
 // Executor.BatchSize is zero — tunable per process with the -batch-rows
-// flag on paropt/paroptd.
-const DefaultBatchRows = 1024
+// flag on paropt/paroptd. The exchange and vec builders default to the same
+// constant.
+const DefaultBatchRows = vec.DefaultBatchRows
 
 // Executor runs plans over a database.
 type Executor struct {
@@ -131,29 +132,42 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// cancelled reports whether the execution context is done, recording its
-// cause as the run's failure. The nil-context fast path is one comparison.
-func (e *Executor) cancelled() bool {
-	if e.Ctx == nil {
-		return false
-	}
-	select {
-	case <-e.Ctx.Done():
-		e.fail(context.Cause(e.Ctx))
-		return true
-	default:
-		return false
-	}
+// Resultset is a query result held the way the engine produced it: the
+// dense column batches the root operator emitted, untransposed. Project,
+// Normalize, Fingerprint and GroupBy work on the columns; Rows materializes
+// row-major tuples for the callers that print or diff them.
+type Resultset struct {
+	Schema  Schema
+	batches []Batch // dense (Sel == nil), one column per Schema entry
+	n       int
+	rows    []storage.Row // Rows' cache
 }
 
-// Resultset is a fully materialized query result.
-type Resultset struct {
-	Schema Schema
-	Rows   []storage.Row
+// newRowResultset wraps row-major tuples (the reference oracle, the optree
+// interpreter) as a result.
+func newRowResultset(schema Schema, rows []storage.Row) *Resultset {
+	r := &Resultset{Schema: schema, n: len(rows), rows: rows}
+	if len(rows) > 0 {
+		r.batches = []Batch{vec.FromRows(rows)}
+	}
+	return r
 }
 
 // Len is the number of result rows.
-func (r *Resultset) Len() int { return len(r.Rows) }
+func (r *Resultset) Len() int { return r.n }
+
+// Rows returns the result as row-major tuples, transposed on first use. The
+// slice is shared between calls; callers that reorder it reorder the cache.
+func (r *Resultset) Rows() []storage.Row {
+	if r.rows == nil && r.n > 0 {
+		rows := make([]storage.Row, 0, r.n)
+		for _, b := range r.batches {
+			rows = b.AppendRows(rows)
+		}
+		r.rows = rows
+	}
+	return r.rows
+}
 
 // Execute runs the plan to completion and returns the result, projected per
 // the query's projection list when present.
@@ -169,26 +183,38 @@ func (e *Executor) Execute(n *plan.Node) (*Resultset, error) {
 		return nil, err
 	}
 	defer op.Close()
-	ctx := e.ctx()
-	var rows []storage.Row
-	for {
-		b, err := op.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		rows = b.AppendRows(rows)
+	batches, rows, err := drain(e.ctx(), op)
+	if err != nil {
+		return nil, err
 	}
 	if err := e.asyncErr(); err != nil {
 		return nil, err
 	}
-	res := &Resultset{Schema: schema, Rows: rows}
+	for i, b := range batches {
+		batches[i] = b.Compact() // only a bare filtered scan emits selections
+	}
+	res := &Resultset{Schema: schema, batches: batches, n: rows}
 	if len(e.Q.Projection) > 0 {
 		return res.Project(e.Q.Projection)
 	}
 	return res, nil
+}
+
+// pick returns the result narrowed/reordered to the columns at the given
+// positions, sharing column storage.
+func (r *Resultset) pick(idx []int) *Resultset {
+	out := &Resultset{Schema: make(Schema, len(idx)), batches: make([]Batch, len(r.batches)), n: r.n}
+	for j, p := range idx {
+		out.Schema[j] = r.Schema[p]
+	}
+	for i, b := range r.batches {
+		cols := make([][]int64, len(idx))
+		for j, p := range idx {
+			cols[j] = b.Cols[p]
+		}
+		out.batches[i] = &vec.Vec{Cols: cols}
+	}
+	return out
 }
 
 // Project reorders/narrows the result to the given columns.
@@ -201,18 +227,10 @@ func (r *Resultset) Project(cols []query.ColumnRef) (*Resultset, error) {
 		}
 		idx[i] = pos
 	}
-	out := &Resultset{Schema: append(Schema(nil), cols...), Rows: make([]storage.Row, len(r.Rows))}
-	for i, row := range r.Rows {
-		nr := make(storage.Row, len(idx))
-		for j, p := range idx {
-			nr[j] = row[p]
-		}
-		out.Rows[i] = nr
-	}
-	return out, nil
+	return r.pick(idx), nil
 }
 
-// Normalize returns the rows with columns reordered into a canonical
+// Normalize returns the result with columns reordered into a canonical
 // (sorted by relation, column) schema, so results of different join orders
 // compare equal.
 func (r *Resultset) Normalize() *Resultset {
@@ -227,36 +245,36 @@ func (r *Resultset) Normalize() *Resultset {
 		}
 		return ca.Column < cb.Column
 	})
-	schema := make(Schema, len(order))
-	for i, p := range order {
-		schema[i] = r.Schema[p]
-	}
-	rows := make([]storage.Row, len(r.Rows))
-	for i, row := range r.Rows {
-		nr := make(storage.Row, len(order))
-		for j, p := range order {
-			nr[j] = row[p]
-		}
-		rows[i] = nr
-	}
-	return &Resultset{Schema: schema, Rows: rows}
+	return r.pick(order)
 }
 
 // Fingerprint is an order-independent multiset hash of the normalized rows:
-// two plans for the same query must produce equal fingerprints.
+// two plans for the same query must produce equal fingerprints. Each batch
+// folds its columns, in normalized order, into one FNV-1a accumulator per
+// row.
 func (r *Resultset) Fingerprint() uint64 {
-	n := r.Normalize()
 	var sum, xor uint64
-	for _, row := range n.Rows {
-		h := uint64(1469598103934665603)
-		for _, v := range row {
-			h ^= uint64(v)
-			h *= 1099511628211
+	var acc []uint64
+	for _, b := range r.Normalize().batches {
+		n := b.Len()
+		if cap(acc) < n {
+			acc = make([]uint64, n)
 		}
-		sum += h
-		xor ^= h * 2654435761
+		acc = acc[:n]
+		for i := range acc {
+			acc[i] = 1469598103934665603
+		}
+		for _, col := range b.Cols {
+			for i, v := range col {
+				acc[i] = (acc[i] ^ uint64(v)) * 1099511628211
+			}
+		}
+		for _, h := range acc {
+			sum += h
+			xor ^= h * 2654435761
+		}
 	}
-	return sum ^ xor ^ uint64(len(n.Rows))<<32
+	return sum ^ xor ^ uint64(r.n)<<32
 }
 
 func (e *Executor) batchSize() int {
@@ -289,7 +307,7 @@ func (e *Executor) build(n *plan.Node) (Operator, Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	lkeys, rkeys, err := joinKeys(n, lschema, rschema)
+	lkeys, rkeys, err := joinKeys(n.Preds, lschema, rschema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -408,14 +426,11 @@ type scanSel struct {
 // table's columnar slabs, filters narrowing them to selection vectors;
 // index scans gather rows in key order.
 func (e *Executor) scan(n *plan.Node) (Operator, Schema, error) {
-	tab, ok := e.DB.Table(n.Relation)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: no data for relation %s", n.Relation)
+	schema, err := e.schemaOf(n)
+	if err != nil {
+		return nil, nil, err
 	}
-	schema := make(Schema, len(tab.Rel.Columns))
-	for i, c := range tab.Rel.Columns {
-		schema[i] = query.ColumnRef{Relation: n.Relation, Column: c.Name}
-	}
+	tab, _ := e.DB.Table(n.Relation)
 	var sels []scanSel
 	for _, s := range e.Q.SelectionsOn(n.Relation) {
 		pos := tab.ColIndex(s.Column.Column)
@@ -427,9 +442,9 @@ func (e *Executor) scan(n *plan.Node) (Operator, Schema, error) {
 	cols := tab.Columns()
 	if n.Access == plan.IndexScan && n.Index != nil {
 		if ix, err := storage.BuildOrderedIndex(tab, n.Index.Columns[0]); err == nil {
-			order := make([]int, 0, tab.NumRows())
+			order := make([]int32, 0, tab.NumRows())
 			ix.Scan(func(_ int64, rowPos int) bool {
-				order = append(order, rowPos)
+				order = append(order, int32(rowPos))
 				return true
 			})
 			return &indexScanOp{cols: cols, order: order, sels: sels, bs: e.batchSize()}, schema, nil
@@ -455,22 +470,13 @@ func (o *scanOp) Next(ctx context.Context) (Batch, error) {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		end := o.pos + o.bs
-		if end > o.nrows {
-			end = o.nrows
-		}
+		end := min(o.pos+o.bs, o.nrows)
 		b := &vec.Vec{Cols: make([][]int64, len(o.cols))}
 		for c := range o.cols {
 			b.Cols[c] = o.cols[c][o.pos:end]
 		}
 		o.pos = end
-		for _, s := range o.sels {
-			b = b.FilterEq(s.pos, s.val)
-			if b.Len() == 0 {
-				break
-			}
-		}
-		if b.Len() > 0 {
+		if b = filter(b, o.sels); b.Len() > 0 {
 			return b, nil
 		}
 	}
@@ -479,12 +485,24 @@ func (o *scanOp) Next(ctx context.Context) (Batch, error) {
 
 func (o *scanOp) Close() { o.pos = o.nrows }
 
-// indexScanOp delivers rows in index-key order: the ordered index's row
-// permutation is gathered into dense batches (key order precludes slab
-// views). Semantics equal the heap scan's; only order differs.
+// filter narrows a batch by the pushed-down selections, sharing its columns.
+func filter(b Batch, sels []scanSel) Batch {
+	for _, s := range sels {
+		if b.Len() == 0 {
+			break
+		}
+		b = b.FilterEq(s.pos, s.val)
+	}
+	return b
+}
+
+// indexScanOp delivers rows in index-key order: each Next gathers a window
+// of the ordered index's row permutation into a dense batch (key order
+// precludes slab views) and narrows it like the heap scan. Semantics equal
+// the heap scan's; only order differs.
 type indexScanOp struct {
 	cols  [][]int64
-	order []int
+	order []int32
 	sels  []scanSel
 	bs    int
 	pos   int
@@ -496,42 +514,25 @@ func (o *indexScanOp) Next(ctx context.Context) (Batch, error) {
 		o.bld = vec.NewBuilder(len(o.cols), o.bs)
 	}
 	for o.pos < len(o.order) {
-		if o.pos%cancelCheckRows == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
 		}
-		r := o.order[o.pos]
-		o.pos++
-		keep := true
-		for _, s := range o.sels {
-			if o.cols[s.pos][r] != s.val {
-				keep = false
-				break
-			}
+		end := min(o.pos+o.bs, len(o.order))
+		o.bld.AppendGather(0, o.cols, o.order[o.pos:end])
+		o.pos = end
+		if b := filter(o.bld.Flush(), o.sels); b.Len() > 0 {
+			return b, nil
 		}
-		if !keep {
-			continue
-		}
-		for c := range o.cols {
-			o.bld.Append(c, o.cols[c][r])
-		}
-		if o.bld.Full() {
-			return o.bld.Flush(), nil
-		}
-	}
-	if b := o.bld.Flush(); b != nil {
-		return b, nil
 	}
 	return nil, nil
 }
 
 func (o *indexScanOp) Close() { o.pos = len(o.order); o.bld = nil }
 
-// joinKeys resolves the key column positions of the node's predicates in
-// the left and right schemas.
-func joinKeys(n *plan.Node, lschema, rschema Schema) (lkeys, rkeys []int, err error) {
-	for _, p := range n.Preds {
+// joinKeys resolves the key column positions of a join's predicates in the
+// left and right input schemas.
+func joinKeys(preds []query.JoinPredicate, lschema, rschema Schema) (lkeys, rkeys []int, err error) {
+	for _, p := range preds {
 		lp, rp := p.Left, p.Right
 		if lschema.IndexOf(lp) < 0 {
 			lp, rp = rp, lp
@@ -561,53 +562,69 @@ func (e *Executor) joinFor(method string, l, r Operator, lkeys, rkeys []int) Ope
 	}
 }
 
-// drainBuffer pulls op to exhaustion into a columnar buffer (created on the
-// first batch; nil if the stream was empty). Cancellation is re-checked
-// between batches so a dying query stops buffering even when the child's
-// own checkpoints are coarser.
-func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
-	var buf *vec.Buffer
+// drain pulls op to exhaustion, returning its batches and their live row
+// count. Cancellation is re-checked between batches so a dying query stops
+// collecting even when the child's own checkpoints are coarser.
+func drain(ctx context.Context, op Operator) ([]Batch, int, error) {
+	var batches []Batch
+	rows := 0
 	for {
 		if err := ctxErr(ctx); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		b, err := op.Next(ctx)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if b == nil {
-			return buf, nil
+			return batches, rows, nil
 		}
-		if buf == nil {
-			buf = vec.NewBuffer(b.Width())
-		}
-		buf.Append(b)
+		batches = append(batches, b)
+		rows += b.Len()
 	}
+}
+
+// drainBuffer pulls op to exhaustion into a columnar buffer (nil if the
+// stream was empty). The batches are only referenced while the stream runs;
+// once its row count is known the buffer is allocated at exactly that size
+// and every row is copied once.
+func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
+	batches, rows, err := drain(ctx, op)
+	if err != nil || len(batches) == 0 {
+		return nil, err
+	}
+	buf := vec.NewBuffer(batches[0].Width())
+	buf.Grow(rows)
+	for i, b := range batches {
+		buf.Append(b)
+		batches[i] = nil
+	}
+	return buf, nil
 }
 
 // buildProbeOp is the blocking build-then-probe join (hash and nested-loops
 // methods — the materialized edge of §4.2): the right input is drained into
-// a columnar buffer with a key-hashed row index, then left batches probe it.
-// The build index is an idiomatic Go map — the symmetric join's compact
-// chained tables exist precisely to beat this structure's heap footprint.
+// a columnar buffer indexed by a vec.HashTable reserved once for its row
+// count, then each left batch probes it with one batch kernel call per
+// output batch.
 type buildProbeOp struct {
 	e            *Executor
 	left, right  Operator
 	lkeys, rkeys []int
 	bs           int
 
-	built  bool
-	buf    *vec.Buffer       // right rows, dense
-	table  map[int64][]int32 // key → dense row indices in buf
-	bld    *vec.Builder
-	lw     int
-	cur    Batch // in-progress left batch
-	curRow int
-	done   bool
+	built bool
+	buf   *vec.Buffer // right rows, dense
+	table *vec.HashTable
+	bld   *vec.Builder
+	lw    int
+	cur   Batch           // in-progress left batch
+	pc    vec.ProbeCursor // resume point within cur
+	done  bool
 
-	// Matched (left physical row, buffered right row) pairs for the batch in
-	// progress, gathered column-at-a-time into bld instead of copied row by
-	// row — the emit loop touches one column array at a time.
+	// Matched (left physical row, buffered right row) pairs of one kernel
+	// call, gathered column-at-a-time into bld — the emit loop touches one
+	// column array at a time.
 	lsel, rsel []int32
 }
 
@@ -621,33 +638,32 @@ func (o *buildProbeOp) build(ctx context.Context) error {
 	if buf == nil || buf.Len() == 0 {
 		return nil
 	}
-	key := buf.Col(o.rkeys[0])
-	o.table = make(map[int64][]int32, len(key))
-	for r, k := range key {
-		o.table[k] = append(o.table[k], int32(r))
-	}
+	o.table = vec.NewHashTable()
+	o.table.InsertBatch(buf.Col(o.rkeys[0]), nil)
 	return nil
 }
 
-// matchBuffered checks the predicates beyond the hash key between live row
-// li of the probe batch and buffered row r.
-func matchBuffered(b Batch, li int, buf *vec.Buffer, r int, lkeys, rkeys []int) bool {
+// filterPairs keeps the (probe physical row, buffered row) pairs that also
+// satisfy the predicates beyond the hash key, one predicate column pair at a
+// time.
+func filterPairs(lsel, rsel []int32, b Batch, buf *vec.Buffer, lkeys, rkeys []int) ([]int32, []int32) {
 	for i := 1; i < len(lkeys); i++ {
-		if b.Value(lkeys[i], li) != buf.Value(rkeys[i], r) {
-			return false
+		lcol, rcol := b.Cols[lkeys[i]], buf.Col(rkeys[i])
+		n := 0
+		for j, l := range lsel {
+			if lcol[l] == rcol[rsel[j]] {
+				lsel[n], rsel[n] = l, rsel[j]
+				n++
+			}
 		}
+		lsel, rsel = lsel[:n], rsel[:n]
 	}
-	return true
+	return lsel, rsel
 }
 
 func (o *buildProbeOp) Next(ctx context.Context) (Batch, error) {
 	if o.done {
 		return nil, nil
-	}
-	// Per-batch checkpoint: every Next call does bounded work, so checking
-	// here bounds how far a cancelled query keeps emitting.
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
 	}
 	if !o.built {
 		if err := o.build(ctx); err != nil {
@@ -659,6 +675,12 @@ func (o *buildProbeOp) Next(ctx context.Context) (Batch, error) {
 		}
 	}
 	for {
+		// Per-kernel checkpoint: every iteration does bounded work (one left
+		// batch, at most one output batch), so checking here bounds how far a
+		// cancelled query keeps emitting.
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		if o.cur == nil {
 			b, err := o.left.Next(ctx)
 			if err != nil {
@@ -667,60 +689,31 @@ func (o *buildProbeOp) Next(ctx context.Context) (Batch, error) {
 			if b == nil {
 				o.done = true
 				if o.bld != nil {
-					if out := o.bld.Flush(); out != nil {
-						return out, nil
-					}
+					return o.bld.Flush(), nil
 				}
 				return nil, nil
 			}
-			o.cur, o.curRow = b, 0
+			o.cur, o.pc = b, vec.ProbeCursor{}
 			if o.bld == nil {
 				o.lw = b.Width()
 				o.bld = vec.NewBuilder(o.lw+o.buf.Width(), o.bs)
 			}
 		}
-		key := o.cur.Cols[o.lkeys[0]]
-		for ; o.curRow < o.cur.Len(); o.curRow++ {
-			li := o.curRow
-			phys := li
-			if o.cur.Sel != nil {
-				phys = int(o.cur.Sel[li])
-			}
-			for _, r := range o.table[key[phys]] {
-				if matchBuffered(o.cur, li, o.buf, int(r), o.lkeys, o.rkeys) {
-					o.lsel = append(o.lsel, int32(phys))
-					o.rsel = append(o.rsel, r)
-				}
-			}
-			if len(o.lsel) >= o.bs {
-				o.curRow++
-				o.gather()
-				return o.bld.Flush(), nil
-			}
+		// The probe stops at the builder's room, so a batch is gathered into
+		// exactly the slab it was allocated.
+		var probed bool
+		o.lsel, o.rsel, probed = o.table.ProbeBatch(o.cur.Cols[o.lkeys[0]], o.cur.Sel,
+			o.buf.Col(o.rkeys[0]), &o.pc, o.bld.Room(), o.lsel[:0], o.rsel[:0])
+		lsel, rsel := filterPairs(o.lsel, o.rsel, o.cur, o.buf, o.lkeys, o.rkeys)
+		o.bld.AppendGather(0, o.cur.Cols, lsel)
+		o.buf.Gather(o.bld, o.lw, rsel)
+		if probed {
+			o.cur = nil
 		}
-		// Batch fully probed: gather its matches while cur's columns are
-		// still at hand, then move on (flush only when the builder fills).
-		o.gather()
-		o.cur = nil
 		if o.bld.Full() {
 			return o.bld.Flush(), nil
 		}
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
 	}
-}
-
-// gather drains the accumulated match pairs into the builder column at a
-// time: left columns by physical index into the probe batch, right columns
-// by dense index into the build buffer.
-func (o *buildProbeOp) gather() {
-	if len(o.lsel) == 0 {
-		return
-	}
-	o.bld.AppendGather(0, o.cur.Cols, o.lsel)
-	o.buf.Gather(o.bld, o.lw, o.rsel)
-	o.lsel, o.rsel = o.lsel[:0], o.rsel[:0]
 }
 
 func (o *buildProbeOp) Close() {
@@ -752,6 +745,7 @@ type mergeJoinOp struct {
 	i2, j2         int // current equal-key run bounds
 	a, b           int // positions within the run
 	done           bool
+	lsel, rsel     []int32 // joined (left row, right row) pairs awaiting emit
 }
 
 func (o *mergeJoinOp) build(ctx context.Context) error {
@@ -795,6 +789,15 @@ func matchBufPair(lbuf *vec.Buffer, l int, rbuf *vec.Buffer, r int, lkeys, rkeys
 	return true
 }
 
+// emit gathers the pending pairs, column at a time, into one output batch
+// (nil when none are pending).
+func (o *mergeJoinOp) emit() Batch {
+	o.lbuf.Gather(o.bld, 0, o.lsel)
+	o.rbuf.Gather(o.bld, o.lw, o.rsel)
+	o.lsel, o.rsel = o.lsel[:0], o.rsel[:0]
+	return o.bld.Flush()
+}
+
 func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -805,11 +808,6 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 		}
 	}
 	if o.done {
-		if o.bld != nil {
-			if out := o.bld.Flush(); out != nil {
-				return out, nil
-			}
-		}
 		return nil, nil
 	}
 	lcol := o.lbuf.Col(o.lkeys[0])
@@ -818,20 +816,19 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 	for {
 		if o.inRun {
 			for ; o.a < o.i2; o.a++ {
-				lrow := int(o.lorder[o.a])
+				lrow := o.lorder[o.a]
 				for ; o.b < o.j2; o.b++ {
 					if steps++; steps%cancelCheckRows == 0 {
 						if err := ctxErr(ctx); err != nil {
 							return nil, err
 						}
 					}
-					rrow := int(o.rorder[o.b])
-					if matchBufPair(o.lbuf, lrow, o.rbuf, rrow, o.lkeys, o.rkeys) {
-						o.lbuf.CopyRowTo(o.bld, 0, lrow)
-						o.rbuf.CopyRowTo(o.bld, o.lw, rrow)
-						if o.bld.Full() {
+					rrow := o.rorder[o.b]
+					if matchBufPair(o.lbuf, int(lrow), o.rbuf, int(rrow), o.lkeys, o.rkeys) {
+						o.lsel, o.rsel = append(o.lsel, lrow), append(o.rsel, rrow)
+						if len(o.lsel) == o.bs {
 							o.b++
-							return o.bld.Flush(), nil
+							return o.emit(), nil
 						}
 					}
 				}
@@ -842,10 +839,7 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 		}
 		if o.i >= len(o.lorder) || o.j >= len(o.rorder) {
 			o.done = true
-			if out := o.bld.Flush(); out != nil {
-				return out, nil
-			}
-			return nil, nil
+			return o.emit(), nil
 		}
 		lk, rk := lcol[o.lorder[o.i]], rcol[o.rorder[o.j]]
 		switch {
@@ -886,42 +880,43 @@ func (o *mergeJoinOp) Close() {
 	o.right.Close()
 }
 
-// crossOp joins without predicates: nested loops of the outer over a
-// rewindable buffered inner. Cancellation is polled between outer batches
-// and every few thousand emitted rows.
+// crossOp joins without predicates: every outer row against the buffered
+// inner, emitted as gathers — the outer row repeated over a run of
+// consecutive inner rows, cut at the builder's room. Each Next emits at most
+// one batch, so cancellation is polled at least that often.
 type crossOp struct {
 	e           *Executor
 	left, right Operator
 	bs          int
 
-	inner  *rewindable
-	bld    *vec.Builder
-	lw     int
-	cur    Batch
-	curRow int
-	done   bool
+	inner      *vec.Buffer
+	bld        *vec.Builder
+	lw         int
+	cur        Batch
+	row, pos   int // next outer live row of cur, and the next inner row for it
+	lsel, rsel []int32
+	done       bool
 }
 
 func (o *crossOp) Next(ctx context.Context) (Batch, error) {
 	if o.done {
 		return nil, nil
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
 	if o.inner == nil {
-		inner, err := newRewindable(ctx, o.right)
+		inner, err := drainBuffer(ctx, o.right)
 		if err != nil {
 			return nil, err
 		}
-		o.inner = inner
-		if inner.Len() == 0 {
+		if inner == nil || inner.Len() == 0 {
 			o.done = true
 			return nil, nil
 		}
+		o.inner = inner
 	}
-	steps := 0
 	for {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		if o.cur == nil {
 			b, err := o.left.Next(ctx)
 			if err != nil {
@@ -930,42 +925,36 @@ func (o *crossOp) Next(ctx context.Context) (Batch, error) {
 			if b == nil {
 				o.done = true
 				if o.bld != nil {
-					if out := o.bld.Flush(); out != nil {
-						return out, nil
-					}
+					return o.bld.Flush(), nil
 				}
 				return nil, nil
 			}
-			o.cur, o.curRow = b, 0
-			o.inner.Rewind()
+			o.cur, o.row, o.pos = b, 0, 0
 			if o.bld == nil {
 				o.lw = b.Width()
 				o.bld = vec.NewBuilder(o.lw+o.inner.Width(), o.bs)
 			}
 		}
-		for ; o.curRow < o.cur.Len(); o.curRow++ {
-			for {
-				r, ok := o.inner.NextRow()
-				if !ok {
-					o.inner.Rewind()
-					break
-				}
-				o.bld.CopyRow(0, o.cur, o.curRow)
-				o.inner.buf.CopyRowTo(o.bld, o.lw, r)
-				if steps++; steps%cancelCheckRows == 0 {
-					if err := ctxErr(ctx); err != nil {
-						return nil, err
-					}
-				}
-				if o.bld.Full() {
-					return o.bld.Flush(), nil
-				}
+		for o.row < o.cur.Len() {
+			phys := int32(o.row)
+			if o.cur.Sel != nil {
+				phys = o.cur.Sel[o.row]
+			}
+			take := min(o.bld.Room(), o.inner.Len()-o.pos)
+			o.lsel, o.rsel = o.lsel[:0], o.rsel[:0]
+			for r := o.pos; r < o.pos+take; r++ {
+				o.lsel, o.rsel = append(o.lsel, phys), append(o.rsel, int32(r))
+			}
+			o.bld.AppendGather(0, o.cur.Cols, o.lsel)
+			o.inner.Gather(o.bld, o.lw, o.rsel)
+			if o.pos += take; o.pos == o.inner.Len() {
+				o.row, o.pos = o.row+1, 0
+			}
+			if o.bld.Full() {
+				return o.bld.Flush(), nil
 			}
 		}
 		o.cur = nil
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
 	}
 }
 
@@ -976,57 +965,4 @@ func (o *crossOp) Close() {
 	}
 	o.left.Close()
 	o.right.Close()
-}
-
-// rewindable materializes a child once into a columnar buffer and supports
-// arbitrarily many passes — the buffered edge a re-iterated input (the
-// inner of a nested-loop or cross product) needs under the pull model.
-type rewindable struct {
-	buf *vec.Buffer
-	pos int
-}
-
-// newRewindable drains the child into the buffer.
-func newRewindable(ctx context.Context, child Operator) (*rewindable, error) {
-	buf, err := drainBuffer(ctx, child)
-	if err != nil {
-		return nil, err
-	}
-	return &rewindable{buf: buf}, nil
-}
-
-// Len is the buffered row count.
-func (r *rewindable) Len() int {
-	if r.buf == nil {
-		return 0
-	}
-	return r.buf.Len()
-}
-
-// Width is the buffered column count.
-func (r *rewindable) Width() int {
-	if r.buf == nil {
-		return 0
-	}
-	return r.buf.Width()
-}
-
-// Rewind restarts iteration at the first buffered row.
-func (r *rewindable) Rewind() { r.pos = 0 }
-
-// NextRow returns the next buffered row index, or false at the end of the
-// pass.
-func (r *rewindable) NextRow() (int, bool) {
-	if r.pos >= r.Len() {
-		return 0, false
-	}
-	r.pos++
-	return r.pos - 1, true
-}
-
-// Release drops the buffered rows.
-func (r *rewindable) Release() {
-	if r.buf != nil {
-		r.buf.Release()
-	}
 }

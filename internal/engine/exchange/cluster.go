@@ -464,7 +464,7 @@ func (c *Cluster) Join(frag Fragment, left, right <-chan Batch) (Join, error) {
 	}
 	bs := frag.BatchSize
 	if bs <= 0 {
-		bs = 256
+		bs = vec.DefaultBatchRows
 	}
 	if _, epoch := c.members(); epoch > 0 {
 		frag.Epoch = epoch
@@ -546,6 +546,7 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			wc.stats.BatchesSent.Add(1)
 			return true
 		}
+		sc := scatter{key: key, p: p}
 		for b := range in {
 			if aborted {
 				continue // keep draining so upstream never blocks
@@ -556,8 +557,19 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 					builders[i] = vec.NewBuilder(b.Width(), bs)
 				}
 			}
-			if !scatterVec(b, key, p, builders, ship) {
-				aborted = true
+			// Gather each partition's rows column at a time, cutting at the
+			// builder's room so every frame but a stream's last holds exactly
+			// bs rows.
+			for i, sel := range sc.split(b) {
+				bld := builders[i]
+				for len(sel) > 0 && !aborted {
+					take := min(len(sel), bld.Room())
+					bld.AppendGather(0, b.Cols, sel[:take])
+					sel = sel[take:]
+					if bld.Full() && !ship(i, bld.Flush()) {
+						aborted = true
+					}
+				}
 			}
 		}
 		for i, bld := range builders {

@@ -152,12 +152,8 @@ func (l *Local) Join(frag Fragment, left, right <-chan Batch) (Join, error) {
 	if p < 1 {
 		p = 1
 	}
-	bs := frag.BatchSize
-	if bs <= 0 {
-		bs = 256
-	}
-	lparts := partitionStream(left, frag.LKeys[0], p, bs)
-	rparts := partitionStream(right, frag.RKeys[0], p, bs)
+	lparts := partitionStream(left, frag.LKeys[0], p)
+	rparts := partitionStream(right, frag.RKeys[0], p)
 	j := &localJoin{out: make(chan Batch, p), errs: make(chan error, p)}
 	var wg sync.WaitGroup
 	wg.Add(p)
@@ -195,9 +191,9 @@ func (l *Local) Join(frag Fragment, left, right <-chan Batch) (Join, error) {
 func (l *Local) Close() error { return nil }
 
 // partitionStream hash-partitions a stream into p streams on the key
-// column: a vectorized scatter — partitions are computed from the key
-// column alone, then live rows are gathered into per-partition builders.
-func partitionStream(in <-chan Batch, key, p, bs int) []<-chan Batch {
+// column without moving a value: each partition receives a view of the input
+// batch — the same columns under that partition's selection vector.
+func partitionStream(in <-chan Batch, key, p int) []<-chan Batch {
 	chans := make([]chan Batch, p)
 	streams := make([]<-chan Batch, p)
 	for i := range chans {
@@ -210,48 +206,66 @@ func partitionStream(in <-chan Batch, key, p, bs int) []<-chan Batch {
 				close(chans[i])
 			}
 		}()
-		var builders []*vec.Builder
+		sc := scatter{key: key, p: p}
 		for b := range in {
-			if builders == nil {
-				builders = make([]*vec.Builder, p)
-				for i := range builders {
-					builders[i] = vec.NewBuilder(b.Width(), bs)
+			for i, sel := range sc.split(b) {
+				if len(sel) > 0 {
+					chans[i] <- &vec.Vec{Cols: b.Cols, Sel: sel}
 				}
-			}
-			scatterVec(b, key, p, builders, func(part int, v Batch) bool {
-				chans[part] <- v
-				return true
-			})
-		}
-		for i, bld := range builders {
-			if v := bld.Flush(); v != nil {
-				chans[i] <- v
 			}
 		}
 	}()
 	return streams
 }
 
-// scatterVec routes each live row of b to its hash partition's builder,
-// emitting a builder's batch whenever it fills. emit returning false aborts
-// the scatter (the caller's sink failed); scatterVec then reports false.
-func scatterVec(b Batch, key, p int, builders []*vec.Builder, emit func(part int, v Batch) bool) bool {
-	col := b.Cols[key]
+// scatter is the redistribution kernel: one pass over the key column
+// computes every live row's partition, a second fills one selection vector
+// per partition (physical row indices, increasing). Both transports route
+// rows with it — Local hands the selections out as batch views, Cluster
+// gathers them into its per-link builders.
+type scatter struct {
+	key, p int
+	parts  []int32 // scratch: partition of each live row
+}
+
+// split returns the p selection vectors of b. They share one freshly
+// allocated array, so views built on them stay valid after the next call.
+func (s *scatter) split(b Batch) [][]int32 {
+	col := b.Cols[s.key]
 	n := b.Len()
-	for i := 0; i < n; i++ {
-		r := i
-		if b.Sel != nil {
-			r = int(b.Sel[i])
+	if cap(s.parts) < n {
+		s.parts = make([]int32, n)
+	}
+	parts := s.parts[:n]
+	counts := make([]int, s.p)
+	if b.Sel == nil {
+		for i, k := range col {
+			part := Partition(k, s.p)
+			parts[i] = int32(part)
+			counts[part]++
 		}
-		part := Partition(col[r], p)
-		builders[part].CopyPhys(0, b, r)
-		if builders[part].Full() {
-			if !emit(part, builders[part].Flush()) {
-				return false
-			}
+	} else {
+		for i, r := range b.Sel {
+			part := Partition(col[r], s.p)
+			parts[i] = int32(part)
+			counts[part]++
 		}
 	}
-	return true
+	slab := make([]int32, n)
+	sels := make([][]int32, s.p)
+	off := 0
+	for i, c := range counts {
+		sels[i] = slab[off : off : off+c]
+		off += c
+	}
+	for i, part := range parts {
+		r := int32(i)
+		if b.Sel != nil {
+			r = b.Sel[i]
+		}
+		sels[part] = append(sels[part], r)
+	}
+	return sels
 }
 
 // drainBatches consumes a stream to exhaustion.

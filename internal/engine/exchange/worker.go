@@ -161,10 +161,6 @@ func (w *Worker) handle(conn net.Conn) {
 			finish(errStoreMissing)
 			return
 		}
-		bs := frag.BatchSize
-		if bs <= 0 {
-			bs = 256
-		}
 		scan := func(name string, spec *ScanSpec) ([]Batch, int64, error) {
 			if spec == nil {
 				return nil, 0, nil
@@ -182,7 +178,7 @@ func (w *Worker) handle(conn net.Conn) {
 			if w.Stats != nil {
 				w.Stats.ShippedScans.Add(1)
 			}
-			bats := vec.Batches(rows, bs)
+			bats := vec.Batches(rows, frag.BatchSize)
 			var bytes int64
 			if len(rows) > 0 {
 				bytes = int64(len(rows)) * int64(len(rows[0])) * 8

@@ -7,7 +7,6 @@ import (
 
 	"paropt/internal/optree"
 	"paropt/internal/plan"
-	"paropt/internal/query"
 	"paropt/internal/storage"
 )
 
@@ -30,7 +29,7 @@ func (e *Executor) ExecuteOp(root *optree.Op) (*Resultset, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Resultset{Schema: schema, Rows: rows}
+	res := newRowResultset(schema, rows)
 	if len(e.Q.Projection) > 0 {
 		return res.Project(e.Q.Projection)
 	}
@@ -110,40 +109,17 @@ func matchExtra(l, r storage.Row, lkeys, rkeys []int) bool {
 	return true
 }
 
-// drainRows materializes an operator's output as rows, re-checking
-// cancellation between batches.
+// drainRows materializes an operator's output as rows.
 func drainRows(ctx context.Context, op Operator) ([]storage.Row, error) {
-	var rows []storage.Row
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		b, err := op.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return rows, nil
-		}
+	batches, n, err := drain(ctx, op)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]storage.Row, 0, n)
+	for _, b := range batches {
 		rows = b.AppendRows(rows)
 	}
-}
-
-// opJoinKeys resolves predicate columns against the two input schemas.
-func opJoinKeys(preds []query.JoinPredicate, lschema, rschema Schema) (lkeys, rkeys []int, err error) {
-	for _, p := range preds {
-		lp, rp := p.Left, p.Right
-		if lschema.IndexOf(lp) < 0 {
-			lp, rp = rp, lp
-		}
-		li, ri := lschema.IndexOf(lp), rschema.IndexOf(rp)
-		if li < 0 || ri < 0 {
-			return nil, nil, fmt.Errorf("engine: predicate %v does not span operator inputs", p)
-		}
-		lkeys = append(lkeys, li)
-		rkeys = append(rkeys, ri)
-	}
-	return lkeys, rkeys, nil
+	return rows, nil
 }
 
 // runMerge merge-joins its two (sorted) inputs on the first predicate.
@@ -160,7 +136,7 @@ func (e *Executor) runMerge(op *optree.Op) ([]storage.Row, Schema, error) {
 	if len(op.Preds) == 0 {
 		return crossRows(l, r), schema, nil
 	}
-	lkeys, rkeys, err := opJoinKeys(op.Preds, lschema, rschema)
+	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -212,7 +188,7 @@ func (e *Executor) runProbe(op *optree.Op) ([]storage.Row, Schema, error) {
 	if len(op.Preds) == 0 {
 		return crossRows(l, r), schema, nil
 	}
-	lkeys, rkeys, err := opJoinKeys(op.Preds, lschema, rschema)
+	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,7 +224,7 @@ func (e *Executor) runPureNL(op *optree.Op) ([]storage.Row, Schema, error) {
 	if len(op.Preds) == 0 {
 		return crossRows(l, r), schema, nil
 	}
-	lkeys, rkeys, err := opJoinKeys(op.Preds, lschema, rschema)
+	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
 	if err != nil {
 		return nil, nil, err
 	}

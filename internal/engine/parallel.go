@@ -326,7 +326,7 @@ func ReferenceJoin(e *Executor) (*Resultset, error) {
 		rows = next
 		schema = newSchema
 	}
-	res := &Resultset{Schema: schema, Rows: rows}
+	res := newRowResultset(schema, rows)
 	if len(e.Q.Projection) > 0 {
 		return res.Project(e.Q.Projection)
 	}

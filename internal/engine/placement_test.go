@@ -105,9 +105,9 @@ func TestPlacedJoinShipsScansAndMatchesSingleProcess(t *testing.T) {
 		ns, nd := single.Normalize(), distributed.Normalize()
 		sortRows(ns)
 		sortRows(nd)
-		if !reflect.DeepEqual(ns.Rows, nd.Rows) {
+		if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
 			t.Fatalf("%v: placed rows differ from single-process (%d vs %d rows)",
-				method, len(nd.Rows), len(ns.Rows))
+				method, nd.Len(), ns.Len())
 		}
 		if single.Len() == 0 {
 			t.Fatalf("%v: join produced nothing; fixture broken", method)
@@ -171,8 +171,8 @@ func TestPlacedJoinSurvivesWorkerDeathMidQuery(t *testing.T) {
 	ns, nd := single.Normalize(), distributed.Normalize()
 	sortRows(ns)
 	sortRows(nd)
-	if !reflect.DeepEqual(ns.Rows, nd.Rows) {
-		t.Fatalf("rows differ after re-dispatch (%d vs %d)", len(nd.Rows), len(ns.Rows))
+	if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
+		t.Fatalf("rows differ after re-dispatch (%d vs %d)", nd.Len(), ns.Len())
 	}
 	if cluster.Retries() < 1 {
 		t.Errorf("Retries = %d, want ≥1", cluster.Retries())
@@ -227,8 +227,8 @@ func TestPlacedJoinFallsBackToCoordinator(t *testing.T) {
 	ns, nd := single.Normalize(), distributed.Normalize()
 	sortRows(ns)
 	sortRows(nd)
-	if !reflect.DeepEqual(ns.Rows, nd.Rows) {
-		t.Fatalf("fallback rows differ (%d vs %d)", len(nd.Rows), len(ns.Rows))
+	if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
+		t.Fatalf("fallback rows differ (%d vs %d)", nd.Len(), ns.Len())
 	}
 	if cluster.Fallbacks() < 1 {
 		t.Errorf("Fallbacks = %d, want ≥1", cluster.Fallbacks())

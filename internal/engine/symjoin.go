@@ -7,15 +7,13 @@ import (
 )
 
 // symJoinOp is the symmetric (pipelining) hash join: both inputs stream, each
-// side maintaining its own columnar buffer and compact chained hash table.
-// Every arriving row first probes the opposite side's table — emitting any
-// matches immediately — and is then inserted into its own, so each matching
-// pair is produced exactly once and the first output row appears without a
-// blocking build phase. When one input is exhausted, the other side's table
-// and buffer are freed on the spot: the exhausted side sends no more probes,
-// so nothing can ever hit them again. That early free is why the symmetric
-// join's peak heap on balanced streams undercuts the blocking join's
-// map-based build, despite buffering both inputs (see TestSymmetricHeapBound).
+// side maintaining its own columnar buffer and vec.HashTable. Every arriving
+// batch is inserted into its own side's table and probed, whole, against the
+// opposite side's — a pair is emitted by whichever of its rows arrives later,
+// so each matching pair is produced exactly once and the first output row
+// appears without a blocking build phase. When one input is exhausted, the
+// other side's table and buffer are freed on the spot: the exhausted side
+// sends no more probes, so nothing can ever hit them again.
 type symJoinOp struct {
 	e  *Executor
 	bs int
@@ -23,17 +21,16 @@ type symJoinOp struct {
 	r  symSide
 
 	bld *vec.Builder
-	lw  int // left width, fixed at first match
-	rw  int
+	lw  int // left width, fixed at first possible match
 
-	// in-progress batch state, saved across Next calls when the builder
-	// fills mid-batch.
-	cur      Batch
-	curRow   int
-	curStart int  // dense buffer index of the batch's first row (-1: not buffered)
-	fromLeft bool // which side cur was pulled from
-	turn     bool // next side to pull: false = left
-	done     bool
+	// in-progress probe batch, saved across Next calls when the builder fills
+	// mid-batch.
+	cur        Batch
+	pc         vec.ProbeCursor
+	fromLeft   bool // which side cur was pulled from
+	turn       bool // next side to pull: false = left
+	done       bool
+	psel, bsel []int32 // matched (cur physical row, opposite buffered row) pairs
 }
 
 // symSide is one input's streaming state.
@@ -57,21 +54,19 @@ func newSymJoinOp(e *Executor, l, r Operator, lkeys, rkeys []int) *symJoinOp {
 }
 
 func (o *symJoinOp) Next(ctx context.Context) (Batch, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
 	for {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		if o.done {
 			if o.bld != nil {
-				if out := o.bld.Flush(); out != nil {
-					return out, nil
-				}
+				return o.bld.Flush(), nil
 			}
 			return nil, nil
 		}
 		if o.cur != nil {
-			if out, err := o.emitBatch(ctx); err != nil || out != nil {
-				return out, err
+			if out := o.probe(); out != nil {
+				return out, nil
 			}
 			continue
 		}
@@ -81,49 +76,41 @@ func (o *symJoinOp) Next(ctx context.Context) (Batch, error) {
 		}
 		// Alternate pulls between live sides so neither input's buffer grows
 		// unboundedly ahead of the other on balanced streams.
-		side := &o.l
+		own, opp := &o.l, &o.r
 		if o.turn && !o.r.done || o.l.done {
-			side = &o.r
+			own, opp = opp, own
 		}
 		o.turn = !o.turn
-		b, err := side.src.Next(ctx)
+		b, err := own.src.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			side.done = true
+			own.done = true
 			// The exhausted side sends no more probes, so the opposite
 			// side's table and buffer can never be hit again: free them and
 			// stop buffering its remaining rows.
-			opposite(o, side).free()
+			opp.free()
 			continue
 		}
 		if b.Len() == 0 {
 			continue
 		}
-		if side.width == 0 {
-			side.width = b.Width()
+		if own.width == 0 {
+			own.width = b.Width()
 		}
-		o.cur = b
-		o.curRow = 0
-		o.fromLeft = side == &o.l
-		o.curStart = -1
-		if !side.freed {
-			if side.buf == nil {
-				side.buf = vec.NewBuffer(side.width)
-				side.ht = vec.NewHashTable()
+		if !own.freed {
+			if own.buf == nil {
+				own.buf = vec.NewBuffer(own.width)
+				own.ht = vec.NewHashTable()
 			}
-			o.curStart = side.buf.Append(b)
+			own.buf.Append(b)
+			own.ht.InsertBatch(b.Cols[own.keys[0]], b.Sel)
+		}
+		if opp.ht != nil && opp.ht.Len() > 0 {
+			o.cur, o.pc, o.fromLeft = b, vec.ProbeCursor{}, own == &o.l
 		}
 	}
-}
-
-// opposite returns the other side.
-func opposite(o *symJoinOp, side *symSide) *symSide {
-	if side == &o.l {
-		return &o.r
-	}
-	return &o.l
 }
 
 // free releases a side's probe structures once no future probe can reach
@@ -142,83 +129,39 @@ func (s *symSide) free() {
 	s.buf, s.ht = nil, nil
 }
 
-// emitBatch probes the opposite table with the in-progress batch's rows,
-// inserting each row into its own table after its probe (probe-then-insert
-// yields each pair exactly once). Returns a batch when the builder fills;
-// (nil, nil) when the batch is fully processed.
-func (o *symJoinOp) emitBatch(ctx context.Context) (Batch, error) {
+// probe runs the in-progress batch against the opposite side's table for at
+// most one output batch's worth of pairs and gathers them, left columns
+// first. It returns a batch when the builder fills; nil otherwise, with cur
+// cleared once the batch is fully probed.
+func (o *symJoinOp) probe() Batch {
 	own, opp := &o.l, &o.r
 	if !o.fromLeft {
-		own, opp = &o.r, &o.l
+		own, opp = opp, own
 	}
-	key := o.cur.Cols[own.keys[0]]
-	var okey []int64
-	if opp.buf != nil {
-		okey = opp.buf.Col(opp.keys[0])
+	if o.bld == nil {
+		// Both widths are known at the first possible match: the opposite
+		// buffer is non-empty and cur fixes this side's.
+		o.lw = o.l.width
+		o.bld = vec.NewBuilder(o.lw+o.r.width, o.bs)
 	}
-	for ; o.curRow < o.cur.Len(); o.curRow++ {
-		if o.curRow%cancelCheckRows == cancelCheckRows-1 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		li := o.curRow
-		phys := li
-		if o.cur.Sel != nil {
-			phys = int(o.cur.Sel[li])
-		}
-		k := key[phys]
-		if opp.ht != nil && opp.ht.Len() > 0 {
-			if o.bld == nil {
-				// Both widths are known at the first possible match: the
-				// opposite buffer is non-empty and cur fixes this side's.
-				o.lw, o.rw = o.l.width, o.r.width
-				o.bld = vec.NewBuilder(o.lw+o.rw, o.bs)
-			}
-			full := false
-			opp.ht.Probe(k, func(r int32) bool {
-				// The table stores hashes, not keys: confirm the candidate
-				// against the buffered key column, then the extra predicates.
-				if okey[r] != k || !o.symMatch(own, opp, phys, int(r)) {
-					return true
-				}
-				if o.fromLeft {
-					o.bld.CopyPhys(0, o.cur, phys)
-					opp.buf.CopyRowTo(o.bld, o.lw, int(r))
-				} else {
-					opp.buf.CopyRowTo(o.bld, 0, int(r))
-					o.bld.CopyPhys(o.lw, o.cur, phys)
-				}
-				full = o.bld.Full()
-				return true
-			})
-			if full {
-				// Insert before yielding so the row is never probed-for
-				// twice when Next resumes at curRow+1.
-				if o.curStart >= 0 {
-					own.ht.Insert(k)
-				}
-				o.curRow++
-				return o.bld.Flush(), nil
-			}
-		}
-		if o.curStart >= 0 {
-			own.ht.Insert(k)
-		}
+	var probed bool
+	o.psel, o.bsel, probed = opp.ht.ProbeBatch(o.cur.Cols[own.keys[0]], o.cur.Sel,
+		opp.buf.Col(opp.keys[0]), &o.pc, o.bld.Room(), o.psel[:0], o.bsel[:0])
+	psel, bsel := filterPairs(o.psel, o.bsel, o.cur, opp.buf, own.keys, opp.keys)
+	if o.fromLeft {
+		o.bld.AppendGather(0, o.cur.Cols, psel)
+		opp.buf.Gather(o.bld, o.lw, bsel)
+	} else {
+		opp.buf.Gather(o.bld, 0, bsel)
+		o.bld.AppendGather(o.lw, o.cur.Cols, psel)
 	}
-	o.cur = nil
-	return nil, nil
-}
-
-// symMatch checks predicates beyond the hash key between the current
-// batch's physical row and the opposite side's buffered row.
-func (o *symJoinOp) symMatch(own, opp *symSide, phys, r int) bool {
-	for i := 1; i < len(own.keys); i++ {
-		if o.cur.Cols[own.keys[i]][phys] != opp.buf.Value(opp.keys[i], r) {
-			return false
-		}
+	if probed {
+		o.cur = nil
 	}
-	return true
+	if o.bld.Full() {
+		return o.bld.Flush()
+	}
+	return nil
 }
 
 func (o *symJoinOp) Close() {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -46,9 +47,9 @@ func skewRig(t testing.TB, lcard, rcard int64) (*Executor, *plan.Estimator) {
 }
 
 // TestSymmetricJoinDifferential is the differential property test of the
-// vectorized engine: the same plan through the serial blocking join, the
-// serial symmetric hash join, the locally-parallel symmetric join, and the
-// distributed path (loopback workers over TCP, both wire methods) must all
+// vectorized engine: the same plan through the blocking and the symmetric
+// hash join, each serial, locally parallel at degrees 2, 3 and 8, and
+// distributed (loopback workers over TCP, both wire methods), must all
 // produce row-identical Resultset fingerprints — including skewed keys and
 // empty inputs.
 func TestSymmetricJoinDifferential(t *testing.T) {
@@ -134,17 +135,24 @@ func TestSymmetricJoinDifferential(t *testing.T) {
 			}
 			want := ref.Fingerprint()
 
-			paths := []struct {
+			type path struct {
 				name      string
 				symmetric bool
 				parallel  int
 				transport exchange.Transport
-			}{
-				{"blocking-serial", false, 1, nil},
-				{"symmetric-serial", true, 1, nil},
-				{"symmetric-parallel", true, 4, nil},
-				{"blocking-distributed", false, 4, lb.Cluster(exchange.ClusterConfig{})},
-				{"symmetric-distributed", true, 4, lb.Cluster(exchange.ClusterConfig{})},
+			}
+			var paths []path
+			for _, sym := range []bool{false, true} {
+				kind := "blocking"
+				if sym {
+					kind = "symmetric"
+				}
+				// Parallel 1 is the serial join; above it the scatter hands each
+				// partition selection-vector views of the input batches.
+				for _, par := range []int{1, 2, 3, 8} {
+					paths = append(paths, path{fmt.Sprintf("%s-parallel-%d", kind, par), sym, par, nil})
+				}
+				paths = append(paths, path{kind + "-distributed", sym, 4, lb.Cluster(exchange.ClusterConfig{})})
 			}
 			for _, path := range paths {
 				e.Symmetric = path.symmetric
@@ -172,29 +180,24 @@ func heapNow() uint64 {
 	return m.HeapAlloc
 }
 
-// TestSymmetricHeapBound: on balanced streams the symmetric join — which
-// buffers BOTH inputs but indexes them with compact chained hash tables —
-// must hold less peak heap than the blocking build-probe join's map-based
-// build of ONE input. The peak is sampled mid-run (post-GC live heap while
-// the operator's structures are reachable); output batches are discarded on
-// both sides so only the join state differs.
-func TestSymmetricHeapBound(t *testing.T) {
+// TestJoinHeapBound pins what a hash join keeps per buffered row, as absolute
+// numbers: the blocking join copies its build side once into a buffer sized
+// exactly (8 B per value) and indexes it with a table reserved once (8 B of
+// links and hashes plus at most 4 B of buckets per row); the symmetric join
+// buffers both inputs in the same two structures, each grown by doubling, so
+// at most twice that per row. The peak is sampled mid-run (post-GC live heap
+// while the operator's structures are reachable); output batches are
+// discarded so only the join state counts.
+func TestJoinHeapBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement on 2×100k rows")
 	}
-	const n = 100_000
+	const n, width = 100_000, 2
 	e, est := rig(t, n, n)
 	p := join(t, est, leaf(t, est, "R1"), leaf(t, est, "R2"), plan.HashJoin)
 	// Warm the tables' columnar caches so neither measurement pays for them.
 	for _, rel := range []string{"R1", "R2"} {
-		nd := leaf(t, est, rel)
-		op, _, err := e.scan(nd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := drainBuffer(context.Background(), op); err != nil {
-			t.Fatal(err)
-		}
+		e.DB.Tables[rel].Columns()
 	}
 
 	peakOf := func(symmetric bool) uint64 {
@@ -234,12 +237,67 @@ func TestSymmetricHeapBound(t *testing.T) {
 		return peak
 	}
 
-	blocking := peakOf(false)
-	symmetric := peakOf(true)
-	t.Logf("peak heap over base: blocking build = %d B, symmetric = %d B (%.1f%%)",
-		blocking, symmetric, 100*float64(symmetric)/float64(blocking))
-	if symmetric >= blocking {
-		t.Errorf("symmetric join peak heap %d B is not below the blocking build's %d B", symmetric, blocking)
+	const perRow = 8*width + 12
+	// Slack for what is live besides the join state: the in-flight output
+	// batch, selection scratch, runtime bookkeeping.
+	const slack = 256 << 10
+	blocking, symmetric := peakOf(false), peakOf(true)
+	t.Logf("peak heap over base: blocking = %d B (%.1f B/build row), symmetric = %d B (%.1f B/buffered row)",
+		blocking, float64(blocking)/n, symmetric, float64(symmetric)/(2*n))
+	if limit := uint64(perRow*n + slack); blocking > limit {
+		t.Errorf("blocking join peak heap %d B exceeds %d B/build row (%d B)", blocking, perRow, limit)
+	}
+	if limit := uint64(2*perRow*2*n + slack); symmetric > limit {
+		t.Errorf("symmetric join peak heap %d B exceeds 2×%d B/buffered row (%d B)", symmetric, perRow, limit)
+	}
+}
+
+// TestParallelJoinAllocationPin: a cloned hash join copies a row once per
+// operator — into the build buffer or into the output batch — and nothing
+// else scales with rows: the scatter moves no values, the result keeps the
+// root's batches. Bytes allocated per result row of a 100k ⋈ 100k join at
+// degree 2 therefore stay near (build row + result row) × 8 B, and the
+// allocation count near one slab per batch. A reintroduced per-row copy,
+// per-key allocation or row-major result fails here, not only in the
+// benchmark.
+func TestParallelJoinAllocationPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement on 2×100k rows")
+	}
+	const n = 100_000
+	e, est := rig(t, n, n)
+	e.Parallel = 2
+	p := join(t, est, leaf(t, est, "R1"), leaf(t, est, "R2"), plan.HashJoin)
+	for _, rel := range []string{"R1", "R2"} {
+		e.DB.Tables[rel].Columns()
+	}
+	rows := 0
+	run := func() {
+		res, err := e.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = res.Len()
+	}
+	run()
+	if rows < n {
+		t.Fatalf("fixture join returned %d rows", rows)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, run)
+	runtime.ReadMemStats(&after)
+	bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / float64((runs+1)*rows)
+	allocsPerRow := allocs / float64(rows)
+	t.Logf("%d result rows: %.1f B and %.4f allocations per result row", rows, bytesPerRow, allocsPerRow)
+	// Measured 50 B and 0.01 allocations per row; with a map build, a per-row
+	// scatter and a row-major result the same join spent 326 B and 1.28.
+	if bytesPerRow > 80 {
+		t.Errorf("%.1f B allocated per result row, ceiling 80", bytesPerRow)
+	}
+	if allocsPerRow > 0.05 {
+		t.Errorf("%.4f allocations per result row, ceiling 0.05", allocsPerRow)
 	}
 }
 
@@ -340,3 +398,46 @@ func TestCrossProductCancelBetweenBatches(t *testing.T) {
 		t.Fatalf("cross product did not unwind within 5s of cancel\n%s", buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// benchPairJoin pulls a 2M-row pair join (R1.id = R2.fk, 1M rows a side)
+// through the serial iterators, counting joined rows — the §VE1 workload.
+func benchPairJoin(b *testing.B, symmetric bool) {
+	e, est := rig(b, 1_000_000, 1_000_000)
+	e.Symmetric = symmetric
+	p := join(b, est, leaf(b, est, "R1"), leaf(b, est, "R2"), plan.HashJoin)
+	// Pre-warm the columnar caches so the one-time transposition stays out
+	// of the timed region.
+	for _, rel := range []string{"R1", "R2"} {
+		e.DB.Tables[rel].Columns()
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op, _, err := e.run(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			batch, err := op.Next(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			n += batch.Len()
+		}
+		op.Close()
+		if n == 0 {
+			b.Fatal("join produced no rows")
+		}
+	}
+}
+
+// BenchmarkPairJoinVec: the blocking columnar build-probe join.
+func BenchmarkPairJoinVec(b *testing.B) { benchPairJoin(b, false) }
+
+// BenchmarkPairJoinSym: the symmetric (pipelining) hash join.
+func BenchmarkPairJoinSym(b *testing.B) { benchPairJoin(b, true) }

@@ -12,6 +12,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"paropt/internal/engine"
+	"paropt/internal/parser"
+	"paropt/internal/storage"
 )
 
 func newTestServer(t *testing.T, mutate func(*Config)) (*Service, *httptest.Server) {
@@ -282,5 +286,65 @@ func TestHTTPMethodAndBodyErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body should be 400, got %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPAnalyzeRunsRequestLiteralsOnCacheHit: instances of one template
+// share a plan-cache entry, but /explain?analyze=1 must execute the
+// *request's* selection literals — the second request is a cache hit on an
+// entry whose optimizer was built from the first request's query. Both root
+// row counts must equal the brute-force reference for their own literal.
+func TestHTTPAnalyzeRunsRequestLiteralsOnCacheHit(t *testing.T) {
+	const ddl = `relation A card=400 pages=8 disk=0
+column A.k ndv=40
+column A.v ndv=4
+relation B card=300 pages=6 disk=1
+column B.k ndv=40
+column B.w ndv=7
+`
+	cat, err := parser.ParseSchema(ddl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, srv := newTestServer(t, func(c *Config) { c.Catalog = cat })
+	db := storage.NewDatabase(cat, s.cfg.DataSeed)
+
+	rootRows := func(lit int, wantCache string) int64 {
+		t.Helper()
+		sql := fmt.Sprintf("SELECT * FROM A, B WHERE A.k = B.k AND A.v = %d", lit)
+		resp, body := postJSON(t, srv.URL+"/explain?analyze=1", OptimizeRequest{Query: sql})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain analyze (literal %d): %d: %s", lit, resp.StatusCode, body)
+		}
+		var out ExplainResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Cache != wantCache {
+			t.Fatalf("literal %d: cache = %s, want %s", lit, out.Cache, wantCache)
+		}
+		q, err := parser.ParseQuery(sql, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := engine.ReferenceJoin(&engine.Executor{DB: db, Q: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range out.Analyze.Ops {
+			if op.Root {
+				if op.ActRows != int64(ref.Len()) {
+					t.Errorf("literal %d: root actRows = %d, reference join has %d", lit, op.ActRows, ref.Len())
+				}
+				return op.ActRows
+			}
+		}
+		t.Fatalf("literal %d: analyze report has no root operator", lit)
+		return 0
+	}
+	first := rootRows(1, "miss")
+	second := rootRows(2, "hit")
+	if first == second {
+		t.Fatalf("fixture does not separate the literals: both return %d rows", first)
 	}
 }

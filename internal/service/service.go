@@ -855,6 +855,10 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 type servedPlan struct {
 	plan  *core.Plan
 	entry *cacheEntry
+	// q is the request's own parsed query. The cache entry's optimizer holds
+	// whichever instance of the template was searched first; analyze executes
+	// this one's selection literals.
+	q     *query.Query
 	trace *obs.Trace
 	root  *obs.Span
 	req   *OptimizeRequest
@@ -1042,7 +1046,7 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, start time.Ti
 	}
 	resp.ElapsedMicros = time.Since(start).Microseconds()
 	s.met.Latency.Observe(time.Since(start).Seconds())
-	return resp, &servedPlan{plan: plan, entry: entry, trace: tr, root: root, req: req, ctx: ctx, iq: iq}, nil
+	return resp, &servedPlan{plan: plan, entry: entry, q: q, trace: tr, root: root, req: req, ctx: ctx, iq: iq}, nil
 }
 
 // finishInflight retires a query from the live registry and counts its
@@ -1176,7 +1180,7 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, out *Explain
 		stop := context.AfterFunc(ctx, cluster.Cancel)
 		defer stop()
 	}
-	rep, _, err := served.entry.opt.AnalyzeLive(ctx, served.plan, db, par, tr, stats)
+	rep, _, err := served.entry.opt.AnalyzeLive(ctx, served.plan, served.q, db, par, tr, stats)
 	if cluster != nil {
 		// Record traffic even on failure: partial transfers are exactly
 		// what an operator debugging a dead worker wants to see.

@@ -19,6 +19,10 @@ import (
 	"paropt/internal/storage"
 )
 
+// DefaultBatchRows is the rows-per-batch granularity of builders, scans and
+// the exchange when no batch size is configured.
+const DefaultBatchRows = 1024
+
 // Vec is a columnar batch: Cols[c][r] is column c of physical row r, and
 // Sel (when non-nil) selects the live subset of physical rows.
 type Vec struct {
@@ -48,14 +52,6 @@ func (v *Vec) Len() int {
 // meter.
 func (v *Vec) Bytes() int64 {
 	return int64(v.Len()) * int64(v.Width()) * 8
-}
-
-// Value returns column col of live row i (selection-translated).
-func (v *Vec) Value(col, i int) int64 {
-	if v.Sel != nil {
-		return v.Cols[col][v.Sel[i]]
-	}
-	return v.Cols[col][i]
 }
 
 // emptySel marks a batch with zero live rows: Sel must stay non-nil when a
@@ -121,17 +117,24 @@ func FromRows(rows []storage.Row) *Vec {
 }
 
 // AppendRows materializes the live rows onto dst in row-major form — the
-// boundary back to the row world (Resultset materialization, reference
-// oracles).
+// boundary back to the row world (Resultset.Rows, reference oracles). The
+// rows of one call share one backing array, filled column at a time.
 func (v *Vec) AppendRows(dst []storage.Row) []storage.Row {
-	n := v.Len()
-	w := v.Width()
-	for i := 0; i < n; i++ {
-		row := make(storage.Row, w)
-		for c := 0; c < w; c++ {
-			row[c] = v.Value(c, i)
+	n, w := v.Len(), v.Width()
+	slab := make([]int64, n*w)
+	for c, col := range v.Cols {
+		if v.Sel == nil {
+			for i, x := range col {
+				slab[i*w+c] = x
+			}
+		} else {
+			for i, r := range v.Sel {
+				slab[i*w+c] = col[r]
+			}
 		}
-		dst = append(dst, row)
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, slab[i*w:(i+1)*w:(i+1)*w])
 	}
 	return dst
 }
@@ -140,7 +143,7 @@ func (v *Vec) AppendRows(dst []storage.Row) []storage.Row {
 // rows each — the staged-partition and fallback-scan path of the exchange.
 func Batches(rows []storage.Row, bs int) []*Vec {
 	if bs <= 0 {
-		bs = 1024
+		bs = DefaultBatchRows
 	}
 	var out []*Vec
 	for start := 0; start < len(rows); start += bs {
@@ -153,9 +156,10 @@ func Batches(rows []storage.Row, bs int) []*Vec {
 	return out
 }
 
-// Builder assembles an output Vec row by row — the emit side of join and
-// projection kernels. Flushing hands off the accumulated columns and
-// resets, so one Builder serves a whole stream of batches.
+// Builder assembles an output Vec — the emit side of join and projection
+// kernels. Flushing hands off the accumulated columns and resets, so one
+// Builder serves a whole stream of batches. Each batch's columns are slices
+// of one slab, allocated when the batch receives its first row.
 type Builder struct {
 	cols [][]int64
 	bs   int
@@ -164,13 +168,22 @@ type Builder struct {
 // NewBuilder sizes a builder for batches of bs rows and the given width.
 func NewBuilder(width, bs int) *Builder {
 	if bs <= 0 {
-		bs = 1024
+		bs = DefaultBatchRows
 	}
-	b := &Builder{cols: make([][]int64, width), bs: bs}
+	return &Builder{cols: make([][]int64, width), bs: bs}
+}
+
+// reserve allocates the batch's slab before its first row. Columns are
+// capacity-capped at bs so an append past a full batch reallocates that
+// column instead of running into its neighbour.
+func (b *Builder) reserve() {
+	if len(b.cols) == 0 || cap(b.cols[0]) > 0 {
+		return
+	}
+	slab := make([]int64, len(b.cols)*b.bs)
 	for c := range b.cols {
-		b.cols[c] = make([]int64, 0, bs)
+		b.cols[c] = slab[c*b.bs : c*b.bs : (c+1)*b.bs]
 	}
-	return b
 }
 
 // Len is the number of rows accumulated since the last Flush.
@@ -184,36 +197,19 @@ func (b *Builder) Len() int {
 // Full reports whether the builder reached its batch size.
 func (b *Builder) Full() bool { return b.Len() >= b.bs }
 
-// CopyRow appends live row i of src (all columns, in order) starting at
-// output column at.
-func (b *Builder) CopyRow(at int, src *Vec, i int) {
-	if src.Sel != nil {
-		i = int(src.Sel[i])
-	}
-	for c, col := range src.Cols {
-		b.cols[at+c] = append(b.cols[at+c], col[i])
-	}
-}
-
-// CopyPhys appends physical row r of src starting at output column at —
-// for callers that resolved the selection themselves (hash probes store
-// physical indices).
-func (b *Builder) CopyPhys(at int, src *Vec, r int) {
-	for c, col := range src.Cols {
-		b.cols[at+c] = append(b.cols[at+c], col[r])
-	}
-}
-
-// Append appends a single value to output column c.
-func (b *Builder) Append(c int, val int64) {
-	b.cols[c] = append(b.cols[c], val)
-}
+// Room is how many more rows fit before the builder is full — the limit
+// batch kernels stop at so a batch never outgrows its slab.
+func (b *Builder) Room() int { return b.bs - b.Len() }
 
 // AppendGather appends cols[c][idx[i]] for every i to output column at+c —
-// the columnar emit of the join kernels. Callers accumulate matched row
-// indices and gather once per batch, turning one multi-column copy per
-// output row into one tight loop per column.
+// the columnar emit of the join and scatter kernels. Callers accumulate
+// matched row indices and gather once per batch, turning one multi-column
+// copy per output row into one tight loop per column.
 func (b *Builder) AppendGather(at int, cols [][]int64, idx []int32) {
+	if len(idx) == 0 {
+		return
+	}
+	b.reserve()
 	for c, col := range cols {
 		dst := b.cols[at+c]
 		for _, r := range idx {
@@ -231,15 +227,13 @@ func (b *Builder) Flush() *Vec {
 	}
 	v := &Vec{Cols: b.cols}
 	b.cols = make([][]int64, len(b.cols))
-	for c := range b.cols {
-		b.cols[c] = make([]int64, 0, b.bs)
-	}
 	return v
 }
 
 // Buffer is a growable columnar row store: the build side of joins and the
 // rewind buffer of re-iterated inputs. Appending compacts selections; rows
-// are addressed by dense index.
+// are addressed by dense index. The columns share one slab that doubles when
+// it fills; Grow sizes it exactly when the row count is known up front.
 type Buffer struct {
 	cols [][]int64
 }
@@ -266,29 +260,46 @@ func (t *Buffer) Col(c int) []int64 { return t.cols[c] }
 // Value returns column c of buffered row r.
 func (t *Buffer) Value(c, r int) int64 { return t.cols[c][r] }
 
+// Grow makes room for n more rows: a buffer that already has it is left
+// alone, an empty one is sized to exactly n, and a filled one moves to a slab
+// of at least twice its capacity — so a drained stream is copied at most
+// twice however many batches it arrived in.
+func (t *Buffer) Grow(n int) {
+	if len(t.cols) == 0 {
+		return
+	}
+	have, need := t.Len(), t.Len()+n
+	if need <= cap(t.cols[0]) {
+		return
+	}
+	if c := 2 * cap(t.cols[0]); need < c {
+		need = c
+	}
+	slab := make([]int64, len(t.cols)*need)
+	for c, col := range t.cols {
+		t.cols[c] = slab[c*need : c*need+have : (c+1)*need]
+		copy(t.cols[c], col)
+	}
+}
+
 // Append copies the live rows of v into the buffer and returns the index
 // of the first appended row.
 func (t *Buffer) Append(v *Vec) int {
 	start := t.Len()
+	t.Grow(v.Len())
 	for c := range t.cols {
 		col := v.Cols[c]
 		if v.Sel == nil {
 			t.cols[c] = append(t.cols[c], col...)
 		} else {
+			dst := t.cols[c]
 			for _, r := range v.Sel {
-				t.cols[c] = append(t.cols[c], col[r])
+				dst = append(dst, col[r])
 			}
+			t.cols[c] = dst
 		}
 	}
 	return start
-}
-
-// CopyRowTo appends buffered row r (all columns) to b starting at output
-// column at.
-func (t *Buffer) CopyRowTo(b *Builder, at, r int) {
-	for c, col := range t.cols {
-		b.cols[at+c] = append(b.cols[at+c], col[r])
-	}
 }
 
 // Gather appends the buffered rows at the given indices to b starting at
@@ -296,19 +307,6 @@ func (t *Buffer) CopyRowTo(b *Builder, at, r int) {
 func (t *Buffer) Gather(b *Builder, at int, idx []int32) {
 	b.AppendGather(at, t.cols, idx)
 }
-
-// Vec returns a dense view of rows [start, end) sharing the buffer's
-// storage.
-func (t *Buffer) Vec(start, end int) *Vec {
-	v := &Vec{Cols: make([][]int64, len(t.cols))}
-	for c := range t.cols {
-		v.Cols[c] = t.cols[c][start:end]
-	}
-	return v
-}
-
-// Bytes is the buffered payload size (8 bytes per value).
-func (t *Buffer) Bytes() int64 { return int64(t.Len()) * int64(t.Width()) * 8 }
 
 // Release drops the column storage, returning the buffer to zero length
 // while keeping its width — the symmetric join frees the no-longer-probed

@@ -122,52 +122,51 @@ func TestBatchesSplit(t *testing.T) {
 	}
 }
 
-func TestBuilderFlushAndSelection(t *testing.T) {
+func TestBuilderFlushAndRoom(t *testing.T) {
 	src := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
 	sel := src.FilterEq(0, 2)
 	b := NewBuilder(4, 2)
-	b.CopyRow(0, sel, 0)  // live row 0 of the selection = physical row 1
-	b.CopyPhys(2, src, 0) // physical row 0
-	if b.Len() != 1 || b.Full() {
-		t.Fatalf("Len=%d Full=%v", b.Len(), b.Full())
+	if b.Room() != 2 {
+		t.Fatalf("fresh Room = %d, want 2", b.Room())
+	}
+	b.AppendGather(0, sel.Cols, sel.Sel)    // the selection's one live row = physical row 1
+	b.AppendGather(2, src.Cols, []int32{0}) // physical row 0
+	if b.Len() != 1 || b.Full() || b.Room() != 1 {
+		t.Fatalf("Len=%d Full=%v Room=%d", b.Len(), b.Full(), b.Room())
 	}
 	out := b.Flush()
 	want := rows([]int64{2, 20, 1, 10})
 	if got := out.AppendRows(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("built = %v, want %v", got, want)
 	}
-	if b.Len() != 0 {
+	if b.Len() != 0 || b.Room() != 2 {
 		t.Fatal("Flush did not reset")
 	}
 	if b.Flush() != nil {
 		t.Fatal("empty Flush should be nil")
 	}
+	// A flushed batch owns its slab: refilling the builder must not touch it.
+	b.AppendGather(0, src.Cols, []int32{2, 2})
+	b.AppendGather(2, src.Cols, []int32{2, 2})
+	if got := out.AppendRows(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flushed batch changed under the builder: %v", got)
+	}
 }
 
-// TestAppendGather: the columnar join emit — gathered physical indices must
-// agree with row-at-a-time copies, including duplicated and out-of-order
-// indices (one probe row matching many build rows and vice versa).
+// TestAppendGather: the columnar join emit — gathered indices may repeat
+// and run out of order (one probe row matching many build rows and vice
+// versa), and the two halves of a row gather from different sources.
 func TestAppendGather(t *testing.T) {
 	left := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
 	buf := NewBuffer(2)
 	buf.Append(FromRows(rows([]int64{7, 70}, []int64{8, 80})))
 
-	want := NewBuilder(4, 8)
 	b := NewBuilder(4, 8)
-	lsel := []int32{2, 0, 0, 1}
-	rsel := []int32{1, 0, 1, 0}
-	for i := range lsel {
-		want.CopyPhys(0, left, int(lsel[i]))
-		buf.CopyRowTo(want, 2, int(rsel[i]))
-	}
-	b.AppendGather(0, left.Cols, lsel)
-	buf.Gather(b, 2, rsel)
-	if b.Len() != 4 {
-		t.Fatalf("gathered Len = %d, want 4", b.Len())
-	}
-	got, ref := b.Flush().AppendRows(nil), want.Flush().AppendRows(nil)
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("gather = %v, want %v", got, ref)
+	b.AppendGather(0, left.Cols, []int32{2, 0, 0, 1})
+	buf.Gather(b, 2, []int32{1, 0, 1, 0})
+	want := rows([]int64{3, 30, 8, 80}, []int64{1, 10, 7, 70}, []int64{1, 10, 8, 80}, []int64{2, 20, 7, 70})
+	if got := b.Flush().AppendRows(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("gather = %v, want %v", got, want)
 	}
 }
 
@@ -184,12 +183,8 @@ func TestBufferAppendCompactsSelection(t *testing.T) {
 	if buf.Value(1, 1) != 30 {
 		t.Fatalf("Value(1,1) = %d, want 30", buf.Value(1, 1))
 	}
-	view := buf.Vec(2, 5)
-	if !reflect.DeepEqual(view.AppendRows(nil), v.AppendRows(nil)) {
-		t.Fatal("Vec view disagrees with appended rows")
-	}
-	if buf.Bytes() != 5*2*8 {
-		t.Fatalf("Bytes = %d", buf.Bytes())
+	if !reflect.DeepEqual(buf.Col(1), []int64{10, 30, 10, 20, 30}) {
+		t.Fatalf("Col(1) = %v", buf.Col(1))
 	}
 	buf.Release()
 	if buf.Len() != 0 || buf.Width() != 2 {
@@ -275,5 +270,41 @@ func TestHashTableGrowAgainstMap(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("key %d: probe = %v, want %v", k, got, want)
 		}
+	}
+}
+
+// TestBufferGrowth: a Grow for the drained row count sizes the slab exactly
+// (one copy per row, no slack), and open-ended appends double it — so n
+// single-row appends move the data O(log n) times, not once per 25 % of
+// growth.
+func TestBufferGrowth(t *testing.T) {
+	exact := NewBuffer(3)
+	exact.Grow(1000)
+	if c := cap(exact.Col(0)); c != 1000 {
+		t.Fatalf("Grow(1000) on an empty buffer reserved %d rows", c)
+	}
+	one := FromRows(rows([]int64{1, 2, 3}))
+	home := &exact.Col(0)[:1][0]
+	for i := 0; i < 1000; i++ {
+		exact.Append(one)
+	}
+	if &exact.Col(0)[0] != home {
+		t.Fatal("appends within the reserved size moved the buffer")
+	}
+
+	grown := NewBuffer(3)
+	moves := 0
+	var at *int64
+	for i := 0; i < 10_000; i++ {
+		grown.Append(one)
+		if p := &grown.Col(0)[0]; p != at {
+			at, moves = p, moves+1
+		}
+	}
+	if moves > 15 {
+		t.Fatalf("10000 single-row appends moved the buffer %d times, want doubling (<= 15)", moves)
+	}
+	if grown.Len() != 10_000 || grown.Value(2, 9_999) != 3 {
+		t.Fatal("rows lost across growth")
 	}
 }
