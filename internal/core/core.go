@@ -105,9 +105,6 @@ type Config struct {
 	Trace search.Tracer
 	// Methods restricts the join methods enumerated; nil means all.
 	Methods []plan.JoinMethod
-	// Workers prices candidate plans on that many goroutines (> 1);
-	// the chosen plan is identical at any worker count.
-	Workers int
 	// CoverCap bounds cover sets to this many plans (beam search) when
 	// > 0, trading exactness for bounded search cost at large n.
 	CoverCap int
@@ -227,7 +224,6 @@ func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer,
 			MemoryLimit:        cfg.MemoryPages,
 			Trace:              cfg.Trace,
 			Methods:            cfg.Methods,
-			Workers:            cfg.Workers,
 			CoverCap:           cfg.CoverCap,
 		},
 		alg:       cfg.Algorithm,

@@ -93,17 +93,25 @@ func FilterFrontier(frontier []*Candidate, bound Bound, wo, to float64, final Co
 	return best
 }
 
-// FullCoverSet runs the work-optimal baseline (Figure 1) and an *unbounded*
-// partial-order search, returning the baseline and the complete root cover
-// set. Unlike OptimizeBounded it folds no bound into the search, so the
-// frontier is the full Pareto set and can be re-filtered under any later
-// bound via FilterFrontier — the amortization a plan cache relies on.
-// bushy selects the bushy-tree space.
+// FullCoverSet runs the work-optimal baseline (Figure 1) and a partial-order
+// search, returning the baseline and the root cover set. With
+// opt.WorkLimit unset no bound is folded into the search, so the frontier is
+// the full Pareto set and can be re-filtered under any later bound via
+// FilterFrontier — the amortization a plan cache relies on. bushy selects
+// the bushy-tree space.
 func FullCoverSet(opt Options, bushy bool) (baseline *Candidate, frontier []*Candidate, stats Stats, err error) {
-	base := New(opt)
-	baseline, err = base.WorkOptimalBaseline()
+	return coverSet(opt, nil, bushy)
+}
+
+// coverSet is FullCoverSet with the bound's pruning limit, which needs the
+// baseline (Wo, To), folded into the partial-order search.
+func coverSet(opt Options, bound Bound, bushy bool) (baseline *Candidate, frontier []*Candidate, stats Stats, err error) {
+	baseline, err = New(opt).WorkOptimalBaseline()
 	if err != nil {
 		return nil, nil, Stats{}, err
+	}
+	if bound != nil {
+		opt.WorkLimit = bound.PruningLimit(baseline.Work(), baseline.RT())
 	}
 	s := New(opt)
 	var res *Result
@@ -128,29 +136,11 @@ func FullCoverSet(opt Options, bushy bool) (baseline *Candidate, frontier []*Can
 //
 // bushy selects the bushy-tree search space. A nil bound means unbounded.
 func OptimizeBounded(opt Options, bound Bound, bushy bool) (best, baseline *Candidate, stats Stats, err error) {
-	base := New(opt)
-	baseline, err = base.WorkOptimalBaseline()
+	baseline, frontier, stats, err := coverSet(opt, bound, bushy)
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
-	wo, to := baseline.Work(), baseline.RT()
-
-	bounded := opt
-	if bound != nil {
-		bounded.WorkLimit = bound.PruningLimit(wo, to)
-	}
-	s := New(bounded)
-	var res *Result
-	if bushy {
-		res, err = s.PODPBushy()
-	} else {
-		res, err = s.PODPLeftDeep()
-	}
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	stats = res.Stats
-	best = FilterFrontier(res.Frontier, bound, wo, to, opt.Final)
+	best = FilterFrontier(frontier, bound, baseline.Work(), baseline.RT(), opt.Final)
 	if best == nil {
 		// Everything admissible was pruned; the baseline itself is always
 		// admissible under both policies (Wp = Wo).

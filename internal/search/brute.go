@@ -50,15 +50,21 @@ func (s *Searcher) BruteForceLeftDeep() (*Result, error) {
 				}
 				next = s.narrow(cands)
 			} else {
-				if s.skipExtension(used, j) {
+				if s.skipSplit(used, query.NewRelSet(j)) {
 					continue
 				}
+				leaves, err := s.leafChoices(j)
+				if err != nil {
+					return err
+				}
 				for _, p := range prefixes {
-					exts, err := s.extendAll(p.Node, j)
-					if err != nil {
-						return err
+					for _, leaf := range leaves {
+						exts, err := s.joinCandidates(p.Node, leaf)
+						if err != nil {
+							return err
+						}
+						next = append(next, exts...)
 					}
-					next = append(next, exts...)
 				}
 				next = s.narrow(next)
 			}

@@ -48,7 +48,8 @@ type Options struct {
 	// a total order; for the Figure 2 algorithms any partial order.
 	// Defaults to WorkMetric for DP* and ResourceVectorMetric for PODP*.
 	Metric Metric
-	// Final ranks complete plans; defaults to ByRT.
+	// Final ranks complete plans, and breaks Metric ties in the Figure 1
+	// algorithms; defaults to ByRT.
 	Final Comparator
 	// AvoidCrossProducts skips extensions with no connecting predicate
 	// whenever the relation set is connected (the System R heuristic).
@@ -70,10 +71,6 @@ type Options struct {
 	ExhaustivePhysical bool
 	// Trace, when set, observes the search as it runs.
 	Trace Tracer
-	// Workers, when > 1, prices candidate plans on that many goroutines.
-	// Results are order-stable, so the chosen plan is identical at any
-	// worker count.
-	Workers int
 	// CoverCap, when > 0, bounds every cover set to that many plans (beam
 	// search): the worst member under Final is evicted when the cover
 	// overflows. Exactness is traded for bounded cost — the practical
@@ -93,7 +90,10 @@ type Result struct {
 	Stats Stats
 }
 
-// Stats counts the quantities Table 1 compares across algorithms.
+// Stats counts the quantities Table 1 compares across algorithms. The four
+// DP algorithms are one driver, so they fill every field the same way: a
+// total-order (Figure 1) search is a partial-order search whose covers hold
+// one plan.
 type Stats struct {
 	// PlansConsidered counts joinPlan/accessPlan invocations — the "time
 	// complexity (#plans considered)" column of Table 1: one per (subplan,
@@ -105,14 +105,16 @@ type Stats struct {
 	// MaxLayerPlans is the peak number of plans stored for subsets of one
 	// cardinality — the "space complexity (max #plans stored)" column.
 	MaxLayerPlans int64
-	// MaxCoverSize is the largest cover set observed (k in §6.2).
+	// MaxCoverSize is the largest cover set observed (k in §6.2); 1 under a
+	// total order.
 	MaxCoverSize int
 	// MaxOrderClasses is the largest number of distinct output orderings
 	// held in one cover — the measured counterpart of the 2^b "bindings"
 	// factor Table 1 assigns to bushy DP (plans kept per physical property
-	// of the subquery).
+	// of the subquery); 1 under a total order.
 	MaxOrderClasses int
-	// Pruned counts candidates rejected by dominance or the work limit.
+	// Pruned counts physical candidates (costed method × access-path
+	// combinations) rejected by a cover set or a limit.
 	Pruned int64
 	// Prune reasons: Pruned split by the test that rejected the candidate —
 	// the Theorem 3 cover-set test (PrunedDominance), the §2 work bound
@@ -123,8 +125,8 @@ type Stats struct {
 	PrunedMemory    int64
 	PrunedBeam      int64
 	// MetricDims is the dimensionality of the pruning metric actually used
-	// (partial-order algorithms only; 0 for total orders). On a multi-node
-	// machine this grows with the node count — every interconnect link is a
+	// by a DP search (1 for total orders). On a multi-node machine this
+	// grows with the node count — every interconnect link is a
 	// resource-vector coordinate — which is what makes local and
 	// repartitioned plans incomparable.
 	MetricDims int
@@ -174,26 +176,11 @@ func (s *Searcher) cost(n *plan.Node) (*Candidate, error) {
 	return &Candidate{Node: n, Desc: d}, nil
 }
 
-// accessCandidates enumerates every access path for the relation at the
-// given query position: the sequential scan plus one candidate per index.
-func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
-	rel := s.q.Relations[pos]
-	var out []*Candidate
-	leaf, err := s.est.Leaf(rel, plan.SeqScan, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c, err := s.cost(leaf); err != nil {
-		return nil, err
-	} else if c != nil {
-		out = append(out, c)
-	}
-	for _, idx := range s.opt.Model.Cat.IndexesOn(rel) {
-		leaf, err := s.est.Leaf(rel, plan.IndexScan, idx)
-		if err != nil {
-			return nil, err
-		}
-		c, err := s.cost(leaf)
+// costAll prices plan trees in order, dropping the ones cost prunes.
+func (s *Searcher) costAll(nodes []*plan.Node) ([]*Candidate, error) {
+	out := make([]*Candidate, 0, len(nodes))
+	for _, n := range nodes {
+		c, err := s.cost(n)
 		if err != nil {
 			return nil, err
 		}
@@ -204,17 +191,28 @@ func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
 	return out, nil
 }
 
+// accessCandidates prices every access path for the relation at the given
+// query position: the sequential scan plus one candidate per index.
+func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
+	leaves, err := s.leafChoices(pos)
+	if err != nil {
+		return nil, err
+	}
+	return s.costAll(leaves)
+}
+
 // joinCandidates enumerates every join method over a fixed (left, right)
 // pair of subtrees, returning the costed survivors. Sort-merge and hash
 // join require an equijoin predicate; nested loops also covers cross
-// products.
+// products. With right ranging over a relation's leafChoices this is the
+// paper's joinPlan(p', R) before its internal "best possible way" choice.
 func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
 	preds := s.q.JoinsBetween(left.Rels, right.Rels)
 	methods := s.opt.Methods
 	if methods == nil {
 		methods = plan.AllJoinMethods
 	}
-	var out []*Candidate
+	nodes := make([]*plan.Node, 0, len(methods))
 	for _, m := range methods {
 		if len(preds) == 0 && m != plan.NestedLoops {
 			continue
@@ -223,43 +221,7 @@ func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) 
 		if err != nil {
 			return nil, err
 		}
-		c, err := s.cost(j)
-		if err != nil {
-			return nil, err
-		}
-		if c != nil {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
-// extendAll builds every (access path × join method) extension of p with the
-// relation at pos — the paper's joinPlan(p', R) before its internal "best
-// possible way" choice. The candidates are priced through costAll, which
-// fans out over Options.Workers when configured.
-func (s *Searcher) extendAll(p *plan.Node, pos int) ([]*Candidate, error) {
-	leaves, err := s.leafChoices(pos)
-	if err != nil {
-		return nil, err
-	}
-	methods := s.opt.Methods
-	if methods == nil {
-		methods = plan.AllJoinMethods
-	}
-	var nodes []*plan.Node
-	for _, leaf := range leaves {
-		preds := s.q.JoinsBetween(p.Rels, leaf.Rels)
-		for _, m := range methods {
-			if len(preds) == 0 && m != plan.NestedLoops {
-				continue
-			}
-			j, err := s.est.Join(p, leaf, m)
-			if err != nil {
-				return nil, err
-			}
-			nodes = append(nodes, j)
-		}
+		nodes = append(nodes, j)
 	}
 	return s.costAll(nodes)
 }
@@ -283,21 +245,9 @@ func (s *Searcher) leafChoices(pos int) ([]*plan.Node, error) {
 	return out, nil
 }
 
-// skipExtension applies the cross-product heuristic: when the grown set is
-// connected there is always a predicate-connected extension, so
-// predicate-less ones are skipped.
-func (s *Searcher) skipExtension(left query.RelSet, pos int) bool {
-	if !s.opt.AvoidCrossProducts {
-		return false
-	}
-	grown := left.Add(pos)
-	if len(s.q.JoinsBetween(left, query.NewRelSet(pos))) > 0 {
-		return false
-	}
-	return s.q.Connected(grown)
-}
-
-// skipSplit is skipExtension for bushy splits.
+// skipSplit applies the cross-product heuristic to joining l with r: when
+// their union is connected there is always a predicate-connected way to
+// build it, so predicate-less splits are skipped.
 func (s *Searcher) skipSplit(l, r query.RelSet) bool {
 	if !s.opt.AvoidCrossProducts {
 		return false

@@ -55,6 +55,25 @@ func (WorkMetric) Dims() int { return 1 }
 // Dominates implements Metric.
 func (WorkMetric) Dominates(a, b *Candidate) bool { return a.Work() <= b.Work() }
 
+// totalOrder turns a 1-dimensional metric into a strict total order by
+// sending its ties to a final comparator. A cover set under it always holds
+// exactly one plan, which is how Figure 1 runs as the special case of
+// Figure 2 — and why the plan a tie keeps does not depend on the order in
+// which the candidates were enumerated.
+type totalOrder struct {
+	Metric
+	final Comparator
+}
+
+// Dominates implements Metric: a ≤ b, and on a tie b is not strictly
+// preferred by the final comparator.
+func (t totalOrder) Dominates(a, b *Candidate) bool {
+	if !t.Metric.Dominates(a, b) {
+		return false
+	}
+	return !t.Metric.Dominates(b, a) || !t.final(b, a)
+}
+
 // RTMetric is the naive 1-dimensional total order on response time. Example
 // 3 of the paper shows it violates the principle of optimality: it exists
 // here so that the violation can be demonstrated, not for production use.

@@ -120,6 +120,45 @@ func TestBruteForceBushyTable1Counts(t *testing.T) {
 	}
 }
 
+// TestTable1Golden pins (PlansConsidered, MaxLayerPlans) of all six Table 1
+// rows — what cmd/table1 prints — to the values measured before the four DP
+// loops became one driver. The DP rows equal the closed forms; the
+// partial-order rows have none, so the literals are their only guard.
+func TestTable1Golden(t *testing.T) {
+	type cell struct{ considered, stored int64 }
+	rows := []struct {
+		name string
+		run  func(*Searcher) (*Result, error)
+		want []cell // n = 2, 3, ... (the bushy brute-force and p.o. rows stop at 5)
+	}{
+		{"brute force for left-deep", (*Searcher).BruteForceLeftDeep,
+			[]cell{{2, 1}, {6, 1}, {24, 1}, {120, 1}, {720, 1}}},
+		{"DP for left-deep", (*Searcher).DPLeftDeep,
+			[]cell{{4, 2}, {12, 3}, {32, 6}, {80, 10}, {192, 20}}},
+		{"p.o. DP for left-deep", (*Searcher).PODPLeftDeep,
+			[]cell{{4, 2}, {19, 14}, {102, 48}, {486, 132}, {2053, 506}}},
+		{"brute force for bushy", (*Searcher).BruteForceBushy,
+			[]cell{{2, 1}, {12, 1}, {120, 1}, {1680, 1}}},
+		{"DP for bushy", (*Searcher).DPBushy,
+			[]cell{{4, 2}, {15, 3}, {54, 6}, {185, 10}, {608, 20}}},
+		{"p.o. DP for bushy", (*Searcher).PODPBushy,
+			[]cell{{4, 2}, {29, 27}, {328, 88}, {3497, 583}}},
+	}
+	for _, r := range rows {
+		for i, want := range r.want {
+			n := i + 2
+			res, err := r.run(newSearcher(t, cliqueCfg(n), nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cell{res.Stats.PlansConsidered, res.Stats.MaxLayerPlans}
+			if got != want {
+				t.Errorf("%s n=%d: (considered, stored) = %v, want %v", r.name, n, got, want)
+			}
+		}
+	}
+}
+
 func TestSpaceFormulas(t *testing.T) {
 	if LeftDeepSpaceSize(4) != 24 || LeftDeepSpaceSize(1) != 1 {
 		t.Error("LeftDeepSpaceSize wrong")

@@ -7,34 +7,52 @@ import (
 	"paropt/internal/query"
 )
 
-func TestCountingTracerOnPODP(t *testing.T) {
+// finalCounter is a CountingTracer that also counts Final events.
+type finalCounter struct {
+	CountingTracer
+	finals int
+}
+
+func (t *finalCounter) Final(best *Candidate, st Stats) {
+	t.finals++
+	t.CountingTracer.Final(best, st)
+}
+
+// TestCountingTracerOnDPWrappers: every face of the dp driver reports one
+// layer record per cardinality, one subset event per solved subset of
+// cardinality ≥ 2, and exactly one final plan.
+func TestCountingTracerOnDPWrappers(t *testing.T) {
 	cfg := query.DefaultGenConfig()
 	cfg.Relations = 4
 	cfg.Shape = query.Chain
-	tracer := &CountingTracer{}
-	s := newSearcher(t, cfg, func(o *Options) { o.Trace = tracer })
-	res, err := s.PODPLeftDeep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tracer.Layers) != 4 {
-		t.Fatalf("layers traced = %d, want 4", len(tracer.Layers))
-	}
-	if tracer.Subsets == 0 {
-		t.Error("no subset events")
-	}
-	if tracer.Best == nil || tracer.Best != res.Best {
-		t.Error("final event missing or inconsistent")
-	}
-	// Layer plan counts must be positive and the last layer holds the
-	// full-set cover.
-	for i, n := range tracer.Layers {
-		if n <= 0 {
-			t.Errorf("layer %d stored %d plans", i+1, n)
+	for _, w := range dpWrappers {
+		tracer := &finalCounter{}
+		res, err := w.run(newSearcher(t, cfg, func(o *Options) { o.Trace = tracer }))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if int(tracer.Layers[3]) != len(res.Frontier) {
-		t.Errorf("final layer %d != frontier %d", tracer.Layers[3], len(res.Frontier))
+		if len(tracer.Layers) != 4 {
+			t.Fatalf("%s: layers traced = %d, want 4", w.name, len(tracer.Layers))
+		}
+		subsets := 0
+		for i, rec := range tracer.Records {
+			if rec.Kept <= 0 {
+				t.Errorf("%s: layer %d stored %d plans", w.name, i+1, rec.Kept)
+			}
+			if rec.Card >= 2 {
+				subsets += rec.Subsets
+			}
+		}
+		if subsets == 0 || tracer.Subsets != subsets {
+			t.Errorf("%s: %d subset events, want Σ layer.Subsets = %d", w.name, tracer.Subsets, subsets)
+		}
+		if tracer.finals != 1 || tracer.Best == nil || tracer.Best != res.Best {
+			t.Errorf("%s: %d final events carrying %v, want one carrying the result's best", w.name, tracer.finals, tracer.Best)
+		}
+		// The last layer holds the full-set cover.
+		if int(tracer.Layers[3]) != len(res.Frontier) {
+			t.Errorf("%s: final layer %d != frontier %d", w.name, tracer.Layers[3], len(res.Frontier))
+		}
 	}
 }
 
@@ -117,35 +135,5 @@ func TestOrderClassesStatistic(t *testing.T) {
 	if res.Stats.MaxOrderClasses > res.Stats.MaxCoverSize {
 		t.Errorf("order classes %d exceed max cover %d",
 			res.Stats.MaxOrderClasses, res.Stats.MaxCoverSize)
-	}
-}
-
-// TestWorkersDeterministic: parallel costing returns exactly the serial
-// search's plan and statistics that matter (the chosen plan and frontier
-// size), at any worker count.
-func TestWorkersDeterministic(t *testing.T) {
-	cfg := query.DefaultGenConfig()
-	cfg.Relations = 5
-	cfg.Shape = query.Star
-	run := func(workers int) *Result {
-		s := newSearcher(t, cfg, func(o *Options) { o.Workers = workers })
-		res, err := s.PODPLeftDeep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0)
-	for _, w := range []int{2, 4, 8} {
-		par := run(w)
-		if par.Best.Node.String() != serial.Best.Node.String() {
-			t.Fatalf("workers=%d chose %s, serial chose %s", w, par.Best.Node, serial.Best.Node)
-		}
-		if par.Best.RT() != serial.Best.RT() {
-			t.Fatalf("workers=%d RT %g != serial %g", w, par.Best.RT(), serial.Best.RT())
-		}
-		if len(par.Frontier) != len(serial.Frontier) {
-			t.Fatalf("workers=%d frontier %d != serial %d", w, len(par.Frontier), len(serial.Frontier))
-		}
 	}
 }

@@ -127,7 +127,7 @@ func TestTPCHWorkloadFacade(t *testing.T) {
 	if len(queries) != 3 {
 		t.Fatalf("queries = %d", len(queries))
 	}
-	opt, err := NewOptimizer(cat, queries[0], Config{Workers: 2})
+	opt, err := NewOptimizer(cat, queries[0], Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
