@@ -60,7 +60,7 @@ import (
 	"paropt/internal/engine"
 	"paropt/internal/engine/exchange"
 	"paropt/internal/placement"
-	"paropt/internal/storage"
+	"paropt/internal/vec"
 )
 
 func main() {
@@ -333,7 +333,7 @@ func (b *storeBox) shardStats() (int, int64) {
 	return 0, 0
 }
 
-func (b *storeBox) ScanPartition(spec exchange.ScanSpec, part, parts int) ([]storage.Row, error) {
+func (b *storeBox) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.Vec, error) {
 	if st := b.store.Load(); st != nil {
 		return st.ScanPartition(spec, part, parts)
 	}

@@ -93,19 +93,12 @@ type Cluster struct {
 	actConns map[net.Conn]*shippedConn
 }
 
-// shippedConn pairs a dispatch attempt's connection with a write mutex so
-// Cancel can inject a clean frameCancel between the attempt's own frames —
-// writeFrame is two Writes, so unsynchronized writers could interleave
-// mid-frame and corrupt the stream.
+// shippedConn pairs a dispatch attempt's connection with its frame writer,
+// through which Cancel injects a clean frameCancel between the attempt's own
+// frames.
 type shippedConn struct {
 	conn net.Conn
-	wmu  sync.Mutex
-}
-
-func (sc *shippedConn) send(typ byte, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	return writeFrame(sc.conn, typ, payload)
+	fw   frameWriter
 }
 
 // NewCluster builds a transport over the given worker addresses.
@@ -151,7 +144,7 @@ func (c *Cluster) Cancel() {
 		j.cancel()
 	}
 	for _, sc := range conns {
-		_ = sc.send(frameCancel, nil)
+		_ = sc.fw.write(frameCancel, nil)
 		if tc, ok := sc.conn.(*net.TCPConn); ok {
 			_ = tc.CloseWrite()
 		} else {
@@ -185,7 +178,7 @@ func (c *Cluster) trackConn(cn net.Conn) *shippedConn {
 	if c.cancelled.Load() {
 		return nil
 	}
-	sc := &shippedConn{conn: cn}
+	sc := &shippedConn{conn: cn, fw: frameWriter{w: cn}}
 	c.actConns[cn] = sc
 	return sc
 }
@@ -364,21 +357,9 @@ type workerConn struct {
 	addr       string
 	stats      *LinkStats
 	dispatched time.Time
-	wmu        sync.Mutex
+	fw         frameWriter
 	leftWin    *window
 	rightWin   *window
-}
-
-func (wc *workerConn) send(typ byte, payload []byte) error {
-	wc.wmu.Lock()
-	defer wc.wmu.Unlock()
-	start := nowNanos()
-	if err := writeFrame(wc.conn, typ, payload); err != nil {
-		return err
-	}
-	wc.stats.SendNanos.Add(nowNanos() - start)
-	wc.stats.BytesSent.Add(int64(5 + len(payload)))
-	return nil
 }
 
 type clusterJoin struct {
@@ -419,7 +400,7 @@ func (j *clusterJoin) addStats(fs *FragmentStats) {
 // the usual fail teardown.
 func (j *clusterJoin) cancel() {
 	for _, wc := range j.conns {
-		_ = wc.send(frameCancel, nil)
+		_ = wc.fw.write(frameCancel, nil)
 	}
 	j.fail(ErrJoinCancelled)
 }
@@ -472,6 +453,7 @@ func (c *Cluster) Join(frag Fragment, left, right <-chan Batch) (Join, error) {
 	if frag.TraceID == "" {
 		frag.TraceID = c.cfg.TraceID
 	}
+	frag.Wire = WireVersion
 	if frag.FullyShipped() {
 		// No coordinator-streamed inputs: nothing to drain, every partition
 		// is independently retryable.
@@ -502,7 +484,8 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 		if err == nil {
 			err = conn.SetDeadline(time.Time{})
 		}
-		wc := &workerConn{conn: conn, addr: addr, stats: c.linkFor(addr), dispatched: time.Now(), leftWin: newWindow(win), rightWin: newWindow(win)}
+		stats := c.linkFor(addr)
+		wc := &workerConn{conn: conn, addr: addr, stats: stats, dispatched: time.Now(), fw: frameWriter{w: conn, stats: stats}, leftWin: newWindow(win), rightWin: newWindow(win)}
 		if err == nil {
 			f := frag
 			f.Part = i
@@ -511,7 +494,7 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			var payload []byte
 			payload, err = json.Marshal(f)
 			if err == nil {
-				err = wc.send(frameFragment, payload)
+				err = wc.fw.write(frameFragment, payload)
 			}
 		}
 		if err != nil {
@@ -534,12 +517,16 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 		defer sendWG.Done()
 		var builders []*vec.Builder
 		aborted := false
-		ship := func(i int, v Batch) bool {
+		// ship sends partition i's accumulated rows. The frame writer copies
+		// them out, so the builder keeps its slab for the next frame.
+		ship := func(i int) bool {
 			wc := j.conns[i]
 			if !winOf(wc).acquire() {
 				return false
 			}
-			if err := wc.send(typ, encodeBatch(v)); err != nil {
+			err := wc.fw.writeBatch(typ, builders[i].View())
+			builders[i].Reset()
+			if err != nil {
 				j.fail(&WorkerError{Addr: wc.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
 				return false
 			}
@@ -566,7 +553,7 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 					take := min(len(sel), bld.Room())
 					bld.AppendGather(0, b.Cols, sel[:take])
 					sel = sel[take:]
-					if bld.Full() && !ship(i, bld.Flush()) {
+					if bld.Full() && !ship(i) {
 						aborted = true
 					}
 				}
@@ -576,13 +563,13 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			if aborted {
 				break
 			}
-			if v := bld.Flush(); v != nil && !ship(i, v) {
+			if bld.Len() > 0 && !ship(i) {
 				aborted = true
 			}
 		}
 		if !aborted {
 			for _, wc := range j.conns {
-				if err := wc.send(endTyp, nil); err != nil {
+				if err := wc.fw.write(endTyp, nil); err != nil {
 					j.fail(&WorkerError{Addr: wc.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
 					break
 				}
@@ -600,8 +587,9 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 
 	recv := func(wc *workerConn) {
 		defer recvWG.Done()
+		fr := newFrameReader(wc.conn, maxFrame)
 		for {
-			typ, payload, err := readFrame(wc.conn, maxFrame)
+			typ, payload, err := fr.next()
 			if err != nil {
 				select {
 				case <-j.abort: // teardown closed the conn; keep the first error
@@ -629,7 +617,7 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 				case <-j.abort:
 					return
 				}
-				_ = wc.send(frameCredit, []byte{creditResult})
+				_ = wc.fw.write(frameCredit, []byte{creditResult})
 			case frameCredit:
 				if len(payload) == 1 {
 					switch payload[0] {
@@ -650,7 +638,7 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			case frameEndResult:
 				return
 			case frameError:
-				j.fail(&WorkerError{Addr: wc.addr, Err: errors.New(string(payload))})
+				j.fail(&WorkerError{Addr: wc.addr, Err: remoteError(payload)})
 				return
 			}
 		}
@@ -845,7 +833,7 @@ func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentSta
 		return nil, nil, err
 	}
 	sendStart := nowNanos()
-	if err := sc.send(frameFragment, payload); err != nil {
+	if err := sc.fw.write(frameFragment, payload); err != nil {
 		return nil, nil, &WorkerError{Addr: addr, Err: err}
 	}
 	stats.SendNanos.Add(nowNanos() - sendStart)
@@ -853,11 +841,11 @@ func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentSta
 	c.fragments.Add(1)
 	c.countShipped(&f)
 
-	maxFrame := c.maxFrame()
+	fr := newFrameReader(conn, c.maxFrame())
 	var staged []Batch
 	var fstats *FragmentStats
 	for {
-		typ, payload, err := readFrame(conn, maxFrame)
+		typ, payload, err := fr.next()
 		if err != nil {
 			if err == io.EOF {
 				err = ErrWorkerDisconnected
@@ -875,7 +863,7 @@ func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentSta
 			}
 			stats.BatchesRecv.Add(1)
 			staged = append(staged, b)
-			if err := sc.send(frameCredit, []byte{creditResult}); err != nil {
+			if err := sc.fw.write(frameCredit, []byte{creditResult}); err != nil {
 				return nil, nil, &WorkerError{Addr: addr, Err: err}
 			}
 			stats.BytesSent.Add(6)
@@ -890,7 +878,7 @@ func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentSta
 		case frameEndResult:
 			return staged, fstats, nil
 		case frameError:
-			return nil, nil, &WorkerError{Addr: addr, Err: errors.New(string(payload))}
+			return nil, nil, &WorkerError{Addr: addr, Err: remoteError(payload)}
 		}
 	}
 }
@@ -910,16 +898,14 @@ func (c *Cluster) runFallback(f Fragment, j *shippedJoin, fb *FragmentStats) err
 	}}
 	fb.Span = root
 	source := func(spec *ScanSpec) (chan Batch, error) {
-		rows, err := c.cfg.Store.ScanPartition(*spec, f.Part, f.Parts)
+		v, err := c.cfg.Store.ScanPartition(*spec, f.Part, f.Parts)
 		if err != nil {
 			return nil, err
 		}
 		ch := make(chan Batch, 1)
 		go func() {
 			defer close(ch)
-			for _, b := range vec.Batches(rows, f.BatchSize) {
-				ch <- b
-			}
+			feedShard(v, f.BatchSize, ch)
 		}()
 		return ch, nil
 	}

@@ -136,7 +136,7 @@ func TestWorkerDisconnectMidStream(t *testing.T) {
 				return
 			}
 			go func(conn net.Conn) {
-				_, _, _ = readFrame(conn, DefaultMaxFrame)
+				_, _, _ = newFrameReader(conn, DefaultMaxFrame).next()
 				conn.Close()
 			}(conn)
 		}

@@ -18,7 +18,7 @@ import (
 // columnar vector batch (one []int64 per column plus an optional selection
 // vector). The engine's Vec aliases it, so streams cross the transport
 // layer without transposition — the wire codec serializes straight from
-// the columns into row-major tuple frames.
+// the columns into column-major frames.
 type Batch = *vec.Vec
 
 // Hash64 mixes a key for partitioning. It lives in internal/storage (shared
@@ -52,10 +52,22 @@ type ScanSpec struct {
 // Store sources base-relation partitions at a worker (or, for coordinator
 // fallback, in-process). Implementations must be safe for concurrent use.
 type Store interface {
-	// ScanPartition returns the rows of hash partition part (of parts) of
-	// the relation named by spec — rows whose HashCol value hashes to part
-	// and that pass every filter.
-	ScanPartition(spec ScanSpec, part, parts int) ([]storage.Row, error)
+	// ScanPartition returns hash partition part (of parts) of the relation
+	// named by spec: the columns of the rows whose HashCol value hashes to
+	// part, with the spec's filters applied as the selection vector. The
+	// vector may alias the store's resident shard; callers only read it.
+	ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, error)
+}
+
+// feedShard streams a scanned shard as bs-row batches: zero-copy windows of
+// its columns, the way the engine's heap scan reads a local table.
+func feedShard(v *vec.Vec, bs int, out chan<- Batch) {
+	if bs <= 0 {
+		bs = vec.DefaultBatchRows
+	}
+	for lo, n := 0, v.Len(); lo < n; lo += bs {
+		out <- v.Window(lo, min(lo+bs, n))
+	}
 }
 
 // ScanShipper is implemented by transports that can source leaf scans at
@@ -98,6 +110,9 @@ type Fragment struct {
 	// is off; old workers ignore the field (unknown JSON keys) and old
 	// coordinators never set it, so it is compatible in both directions.
 	TraceID string `json:"trace_id,omitempty"`
+	// Wire is the coordinator's WireVersion, stamped by Cluster.Join; a
+	// worker refuses a fragment whose version is not its own.
+	Wire int `json:"wire,omitempty"`
 }
 
 // FullyShipped reports whether both inputs are worker-sourced: the fragment

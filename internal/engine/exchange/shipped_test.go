@@ -16,7 +16,7 @@ type memStore struct {
 	rels map[string][]storage.Row
 }
 
-func (m *memStore) ScanPartition(spec ScanSpec, part, parts int) ([]storage.Row, error) {
+func (m *memStore) ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, error) {
 	rows, ok := m.rels[spec.Relation]
 	if !ok {
 		return nil, errors.New("memStore: unknown relation " + spec.Relation)
@@ -37,7 +37,7 @@ func (m *memStore) ScanPartition(spec ScanSpec, part, parts int) ([]storage.Row,
 			out = append(out, r)
 		}
 	}
-	return out, nil
+	return vec.FromRows(out), nil
 }
 
 // shippedFrag is a fully-shipped two-relation hash-join fragment.

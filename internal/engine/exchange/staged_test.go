@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"paropt/internal/storage"
+	"paropt/internal/vec"
 )
 
 // failRightStore serves "L" from the wrapped store but fails "R" fast —
@@ -17,28 +18,30 @@ type failRightStore struct {
 	inner Store
 }
 
-func (f *failRightStore) ScanPartition(spec ScanSpec, part, parts int) ([]storage.Row, error) {
+func (f *failRightStore) ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, error) {
 	if spec.Relation == "R" {
 		return nil, errors.New("failRightStore: simulated disk failure")
 	}
 	return f.inner.ScanPartition(spec, part, parts)
 }
 
-// genStore allocates fresh rows on every scan (nothing shared with the test),
-// so leaked staged partitions show up as real heap growth.
+// genStore allocates fresh columns on every scan (nothing shared with the
+// test), so leaked staged partitions show up as real heap growth.
 type genStore struct {
 	rows      int
 	failRight bool
 }
 
-func (g *genStore) ScanPartition(spec ScanSpec, part, parts int) ([]storage.Row, error) {
+func (g *genStore) ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, error) {
 	if g.failRight && spec.Relation == "R" {
 		return nil, errors.New("genStore: simulated disk failure")
 	}
-	out := make([]storage.Row, g.rows)
-	for i := range out {
-		v := int64(i)
-		out[i] = storage.Row{v, v, v, v}
+	out := &vec.Vec{Cols: make([][]int64, 4)}
+	for c := range out.Cols {
+		out.Cols[c] = make([]int64, g.rows)
+		for i := range out.Cols[c] {
+			out.Cols[c][i] = int64(i)
+		}
 	}
 	return out, nil
 }
@@ -92,7 +95,8 @@ func TestStagedBytesFreedOnScanError(t *testing.T) {
 }
 
 // TestStagedBytesFreedOnCompletion: the gauge returns to zero after a clean
-// shipped join — feed's per-batch handoff and deferred refund balance out.
+// shipped join — each scan's charge and its feed's deferred refund balance
+// out.
 func TestStagedBytesFreedOnCompletion(t *testing.T) {
 	lrows, rrows := rowsOf(4_000, 97), rowsOf(800, 97)
 	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}

@@ -80,7 +80,7 @@ type WorkerStats struct {
 	BatchesEmitted   atomic.Int64 // result batches streamed back
 	ResultStallNanos atomic.Int64 // ns blocked on the result credit window
 	ActiveFragments  atomic.Int64 // fragments currently executing (gauge)
-	StagedBytes      atomic.Int64 // bytes of shipped-scan partitions currently staged (gauge)
+	StagedBytes      atomic.Int64 // live bytes of shipped-scan partitions in-flight fragments reference (views of the shard cache, not copies; gauge)
 	Cancelled        atomic.Int64 // fragments abandoned on a coordinator cancel
 }
 

@@ -134,7 +134,9 @@ func TestFragmentTraceIDRoundTrip(t *testing.T) {
 
 // TestWorkerServesOldCoordinatorFrames drives a worker over a raw connection
 // the way a pre-observability coordinator would: a fragment frame without
-// trace fields, immediate end-of-input frames, no stats awareness. The
+// trace fields (but at the worker's wire version — a different batch layout
+// is refused, see TestWorkerRejectsWireVersionMismatch), immediate
+// end-of-input frames, no stats awareness. The
 // worker must execute the (empty) join, ship a stats frame the old
 // coordinator would skip, and still terminate the stream with frameEndResult.
 func TestWorkerServesOldCoordinatorFrames(t *testing.T) {
@@ -150,18 +152,19 @@ func TestWorkerServesOldCoordinatorFrames(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	frag := []byte(`{"method":"hash","lkeys":[0],"rkeys":[0],"part":0,"parts":1,"batch_size":16}`)
+	frag := []byte(`{"method":"hash","lkeys":[0],"rkeys":[0],"part":0,"parts":1,"batch_size":16,"wire":1}`)
 	for _, f := range []struct {
 		typ     byte
 		payload []byte
 	}{{frameFragment, frag}, {frameEndLeft, nil}, {frameEndRight, nil}} {
-		if err := writeFrame(conn, f.typ, f.payload); err != nil {
+		if err := (&frameWriter{w: conn}).write(f.typ, f.payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sawStats := false
+	fr := newFrameReader(conn, DefaultMaxFrame)
 	for {
-		typ, payload, err := readFrame(conn, DefaultMaxFrame)
+		typ, payload, err := fr.next()
 		if err != nil {
 			t.Fatalf("stream ended before frameEndResult: %v", err)
 		}

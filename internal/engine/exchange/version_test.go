@@ -1,0 +1,160 @@
+package exchange
+
+import (
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"paropt/internal/storage"
+	"paropt/internal/vec"
+)
+
+// skewProxy fronts a real worker and rewrites each fragment's wire version on
+// the way in — the worker behind it sees a coordinator from another release.
+// Everything else passes through untouched in both directions.
+func skewProxy(t *testing.T, worker string, version int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	serve := func(down net.Conn) {
+		defer down.Close()
+		up, err := net.Dial("tcp", worker)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		fr := newFrameReader(down, DefaultMaxFrame)
+		typ, payload, err := fr.next()
+		var frag Fragment
+		if err != nil || json.Unmarshal(payload, &frag) != nil {
+			return
+		}
+		frag.Wire = version
+		skewed, _ := json.Marshal(frag)
+		if (&frameWriter{w: up}).write(typ, skewed) != nil {
+			return
+		}
+		go func() {
+			_, _ = io.Copy(up, fr.r) // the rest of the coordinator's stream, buffered bytes first
+			_ = up.(*net.TCPConn).CloseWrite()
+		}()
+		_, _ = io.Copy(down, up)
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestWorkerRejectsWireVersionMismatch: batch frames kept their type numbers
+// when the payload went column-major, so only the fragment's version stands
+// between a mixed-version fleet and a join over transposed data. A worker
+// must refuse a foreign version before it reads a batch, with an error the
+// coordinator can match; a shipped fragment then retries and falls back to
+// the coordinator, a streamed one fails fast with a *WorkerError.
+func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
+	lrows, rrows := rowsOf(1_000, 31), rowsOf(300, 31)
+	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}
+	var joined atomic.Bool
+	never := func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
+		joined.Store(true)
+		return testHashJoin(frag, left, right, emit)
+	}
+	ws := &WorkerStats{}
+	lb, err := StartLoopbackWorkers([]*Worker{{Join: never, Store: store, Stats: ws}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+
+	// A coordinator that predates the field (version 0, row-major batches),
+	// over a raw connection: the refusal is a stats frame and an error frame
+	// naming both versions, though a batch and both ends are already queued.
+	conn, err := net.Dial("tcp", lb.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fw := &frameWriter{w: conn}
+	_ = fw.write(frameFragment, []byte(`{"method":"hash","lkeys":[0],"rkeys":[0],"part":0,"parts":1,"batch_size":16}`))
+	_ = fw.writeBatch(frameLeft, vec.FromRows(lrows[:16]))
+	_ = fw.write(frameEndLeft, nil)
+	_ = fw.write(frameEndRight, nil)
+	fr := newFrameReader(conn, DefaultMaxFrame)
+	for refused := false; !refused; {
+		typ, payload, err := fr.next()
+		if err != nil {
+			t.Fatalf("stream ended before the refusal: %v", err)
+		}
+		switch typ {
+		case frameResult, frameEndResult:
+			t.Fatalf("worker answered a version-0 fragment with frame type %d", typ)
+		case frameError:
+			if err := remoteError(payload); !errors.Is(err, ErrWireVersion) {
+				t.Fatalf("refusal = %v, want ErrWireVersion", err)
+			}
+			refused = true
+		}
+	}
+	conn.Close()
+	if joined.Load() {
+		t.Fatal("worker ran the join of a fragment it had to refuse")
+	}
+
+	// Through the cluster, against the same worker made a release newer.
+	skewed := skewProxy(t, lb.Addrs()[0], WireVersion+1)
+	frag := Fragment{Method: "hash", LKeys: []int{0}, RKeys: []int{0}, Parts: 2, BatchSize: 32}
+
+	_, err = runJoin(t, NewCluster([]string{skewed}, ClusterConfig{}), frag, lrows, rrows)
+	var we *WorkerError
+	if !errors.As(err, &we) || !errors.Is(err, ErrWireVersion) || we.Addr != skewed {
+		t.Fatalf("streamed join: err = %v, want a *WorkerError for %s wrapping ErrWireVersion", err, skewed)
+	}
+
+	cluster := NewCluster([]string{skewed}, ClusterConfig{
+		Owners:       map[string][]string{"L": {skewed}, "R": {skewed}},
+		RetryBackoff: 1,
+		Store:        store,
+		Fn:           testHashJoin,
+	})
+	j, err := cluster.Join(shippedFrag(1), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := collect(j)
+	if err != nil {
+		t.Fatalf("shipped join must fall back to the coordinator: %v", err)
+	}
+	want, err := runJoin(t, &Local{Fn: testHashJoin}, frag, lrows, rrows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(multiset(want), multiset(got)) {
+		t.Fatalf("fallback rows differ (%d vs %d rows)", len(got), len(want))
+	}
+	if cluster.Retries() < 1 || cluster.Fallbacks() != 1 || cluster.FallbackReasons()["worker_error"] != 1 {
+		t.Errorf("retries %d, fallbacks %d, reasons %v; want ≥1 retry then one worker_error fallback",
+			cluster.Retries(), cluster.Fallbacks(), cluster.FallbackReasons())
+	}
+	if joined.Load() {
+		t.Fatal("worker ran the join of a fragment it had to refuse")
+	}
+	if got := ws.FragmentsFailed.Load(); got < 3 {
+		t.Errorf("FragmentsFailed = %d, want every refused fragment counted (≥3)", got)
+	}
+}

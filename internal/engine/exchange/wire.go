@@ -1,10 +1,12 @@
 package exchange
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +25,20 @@ func nowNanos() int64 { return int64(time.Since(clockBase)) }
 //	[u32 length][u8 type][payload (length-1 bytes)]
 //
 // The length covers the type byte plus the payload, so a frame is never
-// empty. Batch payloads are [u32 rows][u32 width] followed by rows×width
-// little-endian int64 values; fragment payloads are JSON; error payloads are
-// UTF-8 messages; credit payloads are a single direction byte.
+// empty. Batch payloads are column-major: [u32 rows][u32 width], then width
+// runs of rows little-endian int64 values, one run per column — the shape a
+// batch has in memory on both sides, so a hop is one copy in and one copy
+// out. Fragment payloads are JSON; error payloads are UTF-8 messages; credit
+// payloads are a single direction byte.
+//
+// WireVersion names the batch payload layout (0: the row-major layout of
+// builds that predate the field). The frame type numbers are the same in
+// every version, so each Fragment carries its coordinator's version and a
+// worker refuses any other before it reads a batch: a mixed-version fleet
+// fails, or retries and falls back, with ErrWireVersion instead of joining
+// transposed data.
+const WireVersion = 1
+
 const (
 	frameFragment  byte = 1 // coordinator → worker: JSON Fragment, first frame
 	frameLeft      byte = 2 // coordinator → worker: left-input batch
@@ -69,6 +82,20 @@ const DefaultWindow = 16
 // header. Mid-stream it usually means the peer died.
 var ErrTruncatedFrame = errors.New("exchange: truncated frame")
 
+// ErrWireVersion reports a fragment refused because worker and coordinator
+// disagree on WireVersion — upgrade paroptw together with paroptd.
+var ErrWireVersion = errors.New("exchange: wire version mismatch")
+
+// remoteError rebuilds the error a worker shipped as a frameError payload,
+// restoring the ErrWireVersion identity its text carries.
+func remoteError(payload []byte) error {
+	msg := string(payload)
+	if rest, ok := strings.CutPrefix(msg, ErrWireVersion.Error()); ok {
+		return fmt.Errorf("%w%s", ErrWireVersion, rest)
+	}
+	return errors.New(msg)
+}
+
 // ErrWorkerDisconnected reports a worker connection lost before the join
 // finished.
 var ErrWorkerDisconnected = errors.New("exchange: worker disconnected mid-stream")
@@ -82,90 +109,145 @@ type WorkerError struct {
 func (e *WorkerError) Error() string { return fmt.Sprintf("exchange: worker %s: %v", e.Addr, e.Err) }
 func (e *WorkerError) Unwrap() error { return e.Err }
 
-// writeFrame writes one frame. Callers serialize concurrent writers.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+// frameWriter is a connection's write half: it assembles each frame — length,
+// type and payload — in one buffer it reuses and hands it to the connection
+// in a single Write, serializing the goroutines that share the connection
+// (partitioners, credits, Cancel). With stats set it meters every frame's
+// bytes and time inside Write on the link.
+type frameWriter struct {
+	w     io.Writer
+	stats *LinkStats
+	mu    sync.Mutex
+	buf   []byte
 }
 
-// readFrame reads one frame. A clean EOF at a frame boundary returns io.EOF;
-// a short read inside a frame returns ErrTruncatedFrame.
-func readFrame(r io.Reader, maxFrame uint32) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frame sizes buf for an n-byte payload, fills in the prefix and returns the
+// payload's place in it. mu is held.
+func (fw *frameWriter) frame(typ byte, n int) []byte {
+	if cap(fw.buf) < 5+n {
+		fw.buf = make([]byte, 5+n)
+	}
+	fw.buf = fw.buf[:5+n]
+	binary.LittleEndian.PutUint32(fw.buf, uint32(1+n))
+	fw.buf[4] = typ
+	return fw.buf[5:]
+}
+
+// flush writes the assembled frame. mu is held.
+func (fw *frameWriter) flush() error {
+	start := nowNanos()
+	_, err := fw.w.Write(fw.buf)
+	if err == nil && fw.stats != nil {
+		fw.stats.SendNanos.Add(nowNanos() - start)
+		fw.stats.BytesSent.Add(int64(len(fw.buf)))
+	}
+	return err
+}
+
+// write sends one frame with an opaque payload.
+func (fw *frameWriter) write(typ byte, payload []byte) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	copy(fw.frame(typ, len(payload)), payload)
+	return fw.flush()
+}
+
+// writeBatch sends one batch frame, encoding straight from the vector's
+// columns a column at a time and applying any selection as it goes (a
+// filtered batch ships only its live rows). The batch is copied out before
+// writeBatch returns, so the caller may reuse its storage.
+func (fw *frameWriter) writeBatch(typ byte, b Batch) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	rows, width := b.Len(), b.Width()
+	out := fw.frame(typ, 8+rows*width*8)
+	binary.LittleEndian.PutUint32(out[0:4], uint32(rows))
+	binary.LittleEndian.PutUint32(out[4:8], uint32(width))
+	out = out[8:]
+	for _, col := range b.Cols {
+		if b.Sel == nil {
+			for i, x := range col[:rows] {
+				binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
+			}
+		} else {
+			for i, r := range b.Sel {
+				binary.LittleEndian.PutUint64(out[8*i:], uint64(col[r]))
+			}
+		}
+		out = out[8*rows:]
+	}
+	return fw.flush()
+}
+
+// frameReader is a connection's read half: frames come through a buffered
+// reader (credits and headers cost no syscall of their own) into one body
+// buffer it reuses. One reading goroutine.
+type frameReader struct {
+	r    *bufio.Reader
+	max  uint32
+	hdr  [4]byte // length-prefix scratch (a local would escape through io.ReadFull)
+	body []byte
+}
+
+func newFrameReader(r io.Reader, maxFrame uint32) *frameReader {
+	return &frameReader{r: bufio.NewReader(r), max: maxFrame}
+}
+
+// next reads one frame. The payload aliases the reader's buffer: it is valid
+// until the following call, and whoever keeps any of it must copy (decodeBatch
+// does). A clean EOF at a frame boundary returns io.EOF; a short read inside
+// a frame, or a length outside (0, max], returns ErrTruncatedFrame.
+func (fr *frameReader) next() (byte, []byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame length %d out of range (max %d)", ErrTruncatedFrame, n, maxFrame)
+	n := binary.LittleEndian.Uint32(fr.hdr[:])
+	if n == 0 || n > fr.max {
+		return 0, nil, fmt.Errorf("%w: frame length %d out of range (max %d)", ErrTruncatedFrame, n, fr.max)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if uint32(cap(fr.body)) < n {
+		fr.body = make([]byte, n)
+	}
+	body := fr.body[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
 	return body[0], body[1:], nil
 }
 
-// encodeBatch serializes a batch as [u32 rows][u32 width] + fixed-width
-// little-endian values in row-major order — the tuple-batch frame layout —
-// directly from the vector's columns, applying any selection as it goes (a
-// filtered batch ships only its live rows).
-func encodeBatch(b Batch) []byte {
-	rows := b.Len()
-	width := b.Width()
-	out := make([]byte, 8+rows*width*8)
-	binary.LittleEndian.PutUint32(out[0:4], uint32(rows))
-	binary.LittleEndian.PutUint32(out[4:8], uint32(width))
-	off := 8
-	for i := 0; i < rows; i++ {
-		r := i
-		if b.Sel != nil {
-			r = int(b.Sel[i])
-		}
-		for _, col := range b.Cols {
-			binary.LittleEndian.PutUint64(out[off:], uint64(col[r]))
-			off += 8
-		}
-	}
-	return out
-}
+// maxBatchWidth bounds a decoded batch's columns, and with it the column
+// headers an empty batch's 13-byte frame can make the receiver allocate.
+const maxBatchWidth = 1 << 16
 
-// decodeBatch parses an encoded batch into a dense columnar vector,
-// tolerating truncation by reporting ErrTruncatedFrame rather than
-// panicking. Column storage is one allocation for the whole batch.
+// decodeBatch copies an encoded batch out of the frame buffer into a dense
+// vector whose columns share one fresh slab — the only allocation of a
+// batch's hop that scales with its size. A payload whose length disagrees
+// with its header, however hostile, is ErrTruncatedFrame, never a panic.
 func decodeBatch(p []byte) (Batch, error) {
 	if len(p) < 8 {
 		return nil, fmt.Errorf("%w: batch header %d bytes", ErrTruncatedFrame, len(p))
 	}
-	rows := int(binary.LittleEndian.Uint32(p[0:4]))
-	width := int(binary.LittleEndian.Uint32(p[4:8]))
-	if want := 8 + rows*width*8; len(p) != want {
-		return nil, fmt.Errorf("%w: batch payload %d bytes, want %d", ErrTruncatedFrame, len(p), want)
+	// Checked in 64 bits under the width cap: in int, rows*width*8 wraps for
+	// hostile headers, and a wrapped product can equal the payload length.
+	nrows := int64(binary.LittleEndian.Uint32(p[0:4]))
+	width := int64(binary.LittleEndian.Uint32(p[4:8]))
+	p = p[8:]
+	if width > maxBatchWidth || len(p)%8 != 0 || nrows*width != int64(len(p)/8) {
+		return nil, fmt.Errorf("%w: batch payload %d bytes for %d rows × %d columns", ErrTruncatedFrame, len(p), nrows, width)
 	}
-	backing := make([]int64, rows*width)
+	rows := int(nrows)
+	slab := make([]int64, len(p)/8)
 	b := &vec.Vec{Cols: make([][]int64, width)}
 	for c := range b.Cols {
-		b.Cols[c] = backing[c*rows : (c+1)*rows : (c+1)*rows]
-	}
-	off := 8
-	for i := 0; i < rows; i++ {
-		for c := 0; c < width; c++ {
-			b.Cols[c][i] = int64(binary.LittleEndian.Uint64(p[off:]))
-			off += 8
+		col := slab[c*rows : (c+1)*rows : (c+1)*rows]
+		for i := range col {
+			col[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 		}
+		b.Cols[c] = col
+		p = p[8*rows:]
 	}
 	return b, nil
 }

@@ -1,0 +1,122 @@
+package exchange
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"testing"
+
+	"paropt/internal/storage"
+	"paropt/internal/vec"
+)
+
+// checkDecoded holds a successfully decoded batch to what the payload can
+// justify: dense, no more slab than the payload had values, no more columns
+// than the cap, and — the codec being canonical for batches with columns —
+// re-encoding to the very bytes that came in.
+func checkDecoded(t *testing.T, payload []byte, b Batch) {
+	t.Helper()
+	if b.Sel != nil {
+		t.Fatal("decoded batch carries a selection")
+	}
+	if b.Width() > maxBatchWidth {
+		t.Fatalf("decoded %d columns, cap %d", b.Width(), maxBatchWidth)
+	}
+	vals := 0
+	for _, col := range b.Cols {
+		if len(col) != b.Len() {
+			t.Fatalf("ragged columns: %d vs %d rows", len(col), b.Len())
+		}
+		vals += cap(col)
+	}
+	if 8*vals > len(payload) {
+		t.Fatalf("decoded slab of %d values from a %d-byte payload", vals, len(payload))
+	}
+	if b.Width() > 0 && !bytes.Equal(encodeBatch(b), payload) {
+		t.Fatal("decode → encode changed the payload")
+	}
+}
+
+// FuzzDecodeBatch: whatever the bytes, decodeBatch returns a batch the
+// payload accounts for or ErrTruncatedFrame — it never panics and never
+// sizes an allocation from a header the payload does not back.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(batchHeader(0, 0))
+	f.Add(batchHeader(0, 3))
+	f.Add(batchHeader(7, 0))
+	f.Add(batchHeader(1<<31, 1<<30)) // rows*width*8 wraps to 0 in int
+	f.Add(batchHeader(1<<29, 1<<3))  // rows*width*8 wraps to 0 in uint32
+	f.Add(batchHeader(0, 1<<32-1))
+	f.Add(append(batchHeader(1, 1), 1, 2, 3))
+	f.Add(encodeBatch(vec.FromRows(rowsOf(5, 3))))
+	f.Add(encodeBatch(vec.FromRows(rowsOf(40, 7)).FilterEq(0, 2)))
+	f.Add(append(encodeBatch(vec.FromRows([]storage.Row{{-1, 1 << 62}})), 0))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		b, err := decodeBatch(p)
+		if err != nil {
+			if !errors.Is(err, ErrTruncatedFrame) || b != nil {
+				t.Fatalf("decode: batch %v, err %v; want nil and ErrTruncatedFrame", b, err)
+			}
+			return
+		}
+		checkDecoded(t, p, b)
+	})
+}
+
+// FuzzFrameReader drives arbitrary bytes through a connection's whole receive
+// path — frameReader.next, then decodeBatch on the batch-typed frames — the
+// way a worker or the coordinator meets them. The stream ends in io.EOF (at
+// a frame boundary) or ErrTruncatedFrame, the body buffer never outgrows
+// MaxFrame, and nothing panics.
+func FuzzFrameReader(f *testing.F) {
+	const maxFrame = 1 << 12
+	frames := func(write func(fw *frameWriter)) []byte {
+		var buf bytes.Buffer
+		write(&frameWriter{w: &buf})
+		return buf.Bytes()
+	}
+	good := frames(func(fw *frameWriter) {
+		_ = fw.write(frameFragment, []byte(`{"method":"hash","wire":1}`))
+		_ = fw.writeBatch(frameLeft, vec.FromRows(rowsOf(9, 4)))
+		_ = fw.write(frameCredit, []byte{creditLeft})
+		_ = fw.writeBatch(frameResult, vec.FromRows(rowsOf(30, 4)).FilterEq(0, 1))
+		_ = fw.write(frameEndLeft, nil)
+	})
+	f.Add([]byte{})
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add([]byte{0, 0, 0, 0})                  // zero length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 2})   // length past any MaxFrame
+	f.Add([]byte{0x01, 0x10, 0, 0, frameLeft}) // length just past this MaxFrame
+	f.Add([]byte{9, 0, 0, 0, frameLeft, 1, 2}) // body cut short
+	f.Add(frames(func(fw *frameWriter) { _ = fw.write(frameRight, batchHeader(1<<31, 1<<30)) }))
+	f.Add(frames(func(fw *frameWriter) { _ = fw.write(frameResult, batchHeader(0, 1<<20)) }))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		fr := newFrameReader(bytes.NewReader(stream), maxFrame)
+		for read := 0; ; {
+			typ, payload, err := fr.next()
+			if cap(fr.body) > maxFrame {
+				t.Fatalf("body buffer grew to %d bytes, MaxFrame %d", cap(fr.body), maxFrame)
+			}
+			if err != nil {
+				if err != io.EOF && !errors.Is(err, ErrTruncatedFrame) {
+					t.Fatalf("next: %v; want io.EOF or ErrTruncatedFrame", err)
+				}
+				if err == io.EOF && read != len(stream) {
+					t.Fatalf("clean EOF after %d of %d bytes", read, len(stream))
+				}
+				return
+			}
+			read += 5 + len(payload)
+			if typ != frameLeft && typ != frameRight && typ != frameResult {
+				continue
+			}
+			if b, err := decodeBatch(payload); err == nil {
+				checkDecoded(t, payload, b)
+			} else if !errors.Is(err, ErrTruncatedFrame) {
+				t.Fatalf("decode: %v; want ErrTruncatedFrame", err)
+			}
+		}
+	})
+}

@@ -2,38 +2,67 @@ package exchange
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"paropt/internal/storage"
 	"paropt/internal/vec"
 )
 
-func TestBatchCodecRoundTrip(t *testing.T) {
-	cases := [][]storage.Row{
-		nil,
-		{},
-		{{1, 2, 3}},
-		{{-1, 0, 9223372036854775807}, {-9223372036854775808, 7, -42}},
-		{{5}, {6}, {7}, {8}},
+// encodeBatch is the payload of the frame writeBatch sends for b.
+func encodeBatch(b Batch) []byte {
+	var buf bytes.Buffer
+	if err := (&frameWriter{w: &buf}).writeBatch(frameLeft, b); err != nil {
+		panic(err)
 	}
-	for i, rs := range cases {
-		got, err := decodeBatch(encodeBatch(vec.FromRows(rs)))
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		if got.Len() != len(rs) {
-			t.Fatalf("case %d: %d rows, want %d", i, got.Len(), len(rs))
-		}
-		back := got.AppendRows(nil)
-		for r := range rs {
-			if len(back[r]) != len(rs[r]) {
-				t.Fatalf("case %d row %d: width %d, want %d", i, r, len(back[r]), len(rs[r]))
+	return buf.Bytes()[5:]
+}
+
+// sameBatch reports whether two batches hold the same live rows in the same
+// order at the same width.
+func sameBatch(a, b Batch) bool {
+	return a.Width() == b.Width() && reflect.DeepEqual(a.AppendRows(nil), b.AppendRows(nil))
+}
+
+// TestBatchCodecRoundTrip is the codec's property: decode(encode(v)) is
+// v.Compact() — dense, same width, same live rows in order — for dense and
+// selected inputs at the sizes where a cut could go wrong.
+func TestBatchCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, rows := range []int{0, 1, 2, 31, vec.DefaultBatchRows, vec.DefaultBatchRows + 1} {
+		for _, width := range []int{0, 1, 3, 8} {
+			dense := &vec.Vec{Cols: make([][]int64, width)}
+			for c := range dense.Cols {
+				dense.Cols[c] = make([]int64, rows)
+				for r := range dense.Cols[c] {
+					dense.Cols[c][r] = int64(rng.Uint64()) // full range, both signs
+				}
 			}
-			for c := range rs[r] {
-				if back[r][c] != rs[r][c] {
-					t.Fatalf("case %d row %d col %d: %d != %d", i, r, c, back[r][c], rs[r][c])
+			var some []int32
+			for r := 0; r < rows; r++ {
+				if rng.Intn(3) == 0 {
+					some = append(some, int32(r))
+				}
+			}
+			inputs := map[string]Batch{"dense": dense}
+			if width > 0 {
+				inputs["selection"] = &vec.Vec{Cols: dense.Cols, Sel: some}
+				inputs["empty-selection"] = &vec.Vec{Cols: dense.Cols, Sel: []int32{}}
+			}
+			for name, in := range inputs {
+				got, err := decodeBatch(encodeBatch(in))
+				if err != nil {
+					t.Fatalf("%s %d×%d: decode: %v", name, rows, width, err)
+				}
+				if got.Sel != nil {
+					t.Fatalf("%s %d×%d: decode produced a selection", name, rows, width)
+				}
+				if want := in.Compact(); !sameBatch(got, want) || got.Len() != want.Len() {
+					t.Fatalf("%s %d×%d: round trip changed the batch", name, rows, width)
 				}
 			}
 		}
@@ -44,25 +73,25 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 // the codec must apply the selection vector, not the physical columns.
 func TestEncodeBatchHonorsSelection(t *testing.T) {
 	src := vec.FromRows([]storage.Row{{1, 10}, {2, 20}, {1, 30}})
-	got, err := decodeBatch(encodeBatch(src.FilterEq(0, 1)))
+	payload := encodeBatch(src.FilterEq(0, 1))
+	if want := 8 + 2*2*8; len(payload) != want {
+		t.Fatalf("payload = %d bytes, want %d: only live rows ship", len(payload), want)
+	}
+	got, err := decodeBatch(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sel != nil {
-		t.Fatal("decode should produce a dense batch")
+	if want := vec.FromRows([]storage.Row{{1, 10}, {1, 30}}); !sameBatch(got, want) {
+		t.Fatalf("rows = %v, want %v", got.AppendRows(nil), want.AppendRows(nil))
 	}
-	back := got.AppendRows(nil)
-	want := []storage.Row{{1, 10}, {1, 30}}
-	if len(back) != len(want) {
-		t.Fatalf("rows = %v, want %v", back, want)
-	}
-	for i := range want {
-		for c := range want[i] {
-			if back[i][c] != want[i][c] {
-				t.Fatalf("rows = %v, want %v", back, want)
-			}
-		}
-	}
+}
+
+// batchHeader is an 8-byte batch payload claiming rows × width values.
+func batchHeader(rows, width uint32) []byte {
+	p := make([]byte, 8)
+	binary.LittleEndian.PutUint32(p[0:4], rows)
+	binary.LittleEndian.PutUint32(p[4:8], width)
+	return p
 }
 
 func TestDecodeBatchTruncated(t *testing.T) {
@@ -76,33 +105,112 @@ func TestDecodeBatchTruncated(t *testing.T) {
 	if _, err := decodeBatch(append(full, 0)); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("oversized payload: err = %v, want ErrTruncatedFrame", err)
 	}
+	// Headers whose rows*width*8 wraps in int: 2^31 × 2^30 × 8 = 2^64 ≡ 0, so
+	// "8 + product == len(p)" held for a bare header and decode went on to
+	// make a 2^61-element slice — a panic from 13 hostile bytes on the wire.
+	for _, h := range [][2]uint32{{1 << 31, 1 << 30}, {1 << 30, 1 << 31}, {1 << 31, 1 << 16}, {0, 1 << 31}, {1<<32 - 1, 1<<32 - 1}} {
+		if _, err := decodeBatch(batchHeader(h[0], h[1])); !errors.Is(err, ErrTruncatedFrame) {
+			t.Errorf("header %d rows × %d columns, no values: err = %v, want ErrTruncatedFrame", h[0], h[1], err)
+		}
+	}
 }
 
 func TestFrameRoundTripAndTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	payload := encodeBatch(vec.FromRows([]storage.Row{{11, 22}}))
-	if err := writeFrame(&buf, frameLeft, payload); err != nil {
+	fw := &frameWriter{w: &buf}
+	src := vec.FromRows([]storage.Row{{11, 22}})
+	if err := fw.writeBatch(frameLeft, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.write(frameCredit, []byte{creditRight}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.write(frameEndLeft, nil); err != nil {
 		t.Fatal(err)
 	}
 	full := append([]byte(nil), buf.Bytes()...)
-	typ, got, err := readFrame(bytes.NewReader(full), DefaultMaxFrame)
-	if err != nil || typ != frameLeft || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip: typ=%d err=%v", typ, err)
+	fr := newFrameReader(bytes.NewReader(full), DefaultMaxFrame)
+	typ, got, err := fr.next()
+	if err != nil || typ != frameLeft || !bytes.Equal(got, encodeBatch(src)) {
+		t.Fatalf("batch frame: typ=%d err=%v", typ, err)
+	}
+	if typ, got, err = fr.next(); err != nil || typ != frameCredit || !bytes.Equal(got, []byte{creditRight}) {
+		t.Fatalf("credit frame: typ=%d payload=%v err=%v", typ, got, err)
+	}
+	if typ, got, err = fr.next(); err != nil || typ != frameEndLeft || len(got) != 0 {
+		t.Fatalf("end frame: typ=%d payload=%v err=%v", typ, got, err)
 	}
 	// Clean EOF at a frame boundary is io.EOF, not a truncation.
-	if _, _, err := readFrame(bytes.NewReader(nil), DefaultMaxFrame); err != io.EOF {
-		t.Errorf("empty stream: err = %v, want io.EOF", err)
+	if _, _, err := fr.next(); err != io.EOF {
+		t.Errorf("end of stream: err = %v, want io.EOF", err)
 	}
 	// Any cut inside the frame is a truncation.
-	for _, cut := range []int{1, 3, 4, 5, len(full) - 1} {
-		if _, _, err := readFrame(bytes.NewReader(full[:cut]), DefaultMaxFrame); !errors.Is(err, ErrTruncatedFrame) {
+	for _, cut := range []int{1, 3, 4, 5, 28} {
+		if _, _, err := newFrameReader(bytes.NewReader(full[:cut]), DefaultMaxFrame).next(); !errors.Is(err, ErrTruncatedFrame) {
 			t.Errorf("cut at %d: err = %v, want ErrTruncatedFrame", cut, err)
 		}
 	}
 	// A hostile length prefix fails fast instead of allocating.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, frameLeft}
-	if _, _, err := readFrame(bytes.NewReader(huge), DefaultMaxFrame); !errors.Is(err, ErrTruncatedFrame) {
+	hr := newFrameReader(bytes.NewReader(huge), DefaultMaxFrame)
+	if _, _, err := hr.next(); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("oversized frame: err = %v, want ErrTruncatedFrame", err)
+	}
+	if cap(hr.body) != 0 {
+		t.Errorf("oversized frame grew the body buffer to %d bytes", cap(hr.body))
+	}
+}
+
+// TestFrameWriterIssuesOneWritePerFrame: a frame reaches the connection as
+// one Write — length, type and payload together — whatever its kind, so two
+// frames can never interleave mid-frame and a credit costs one syscall.
+func TestFrameWriterIssuesOneWritePerFrame(t *testing.T) {
+	var cw countingWriter
+	fw := &frameWriter{w: &cw}
+	_ = fw.write(frameFragment, []byte(`{"method":"hash"}`))
+	_ = fw.writeBatch(frameResult, vec.FromRows(rowsOf(100, 7)))
+	_ = fw.write(frameCredit, []byte{creditResult})
+	_ = fw.write(frameEndResult, nil)
+	if cw.writes != 4 {
+		t.Fatalf("4 frames took %d Writes, want 4", cw.writes)
+	}
+}
+
+type countingWriter struct{ writes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return len(p), nil
+}
+
+// TestDecodedBatchSurvivesReaderReuse: next hands out its own buffer, so a
+// decoded batch must own its values — it is unchanged after the reader has
+// overwritten that buffer with three more frames.
+func TestDecodedBatchSurvivesReaderReuse(t *testing.T) {
+	var buf bytes.Buffer
+	fw := &frameWriter{w: &buf}
+	first := vec.FromRows(rowsOf(300, 11))
+	for _, b := range []Batch{first, vec.FromRows(rowsOf(300, 5)), vec.FromRows(rowsOf(17, 3)), vec.FromRows(rowsOf(300, 2))} {
+		if err := fw.writeBatch(frameResult, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := newFrameReader(&buf, DefaultMaxFrame)
+	_, payload, err := fr.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeBatch(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := fr.next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameBatch(got, first) {
+		t.Fatal("decoded batch changed when the reader reused its buffer")
 	}
 }
 
@@ -175,9 +283,7 @@ func streamOf(rows []storage.Row, bs int) <-chan Batch {
 	ch := make(chan Batch, 4)
 	go func() {
 		defer close(ch)
-		for _, b := range vec.Batches(rows, bs) {
-			ch <- b
-		}
+		feedShard(vec.FromRows(rows), bs, ch)
 	}()
 	return ch
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
 
 	"paropt/internal/vec"
 )
@@ -74,22 +73,19 @@ func (w *Worker) Serve(ln net.Listener) error {
 // responsive to result credits, whatever order the join consumes its inputs.
 func (w *Worker) handle(conn net.Conn) {
 	defer conn.Close()
-	maxFrame := w.maxFrame()
 	win := w.window()
-	var wmu sync.Mutex
-	send := func(typ byte, payload []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return writeFrame(conn, typ, payload)
-	}
+	// The connection's one frame writer — result batches, credits and the
+	// closing stats/end frames all go through it — and its one frame reader.
+	fw := &frameWriter{w: conn}
+	fr := newFrameReader(conn, w.maxFrame())
 
-	typ, payload, err := readFrame(conn, maxFrame)
+	typ, payload, err := fr.next()
 	if err != nil || typ != frameFragment {
 		return
 	}
 	var frag Fragment
 	if err := json.Unmarshal(payload, &frag); err != nil {
-		_ = send(frameError, []byte("exchange: bad fragment: "+err.Error()))
+		_ = fw.write(frameError, []byte("exchange: bad fragment: "+err.Error()))
 		return
 	}
 
@@ -135,13 +131,25 @@ func (w *Worker) handle(conn net.Conn) {
 			w.Stats.ResultStallNanos.Add(fs.ResultStallNanos)
 		}
 		if sp, err := json.Marshal(fs); err == nil {
-			_ = send(frameStats, sp)
+			_ = fw.write(frameStats, sp)
 		}
 		if failErr != nil {
-			_ = send(frameError, []byte(failErr.Error()))
+			_ = fw.write(frameError, []byte(failErr.Error()))
 		} else {
-			_ = send(frameEndResult, nil)
+			_ = fw.write(frameEndResult, nil)
 		}
+	}
+
+	// A coordinator that lays batches out differently must not get as far as
+	// a batch. The refusal is drained behind: closing on the input frames a
+	// streaming coordinator already sent would reset the connection and take
+	// the error frame with it.
+	if frag.Wire != WireVersion {
+		finish(fmt.Errorf("%w: fragment speaks %d, worker %d", ErrWireVersion, frag.Wire, WireVersion))
+		for err == nil {
+			_, _, err = fr.next()
+		}
+		return
 	}
 
 	// Shipped sides are sourced from the local store before the join runs,
@@ -149,8 +157,7 @@ func (w *Worker) handle(conn net.Conn) {
 	// the coordinator can re-dispatch the fragment cleanly. Staged partition
 	// bytes are metered on the StagedBytes gauge and must reach zero again on
 	// every exit path, error paths included.
-	var lrows, rrows []Batch
-	var lbytes, rbytes int64
+	var lvec, rvec *vec.Vec
 	addStaged := func(n int64) {
 		if w.Stats != nil && n != 0 {
 			w.Stats.StagedBytes.Add(n)
@@ -161,40 +168,37 @@ func (w *Worker) handle(conn net.Conn) {
 			finish(errStoreMissing)
 			return
 		}
-		scan := func(name string, spec *ScanSpec) ([]Batch, int64, error) {
+		scan := func(name string, spec *ScanSpec) (*vec.Vec, error) {
 			if spec == nil {
-				return nil, 0, nil
+				return nil, nil
 			}
 			sp := root.child(name, since())
-			rows, err := w.Store.ScanPartition(*spec, frag.Part, frag.Parts)
+			v, err := w.Store.ScanPartition(*spec, frag.Part, frag.Parts)
 			sp.EndNanos = since()
 			sp.Attrs = map[string]string{
 				"relation": spec.Relation,
-				"rows":     strconv.FormatInt(int64(len(rows)), 10),
+				"rows":     strconv.Itoa(v.Len()),
 			}
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			if w.Stats != nil {
 				w.Stats.ShippedScans.Add(1)
 			}
-			bats := vec.Batches(rows, frag.BatchSize)
-			var bytes int64
-			if len(rows) > 0 {
-				bytes = int64(len(rows)) * int64(len(rows[0])) * 8
-			}
-			addStaged(bytes)
-			return bats, bytes, nil
+			addStaged(v.Bytes())
+			return v, nil
 		}
 		var err error
-		if lrows, lbytes, err = scan("scan-left", frag.LeftScan); err == nil {
-			rrows, rbytes, err = scan("scan-right", frag.RightScan)
+		if lvec, err = scan("scan-left", frag.LeftScan); err == nil {
+			rvec, err = scan("scan-right", frag.RightScan)
 		}
 		if err != nil {
 			// Free whatever was staged before the failure: without this a
 			// fragment whose second scan fails fast pins the first side's
 			// partition bytes on the gauge until process exit.
-			addStaged(-(lbytes + rbytes))
+			if lvec != nil {
+				addStaged(-lvec.Bytes())
+			}
 			finish(fmt.Errorf("exchange: shipped scan: %w", err))
 			return
 		}
@@ -216,7 +220,7 @@ func (w *Worker) handle(conn net.Conn) {
 			resWin.close()
 		}()
 		for {
-			typ, payload, err := readFrame(conn, maxFrame)
+			typ, payload, err := fr.next()
 			if err != nil {
 				return
 			}
@@ -261,33 +265,29 @@ func (w *Worker) handle(conn net.Conn) {
 	}()
 
 	// Pumps hand batches to the join and grant a credit per batch consumed.
-	// A shipped side is fed from the prefetched store rows instead — no
-	// wire traffic, no credits.
+	// A shipped side is fed windows of the scanned shard instead — no wire
+	// traffic, no credits, no copy.
 	leftOut := make(chan Batch)
 	rightOut := make(chan Batch)
 	pump := func(in <-chan Batch, out chan<- Batch, dir byte) {
 		defer close(out)
 		for b := range in {
 			out <- b
-			_ = send(frameCredit, []byte{dir})
+			_ = fw.write(frameCredit, []byte{dir})
 		}
 	}
-	feed := func(rows []Batch, out chan<- Batch, bytes int64) {
+	feed := func(v *vec.Vec, out chan<- Batch) {
 		defer close(out)
-		defer addStaged(-bytes)
-		for i := range rows {
-			b := rows[i]
-			rows[i] = nil // drop the staged reference as each batch ships
-			out <- b
-		}
+		defer addStaged(-v.Bytes())
+		feedShard(v, frag.BatchSize, out)
 	}
 	if frag.LeftScan != nil {
-		go feed(lrows, leftOut, lbytes)
+		go feed(lvec, leftOut)
 	} else {
 		go pump(left, leftOut, creditLeft)
 	}
 	if frag.RightScan != nil {
-		go feed(rrows, rightOut, rbytes)
+		go feed(rvec, rightOut)
 	} else {
 		go pump(right, rightOut, creditRight)
 	}
@@ -305,7 +305,7 @@ func (w *Worker) handle(conn net.Conn) {
 		fs.LastNanos = off
 		fs.Rows += int64(b.Len())
 		fs.Batches++
-		return send(frameResult, encodeBatch(b))
+		return fw.writeBatch(frameResult, b)
 	}
 	joinErr := w.Join(frag, leftOut, rightOut, emit)
 	joinSpan.EndNanos = since()

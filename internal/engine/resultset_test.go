@@ -104,7 +104,12 @@ func TestColumnarResultsetMatchesRowOracle(t *testing.T) {
 			}
 		}
 		// The shape Execute produces: the root's dense batches, no row cache.
-		res := &Resultset{Schema: schema, batches: vec.Batches(rows, 1+rng.Intn(1024)), n: n}
+		var batches []Batch
+		all, bs := vec.FromRows(rows), 1+rng.Intn(1024)
+		for lo := 0; lo < n; lo += bs {
+			batches = append(batches, all.Window(lo, min(lo+bs, n)))
+		}
+		res := &Resultset{Schema: schema, batches: batches, n: n}
 		if res.Len() != n || len(res.Rows()) != n || (n > 0 && !reflect.DeepEqual(res.Rows(), rows)) {
 			t.Fatalf("trial %d: Rows() does not round-trip %d rows", trial, n)
 		}

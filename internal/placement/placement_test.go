@@ -157,6 +157,16 @@ func TestFingerprintTracksPlacementState(t *testing.T) {
 	}
 }
 
+// scanRows is a scan's live rows in row-major form.
+func scanRows(t *testing.T, st *Store, spec exchange.ScanSpec, part, parts int) []storage.Row {
+	t.Helper()
+	v, err := st.ScanPartition(spec, part, parts)
+	if err != nil {
+		t.Fatalf("%s part %d of %d: %v", spec.Relation, part, parts, err)
+	}
+	return v.AppendRows(nil)
+}
+
 // TestStoreShardsAgreeWithStreamPartitioner: the union of a store's shards
 // must be exactly the generated table, each row landing in the same
 // partition the exchange layer's hash partitioner would send it to — the
@@ -170,10 +180,7 @@ func TestStoreShardsAgreeWithStreamPartitioner(t *testing.T) {
 
 	var got []storage.Row
 	for part := 0; part < parts; part++ {
-		rows, err := st.ScanPartition(exchange.ScanSpec{Relation: "stocks", HashCol: 0}, part, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := scanRows(t, st, exchange.ScanSpec{Relation: "stocks", HashCol: 0}, part, parts)
 		for _, r := range rows {
 			if p := storage.Partition(r[0], parts); p != part {
 				t.Fatalf("row %v served from partition %d, hashes to %d", r, part, p)
@@ -203,19 +210,13 @@ func TestStoreFiltersAndValidation(t *testing.T) {
 	cat := portfolioCat(t)
 	st := NewStore(cat, 7)
 	spec := exchange.ScanSpec{Relation: "sectors", HashCol: 0}
-	all, err := st.ScanPartition(spec, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := scanRows(t, st, spec, 0, 1)
 	if len(all) == 0 {
 		t.Fatal("sectors shard empty; fixture broken")
 	}
 	want := all[0][1]
 	spec.Filters = []exchange.ScanFilter{{Col: 1, Val: want}}
-	filtered, err := st.ScanPartition(spec, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	filtered := scanRows(t, st, spec, 0, 1)
 	if len(filtered) == 0 || len(filtered) >= len(all) {
 		t.Errorf("filter kept %d of %d rows; want a proper nonempty subset", len(filtered), len(all))
 	}
@@ -256,10 +257,7 @@ func TestPrewarmCachesOwnedShards(t *testing.T) {
 			}
 		}
 		for part := 0; part < 2; part++ {
-			rows, err := st.ScanPartition(exchange.ScanSpec{Relation: rel, HashCol: col}, part, 2)
-			if err != nil {
-				t.Fatalf("%s part %d: %v", rel, part, err)
-			}
+			rows := scanRows(t, st, exchange.ScanSpec{Relation: rel, HashCol: col}, part, 2)
 			if rel != "sectors" && len(rows) == 0 {
 				t.Errorf("%s part %d empty", rel, part)
 			}
@@ -294,12 +292,98 @@ func TestSnapshotRoundTripPreservesPlacementInputs(t *testing.T) {
 	}
 	s1, s2 := NewStore(cat, 5), NewStore(cat2, 5)
 	spec := exchange.ScanSpec{Relation: "stocks", HashCol: 0}
-	r1, err1 := s1.ScanPartition(spec, 1, 2)
-	r2, err2 := s2.ScanPartition(spec, 1, 2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(r1, r2) {
+	if r1, r2 := scanRows(t, s1, spec, 1, 2), scanRows(t, s2, spec, 1, 2); len(r1) == 0 || !reflect.DeepEqual(r1, r2) {
 		t.Error("shards generated from the round-tripped catalog differ")
+	}
+}
+
+// TestColumnarShardsMatchRowOracle: every (relation, hash column, part,
+// parts) scan — unfiltered, filtered on each column, filtered twice, and
+// filtered on a column the relation lacks — delivers exactly the rows a
+// row-at-a-time filter of the generated table keeps, in table order, with the
+// unfiltered scan dense and zero-copy (a second scan aliases the same slabs).
+// ShardStats counts the resident rows of each distinct shard once.
+func TestColumnarShardsMatchRowOracle(t *testing.T) {
+	// Small relations with few distinct values, so filters keep several rows
+	// and some shards of the 3-row relation are empty.
+	cat := catalog.New()
+	cat.MustAddRelation(catalog.Relation{Name: "wide", Card: 700, Pages: 7, Columns: []catalog.Column{
+		{Name: "a", NDV: 700, Width: 8}, {Name: "b", NDV: 40, Width: 8}, {Name: "c", NDV: 3, Width: 8}, {Name: "d", NDV: 90, Width: 8}}})
+	cat.MustAddRelation(catalog.Relation{Name: "thin", Card: 257, Pages: 3, Columns: []catalog.Column{{Name: "k", NDV: 12, Width: 8}}})
+	cat.MustAddRelation(catalog.Relation{Name: "tiny", Card: 3, Pages: 1, Columns: []catalog.Column{
+		{Name: "k", NDV: 2, Width: 8}, {Name: "v", NDV: 3, Width: 8}}})
+	const seed = 23
+	st := NewStore(cat, seed)
+	var wantShards int
+	var wantRows int64
+	for _, name := range cat.RelationNames() {
+		tab := storage.Generate(cat.MustRelation(name), seed)
+		width := len(tab.Rel.Columns)
+		for hashCol := 0; hashCol < width; hashCol++ {
+			for _, parts := range []int{0, 1, 2, 5} {
+				for part := 0; part < max(parts, 1); part++ {
+					oracle := func(filters []exchange.ScanFilter) []storage.Row {
+						var out []storage.Row
+					rows:
+						for _, row := range tab.Rows {
+							if parts >= 2 && storage.Partition(row[hashCol], parts) != part {
+								continue
+							}
+							for _, f := range filters {
+								if f.Col < 0 || f.Col >= width || row[f.Col] != f.Val {
+									continue rows
+								}
+							}
+							out = append(out, row)
+						}
+						return out
+					}
+					spec := exchange.ScanSpec{Relation: name, HashCol: hashCol}
+					v, err := st.ScanPartition(spec, part, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					all := oracle(nil)
+					if v.Sel != nil || v.Width() != width || !reflect.DeepEqual(v.AppendRows(nil), all) {
+						t.Fatalf("%s hash %d part %d/%d: unfiltered scan differs from the row oracle", name, hashCol, part, parts)
+					}
+					if parts != 1 { // parts 0 and 1 name the same shard
+						wantShards++
+						wantRows += int64(len(all))
+					}
+					if again, _ := st.ScanPartition(spec, part, parts); len(all) > 0 && &again.Cols[0][0] != &v.Cols[0][0] {
+						t.Fatalf("%s hash %d part %d/%d: a second scan copied the shard", name, hashCol, part, parts)
+					}
+					if len(all) == 0 {
+						continue
+					}
+					probe := all[len(all)/2]
+					onKey := exchange.ScanFilter{Col: hashCol, Val: probe[hashCol]}
+					for c := -1; c <= width; c++ {
+						f := exchange.ScanFilter{Col: c}
+						if c >= 0 && c < width {
+							f.Val = probe[c]
+						}
+						for _, filters := range [][]exchange.ScanFilter{{f}, {f, onKey}, {onKey, f}} {
+							spec.Filters = filters
+							got, err := st.ScanPartition(spec, part, parts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want := oracle(filters)
+							if got.Sel == nil || got.Len() != len(want) || (len(want) > 0 && !reflect.DeepEqual(got.AppendRows(nil), want)) {
+								t.Fatalf("%s hash %d part %d/%d filters %v: %d rows, oracle keeps %d", name, hashCol, part, parts, filters, got.Len(), len(want))
+							}
+							if &got.Cols[0][0] != &v.Cols[0][0] {
+								t.Fatalf("%s filters %v: a filtered scan copied the shard", name, filters)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if shards, rows := st.ShardStats(); shards != wantShards || rows != wantRows {
+		t.Errorf("ShardStats = %d shards, %d rows; want %d, %d", shards, rows, wantShards, wantRows)
 	}
 }

@@ -7,12 +7,14 @@ import (
 	"paropt/internal/catalog"
 	"paropt/internal/engine/exchange"
 	"paropt/internal/storage"
+	"paropt/internal/vec"
 )
 
 // Store is a worker's (or the coordinator-fallback's) partitioned data
 // store: it serves hash-partition shards of catalog relations, generated
 // deterministically from the catalog + seed. Owned shards are prewarmed and
-// cached; any other shard is materialized on demand — generate the
+// cached as pointer-free column slabs that scans alias, never copy; any
+// other shard is materialized on demand — generate the
 // relation, keep the requested partition, drop the rest — which is what
 // lets a surviving worker absorb a re-dispatched fragment it never owned.
 type Store struct {
@@ -21,7 +23,7 @@ type Store struct {
 
 	mu     sync.Mutex
 	tables map[string]*storage.Table // optional full tables (coordinator reuse)
-	shards map[shardKey][]storage.Row
+	shards map[shardKey][][]int64
 }
 
 type shardKey struct {
@@ -37,7 +39,7 @@ func NewStore(cat *catalog.Catalog, seed int64) *Store {
 		cat:    cat,
 		seed:   seed,
 		tables: make(map[string]*storage.Table),
-		shards: make(map[shardKey][]storage.Row),
+		shards: make(map[shardKey][][]int64),
 	}
 }
 
@@ -82,52 +84,47 @@ func (s *Store) Prewarm(m *Map, self string) error {
 func (s *Store) ShardStats() (shards int, rows int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, rs := range s.shards {
-		rows += int64(len(rs))
+	for _, cols := range s.shards {
+		if len(cols) > 0 {
+			rows += int64(len(cols[0]))
+		}
 	}
 	return len(s.shards), rows
 }
 
-// ScanPartition implements exchange.Store.
-func (s *Store) ScanPartition(spec exchange.ScanSpec, part, parts int) ([]storage.Row, error) {
+// ScanPartition implements exchange.Store: the cached shard's columns with
+// the spec's filters applied as a selection vector. Nothing is copied, so the
+// result is read-only. A filter on a column the relation lacks keeps no row.
+func (s *Store) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.Vec, error) {
 	if parts < 1 {
 		parts = 1
 	}
 	if part < 0 || part >= parts {
 		return nil, fmt.Errorf("placement: partition %d of %d out of range", part, parts)
 	}
-	rows, err := s.shard(spec.Relation, spec.HashCol, part, parts)
+	cols, err := s.shard(spec.Relation, spec.HashCol, part, parts)
 	if err != nil {
 		return nil, err
 	}
-	if len(spec.Filters) == 0 {
-		return rows, nil
-	}
-	var out []storage.Row
-	for _, row := range rows {
-		keep := true
-		for _, f := range spec.Filters {
-			if f.Col < 0 || f.Col >= len(row) || row[f.Col] != f.Val {
-				keep = false
-				break
-			}
+	v := &vec.Vec{Cols: cols}
+	for _, f := range spec.Filters {
+		if f.Col < 0 || f.Col >= len(cols) {
+			return &vec.Vec{Cols: cols, Sel: []int32{}}, nil
 		}
-		if keep {
-			out = append(out, row)
-		}
+		v = v.FilterEq(f.Col, f.Val)
 	}
-	return out, nil
+	return v, nil
 }
 
 // shard returns the cached shard, or materializes it: slice an already-held
 // full table if present, else generate the relation transiently and keep
 // only the requested partition.
-func (s *Store) shard(relName string, hashCol, part, parts int) ([]storage.Row, error) {
+func (s *Store) shard(relName string, hashCol, part, parts int) ([][]int64, error) {
 	key := shardKey{rel: relName, hashCol: hashCol, part: part, parts: parts}
 	s.mu.Lock()
-	if rows, ok := s.shards[key]; ok {
+	if cols, ok := s.shards[key]; ok {
 		s.mu.Unlock()
-		return rows, nil
+		return cols, nil
 	}
 	t := s.tables[relName]
 	s.mu.Unlock()
@@ -142,12 +139,12 @@ func (s *Store) shard(relName string, hashCol, part, parts int) ([]storage.Row, 
 	if t == nil {
 		t = storage.Generate(rel, s.seed)
 	}
-	rows := storage.Shard(t, hashCol, part, parts)
+	cols := storage.Shard(t, hashCol, part, parts)
 
 	s.mu.Lock()
-	s.shards[key] = rows
+	s.shards[key] = cols
 	s.mu.Unlock()
-	return rows, nil
+	return cols, nil
 }
 
 func colPos(rel *catalog.Relation, name string) int {

@@ -28,18 +28,33 @@ func Partition(v int64, parts int) int {
 	return int(hi)
 }
 
-// Shard filters a table's rows down to hash partition part of parts on the
-// column at position hashCol — the worker-resident fragment of a placed
-// relation. parts < 2 returns every row (a single-shard placement).
-func Shard(t *Table, hashCol, part, parts int) []Row {
+// Shard is hash partition part of parts of a table on the column at
+// position hashCol — the worker-resident fragment of a placed relation — as
+// columnar slabs (Shard(...)[c][r] is column c of the shard's row r, table
+// order kept) cut from one pointer-free allocation, so a resident shard costs
+// the collector nothing to scan. parts < 2 is the single-shard placement:
+// every row, aliasing the table's own Columns. Read-only either way.
+func Shard(t *Table, hashCol, part, parts int) [][]int64 {
 	if parts < 2 {
-		return append([]Row(nil), t.Rows...)
+		return t.Columns()
 	}
-	var out []Row
-	for _, row := range t.Rows {
+	var keep []int32
+	for r, row := range t.Rows {
 		if Partition(row[hashCol], parts) == part {
-			out = append(out, row)
+			keep = append(keep, int32(r))
 		}
 	}
-	return out
+	n := len(keep)
+	cols := make([][]int64, len(t.Rel.Columns))
+	slab := make([]int64, len(cols)*n)
+	for c := range cols {
+		cols[c] = slab[c*n : (c+1)*n : (c+1)*n]
+	}
+	for i, r := range keep {
+		row := t.Rows[r]
+		for c := range cols {
+			cols[c][i] = row[c]
+		}
+	}
+	return cols
 }

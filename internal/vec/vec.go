@@ -139,21 +139,19 @@ func (v *Vec) AppendRows(dst []storage.Row) []storage.Row {
 	return dst
 }
 
-// Batches transposes row-major tuples into dense Vecs of at most bs live
-// rows each — the staged-partition and fallback-scan path of the exchange.
-func Batches(rows []storage.Row, bs int) []*Vec {
-	if bs <= 0 {
-		bs = DefaultBatchRows
+// Window is the zero-copy view of live rows [lo, hi): a dense Vec windows
+// its columns, a selected one keeps them and windows the selection. Scans of
+// a cached shard cut their batches this way — no value moves until a join
+// buffers or the wire encodes it.
+func (v *Vec) Window(lo, hi int) *Vec {
+	if v.Sel != nil {
+		return &Vec{Cols: v.Cols, Sel: v.Sel[lo:hi]}
 	}
-	var out []*Vec
-	for start := 0; start < len(rows); start += bs {
-		end := start + bs
-		if end > len(rows) {
-			end = len(rows)
-		}
-		out = append(out, FromRows(rows[start:end]))
+	w := &Vec{Cols: make([][]int64, len(v.Cols))}
+	for c, col := range v.Cols {
+		w.Cols[c] = col[lo:hi]
 	}
-	return out
+	return w
 }
 
 // Builder assembles an output Vec — the emit side of join and projection
@@ -216,6 +214,18 @@ func (b *Builder) AppendGather(at int, cols [][]int64, idx []int32) {
 			dst = append(dst, col[r])
 		}
 		b.cols[at+c] = dst
+	}
+}
+
+// View is the accumulated batch as a dense Vec still backed by the builder,
+// valid until Reset. A consumer that copies the rows out at once (the wire
+// encoder) pairs the two, so a stream of batches reuses one slab.
+func (b *Builder) View() *Vec { return &Vec{Cols: b.cols} }
+
+// Reset empties the builder, keeping its slab.
+func (b *Builder) Reset() {
+	for c := range b.cols {
+		b.cols[c] = b.cols[c][:0]
 	}
 }
 

@@ -104,21 +104,65 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-func TestBatchesSplit(t *testing.T) {
+// TestWindowSplit: windows of a dense and of a selected Vec tile its live
+// rows in order and share its column storage.
+func TestWindowSplit(t *testing.T) {
 	var in []storage.Row
 	for i := int64(0); i < 10; i++ {
-		in = append(in, storage.Row{i})
+		in = append(in, storage.Row{i, i % 3})
 	}
-	bs := Batches(in, 4)
-	if len(bs) != 3 {
-		t.Fatalf("batches = %d, want 3", len(bs))
+	dense := FromRows(in)
+	for name, v := range map[string]*Vec{"dense": dense, "selected": dense.FilterEq(1, 1), "empty": dense.FilterEq(1, 9)} {
+		want := v.AppendRows(nil)
+		var got []storage.Row
+		windows := 0
+		for lo := 0; lo < v.Len(); lo += 4 {
+			w := v.Window(lo, min(lo+4, v.Len()))
+			if w.Len() > 4 || (v.Sel == nil) != (w.Sel == nil) {
+				t.Fatalf("%s: window of %d rows, selected=%v", name, w.Len(), w.Sel != nil)
+			}
+			at := 0 // a selected window keeps whole columns
+			if v.Sel == nil {
+				at = lo
+			}
+			if &w.Cols[0][0] != &v.Cols[0][at] {
+				t.Fatalf("%s: window at %d copied its column", name, lo)
+			}
+			got = w.AppendRows(got)
+			windows++
+		}
+		if !reflect.DeepEqual(got, want) || windows != (len(want)+3)/4 {
+			t.Fatalf("%s: %d windows gave %v, want %v", name, windows, got, want)
+		}
 	}
-	var got []storage.Row
-	for _, b := range bs {
-		got = b.AppendRows(got)
+}
+
+// TestBuilderViewResetKeepsSlab: View aliases the accumulated rows, Reset
+// empties the builder without dropping its slab, and the next batch is
+// written over the same storage — the partition-side reuse the wire relies on.
+func TestBuilderViewResetKeepsSlab(t *testing.T) {
+	src := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
+	b := NewBuilder(2, 2)
+	b.AppendGather(0, src.Cols, []int32{0, 1})
+	first := b.View()
+	if !b.Full() || !reflect.DeepEqual(first.AppendRows(nil), rows([]int64{1, 10}, []int64{2, 20})) {
+		t.Fatalf("view = %v", first.AppendRows(nil))
 	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("batches lost rows: %v", got)
+	slab := &first.Cols[0][0]
+	b.Reset()
+	if b.Len() != 0 || b.Room() != 2 {
+		t.Fatalf("after Reset: len %d room %d", b.Len(), b.Room())
+	}
+	b.AppendGather(0, src.Cols, []int32{2})
+	second := b.View()
+	if &second.Cols[0][0] != slab {
+		t.Fatal("Reset dropped the slab")
+	}
+	if !reflect.DeepEqual(second.AppendRows(nil), rows([]int64{3, 30})) {
+		t.Fatalf("second view = %v", second.AppendRows(nil))
+	}
+	if v := b.Flush(); v == nil || v.Len() != 1 || b.Len() != 0 {
+		t.Fatal("Flush after Reset must still hand the batch off")
 	}
 }
 
