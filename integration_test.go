@@ -25,12 +25,19 @@ func smallWorkload(shape query.Shape, n int, seed int64) (*paropt.Catalog, *paro
 }
 
 // randomBushyPlan builds a random bushy plan with random methods over the
-// query, using only legal joins (cross products via nested loops).
+// query, using only legal joins (cross products via nested loops). A relation
+// the catalog indexed is read through one of its indexes half the time, so
+// index-order leaves — and the sorts the expansion elides over them — reach
+// every execution path.
 func randomBushyPlan(est *plan.Estimator, q *paropt.Query, rng *rand.Rand) (*plan.Node, error) {
 	perm := rng.Perm(len(q.Relations))
 	nodes := make([]*plan.Node, len(perm))
 	for i, pos := range perm {
-		leaf, err := est.Leaf(q.Relations[pos], plan.SeqScan, nil)
+		access, idx := plan.SeqScan, (*paropt.Index)(nil)
+		if ixs := est.Cat.IndexesOn(q.Relations[pos]); len(ixs) > 0 && rng.Intn(2) == 0 {
+			access, idx = plan.IndexScan, ixs[rng.Intn(len(ixs))]
+		}
+		leaf, err := est.Leaf(q.Relations[pos], access, idx)
 		if err != nil {
 			return nil, err
 		}
@@ -56,6 +63,7 @@ func randomBushyPlan(est *plan.Estimator, q *paropt.Query, rng *rand.Rand) (*pla
 // operator-tree execution and brute-force reference evaluation all agree.
 func TestIntegrationEveryPlanSameResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	indexLeaves, elidedSorts := 0, 0
 	for _, shape := range []query.Shape{query.Chain, query.Star, query.Cycle} {
 		for n := 3; n <= 4; n++ {
 			cat, q := smallWorkload(shape, n, int64(n)*7+int64(shape))
@@ -85,6 +93,14 @@ func TestIntegrationEveryPlanSameResult(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				op.Walk(func(o *optree.Op) {
+					if o.Kind == optree.IndexScanOp {
+						indexLeaves++
+					}
+					if o.Kind == optree.Merge && (o.Inputs[0].Kind != optree.Sort || o.Inputs[1].Kind != optree.Sort) {
+						elidedSorts++
+					}
+				})
 				gotOp, err := e.ExecuteOp(op)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -105,6 +121,12 @@ func TestIntegrationEveryPlanSameResult(t *testing.T) {
 			}
 		}
 	}
+	// The generator, not a fixture, must put index-order leaves and the merges
+	// that trust their order in front of the lowered operators.
+	if indexLeaves == 0 || elidedSorts == 0 {
+		t.Fatalf("random plans had %d index-scan leaves and %d merges with an elided sort; the generator no longer covers them", indexLeaves, elidedSorts)
+	}
+	t.Logf("%d index-scan leaves, %d merges with an elided sort", indexLeaves, elidedSorts)
 }
 
 // TestIntegrationOptimizerPlansExecuteCorrectly: every algorithm's chosen

@@ -5,17 +5,17 @@
 // over contiguous memory. Joins can still run partitioned across workers
 // (cloning, in the paper's vocabulary) with hash redistribution between
 // stages — the Gamma-style execution model the paper's operator trees
-// describe — by pumping iterator output into the exchange transport. The
-// engine exists both to demonstrate that optimizer plans actually run and to
-// verify plan semantics: every plan for a query must produce the same result
-// multiset.
+// describe: a cloned join hands its two input operators to the exchange
+// transport, which pulls them, and is itself the operator the transport hands
+// back. The engine exists both to demonstrate that optimizer plans actually
+// run and to verify plan semantics: every plan for a query must produce the
+// same result multiset.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"paropt/internal/engine/exchange"
 	"paropt/internal/plan"
@@ -42,15 +42,10 @@ func (s Schema) IndexOf(c query.ColumnRef) int {
 // without copying or transposition.
 type Batch = exchange.Batch
 
-// Operator is the Volcano-style pull iterator every engine operator
-// implements: Next returns the next batch of the stream, nil at exhaustion,
-// or an error (a cancelled context surfaces as its cause). Close releases
-// the operator's resources — buffered inputs, hash tables, child operators —
-// and must be safe to call whether or not the stream was run to exhaustion.
-type Operator interface {
-	Next(ctx context.Context) (Batch, error)
-	Close()
-}
+// Operator is the pull iterator every engine operator implements and every
+// stream edge is — the exchange package's, so operator trees cross the
+// transport layer as they are.
+type Operator = exchange.Operator
 
 // DefaultBatchRows is the rows-per-batch granularity used when
 // Executor.BatchSize is zero — tunable per process with the -batch-rows
@@ -86,27 +81,6 @@ type Executor struct {
 	// batches (and every few thousand rows in tight kernels) and the run
 	// unwinds with the context's cause.
 	Ctx context.Context
-
-	// execErr holds the first asynchronous transport failure of the current
-	// Execute call (pump goroutines can't return errors through channels).
-	errMu   sync.Mutex
-	execErr error
-}
-
-// fail records the first asynchronous execution error.
-func (e *Executor) fail(err error) {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	if e.execErr == nil {
-		e.execErr = err
-	}
-}
-
-// asyncErr returns the first recorded asynchronous error.
-func (e *Executor) asyncErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.execErr
 }
 
 // cancelCheckRows is how many rows a tight kernel processes between context
@@ -143,8 +117,7 @@ type Resultset struct {
 	rows    []storage.Row // Rows' cache
 }
 
-// newRowResultset wraps row-major tuples (the reference oracle, the optree
-// interpreter) as a result.
+// newRowResultset wraps row-major tuples (the reference oracle) as a result.
 func newRowResultset(schema Schema, rows []storage.Row) *Resultset {
 	r := &Resultset{Schema: schema, n: len(rows), rows: rows}
 	if len(rows) > 0 {
@@ -175,19 +148,19 @@ func (e *Executor) Execute(n *plan.Node) (*Resultset, error) {
 	if n == nil {
 		return nil, fmt.Errorf("engine: nil plan")
 	}
-	e.errMu.Lock()
-	e.execErr = nil
-	e.errMu.Unlock()
 	op, schema, err := e.run(n)
 	if err != nil {
 		return nil, err
 	}
+	return e.result(op, schema)
+}
+
+// result pulls the root operator to exhaustion, closes it, and returns what
+// it produced, projected per the query's projection list when present.
+func (e *Executor) result(op Operator, schema Schema) (*Resultset, error) {
 	defer op.Close()
 	batches, rows, err := drain(e.ctx(), op)
 	if err != nil {
-		return nil, err
-	}
-	if err := e.asyncErr(); err != nil {
 		return nil, err
 	}
 	for i, b := range batches {
@@ -356,7 +329,8 @@ func (e *Executor) build(n *plan.Node) (Operator, Schema, error) {
 		return &crossOp{e: e, left: lop, right: rop, bs: e.batchSize()}, schema, nil
 	}
 	if e.Parallel > 1 {
-		return e.parallelJoin(n, lop, rop, lkeys, rkeys, lspec, rspec, parts), schema, nil
+		op, err := e.parallelJoin(n, lop, rop, lkeys, rkeys, lspec, rspec, parts)
+		return op, schema, err
 	}
 	return e.joinFor(e.wireMethod(n.Method), lop, rop, lkeys, rkeys), schema, nil
 }
@@ -556,10 +530,23 @@ func (e *Executor) joinFor(method string, l, r Operator, lkeys, rkeys []int) Ope
 	case "sym":
 		return newSymJoinOp(e, l, r, lkeys, rkeys)
 	case "merge":
-		return &mergeJoinOp{e: e, left: l, right: r, lkeys: lkeys, rkeys: rkeys, bs: e.batchSize()}
+		return &mergeJoinOp{e: e, left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lkeys[0], rsort: rkeys[0], bs: e.batchSize()}
 	default: // "hash", "nl"
 		return &buildProbeOp{e: e, left: l, right: r, lkeys: lkeys, rkeys: rkeys, bs: e.batchSize()}
 	}
+}
+
+// keysFit checks join key positions against the width of the first batch of
+// the input they index. Execute resolves its keys from schemas; a fragment
+// brings them off a socket, and there a bad position is the sender's error,
+// not a panic.
+func keysFit(keys []int, width int) error {
+	for _, k := range keys {
+		if k < 0 || k >= width {
+			return fmt.Errorf("engine: join key position %d in a %d-column input", k, width)
+		}
+	}
+	return nil
 }
 
 // drain pulls op to exhaustion, returning its batches and their live row
@@ -638,6 +625,9 @@ func (o *buildProbeOp) build(ctx context.Context) error {
 	if buf == nil || buf.Len() == 0 {
 		return nil
 	}
+	if err := keysFit(o.rkeys, buf.Width()); err != nil {
+		return err
+	}
 	o.table = vec.NewHashTable()
 	o.table.InsertBatch(buf.Col(o.rkeys[0]), nil)
 	return nil
@@ -696,6 +686,9 @@ func (o *buildProbeOp) Next(ctx context.Context) (Batch, error) {
 			o.cur, o.pc = b, vec.ProbeCursor{}
 			if o.bld == nil {
 				o.lw = b.Width()
+				if err := keysFit(o.lkeys, o.lw); err != nil {
+					return nil, err
+				}
 				o.bld = vec.NewBuilder(o.lw+o.buf.Width(), o.bs)
 			}
 		}
@@ -726,13 +719,19 @@ func (o *buildProbeOp) Close() {
 	o.right.Close()
 }
 
-// mergeJoinOp materializes and sorts both inputs on the key (by permuting
-// row-index arrays over the columnar buffers, not by moving rows), then
-// merges, joining duplicate runs pairwise and emitting incrementally.
+// mergeJoinOp materializes both inputs, sorts each side the tree put a sort
+// on (by permuting row-index arrays over the columnar buffers, not by moving
+// rows), then merges, joining duplicate runs pairwise and emitting
+// incrementally.
 type mergeJoinOp struct {
 	e            *Executor
 	left, right  Operator
 	lkeys, rkeys []int
+	// lsort and rsort are the column each side is sorted on before the merge.
+	// A join-tree merge sorts both sides on the key; a §4.2 operator tree
+	// states its sorts, and a side it put none on (-1) is merged in arrival
+	// order — re-sorting it would hide a Sort the expansion forgot.
+	lsort, rsort int
 	bs           int
 
 	built          bool
@@ -763,17 +762,25 @@ func (o *mergeJoinOp) build(ctx context.Context) error {
 		o.done = true
 		return nil
 	}
-	sortOrder := func(buf *vec.Buffer, key int) []int32 {
-		col := buf.Col(key)
+	if err := keysFit(o.lkeys, lbuf.Width()); err != nil {
+		return err
+	}
+	if err := keysFit(o.rkeys, rbuf.Width()); err != nil {
+		return err
+	}
+	sortOrder := func(buf *vec.Buffer, by int) []int32 {
 		order := make([]int32, buf.Len())
 		for i := range order {
 			order[i] = int32(i)
 		}
-		sort.SliceStable(order, func(a, b int) bool { return col[order[a]] < col[order[b]] })
+		if by >= 0 {
+			col := buf.Col(by)
+			sort.SliceStable(order, func(a, b int) bool { return col[order[a]] < col[order[b]] })
+		}
 		return order
 	}
-	o.lorder = sortOrder(lbuf, o.lkeys[0])
-	o.rorder = sortOrder(rbuf, o.rkeys[0])
+	o.lorder = sortOrder(lbuf, o.lsort)
+	o.rorder = sortOrder(rbuf, o.rsort)
 	o.lw = lbuf.Width()
 	o.bld = vec.NewBuilder(o.lw+rbuf.Width(), o.bs)
 	return nil

@@ -139,18 +139,19 @@ func TestAllPlanShapesSameResult(t *testing.T) {
 func TestParallelDegreesAgree(t *testing.T) {
 	e, est := rig(t, 1000, 800)
 	p := join(t, est, leaf(t, est, "R1"), leaf(t, est, "R2"), plan.HashJoin)
-	results, err := e.ExecuteParallelDegrees(p, []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := results[0].Fingerprint()
-	for i, r := range results[1:] {
-		if r.Fingerprint() != want || r.Len() != results[0].Len() {
-			t.Errorf("degree %d: result differs from serial", []int{2, 4, 8}[i])
+	var serial *Resultset
+	for _, degree := range []int{1, 2, 4, 8} {
+		e.Parallel = degree
+		r, err := e.Execute(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if e.Parallel != 1 {
-		t.Error("ExecuteParallelDegrees must restore the degree")
+		if serial == nil {
+			serial = r
+		}
+		if r.Fingerprint() != serial.Fingerprint() || r.Len() != serial.Len() {
+			t.Errorf("degree %d: result differs from serial", degree)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,8 +19,9 @@ import (
 // after its first attempt fails.
 const DefaultRetries = 2
 
-// ErrJoinCancelled aborts in-flight joins when the coordinator cancels the
-// query (client cancel, deadline, or daemon shutdown).
+// ErrJoinCancelled is what a join still running is stopped with when its
+// result operator is closed, and what a worker ends a fragment with on the
+// resulting cancel frame.
 var ErrJoinCancelled = errors.New("exchange: join cancelled")
 
 // DefaultRetryBackoff is the pause before each fragment re-dispatch.
@@ -77,25 +79,15 @@ type Cluster struct {
 	shipped   atomic.Int64
 	retries   atomic.Int64
 	fallbacks atomic.Int64
-	cancelled atomic.Bool
 
 	mu              sync.Mutex
 	links           map[string]*LinkStats
 	fallbackReasons map[string]int64
-
-	// In-flight state Cancel tears down: streamed joins (cancelled with a
-	// frameCancel per link plus the usual fail teardown) and the open
-	// connections of shipped dispatch attempts (sent a frameCancel and
-	// write-half-closed, so the worker abandons the fragment and frees its
-	// staged partitions gracefully).
-	actMu    sync.Mutex
-	actJoins map[*clusterJoin]struct{}
-	actConns map[net.Conn]*shippedConn
 }
 
 // shippedConn pairs a dispatch attempt's connection with its frame writer,
-// through which Cancel injects a clean frameCancel between the attempt's own
-// frames.
+// through which abandon injects a clean frameCancel between the attempt's
+// own frames.
 type shippedConn struct {
 	conn net.Conn
 	fw   frameWriter
@@ -108,89 +100,12 @@ func NewCluster(addrs []string, cfg ClusterConfig) *Cluster {
 		cfg:             cfg,
 		links:           make(map[string]*LinkStats),
 		fallbackReasons: make(map[string]int64),
-		actJoins:        make(map[*clusterJoin]struct{}),
-		actConns:        make(map[net.Conn]*shippedConn),
 	}
 }
 
-// Cancelled reports whether Cancel has been called.
-func (c *Cluster) Cancelled() bool { return c.cancelled.Load() }
-
-// cancelGrace bounds how long a cancelled shipped attempt may keep reading
+// cancelGrace bounds how long an abandoned shipped attempt may keep reading
 // while the worker unwinds; a hung worker surfaces as a read timeout.
 const cancelGrace = time.Second
-
-// Cancel aborts every in-flight join and blocks new dispatches: streamed
-// joins get a best-effort frameCancel on each worker link before the usual
-// fail teardown; shipped dispatch attempts get a frameCancel followed by a
-// write-half close (the worker sees the cancel, abandons the fragment, and
-// frees its staged partitions — its final stats/error frames still drain
-// cleanly instead of being reset away), with a read deadline as backstop
-// against hung workers. Pending retries or fallbacks are skipped.
-// Idempotent and safe concurrently with running joins.
-func (c *Cluster) Cancel() {
-	c.cancelled.Store(true)
-	c.actMu.Lock()
-	joins := make([]*clusterJoin, 0, len(c.actJoins))
-	for j := range c.actJoins {
-		joins = append(joins, j)
-	}
-	conns := make([]*shippedConn, 0, len(c.actConns))
-	for _, sc := range c.actConns {
-		conns = append(conns, sc)
-	}
-	c.actMu.Unlock()
-	for _, j := range joins {
-		j.cancel()
-	}
-	for _, sc := range conns {
-		_ = sc.fw.write(frameCancel, nil)
-		if tc, ok := sc.conn.(*net.TCPConn); ok {
-			_ = tc.CloseWrite()
-		} else {
-			sc.conn.Close()
-			continue
-		}
-		_ = sc.conn.SetReadDeadline(time.Now().Add(cancelGrace))
-	}
-}
-
-// trackJoin registers a streamed join for Cancel teardown.
-func (c *Cluster) trackJoin(j *clusterJoin) {
-	c.actMu.Lock()
-	c.actJoins[j] = struct{}{}
-	c.actMu.Unlock()
-}
-
-func (c *Cluster) untrackJoin(j *clusterJoin) {
-	c.actMu.Lock()
-	delete(c.actJoins, j)
-	c.actMu.Unlock()
-}
-
-// trackConn registers a shipped attempt's connection for Cancel teardown
-// and returns its write handle; it returns nil — without registering —
-// when the cluster is already cancelled, so the attempt aborts instead of
-// racing the teardown.
-func (c *Cluster) trackConn(cn net.Conn) *shippedConn {
-	c.actMu.Lock()
-	defer c.actMu.Unlock()
-	if c.cancelled.Load() {
-		return nil
-	}
-	sc := &shippedConn{conn: cn, fw: frameWriter{w: cn}}
-	c.actConns[cn] = sc
-	return sc
-}
-
-func (c *Cluster) untrackConn(cn net.Conn) {
-	c.actMu.Lock()
-	delete(c.actConns, cn)
-	c.actMu.Unlock()
-}
-
-// Addrs returns the worker addresses the cluster dispatches to.
-func (c *Cluster) Addrs() []string { return c.addrs }
 
 // Fragments counts fragment dispatches since the cluster was built
 // (re-dispatches of the same fragment count again).
@@ -256,9 +171,6 @@ func (c *Cluster) Links() []LinkSnapshot {
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
-
-// Close is a no-op: connections live per join, not per cluster.
-func (c *Cluster) Close() error { return nil }
 
 // ShipScan implements ScanShipper: scans of a relation with placed owners
 // can be shipped, partitioned across the owner count.
@@ -362,63 +274,63 @@ type workerConn struct {
 	rightWin   *window
 }
 
-type clusterJoin struct {
-	out   chan Batch
-	abort chan struct{}
-	conns []*workerConn
-
-	once   sync.Once
+// joinStats collects the FragmentStats of a join's committed attempts.
+type joinStats struct {
 	mu     sync.Mutex
-	err    error
 	fstats []*FragmentStats
 }
 
-func (j *clusterJoin) Out() <-chan Batch { return j.out }
-
-func (j *clusterJoin) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
+// FragmentStats implements StatsReporter: valid once the join's result
+// operator has reported exhaustion.
+func (s *joinStats) FragmentStats() []*FragmentStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fstats
 }
 
-// FragmentStats implements StatsReporter: the worker-side measurements
-// collected from frameStats frames, valid once Out is closed.
-func (j *clusterJoin) FragmentStats() []*FragmentStats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fstats
+func (s *joinStats) addStats(fs *FragmentStats) {
+	s.mu.Lock()
+	s.fstats = append(s.fstats, fs)
+	s.mu.Unlock()
 }
 
-func (j *clusterJoin) addStats(fs *FragmentStats) {
-	j.mu.Lock()
-	j.fstats = append(j.fstats, fs)
-	j.mu.Unlock()
+// clusterJoin is a streamed join in flight and the operator that yields its
+// result.
+type clusterJoin struct {
+	mergeOp
+	joinStats
+	conns []*workerConn
+	once  sync.Once
 }
 
-// cancel sends a best-effort frameCancel on every link — letting workers
-// abandon the fragment gracefully and free staged partitions — then runs
-// the usual fail teardown.
-func (j *clusterJoin) cancel() {
-	for _, wc := range j.conns {
-		_ = wc.fw.write(frameCancel, nil)
-	}
-	j.fail(ErrJoinCancelled)
-}
-
-// fail records the first error and tears the join down: windows close so
-// partitioners stop sending, connections close so receivers unblock.
-func (j *clusterJoin) fail(err error) {
+// cancel abandons the join from the coordinator's side — an input failed, the
+// consumer closed the result, the query was cancelled: a best-effort
+// frameCancel on every link lets the workers drop the fragment gracefully and
+// free staged partitions, then the usual fail teardown.
+func (j *clusterJoin) cancel(err error) {
 	j.once.Do(func() {
-		j.mu.Lock()
-		j.err = err
-		j.mu.Unlock()
-		close(j.abort)
 		for _, wc := range j.conns {
-			wc.leftWin.close()
-			wc.rightWin.close()
-			wc.conn.Close()
+			_ = wc.fw.write(frameCancel, nil)
 		}
+		j.teardown(err)
 	})
+}
+
+// fail records the first error and tears the join down. It takes no frame
+// writer's lock, so a partitioner stuck writing to a dead worker cannot hold
+// it up.
+func (j *clusterJoin) fail(err error) { j.once.Do(func() { j.teardown(err) }) }
+
+// teardown cancels the join's context — partitioners stop pulling, receivers
+// stop delivering — closes the windows so partitioners stop sending and the
+// connections so receivers unblock.
+func (j *clusterJoin) teardown(err error) {
+	j.stop(err)
+	for _, wc := range j.conns {
+		wc.leftWin.close()
+		wc.rightWin.close()
+		wc.conn.Close()
+	}
 }
 
 // Join dispatches the fragment's partitions to workers and merges the
@@ -426,26 +338,19 @@ func (j *clusterJoin) fail(err error) {
 // on the fault-tolerant path: per-fragment retry on surviving members, then
 // coordinator fallback. Fragments with coordinator-streamed inputs keep
 // fail-fast semantics — their inputs are not replayable — and on any
-// failure the join aborts with a typed *WorkerError, with both input
-// streams still consumed to exhaustion so upstream operators never block.
-func (c *Cluster) Join(frag Fragment, left, right <-chan Batch) (Join, error) {
-	if c.cancelled.Load() {
-		go drainBatches(left)
-		go drainBatches(right)
-		return nil, ErrJoinCancelled
+// failure the join aborts with a typed *WorkerError.
+func (c *Cluster) Join(ctx context.Context, frag Fragment, left, right Operator) (Operator, error) {
+	err := context.Cause(ctx)
+	if err == nil && len(c.addrs) == 0 {
+		err = errors.New("exchange: cluster has no workers")
 	}
-	if len(c.addrs) == 0 {
-		go drainBatches(left)
-		go drainBatches(right)
-		return nil, errors.New("exchange: cluster has no workers")
+	if err != nil {
+		closeInputs(left, right)
+		return nil, err
 	}
-	p := frag.Parts
-	if p < 1 {
-		p = 1
-	}
-	bs := frag.BatchSize
-	if bs <= 0 {
-		bs = vec.DefaultBatchRows
+	frag.Parts = max(frag.Parts, 1)
+	if frag.BatchSize <= 0 {
+		frag.BatchSize = vec.DefaultBatchRows
 	}
 	if _, epoch := c.members(); epoch > 0 {
 		frag.Epoch = epoch
@@ -455,29 +360,23 @@ func (c *Cluster) Join(frag Fragment, left, right <-chan Batch) (Join, error) {
 	}
 	frag.Wire = WireVersion
 	if frag.FullyShipped() {
-		// No coordinator-streamed inputs: nothing to drain, every partition
-		// is independently retryable.
-		return c.joinShipped(frag, p, bs)
+		// No coordinator-streamed inputs: every partition is independently
+		// retryable.
+		return c.joinShipped(ctx, frag), nil
 	}
-	return c.joinStreamed(frag, left, right, p, bs)
+	return c.joinStreamed(ctx, frag, left, right)
 }
 
 // joinStreamed is the streaming path: inputs not sourced at the workers are
 // hash-partitioned here and streamed out under credit windows. At most one
-// side may be shipped.
-func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs int) (Join, error) {
+// side may be shipped. It runs one partitioner goroutine per streamed side —
+// the goroutine that pulls the input is the one that scatters and sends it —
+// one receiver per link and one that closes the result.
+func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right Operator) (Operator, error) {
 	win := c.window()
-	maxFrame := c.maxFrame()
+	p, bs := frag.Parts, frag.BatchSize
 
-	j := &clusterJoin{out: make(chan Batch, p), abort: make(chan struct{})}
-	drainInputs := func() {
-		if frag.LeftScan == nil {
-			go drainBatches(left)
-		}
-		if frag.RightScan == nil {
-			go drainBatches(right)
-		}
-	}
+	j := &clusterJoin{}
 	for i := 0; i < p; i++ {
 		addr := c.ownerFor(&frag, i)
 		conn, err := net.DialTimeout("tcp", addr, c.dialTimeout())
@@ -489,8 +388,6 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 		if err == nil {
 			f := frag
 			f.Part = i
-			f.Parts = p
-			f.BatchSize = bs
 			var payload []byte
 			payload, err = json.Marshal(f)
 			if err == nil {
@@ -504,25 +401,33 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			if conn != nil {
 				conn.Close()
 			}
-			drainInputs()
+			closeInputs(left, right)
 			return nil, &WorkerError{Addr: addr, Err: err}
 		}
 		c.fragments.Add(1)
 		c.countShipped(&frag)
 		j.conns = append(j.conns, wc)
 	}
+	jctx, stop := context.WithCancelCause(ctx)
+	// The result channel holds a batch per partition. The 4-deep channel that
+	// used to sit between it and the next join's partitioner went without
+	// replacement: p + 4 here measured no different on exec_dist (§XM1).
+	j.mergeOp = mergeOp{ctx: jctx, stop: stop, abort: j.cancel, out: make(chan Batch, p)}
 
 	var sendWG, recvWG sync.WaitGroup
-	partition := func(in <-chan Batch, key int, typ, endTyp byte, winOf func(*workerConn) *window) {
+	partition := func(in Operator, key int, typ, endTyp byte, winOf func(*workerConn) *window) {
 		defer sendWG.Done()
+		defer in.Close()
 		var builders []*vec.Builder
-		aborted := false
 		// ship sends partition i's accumulated rows. The frame writer copies
-		// them out, so the builder keeps its slab for the next frame.
+		// them out, so the builder keeps its slab for the next frame. A window
+		// closed while the join still runs is a worker whose join ended before
+		// its input did (an empty build side): the rows have nowhere to go.
 		ship := func(i int) bool {
 			wc := j.conns[i]
 			if !winOf(wc).acquire() {
-				return false
+				builders[i].Reset()
+				return jctx.Err() == nil
 			}
 			err := wc.fw.writeBatch(typ, builders[i].View())
 			builders[i].Reset()
@@ -534,9 +439,14 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			return true
 		}
 		sc := scatter{key: key, p: p}
-		for b := range in {
-			if aborted {
-				continue // keep draining so upstream never blocks
+		for {
+			b, err := in.Next(jctx)
+			if err != nil {
+				j.cancel(err)
+				return
+			}
+			if b == nil {
+				break
 			}
 			if builders == nil {
 				builders = make([]*vec.Builder, p)
@@ -549,30 +459,25 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			// bs rows.
 			for i, sel := range sc.split(b) {
 				bld := builders[i]
-				for len(sel) > 0 && !aborted {
+				for len(sel) > 0 {
 					take := min(len(sel), bld.Room())
 					bld.AppendGather(0, b.Cols, sel[:take])
 					sel = sel[take:]
 					if bld.Full() && !ship(i) {
-						aborted = true
+						return
 					}
 				}
 			}
 		}
 		for i, bld := range builders {
-			if aborted {
-				break
-			}
 			if bld.Len() > 0 && !ship(i) {
-				aborted = true
+				return
 			}
 		}
-		if !aborted {
-			for _, wc := range j.conns {
-				if err := wc.fw.write(endTyp, nil); err != nil {
-					j.fail(&WorkerError{Addr: wc.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
-					break
-				}
+		for _, wc := range j.conns {
+			if err := wc.fw.write(endTyp, nil); err != nil {
+				j.fail(&WorkerError{Addr: wc.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
+				return
 			}
 		}
 	}
@@ -587,73 +492,36 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 
 	recv := func(wc *workerConn) {
 		defer recvWG.Done()
-		fr := newFrameReader(wc.conn, maxFrame)
-		for {
-			typ, payload, err := fr.next()
-			if err != nil {
-				select {
-				case <-j.abort: // teardown closed the conn; keep the first error
-				default:
-					if err == io.EOF {
-						err = ErrWorkerDisconnected
-					} else {
-						err = fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)
-					}
-					j.fail(&WorkerError{Addr: wc.addr, Err: err})
-				}
-				return
-			}
-			wc.stats.BytesRecv.Add(int64(5 + len(payload)))
-			switch typ {
-			case frameResult:
-				b, derr := decodeBatch(payload)
-				if derr != nil {
-					j.fail(&WorkerError{Addr: wc.addr, Err: derr})
-					return
-				}
-				wc.stats.BatchesRecv.Add(1)
-				select {
-				case j.out <- b:
-				case <-j.abort:
-					return
+		fs, err := c.readFragment(wc.conn, wc.addr, wc.stats, wc.dispatched,
+			func(b Batch) error {
+				if !j.send(b) {
+					return context.Cause(jctx)
 				}
 				_ = wc.fw.write(frameCredit, []byte{creditResult})
-			case frameCredit:
-				if len(payload) == 1 {
-					switch payload[0] {
-					case creditLeft:
-						wc.leftWin.release(1)
-					case creditRight:
-						wc.rightWin.release(1)
-					}
+				return nil
+			},
+			func(dir byte) {
+				switch dir {
+				case creditLeft:
+					wc.leftWin.release(1)
+				case creditRight:
+					wc.rightWin.release(1)
 				}
-			case frameStats:
-				var fs FragmentStats
-				if json.Unmarshal(payload, &fs) == nil {
-					fs.Addr = wc.addr
-					fs.Dispatched = wc.dispatched
-					wc.stats.StallResult.Add(fs.ResultStallNanos)
-					j.addStats(&fs)
-				}
-			case frameEndResult:
-				return
-			case frameError:
-				j.fail(&WorkerError{Addr: wc.addr, Err: remoteError(payload)})
-				return
-			}
+			})
+		if err != nil {
+			j.fail(err) // a no-op after a teardown closed the connection: the first error stands
+			return
 		}
+		if fs != nil {
+			j.addStats(fs)
+		}
+		// The worker takes no more input: stop sending it any.
+		wc.leftWin.close()
+		wc.rightWin.close()
 	}
 	recvWG.Add(len(j.conns))
 	for _, wc := range j.conns {
 		go recv(wc)
-	}
-
-	// Register for Cancel teardown, then re-check: a Cancel that landed
-	// between the cancelled-check in Join and this registration would have
-	// missed the join.
-	c.trackJoin(j)
-	if c.cancelled.Load() {
-		j.cancel()
 	}
 
 	go func() {
@@ -666,69 +534,54 @@ func (c *Cluster) joinStreamed(frag Fragment, left, right <-chan Batch, p, bs in
 			wc.stats.StallRight.Add(wc.rightWin.stallNanos())
 			wc.conn.Close()
 		}
-		c.untrackJoin(j)
 		close(j.out)
 	}()
 	return j, nil
 }
 
 // shippedJoin merges the independently-dispatched partitions of a
-// fully-shipped fragment.
+// fully-shipped fragment, and is the operator that yields the result. Its
+// FragmentStats hold one entry per committed attempt (stats of failed
+// attempts are discarded along with their staged results; coordinator
+// fallbacks appear with Worker = "coordinator").
 type shippedJoin struct {
-	out    chan Batch
-	mu     sync.Mutex
-	err    error
-	fstats []*FragmentStats
+	mergeOp
+	joinStats
 }
 
-func (j *shippedJoin) Out() <-chan Batch { return j.out }
-
-func (j *shippedJoin) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-func (j *shippedJoin) setErr(err error) {
-	j.mu.Lock()
-	if j.err == nil {
-		j.err = err
+// abandon is what a cancelled join does to an open dispatch attempt: a
+// frameCancel followed by a write-half close (the worker sees the cancel,
+// abandons the fragment, and frees its staged partitions — its final
+// stats/error frames still drain cleanly instead of being reset away), with a
+// read deadline as backstop against hung workers.
+func (sc *shippedConn) abandon() {
+	_ = sc.fw.write(frameCancel, nil)
+	if tc, ok := sc.conn.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+		_ = sc.conn.SetReadDeadline(time.Now().Add(cancelGrace))
+	} else {
+		sc.conn.Close()
 	}
-	j.mu.Unlock()
-}
-
-// FragmentStats implements StatsReporter: one entry per committed attempt
-// (stats of failed attempts are discarded along with their staged results;
-// coordinator fallbacks appear with Worker = "coordinator").
-func (j *shippedJoin) FragmentStats() []*FragmentStats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fstats
-}
-
-func (j *shippedJoin) addStats(fs *FragmentStats) {
-	j.mu.Lock()
-	j.fstats = append(j.fstats, fs)
-	j.mu.Unlock()
 }
 
 // joinShipped runs a fully-shipped fragment: each partition is dispatched
 // to its owning worker on its own goroutine and retried elsewhere on
 // failure. Results of an attempt are staged and only merged into the output
 // once the worker finishes cleanly, so a retry never duplicates rows.
-func (c *Cluster) joinShipped(frag Fragment, p, bs int) (Join, error) {
-	j := &shippedJoin{out: make(chan Batch, p)}
+func (c *Cluster) joinShipped(ctx context.Context, frag Fragment) Operator {
+	p := frag.Parts
+	jctx, stop := context.WithCancelCause(ctx)
+	j := &shippedJoin{}
+	j.mergeOp = mergeOp{ctx: jctx, stop: stop, abort: stop, out: make(chan Batch, p)}
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for i := 0; i < p; i++ {
 		f := frag
 		f.Part = i
-		f.Parts = p
-		f.BatchSize = bs
 		go func(f Fragment) {
 			defer wg.Done()
 			if err := c.runShipped(f, j); err != nil {
-				j.setErr(err)
+				j.stop(err)
 			}
 		}(f)
 	}
@@ -736,7 +589,7 @@ func (c *Cluster) joinShipped(frag Fragment, p, bs int) (Join, error) {
 		wg.Wait()
 		close(j.out)
 	}()
-	return j, nil
+	return j
 }
 
 // runShipped dispatches one fully-shipped fragment: first to its preferred
@@ -748,12 +601,14 @@ func (c *Cluster) runShipped(f Fragment, j *shippedJoin) error {
 	addr := c.ownerFor(&f, f.Part)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if c.cancelled.Load() {
-			return ErrJoinCancelled
-		}
 		if attempt > 0 {
 			c.retries.Add(1)
-			time.Sleep(c.retryBackoff())
+			backoff := time.NewTimer(c.retryBackoff())
+			select {
+			case <-backoff.C:
+			case <-j.ctx.Done():
+				backoff.Stop()
+			}
 			addrs, epoch := c.members()
 			f.Epoch = epoch
 			addr = ""
@@ -767,27 +622,27 @@ func (c *Cluster) runShipped(f Fragment, j *shippedJoin) error {
 				break // every live member tried
 			}
 		}
+		if j.ctx.Err() != nil {
+			return context.Cause(j.ctx)
+		}
 		tried[addr] = true
-		staged, fs, err := c.attemptShipped(f, addr)
+		staged, fs, err := c.attemptShipped(f, addr, j)
 		if err == nil {
-			for _, b := range staged {
-				j.out <- b
-			}
 			if fs != nil {
 				if attempt > 0 {
 					fs.Retried = attempt
 				}
 				j.addStats(fs)
 			}
-			return nil
+			return j.sendAll(staged)
 		}
 		lastErr = err
-		if errors.Is(err, ErrJoinCancelled) || attempt >= c.retryBudget() {
+		if j.ctx.Err() != nil || attempt >= c.retryBudget() {
 			break
 		}
 	}
-	if c.cancelled.Load() {
-		return ErrJoinCancelled
+	if j.ctx.Err() != nil {
+		return context.Cause(j.ctx)
 	}
 	if c.cfg.Store != nil && c.cfg.Fn != nil {
 		reason := failureReason(lastErr)
@@ -800,11 +655,12 @@ func (c *Cluster) runShipped(f Fragment, j *shippedJoin) error {
 			FallbackReason: reason,
 			Dispatched:     time.Now(),
 		}
-		if err := c.runFallback(f, j, fb); err != nil {
+		staged, err := c.runFallback(j.ctx, f, fb)
+		if err != nil {
 			return err
 		}
 		j.addStats(fb)
-		return nil
+		return j.sendAll(staged)
 	}
 	return lastErr
 }
@@ -812,17 +668,16 @@ func (c *Cluster) runShipped(f Fragment, j *shippedJoin) error {
 // attemptShipped runs one dispatch attempt of a fully-shipped fragment,
 // returning the staged result batches and the worker's FragmentStats (nil
 // when the worker predates the stats frame) on clean completion.
-func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentStats, error) {
+func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Batch, *FragmentStats, error) {
 	conn, err := net.DialTimeout("tcp", addr, c.dialTimeout())
 	if err != nil {
 		return nil, nil, &WorkerError{Addr: addr, Err: err}
 	}
 	defer conn.Close()
-	sc := c.trackConn(conn)
-	if sc == nil {
-		return nil, nil, ErrJoinCancelled
-	}
-	defer c.untrackConn(conn)
+	sc := &shippedConn{conn: conn, fw: frameWriter{w: conn}}
+	// Runs at once when the join is already cancelled: the attempt then fails
+	// on its first frame instead of racing the teardown.
+	defer context.AfterFunc(j.ctx, sc.abandon)()
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return nil, nil, &WorkerError{Addr: addr, Err: err}
 	}
@@ -841,8 +696,29 @@ func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentSta
 	c.fragments.Add(1)
 	c.countShipped(&f)
 
-	fr := newFrameReader(conn, c.maxFrame())
 	var staged []Batch
+	fstats, err := c.readFragment(conn, addr, stats, dispatched, func(b Batch) error {
+		staged = append(staged, b)
+		if err := sc.fw.write(frameCredit, []byte{creditResult}); err != nil {
+			return &WorkerError{Addr: addr, Err: err}
+		}
+		stats.BytesSent.Add(6)
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return staged, fstats, nil
+}
+
+// readFragment reads what a worker sends back on one connection until its
+// fragment ends: every result batch goes to take, whose error ends the read,
+// every input credit to credit, and the worker's FragmentStats (nil when the
+// worker predates the stats frame) is returned on a clean frameEndResult.
+// Anything else is a *WorkerError — the worker's own frameError, an
+// undecodable batch, or the connection lost.
+func (c *Cluster) readFragment(conn net.Conn, addr string, stats *LinkStats, dispatched time.Time, take func(Batch) error, credit func(dir byte)) (*FragmentStats, error) {
+	fr := newFrameReader(conn, c.maxFrame())
 	var fstats *FragmentStats
 	for {
 		typ, payload, err := fr.next()
@@ -852,21 +728,23 @@ func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentSta
 			} else {
 				err = fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)
 			}
-			return nil, nil, &WorkerError{Addr: addr, Err: err}
+			return nil, &WorkerError{Addr: addr, Err: err}
 		}
 		stats.BytesRecv.Add(int64(5 + len(payload)))
 		switch typ {
 		case frameResult:
-			b, derr := decodeBatch(payload)
-			if derr != nil {
-				return nil, nil, &WorkerError{Addr: addr, Err: derr}
+			b, err := decodeBatch(payload)
+			if err != nil {
+				return nil, &WorkerError{Addr: addr, Err: err}
 			}
 			stats.BatchesRecv.Add(1)
-			staged = append(staged, b)
-			if err := sc.fw.write(frameCredit, []byte{creditResult}); err != nil {
-				return nil, nil, &WorkerError{Addr: addr, Err: err}
+			if err := take(b); err != nil {
+				return nil, err
 			}
-			stats.BytesSent.Add(6)
+		case frameCredit:
+			if len(payload) == 1 && credit != nil {
+				credit(payload[0])
+			}
 		case frameStats:
 			var fs FragmentStats
 			if json.Unmarshal(payload, &fs) == nil {
@@ -876,19 +754,19 @@ func (c *Cluster) attemptShipped(f Fragment, addr string) ([]Batch, *FragmentSta
 				fstats = &fs
 			}
 		case frameEndResult:
-			return staged, fstats, nil
+			return fstats, nil
 		case frameError:
-			return nil, nil, &WorkerError{Addr: addr, Err: remoteError(payload)}
+			return nil, &WorkerError{Addr: addr, Err: remoteError(payload)}
 		}
 	}
 }
 
 // runFallback executes a fully-shipped fragment in the coordinator process:
 // both partitions are sourced from the configured store and joined with the
-// configured join function — the no-replica-left degradation of last
-// resort. Measurements land in fb so the fallback is as observable as a
-// worker-run fragment.
-func (c *Cluster) runFallback(f Fragment, j *shippedJoin, fb *FragmentStats) error {
+// configured join function on the calling goroutine — the no-replica-left
+// degradation of last resort. It returns the staged result; measurements land
+// in fb so the fallback is as observable as a worker-run fragment.
+func (c *Cluster) runFallback(ctx context.Context, f Fragment, fb *FragmentStats) ([]Batch, error) {
 	t0 := nowNanos()
 	since := func() int64 { return nowNanos() - t0 }
 	root := &RemoteSpan{Name: "fragment", Attrs: map[string]string{
@@ -897,51 +775,36 @@ func (c *Cluster) runFallback(f Fragment, j *shippedJoin, fb *FragmentStats) err
 		"fallback": fb.FallbackReason,
 	}}
 	fb.Span = root
-	source := func(spec *ScanSpec) (chan Batch, error) {
-		v, err := c.cfg.Store.ScanPartition(*spec, f.Part, f.Parts)
-		if err != nil {
-			return nil, err
-		}
-		ch := make(chan Batch, 1)
-		go func() {
-			defer close(ch)
-			feedShard(v, f.BatchSize, ch)
-		}()
-		return ch, nil
-	}
-	left, err := source(f.LeftScan)
+	lv, err := c.cfg.Store.ScanPartition(*f.LeftScan, f.Part, f.Parts)
 	if err != nil {
-		return fmt.Errorf("exchange: fallback scan: %w", err)
+		return nil, fmt.Errorf("exchange: fallback scan: %w", err)
 	}
-	right, err := source(f.RightScan)
+	rv, err := c.cfg.Store.ScanPartition(*f.RightScan, f.Part, f.Parts)
 	if err != nil {
-		go drainBatches(left)
-		return fmt.Errorf("exchange: fallback scan: %w", err)
+		return nil, fmt.Errorf("exchange: fallback scan: %w", err)
 	}
 	joinSpan := root.child("join", since())
-	var staged []Batch
-	emit := func(b Batch) error {
-		off := since()
-		if fb.FirstNanos == 0 {
-			fb.FirstNanos = off
-			joinSpan.FirstNanos = off
-		}
-		fb.LastNanos = off
-		fb.Rows += int64(b.Len())
-		fb.Batches++
-		staged = append(staged, b)
-		return nil
+	op, err := c.cfg.Fn(f, newShardOp(lv, f.BatchSize, nil), newShardOp(rv, f.BatchSize, nil))
+	if err != nil {
+		return nil, fmt.Errorf("exchange: fallback join: %w", err)
 	}
-	if err := c.cfg.Fn(f, left, right, emit); err != nil {
-		return fmt.Errorf("exchange: fallback join: %w", err)
+	defer op.Close()
+	var staged []Batch
+	for {
+		b, err := op.Next(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("exchange: fallback join: %w", err)
+		}
+		if b == nil {
+			break
+		}
+		fb.emitted(joinSpan, since(), b)
+		staged = append(staged, b)
 	}
 	joinSpan.EndNanos = since()
 	root.EndNanos = joinSpan.EndNanos
 	if fb.LastNanos == 0 {
 		fb.LastNanos = joinSpan.EndNanos
 	}
-	for _, b := range staged {
-		j.out <- b
-	}
-	return nil
+	return staged, nil
 }

@@ -1,10 +1,12 @@
 package exchange
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,40 +14,80 @@ import (
 	"paropt/internal/vec"
 )
 
-// testHashJoin is a minimal JoinFunc for transport tests: hash join on the
-// first key pair, concatenating matching rows.
-func testHashJoin(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
-	build := map[int64][]storage.Row{}
-	for b := range right {
-		for _, r := range b.AppendRows(nil) {
-			build[r[frag.RKeys[0]]] = append(build[r[frag.RKeys[0]]], r)
+// opFunc adapts a closure to an Operator that owns two inputs — how the
+// transport tests write a JoinFunc's result.
+type opFunc struct {
+	next        func(ctx context.Context) (Batch, error)
+	left, right Operator
+}
+
+func (o *opFunc) Next(ctx context.Context) (Batch, error) { return o.next(ctx) }
+func (o *opFunc) Close()                                  { closeInputs(o.left, o.right) }
+
+// failingJoin is the JoinFunc of a worker that cannot run fragments.
+func failingJoin(msg string) JoinFunc {
+	return func(Fragment, Operator, Operator) (Operator, error) { return nil, errors.New(msg) }
+}
+
+// discard pulls in to exhaustion and drops what it yields.
+func discard(ctx context.Context, in Operator) error {
+	for {
+		if b, err := in.Next(ctx); b == nil || err != nil {
+			return err
 		}
 	}
+}
+
+// testHashJoin is a minimal JoinFunc for transport tests: hash join on the
+// first key pair, concatenating matching rows into BatchSize-row batches.
+func testHashJoin(frag Fragment, left, right Operator) (Operator, error) {
 	bs := frag.BatchSize
 	if bs <= 0 {
 		bs = 256
 	}
-	var out []storage.Row
-	for b := range left {
-		for _, l := range b.AppendRows(nil) {
-			for _, r := range build[l[frag.LKeys[0]]] {
-				row := make(storage.Row, 0, len(l)+len(r))
-				row = append(append(row, l...), r...)
-				out = append(out, row)
-				if len(out) == bs {
-					if err := emit(vec.FromRows(out)); err != nil {
-						drainBatches(left)
-						return err
-					}
-					out = nil
+	var build map[int64][]storage.Row
+	var pending []storage.Row
+	leftDone := false
+	return &opFunc{left: left, right: right, next: func(ctx context.Context) (Batch, error) {
+		if build == nil {
+			build = map[int64][]storage.Row{}
+			for {
+				b, err := right.Next(ctx)
+				if err != nil {
+					return nil, err
+				}
+				if b == nil {
+					break
+				}
+				for _, r := range b.AppendRows(nil) {
+					build[r[frag.RKeys[0]]] = append(build[r[frag.RKeys[0]]], r)
 				}
 			}
 		}
-	}
-	if len(out) > 0 {
-		return emit(vec.FromRows(out))
-	}
-	return nil
+		for len(pending) < bs && !leftDone {
+			b, err := left.Next(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				leftDone = true
+				break
+			}
+			for _, l := range b.AppendRows(nil) {
+				for _, r := range build[l[frag.LKeys[0]]] {
+					row := make(storage.Row, 0, len(l)+len(r))
+					pending = append(pending, append(append(row, l...), r...))
+				}
+			}
+		}
+		if len(pending) == 0 {
+			return nil, nil
+		}
+		n := min(bs, len(pending))
+		out := vec.FromRows(pending[:n])
+		pending = pending[n:]
+		return out, nil
+	}}, nil
 }
 
 // multiset canonicalizes a row multiset for comparison.
@@ -58,18 +100,28 @@ func multiset(rows []storage.Row) []string {
 	return out
 }
 
+// collect pulls a join's result to exhaustion and closes it, returning the
+// merged rows and the error Next reported.
+func collect(op Operator) ([]storage.Row, error) {
+	defer op.Close()
+	var rows []storage.Row
+	for {
+		b, err := op.Next(context.Background())
+		if b == nil || err != nil {
+			return rows, err
+		}
+		rows = b.AppendRows(rows)
+	}
+}
+
 // runJoin drives a transport end to end and returns the merged rows.
 func runJoin(t *testing.T, tr Transport, frag Fragment, lrows, rrows []storage.Row) ([]storage.Row, error) {
 	t.Helper()
-	j, err := tr.Join(frag, streamOf(lrows, frag.BatchSize), streamOf(rrows, frag.BatchSize))
+	op, err := tr.Join(context.Background(), frag, streamOf(lrows, frag.BatchSize), streamOf(rrows, frag.BatchSize))
 	if err != nil {
 		return nil, err
 	}
-	var rows []storage.Row
-	for b := range j.Out() {
-		rows = b.AppendRows(rows)
-	}
-	return rows, j.Err()
+	return collect(op)
 }
 
 func TestLoopbackClusterMatchesLocal(t *testing.T) {
@@ -120,8 +172,8 @@ func TestLoopbackClusterMatchesLocal(t *testing.T) {
 }
 
 // TestWorkerDisconnectMidStream: a worker that dies mid-join must surface as
-// a typed *WorkerError wrapping ErrWorkerDisconnected — and the inputs must
-// still drain so upstream producers never hang.
+// a typed *WorkerError wrapping ErrWorkerDisconnected out of the result's
+// Next, with both partitioners unwound (collect's Close waits for them).
 func TestWorkerDisconnectMidStream(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -144,8 +196,8 @@ func TestWorkerDisconnectMidStream(t *testing.T) {
 
 	cluster := NewCluster([]string{ln.Addr().String()}, ClusterConfig{Window: 2})
 	frag := Fragment{Method: "hash", LKeys: []int{0}, RKeys: []int{0}, Parts: 2, BatchSize: 16}
-	// Far more input than the send windows hold: only error teardown lets
-	// the partitioners drain it, so completion itself proves no hang.
+	// Far more input than the send windows hold: only error teardown unblocks
+	// the partitioners, so completion itself proves no hang.
 	done := make(chan error, 1)
 	go func() {
 		_, err := runJoin(t, cluster, frag, rowsOf(50_000, 1_000), rowsOf(50_000, 1_000))
@@ -171,12 +223,7 @@ func TestWorkerDisconnectMidStream(t *testing.T) {
 // TestWorkerJoinErrorPropagates: a join function failing on the worker
 // reaches the coordinator as a WorkerError carrying the message.
 func TestWorkerJoinErrorPropagates(t *testing.T) {
-	boom := func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
-		drainBatches(left)
-		drainBatches(right)
-		return errors.New("synthetic fragment failure")
-	}
-	lb, err := StartLoopback(1, boom)
+	lb, err := StartLoopback(1, failingJoin("synthetic fragment failure"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,26 +239,26 @@ func TestWorkerJoinErrorPropagates(t *testing.T) {
 	}
 }
 
+// closeCounter counts the Closes of the operator it wraps.
+type closeCounter struct {
+	Operator
+	closed atomic.Int32
+}
+
+func (o *closeCounter) Close() { o.closed.Add(1); o.Operator.Close() }
+
 // TestClusterNoWorkers: joining on an empty cluster fails fast and still
-// drains the inputs.
+// closes the inputs it was handed, each exactly once.
 func TestClusterNoWorkers(t *testing.T) {
 	cluster := NewCluster(nil, ClusterConfig{})
 	frag := Fragment{Method: "hash", LKeys: []int{0}, RKeys: []int{0}, Parts: 2, BatchSize: 16}
-	in := streamOf(rowsOf(1_000, 10), 16)
-	if _, err := cluster.Join(frag, in, streamOf(nil, 16)); err == nil {
+	left := &closeCounter{Operator: streamOf(rowsOf(1_000, 10), 16)}
+	right := &closeCounter{Operator: streamOf(nil, 16)}
+	if _, err := cluster.Join(context.Background(), frag, left, right); err == nil {
 		t.Fatal("expected an error from an empty cluster")
 	}
-	// The input must end up drained even though the join never started.
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case _, ok := <-in:
-			if !ok {
-				return
-			}
-		case <-deadline:
-			t.Fatal("inputs not drained after failed dispatch")
-		}
+	if l, r := left.closed.Load(), right.closed.Load(); l != 1 || r != 1 {
+		t.Fatalf("inputs closed %d and %d times after failed dispatch, want once each", l, r)
 	}
 }
 

@@ -3,11 +3,15 @@
 // cloned join can shuffle its inputs either between goroutines of one
 // process (Local) or across worker processes over TCP (Cluster/Worker) with
 // length-prefixed frames, credit-based send windows and per-link traffic
-// counters. The engine package builds on this; exchange itself depends only
-// on storage.
+// counters. Every batch stream crosses the package boundary as an Operator:
+// a transport pulls its two inputs and is pulled for its result. The engine
+// package builds on this; exchange itself depends only on storage and vec.
 package exchange
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"paropt/internal/storage"
@@ -21,10 +25,17 @@ import (
 // the columns into column-major frames.
 type Batch = *vec.Vec
 
-// Hash64 mixes a key for partitioning. It lives in internal/storage (shared
-// with worker-side placement shards); this alias keeps exchange's callers
-// source-compatible.
-func Hash64(v int64) uint64 { return storage.Hash64(v) }
+// Operator is the Volcano-style pull iterator every batch stream is handed
+// over as — between engine operators, into a transport and out of it: Next
+// returns the next batch of the stream, nil at exhaustion, or an error (a
+// cancelled context surfaces as its cause). Close releases the operator's
+// resources — buffered inputs, hash tables, goroutines, child operators — and
+// must be safe to call whether or not the stream was run to exhaustion.
+// Whoever stops pulling calls Close; nobody drains.
+type Operator interface {
+	Next(ctx context.Context) (Batch, error)
+	Close()
+}
 
 // Partition maps a key to a partition in [0, parts) — storage.Partition.
 func Partition(v int64, parts int) int { return storage.Partition(v, parts) }
@@ -59,14 +70,79 @@ type Store interface {
 	ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, error)
 }
 
-// feedShard streams a scanned shard as bs-row batches: zero-copy windows of
-// its columns, the way the engine's heap scan reads a local table.
-func feedShard(v *vec.Vec, bs int, out chan<- Batch) {
+// shardOp streams a scanned shard as bs-row batches: zero-copy windows of
+// its columns, the way the engine's heap scan reads a local table. release,
+// when set, runs once — at exhaustion or Close, whichever comes first — and
+// is how a worker takes the shard off its StagedBytes gauge.
+type shardOp struct {
+	v       *vec.Vec
+	bs, pos int
+	release func()
+}
+
+func newShardOp(v *vec.Vec, bs int, release func()) *shardOp {
 	if bs <= 0 {
 		bs = vec.DefaultBatchRows
 	}
-	for lo, n := 0, v.Len(); lo < n; lo += bs {
-		out <- v.Window(lo, min(lo+bs, n))
+	return &shardOp{v: v, bs: bs, release: release}
+}
+
+func (o *shardOp) Next(ctx context.Context) (Batch, error) {
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
+	if o.pos >= o.v.Len() {
+		o.Close()
+		return nil, nil
+	}
+	lo := o.pos
+	o.pos = min(lo+o.bs, o.v.Len())
+	return o.v.Window(lo, o.pos), nil
+}
+
+func (o *shardOp) Close() {
+	o.pos = o.v.Len()
+	if o.release != nil {
+		o.release()
+		o.release = nil
+	}
+}
+
+// recvOp is the pulling end of a channel one goroutine of this package fills
+// and closes: a Local partition or a worker's demultiplexed input. taken,
+// when set, runs for every batch pulled — the worker grants the sender's
+// credit there, so a credit means the join took the batch. A producer that
+// stops early cancels the join's context before it closes the channel, so an
+// early close surfaces as that cause and only a full stream ends in nil.
+type recvOp struct {
+	ch    <-chan Batch
+	taken func()
+	// done, when set, is closed by Close: a join that ends before its input
+	// does (an empty build side) tells the Local partitioner to drop this
+	// partition's rows instead of blocking on them. A worker's sender needs no
+	// telling — it stops at the credits it no longer gets.
+	done chan struct{}
+}
+
+func (o *recvOp) Next(ctx context.Context) (Batch, error) {
+	select {
+	case b, ok := <-o.ch:
+		if !ok {
+			return nil, context.Cause(ctx)
+		}
+		if o.taken != nil {
+			o.taken()
+		}
+		return b, nil
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
+	}
+}
+
+func (o *recvOp) Close() {
+	if o.done != nil {
+		close(o.done)
+		o.done = nil
 	}
 }
 
@@ -120,28 +196,126 @@ type Fragment struct {
 // another worker (or run by the coordinator itself) after a failure.
 func (f *Fragment) FullyShipped() bool { return f.LeftScan != nil && f.RightScan != nil }
 
-// JoinFunc runs one fragment's serial join over its partition of the inputs,
-// emitting result batches. The engine provides its serial join here, keeping
-// exchange free of plan/query dependencies. Implementations must consume
-// left and right to exhaustion (or until emit errors) and return emit's
-// error, if any.
-type JoinFunc func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error
-
-// Join is one in-flight distributed join. Out delivers merged result
-// batches from all partitions and is closed when every partition finishes;
-// Err reports the first transport or worker failure, valid once Out is
-// closed.
-type Join interface {
-	Out() <-chan Batch
-	Err() error
+// Validate checks what a Fragment decoded off a socket must satisfy before
+// anything indexes by it. Key positions are only bounded below here; the join
+// operators check them against the width of the first batch they see.
+func (f *Fragment) Validate() error {
+	if len(f.LKeys) == 0 || len(f.LKeys) != len(f.RKeys) {
+		return fmt.Errorf("exchange: fragment has %d left and %d right join keys", len(f.LKeys), len(f.RKeys))
+	}
+	for i := range f.LKeys {
+		if f.LKeys[i] < 0 || f.RKeys[i] < 0 {
+			return errors.New("exchange: fragment has a negative join key position")
+		}
+	}
+	if f.Parts < 1 || f.Part < 0 || f.Part >= f.Parts {
+		return fmt.Errorf("exchange: fragment is partition %d of %d", f.Part, f.Parts)
+	}
+	if f.BatchSize < 0 {
+		return fmt.Errorf("exchange: fragment batch size %d", f.BatchSize)
+	}
+	for _, spec := range []*ScanSpec{f.LeftScan, f.RightScan} {
+		if spec != nil && spec.HashCol < 0 {
+			return fmt.Errorf("exchange: shipped scan of %s hashes column %d", spec.Relation, spec.HashCol)
+		}
+	}
+	return nil
 }
 
-// Transport runs join fragments over some substrate: in-process channels
-// (Local) or worker processes (Cluster). Join consumes the two input
-// streams to exhaustion even on failure, so upstream producers never block.
+// JoinFunc builds one fragment's serial join over its partition of the
+// inputs: the returned operator yields the result batches and owns left and
+// right (its Close closes them). On an error the inputs stay the caller's to
+// close. The engine provides its serial join here, keeping exchange free of
+// plan/query dependencies.
+type JoinFunc func(frag Fragment, left, right Operator) (Operator, error)
+
+// Transport runs join fragments over some substrate: goroutines of this
+// process (Local) or worker processes (Cluster). Join starts the join and
+// returns the operator that yields its merged result; ctx bounds everything
+// the join runs. From the call on Join owns left and right — either may be
+// nil when the fragment ships that side's scan — and closes each exactly
+// once on every path, a failed start included. A failure anywhere in the
+// join comes back as the error of the result's Next; its Close tears the
+// join down and returns once the join's goroutines have exited.
 type Transport interface {
-	Join(frag Fragment, left, right <-chan Batch) (Join, error)
-	Close() error
+	Join(ctx context.Context, frag Fragment, left, right Operator) (Operator, error)
+}
+
+// mergeOp is the result end of a running join: partition results arrive on
+// out, which the join closes once every goroutine it started has exited. The
+// join's own context — a child of the one Join was given — is its failure
+// slot: whoever fails first cancels it with the error as the cause, every
+// other goroutine unwinds on it, and Next reports it.
+type mergeOp struct {
+	ctx  context.Context
+	stop context.CancelCauseFunc
+	// abort is what Close stops a running join with: stop itself, or what a
+	// Cluster join has to do besides (cancel frames, closing connections).
+	abort   func(error)
+	out     chan Batch
+	drained bool // out was seen closed: nothing of the join is left running
+}
+
+func (o *mergeOp) Next(ctx context.Context) (Batch, error) {
+	if o.drained {
+		return nil, nil
+	}
+	select {
+	case b, ok := <-o.out:
+		if !ok {
+			o.drained = true
+			return nil, context.Cause(o.ctx)
+		}
+		return b, nil
+	case <-o.ctx.Done():
+		return nil, context.Cause(o.ctx)
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
+	}
+}
+
+// send hands one result batch to the consumer; false means the join was
+// stopped first and the sender should unwind.
+func (o *mergeOp) send(b Batch) bool {
+	select {
+	case o.out <- b:
+		return true
+	case <-o.ctx.Done():
+		return false
+	}
+}
+
+// sendAll hands over a staged result, or reports why the join stopped.
+func (o *mergeOp) sendAll(staged []Batch) error {
+	for _, b := range staged {
+		if !o.send(b) {
+			return context.Cause(o.ctx)
+		}
+	}
+	return nil
+}
+
+// Close aborts whatever still runs, waits for out to close and releases the
+// join's context.
+func (o *mergeOp) Close() {
+	if !o.drained {
+		o.abort(ErrJoinCancelled)
+		for range o.out {
+		}
+		o.drained = true
+	}
+	o.stop(nil)
+}
+
+// closeInputs closes the inputs of a join that never started; a shipped side
+// has none.
+func closeInputs(left, right Operator) {
+	if left != nil {
+		left.Close()
+	}
+	if right != nil {
+		right.Close()
+	}
 }
 
 // Local is the in-process transport: both inputs are hash-partitioned into
@@ -152,85 +326,104 @@ type Local struct {
 	Fn JoinFunc
 }
 
-type localJoin struct {
-	out  chan Batch
-	err  error
-	errs chan error
-}
-
-func (j *localJoin) Out() <-chan Batch { return j.out }
-func (j *localJoin) Err() error        { return j.err }
-
-// Join partitions both inputs and runs frag.Parts local workers.
-func (l *Local) Join(frag Fragment, left, right <-chan Batch) (Join, error) {
+// Join partitions both inputs and runs frag.Parts partition joins: two
+// partitioner goroutines, one per partition, and one that closes the result.
+func (l *Local) Join(ctx context.Context, frag Fragment, left, right Operator) (Operator, error) {
+	frag.Parts = max(frag.Parts, 1)
 	p := frag.Parts
-	if p < 1 {
-		p = 1
-	}
-	lparts := partitionStream(left, frag.LKeys[0], p)
-	rparts := partitionStream(right, frag.RKeys[0], p)
-	j := &localJoin{out: make(chan Batch, p), errs: make(chan error, p)}
+	ctx, stop := context.WithCancelCause(ctx)
+	j := &mergeOp{ctx: ctx, stop: stop, abort: stop, out: make(chan Batch, p)}
 	var wg sync.WaitGroup
+	lparts := partitionStream(ctx, stop, &wg, left, frag.LKeys[0], p)
+	rparts := partitionStream(ctx, stop, &wg, right, frag.RKeys[0], p)
 	wg.Add(p)
 	for i := 0; i < p; i++ {
 		go func(i int) {
 			defer wg.Done()
 			f := frag
 			f.Part = i
-			emit := func(b Batch) error {
-				j.out <- b
-				return nil
+			op, err := l.Fn(f, lparts[i], rparts[i])
+			if err != nil {
+				stop(err)
+				return
 			}
-			if err := l.Fn(f, lparts[i], rparts[i], emit); err != nil {
-				select {
-				case j.errs <- err:
-				default:
+			defer op.Close()
+			for {
+				b, err := op.Next(ctx)
+				if err != nil {
+					stop(err)
+					return
 				}
-				drainBatches(lparts[i])
-				drainBatches(rparts[i])
+				if b == nil {
+					return
+				}
+				if !j.send(b) {
+					return
+				}
 			}
 		}(i)
 	}
 	go func() {
 		wg.Wait()
-		select {
-		case j.err = <-j.errs:
-		default:
-		}
 		close(j.out)
 	}()
 	return j, nil
 }
 
-// Close is a no-op: Local holds no connections.
-func (l *Local) Close() error { return nil }
+// localPartDepth is how many batches a partition's channel holds. The
+// partitioner used to be fed through a 4-deep channel by a goroutine pulling
+// the input and handed on through 4-deep channels; it pulls the input itself
+// now, and the channels kept the sum, 4 + 4 — with 4 alone exec_local's p50
+// was 4 % and its CPU per request 5 % worse (EXPERIMENTS §XM1).
+const localPartDepth = 8
 
-// partitionStream hash-partitions a stream into p streams on the key
-// column without moving a value: each partition receives a view of the input
-// batch — the same columns under that partition's selection vector.
-func partitionStream(in <-chan Batch, key, p int) []<-chan Batch {
+// partitionStream starts the goroutine that pulls in to exhaustion and
+// hash-partitions it into p streams on the key column without moving a value:
+// each partition receives a view of the input batch — the same columns under
+// that partition's selection vector. The goroutine closes in when it stops,
+// and fails the join with whatever in.Next returned.
+func partitionStream(ctx context.Context, fail func(error), wg *sync.WaitGroup, in Operator, key, p int) []*recvOp {
 	chans := make([]chan Batch, p)
-	streams := make([]<-chan Batch, p)
+	dones := make([]chan struct{}, p)
+	parts := make([]*recvOp, p)
 	for i := range chans {
-		chans[i] = make(chan Batch, 4)
-		streams[i] = chans[i]
+		chans[i] = make(chan Batch, localPartDepth)
+		dones[i] = make(chan struct{})
+		parts[i] = &recvOp{ch: chans[i], done: dones[i]}
 	}
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
+		defer in.Close()
 		defer func() {
 			for i := range chans {
 				close(chans[i])
 			}
 		}()
 		sc := scatter{key: key, p: p}
-		for b := range in {
+		for {
+			b, err := in.Next(ctx)
+			if err != nil {
+				fail(err)
+				return
+			}
+			if b == nil {
+				return
+			}
 			for i, sel := range sc.split(b) {
-				if len(sel) > 0 {
-					chans[i] <- &vec.Vec{Cols: b.Cols, Sel: sel}
+				if len(sel) == 0 {
+					continue
+				}
+				select {
+				case chans[i] <- &vec.Vec{Cols: b.Cols, Sel: sel}:
+				case <-dones[i]:
+				case <-ctx.Done():
+					return
 				}
 			}
 		}
 	}()
-	return streams
+	return parts
 }
 
 // scatter is the redistribution kernel: one pass over the key column
@@ -241,6 +434,7 @@ func partitionStream(in <-chan Batch, key, p int) []<-chan Batch {
 type scatter struct {
 	key, p int
 	parts  []int32 // scratch: partition of each live row
+	counts []int   // scratch: live rows per partition
 }
 
 // split returns the p selection vectors of b. They share one freshly
@@ -252,7 +446,11 @@ func (s *scatter) split(b Batch) [][]int32 {
 		s.parts = make([]int32, n)
 	}
 	parts := s.parts[:n]
-	counts := make([]int, s.p)
+	if s.counts == nil {
+		s.counts = make([]int, s.p)
+	}
+	counts := s.counts
+	clear(counts)
 	if b.Sel == nil {
 		for i, k := range col {
 			part := Partition(k, s.p)
@@ -281,10 +479,4 @@ func (s *scatter) split(b Batch) [][]int32 {
 		sels[part] = append(sels[part], r)
 	}
 	return sels
-}
-
-// drainBatches consumes a stream to exhaustion.
-func drainBatches(in <-chan Batch) {
-	for range in {
-	}
 }

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -49,15 +50,6 @@ func shippedFrag(parts int) Fragment {
 	}
 }
 
-// collect merges a Join's output and returns rows + final error.
-func collect(j Join) ([]storage.Row, error) {
-	var rows []storage.Row
-	for b := range j.Out() {
-		rows = b.AppendRows(rows)
-	}
-	return rows, j.Err()
-}
-
 // TestShippedJoinMatchesStreamedAndCutsBytes: a fully-shipped fragment must
 // produce exactly the streamed result while moving far less through the
 // coordinator — the ISSUE's ≥50% byte cut, asserted at the transport layer.
@@ -86,7 +78,7 @@ func TestShippedJoinMatchesStreamedAndCutsBytes(t *testing.T) {
 	}
 
 	shippedCluster := lb.Cluster(ClusterConfig{Owners: owners})
-	j, err := shippedCluster.Join(shippedFrag(2), nil, nil)
+	j, err := shippedCluster.Join(context.Background(), shippedFrag(2), nil, nil)
 	if err != nil {
 		t.Fatalf("shipped dispatch: %v", err)
 	}
@@ -127,11 +119,15 @@ func TestShippedRetryRedispatchesAndDiscardsStagedResults(t *testing.T) {
 	lrows, rrows := rowsOf(2_000, 53), rowsOf(500, 53)
 	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}
 	poison := storage.Row{-1, -1, -1, -1}
-	dying := func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
-		_ = emit(vec.FromRows([]storage.Row{poison})) // partial output the coordinator must discard
-		drainBatches(left)
-		drainBatches(right)
-		return errors.New("worker killed mid-fragment")
+	dying := func(frag Fragment, left, right Operator) (Operator, error) {
+		emitted := false
+		return &opFunc{left: left, right: right, next: func(context.Context) (Batch, error) {
+			if !emitted {
+				emitted = true
+				return vec.FromRows([]storage.Row{poison}), nil // partial output the coordinator must discard
+			}
+			return nil, errors.New("worker killed mid-fragment")
+		}}, nil
 	}
 	lb, err := StartLoopbackWorkers([]*Worker{
 		{Join: dying, Store: store},
@@ -148,7 +144,7 @@ func TestShippedRetryRedispatchesAndDiscardsStagedResults(t *testing.T) {
 		Members:      func() ([]string, int64) { return addrs, 7 },
 		RetryBackoff: 1, // keep the test fast
 	})
-	j, err := cluster.Join(shippedFrag(2), nil, nil)
+	j, err := cluster.Join(context.Background(), shippedFrag(2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +181,7 @@ func TestShippedRetryRedispatchesAndDiscardsStagedResults(t *testing.T) {
 func TestShippedFallbackToCoordinator(t *testing.T) {
 	lrows, rrows := rowsOf(1_000, 31), rowsOf(300, 31)
 	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}
-	boom := func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
-		drainBatches(left)
-		drainBatches(right)
-		return errors.New("no capacity")
-	}
-	lb, err := StartLoopbackWorkers([]*Worker{{Join: boom, Store: store}})
+	lb, err := StartLoopbackWorkers([]*Worker{{Join: failingJoin("no capacity"), Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +195,7 @@ func TestShippedFallbackToCoordinator(t *testing.T) {
 		Store:        store,
 		Fn:           testHashJoin,
 	})
-	j, err := cluster.Join(shippedFrag(2), nil, nil)
+	j, err := cluster.Join(context.Background(), shippedFrag(2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +248,7 @@ func TestShippedNoFallbackWithoutStore(t *testing.T) {
 	store := &memStore{rels: map[string][]storage.Row{
 		"L": rowsOf(100, 7), "R": rowsOf(100, 7),
 	}}
-	boom := func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
-		drainBatches(left)
-		drainBatches(right)
-		return errors.New("down")
-	}
-	lb, err := StartLoopbackWorkers([]*Worker{{Join: boom, Store: store}})
+	lb, err := StartLoopbackWorkers([]*Worker{{Join: failingJoin("down"), Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +258,7 @@ func TestShippedNoFallbackWithoutStore(t *testing.T) {
 		Owners:       map[string][]string{"L": addrs, "R": addrs},
 		RetryBackoff: 1,
 	})
-	j, err := cluster.Join(shippedFrag(1), nil, nil)
+	j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -47,7 +48,8 @@ func (g *genStore) ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, erro
 }
 
 // waitStagedZero polls the worker's staged-bytes gauge back to zero; the
-// feed goroutines decrement asynchronously after the join unwinds.
+// worker closes its join — and with it the shardOps — after the coordinator
+// has seen the fragment end.
 func waitStagedZero(t *testing.T, ws *WorkerStats) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -78,7 +80,7 @@ func TestStagedBytesFreedOnScanError(t *testing.T) {
 		Owners:       map[string][]string{"L": addrs, "R": addrs},
 		RetryBackoff: 1,
 	})
-	j, err := cluster.Join(shippedFrag(1), nil, nil)
+	j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,7 @@ func TestStagedBytesFreedOnScanError(t *testing.T) {
 }
 
 // TestStagedBytesFreedOnCompletion: the gauge returns to zero after a clean
-// shipped join — each scan's charge and its feed's deferred refund balance
-// out.
+// shipped join — each scan's charge and its shardOp's refund balance out.
 func TestStagedBytesFreedOnCompletion(t *testing.T) {
 	lrows, rrows := rowsOf(4_000, 97), rowsOf(800, 97)
 	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}
@@ -110,7 +111,7 @@ func TestStagedBytesFreedOnCompletion(t *testing.T) {
 	cluster := lb.Cluster(ClusterConfig{
 		Owners: map[string][]string{"L": lb.Addrs(), "R": lb.Addrs()},
 	})
-	j, err := cluster.Join(shippedFrag(1), nil, nil)
+	j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,15 +125,16 @@ func TestStagedBytesFreedOnCompletion(t *testing.T) {
 	waitStagedZero(t, ws)
 }
 
-// TestStagedBytesFreedOnCancel: a coordinator cancel mid-fragment must make
-// the worker abandon the join (Cancelled counter), unwind, and free every
-// staged partition.
+// TestStagedBytesFreedOnCancel: cancelling the query's context mid-fragment
+// must reach the worker as a cancel frame — by way of the result operator's
+// Close — so it abandons the join (Cancelled counter), unwinds, and frees
+// every staged partition.
 func TestStagedBytesFreedOnCancel(t *testing.T) {
 	lrows, rrows := rowsOf(20_000, 97), rowsOf(2_000, 97)
 	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}
 	ws := &WorkerStats{}
-	// Window 1 on both sides: with nobody reading the coordinator's output,
-	// the worker stalls in emit with its staged partitions still in flight.
+	// Window 1 on both sides: every result batch waits out a credit round
+	// trip, so the fragment is still running when the cancel lands.
 	lb, err := StartLoopbackWorkers([]*Worker{{Join: testHashJoin, Store: store, Stats: ws, Window: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +145,9 @@ func TestStagedBytesFreedOnCancel(t *testing.T) {
 		Owners: map[string][]string{"L": lb.Addrs(), "R": lb.Addrs()},
 		Window: 1,
 	})
-	j, err := cluster.Join(shippedFrag(1), nil, nil)
+	errCancel := errors.New("test: query cancelled")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	j, err := cluster.Join(ctx, shippedFrag(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +162,13 @@ func TestStagedBytesFreedOnCancel(t *testing.T) {
 	}
 
 	start := time.Now()
-	cluster.Cancel()
-	if _, err := collect(j); !errors.Is(err, ErrJoinCancelled) {
-		t.Fatalf("err = %v, want ErrJoinCancelled", err)
+	cancel(errCancel)
+	if _, err := j.Next(ctx); !errors.Is(err, errCancel) {
+		t.Fatalf("err = %v, want the cancellation cause", err)
 	}
+	j.Close()
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Errorf("cancel returned after %s, want <200ms", elapsed)
+		t.Errorf("cancel and close returned after %s, want <200ms", elapsed)
 	}
 
 	deadline = time.Now().Add(5 * time.Second)
@@ -175,9 +180,9 @@ func TestStagedBytesFreedOnCancel(t *testing.T) {
 	}
 	waitStagedZero(t, ws)
 
-	// A cancelled cluster rejects new work outright.
-	if _, err := cluster.Join(shippedFrag(1), nil, nil); !errors.Is(err, ErrJoinCancelled) {
-		t.Errorf("Join after Cancel: err = %v, want ErrJoinCancelled", err)
+	// A cancelled query gets no new joins.
+	if _, err := cluster.Join(ctx, shippedFrag(1), nil, nil); !errors.Is(err, errCancel) {
+		t.Errorf("Join after the cancel: err = %v, want the cancellation cause", err)
 	}
 }
 
@@ -203,7 +208,7 @@ func TestStagedNoHeapGrowthOnRepeatedFailure(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 20; i++ {
-		j, err := cluster.Join(shippedFrag(1), nil, nil)
+		j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,6 +59,18 @@ type FragmentStats struct {
 	FallbackReason string    `json:"-"` // set on synthesized fallback stats
 }
 
+// emitted accounts one result batch leaving the fragment's join at offset
+// off: the first one marks the fragment's and the join span's tf.
+func (fs *FragmentStats) emitted(join *RemoteSpan, off int64, b Batch) {
+	if fs.FirstNanos == 0 {
+		fs.FirstNanos = off
+		join.FirstNanos = off
+	}
+	fs.LastNanos = off
+	fs.Rows += int64(b.Len())
+	fs.Batches++
+}
+
 // StatsReporter is implemented by joins that collected worker-side
 // FragmentStats (the Cluster transport's joins). The engine checks for it
 // once a join's output is drained; Local joins don't implement it.

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"sync"
@@ -33,7 +34,7 @@ func TestClusterCollectsFragmentStats(t *testing.T) {
 		t.Fatal("join produced no rows; fixture is broken")
 	}
 
-	j, err := cluster.Join(frag, streamOf(rowsOf(10, 3), 32), streamOf(rowsOf(10, 3), 32))
+	j, err := cluster.Join(context.Background(), frag, streamOf(rowsOf(10, 3), 32), streamOf(rowsOf(10, 3), 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +42,7 @@ func TestClusterCollectsFragmentStats(t *testing.T) {
 	if !ok {
 		t.Fatalf("cluster join %T does not implement StatsReporter", j)
 	}
-	drainBatches(j.Out())
-	if err := j.Err(); err != nil {
+	if _, err := collect(j); err != nil {
 		t.Fatal(err)
 	}
 	fstats := sr.FragmentStats()
@@ -90,19 +90,11 @@ func TestClusterCollectsFragmentStats(t *testing.T) {
 	}
 	// 10 rows per side over 3 keys: per-key cross product = 4+3·9... just
 	// compare against what the coordinator actually received.
-	var got []Batch
-	j2, err := cluster.Join(frag, streamOf(rowsOf(10, 3), 32), streamOf(rowsOf(10, 3), 32))
+	got, err := runJoin(t, cluster, frag, rowsOf(10, 3), rowsOf(10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := range j2.Out() {
-		got = append(got, b)
-	}
-	var wantRows int64
-	for _, b := range got {
-		wantRows += int64(b.Len())
-	}
-	if totalRows != wantRows {
+	if wantRows := int64(len(got)); totalRows != wantRows {
 		t.Errorf("workers reported %d rows, coordinator received %d", totalRows, wantRows)
 	}
 }
@@ -228,7 +220,7 @@ func TestWindowStallMonotonic(t *testing.T) {
 	if w.stallNanos() <= 0 {
 		t.Error("acquirer outpaced a trickling releaser but recorded no stall")
 	}
-	if d := w.depth(); d != 0 {
-		t.Errorf("depth = %d after balanced acquire/release, want 0", d)
+	if w.avail != 0 { // every goroutine touching w has exited
+		t.Errorf("%d credits left after balanced acquire/release, want 0", w.avail)
 	}
 }

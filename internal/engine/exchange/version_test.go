@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -70,9 +71,9 @@ func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
 	lrows, rrows := rowsOf(1_000, 31), rowsOf(300, 31)
 	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}
 	var joined atomic.Bool
-	never := func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
+	never := func(frag Fragment, left, right Operator) (Operator, error) {
 		joined.Store(true)
-		return testHashJoin(frag, left, right, emit)
+		return testHashJoin(frag, left, right)
 	}
 	ws := &WorkerStats{}
 	lb, err := StartLoopbackWorkers([]*Worker{{Join: never, Store: store, Stats: ws}})
@@ -132,7 +133,7 @@ func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
 		Store:        store,
 		Fn:           testHashJoin,
 	})
-	j, err := cluster.Join(shippedFrag(1), nil, nil)
+	j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,5 +157,45 @@ func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
 	}
 	if got := ws.FragmentsFailed.Load(); got < 3 {
 		t.Errorf("FragmentsFailed = %d, want every refused fragment counted (≥3)", got)
+	}
+}
+
+// TestWorkerSurvivesBatchAfterEnd: a batch frame behind its stream's end frame
+// is a protocol violation the reader must end the fragment on — delivering it
+// would be a send on the channel the end frame closed, a panic on the
+// connection's goroutine that takes the worker process down.
+func TestWorkerSurvivesBatchAfterEnd(t *testing.T) {
+	lb, err := StartLoopback(1, testHashJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	conn, err := net.Dial("tcp", lb.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fw := &frameWriter{w: conn}
+	_ = fw.write(frameFragment, []byte(`{"method":"hash","lkeys":[0],"rkeys":[0],"part":0,"parts":1,"batch_size":16,"wire":1}`))
+	_ = fw.write(frameEndRight, nil)
+	_ = fw.writeBatch(frameRight, vec.FromRows(rowsOf(16, 5)))
+	fr := newFrameReader(conn, DefaultMaxFrame)
+	for {
+		typ, _, err := fr.next()
+		if err != nil {
+			t.Fatalf("stream ended without the fragment's error frame: %v", err)
+		}
+		if typ == frameEndResult {
+			t.Fatal("worker finished a fragment whose input broke the protocol")
+		}
+		if typ == frameError {
+			break
+		}
+	}
+	// The worker is still there for the next fragment.
+	frag := Fragment{Method: "hash", LKeys: []int{0}, RKeys: []int{0}, Parts: 1, BatchSize: 16}
+	if rows, err := runJoin(t, lb.Cluster(ClusterConfig{}), frag, rowsOf(100, 7), rowsOf(100, 7)); err != nil || len(rows) == 0 {
+		t.Fatalf("join after the violation: %d rows, err %v", len(rows), err)
 	}
 }

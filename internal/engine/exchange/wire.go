@@ -359,11 +359,3 @@ func (w *window) close() {
 // stallNanos reads the cumulative blocked time. Safe concurrently with
 // acquirers (in-progress stalls are counted when they end).
 func (w *window) stallNanos() int64 { return w.stall.Load() }
-
-// depth reads the currently available credits — the instantaneous window
-// depth for the direction this window guards.
-func (w *window) depth() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.avail
-}

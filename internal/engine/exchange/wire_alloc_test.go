@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"runtime"
 	"sync"
@@ -73,16 +74,28 @@ func TestFrameReceiveAllocationPin(t *testing.T) {
 // echoJoin is the cheapest fragment there is: the right input is drained and
 // every left batch goes back as a result untouched, so what a join over it
 // allocates is what the transport allocates.
-func echoJoin(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
-	drainBatches(right)
-	for b := range left {
-		if err := emit(b); err != nil {
-			drainBatches(left)
-			return err
+func echoJoin(frag Fragment, left, right Operator) (Operator, error) {
+	return &opFunc{left: left, right: right, next: func(ctx context.Context) (Batch, error) {
+		if err := discard(ctx, right); err != nil {
+			return nil, err
 		}
-	}
-	return nil
+		return left.Next(ctx)
+	}}, nil
 }
+
+// sliceOp yields the batches of a slice.
+type sliceOp struct{ batches []Batch }
+
+func (o *sliceOp) Next(context.Context) (Batch, error) {
+	if len(o.batches) == 0 {
+		return nil, nil
+	}
+	b := o.batches[0]
+	o.batches = o.batches[1:]
+	return b, nil
+}
+
+func (o *sliceOp) Close() {}
 
 // TestLoopbackJoinAllocationPin: a streamed join over loopback TCP — scatter,
 // gather into the per-link builders, encode, write, read, decode, and the
@@ -102,28 +115,24 @@ func TestLoopbackJoinAllocationPin(t *testing.T) {
 	for lo := 0; lo < n; lo += bs {
 		inputs = append(inputs, all.Window(lo, min(lo+bs, n)))
 	}
-	stream := func() <-chan Batch {
-		ch := make(chan Batch, 4)
-		go func() {
-			defer close(ch)
-			for _, b := range inputs {
-				ch <- b
-			}
-		}()
-		return ch
-	}
+	stream := func() Operator { return &sliceOp{batches: inputs} }
 	frag := Fragment{Method: "hash", LKeys: []int{0}, RKeys: []int{0}, Parts: 2, BatchSize: bs}
 	run := func() {
-		j, err := lb.Cluster(ClusterConfig{}).Join(frag, stream(), stream())
+		ctx := context.Background()
+		j, err := lb.Cluster(ClusterConfig{}).Join(ctx, frag, stream(), stream())
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer j.Close()
 		got := 0
-		for b := range j.Out() {
+		for b, err := j.Next(ctx); b != nil || err != nil; b, err = j.Next(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
 			got += b.Len()
 		}
-		if err := j.Err(); err != nil || got != n {
-			t.Fatalf("echo join returned %d of %d rows, err %v", got, n, err)
+		if got != n {
+			t.Fatalf("echo join returned %d of %d rows", got, n)
 		}
 	}
 	run()
@@ -154,15 +163,22 @@ func TestSentFramesSurviveBuilderRefill(t *testing.T) {
 	const n, keyMod = 12_000, 101
 	var mu sync.Mutex
 	var seen []storage.Row
-	slow := func(frag Fragment, left, right <-chan Batch, emit func(Batch) error) error {
-		drainBatches(right)
-		for b := range left {
-			time.Sleep(50 * time.Microsecond)
-			mu.Lock()
-			seen = b.AppendRows(seen)
-			mu.Unlock()
-		}
-		return nil
+	slow := func(frag Fragment, left, right Operator) (Operator, error) {
+		return &opFunc{left: left, right: right, next: func(ctx context.Context) (Batch, error) {
+			if err := discard(ctx, right); err != nil {
+				return nil, err
+			}
+			for {
+				b, err := left.Next(ctx)
+				if b == nil || err != nil {
+					return nil, err
+				}
+				time.Sleep(50 * time.Microsecond)
+				mu.Lock()
+				seen = b.AppendRows(seen)
+				mu.Unlock()
+			}
+		}}, nil
 	}
 	lb, err := StartLoopback(2, slow)
 	if err != nil {

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"testing"
@@ -117,6 +118,50 @@ func FuzzFrameReader(f *testing.F) {
 			} else if !errors.Is(err, ErrTruncatedFrame) {
 				t.Fatalf("decode: %v; want ErrTruncatedFrame", err)
 			}
+		}
+	})
+}
+
+// FuzzFragment drives arbitrary bytes the way Worker.handle meets a fragment
+// frame: json.Unmarshal, then Validate. Nothing panics, and whatever
+// validates keeps the properties the join indexes by and survives the wire
+// form — marshalled and read back it is the same fragment and still valid.
+func FuzzFragment(f *testing.F) {
+	// The two fragments that crashed an unvalidating worker: no keys at all,
+	// and keys past any batch's width (those validate — only the join's first
+	// batch can refute them).
+	f.Add([]byte(`{"method":"hash","parts":1}`))
+	f.Add([]byte(`{"method":"hash","lkeys":[7],"rkeys":[9],"parts":1}`))
+	f.Add([]byte(`{"method":"merge","lkeys":[0,2],"rkeys":[1,0],"part":1,"parts":2,"batch_size":512,"wire":1}`))
+	f.Add([]byte(`{"method":"sym","lkeys":[0],"rkeys":[0],"parts":1,"left_scan":{"relation":"R","hash_col":-1}}`))
+	f.Add([]byte(`{"lkeys":[0],"rkeys":[-1],"parts":1}`))
+	f.Add([]byte(`{"lkeys":[0],"rkeys":[0],"part":3,"parts":2}`))
+	f.Add([]byte(`{"lkeys":[0],"rkeys":[0],"parts":1,"batch_size":-4}`))
+	f.Add([]byte(`{"lkeys":null,"rkeys":{}}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var frag Fragment
+		if json.Unmarshal(p, &frag) != nil || frag.Validate() != nil {
+			return
+		}
+		if len(frag.LKeys) == 0 || len(frag.LKeys) != len(frag.RKeys) || frag.Part < 0 || frag.Part >= frag.Parts || frag.BatchSize < 0 {
+			t.Fatalf("validated %+v", frag)
+		}
+		for i := range frag.LKeys {
+			if frag.LKeys[i] < 0 || frag.RKeys[i] < 0 {
+				t.Fatalf("validated negative key positions %v, %v", frag.LKeys, frag.RKeys)
+			}
+		}
+		wire, err := json.Marshal(frag)
+		if err != nil {
+			t.Fatalf("marshal of a validated fragment: %v", err)
+		}
+		var back Fragment
+		if err := json.Unmarshal(wire, &back); err != nil || back.Validate() != nil {
+			t.Fatalf("validated fragment did not survive its wire form %s: %v", wire, err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(wire, again) {
+			t.Fatalf("round trip changed the fragment: %s vs %s", wire, again)
 		}
 	})
 }

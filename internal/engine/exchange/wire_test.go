@@ -278,12 +278,7 @@ func rowsOf(n int, keyMod int64) []storage.Row {
 	return rows
 }
 
-// streamOf delivers rows in batches over a fresh channel.
-func streamOf(rows []storage.Row, bs int) <-chan Batch {
-	ch := make(chan Batch, 4)
-	go func() {
-		defer close(ch)
-		feedShard(vec.FromRows(rows), bs, ch)
-	}()
-	return ch
+// streamOf yields rows in bs-row batches.
+func streamOf(rows []storage.Row, bs int) Operator {
+	return newShardOp(vec.FromRows(rows), bs, nil)
 }

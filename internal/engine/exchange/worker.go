@@ -1,25 +1,24 @@
 package exchange
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
-
-	"paropt/internal/vec"
 )
 
 var errStoreMissing = errors.New("exchange: fragment ships scans but worker has no store")
 
 // Worker serves join fragments over TCP: per connection it reads a Fragment,
-// demultiplexes left/right input batches into channels, runs Join over them,
-// and streams result batches back — all under per-direction credit windows
-// so neither side buffers unboundedly. Each fragment is measured (span tree,
+// demultiplexes left/right input batches into channels, pulls the operator
+// Join builds over them, and streams its batches back — all under
+// per-direction credit windows so neither side buffers unboundedly. Each fragment is measured (span tree,
 // rows, first/last-output offsets, result-window stall) and the measurements
 // ship back in a frameStats frame before the final result frame.
 type Worker struct {
-	// Join runs one fragment; required.
+	// Join builds one fragment's join; required.
 	Join JoinFunc
 	// Store sources shipped leaf scans (fragments with LeftScan/RightScan).
 	// Nil rejects shipped fragments with a frame error, which the
@@ -64,13 +63,16 @@ func (w *Worker) Serve(ln net.Listener) error {
 	}
 }
 
-// handle runs one fragment connection to completion.
+// handle runs one fragment connection to completion on two goroutines: this
+// one pulls the join and writes its results, a reader demultiplexes the
+// connection.
 //
-// Deadlock-freedom: the reader goroutine delivers into channels whose buffer
-// equals the credit window, and credits are granted only after the join
-// takes a batch — so at most Window un-credited batches exist per direction
-// and the reader never blocks on delivery. It therefore always stays
-// responsive to result credits, whatever order the join consumes its inputs.
+// Deadlock-freedom: the reader delivers into channels whose buffer equals the
+// credit window, and a credit is granted only when the join's Next takes a
+// batch out of one (recvOp) — so at most Window un-credited batches exist per
+// direction and the reader never blocks on delivery. It therefore always
+// stays responsive to result credits, whatever order the join pulls its
+// inputs in, and a join that stops pulling simply stops granting.
 func (w *Worker) handle(conn net.Conn) {
 	defer conn.Close()
 	win := w.window()
@@ -95,10 +97,12 @@ func (w *Worker) handle(conn net.Conn) {
 	t0 := nowNanos()
 	since := func() int64 { return nowNanos() - t0 }
 	resWin := newWindow(win)
-	if w.Stats != nil {
-		w.Stats.ActiveFragments.Add(1)
-		defer w.Stats.ActiveFragments.Add(-1)
+	ws := w.Stats
+	if ws == nil {
+		ws = &WorkerStats{} // nobody reads it; saves a nil check per counter
 	}
+	ws.ActiveFragments.Add(1)
+	defer ws.ActiveFragments.Add(-1)
 	root := &RemoteSpan{Name: "fragment", Attrs: map[string]string{
 		"method": frag.Method,
 		"worker": w.ID,
@@ -119,17 +123,13 @@ func (w *Worker) handle(conn net.Conn) {
 		if failErr != nil {
 			fs.Error = failErr.Error()
 			root.Attrs["error"] = failErr.Error()
+			ws.FragmentsFailed.Add(1)
+		} else {
+			ws.FragmentsServed.Add(1)
 		}
-		if w.Stats != nil {
-			if failErr != nil {
-				w.Stats.FragmentsFailed.Add(1)
-			} else {
-				w.Stats.FragmentsServed.Add(1)
-			}
-			w.Stats.RowsEmitted.Add(fs.Rows)
-			w.Stats.BatchesEmitted.Add(fs.Batches)
-			w.Stats.ResultStallNanos.Add(fs.ResultStallNanos)
-		}
+		ws.RowsEmitted.Add(fs.Rows)
+		ws.BatchesEmitted.Add(fs.Batches)
+		ws.ResultStallNanos.Add(fs.ResultStallNanos)
 		if sp, err := json.Marshal(fs); err == nil {
 			_ = fw.write(frameStats, sp)
 		}
@@ -141,37 +141,48 @@ func (w *Worker) handle(conn net.Conn) {
 	}
 
 	// A coordinator that lays batches out differently must not get as far as
-	// a batch. The refusal is drained behind: closing on the input frames a
-	// streaming coordinator already sent would reset the connection and take
-	// the error frame with it.
+	// a batch, nor a fragment that does not validate as far as the join. The
+	// refusal is drained behind: closing on the input frames a streaming
+	// coordinator already sent would reset the connection and take the error
+	// frame with it.
+	refusal := frag.Validate()
 	if frag.Wire != WireVersion {
-		finish(fmt.Errorf("%w: fragment speaks %d, worker %d", ErrWireVersion, frag.Wire, WireVersion))
+		refusal = fmt.Errorf("%w: fragment speaks %d, worker %d", ErrWireVersion, frag.Wire, WireVersion)
+	}
+	if refusal != nil {
+		finish(refusal)
 		for err == nil {
 			_, _, err = fr.next()
 		}
 		return
 	}
 
+	// The fragment's context: the reader cancels it when the coordinator
+	// cancels or goes away, so the join unwinds at its next checkpoint instead
+	// of running a doomed build to its end.
+	ctx, stop := context.WithCancelCause(context.Background())
+	defer stop(nil)
+	left := make(chan Batch, win)
+	right := make(chan Batch, win)
+	credit := func(dir byte) func() {
+		return func() { _ = fw.write(frameCredit, []byte{dir}) }
+	}
+	var leftOp Operator = &recvOp{ch: left, taken: credit(creditLeft)}
+	var rightOp Operator = &recvOp{ch: right, taken: credit(creditRight)}
+
 	// Shipped sides are sourced from the local store before the join runs,
 	// so a store failure surfaces as a frame error with no results emitted —
-	// the coordinator can re-dispatch the fragment cleanly. Staged partition
-	// bytes are metered on the StagedBytes gauge and must reach zero again on
-	// every exit path, error paths included.
-	var lvec, rvec *vec.Vec
-	addStaged := func(n int64) {
-		if w.Stats != nil && n != 0 {
-			w.Stats.StagedBytes.Add(n)
-		}
-	}
+	// the coordinator can re-dispatch the fragment cleanly. A shipped side is
+	// pulled as windows of the scanned shard — no wire traffic, no credits, no
+	// copy. Its bytes are metered on the StagedBytes gauge until the shardOp is
+	// exhausted or closed, so the gauge reaches zero again on every exit path,
+	// error paths included.
 	if frag.LeftScan != nil || frag.RightScan != nil {
 		if w.Store == nil {
 			finish(errStoreMissing)
 			return
 		}
-		scan := func(name string, spec *ScanSpec) (*vec.Vec, error) {
-			if spec == nil {
-				return nil, nil
-			}
+		scan := func(name string, spec *ScanSpec) (Operator, error) {
 			sp := root.child(name, since())
 			v, err := w.Store.ScanPartition(*spec, frag.Part, frag.Parts)
 			sp.EndNanos = since()
@@ -182,35 +193,38 @@ func (w *Worker) handle(conn net.Conn) {
 			if err != nil {
 				return nil, err
 			}
-			if w.Stats != nil {
-				w.Stats.ShippedScans.Add(1)
-			}
-			addStaged(v.Bytes())
-			return v, nil
+			staged := v.Bytes()
+			ws.ShippedScans.Add(1)
+			ws.StagedBytes.Add(staged)
+			return newShardOp(v, frag.BatchSize, func() { ws.StagedBytes.Add(-staged) }), nil
 		}
 		var err error
-		if lvec, err = scan("scan-left", frag.LeftScan); err == nil {
-			rvec, err = scan("scan-right", frag.RightScan)
+		if frag.LeftScan != nil {
+			leftOp, err = scan("scan-left", frag.LeftScan)
+		}
+		if err == nil && frag.RightScan != nil {
+			if rightOp, err = scan("scan-right", frag.RightScan); err != nil {
+				// Without this a fragment whose second scan fails fast pins
+				// the first side's partition bytes on the gauge until process
+				// exit.
+				leftOp.Close()
+			}
 		}
 		if err != nil {
-			// Free whatever was staged before the failure: without this a
-			// fragment whose second scan fails fast pins the first side's
-			// partition bytes on the gauge until process exit.
-			if lvec != nil {
-				addStaged(-lvec.Bytes())
-			}
 			finish(fmt.Errorf("exchange: shipped scan: %w", err))
 			return
 		}
 	}
 
-	left := make(chan Batch, win)
-	right := make(chan Batch, win)
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		leftOpen, rightOpen := frag.LeftScan == nil, frag.RightScan == nil
+		leftOpen, rightOpen := true, true
+		// Whatever ends the reader ends the streams it feeds and the result
+		// window. The cancel comes first, so the join reads the closes as that
+		// failure and not as exhaustion; after a finished join it is a no-op.
 		defer func() {
+			stop(ErrWorkerDisconnected)
 			if leftOpen {
 				close(left)
 			}
@@ -225,18 +239,24 @@ func (w *Worker) handle(conn net.Conn) {
 				return
 			}
 			switch typ {
-			case frameLeft:
+			case frameLeft, frameRight:
 				b, err := decodeBatch(payload)
 				if err != nil {
 					return
 				}
-				left <- b
-			case frameRight:
-				b, err := decodeBatch(payload)
-				if err != nil {
-					return
+				in, open := left, leftOpen
+				if typ == frameRight {
+					in, open = right, rightOpen
 				}
-				right <- b
+				if !open {
+					return // a batch after its stream's end frame
+				}
+				// Within its window a batch always finds room; once the
+				// fragment is over, batches still in flight are dropped.
+				select {
+				case in <- b:
+				case <-ctx.Done():
+				}
 			case frameEndLeft:
 				if leftOpen {
 					close(left)
@@ -252,62 +272,35 @@ func (w *Worker) handle(conn net.Conn) {
 					resWin.release(1)
 				}
 			case frameCancel:
-				// Coordinator abandoned the fragment: return so the deferred
-				// closes tear down the input streams and the result window —
-				// the join unwinds, staged partitions are freed, and the
+				// Coordinator abandoned the fragment: the join unwinds on its
+				// context, its shardOps free the staged partitions, and the
 				// final error frame tells the coordinator we are done.
-				if w.Stats != nil {
-					w.Stats.Cancelled.Add(1)
-				}
+				ws.Cancelled.Add(1)
+				stop(ErrJoinCancelled)
 				return
 			}
 		}
 	}()
 
-	// Pumps hand batches to the join and grant a credit per batch consumed.
-	// A shipped side is fed windows of the scanned shard instead — no wire
-	// traffic, no credits, no copy.
-	leftOut := make(chan Batch)
-	rightOut := make(chan Batch)
-	pump := func(in <-chan Batch, out chan<- Batch, dir byte) {
-		defer close(out)
-		for b := range in {
-			out <- b
-			_ = fw.write(frameCredit, []byte{dir})
-		}
-	}
-	feed := func(v *vec.Vec, out chan<- Batch) {
-		defer close(out)
-		defer addStaged(-v.Bytes())
-		feedShard(v, frag.BatchSize, out)
-	}
-	if frag.LeftScan != nil {
-		go feed(lvec, leftOut)
-	} else {
-		go pump(left, leftOut, creditLeft)
-	}
-	if frag.RightScan != nil {
-		go feed(rvec, rightOut)
-	} else {
-		go pump(right, rightOut, creditRight)
-	}
-
 	joinSpan := root.child("join", since())
-	emit := func(b Batch) error {
-		if !resWin.acquire() {
-			return ErrWorkerDisconnected
+	op, joinErr := w.Join(frag, leftOp, rightOp)
+	if joinErr != nil {
+		closeInputs(leftOp, rightOp)
+	} else {
+		for joinErr == nil {
+			var b Batch
+			if b, joinErr = op.Next(ctx); b == nil {
+				break
+			}
+			if !resWin.acquire() {
+				joinErr = ErrWorkerDisconnected
+				break
+			}
+			fs.emitted(joinSpan, since(), b)
+			joinErr = fw.writeBatch(frameResult, b)
 		}
-		off := since()
-		if fs.FirstNanos == 0 {
-			fs.FirstNanos = off
-			joinSpan.FirstNanos = off
-		}
-		fs.LastNanos = off
-		fs.Rows += int64(b.Len())
-		fs.Batches++
-		return fw.writeBatch(frameResult, b)
+		op.Close()
 	}
-	joinErr := w.Join(frag, leftOut, rightOut, emit)
 	joinSpan.EndNanos = since()
 	joinSpan.Attrs = map[string]string{
 		"method": frag.Method,
@@ -316,10 +309,8 @@ func (w *Worker) handle(conn net.Conn) {
 	if fs.LastNanos == 0 {
 		fs.LastNanos = joinSpan.EndNanos
 	}
-	// Unblock the pumps if the join bailed before exhausting its inputs.
-	go drainBatches(leftOut)
-	go drainBatches(rightOut)
 	finish(joinErr)
+	stop(nil) // the reader drops what a streaming coordinator still sends
 	// Wait for the coordinator to close its side before closing ours: a
 	// result credit can still be in flight for the last batch, and closing
 	// with unread data pending makes TCP reset the connection — discarding

@@ -1,23 +1,21 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"paropt/internal/optree"
 	"paropt/internal/plan"
-	"paropt/internal/storage"
+	"paropt/internal/query"
 )
 
-// ExecuteOp runs a §4.2 operator tree directly — explicit sorts, merges,
-// builds, probes, pure nested loops and create-index operators — rather
-// than re-deriving physical operators from the join tree. This validates
-// the macro expansion: for any plan p, ExecuteOp(Expand(p)) must produce
-// exactly the same result multiset as Execute(p). Execution is serial (the
-// parallel path lives in Execute); materialized edges are realized by
-// draining the child before the parent consumes it, which is what the
-// annotation means.
+// ExecuteOp runs a §4.2 operator tree — explicit sorts, merges, builds,
+// probes, pure nested loops and create-index operators — by lowering it onto
+// the engine's own operators rather than re-deriving them from the join
+// tree. This validates the macro expansion on the engine that serves queries:
+// for any plan p, ExecuteOp(Expand(p)) must produce exactly the same result
+// multiset as Execute(p). Execution is serial (the parallel path lives in
+// Execute); a materialized edge is the blocking drain of the operator it
+// feeds — the build of a probe, the buffered sides of a merge.
 func (e *Executor) ExecuteOp(root *optree.Op) (*Resultset, error) {
 	if root == nil {
 		return nil, fmt.Errorf("engine: nil operator tree")
@@ -25,236 +23,104 @@ func (e *Executor) ExecuteOp(root *optree.Op) (*Resultset, error) {
 	if err := root.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	rows, schema, err := e.runOp(root)
+	op, schema, err := e.lower(root)
 	if err != nil {
 		return nil, err
 	}
-	res := newRowResultset(schema, rows)
-	if len(e.Q.Projection) > 0 {
-		return res.Project(e.Q.Projection)
-	}
-	return res, nil
+	return e.result(op, schema)
 }
 
-// runOp evaluates one operator to a materialized row set. Operator trees
-// execute synchronously here; the semantic content (which operator runs on
-// which input) is what is being verified.
-func (e *Executor) runOp(op *optree.Op) ([]storage.Row, Schema, error) {
+// lower builds the engine operator a §4.2 operator subtree stands for. Build,
+// CreateIndex and Sort have no operator of their own: each is the blocking
+// phase of the join directly above it and is only accepted there.
+func (e *Executor) lower(op *optree.Op) (Operator, Schema, error) {
 	switch op.Kind {
 	case optree.Scan, optree.IndexScanOp:
-		return e.runBaseAccess(op)
-
-	case optree.Sort:
-		rows, schema, err := e.runOp(op.Inputs[0])
-		if err != nil {
-			return nil, nil, err
+		leaf := op.Source
+		if leaf == nil || !leaf.IsLeaf() {
+			access := plan.SeqScan
+			if op.Kind == optree.IndexScanOp {
+				access = plan.IndexScan
+			}
+			leaf = &plan.Node{Relation: op.Relation, Access: access, Index: op.Index}
 		}
-		pos := schema.IndexOf(op.SortKey)
-		if pos < 0 {
-			return nil, nil, fmt.Errorf("engine: sort key %v not in schema", op.SortKey)
-		}
-		out := append([]storage.Row(nil), rows...)
-		sort.SliceStable(out, func(a, b int) bool { return out[a][pos] < out[b][pos] })
-		return out, schema, nil
-
-	case optree.Build, optree.CreateIndex:
-		// Materialization points: semantics are pass-through; the consumer
-		// (probe / nested loops) builds its structure from the rows.
-		return e.runOp(op.Inputs[0])
-
-	case optree.Merge:
-		return e.runMerge(op)
-
+		return e.scan(leaf)
 	case optree.Probe:
-		return e.runProbe(op)
-
+		build := op.Inputs[1]
+		if build.Kind != optree.Build {
+			return nil, nil, fmt.Errorf("engine: probe over %v, wants a build", build.Kind)
+		}
+		return e.lowerJoin(op, op.Inputs[0], build.Inputs[0], nil, nil)
 	case optree.PureNL:
-		return e.runPureNL(op)
-
+		inner := op.Inputs[1]
+		if inner.Kind == optree.CreateIndex {
+			inner = inner.Inputs[0]
+		}
+		return e.lowerJoin(op, op.Inputs[0], inner, nil, nil)
+	case optree.Merge:
+		l, lsort := underSort(op.Inputs[0])
+		r, rsort := underSort(op.Inputs[1])
+		return e.lowerJoin(op, l, r, lsort, rsort)
 	default:
-		return nil, nil, fmt.Errorf("engine: cannot execute operator %v", op.Kind)
+		return nil, nil, fmt.Errorf("engine: %v is not executable where the tree has it", op.Kind)
 	}
 }
 
-// runBaseAccess scans a base relation (heap or index order) with the
-// query's selections applied, reusing the streaming scan.
-func (e *Executor) runBaseAccess(op *optree.Op) ([]storage.Row, Schema, error) {
-	leaf := op.Source
-	if leaf == nil || !leaf.IsLeaf() {
-		access := plan.SeqScan
-		if op.Kind == optree.IndexScanOp {
-			access = plan.IndexScan
-		}
-		leaf = &plan.Node{Relation: op.Relation, Access: access, Index: op.Index}
+// underSort strips a merge input's Sort, returning what it sorts and by
+// which column (nil: the tree put no sort on this side).
+func underSort(in *optree.Op) (*optree.Op, *query.ColumnRef) {
+	if in.Kind == optree.Sort {
+		return in.Inputs[0], &in.SortKey
 	}
-	it, schema, err := e.scan(leaf)
+	return in, nil
+}
+
+// lowerJoin lowers the two inputs of join operator op and joins them:
+// crossOp without predicates, mergeJoinOp for a Merge — sorting exactly the
+// sides the tree sorts, on the column it sorts them by — and buildProbeOp for
+// a Probe or PureNL (the hashed inner is the create-index inflection
+// realized).
+func (e *Executor) lowerJoin(op, lin, rin *optree.Op, lsort, rsort *query.ColumnRef) (Operator, Schema, error) {
+	l, lschema, err := e.lower(lin)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer it.Close()
-	rows, err := drainRows(e.ctx(), it)
+	r, rschema, err := e.lower(rin)
 	if err != nil {
-		return nil, nil, err
-	}
-	return rows, schema, nil
-}
-
-// matchExtra checks row predicates beyond the first (the hash/merge key).
-func matchExtra(l, r storage.Row, lkeys, rkeys []int) bool {
-	for i := 1; i < len(lkeys); i++ {
-		if l[lkeys[i]] != r[rkeys[i]] {
-			return false
-		}
-	}
-	return true
-}
-
-// drainRows materializes an operator's output as rows.
-func drainRows(ctx context.Context, op Operator) ([]storage.Row, error) {
-	batches, n, err := drain(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]storage.Row, 0, n)
-	for _, b := range batches {
-		rows = b.AppendRows(rows)
-	}
-	return rows, nil
-}
-
-// runMerge merge-joins its two (sorted) inputs on the first predicate.
-func (e *Executor) runMerge(op *optree.Op) ([]storage.Row, Schema, error) {
-	l, lschema, err := e.runOp(op.Inputs[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	r, rschema, err := e.runOp(op.Inputs[1])
-	if err != nil {
+		l.Close()
 		return nil, nil, err
 	}
 	schema := append(append(Schema(nil), lschema...), rschema...)
 	if len(op.Preds) == 0 {
-		return crossRows(l, r), schema, nil
+		return &crossOp{e: e, left: l, right: r, bs: e.batchSize()}, schema, nil
 	}
 	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
+	lcol, rcol := -1, -1
+	if err == nil {
+		lcol, err = sortCol(lsort, lschema)
+	}
+	if err == nil {
+		rcol, err = sortCol(rsort, rschema)
+	}
 	if err != nil {
+		l.Close()
+		r.Close()
 		return nil, nil, err
 	}
-	// Inputs arrive sorted (explicit Sort ops or pre-sorted base data); a
-	// defensive re-sort would mask expansion bugs, so merge directly.
-	var out []storage.Row
-	lk, rk := lkeys[0], rkeys[0]
-	i, j := 0, 0
-	for i < len(l) && j < len(r) {
-		switch {
-		case l[i][lk] < r[j][rk]:
-			i++
-		case l[i][lk] > r[j][rk]:
-			j++
-		default:
-			key := l[i][lk]
-			i2, j2 := i, j
-			for i2 < len(l) && l[i2][lk] == key {
-				i2++
-			}
-			for j2 < len(r) && r[j2][rk] == key {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					if matchExtra(l[a], r[b], lkeys, rkeys) {
-						out = append(out, concatRows(l[a], r[b]))
-					}
-				}
-			}
-			i, j = i2, j2
-		}
+	if op.Kind == optree.Merge {
+		return &mergeJoinOp{e: e, left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lcol, rsort: rcol, bs: e.batchSize()}, schema, nil
 	}
-	return out, schema, nil
+	return e.joinFor("nl", l, r, lkeys, rkeys), schema, nil
 }
 
-// runProbe hash-joins: builds on Inputs[1] (the Build operator), probes
-// with Inputs[0].
-func (e *Executor) runProbe(op *optree.Op) ([]storage.Row, Schema, error) {
-	l, lschema, err := e.runOp(op.Inputs[0])
-	if err != nil {
-		return nil, nil, err
+// sortCol resolves the column a merge side is sorted by; -1 when the tree put
+// no sort on that side.
+func sortCol(key *query.ColumnRef, schema Schema) (int, error) {
+	if key == nil {
+		return -1, nil
 	}
-	r, rschema, err := e.runOp(op.Inputs[1])
-	if err != nil {
-		return nil, nil, err
+	if pos := schema.IndexOf(*key); pos >= 0 {
+		return pos, nil
 	}
-	schema := append(append(Schema(nil), lschema...), rschema...)
-	if len(op.Preds) == 0 {
-		return crossRows(l, r), schema, nil
-	}
-	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
-	if err != nil {
-		return nil, nil, err
-	}
-	table := make(map[int64][]storage.Row, len(r))
-	for _, row := range r {
-		k := row[rkeys[0]]
-		table[k] = append(table[k], row)
-	}
-	var out []storage.Row
-	for _, lr := range l {
-		for _, rr := range table[lr[lkeys[0]]] {
-			if matchExtra(lr, rr, lkeys, rkeys) {
-				out = append(out, concatRows(lr, rr))
-			}
-		}
-	}
-	return out, schema, nil
-}
-
-// runPureNL nested-loops: the inner (base access or create-index
-// temporary) is probed per outer row through a hash index — the
-// create-index inflection realized.
-func (e *Executor) runPureNL(op *optree.Op) ([]storage.Row, Schema, error) {
-	l, lschema, err := e.runOp(op.Inputs[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	r, rschema, err := e.runOp(op.Inputs[1])
-	if err != nil {
-		return nil, nil, err
-	}
-	schema := append(append(Schema(nil), lschema...), rschema...)
-	if len(op.Preds) == 0 {
-		return crossRows(l, r), schema, nil
-	}
-	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
-	if err != nil {
-		return nil, nil, err
-	}
-	index := make(map[int64][]storage.Row, len(r))
-	for _, row := range r {
-		index[row[rkeys[0]]] = append(index[row[rkeys[0]]], row)
-	}
-	var out []storage.Row
-	for _, lr := range l {
-		for _, rr := range index[lr[lkeys[0]]] {
-			if matchExtra(lr, rr, lkeys, rkeys) {
-				out = append(out, concatRows(lr, rr))
-			}
-		}
-	}
-	return out, schema, nil
-}
-
-func concatRows(l, r storage.Row) storage.Row {
-	row := make(storage.Row, 0, len(l)+len(r))
-	row = append(row, l...)
-	return append(row, r...)
-}
-
-func crossRows(l, r []storage.Row) []storage.Row {
-	out := make([]storage.Row, 0, len(l)*len(r))
-	for _, lr := range l {
-		for _, rr := range r {
-			out = append(out, concatRows(lr, rr))
-		}
-	}
-	return out
+	return 0, fmt.Errorf("engine: sort key %v not in schema", *key)
 }

@@ -105,6 +105,23 @@ func TestExecuteOpSortElision(t *testing.T) {
 	if got.Fingerprint() != ref.Fingerprint() {
 		t.Error("elided-sort merge differs from reference")
 	}
+
+	// The merge's honesty, made explicit: with B's sort stripped the tree says
+	// B arrives in merge order, which it does not. The lowered merge must take
+	// the tree at its word and get the join wrong — if it still matches the
+	// reference it re-sorted behind the tree's back, and a Sort the expansion
+	// forgot could never fail a test.
+	op.Inputs[1] = op.Inputs[1].Inputs[0]
+	if got, want := op.String(), "merge(scan(A), scan(B))"; got != want {
+		t.Fatalf("stripped tree = %s, want %s", got, want)
+	}
+	wrong, err := e.ExecuteOp(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrong.Fingerprint() == ref.Fingerprint() {
+		t.Error("merge over an unsorted input matched the reference: it sorted a side the tree did not")
+	}
 }
 
 // TestExecuteOpCreateIndex: the create-index inflection path joins
@@ -176,6 +193,33 @@ func TestExecuteOpErrors(t *testing.T) {
 	ghost := &optree.Op{Kind: optree.Scan, Relation: "ghost"}
 	if _, err := e.ExecuteOp(ghost); err == nil {
 		t.Error("unknown relation should error")
+	}
+	// Build, CreateIndex and Sort are phases of the join above them and lower
+	// nowhere else: a probe needs its build, and a sort — even one with a good
+	// key — belongs directly under a merge.
+	scan2 := &optree.Op{Kind: optree.Scan, Relation: "R2", Source: &plan.Node{Relation: "R2"}}
+	preds := e.Q.Joins
+	if _, err := e.ExecuteOp(&optree.Op{Kind: optree.Probe, Inputs: []*optree.Op{scan, scan2}, Preds: preds}); err == nil {
+		t.Error("probe over a bare scan should error")
+	}
+	goodSort := &optree.Op{Kind: optree.Sort, Inputs: []*optree.Op{scan2},
+		SortKey: query.ColumnRef{Relation: "R2", Column: "fk"}}
+	if _, err := e.ExecuteOp(goodSort); err == nil {
+		t.Error("sort at the root should error")
+	}
+	build := &optree.Op{Kind: optree.Build, Inputs: []*optree.Op{goodSort}}
+	if _, err := e.ExecuteOp(&optree.Op{Kind: optree.Probe, Inputs: []*optree.Op{scan, build}, Preds: preds}); err == nil {
+		t.Error("sort under a build should error")
+	}
+	// Directly under a merge the same sort lowers; with a key outside its
+	// schema it is the sort key that is refused.
+	merge := &optree.Op{Kind: optree.Merge, Inputs: []*optree.Op{scan, goodSort}, Preds: preds}
+	if _, err := e.ExecuteOp(merge); err != nil {
+		t.Errorf("sort under a merge: %v", err)
+	}
+	merge.Inputs[1] = &optree.Op{Kind: optree.Sort, Inputs: []*optree.Op{scan2}, SortKey: srt.SortKey}
+	if _, err := e.ExecuteOp(merge); err == nil {
+		t.Error("bad sort key under a merge should error")
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -131,18 +132,30 @@ func TestPlacedJoinShipsScansAndMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// killedOp is the join of a worker that dies mid-fragment: one batch of
+// partial junk, then the failure.
+type killedOp struct {
+	left, right Operator
+	emitted     bool
+}
+
+func (o *killedOp) Next(context.Context) (Batch, error) {
+	if !o.emitted {
+		o.emitted = true
+		return vec.FromRows([]storage.Row{{-9, -9, -9, -9}}), nil
+	}
+	return nil, errors.New("worker killed mid-join")
+}
+
+func (o *killedOp) Close() { o.left.Close(); o.right.Close() }
+
 // TestPlacedJoinSurvivesWorkerDeathMidQuery is the kill-a-worker acceptance
 // test: one of two workers fails every fragment dispatched to it; the
 // shipped fragments must be re-dispatched to the survivor and the query
 // must complete with exactly the single-process rows.
 func TestPlacedJoinSurvivesWorkerDeathMidQuery(t *testing.T) {
-	killed := func(frag exchange.Fragment, left, right <-chan exchange.Batch, emit func(exchange.Batch) error) error {
-		_ = emit(vec.FromRows([]storage.Row{{-9, -9, -9, -9}})) // partial junk
-		for range left {
-		}
-		for range right {
-		}
-		return errors.New("worker killed mid-join")
+	killed := func(frag exchange.Fragment, left, right Operator) (Operator, error) {
+		return &killedOp{left: left, right: right}, nil
 	}
 	e, est, cat := placedRig(t, 3_000, 2_000)
 	lb, pm := placedWorkers(t, cat, []exchange.JoinFunc{killed, FragmentJoin})
@@ -185,12 +198,8 @@ func TestPlacedJoinSurvivesWorkerDeathMidQuery(t *testing.T) {
 // TestPlacedJoinFallsBackToCoordinator: every worker dead mid-query → the
 // coordinator runs the shipped fragments itself from its own store.
 func TestPlacedJoinFallsBackToCoordinator(t *testing.T) {
-	boom := func(frag exchange.Fragment, left, right <-chan exchange.Batch, emit func(exchange.Batch) error) error {
-		for range left {
-		}
-		for range right {
-		}
-		return errors.New("cluster lost")
+	boom := func(exchange.Fragment, Operator, Operator) (Operator, error) {
+		return nil, errors.New("cluster lost")
 	}
 	e, est, cat := placedRig(t, 2_000, 1_000)
 	lb, pm := placedWorkers(t, cat, []exchange.JoinFunc{boom})

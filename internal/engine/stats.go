@@ -17,7 +17,7 @@ import (
 // when a node's stream produced its first row and when it closed — plus the
 // rows that actually flowed, so predicted and actual descriptors can be
 // joined per node (internal/obs/accuracy). Granularity is the join-tree
-// node: exactly the unit the engine pipelines through one channel.
+// node: each one is one Operator, and the recorder wraps exactly that.
 
 // NodeStat is one node's measured runtime descriptor. Times are relative to
 // the execution start (ExecStats.T0).
@@ -89,6 +89,14 @@ type RemoteFragment struct {
 	Stats []*exchange.FragmentStats
 }
 
+// remoteJoin is a distributed join node whose transport collects worker-side
+// stats; they are read when Remote is asked, after the execution.
+type remoteJoin struct {
+	node  *plan.Node
+	label string
+	sr    exchange.StatsReporter
+}
+
 // ExecStats collects runtime descriptors for one instrumented execution.
 // Install it on Executor.Stats before Execute; read it after Execute
 // returns (the stream-close chain orders all writes before the read).
@@ -97,7 +105,7 @@ type ExecStats struct {
 	// T0 is the time base; set when the first node starts (or pre-set).
 	T0     time.Time
 	nodes  []*NodeStat
-	remote []*RemoteFragment
+	remote []remoteJoin
 }
 
 // Nodes returns the collected descriptors in stream-open (bottom-up,
@@ -162,22 +170,26 @@ func (s *ExecStats) Wall() time.Duration {
 	return w
 }
 
-// Remote returns the worker-side fragment measurements collected from the
-// transport, one entry per distributed join node. Empty for local
-// transports — exchange.Local joins don't report FragmentStats.
+// Remote returns the worker-side fragment measurements the transport's joins
+// collected, one entry per distributed join node that has any — complete once
+// Execute has returned. Empty for local transports: exchange.Local joins
+// don't report FragmentStats.
 func (s *ExecStats) Remote() []*RemoteFragment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]*RemoteFragment(nil), s.remote...)
+	var out []*RemoteFragment
+	for _, r := range s.remote {
+		if fs := r.sr.FragmentStats(); len(fs) > 0 {
+			out = append(out, &RemoteFragment{Node: r.node, Label: r.label, Stats: fs})
+		}
+	}
+	return out
 }
 
-// addRemote records one distributed node's worker-side stats.
-func (s *ExecStats) addRemote(n *plan.Node, label string, fs []*exchange.FragmentStats) {
-	if len(fs) == 0 {
-		return
-	}
+// addRemote registers a distributed node whose join reports worker-side stats.
+func (s *ExecStats) addRemote(n *plan.Node, label string, sr exchange.StatsReporter) {
 	s.mu.Lock()
-	s.remote = append(s.remote, &RemoteFragment{Node: n, Label: label, Stats: fs})
+	s.remote = append(s.remote, remoteJoin{n, label, sr})
 	s.mu.Unlock()
 }
 

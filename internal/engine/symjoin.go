@@ -98,6 +98,9 @@ func (o *symJoinOp) Next(ctx context.Context) (Batch, error) {
 		}
 		if own.width == 0 {
 			own.width = b.Width()
+			if err := keysFit(own.keys, own.width); err != nil {
+				return nil, err
+			}
 		}
 		if !own.freed {
 			if own.buf == nil {

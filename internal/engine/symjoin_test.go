@@ -348,8 +348,8 @@ type firehoseOp struct{ b Batch }
 func (o *firehoseOp) Next(context.Context) (Batch, error) { return o.b, nil }
 func (o *firehoseOp) Close()                              {}
 
-// TestDrainCancelBetweenBatches: drainBuffer and drainRows must notice a
-// dead context between batches even when the child never does.
+// TestDrainCancelBetweenBatches: drain and drainBuffer must notice a dead
+// context between batches even when the child never does.
 func TestDrainCancelBetweenBatches(t *testing.T) {
 	fire := &firehoseOp{b: vec.FromRows([]storage.Row{{1, 2}})}
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -357,8 +357,8 @@ func TestDrainCancelBetweenBatches(t *testing.T) {
 	if _, err := drainBuffer(ctx, fire); !errors.Is(err, errTestCancel) {
 		t.Errorf("drainBuffer: err = %v, want cause %v", err, errTestCancel)
 	}
-	if _, err := drainRows(ctx, fire); !errors.Is(err, errTestCancel) {
-		t.Errorf("drainRows: err = %v, want cause %v", err, errTestCancel)
+	if _, _, err := drain(ctx, fire); !errors.Is(err, errTestCancel) {
+		t.Errorf("drain: err = %v, want cause %v", err, errTestCancel)
 	}
 }
 

@@ -119,29 +119,36 @@ func (s *Searcher) BruteForceBushy() (*Result, error) {
 			return s.narrow(cands), nil
 		}
 		var out []*Candidate
+		// The first costing error stops the enumeration and is the search's
+		// error: an oracle that skipped the splits it could not price would be
+		// silently smaller than the plan space it is compared against.
+		var firstErr error
 		set.ProperSubsets(func(l, r query.RelSet) {
-			if s.skipSplit(l, r) {
+			if firstErr != nil || s.skipSplit(l, r) {
 				return
 			}
 			ls, err := build(l)
 			if err != nil || len(ls) == 0 {
+				firstErr = err
 				return
 			}
 			rs, err := build(r)
 			if err != nil || len(rs) == 0 {
+				firstErr = err
 				return
 			}
 			for _, pl := range ls {
 				for _, pr := range rs {
 					cands, err := s.joinCandidates(pl.Node, pr.Node)
 					if err != nil {
+						firstErr = err
 						return
 					}
 					out = append(out, s.narrow(cands)...)
 				}
 			}
 		})
-		return out, nil
+		return out, firstErr
 	}
 	roots, err := build(query.FullSet(n))
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"paropt/internal/engine"
-	"paropt/internal/engine/exchange"
 	"paropt/internal/obs/accuracy"
 	"paropt/internal/plan"
 )
@@ -61,7 +60,6 @@ type inflightQuery struct {
 	stats       *engine.ExecStats
 	timeline    []accuracy.OpTimeline
 	predRT      float64
-	cluster     *exchange.Cluster
 }
 
 func (q *inflightQuery) setPhase(p string) {
@@ -77,11 +75,10 @@ func (q *inflightQuery) note(fp, catalog string) {
 }
 
 // attachExec arms live progress: the pre-registered stats collector the
-// executor will update, the predicted per-operator timeline, and (for
-// distributed runs) the cluster to tear down on cancellation.
-func (q *inflightQuery) attachExec(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT float64, cluster *exchange.Cluster) {
+// executor will update and the predicted per-operator timeline.
+func (q *inflightQuery) attachExec(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT float64) {
 	q.mu.Lock()
-	q.stats, q.timeline, q.predRT, q.cluster = stats, tl, predRT, cluster
+	q.stats, q.timeline, q.predRT = stats, tl, predRT
 	q.mu.Unlock()
 }
 
@@ -94,15 +91,8 @@ func (q *inflightQuery) cancel(reason string) {
 		return
 	}
 	q.reason = reason
-	cluster := q.cluster
 	q.mu.Unlock()
 	q.cancelCause(&QueryCancelledError{Reason: reason})
-	if cluster != nil {
-		// The context's AfterFunc also triggers this, but calling it here
-		// makes the worker-side teardown independent of whether execution
-		// reached the analyze phase yet.
-		cluster.Cancel()
-	}
 }
 
 // OpProgressSnapshot is one operator's live progress joined against its

@@ -1168,17 +1168,14 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, out *Explain
 	// per-operator percent-complete and a model-predicted ETA mid-run.
 	stats := &engine.ExecStats{}
 	timeline, predRT := accuracy.Timeline(served.entry.opt.Mod, served.plan.Op)
-	served.iq.attachExec(stats, timeline, predRT, cluster)
+	served.iq.attachExec(stats, timeline, predRT)
+	// Cancellation is the context's: the moment it dies — client DELETE,
+	// deadline, shutdown — the executor stops pulling and closes its operator
+	// tree, and every distributed join under it sends its workers a cancel
+	// frame, so they abandon their fragments and free staged partitions.
 	ctx := served.ctx
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if cluster != nil {
-		// Cluster-wide cancellation: the moment the request context dies —
-		// client DELETE, deadline, shutdown — every worker gets a cancel
-		// frame and abandons its fragment, freeing staged partitions.
-		stop := context.AfterFunc(ctx, cluster.Cancel)
-		defer stop()
 	}
 	rep, _, err := served.entry.opt.AnalyzeLive(ctx, served.plan, served.q, db, par, tr, stats)
 	if cluster != nil {
