@@ -73,6 +73,9 @@ func replayMain(args []string) {
 	}
 	fmt.Print(rep.Table())
 	if *strict && (rep.PlanChanges > 0 || rep.Errors > 0) {
+		if svc != nil {
+			svc.Close() // os.Exit skips the defer, and Close is what flushes -plan-log-file
+		}
 		os.Exit(1)
 	}
 }

@@ -13,8 +13,7 @@
 //	        [-query-log q.jsonl] [-profiles 4096] [-negcache 256]
 //	        [-sweep 1m] [-drift-threshold 2] [-sweep-limit 4]
 //	        [-exchange-window 16]
-//	        [-search-log 64] [-plan-log 256] [-plan-log-file changes.jsonl]
-//	        [-inflight-log queries.jsonl] [-drain 5s]
+//	        [-plan-log-file changes.jsonl] [-drain 5s]
 //
 // Endpoints:
 //
@@ -44,7 +43,9 @@
 //	GET  /healthz                                              → liveness
 //	GET  /metrics                                              → Prometheus text
 //	GET  /debug/traces                                         → trace IDs
-//	GET  /debug/trace/{id}                                     → one span tree
+//	GET  /debug/trace/{id}                                     → one span tree, plus the
+//	                                                             search entry and plan
+//	                                                             changes it caused
 //	GET  /debug/workload                                       → per-template profiles
 //	GET  /debug/search                                         → recent searches with
 //	                                                             per-layer telemetry
@@ -59,9 +60,11 @@
 // SIGINT/SIGTERM drain in-flight requests for up to -drain, then cancel the
 // stragglers (reason "shutdown") before exit.
 //
-// Workload analytics: every served request feeds the per-fingerprint
-// profiler behind /debug/workload and, with -query-log, an append-only JSONL
-// log that `paropt replay` re-executes and `paropt workload` summarizes.
+// Workload analytics: every finished request — served, failed or cancelled —
+// leaves one record (trace ID, /debug/queries ID, last phase, cancel reason,
+// plan, latency) that feeds the per-fingerprint profiler behind
+// /debug/workload and, with -query-log, an append-only JSONL log that
+// `paropt replay` re-executes and `paropt workload` summarizes.
 // With -sweep, a background sweeper re-optimizes hot templates whose
 // explain-analyze accuracy has drifted past -drift-threshold.
 //
@@ -85,6 +88,7 @@ import (
 
 	"paropt"
 	"paropt/internal/machine"
+	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
 	"paropt/internal/parser"
 )
@@ -111,7 +115,7 @@ func main() {
 	logMode := flag.String("log", "text", "request log format on stderr: text, json or none")
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	dataSeed := flag.Int64("data-seed", 1, "seed for the synthetic data analyze requests execute against")
-	queryLog := flag.String("query-log", "", "append-only JSONL query log file (empty = disabled); feed it to `paropt replay` / `paropt workload`")
+	queryLog := flag.String("query-log", "", "append-only JSONL query log: one record per finished request, served, failed or cancelled (empty = disabled); feed it to `paropt replay` / `paropt workload`")
 	queryLogMax := flag.Int64("query-log-max-bytes", 0, "rotate the query log beyond this size (0 = 64 MiB)")
 	profiles := flag.Int("profiles", 0, "per-fingerprint workload profiles tracked for /debug/workload (0 = 4096, negative disables)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "EWMA row q-error above which a cached plan counts as drifted (0 = 2)")
@@ -121,10 +125,7 @@ func main() {
 	negCache := flag.Int("negcache", 0, "negative-cache capacity for parse/resolve failures (0 = 256, negative disables)")
 	exchWindow := flag.Int("exchange-window", 0, "credit window (frames in flight per direction) for distributed exchanges (0 = exchange default)")
 	batchRows := flag.Int("batch-rows", 0, "columnar batch size (rows per vector) for analyze executions (0 = engine default)")
-	searchLog := flag.Int("search-log", 0, "recent searches retained with per-layer telemetry for /debug/search (0 = 64, negative disables)")
-	planLog := flag.Int("plan-log", 0, "plan-change audit entries retained for /debug/planlog (0 = 256, negative disables)")
 	planLogFile := flag.String("plan-log-file", "", "additionally append plan changes as JSONL to this file (empty = memory only)")
-	inflightLog := flag.String("inflight-log", "", "append one JSONL record per finished query (normal, failed or cancelled) to this file (empty = disabled)")
 	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	flag.Parse()
 
@@ -155,7 +156,7 @@ func main() {
 
 	var qlog *workload.Log
 	if *queryLog != "" {
-		qlog, err = workload.NewLog(*queryLog, *queryLogMax)
+		qlog, err = obs.NewSink[workload.Record](*queryLog, *queryLogMax)
 		if err != nil {
 			log.Fatalf("paroptd: %v", err)
 		}
@@ -174,29 +175,26 @@ func main() {
 			CPUs: *cpus, Disks: *disks, Networks: *networks, Nodes: *nodes,
 			NetLatency: *netLatency, AggregateDisks: *aggDisks, AggregateLinks: *aggLinks,
 		},
-		Algorithm:         algorithm,
-		CoverCap:          *beam,
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		CacheShards:       *shards,
-		CacheCapacity:     *cacheCap,
-		RequestTimeout:    *timeout,
-		TraceCapacity:     *traces,
-		Logger:            logger,
-		DataSeed:          *dataSeed,
-		QueryLog:          qlog,
-		WorkloadCapacity:  *profiles,
-		DriftThreshold:    *driftThreshold,
-		SweepMinSamples:   *driftSamples,
-		SweepInterval:     *sweep,
-		SweepLimit:        *sweepLimit,
-		NegCacheCapacity:  *negCache,
-		ExchangeWindow:    *exchWindow,
-		BatchRows:         *batchRows,
-		SearchLogCapacity: *searchLog,
-		PlanLogCapacity:   *planLog,
-		PlanLogPath:       *planLogFile,
-		InflightLogPath:   *inflightLog,
+		Algorithm:        algorithm,
+		CoverCap:         *beam,
+		Workers:          *workers,
+		QueueDepth:       *queue,
+		CacheShards:      *shards,
+		CacheCapacity:    *cacheCap,
+		RequestTimeout:   *timeout,
+		TraceCapacity:    *traces,
+		Logger:           logger,
+		DataSeed:         *dataSeed,
+		QueryLog:         qlog,
+		WorkloadCapacity: *profiles,
+		DriftThreshold:   *driftThreshold,
+		SweepMinSamples:  *driftSamples,
+		SweepInterval:    *sweep,
+		SweepLimit:       *sweepLimit,
+		NegCacheCapacity: *negCache,
+		ExchangeWindow:   *exchWindow,
+		BatchRows:        *batchRows,
+		PlanLogPath:      *planLogFile,
 	})
 	if err != nil {
 		log.Fatalf("paroptd: %v", err)

@@ -1,9 +1,10 @@
 // Package obs is the observability substrate of the repository: a
-// lightweight span tracer threaded through context.Context, a ring-buffered
-// store of completed request traces, and general-purpose bucketed
-// histograms. It deliberately depends only on the standard library so every
-// other package (service, engine, search adapters) can import it without
-// cycles.
+// lightweight span tracer threaded through context.Context, the two
+// primitives every bounded telemetry log in the repository is built on — a
+// fixed-capacity Ring of recent values and a never-blocking JSONL Sink — and
+// general-purpose bucketed histograms. It deliberately depends only on the
+// standard library so every other package (service, engine, search adapters)
+// can import it without cycles.
 //
 // The tracer mirrors the paper's own vocabulary: a span records not just
 // (start, end) but also the *first-output* timestamp, so a finished span is
@@ -20,21 +21,18 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Tracer creates traces and retains the most recent completed ones in a
-// ring buffer for the /debug/trace endpoints. Safe for concurrent use.
+// Tracer creates traces and retains the most recent ones in a Ring for the
+// /debug/trace endpoints. A trace's ID is the tracer's prefix plus the
+// trace's ring sequence number in base 36, so lookup by ID is Ring.At. Safe
+// for concurrent use.
 type Tracer struct {
-	capacity int
-	prefix   string
-	seq      atomic.Uint64
-
-	mu     sync.Mutex
-	order  []string // insertion order, oldest first
-	traces map[string]*Trace
+	prefix string
+	ring   *Ring[*Trace]
 }
 
 // NewTracer builds a tracer retaining up to capacity traces (default 256
@@ -43,11 +41,11 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Tracer{
-		capacity: capacity,
-		prefix:   strconv.FormatInt(time.Now().UnixNano()&0xffffff, 36),
-		traces:   make(map[string]*Trace),
-	}
+	t := &Tracer{prefix: strconv.FormatInt(time.Now().UnixNano()&0xffffff, 36) + "-"}
+	t.ring = NewRing(capacity, func(tr **Trace, seq uint64) {
+		(*tr).id = t.prefix + strconv.FormatUint(seq, 36)
+	})
+	return t
 }
 
 // Start opens a new trace with a root span of the given name and registers
@@ -57,29 +55,28 @@ func (t *Tracer) Start(name string) (*Trace, *Span) {
 	if t == nil {
 		return nil, nil
 	}
-	id := t.prefix + "-" + strconv.FormatUint(t.seq.Add(1), 36)
-	tr := &Trace{id: id, start: time.Now()}
+	tr := &Trace{start: time.Now()}
 	tr.root = &Span{tr: tr, name: name, start: tr.start}
-	t.mu.Lock()
-	for len(t.order) >= t.capacity {
-		delete(t.traces, t.order[0])
-		t.order = t.order[1:]
-	}
-	t.order = append(t.order, id)
-	t.traces[id] = tr
-	t.mu.Unlock()
+	t.ring.Add(tr)
 	return tr, tr.root
 }
 
-// Get returns a trace by ID, or nil. The trace may still be in flight;
-// render it with Trace.JSON, which locks consistently.
+// Get returns a retained trace by ID, or nil. The trace may still be in
+// flight; render it with Trace.JSON, which locks consistently.
 func (t *Tracer) Get(id string) *Trace {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traces[id]
+	digits, ok := strings.CutPrefix(id, t.prefix)
+	if !ok {
+		return nil
+	}
+	seq, err := strconv.ParseUint(digits, 36, 64)
+	if err != nil {
+		return nil
+	}
+	tr, _ := t.ring.At(seq)
+	return tr
 }
 
 // IDs lists retained trace IDs, newest first.
@@ -87,11 +84,10 @@ func (t *Tracer) IDs() []string {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.order))
-	for i, id := range t.order {
-		out[len(t.order)-1-i] = id
+	traces := t.ring.Snapshot(0)
+	out := make([]string, len(traces))
+	for i, tr := range traces {
+		out[i] = tr.id
 	}
 	return out
 }
@@ -101,9 +97,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.order)
+	return t.ring.Len()
 }
 
 // Trace is one request's span tree. All span mutation goes through the
@@ -181,6 +175,16 @@ func (s *Span) Child(name string) *Span {
 	s.children = append(s.children, c)
 	s.tr.mu.Unlock()
 	return c
+}
+
+// TraceID is the ID of the trace the span belongs to — how work done under
+// a span (a search, a plan swap) stamps its own records with the request
+// that caused it. Nil-safe: a nil span has no trace.
+func (s *Span) TraceID() string {
+	if s == nil {
+		return ""
+	}
+	return s.tr.id
 }
 
 // End closes the span. Idempotent: the first End wins, so spans closed out

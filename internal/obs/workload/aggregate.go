@@ -7,16 +7,7 @@ package workload
 func Aggregate(recs []Record, threshold float64, minSamples int) []ProfileSnapshot {
 	p := NewProfiler(0, len(recs)+1, threshold, minSamples)
 	for _, rec := range recs {
-		p.Observe(Sample{
-			Fingerprint:    rec.Fingerprint,
-			Catalog:        rec.Catalog,
-			Query:          rec.Query,
-			PlanSig:        rec.PlanSig,
-			Cache:          rec.Cache,
-			Deduped:        rec.Deduped,
-			Err:            rec.Error != "",
-			LatencySeconds: float64(rec.ElapsedMicros) / 1e6,
-		})
+		p.Observe(rec)
 		if rec.QErr > 0 || rec.RelErr > 0 {
 			p.ObserveAccuracy(rec.Fingerprint, rec.RelErr, rec.QErr)
 		}

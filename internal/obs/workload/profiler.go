@@ -15,8 +15,9 @@
 //     threshold the cached cover set was computed from statistics that no
 //     longer match measured reality, and the entry is a candidate for
 //     background re-optimization.
-//   - Log (querylog.go): a persistent append-only JSONL record of served
-//     requests, the raw material for offline analysis and replay.
+//   - Record and Log (querylog.go): the one record a finished request
+//     leaves, and its persistent append-only JSONL form (an obs.Sink) — the
+//     raw material for offline analysis and replay.
 //   - Replay (replay.go): re-executes a recorded workload and reports
 //     plan-choice and latency deltas — the log turned regression harness.
 //
@@ -38,27 +39,6 @@ import (
 // 2× drift threshold after two to three consistent samples while a single
 // outlier decays quickly.
 const ewmaAlpha = 0.3
-
-// Sample is one served request fed to the profiler.
-type Sample struct {
-	// Fingerprint identifies the query template; Catalog the catalog
-	// version it was served against.
-	Fingerprint string
-	Catalog     string
-	// Query is the raw request text (any instance of the template); the
-	// profile keeps the latest one so a sweeper can re-optimize the
-	// template against a refreshed catalog.
-	Query string
-	// PlanSig is the selected plan's signature (plan.Node.String form).
-	PlanSig string
-	// Cache is "hit" or "miss"; Deduped marks singleflight followers.
-	Cache   string
-	Deduped bool
-	// Err marks failed requests (no plan served).
-	Err bool
-	// LatencySeconds is the end-to-end service latency.
-	LatencySeconds float64
-}
 
 // Profile aggregates one fingerprint's traffic.
 type Profile struct {
@@ -183,42 +163,44 @@ func (p *Profiler) profile(fp string) *Profile {
 	return pr
 }
 
-// Observe feeds one served request. Nil-safe; samples without a fingerprint
-// are ignored (requests that failed before fingerprinting are the negative
-// cache's concern, not the profiler's).
-func (p *Profiler) Observe(s Sample) {
-	if p == nil || s.Fingerprint == "" {
+// Observe feeds one finished request. Nil-safe; records without a
+// fingerprint are ignored (requests that failed before fingerprinting are
+// the negative cache's concern, not the profiler's). A failed request counts
+// as an error and contributes no latency sample.
+func (p *Profiler) Observe(rec Record) {
+	if p == nil || rec.Fingerprint == "" {
 		return
 	}
-	pr := p.profile(s.Fingerprint)
+	pr := p.profile(rec.Fingerprint)
 	if pr == nil {
 		return
 	}
+	failed := rec.Error != ""
 	pr.mu.Lock()
 	pr.count++
 	pr.lastSeen = time.Now()
 	switch {
-	case s.Err:
+	case failed:
 		pr.errors++
-	case s.Cache == "hit":
+	case rec.Cache == "hit":
 		pr.hits++
 	default:
 		pr.misses++
 	}
-	if s.Deduped {
+	if rec.Deduped {
 		pr.deduped++
 	}
-	if s.Query != "" {
-		pr.query = s.Query
+	if rec.Query != "" {
+		pr.query = rec.Query
 	}
-	if s.Catalog != "" {
-		pr.catalog = s.Catalog
+	if rec.Catalog != "" {
+		pr.catalog = rec.Catalog
 	}
-	if s.PlanSig != "" {
-		pr.planSig = s.PlanSig
+	if rec.PlanSig != "" {
+		pr.planSig = rec.PlanSig
 	}
-	if !s.Err {
-		pr.lat.Observe(s.LatencySeconds)
+	if !failed {
+		pr.lat.Observe(float64(rec.ElapsedMicros) / 1e6)
 	}
 	pr.mu.Unlock()
 }

@@ -14,17 +14,17 @@ func TestProfilerObserveAndSnapshot(t *testing.T) {
 		if i == 0 {
 			cache = "miss"
 		}
-		p.Observe(Sample{
-			Fingerprint:    "fp-a",
-			Catalog:        "v1",
-			Query:          "SELECT * FROM A",
-			PlanSig:        "HJ(scan(A), scan(B))",
-			Cache:          cache,
-			LatencySeconds: 0.001 * float64(i+1),
+		p.Observe(Record{
+			Fingerprint:   "fp-a",
+			Catalog:       "v1",
+			Query:         "SELECT * FROM A",
+			PlanSig:       "HJ(scan(A), scan(B))",
+			Cache:         cache,
+			ElapsedMicros: int64(1000 * (i + 1)),
 		})
 	}
-	p.Observe(Sample{Fingerprint: "fp-b", Cache: "miss", Err: true})
-	p.Observe(Sample{Fingerprint: "", Cache: "miss"}) // ignored
+	p.Observe(Record{Fingerprint: "fp-b", Cache: "miss", Error: "boom"})
+	p.Observe(Record{Fingerprint: "", Cache: "miss"}) // ignored
 
 	if p.Len() != 2 {
 		t.Fatalf("expected 2 profiles, got %d", p.Len())
@@ -51,7 +51,7 @@ func TestProfilerObserveAndSnapshot(t *testing.T) {
 
 func TestProfilerDriftMarking(t *testing.T) {
 	p := NewProfiler(2, 10, 2.0, 2)
-	p.Observe(Sample{Fingerprint: "hot", Cache: "miss", Query: "q"})
+	p.Observe(Record{Fingerprint: "hot", Cache: "miss", Query: "q"})
 
 	// One huge sample is not enough (minSamples = 2)...
 	p.ObserveAccuracy("hot", 0.5, 50)
@@ -89,7 +89,7 @@ func TestProfilerDriftMarking(t *testing.T) {
 func TestProfilerCapacityOverflow(t *testing.T) {
 	p := NewProfiler(2, 3, 2, 2)
 	for i := 0; i < 10; i++ {
-		p.Observe(Sample{Fingerprint: fmt.Sprintf("fp-%d", i), Cache: "miss"})
+		p.Observe(Record{Fingerprint: fmt.Sprintf("fp-%d", i), Cache: "miss"})
 	}
 	if p.Len() != 3 {
 		t.Errorf("capacity 3 exceeded: %d profiles", p.Len())
@@ -98,7 +98,7 @@ func TestProfilerCapacityOverflow(t *testing.T) {
 		t.Errorf("overflow should be 7, got %d", p.Overflow())
 	}
 	// Existing fingerprints still update at capacity.
-	p.Observe(Sample{Fingerprint: "fp-0", Cache: "hit"})
+	p.Observe(Record{Fingerprint: "fp-0", Cache: "hit"})
 	if p.Overflow() != 7 {
 		t.Errorf("update of resident profile must not overflow, got %d", p.Overflow())
 	}
@@ -113,7 +113,7 @@ func TestProfilerConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				fp := fmt.Sprintf("fp-%d", i%20)
-				p.Observe(Sample{Fingerprint: fp, Cache: "hit", LatencySeconds: 0.0001})
+				p.Observe(Record{Fingerprint: fp, Cache: "hit", ElapsedMicros: 100})
 				if i%50 == 0 {
 					p.ObserveAccuracy(fp, 0.2, 1.5)
 				}
@@ -161,7 +161,7 @@ func TestSortByAndFormatTable(t *testing.T) {
 
 func TestNilProfilerIsNoOp(t *testing.T) {
 	var p *Profiler
-	p.Observe(Sample{Fingerprint: "x"})
+	p.Observe(Record{Fingerprint: "x"})
 	p.ObserveAccuracy("x", 1, 1)
 	p.MarkSwept("x")
 	if p.Len() != 0 || p.Overflow() != 0 || p.Snapshot() != nil || p.Drifted() != nil || p.DriftedCount() != 0 {

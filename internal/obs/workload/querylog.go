@@ -5,27 +5,38 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"paropt/internal/obs"
 )
 
-// Record is one served request in the persistent query log — enough to
-// re-execute it (query text, bound knobs, catalog version) and to compare
-// the replay against what was served (plan signature, costs, latency).
+// Record is one finished request — the single value the service hands to the
+// profiler, the persistent query log and its request log line. It carries
+// enough to re-execute the request (query text, bound knobs, catalog
+// version), to compare a replay against what was served (plan signature,
+// costs, latency), and to find everything else the request left behind
+// (TraceID links /debug/trace, /debug/search and /debug/planlog; QueryID is
+// the /debug/queries ID it ran under).
 type Record struct {
-	Time        time.Time `json:"t"`
-	Kind        string    `json:"kind"` // "optimize" or "explain"
-	Fingerprint string    `json:"fp,omitempty"`
-	Catalog     string    `json:"catalog,omitempty"`
-	Query       string    `json:"query"`
-	K           float64   `json:"k,omitempty"`
-	CostBenefit float64   `json:"costBenefit,omitempty"`
-	Cache       string    `json:"cache,omitempty"`
-	Deduped     bool      `json:"deduped,omitempty"`
-	PlanSig     string    `json:"plan,omitempty"`
-	RT          float64   `json:"rt,omitempty"`
-	Work        float64   `json:"work,omitempty"`
+	Time    time.Time `json:"t"`
+	Kind    string    `json:"kind"` // "optimize" or "explain"
+	TraceID string    `json:"traceId,omitempty"`
+	QueryID int64     `json:"queryId,omitempty"`
+	// Phase is the last phase the request entered (parse, search, select,
+	// execute); Cancelled the cancellation reason (client, deadline,
+	// shutdown), empty for requests that ran to an answer or an error.
+	Phase       string  `json:"phase,omitempty"`
+	Cancelled   string  `json:"cancelled,omitempty"`
+	Fingerprint string  `json:"fp,omitempty"`
+	Catalog     string  `json:"catalog,omitempty"`
+	Query       string  `json:"query"`
+	K           float64 `json:"k,omitempty"`
+	CostBenefit float64 `json:"costBenefit,omitempty"`
+	Cache       string  `json:"cache,omitempty"`
+	Deduped     bool    `json:"deduped,omitempty"`
+	PlanSig     string  `json:"plan,omitempty"`
+	RT          float64 `json:"rt,omitempty"`
+	Work        float64 `json:"work,omitempty"`
 	// RelErr and QErr carry the accuracy report of analyze requests (mean
 	// |rel err| and max row q-error), so offline reports can build the same
 	// drift table the live profiler keeps.
@@ -35,144 +46,9 @@ type Record struct {
 	Error         string  `json:"error,omitempty"`
 }
 
-// DefaultLogMaxBytes is the rotation threshold when none is configured.
-const DefaultLogMaxBytes = 64 << 20
-
-// logQueueDepth bounds records waiting for the writer goroutine; beyond it
-// Write drops (with a counter) rather than blocking the serve path.
-const logQueueDepth = 1024
-
-// Log is the persistent append-only query log: JSONL records, size-based
-// rotation (path → path.1, one generation kept), written by a single
-// background goroutine fed through a bounded channel. Write never blocks:
-// when the writer falls behind, records are dropped and counted. A nil *Log
-// is a no-op on every method, so a disabled log costs one nil check per
-// request.
-type Log struct {
-	path     string
-	maxBytes int64
-
-	ch   chan Record
-	done chan struct{}
-
-	records   atomic.Int64
-	dropped   atomic.Int64
-	rotations atomic.Int64
-	closed    atomic.Bool
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// NewLog opens (appending) or creates the log file. maxBytes ≤ 0 selects
-// DefaultLogMaxBytes.
-func NewLog(path string, maxBytes int64) (*Log, error) {
-	return newLog(path, maxBytes, logQueueDepth)
-}
-
-// newLog exists so tests can shrink the queue to force drops.
-func newLog(path string, maxBytes int64, depth int) (*Log, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultLogMaxBytes
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("workload: query log: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("workload: query log: %w", err)
-	}
-	l := &Log{
-		path:     path,
-		maxBytes: maxBytes,
-		ch:       make(chan Record, depth),
-		done:     make(chan struct{}),
-	}
-	go l.run(f, st.Size())
-	return l, nil
-}
-
-// Path is the log file location.
-func (l *Log) Path() string {
-	if l == nil {
-		return ""
-	}
-	return l.path
-}
-
-// Write enqueues one record. Non-blocking: if the writer is behind, the
-// record is dropped and counted. Nil-safe; no-op after Close.
-func (l *Log) Write(rec Record) {
-	if l == nil || l.closed.Load() {
-		return
-	}
-	select {
-	case l.ch <- rec:
-	default:
-		l.dropped.Add(1)
-	}
-}
-
-// run is the writer goroutine: one JSON line per record, rotating when the
-// file would exceed maxBytes. Lines are written unbuffered so a live tail
-// (or a replay right after traffic) sees records without waiting for Close.
-func (l *Log) run(f *os.File, size int64) {
-	defer close(l.done)
-	for rec := range l.ch {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			l.dropped.Add(1)
-			continue
-		}
-		line = append(line, '\n')
-		if size > 0 && size+int64(len(line)) > l.maxBytes {
-			f.Close()
-			if err := os.Rename(l.path, l.path+".1"); err == nil {
-				l.rotations.Add(1)
-			}
-			nf, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-			if err != nil {
-				// Unwritable log: drop everything still queued.
-				l.dropped.Add(1)
-				for range l.ch {
-					l.dropped.Add(1)
-				}
-				return
-			}
-			f, size = nf, 0
-		}
-		if _, err := f.Write(line); err != nil {
-			l.dropped.Add(1)
-			continue
-		}
-		size += int64(len(line))
-		l.records.Add(1)
-	}
-	l.closeErr = f.Close()
-}
-
-// Close stops accepting records, drains the queue to disk and closes the
-// file. Nil-safe and idempotent.
-func (l *Log) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.closeOnce.Do(func() {
-		l.closed.Store(true)
-		close(l.ch)
-		<-l.done
-	})
-	return l.closeErr
-}
-
-// Stats reports (records written, records dropped, rotations).
-func (l *Log) Stats() (records, dropped, rotations int64) {
-	if l == nil {
-		return 0, 0, 0
-	}
-	return l.records.Load(), l.dropped.Load(), l.rotations.Load()
-}
+// Log is the persistent append-only query log: the JSONL sink (bounded
+// queue, never blocks, drop counter, size rotation) carrying Records.
+type Log = obs.Sink[Record]
 
 // ReadLog parses a JSONL query-log file. A trailing partial line (a record
 // mid-write) is ignored; a malformed line elsewhere is an error.

@@ -45,7 +45,9 @@ import (
 //	                        (?fingerprint=fp keeps traces of one query
 //	                         template, ?min_ms=N keeps traces at least that
 //	                         long — combined, both must hold)
-//	GET  /debug/trace/{id}                        → one request's span tree
+//	GET  /debug/trace/{id}                        → one request's span tree,
+//	                        plus the /debug/search entry and /debug/planlog
+//	                        changes stamped with its trace ID
 //	GET  /debug/queries                           → in-flight queries with
 //	                        live per-operator progress, model-predicted ETA
 //	                        and drift flags (?format=text renders a table)
@@ -626,9 +628,6 @@ func (s *Service) handleSearchLog(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if entries == nil {
-		entries = []SearchLogEntry{}
-	}
 	writeJSON(w, http.StatusOK, map[string]any{"searches": entries})
 }
 
@@ -638,10 +637,7 @@ func (s *Service) handlePlanLog(w http.ResponseWriter, r *http.Request) {
 	if n < 0 {
 		return
 	}
-	changes := s.PlanChanges()
-	if len(changes) > n {
-		changes = changes[:n]
-	}
+	changes := s.planlog.Snapshot(n)
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, c := range changes {
@@ -657,9 +653,6 @@ func (s *Service) handlePlanLog(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if changes == nil {
-		changes = []PlanChange{}
-	}
 	writeJSON(w, http.StatusOK, map[string]any{"changes": changes})
 }
 
@@ -671,11 +664,35 @@ func pctDelta(prev, next float64) float64 {
 	return (next - prev) / prev * 100
 }
 
+// TraceResponse is the /debug/trace/{id} payload — the single entry point for
+// "what did this request do": its span tree plus everything else stamped with
+// its trace ID. Search is the /debug/search entry when this request's miss ran
+// the search (absent on hits and on followers of another request's flight);
+// PlanChanges the /debug/planlog entries that search caused.
+type TraceResponse struct {
+	*obs.TraceJSON
+	Search      *SearchLogEntry `json:"search,omitempty"`
+	PlanChanges []PlanChange    `json:"planChanges,omitempty"`
+}
+
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := s.tracer.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	tr := s.tracer.Get(id)
 	if tr == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown trace %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown trace %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, tr.JSON())
+	resp := TraceResponse{TraceJSON: tr.JSON()}
+	for _, e := range s.SearchLog() {
+		if e.TraceID == id {
+			resp.Search = &e
+			break
+		}
+	}
+	for _, c := range s.PlanChanges() {
+		if c.TraceID == id {
+			resp.PlanChanges = append(resp.PlanChanges, c)
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

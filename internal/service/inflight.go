@@ -2,21 +2,19 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"paropt/internal/engine"
 	"paropt/internal/obs/accuracy"
+	"paropt/internal/obs/workload"
 	"paropt/internal/plan"
 )
 
 // Cancellation reasons, used as the {reason} label of
-// paroptd_query_cancelled_total and recorded on the completion log.
+// paroptd_query_cancelled_total and as the request record's Cancelled field.
 const (
 	CancelClient   = "client"   // DELETE /debug/queries/{id}
 	CancelDeadline = "deadline" // request deadline (Config.RequestTimeout)
@@ -260,21 +258,6 @@ func liveProgress(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT floa
 	return ps
 }
 
-// inflightLogRecord is one JSONL line of the completion log
-// (Config.InflightLogPath): every query leaves exactly one record when it
-// finishes, succeeds or not.
-type inflightLogRecord struct {
-	Time        time.Time `json:"time"`
-	ID          int64     `json:"id"`
-	Kind        string    `json:"kind"`
-	Fingerprint string    `json:"fingerprint,omitempty"`
-	Catalog     string    `json:"catalog,omitempty"`
-	Phase       string    `json:"phase"`
-	ElapsedMs   float64   `json:"elapsedMs"`
-	Cancelled   string    `json:"cancelled,omitempty"`
-	Error       string    `json:"error,omitempty"`
-}
-
 // inflightRegistry tracks every request currently inside the service. IDs
 // are dense and monotonic for the daemon's lifetime, so operators can
 // reference them across /debug/queries calls and DELETEs.
@@ -282,21 +265,10 @@ type inflightRegistry struct {
 	mu      sync.Mutex
 	nextID  int64
 	queries map[int64]*inflightQuery
-
-	logMu sync.Mutex
-	logF  *os.File
 }
 
-func newInflightRegistry(path string) (*inflightRegistry, error) {
-	r := &inflightRegistry{queries: make(map[int64]*inflightQuery)}
-	if path != "" {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		r.logF = f
-	}
-	return r, nil
+func newInflightRegistry() *inflightRegistry {
+	return &inflightRegistry{queries: make(map[int64]*inflightQuery)}
 }
 
 // add admits one request. cancelCause/stopTimeout release the request's
@@ -319,47 +291,31 @@ func (r *inflightRegistry) add(kind, query string, distributed bool, cancelCause
 	return q
 }
 
-// finish retires a query: removes it, releases its context, appends the
-// completion record, and returns the cancellation reason ("" for a normal
-// finish) so the caller can bump the right counter. Deadline expiry counts
-// as a cancellation even though nobody called cancel explicitly.
-func (r *inflightRegistry) finish(q *inflightQuery, err error) string {
-	if q == nil {
-		return ""
-	}
+// finish retires a query: removes it, releases its context, and returns the
+// registry's half of the request's record — who it was, the last phase it
+// entered and the cancellation reason ("" for a normal finish). Deadline
+// expiry counts as a cancellation even though nobody called cancel
+// explicitly.
+func (r *inflightRegistry) finish(q *inflightQuery, err error) workload.Record {
 	r.mu.Lock()
 	delete(r.queries, q.id)
 	r.mu.Unlock()
 	q.cancelCause(nil)
 	q.stopTimeout()
 	q.mu.Lock()
-	reason := q.reason
-	if reason == "" && errors.Is(err, context.DeadlineExceeded) {
-		reason = CancelDeadline
-		q.reason = reason
+	defer q.mu.Unlock()
+	if q.reason == "" && errors.Is(err, context.DeadlineExceeded) {
+		q.reason = CancelDeadline
 	}
-	rec := inflightLogRecord{
-		Time:        time.Now(),
-		ID:          q.id,
+	return workload.Record{
 		Kind:        q.kind,
+		QueryID:     q.id,
+		Query:       q.query,
 		Fingerprint: q.fingerprint,
 		Catalog:     q.catalog,
 		Phase:       q.phase,
-		ElapsedMs:   float64(time.Since(q.start)) / 1e6,
-		Cancelled:   reason,
+		Cancelled:   q.reason,
 	}
-	q.mu.Unlock()
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	if r.logF != nil {
-		if b, jerr := json.Marshal(rec); jerr == nil {
-			r.logMu.Lock()
-			fmt.Fprintf(r.logF, "%s\n", b)
-			r.logMu.Unlock()
-		}
-	}
-	return reason
 }
 
 func (r *inflightRegistry) get(id int64) *inflightQuery {
@@ -425,14 +381,4 @@ func (r *inflightRegistry) driftCount() int {
 		}
 	}
 	return n
-}
-
-func (r *inflightRegistry) close() {
-	if r == nil || r.logF == nil {
-		return
-	}
-	r.logMu.Lock()
-	_ = r.logF.Close()
-	r.logF = nil
-	r.logMu.Unlock()
 }

@@ -1,17 +1,17 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"paropt/internal/obs"
+	"paropt/internal/obs/workload"
 )
 
 // startBlockedQuery posts one optimize request that parks in the search
@@ -191,44 +191,146 @@ func TestServiceShutdownCancelsInflight(t *testing.T) {
 	}
 }
 
-// TestInflightCompletionLog: every query leaves exactly one JSONL record,
-// and the file is appended — not truncated — across service restarts.
-func TestInflightCompletionLog(t *testing.T) {
+// TestRequestRecordEveryEnding: however a request ends — answered, rejected
+// at parse, cancelled by a client mid-analyze, or out of time — it leaves
+// exactly one query-log record carrying its trace ID, its /debug/queries ID,
+// the last phase it entered and the cancel reason; and a second daemon
+// lifetime on the same file appends rather than truncates.
+func TestRequestRecordEveryEnding(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queries.jsonl")
-	run := func(sql string) {
-		s := newTestService(t, func(c *Config) { c.InflightLogPath = path })
-		srv := httptest.NewServer(s.Handler())
-		defer srv.Close()
-		resp, body := postJSON(t, srv.URL+"/optimize", OptimizeRequest{Query: sql})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("optimize: %d: %s", resp.StatusCode, body)
+	// lifetime runs fn against a fresh service logging to path and returns
+	// the records that lifetime appended.
+	seen := 0
+	lifetime := func(mutate func(*Config), fn func(s *Service, url string)) []workload.Record {
+		t.Helper()
+		qlog, err := obs.NewSink[workload.Record](path, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		s, srv := newTestServer(t, func(c *Config) {
+			c.QueryLog = qlog
+			if mutate != nil {
+				mutate(c)
+			}
+		})
+		fn(s, srv.URL)
+		waitFor(t, func() bool { return len(s.InflightQueries()) == 0 })
 		s.Close()
+		if err := qlog.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := workload.ReadLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) < seen {
+			t.Fatalf("log shrank from %d to %d records: a restart must append, not truncate", seen, len(recs))
+		}
+		recs, seen = recs[seen:], len(recs)
+		return recs
 	}
-	run(chainSQL(3, 1))
-	run(chainSQL(4, 1)) // second daemon lifetime, same log file
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
+	analyze := OptimizeRequest{Query: chainSQL(4, 3), Analyze: true, AnalyzeParallel: 1}
+	cases := []struct {
+		name      string
+		mutate    func(*Config)
+		run       func(s *Service, url string) (status int)
+		status    int
+		kind      string
+		phase     string
+		cancelled string
+		failed    bool
+	}{{
+		name: "ok",
+		run: func(s *Service, url string) int {
+			resp, _ := postJSON(t, url+"/optimize", OptimizeRequest{Query: chainSQL(3, 1)})
+			return resp.StatusCode
+		},
+		status: http.StatusOK, kind: "optimize", phase: "select",
+	}, {
+		name: "parse failure",
+		run: func(s *Service, url string) int {
+			resp, _ := postJSON(t, url+"/optimize", OptimizeRequest{Query: "SELECT * FROM Nope"})
+			return resp.StatusCode
+		},
+		status: http.StatusBadRequest, kind: "optimize", phase: "parse", failed: true,
+	}, {
+		name: "client cancel mid-analyze",
+		run: func(s *Service, url string) int {
+			// The execute phase opens by taking dbMu for the synthetic
+			// database; holding it parks the request there until the DELETE
+			// has landed.
+			s.dbMu.Lock()
+			code := make(chan int, 1)
+			go func() {
+				resp, _ := postJSON(t, url+"/explain", analyze)
+				code <- resp.StatusCode
+			}()
+			var id int64
+			waitFor(t, func() bool {
+				for _, qs := range s.InflightQueries() {
+					if qs.Phase == "execute" {
+						id = qs.ID
+					}
+				}
+				return id != 0
+			})
+			req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/debug/queries/%d", url, id), nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			s.dbMu.Unlock()
+			return <-code
+		},
+		status: statusClientCancelled, kind: "explain", phase: "execute", cancelled: CancelClient, failed: true,
+	}, {
+		name: "deadline",
+		mutate: func(c *Config) {
+			c.Workers = 1
+			c.RequestTimeout = 50 * time.Millisecond
+		},
+		run: func(s *Service, url string) int {
+			gate := make(chan struct{})
+			defer close(gate)
+			s.searchHook = func() { <-gate }
+			resp, _ := postJSON(t, url+"/optimize", OptimizeRequest{Query: chainSQL(3, 1)})
+			return resp.StatusCode
+		},
+		status: http.StatusGatewayTimeout, kind: "optimize", phase: "search", cancelled: CancelDeadline, failed: true,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var status int
+			recs := lifetime(tc.mutate, func(s *Service, url string) { status = tc.run(s, url) })
+			if status != tc.status {
+				t.Errorf("HTTP status %d, want %d", status, tc.status)
+			}
+			if len(recs) != 1 {
+				t.Fatalf("request left %d records, want exactly 1: %+v", len(recs), recs)
+			}
+			rec := recs[0]
+			if rec.TraceID == "" || rec.QueryID == 0 || rec.Query == "" || rec.Time.IsZero() {
+				t.Errorf("record is missing its identity: %+v", rec)
+			}
+			if rec.Kind != tc.kind || rec.Phase != tc.phase || rec.Cancelled != tc.cancelled {
+				t.Errorf("record (kind, phase, cancelled) = (%q, %q, %q), want (%q, %q, %q)",
+					rec.Kind, rec.Phase, rec.Cancelled, tc.kind, tc.phase, tc.cancelled)
+			}
+			if failed := rec.Error != ""; failed != tc.failed {
+				t.Errorf("record error = %q, want failed=%v", rec.Error, tc.failed)
+			}
+			if !tc.failed && (rec.Fingerprint == "" || rec.PlanSig == "" || rec.Cache != "miss") {
+				t.Errorf("served record is missing its plan: %+v", rec)
+			}
+			if tc.phase != "parse" && rec.Fingerprint == "" {
+				t.Errorf("request past parse should record its fingerprint: %+v", rec)
+			}
+		})
 	}
-	defer f.Close()
-	var recs []inflightLogRecord
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var rec inflightLogRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("bad log line %q: %v", sc.Text(), err)
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("log has %d records, want 2 (restart must append, not truncate)", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Kind != "optimize" || rec.Cancelled != "" || rec.Fingerprint == "" {
-			t.Errorf("record %d unexpected: %+v", i, rec)
-		}
+	if seen != len(cases) {
+		t.Errorf("log holds %d records after %d single-request lifetimes", seen, len(cases))
 	}
 }
 

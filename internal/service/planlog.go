@@ -1,12 +1,10 @@
 package service
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
-	"sync"
 	"time"
 
+	"paropt/internal/obs"
 	"paropt/internal/search"
 )
 
@@ -14,14 +12,17 @@ import (
 // fingerprint *changes* — the drift sweeper re-optimized it, a statistics
 // refresh moved the catalog, or a replay regression was reported — one
 // PlanChange records the before/after plan fingerprints, the cost deltas,
-// and a structural diff of the join trees. The log is a bounded in-memory
-// ring served at /debug/planlog, optionally persisted as JSONL so swaps
-// survive a restart for post-hoc audits.
+// and a structural diff of the join trees. The log is an obs.Ring served at
+// /debug/planlog, optionally persisted through an obs.Sink
+// (Config.PlanLogPath) so swaps survive a restart for post-hoc audits.
 
 // PlanChange is one recorded plan swap.
 type PlanChange struct {
 	ID   int64     `json:"id"`
 	Time time.Time `json:"time"`
+	// TraceID is the trace of the request whose search produced the swap
+	// (empty for sweeper and replay entries and when tracing is off).
+	TraceID string `json:"traceId,omitempty"`
 	// Source attributes the swap: "search" (a later request's search chose
 	// differently under unchanged inputs — should not happen for a fixed
 	// catalog), "refresh" (catalog version moved under the template),
@@ -46,77 +47,25 @@ type PlanChange struct {
 	Diff []string `json:"diff,omitempty"`
 }
 
-// planLog is the bounded ring plus the optional JSONL persister. A nil
-// *planLog is disabled: every method is a cheap no-op.
-type planLog struct {
-	mu      sync.Mutex
-	cap     int
-	nextID  int64
-	entries []PlanChange
-	file    *os.File
+// planLogCapacity is how many recent plan changes /debug/planlog retains.
+const planLogCapacity = 256
+
+func newPlanLog() *obs.Ring[PlanChange] {
+	return obs.NewRing(planLogCapacity, func(c *PlanChange, seq uint64) { c.ID = int64(seq) })
 }
 
-// newPlanLog builds a log retaining up to capacity changes; a non-empty path
-// additionally appends one JSON line per change to that file.
-func newPlanLog(capacity int, path string) (*planLog, error) {
-	l := &planLog{cap: capacity}
-	if path != "" {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		l.file = f
-	}
-	return l, nil
-}
-
-// add records one change and persists it when a file is attached.
-func (l *planLog) add(c PlanChange) PlanChange {
-	if l == nil {
-		return c
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.nextID++
-	c.ID = l.nextID
+// recordPlanChange stamps one change into the ring (and the JSONL audit
+// file, when configured), counts it by source, and returns its ID.
+func (s *Service) recordPlanChange(c PlanChange) int64 {
 	c.Time = time.Now()
-	l.entries = append(l.entries, c)
-	if len(l.entries) > l.cap {
-		l.entries = append(l.entries[:0:0], l.entries[len(l.entries)-l.cap:]...)
-	}
-	if l.file != nil {
-		if b, err := json.Marshal(c); err == nil {
-			l.file.Write(append(b, '\n')) //nolint:errcheck // audit log is best-effort
-		}
-	}
-	return c
+	c.ID = int64(s.planlog.Add(c))
+	s.planfile.Write(c)
+	s.met.notePlanChange(c.Source)
+	return c.ID
 }
 
-// snapshot returns the retained changes newest-first.
-func (l *planLog) snapshot() []PlanChange {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]PlanChange, 0, len(l.entries))
-	for i := len(l.entries) - 1; i >= 0; i-- {
-		out = append(out, l.entries[i])
-	}
-	return out
-}
-
-// close releases the JSONL file, if any.
-func (l *planLog) close() {
-	if l == nil || l.file == nil {
-		return
-	}
-	l.file.Close() //nolint:errcheck
-}
-
-// PlanChanges returns the retained audit-log entries, newest first (nil when
-// the log is disabled).
-func (s *Service) PlanChanges() []PlanChange { return s.planlog.snapshot() }
+// PlanChanges returns the retained audit-log entries, newest first.
+func (s *Service) PlanChanges() []PlanChange { return s.planlog.Snapshot(0) }
 
 // prevPlan is the last answer remembered per query fingerprint — the "before"
 // side of the next swap.
@@ -139,8 +88,8 @@ const lastPlansCap = 4096
 // the answer an unbounded request would get, which makes swap detection
 // independent of per-request bound knobs. A swap seen under a new catalog
 // version is reclassified from "search" to "refresh".
-func (s *Service) notePlan(source, fp, version string, best *search.Candidate) {
-	if s.planlog == nil || best == nil {
+func (s *Service) notePlan(source, traceID, fp, version string, best *search.Candidate) {
+	if best == nil {
 		return
 	}
 	sig := best.Node.String()
@@ -164,7 +113,8 @@ func (s *Service) notePlan(source, fp, version string, best *search.Candidate) {
 	if source == "search" && prev.catalog != version {
 		source = "refresh"
 	}
-	c := s.planlog.add(PlanChange{
+	id := s.recordPlanChange(PlanChange{
+		TraceID:     traceID,
 		Source:      source,
 		Fingerprint: fp,
 		PrevCatalog: prev.catalog,
@@ -177,22 +127,18 @@ func (s *Service) notePlan(source, fp, version string, best *search.Candidate) {
 		NewWork:     next.work,
 		Diff:        diffLines(prev.lines, lines),
 	})
-	s.met.notePlanChange(source)
 	s.logger.Info("plan change",
 		"source", source, "fingerprint", fp,
 		"prevRT", prev.rt, "newRT", next.rt,
 		"prevWork", prev.work, "newWork", next.work,
-		"id", c.ID)
+		"id", id)
 }
 
 // RecordReplayChange feeds one replay-detected regression into the audit log:
 // a replayed request whose plan signature no longer matches the recorded one.
 // Exported for the replay CLI's in-process mode.
 func (s *Service) RecordReplayChange(fingerprint, catalog, recordedPlan, replayedPlan string, recordedRT, replayedRT float64) {
-	if s.planlog == nil {
-		return
-	}
-	s.planlog.add(PlanChange{
+	s.recordPlanChange(PlanChange{
 		Source:      "replay",
 		Fingerprint: fingerprint,
 		Catalog:     catalog,
@@ -202,7 +148,6 @@ func (s *Service) RecordReplayChange(fingerprint, catalog, recordedPlan, replaye
 		NewRT:       replayedRT,
 		Diff:        diffLines([]string{recordedPlan}, []string{replayedPlan}),
 	})
-	s.met.notePlanChange("replay")
 }
 
 // treeLines splits an indented tree rendering into diffable lines.

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"paropt/internal/obs"
 	"paropt/internal/search"
 )
 
@@ -18,6 +18,10 @@ import (
 type SearchLogEntry struct {
 	ID   int64     `json:"id"`
 	Time time.Time `json:"time"`
+	// TraceID is the trace of the request whose miss ran the search (empty
+	// for sweeper searches and when tracing is off); /debug/trace/{id}
+	// follows it back.
+	TraceID string `json:"traceId,omitempty"`
 	// Source is what triggered the search: "search" (request miss) or
 	// "sweeper" (drift re-optimization).
 	Source      string `json:"source"`
@@ -53,68 +57,30 @@ type SearchLogEntry struct {
 }
 
 // searchLogRecord is the mutable stored form: the hit counter advances on
-// every cache hit without taking the log mutex.
+// every cache hit without taking the ring lock.
 type searchLogRecord struct {
 	entry SearchLogEntry
 	hits  atomic.Int64
 }
 
-// noteHit is nil-safe: cache entries from a disabled log carry no record.
-func (r *searchLogRecord) noteHit() {
-	if r != nil {
-		r.hits.Add(1)
-	}
+// searchLogCapacity is how many recent searches /debug/search retains.
+const searchLogCapacity = 64
+
+func newSearchLog() *obs.Ring[*searchLogRecord] {
+	return obs.NewRing(searchLogCapacity, func(r **searchLogRecord, seq uint64) {
+		(*r).entry.ID = int64(seq)
+	})
 }
 
-// searchLog is the bounded ring. A nil *searchLog is a disabled log: every
-// method is a cheap no-op.
-type searchLog struct {
-	mu     sync.Mutex
-	cap    int
-	nextID int64
-	recs   []*searchLogRecord
-}
-
-// newSearchLog builds a log retaining up to capacity entries.
-func newSearchLog(capacity int) *searchLog {
-	return &searchLog{cap: capacity}
-}
-
-// add records one search and returns the stored record (for hit counting).
-func (l *searchLog) add(e SearchLogEntry) *searchLogRecord {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.nextID++
-	e.Time = time.Now()
-	e.ID = l.nextID
-	rec := &searchLogRecord{entry: e}
-	l.recs = append(l.recs, rec)
-	if len(l.recs) > l.cap {
-		l.recs = append(l.recs[:0:0], l.recs[len(l.recs)-l.cap:]...)
-	}
-	return rec
-}
-
-// snapshot returns the retained entries newest-first with hit counts filled.
-func (l *searchLog) snapshot() []SearchLogEntry {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SearchLogEntry, 0, len(l.recs))
-	for i := len(l.recs) - 1; i >= 0; i-- {
-		e := l.recs[i].entry
-		e.CacheHits = l.recs[i].hits.Load()
-		e.Cached = e.CacheHits > 0
-		out = append(out, e)
+// SearchLog returns the retained search-telemetry entries, newest first,
+// with hit counts filled.
+func (s *Service) SearchLog() []SearchLogEntry {
+	recs := s.searchlog.Snapshot(0)
+	out := make([]SearchLogEntry, len(recs))
+	for i, r := range recs {
+		out[i] = r.entry
+		out[i].CacheHits = r.hits.Load()
+		out[i].Cached = out[i].CacheHits > 0
 	}
 	return out
 }
-
-// SearchLog returns the retained search-telemetry entries, newest first
-// (nil when the log is disabled).
-func (s *Service) SearchLog() []SearchLogEntry { return s.searchlog.snapshot() }

@@ -106,9 +106,10 @@ type Config struct {
 	// execute against; 0 means 1. One database is generated per catalog
 	// version on first use.
 	DataSeed int64
-	// QueryLog, when non-nil, receives one JSONL record per served request
-	// (including failures). The caller owns the log and closes it after the
-	// service's Close; nil disables logging at zero cost.
+	// QueryLog, when non-nil, receives one JSONL record per finished request
+	// — served, failed or cancelled — the durable tail of the live
+	// /debug/queries registry. The caller owns the log and closes it after
+	// the service's Close; nil disables logging at zero cost.
 	QueryLog *workload.Log
 	// WorkloadCapacity bounds the per-fingerprint profiles the workload
 	// profiler tracks; 0 means 4096; negative disables profiling entirely
@@ -139,20 +140,9 @@ type Config struct {
 	// BatchRows overrides the engine's columnar batch size (rows per Vec)
 	// for analyze executions when > 0; 0 keeps engine.DefaultBatchRows.
 	BatchRows int
-	// SearchLogCapacity sizes the ring of search-telemetry entries served at
-	// /debug/search (per-layer breakdowns of recent DP searches). 0 means the
-	// default (64); negative disables the log.
-	SearchLogCapacity int
-	// PlanLogCapacity sizes the plan-change audit log served at
-	// /debug/planlog. 0 means the default (256); negative disables it.
-	PlanLogCapacity int
 	// PlanLogPath, when non-empty, additionally appends every plan change as
 	// one JSON line to this file, so swaps survive restarts.
 	PlanLogPath string
-	// InflightLogPath, when non-empty, appends one JSON line per finished
-	// query (normal, failed, or cancelled) — the durable tail of the live
-	// /debug/queries registry.
-	InflightLogPath string
 }
 
 // cacheEntry is one plan-cache value: the optimization session pinned to
@@ -215,10 +205,12 @@ type Service struct {
 
 	// Optimizer introspection: searchlog retains recent searches' per-layer
 	// telemetry (/debug/search), planlog the plan-change audit trail
-	// (/debug/planlog), lastPlans the per-fingerprint "before" side swap
-	// detection compares against. All nil-safe when disabled.
-	searchlog *searchLog
-	planlog   *planLog
+	// (/debug/planlog) with planfile its optional JSONL persister (nil when
+	// Config.PlanLogPath is empty), lastPlans the per-fingerprint "before"
+	// side swap detection compares against.
+	searchlog *obs.Ring[*searchLogRecord]
+	planlog   *obs.Ring[PlanChange]
+	planfile  *obs.Sink[PlanChange]
 	planMu    sync.Mutex
 	lastPlans map[string]prevPlan
 
@@ -292,31 +284,18 @@ func New(cfg Config) (*Service, error) {
 		fallbackReasons: make(map[string]int64),
 		workerUp:        make(map[string]bool),
 		lastPlans:       make(map[string]prevPlan),
+		searchlog:       newSearchLog(),
+		planlog:         newPlanLog(),
+		inflight:        newInflightRegistry(),
 		start:           time.Now(),
 	}
-	if cfg.SearchLogCapacity >= 0 {
-		n := cfg.SearchLogCapacity
-		if n == 0 {
-			n = 64
-		}
-		s.searchlog = newSearchLog(n)
-	}
-	if cfg.PlanLogCapacity >= 0 {
-		n := cfg.PlanLogCapacity
-		if n == 0 {
-			n = 256
-		}
-		pl, err := newPlanLog(n, cfg.PlanLogPath)
+	if cfg.PlanLogPath != "" {
+		pf, err := obs.NewSink[PlanChange](cfg.PlanLogPath, 0)
 		if err != nil {
 			return nil, fmt.Errorf("service: plan log: %w", err)
 		}
-		s.planlog = pl
+		s.planfile = pf
 	}
-	ifr, err := newInflightRegistry(cfg.InflightLogPath)
-	if err != nil {
-		return nil, fmt.Errorf("service: inflight log: %w", err)
-	}
-	s.inflight = ifr
 	if s.logger == nil {
 		s.logger = obs.DiscardLogger()
 	}
@@ -367,8 +346,7 @@ func (s *Service) Close() {
 			s.sweepWG.Wait()
 		}
 		s.pool.Close()
-		s.planlog.close()
-		s.inflight.close()
+		s.planfile.Close() //nolint:errcheck // audit file is best-effort
 	}
 }
 
@@ -475,9 +453,6 @@ func (s *Service) retireCatalog(version string) {
 
 // Workload exposes the per-fingerprint profiler (nil when disabled).
 func (s *Service) Workload() *workload.Profiler { return s.prof }
-
-// QueryLog exposes the persistent query log (nil when disabled).
-func (s *Service) QueryLog() *workload.Log { return s.qlog }
 
 // RegisterSchema parses schema DDL (internal/parser grammar) and registers
 // the resulting catalog, returning its version.
@@ -663,7 +638,7 @@ func (s *Service) entryFor(ctx context.Context, key, version string, cat *catalo
 	if e, ok := s.cache.Get(key); ok {
 		s.met.CacheHits.Add(1)
 		s.met.CoverReuse.Add(1)
-		e.logRec.noteHit()
+		e.logRec.hits.Add(1)
 		return e, true, false, nil
 	}
 	s.met.CacheMisses.Add(1)
@@ -747,16 +722,16 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, placed map[str
 		return nil, err
 	}
 	sp.SetAttr("frontier", len(cover.Frontier))
-	logRec := s.recordSearch(source, version, q, cover, time.Since(start))
+	logRec := s.recordSearch(source, sp.TraceID(), version, q, cover, time.Since(start))
 	fp := query.Fingerprint(q)
-	s.notePlan(source, fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
+	s.notePlan(source, sp.TraceID(), fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
 	return &cacheEntry{opt: opt, cover: cover, searchTrace: buf.String(), logRec: logRec}, nil
 }
 
 // recordSearch feeds one finished search into the telemetry surfaces: the
 // /debug/search ring, the per-layer wall-time histogram, and the
 // prune-reason counters.
-func (s *Service) recordSearch(source, version string, q *query.Query, cover *core.CoverSet, elapsed time.Duration) *searchLogRecord {
+func (s *Service) recordSearch(source, traceID, version string, q *query.Query, cover *core.CoverSet, elapsed time.Duration) *searchLogRecord {
 	st := cover.Stats
 	s.met.PrunedDominance.Add(st.PrunedDominance)
 	s.met.PrunedWork.Add(st.PrunedWork)
@@ -765,11 +740,9 @@ func (s *Service) recordSearch(source, version string, q *query.Query, cover *co
 	for _, l := range st.Layers {
 		s.met.SearchLayerSeconds.Observe(float64(l.WallNanos) / 1e9)
 	}
-	if s.searchlog == nil {
-		return nil
-	}
-	prof := st.Profile()
-	return s.searchlog.add(SearchLogEntry{
+	rec := &searchLogRecord{entry: SearchLogEntry{
+		Time:              time.Now(),
+		TraceID:           traceID,
 		Source:            source,
 		Fingerprint:       query.Fingerprint(q),
 		Catalog:           version,
@@ -784,22 +757,23 @@ func (s *Service) recordSearch(source, version string, q *query.Query, cover *co
 		PrunedWork:        st.PrunedWork,
 		PrunedMemory:      st.PrunedMemory,
 		PrunedBeam:        st.PrunedBeam,
-		PeakBytesRetained: prof.PeakBytesRetained,
+		PeakBytesRetained: st.Profile().PeakBytesRetained,
 		Layers:            st.Layers,
-	})
+	}}
+	s.searchlog.Add(rec)
+	return rec
 }
 
 // Optimize serves one request: parse, fingerprint, cache lookup or search,
 // then re-filter the cover set under the request's bound.
 func (s *Service) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeResponse, error) {
-	start := time.Now()
 	s.met.OptimizeRequests.Add(1)
-	resp, served, err := s.serve(ctx, &req, start, "optimize")
+	p, err := s.serve(ctx, &req, "optimize")
 	if err != nil {
 		return nil, err
 	}
-	s.finishRequest(served, "optimize", resp)
-	return resp, nil
+	s.finish(p, nil)
+	return p.resp, nil
 }
 
 // Explain serves one request and additionally renders the chosen operator
@@ -807,20 +781,20 @@ func (s *Service) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeR
 // predicted-vs-actual accuracy report of an instrumented execution
 // (req.Analyze).
 func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainResponse, error) {
-	start := time.Now()
 	s.met.ExplainRequests.Add(1)
-	resp, served, err := s.serve(ctx, &req, start, "explain")
+	p, err := s.serve(ctx, &req, "explain")
 	if err != nil {
 		return nil, err
 	}
 	out := &ExplainResponse{
-		OptimizeResponse: *resp,
-		Text:             served.entry.opt.Explain(served.plan),
-		Breakdown:        served.entry.opt.Mod.BreakdownTable(served.plan.Op),
+		OptimizeResponse: *p.resp,
+		Text:             p.entry.opt.Explain(p.plan),
+		Breakdown:        p.entry.opt.Mod.BreakdownTable(p.plan.Op),
 	}
+	p.resp = &out.OptimizeResponse // finish stamps the final latency here
 	if req.Trace {
-		out.SearchTrace = served.entry.searchTrace
-		if resp.Cache == "hit" {
+		out.SearchTrace = p.entry.searchTrace
+		if out.Cache == "hit" {
 			// The trace was captured when the cover set was computed, not by
 			// this request; say so in-band for text consumers too.
 			out.SearchTraceCached = true
@@ -828,127 +802,110 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 		}
 	}
 	if req.Why {
-		pv := served.entry.opt.PlanProvenance(served.plan, req.bound(), 5)
+		pv := p.entry.opt.PlanProvenance(p.plan, req.bound(), 5)
 		out.Why = pv
 		out.WhyText = pv.Text()
 	}
 	if req.Analyze {
-		if err := s.analyze(&req, served, out); err != nil {
-			s.finishInflight(served.iq, err)
-			s.met.Errors.Add(1)
-			served.root.Err(err)
-			served.root.End()
-			s.observeFailure("explain", &req, resp.Fingerprint, resp.Catalog, start, err)
-			s.logger.Warn("explain analyze failed", "id", resp.TraceID, "err", err)
-			return nil, err
+		if err := s.analyze(&req, p, out); err != nil {
+			return nil, s.finish(p, err)
 		}
 	}
-	out.ElapsedMicros = time.Since(start).Microseconds()
-	s.finishRequest(served, "explain", &out.OptimizeResponse)
+	s.finish(p, nil)
 	return out, nil
 }
 
-// servedPlan carries the materialized plan — and the request's trace — from
-// serve to the endpoint finishing the response. relErr/qErr hold the analyze
-// accuracy summary (explain-analyze only) so the query-log record and the
-// workload profiler see the same drift signal.
+// servedPlan is one admitted request from serve to finish: its trace and
+// live-registry entry and — once a plan is served — the response and the
+// materialized plan behind it.
 type servedPlan struct {
+	start time.Time
+	req   *OptimizeRequest
+	root  *obs.Span
+	// ctx is the request context with the end-to-end deadline and the
+	// registry's cancel cause; iq the live-registry entry. Analyze threads
+	// ctx into the engine; finish retires iq.
+	ctx context.Context
+	iq  *inflightQuery
+
+	resp  *OptimizeResponse
 	plan  *core.Plan
 	entry *cacheEntry
 	// q is the request's own parsed query. The cache entry's optimizer holds
 	// whichever instance of the template was searched first; analyze executes
 	// this one's selection literals.
-	q     *query.Query
-	trace *obs.Trace
-	root  *obs.Span
-	req   *OptimizeRequest
-	// ctx is the request context with the end-to-end deadline and the
-	// registry's cancel cause; iq the live-registry entry. Analyze threads
-	// ctx into the engine; finishInflight retires iq.
-	ctx    context.Context
-	iq     *inflightQuery
+	q *query.Query
+	// relErr/qErr hold the analyze accuracy summary (explain-analyze only) so
+	// the request record carries the same drift signal the profiler saw.
 	relErr float64
 	qErr   float64
 }
 
-// finishRequest closes the request's root span, feeds the workload profiler
-// and query log, and emits the structured per-request log line.
-func (s *Service) finishRequest(p *servedPlan, kind string, resp *OptimizeResponse) {
-	s.finishInflight(p.iq, nil)
+// finish is the one end of every admitted request, served or failed. It
+// retires the live-registry entry (counting a cancellation on its per-reason
+// metric), closes the root span, and builds the request's single
+// workload.Record — the registry's view of who it was and how far it got, the
+// plan it was served, how it ended — which then feeds the workload profiler,
+// the query log and the structured request log line alike. It returns err
+// with a bare context cancellation replaced by its installed cause, so
+// clients and logs see *why*.
+func (s *Service) finish(p *servedPlan, err error) error {
+	if errors.Is(err, context.Canceled) {
+		if cause := context.Cause(p.ctx); cause != nil {
+			err = cause
+		}
+	}
+	rec := s.inflight.finish(p.iq, err)
+	switch rec.Cancelled {
+	case CancelClient:
+		s.met.QueryCancelledClient.Add(1)
+	case CancelDeadline:
+		s.met.QueryCancelledDeadline.Add(1)
+	case CancelShutdown:
+		s.met.QueryCancelledShutdown.Add(1)
+	}
+	rec.Time = time.Now()
+	rec.TraceID = p.root.TraceID()
+	rec.K, rec.CostBenefit = p.req.K, p.req.CostBenefit
+	rec.ElapsedMicros = rec.Time.Sub(p.start).Microseconds()
+	if resp := p.resp; resp != nil { // a plan was served, even if analyze then failed
+		rec.Cache, rec.Deduped, rec.PlanSig = resp.Cache, resp.Deduped, resp.PlanSignature
+		rec.RT, rec.Work = resp.Summary.ResponseTime, resp.Summary.Work
+		rec.RelErr, rec.QErr = p.relErr, p.qErr
+	}
+	level := slog.LevelInfo
+	if err != nil {
+		level = slog.LevelWarn
+		rec.Error = err.Error()
+		s.met.Errors.Add(1)
+		p.root.Err(err)
+	} else {
+		p.resp.ElapsedMicros = rec.ElapsedMicros
+	}
 	p.root.End()
-	s.prof.Observe(workload.Sample{
-		Fingerprint:    resp.Fingerprint,
-		Catalog:        resp.Catalog,
-		Query:          p.req.Query,
-		PlanSig:        resp.PlanSignature,
-		Cache:          resp.Cache,
-		Deduped:        resp.Deduped,
-		LatencySeconds: float64(resp.ElapsedMicros) / 1e6,
-	})
-	if s.qlog != nil {
-		s.qlog.Write(workload.Record{
-			Time:          time.Now(),
-			Kind:          kind,
-			Fingerprint:   resp.Fingerprint,
-			Catalog:       resp.Catalog,
-			Query:         p.req.Query,
-			K:             p.req.K,
-			CostBenefit:   p.req.CostBenefit,
-			Cache:         resp.Cache,
-			Deduped:       resp.Deduped,
-			PlanSig:       resp.PlanSignature,
-			RT:            resp.Summary.ResponseTime,
-			Work:          resp.Summary.Work,
-			RelErr:        p.relErr,
-			QErr:          p.qErr,
-			ElapsedMicros: resp.ElapsedMicros,
-		})
+	s.prof.Observe(rec)
+	s.qlog.Write(rec)
+	if s.logger.Enabled(context.Background(), level) { // boxing the fields allocates; skip it for a discarding logger
+		s.logger.Log(context.Background(), level, rec.Kind,
+			"id", rec.TraceID, "fingerprint", rec.Fingerprint, "catalog", rec.Catalog, "cache", rec.Cache,
+			"phase", rec.Phase, "cancelled", rec.Cancelled, "elapsedMicros", rec.ElapsedMicros, "error", rec.Error)
 	}
-	s.logger.Info(kind,
-		"id", resp.TraceID,
-		"fingerprint", resp.Fingerprint,
-		"catalog", resp.Catalog,
-		"cache", resp.Cache,
-		"coverSize", resp.CoverSize,
-		"elapsedMicros", resp.ElapsedMicros)
+	return err
 }
 
-// observeFailure records a failed request in the profiler (when it got far
-// enough to have a fingerprint) and the query log.
-func (s *Service) observeFailure(kind string, req *OptimizeRequest, fp, version string, start time.Time, err error) {
-	s.prof.Observe(workload.Sample{
-		Fingerprint: fp,
-		Catalog:     version,
-		Query:       req.Query,
-		Err:         true,
-	})
-	if s.qlog != nil {
-		s.qlog.Write(workload.Record{
-			Time:          time.Now(),
-			Kind:          kind,
-			Fingerprint:   fp,
-			Catalog:       version,
-			Query:         req.Query,
-			K:             req.K,
-			CostBenefit:   req.CostBenefit,
-			ElapsedMicros: time.Since(start).Microseconds(),
-			Error:         err.Error(),
-		})
-	}
-}
-
-func (s *Service) serve(ctx context.Context, req *OptimizeRequest, start time.Time, kind string) (*OptimizeResponse, *servedPlan, error) {
+func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) (*servedPlan, error) {
+	start := time.Now()
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	// End-to-end deadline plus a cancel cause the live registry owns: the
 	// same context reaches the engine's checkpoints during analyze, so both
 	// a DELETE /debug/queries/{id} and a deadline expiry preempt execution.
 	// No defers — the context must outlive serve (Explain's analyze runs
-	// after it returns); finishInflight releases both cancels.
+	// after it returns); finish releases both cancels.
 	ctx, stopTimeout := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	ctx, cancelCause := context.WithCancelCause(ctx)
 	iq := s.inflight.add(kind, req.Query, req.Distributed, cancelCause, stopTimeout)
@@ -958,33 +915,17 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, start time.Ti
 	// so a disabled tracer costs nothing here.
 	tr, root := s.tracer.Start(kind)
 	ctx = obs.ContextWithSpan(ctx, root)
+	p := &servedPlan{start: start, req: req, root: root, ctx: ctx, iq: iq}
 
-	var fp, version string
-	fail := func(err error) (*OptimizeResponse, *servedPlan, error) {
-		// A cancelled context surfaces as context.Canceled from whatever
-		// phase it interrupted; report the installed cause instead so
-		// clients and logs see *why*.
-		if errors.Is(err, context.Canceled) {
-			if cause := context.Cause(ctx); cause != nil {
-				err = cause
-			}
-		}
-		s.finishInflight(iq, err)
-		s.met.Errors.Add(1)
-		root.Err(err)
-		root.End()
-		s.observeFailure(kind, req, fp, version, start, err)
-		s.logger.Warn(kind+" failed", "id", tr.ID(), "err", err)
-		return nil, nil, err
-	}
 	t := time.Now()
 	sp := root.Child("parse")
 	cat, version, q, fp, key, err := s.resolve(req)
 	sp.End()
 	s.met.PhaseParse.Observe(time.Since(t).Seconds())
 	if err != nil {
-		return fail(err)
+		return nil, s.finish(p, err)
 	}
+	p.q = q
 	root.SetAttr("fingerprint", fp)
 	root.SetAttr("catalog", version)
 	iq.note(fp, version)
@@ -994,7 +935,7 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, start time.Ti
 	entry, hit, deduped, err := s.entryFor(ctx, key, version, cat, q)
 	s.met.PhaseSearch.Observe(time.Since(t).Seconds())
 	if err != nil {
-		return fail(err)
+		return nil, s.finish(p, err)
 	}
 	if hit {
 		root.SetAttr("cache", "hit")
@@ -1012,7 +953,7 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, start time.Ti
 	sp.End()
 	s.met.PhaseSelect.Observe(time.Since(t).Seconds())
 	if err != nil {
-		return fail(err)
+		return nil, s.finish(p, err)
 	}
 
 	t = time.Now()
@@ -1021,7 +962,7 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, start time.Ti
 	sp.End()
 	s.met.PhaseRender.Observe(time.Since(t).Seconds())
 	if err != nil {
-		return fail(err)
+		return nil, s.finish(p, err)
 	}
 	resp := &OptimizeResponse{
 		Fingerprint:    fp,
@@ -1044,22 +985,9 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, start time.Ti
 	if plan.Baseline != nil {
 		resp.Baseline = &PlanSummary{ResponseTime: plan.Baseline.RT(), Work: plan.Baseline.Work()}
 	}
-	resp.ElapsedMicros = time.Since(start).Microseconds()
 	s.met.Latency.Observe(time.Since(start).Seconds())
-	return resp, &servedPlan{plan: plan, entry: entry, q: q, trace: tr, root: root, req: req, ctx: ctx, iq: iq}, nil
-}
-
-// finishInflight retires a query from the live registry and counts its
-// cancellation, if any, on the per-reason metric.
-func (s *Service) finishInflight(iq *inflightQuery, err error) {
-	switch s.inflight.finish(iq, err) {
-	case CancelClient:
-		s.met.QueryCancelledClient.Add(1)
-	case CancelDeadline:
-		s.met.QueryCancelledDeadline.Add(1)
-	case CancelShutdown:
-		s.met.QueryCancelledShutdown.Add(1)
-	}
+	p.resp, p.plan, p.entry = resp, plan, entry
+	return p, nil
 }
 
 // InflightQueries snapshots the live registry (the /debug/queries payload).
@@ -1145,7 +1073,7 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, out *Explain
 			Window:  s.cfg.ExchangeWindow,
 			// Trace propagation: fragments carry the request's trace ID so
 			// worker-side spans come home tagged with it.
-			TraceID: served.trace.ID(),
+			TraceID: served.root.TraceID(),
 		}
 		if pm := s.PlacementFor(out.Catalog); pm != nil {
 			// Ship leaf scans to the data: restrict ownership to live
@@ -1174,9 +1102,6 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, out *Explain
 	// tree, and every distributed join under it sends its workers a cancel
 	// frame, so they abandon their fragments and free staged partitions.
 	ctx := served.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rep, _, err := served.entry.opt.AnalyzeLive(ctx, served.plan, served.q, db, par, tr, stats)
 	if cluster != nil {
 		// Record traffic even on failure: partial transfers are exactly

@@ -253,7 +253,7 @@ func TestHTTPDebugTraceEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("debug/trace/{id}: %d: %s", resp.StatusCode, body)
 	}
-	var tj obs.TraceJSON
+	var tj TraceResponse
 	if err := json.Unmarshal(body, &tj); err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +263,55 @@ func TestHTTPDebugTraceEndpoints(t *testing.T) {
 	if findSpan(tj.Root, "execute") == nil {
 		t.Error("served trace should include the execute span")
 	}
+	// The miss ran the search, so its trace links the /debug/search entry.
+	if tj.Search == nil || tj.Search.TraceID != exp.TraceID || tj.Search.Fingerprint != exp.Fingerprint || len(tj.Search.Layers) != 6 {
+		t.Errorf("miss trace should carry its 6-layer search entry, got %+v", tj.Search)
+	}
+	if len(tj.PlanChanges) != 0 {
+		t.Errorf("a first search swaps no plan, got %+v", tj.PlanChanges)
+	}
+
+	// A hit runs no search: same template, nothing linked.
+	resp, body = postJSON(t, srv.URL+"/optimize", OptimizeRequest{Query: chainSQL(6, 8)})
+	var hit OptimizeResponse
+	if err := json.Unmarshal(body, &hit); err != nil || resp.StatusCode != http.StatusOK || hit.Cache != "hit" {
+		t.Fatalf("second request should hit: %d: %s", resp.StatusCode, body)
+	}
+	_, body = getBody(t, srv.URL+"/debug/trace/"+hit.TraceID)
+	if strings.Contains(string(body), `"search"`) || strings.Contains(string(body), `"planChanges"`) {
+		t.Errorf("hit trace should link no search and no plan changes:\n%s", body)
+	}
 
 	resp, _ = getBody(t, srv.URL+"/debug/trace/nope")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace should 404, got %d", resp.StatusCode)
+	}
+}
+
+// TestTraceLinksPlanChange: a request whose search swaps the template's plan
+// (here: the first request after a statistics refresh) stamps the audit entry
+// with its trace ID, and /debug/trace/{id} returns it.
+func TestTraceLinksPlanChange(t *testing.T) {
+	s, srv := newTestServer(t, func(c *Config) { c.Catalog = poisonedCatalog() })
+	ctx := context.Background()
+	if _, err := s.Optimize(ctx, OptimizeRequest{Query: poisonedSQL}); err != nil {
+		t.Fatal(err)
+	}
+	s.RefreshCatalog(refreshedCatalog())
+	swapped, err := s.Optimize(ctx, OptimizeRequest{Query: poisonedSQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body := getBody(t, srv.URL+"/debug/trace/"+swapped.TraceID)
+	var tj TraceResponse
+	if err := json.Unmarshal(body, &tj); err != nil {
+		t.Fatal(err)
+	}
+	if len(tj.PlanChanges) != 1 || tj.PlanChanges[0].Source != "refresh" || tj.PlanChanges[0].TraceID != swapped.TraceID {
+		t.Fatalf("trace should link its refresh plan change, got %+v", tj.PlanChanges)
+	}
+	if tj.Search == nil || tj.Search.Catalog != swapped.Catalog {
+		t.Errorf("trace should link the search that caused the change, got %+v", tj.Search)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"paropt/internal/catalog"
+	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
 )
 
@@ -296,7 +297,7 @@ func TestWorkloadEndpointUnderLoad(t *testing.T) {
 // deterministically — same daemon configuration, same plan choices.
 func TestQueryLogAndReplayInProcess(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.jsonl")
-	qlog, err := workload.NewLog(path, 0)
+	qlog, err := obs.NewSink[workload.Record](path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
