@@ -121,3 +121,16 @@ func BenchmarkServiceCacheHit(b *testing.B) { benchServiceCacheHit(b, tracingOff
 // BenchmarkServiceCacheHitTraced is the same warm path with the default
 // request tracer recording a span tree per request.
 func BenchmarkServiceCacheHitTraced(b *testing.B) { benchServiceCacheHit(b, nil) }
+
+// TestServiceCacheHitAllocBudget pins the warm hit path where CI sees it: a
+// hit is parse + fingerprint + cache lookup + re-filter + a reference to the
+// chosen member's rendered bytes. Before those bytes were memoized per cover
+// member this benchmark allocated 71 KB and 621 objects per hit (SelectBounded
+// 44.6 KB, ExplainJSON 15.4 KB); a regression that re-materializes or
+// re-renders a plan per hit lands far outside the budget.
+func TestServiceCacheHitAllocBudget(t *testing.T) {
+	res := testing.Benchmark(BenchmarkServiceCacheHit)
+	if b, n := res.AllocedBytesPerOp(), res.AllocsPerOp(); b > 12<<10 || n > 150 {
+		t.Fatalf("warm Service.Optimize hit allocates %d B/op in %d allocs/op; budget is 12 KB and 150", b, n)
+	}
+}

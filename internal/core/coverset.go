@@ -44,28 +44,44 @@ func (o *Optimizer) CoverSet() (*CoverSet, error) {
 	return &CoverSet{Baseline: baseline, Frontier: frontier, Stats: stats}, nil
 }
 
-// SelectBounded answers one request from a cover set: it re-filters the
-// frontier under the bound (nil means unbounded, i.e. minimum response
-// time), falls back to the baseline when nothing is admissible, and
-// materializes the winner into a full Plan with the baseline attached.
-// It runs no search and is safe to call concurrently on a shared CoverSet.
-func (o *Optimizer) SelectBounded(cs *CoverSet, bound search.Bound) (*Plan, error) {
+// Choose answers one request's *choice* from a cover set: it re-filters the
+// frontier under the bound (nil means unbounded, i.e. minimum response time)
+// and falls back to the baseline when nothing is admissible. The result is a
+// member of cs (a frontier element or cs.Baseline), so callers can memoize
+// whatever they derive from it per member. It runs no search, allocates
+// nothing, and is safe to call concurrently on a shared CoverSet.
+func (o *Optimizer) Choose(cs *CoverSet, bound search.Bound) (*search.Candidate, error) {
 	if cs == nil || cs.Baseline == nil {
 		return nil, fmt.Errorf("core: empty cover set")
 	}
-	wo, to := cs.Baseline.Work(), cs.Baseline.RT()
-	best := search.FilterFrontier(cs.Frontier, bound, wo, to, o.opts.Final)
+	best := search.FilterFrontier(cs.Frontier, bound, cs.Baseline.Work(), cs.Baseline.RT(), o.opts.Final)
 	if best == nil {
 		best = cs.Baseline
 	}
+	return best, nil
+}
+
+// Materialize expands a member of cs chosen by Choose into a full Plan
+// (operator tree, descriptor) with the materialized baseline attached.
+func (o *Optimizer) Materialize(cs *CoverSet, c *search.Candidate) (*Plan, error) {
 	bp, err := o.finish(cs.Baseline, nil, cs.Stats)
 	if err != nil {
 		return nil, err
 	}
-	p, err := o.finish(best, cs.Frontier, cs.Stats)
+	p, err := o.finish(c, cs.Frontier, cs.Stats)
 	if err != nil {
 		return nil, err
 	}
 	p.Baseline = bp
 	return p, nil
+}
+
+// SelectBounded answers one request from a cover set: Choose under the
+// bound, then Materialize the winner.
+func (o *Optimizer) SelectBounded(cs *CoverSet, bound search.Bound) (*Plan, error) {
+	best, err := o.Choose(cs, bound)
+	if err != nil {
+		return nil, err
+	}
+	return o.Materialize(cs, best)
 }

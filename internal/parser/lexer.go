@@ -51,9 +51,12 @@ type lexer struct {
 	tokens []token
 }
 
-// lex scans the whole input up front; SPJ inputs are tiny.
+// lex scans the whole input up front; SPJ inputs are tiny. The token slice
+// is sized once: a token is at least one byte and in this grammar almost
+// always followed by a separator, so len(src)/2 bounds the count for
+// anything but adversarially dense input (where append still grows it).
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, tokens: make([]token, 0, len(src)/2+2)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {

@@ -154,10 +154,17 @@ func (e *Estimator) Leaf(rel string, access Access, idx *catalog.Index) (*Node, 
 // properties. Joining two subtrees with no spanning predicate is a cross
 // product; it is permitted (Card multiplies) but flagged by CrossProduct.
 func (e *Estimator) Join(left, right *Node, method JoinMethod) (*Node, error) {
+	return e.JoinOn(left, right, method, e.Q.JoinsBetween(left.Rels, right.Rels))
+}
+
+// JoinOn is Join for a caller that already holds the spanning predicates:
+// preds must be Q.JoinsBetween(left.Rels, right.Rels). The node keeps the
+// slice itself, so every node built from one pair of relation sets can share
+// one — the predicates are read, never written, downstream.
+func (e *Estimator) JoinOn(left, right *Node, method JoinMethod, preds []query.JoinPredicate) (*Node, error) {
 	if !left.Rels.Intersect(right.Rels).Empty() {
 		return nil, fmt.Errorf("plan: join operands overlap: %v and %v", left.Rels, right.Rels)
 	}
-	preds := e.Q.JoinsBetween(left.Rels, right.Rels)
 	sel := 1.0
 	for _, p := range preds {
 		sel *= e.joinSelectivity(p)

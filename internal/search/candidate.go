@@ -141,6 +141,13 @@ type Searcher struct {
 	est   *plan.Estimator
 	q     *query.Query
 	stats Stats
+	// spanning and leaves memoize what is a function of relation sets alone:
+	// the predicates spanning a (left, right) pair and the leaf nodes of a
+	// relation. Every plan pair of one split then shares one predicate slice
+	// and one set of leaves, so a cover set a plan cache retains holds them
+	// once per split rather than once per node (EXPERIMENTS §HB1).
+	spanning map[[2]query.RelSet][]query.JoinPredicate
+	leaves   [][]*plan.Node // by query position; nil until first asked for
 }
 
 // New builds a Searcher. It panics if the options carry no model, since
@@ -152,7 +159,23 @@ func New(opt Options) *Searcher {
 	if opt.Final == nil {
 		opt.Final = ByRT
 	}
-	return &Searcher{opt: opt, est: opt.Model.Est, q: opt.Model.Est.Q}
+	q := opt.Model.Est.Q
+	return &Searcher{
+		opt: opt, est: opt.Model.Est, q: q,
+		spanning: make(map[[2]query.RelSet][]query.JoinPredicate),
+		leaves:   make([][]*plan.Node, len(q.Relations)),
+	}
+}
+
+// joinsBetween is Query.JoinsBetween, computed once per pair of sets.
+func (s *Searcher) joinsBetween(l, r query.RelSet) []query.JoinPredicate {
+	key := [2]query.RelSet{l, r}
+	preds, ok := s.spanning[key]
+	if !ok {
+		preds = s.q.JoinsBetween(l, r)
+		s.spanning[key] = preds
+	}
+	return preds
 }
 
 // cost prices a plan tree into a candidate, or nil when the work limit
@@ -207,7 +230,7 @@ func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
 // products. With right ranging over a relation's leafChoices this is the
 // paper's joinPlan(p', R) before its internal "best possible way" choice.
 func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
-	preds := s.q.JoinsBetween(left.Rels, right.Rels)
+	preds := s.joinsBetween(left.Rels, right.Rels)
 	methods := s.opt.Methods
 	if methods == nil {
 		methods = plan.AllJoinMethods
@@ -217,7 +240,7 @@ func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) 
 		if len(preds) == 0 && m != plan.NestedLoops {
 			continue
 		}
-		j, err := s.est.Join(left, right, m)
+		j, err := s.est.JoinOn(left, right, m, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -228,6 +251,9 @@ func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) 
 
 // leafChoices returns the raw leaf nodes for a relation (uncosted).
 func (s *Searcher) leafChoices(pos int) ([]*plan.Node, error) {
+	if out := s.leaves[pos]; out != nil {
+		return out, nil
+	}
 	rel := s.q.Relations[pos]
 	var out []*plan.Node
 	leaf, err := s.est.Leaf(rel, plan.SeqScan, nil)
@@ -242,6 +268,7 @@ func (s *Searcher) leafChoices(pos int) ([]*plan.Node, error) {
 		}
 		out = append(out, l)
 	}
+	s.leaves[pos] = out
 	return out, nil
 }
 
@@ -252,7 +279,7 @@ func (s *Searcher) skipSplit(l, r query.RelSet) bool {
 	if !s.opt.AvoidCrossProducts {
 		return false
 	}
-	if len(s.q.JoinsBetween(l, r)) > 0 {
+	if len(s.joinsBetween(l, r)) > 0 {
 		return false
 	}
 	return s.q.Connected(l.Union(r))

@@ -99,9 +99,20 @@ func (s *Service) Epoch() int64 {
 	return s.epoch
 }
 
+// installedPlacement is a placement map beside its fingerprint, hashed once
+// at install: every request's cache key embeds it.
+type installedPlacement struct {
+	m  *placement.Map
+	fp string
+}
+
 // PlacementFor returns the installed placement map for a catalog version,
 // or nil when none is installed.
 func (s *Service) PlacementFor(version string) *placement.Map {
+	return s.placementFor(version).m
+}
+
+func (s *Service) placementFor(version string) installedPlacement {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
 	return s.placements[version]
@@ -112,6 +123,11 @@ func (s *Service) PlacementFor(version string) *placement.Map {
 // and installs it. Subsequent searches under that version are placement-
 // aware and distributed analyzes ship leaf scans to the owners.
 func (s *Service) InstallPlacement(version string, columns map[string]string) (*placement.Map, error) {
+	p, err := s.installPlacement(version, columns)
+	return p.m, err
+}
+
+func (s *Service) installPlacement(version string, columns map[string]string) (installedPlacement, error) {
 	if version == "" {
 		s.mu.RLock()
 		version = s.defaultVersion
@@ -121,24 +137,25 @@ func (s *Service) InstallPlacement(version string, columns map[string]string) (*
 	cat := s.catalogs[version]
 	s.mu.RUnlock()
 	if cat == nil {
-		return nil, badRequestError{fmt.Errorf("service: unknown catalog version %q", version)}
+		return installedPlacement{}, badRequestError{fmt.Errorf("service: unknown catalog version %q", version)}
 	}
 	workers, epoch := s.Members()
 	if len(workers) == 0 {
-		return nil, badRequestError{errors.New("service: no workers registered to place data on")}
+		return installedPlacement{}, badRequestError{errors.New("service: no workers registered to place data on")}
 	}
 	m, err := placement.Build(cat, version, workers, s.cfg.DataSeed, columns)
 	if err != nil {
-		return nil, badRequestError{err}
+		return installedPlacement{}, badRequestError{err}
 	}
 	m.Epoch = epoch
+	p := installedPlacement{m: m, fp: m.Fingerprint()}
 	s.clusterMu.Lock()
-	s.placements[version] = m
+	s.placements[version] = p
 	n := len(s.placements)
 	s.clusterMu.Unlock()
 	s.logger.Info("placement installed", "catalog", version, "workers", len(workers),
-		"fingerprint", m.Fingerprint(), "placements", n)
-	return m, nil
+		"fingerprint", p.fp, "placements", n)
+	return p, nil
 }
 
 // placementCount is the number of installed placement maps (a gauge).

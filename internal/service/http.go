@@ -159,12 +159,72 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.Optimize(r.Context(), req)
+	p, err := s.optimize(r.Context(), &req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeOptimize(w, p.resp, p.rend.slab)
+}
+
+// writeOptimize writes resp byte for byte as writeJSON would, without
+// encoding it: the per-request fields before and after the plan-dependent
+// middle are appended by hand into one small buffer, and the middle — slab,
+// most of the body, already laid out as the encoder would lay it out — goes
+// to the connection by reference. The layout below is OptimizeResponse's
+// field order and tags; TestOptimizeBytesMatchEncoder holds the two together.
+func writeOptimize(w http.ResponseWriter, resp *OptimizeResponse, slab []byte) {
+	b := make([]byte, 0, 512)
+	b = append(b, "{\n  \"fingerprint\": "...)
+	b = appendJSONString(b, resp.Fingerprint)
+	b = append(b, ",\n  \"catalog\": "...)
+	b = appendJSONString(b, resp.Catalog)
+	b = append(b, ",\n  \"cache\": "...)
+	b = appendJSONString(b, resp.Cache)
+	if resp.Deduped {
+		b = append(b, ",\n  \"deduped\": true"...)
+	}
+	b = append(b, ",\n  \"coverSetReused\": "...)
+	b = strconv.AppendBool(b, resp.CoverSetReused)
+	b = append(b, ",\n  \"coverSize\": "...)
+	b = strconv.AppendInt(b, int64(resp.CoverSize), 10)
+	if resp.Bound != "" {
+		b = append(b, ",\n  \"bound\": "...)
+		b = appendJSONString(b, resp.Bound)
+	}
+	b = append(b, ",\n"...)
+	head := len(b)
+	b = append(b, ",\n  \"elapsedMicros\": "...)
+	b = strconv.AppendInt(b, resp.ElapsedMicros, 10)
+	if resp.TraceID != "" {
+		b = append(b, ",\n  \"traceId\": "...)
+		b = appendJSONString(b, resp.TraceID)
+	}
+	b = append(b, "\n}\n"...)
+
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)+len(slab)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b[:head]) //nolint:errcheck // nothing to do about a failed write
+	w.Write(slab)     //nolint:errcheck
+	w.Write(b[head:]) //nolint:errcheck
+}
+
+// appendJSONString appends s as encoding/json would encode it. Strings of
+// plain ASCII with nothing the encoder escapes (quotes, backslashes, control
+// bytes, and <, >, & under its default HTML escaping) are their own encoding;
+// anything else goes through the encoder itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string cannot fail to marshal
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -311,16 +371,16 @@ func (s *Service) handleClusterPlacementInstall(w http.ResponseWriter, r *http.R
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	m, err := s.InstallPlacement(req.Catalog, req.Columns)
+	p, err := s.installPlacement(req.Catalog, req.Columns)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
 	s.mu.RLock()
-	cat := s.catalogs[m.CatalogVersion]
+	cat := s.catalogs[p.m.CatalogVersion]
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, PlacementResponse{
-		Map: m, Fingerprint: m.Fingerprint(), Epoch: s.Epoch(), Snapshot: cat.Snapshot(),
+		Map: p.m, Fingerprint: p.fp, Epoch: s.Epoch(), Snapshot: cat.Snapshot(),
 	})
 }
 
@@ -331,8 +391,8 @@ func (s *Service) handleClusterPlacement(w http.ResponseWriter, r *http.Request)
 		version = s.defaultVersion
 		s.mu.RUnlock()
 	}
-	m := s.PlacementFor(version)
-	if m == nil {
+	p := s.placementFor(version)
+	if p.m == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no placement installed for catalog %q", version))
 		return
 	}
@@ -344,7 +404,7 @@ func (s *Service) handleClusterPlacement(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	writeJSON(w, http.StatusOK, PlacementResponse{
-		Map: m, Fingerprint: m.Fingerprint(), Epoch: s.Epoch(), Snapshot: cat.Snapshot(),
+		Map: p.m, Fingerprint: p.fp, Epoch: s.Epoch(), Snapshot: cat.Snapshot(),
 	})
 }
 

@@ -10,7 +10,8 @@
 //     catalog version, machine config, optimizer options), so a later
 //     request with a different work bound (throughput-degradation k,
 //     cost–benefit k) is answered by re-filtering the cached frontier
-//     without re-running the search;
+//     without re-running the search, and what the response says about the
+//     chosen cover member is rendered once and served as bytes thereafter;
 //   - deduplicates identical in-flight searches (singleflight), bounds
 //     concurrent searches with a worker pool, and rejects on a full queue
 //     (HTTP 429) instead of queueing unboundedly;
@@ -145,22 +146,6 @@ type Config struct {
 	PlanLogPath string
 }
 
-// cacheEntry is one plan-cache value: the optimization session pinned to
-// the canonical query instance the cover set was computed for, plus the
-// reusable cover set. Materialization must go through entry.opt (not a
-// per-request optimizer) because the frontier's plan nodes index relations
-// in that query instance's declaration order. searchTrace is the DP trace
-// text captured while the cover set was computed, so trace-requesting
-// explains are answered on cache hits too.
-type cacheEntry struct {
-	opt         *core.Optimizer
-	cover       *core.CoverSet
-	searchTrace string
-	// logRec points at the /debug/search entry recorded when this search
-	// ran; cache hits bump its counter so replayed traces are labeled.
-	logRec *searchLogRecord
-}
-
 // Service is the optimizer daemon. Safe for concurrent use.
 type Service struct {
 	cfg     Config
@@ -198,7 +183,7 @@ type Service struct {
 	clusterMu       sync.Mutex
 	workers         map[string]string // exchange addr → worker HTTP base URL ("" when unknown)
 	epoch           int64
-	placements      map[string]*placement.Map
+	placements      map[string]installedPlacement
 	links           map[string]*exchange.LinkSnapshot
 	fallbackReasons map[string]int64 // cumulative typed fallback reasons
 	workerUp        map[string]bool  // liveness from the last /cluster/metrics scrape
@@ -279,7 +264,7 @@ func New(cfg Config) (*Service, error) {
 		dbs:             make(map[string]*storage.Database),
 		fstores:         make(map[string]*placement.Store),
 		workers:         make(map[string]string),
-		placements:      make(map[string]*placement.Map),
+		placements:      make(map[string]installedPlacement),
 		links:           make(map[string]*exchange.LinkSnapshot),
 		fallbackReasons: make(map[string]int64),
 		workerUp:        make(map[string]bool),
@@ -626,15 +611,15 @@ func (s *Service) resolve(req *OptimizeRequest) (cat *catalog.Catalog, version s
 // plans instead of serving cover sets computed without it.
 func (s *Service) cacheKey(fp, version string) string {
 	pfp := "none"
-	if m := s.PlacementFor(version); m != nil {
-		pfp = m.Fingerprint()
+	if p := s.placementFor(version); p.m != nil {
+		pfp = p.fp
 	}
 	return fp + "|" + version + "|pl=" + pfp + "|" + s.sessKey
 }
 
 // entryFor returns the cache entry for the key, running (or joining) a
 // search on miss. hit reports a cache hit, deduped a joined search.
-func (s *Service) entryFor(ctx context.Context, key, version string, cat *catalog.Catalog, q *query.Query) (e *cacheEntry, hit, deduped bool, err error) {
+func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *catalog.Catalog, q *query.Query) (e *cacheEntry, hit, deduped bool, err error) {
 	if e, ok := s.cache.Get(key); ok {
 		s.met.CacheHits.Add(1)
 		s.met.CoverReuse.Add(1)
@@ -659,7 +644,7 @@ func (s *Service) entryFor(ctx context.Context, key, version string, cat *catalo
 		}
 		ch := make(chan result, 1)
 		if !s.pool.TrySubmit(func() {
-			e, err := s.runSearch(cat, q, placed, sp, "search", version)
+			e, err := s.runSearch(cat, q, fp, placed, sp, "search", version)
 			sp.Err(err)
 			sp.End()
 			if err == nil {
@@ -694,7 +679,7 @@ func (s *Service) entryFor(ctx context.Context, key, version string, cat *catalo
 // misses, "sweeper" for drift re-optimizations) in the search-telemetry log,
 // the layer-seconds histogram, the prune-reason counters, and — when the
 // representative plan swapped — the plan-change audit log.
-func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, placed map[string]cost.PlacedRelation, sp *obs.Span, source, version string) (*cacheEntry, error) {
+func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, placed map[string]cost.PlacedRelation, sp *obs.Span, source, version string) (*cacheEntry, error) {
 	if hook := s.searchHook; hook != nil {
 		hook()
 	}
@@ -722,8 +707,7 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, placed map[str
 		return nil, err
 	}
 	sp.SetAttr("frontier", len(cover.Frontier))
-	logRec := s.recordSearch(source, sp.TraceID(), version, q, cover, time.Since(start))
-	fp := query.Fingerprint(q)
+	logRec := s.recordSearch(source, sp.TraceID(), fp, version, len(q.Relations), cover, time.Since(start))
 	s.notePlan(source, sp.TraceID(), fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
 	return &cacheEntry{opt: opt, cover: cover, searchTrace: buf.String(), logRec: logRec}, nil
 }
@@ -731,7 +715,7 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, placed map[str
 // recordSearch feeds one finished search into the telemetry surfaces: the
 // /debug/search ring, the per-layer wall-time histogram, and the
 // prune-reason counters.
-func (s *Service) recordSearch(source, traceID, version string, q *query.Query, cover *core.CoverSet, elapsed time.Duration) *searchLogRecord {
+func (s *Service) recordSearch(source, traceID, fp, version string, relations int, cover *core.CoverSet, elapsed time.Duration) *searchLogRecord {
 	st := cover.Stats
 	s.met.PrunedDominance.Add(st.PrunedDominance)
 	s.met.PrunedWork.Add(st.PrunedWork)
@@ -744,9 +728,9 @@ func (s *Service) recordSearch(source, traceID, version string, q *query.Query, 
 		Time:              time.Now(),
 		TraceID:           traceID,
 		Source:            source,
-		Fingerprint:       query.Fingerprint(q),
+		Fingerprint:       fp,
 		Catalog:           version,
-		Relations:         len(q.Relations),
+		Relations:         relations,
 		FrontierSize:      len(cover.Frontier),
 		ElapsedMicros:     elapsed.Microseconds(),
 		PlansConsidered:   st.PlansConsidered,
@@ -767,13 +751,23 @@ func (s *Service) recordSearch(source, traceID, version string, q *query.Query, 
 // Optimize serves one request: parse, fingerprint, cache lookup or search,
 // then re-filter the cover set under the request's bound.
 func (s *Service) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeResponse, error) {
+	p, err := s.optimize(ctx, &req)
+	if err != nil {
+		return nil, err
+	}
+	return p.resp, nil
+}
+
+// optimize is Optimize for callers that also want the served bytes (the HTTP
+// handler splices p.rend.slab into the body instead of re-encoding it).
+func (s *Service) optimize(ctx context.Context, req *OptimizeRequest) (*servedPlan, error) {
 	s.met.OptimizeRequests.Add(1)
-	p, err := s.serve(ctx, &req, "optimize")
+	p, err := s.serve(ctx, req, "optimize")
 	if err != nil {
 		return nil, err
 	}
 	s.finish(p, nil)
-	return p.resp, nil
+	return p, nil
 }
 
 // Explain serves one request and additionally renders the chosen operator
@@ -786,10 +780,18 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 	if err != nil {
 		return nil, err
 	}
+	// Everything below reads operator trees, which the served bytes do not
+	// carry: build the plan for this request.
+	sp := p.root.Child("materialize")
+	plan, err := p.materialize()
+	sp.End()
+	if err != nil {
+		return nil, s.finish(p, err)
+	}
 	out := &ExplainResponse{
 		OptimizeResponse: *p.resp,
-		Text:             p.entry.opt.Explain(p.plan),
-		Breakdown:        p.entry.opt.Mod.BreakdownTable(p.plan.Op),
+		Text:             p.entry.opt.Explain(plan),
+		Breakdown:        p.entry.opt.Mod.BreakdownTable(plan.Op),
 	}
 	p.resp = &out.OptimizeResponse // finish stamps the final latency here
 	if req.Trace {
@@ -802,12 +804,12 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 		}
 	}
 	if req.Why {
-		pv := p.entry.opt.PlanProvenance(p.plan, req.bound(), 5)
+		pv := p.entry.opt.PlanProvenance(plan, req.bound(), 5)
 		out.Why = pv
 		out.WhyText = pv.Text()
 	}
 	if req.Analyze {
-		if err := s.analyze(&req, p, out); err != nil {
+		if err := s.analyze(&req, p, plan, out); err != nil {
 			return nil, s.finish(p, err)
 		}
 	}
@@ -816,8 +818,8 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 }
 
 // servedPlan is one admitted request from serve to finish: its trace and
-// live-registry entry and — once a plan is served — the response and the
-// materialized plan behind it.
+// live-registry entry and — once a plan is served — the response, the cover
+// member it chose and that member's rendered answer.
 type servedPlan struct {
 	start time.Time
 	req   *OptimizeRequest
@@ -828,9 +830,13 @@ type servedPlan struct {
 	ctx context.Context
 	iq  *inflightQuery
 
-	resp  *OptimizeResponse
-	plan  *core.Plan
-	entry *cacheEntry
+	resp   *OptimizeResponse
+	entry  *cacheEntry
+	chosen *search.Candidate
+	rend   *renderedPlan
+	// baseline backs resp.Baseline, so the response's copy of the shared
+	// rendered scalars costs no allocation of its own.
+	baseline PlanSummary
 	// q is the request's own parsed query. The cache entry's optimizer holds
 	// whichever instance of the template was searched first; analyze executes
 	// this one's selection literals.
@@ -932,7 +938,7 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 
 	t = time.Now()
 	iq.setPhase("search")
-	entry, hit, deduped, err := s.entryFor(ctx, key, version, cat, q)
+	entry, hit, deduped, err := s.entryFor(ctx, key, fp, version, cat, q)
 	s.met.PhaseSearch.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return nil, s.finish(p, err)
@@ -946,10 +952,14 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 		root.SetAttr("deduped", true)
 	}
 
+	// The answer is a pure function of which cover member the bound selects:
+	// re-filter (§2 — the reason the whole cover is cached), then take that
+	// member's rendered answer, derived the first time any request chooses it.
 	t = time.Now()
 	iq.setPhase("select")
 	sp = root.Child("select")
-	plan, err := entry.opt.SelectBounded(entry.cover, req.bound())
+	bound := req.bound()
+	chosen, err := entry.opt.Choose(entry.cover, bound)
 	sp.End()
 	s.met.PhaseSelect.Observe(time.Since(t).Seconds())
 	if err != nil {
@@ -958,12 +968,13 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 
 	t = time.Now()
 	sp = root.Child("render")
-	planJSON, err := entry.opt.ExplainJSON(plan)
+	rend, err := entry.rendered(chosen)
 	sp.End()
 	s.met.PhaseRender.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return nil, s.finish(p, err)
 	}
+	p.entry, p.chosen, p.rend, p.baseline = entry, chosen, rend, rend.baseline
 	resp := &OptimizeResponse{
 		Fingerprint:    fp,
 		Catalog:        version,
@@ -971,23 +982,28 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 		Deduped:        deduped,
 		CoverSetReused: hit,
 		CoverSize:      len(entry.cover.Frontier),
-		PlanSignature:  plan.Tree.String(),
-		Summary:        PlanSummary{ResponseTime: plan.RT(), Work: plan.Work()},
-		Plan:           planJSON,
+		PlanSignature:  rend.sig,
+		Summary:        rend.summary,
+		Baseline:       &p.baseline,
+		Plan:           rend.planJSON(),
 		TraceID:        tr.ID(),
 	}
 	if hit {
 		resp.Cache = "hit"
 	}
-	if b := req.bound(); b != nil {
-		resp.Bound = b.Name()
-	}
-	if plan.Baseline != nil {
-		resp.Baseline = &PlanSummary{ResponseTime: plan.Baseline.RT(), Work: plan.Baseline.Work()}
+	if bound != nil {
+		resp.Bound = bound.Name()
 	}
 	s.met.Latency.Observe(time.Since(start).Seconds())
-	p.resp, p.plan, p.entry = resp, plan, entry
+	p.resp = resp
 	return p, nil
+}
+
+// materialize builds the full plan behind the served answer — operator tree,
+// descriptors, baseline — for the paths that read more than the bytes:
+// Explain's text and breakdown, provenance, analyze. /optimize never calls it.
+func (p *servedPlan) materialize() (*core.Plan, error) {
+	return p.entry.opt.Materialize(p.entry.cover, p.chosen)
 }
 
 // InflightQueries snapshots the live registry (the /debug/queries payload).
@@ -1036,7 +1052,7 @@ func (s *Service) analyzeDB(version string, cat *catalog.Catalog) (*storage.Data
 // measured descriptors against the cost model's predictions, grafts the
 // per-operator timings into the request trace, and feeds the cost-model
 // error histogram.
-func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, out *ExplainResponse) error {
+func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.Plan, out *ExplainResponse) error {
 	t := time.Now()
 	served.iq.setPhase("execute")
 	sp := served.root.Child("execute")
@@ -1075,16 +1091,16 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, out *Explain
 			// worker-side spans come home tagged with it.
 			TraceID: served.root.TraceID(),
 		}
-		if pm := s.PlacementFor(out.Catalog); pm != nil {
+		if p := s.placementFor(out.Catalog); p.m != nil {
 			// Ship leaf scans to the data: restrict ownership to live
 			// members (any worker can materialize any shard, so pruning
 			// just re-shards across survivors), and arm the coordinator
 			// fallback so a query outlives the last owner.
-			live := pm.Prune(addrs)
+			live := p.m.Prune(addrs)
 			ccfg.Owners = live.OwnerMap()
 			ccfg.Store = s.fallbackStore(out.Catalog, served.entry.opt.Cat, db)
 			ccfg.Fn = engine.FragmentJoin
-			sp.SetAttr("placement", pm.Fingerprint())
+			sp.SetAttr("placement", p.fp)
 		}
 		cluster = exchange.NewCluster(addrs, ccfg)
 		sp.SetAttr("workers", len(addrs))
@@ -1095,14 +1111,14 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, out *Explain
 	// plan's predicted (tf, tl) timeline, so /debug/queries can sample
 	// per-operator percent-complete and a model-predicted ETA mid-run.
 	stats := &engine.ExecStats{}
-	timeline, predRT := accuracy.Timeline(served.entry.opt.Mod, served.plan.Op)
+	timeline, predRT := accuracy.Timeline(served.entry.opt.Mod, plan.Op)
 	served.iq.attachExec(stats, timeline, predRT)
 	// Cancellation is the context's: the moment it dies — client DELETE,
 	// deadline, shutdown — the executor stops pulling and closes its operator
 	// tree, and every distributed join under it sends its workers a cancel
 	// frame, so they abandon their fragments and free staged partitions.
 	ctx := served.ctx
-	rep, _, err := served.entry.opt.AnalyzeLive(ctx, served.plan, served.q, db, par, tr, stats)
+	rep, _, err := served.entry.opt.AnalyzeLive(ctx, plan, served.q, db, par, tr, stats)
 	if cluster != nil {
 		// Record traffic even on failure: partial transfers are exactly
 		// what an operator debugging a dead worker wants to see.

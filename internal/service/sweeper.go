@@ -78,7 +78,7 @@ func (s *Service) sweepOne(d workload.ProfileSnapshot) bool {
 		return false
 	}
 	fp := query.Fingerprint(q)
-	entry, err := s.runSearch(cat, q, s.placedConfig(version), nil, "sweeper", version)
+	entry, err := s.runSearch(cat, q, fp, s.placedConfig(version), nil, "sweeper", version)
 	s.prof.MarkSwept(d.Fingerprint)
 	if err != nil {
 		s.logger.Warn("sweep: search failed", "fingerprint", fp, "err", err)
