@@ -1,30 +1,25 @@
-// Command calibrate measures the execution engine's micro-operations on
-// this machine and prints a fitted cost-model parameter set, plus the
-// effect on an optimized plan.
-//
-// Usage:
-//
-//	calibrate [-scale 100000] [-seed 1]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"paropt"
 	"paropt/internal/calibrate"
 )
 
-func main() {
-	scale := flag.Int64("scale", 100_000, "tuples per micro-benchmark")
-	seed := flag.Int64("seed", 1, "data seed")
-	flag.Parse()
+// calibrateMain implements `paropt calibrate`: it measures the execution
+// engine's micro-operations on this machine and prints a fitted cost-model
+// parameter set, plus the effect on an optimized plan.
+func calibrateMain(args []string) {
+	fs := flag.NewFlagSet("paropt calibrate", flag.ExitOnError)
+	scale := fs.Int64("scale", 100_000, "tuples per micro-benchmark")
+	seed := fs.Int64("seed", 1, "data seed")
+	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	rep, err := calibrate.Run(*scale, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Print(rep.String())
 
@@ -41,13 +36,11 @@ func main() {
 		params := tc.params
 		opt, err := paropt.NewOptimizer(cat, q, paropt.Config{Params: &params})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "calibrate:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		p, err := opt.Optimize()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "calibrate:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("\n%s → plan %s\n  rt=%.1f work=%.1f\n", tc.name, p.Tree, p.RT(), p.Work())
 	}

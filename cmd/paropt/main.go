@@ -10,6 +10,8 @@
 //	paropt replay [-addr http://host:7077 | -workload ...] [-strict] <log.jsonl>
 //	paropt workload [-top 20] [-by traffic|latency|drift] <log.jsonl>
 //	paropt top [-addr http://host:7077] [-interval 2s] [-once] [-cancel id]
+//	paropt report [-fast] [section…]
+//	paropt calibrate [-scale 100000] [-seed 1]
 //
 // The replay and workload subcommands consume the JSONL query log a daemon
 // writes with -query-log: replay re-executes the recorded requests (against
@@ -17,7 +19,9 @@
 // workload renders the per-template traffic/latency/drift report offline.
 // top polls a daemon's /debug/queries and renders the in-flight queries with
 // live per-operator progress and model-predicted ETAs; -cancel sends a
-// DELETE for one query and exits.
+// DELETE for one query and exits. report regenerates the paper-vs-measured
+// experiments (the source of EXPERIMENTS.md), all of them or the named
+// sections; calibrate fits the cost-model parameters to this machine.
 //
 // -k sets the §2 throughput-degradation factor (0 = unbounded);
 // -costbenefit sets the cost–benefit ratio bound instead. With -schema and
@@ -34,6 +38,7 @@ import (
 	"os"
 
 	"paropt"
+	"paropt/internal/core"
 	"paropt/internal/machine"
 	"paropt/internal/parser"
 	"paropt/internal/search"
@@ -54,6 +59,12 @@ func main() {
 		case "top":
 			topMain(os.Args[2:])
 			return
+		case "report":
+			reportMain(os.Args[2:])
+			return
+		case "calibrate":
+			calibrateMain(os.Args[2:])
+			return
 		}
 	}
 	wl := flag.String("workload", "portfolio", "portfolio, tpch, chain, star, cycle or clique")
@@ -71,7 +82,7 @@ func main() {
 	simulate := flag.Bool("simulate", false, "also run the plan on the machine simulator")
 	timeline := flag.Bool("timeline", false, "with -simulate, print a Gantt timeline of the execution")
 	dot := flag.Bool("dot", false, "print the operator tree as Graphviz DOT")
-	trace := flag.Bool("trace", false, "trace the search as it runs")
+	trace := flag.Bool("trace", false, "print the search trace (one line per DP layer, then the chosen plan and the totals) to stderr")
 	why := flag.Bool("why", false, "print plan provenance: the chosen plan's cost breakdown plus rejected frontier alternatives with loss reasons")
 	profile := flag.Bool("profile", false, "print the per-layer search profile (time, candidates kept, prunes by reason)")
 	jsonOut := flag.Bool("json", false, "print the plan as JSON instead of text")
@@ -91,9 +102,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	algorithm, err := core.ParseAlgorithm(*alg)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := paropt.Config{
 		Machine:   machine.Config{CPUs: *cpus, Disks: *disks, Networks: 1, AggregateDisks: *aggDisks},
-		Algorithm: parseAlg(*alg),
+		Algorithm: algorithm,
 		CoverCap:  *beam,
 		BatchRows: *batchRows,
 	}
@@ -103,9 +118,6 @@ func main() {
 	case *cb > 0:
 		cfg.Bound = search.CostBenefit{K: *cb}
 	}
-	if *trace {
-		cfg.Trace = &search.WriterTracer{W: os.Stderr}
-	}
 	opt, err := paropt.NewOptimizer(cat, q, cfg)
 	if err != nil {
 		fatal(err)
@@ -113,6 +125,9 @@ func main() {
 	p, err := opt.Optimize()
 	if err != nil {
 		fatal(err)
+	}
+	if *trace {
+		fmt.Fprint(os.Stderr, p.Stats.TraceText(&search.Candidate{Node: p.Tree, Desc: p.Desc}))
 	}
 	if *jsonOut {
 		raw, err := opt.ExplainJSON(p)
@@ -205,32 +220,6 @@ func buildWorkload(name string, n int, seed int64, disks int) (*paropt.Catalog, 
 		return cat, q, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown workload %q", name)
-	}
-}
-
-func parseAlg(s string) paropt.Algorithm {
-	switch s {
-	case "podp":
-		return paropt.PartialOrderDP
-	case "podp-bushy":
-		return paropt.PartialOrderDPBushy
-	case "work":
-		return paropt.WorkDP
-	case "naive-rt":
-		return paropt.NaiveRTDP
-	case "brute":
-		return paropt.BruteForceLeftDeep
-	case "brute-bushy":
-		return paropt.BruteForceBushy
-	case "two-phase":
-		return paropt.TwoPhase
-	case "anneal":
-		return paropt.SimulatedAnnealing
-	case "ii":
-		return paropt.IterativeImprovement
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", s))
-		return 0
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"paropt"
+	"paropt/internal/core"
 	"paropt/internal/machine"
 	"paropt/internal/obs/workload"
-	"paropt/internal/parser"
 	"paropt/internal/service"
 )
 
@@ -125,17 +125,13 @@ func httpExecutor(base string) workload.Executor {
 // log). Records that name a catalog version other than the configured default
 // fail — an in-process replay can only know the catalogs its flags build.
 func inProcessExecutor(schemaFile, wl, alg string, cpus, disks, beam int, planLogFile string) (*paropt.Service, workload.Executor, error) {
-	cat, err := defaultCatalog(schemaFile, wl, disks)
+	cat, err := paropt.DefaultCatalog(schemaFile, wl, disks)
 	if err != nil {
 		return nil, nil, err
 	}
-	algorithm := paropt.PartialOrderDP
-	switch alg {
-	case "podp":
-	case "podp-bushy":
-		algorithm = paropt.PartialOrderDPBushy
-	default:
-		return nil, nil, fmt.Errorf("replay: -alg must be podp or podp-bushy (got %q)", alg)
+	algorithm, err := core.ParseAlgorithm(alg)
+	if err != nil {
+		return nil, nil, err
 	}
 	svc, err := paropt.NewService(paropt.ServiceConfig{
 		Catalog:     cat,
@@ -167,27 +163,4 @@ func inProcessExecutor(schemaFile, wl, alg string, cpus, disks, beam int, planLo
 			ElapsedMicros: time.Since(start).Microseconds(),
 		}
 	}, nil
-}
-
-// defaultCatalog mirrors paroptd's default-catalog selection.
-func defaultCatalog(schemaFile, wl string, disks int) (*paropt.Catalog, error) {
-	if schemaFile != "" {
-		src, err := os.ReadFile(schemaFile)
-		if err != nil {
-			return nil, err
-		}
-		return parser.ParseSchema(string(src))
-	}
-	switch wl {
-	case "portfolio":
-		cat, _ := paropt.PortfolioWorkload(disks)
-		return cat, nil
-	case "tpch":
-		cat, _ := paropt.TPCHWorkload(disks, 1)
-		return cat, nil
-	case "none", "":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q (portfolio, tpch or none)", wl)
-	}
 }

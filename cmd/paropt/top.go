@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -9,8 +8,6 @@ import (
 	"os"
 	"strings"
 	"time"
-
-	"paropt/internal/service"
 )
 
 // topMain implements `paropt top`: poll a daemon's /debug/queries registry
@@ -47,12 +44,10 @@ func topMain(args []string) {
 	}
 
 	for i := 0; ; i++ {
-		snaps, err := fetchQueries(base)
-		if err != nil {
+		fmt.Printf("%s  %s\n", time.Now().Format("15:04:05"), base)
+		if err := copyQueries(os.Stdout, base); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s  %s\n", time.Now().Format("15:04:05"), base)
-		renderQueries(os.Stdout, snaps)
 		if *once || (*count > 0 && i+1 >= *count) {
 			return
 		}
@@ -61,65 +56,18 @@ func topMain(args []string) {
 	}
 }
 
-// fetchQueries pulls one /debug/queries snapshot.
-func fetchQueries(base string) ([]service.QuerySnapshot, error) {
-	resp, err := http.Get(base + "/debug/queries")
+// copyQueries writes one /debug/queries snapshot as the daemon's own text
+// table: a summary row per query plus per-operator progress rows.
+func copyQueries(w io.Writer, base string) error {
+	resp, err := http.Get(base + "/debug/queries?format=text")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("top: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+		return fmt.Errorf("top: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	var out struct {
-		Queries []service.QuerySnapshot `json:"queries"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Queries, nil
-}
-
-// renderQueries renders the snapshot as a table, one summary row per query
-// plus an indented per-operator progress row for executing queries.
-func renderQueries(w io.Writer, snaps []service.QuerySnapshot) {
-	if len(snaps) == 0 {
-		fmt.Fprintln(w, "no queries in flight")
-		return
-	}
-	fmt.Fprintf(w, "%4s %-9s %-9s %10s %6s %12s %-6s %s\n",
-		"id", "kind", "phase", "elapsed", "pct", "eta", "drift", "query")
-	for _, qs := range snaps {
-		pct, eta, drift := "-", "-", ""
-		if p := qs.Progress; p != nil {
-			pct = fmt.Sprintf("%.0f%%", p.Percent*100)
-			if p.ETAMs >= 0 {
-				eta = fmt.Sprintf("%.0fms", p.ETAMs)
-			}
-			if p.Drift {
-				drift = "DRIFT"
-			}
-		}
-		kind := qs.Kind
-		if qs.Distributed {
-			kind += "*"
-		}
-		query := qs.Query
-		if len(query) > 48 {
-			query = query[:45] + "..."
-		}
-		fmt.Fprintf(w, "%4d %-9s %-9s %9.0fms %6s %12s %-6s %s\n",
-			qs.ID, kind, qs.Phase, qs.ElapsedMs, pct, eta, drift, query)
-		if qs.Progress != nil {
-			for _, op := range qs.Progress.Ops {
-				done := ""
-				if op.Done {
-					done = " done"
-				}
-				fmt.Fprintf(w, "     · %-24s %d/%d rows (%.0f%%)%s\n",
-					op.Label, op.Rows, op.PredRows, op.Percent*100, done)
-			}
-		}
-	}
+	_, err = io.Copy(w, resp.Body)
+	return err
 }

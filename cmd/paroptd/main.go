@@ -7,11 +7,11 @@
 //	paroptd [-addr :7077] [-schema schema.ddl | -workload portfolio]
 //	        [-alg podp|podp-bushy] [-cpus 4] [-disks 4] [-aggdisks]
 //	        [-nodes 1] [-networks 1] [-net-latency 0] [-agglinks]
-//	        [-workers N] [-queue 64] [-cache 512] [-shards 8]
+//	        [-workers N] [-queue 64] [-cache 512]
 //	        [-timeout 30s] [-beam 0] [-traces 256] [-log text|json|none]
 //	        [-debug-addr localhost:7078]
 //	        [-query-log q.jsonl] [-profiles 4096] [-negcache 256]
-//	        [-sweep 1m] [-drift-threshold 2] [-sweep-limit 4]
+//	        [-sweep 1m] [-drift-threshold 2]
 //	        [-exchange-window 16]
 //	        [-plan-log-file changes.jsonl] [-drain 5s]
 //
@@ -76,21 +76,19 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"paropt"
+	"paropt/internal/core"
 	"paropt/internal/machine"
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
-	"paropt/internal/parser"
 )
 
 func main() {
@@ -108,7 +106,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent searches (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "search queue depth before 429s")
 	cacheCap := flag.Int("cache", 512, "plan-cache capacity (entries)")
-	shards := flag.Int("shards", 8, "plan-cache shards")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	beam := flag.Int("beam", 0, "cap cover sets at this many plans (0 = exact search)")
 	traces := flag.Int("traces", 0, "request traces retained for /debug/trace (0 = default 256, negative disables tracing)")
@@ -116,12 +113,10 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	dataSeed := flag.Int64("data-seed", 1, "seed for the synthetic data analyze requests execute against")
 	queryLog := flag.String("query-log", "", "append-only JSONL query log: one record per finished request, served, failed or cancelled (empty = disabled); feed it to `paropt replay` / `paropt workload`")
-	queryLogMax := flag.Int64("query-log-max-bytes", 0, "rotate the query log beyond this size (0 = 64 MiB)")
 	profiles := flag.Int("profiles", 0, "per-fingerprint workload profiles tracked for /debug/workload (0 = 4096, negative disables)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "EWMA row q-error above which a cached plan counts as drifted (0 = 2)")
 	driftSamples := flag.Int("drift-samples", 0, "minimum analyze accuracy samples before marking drift (0 = 2)")
 	sweep := flag.Duration("sweep", 0, "drift-sweeper interval: re-optimize drifted hot templates in the background (0 = disabled)")
-	sweepLimit := flag.Int("sweep-limit", 0, "max re-optimizations per sweeper pass (0 = 4)")
 	negCache := flag.Int("negcache", 0, "negative-cache capacity for parse/resolve failures (0 = 256, negative disables)")
 	exchWindow := flag.Int("exchange-window", 0, "credit window (frames in flight per direction) for distributed exchanges (0 = exchange default)")
 	batchRows := flag.Int("batch-rows", 0, "columnar batch size (rows per vector) for analyze executions (0 = engine default)")
@@ -140,23 +135,19 @@ func main() {
 		log.Fatalf("paroptd: -log must be text, json or none (got %q)", *logMode)
 	}
 
-	algorithm := paropt.PartialOrderDP
-	switch *alg {
-	case "podp":
-	case "podp-bushy":
-		algorithm = paropt.PartialOrderDPBushy
-	default:
-		log.Fatalf("paroptd: -alg must be podp or podp-bushy (got %q): only partial-order searches produce a reusable cover set", *alg)
+	// NewService refuses the algorithms that produce no reusable cover set.
+	algorithm, err := core.ParseAlgorithm(*alg)
+	if err != nil {
+		log.Fatalf("paroptd: %v", err)
 	}
-
-	cat, err := defaultCatalog(*schemaFile, *wl, *disks)
+	cat, err := paropt.DefaultCatalog(*schemaFile, *wl, *disks)
 	if err != nil {
 		log.Fatalf("paroptd: %v", err)
 	}
 
 	var qlog *workload.Log
 	if *queryLog != "" {
-		qlog, err = obs.NewSink[workload.Record](*queryLog, *queryLogMax)
+		qlog, err = obs.NewSink[workload.Record](*queryLog, 0)
 		if err != nil {
 			log.Fatalf("paroptd: %v", err)
 		}
@@ -179,7 +170,6 @@ func main() {
 		CoverCap:         *beam,
 		Workers:          *workers,
 		QueueDepth:       *queue,
-		CacheShards:      *shards,
 		CacheCapacity:    *cacheCap,
 		RequestTimeout:   *timeout,
 		TraceCapacity:    *traces,
@@ -190,7 +180,6 @@ func main() {
 		DriftThreshold:   *driftThreshold,
 		SweepMinSamples:  *driftSamples,
 		SweepInterval:    *sweep,
-		SweepLimit:       *sweepLimit,
 		NegCacheCapacity: *negCache,
 		ExchangeWindow:   *exchWindow,
 		BatchRows:        *batchRows,
@@ -203,7 +192,7 @@ func main() {
 	if *debugAddr != "" {
 		dbg := &http.Server{
 			Addr:              *debugAddr,
-			Handler:           pprofMux(),
+			Handler:           obs.PprofMux(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -245,41 +234,5 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("paroptd: shutdown: %v", err)
-	}
-}
-
-// pprofMux serves net/http/pprof on its own mux, so profiling stays off the
-// service handler (and off http.DefaultServeMux).
-func pprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// defaultCatalog loads the daemon's default catalog: a DDL file, a built-in
-// workload, or none.
-func defaultCatalog(schemaFile, workload string, disks int) (*paropt.Catalog, error) {
-	if schemaFile != "" {
-		src, err := os.ReadFile(schemaFile)
-		if err != nil {
-			return nil, err
-		}
-		return parser.ParseSchema(string(src))
-	}
-	switch workload {
-	case "portfolio":
-		cat, _ := paropt.PortfolioWorkload(disks)
-		return cat, nil
-	case "tpch":
-		cat, _ := paropt.TPCHWorkload(disks, 1)
-		return cat, nil
-	case "none", "":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q (portfolio, tpch or none)", workload)
 	}
 }

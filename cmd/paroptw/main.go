@@ -48,7 +48,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync"
@@ -59,6 +58,7 @@ import (
 	"paropt/internal/catalog"
 	"paropt/internal/engine"
 	"paropt/internal/engine/exchange"
+	"paropt/internal/obs"
 	"paropt/internal/placement"
 	"paropt/internal/vec"
 )
@@ -115,7 +115,7 @@ func main() {
 	if *debugAddr != "" {
 		dbg := &http.Server{
 			Addr:              *debugAddr,
-			Handler:           pprofMux(),
+			Handler:           obs.PprofMux(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -226,18 +226,6 @@ func obsMux(id string, stats *exchange.WorkerStats, box *storeBox, start time.Ti
 	return mux
 }
 
-// pprofMux serves net/http/pprof on its own mux, so profiling stays off the
-// fragment and metrics ports (and off http.DefaultServeMux).
-func pprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
 // heartbeatLoop keeps the worker registered and its placement store fresh.
 // Registration is idempotent on the daemon side (the epoch only advances on
 // real membership changes), so the steady-state heartbeat is free; after a
@@ -319,7 +307,7 @@ type storeBox struct {
 	self   string
 	client *http.Client
 
-	mu    sync.Mutex // serializes refresh; fp is the installed fingerprint
+	mu    sync.Mutex // serializes install; fp is the installed fingerprint
 	fp    string
 	store atomic.Pointer[placement.Store]
 }
@@ -334,18 +322,18 @@ func (b *storeBox) shardStats() (int, int64) {
 }
 
 func (b *storeBox) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.Vec, error) {
-	if st := b.store.Load(); st != nil {
-		return st.ScanPartition(spec, part, parts)
-	}
-	if b.daemon == "" {
-		return nil, errors.New("paroptw: shipped scan but no -daemon to fetch placement from")
-	}
-	if err := b.refresh(); err != nil {
-		return nil, fmt.Errorf("paroptw: fetch placement: %w", err)
-	}
 	st := b.store.Load()
 	if st == nil {
-		return nil, errors.New("paroptw: no placement installed at daemon")
+		if b.daemon == "" {
+			return nil, errors.New("paroptw: shipped scan but no -daemon to fetch placement from")
+		}
+		// Install without prewarming: this scan needs one shard, now.
+		if _, _, err := b.install(); err != nil {
+			return nil, fmt.Errorf("paroptw: fetch placement: %w", err)
+		}
+		if st = b.store.Load(); st == nil {
+			return nil, errors.New("paroptw: no placement installed at daemon")
+		}
 	}
 	return st.ScanPartition(spec, part, parts)
 }
@@ -353,13 +341,30 @@ func (b *storeBox) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.
 // refresh fetches the daemon's placement and rebuilds the local store when
 // the fingerprint changed. A 404 (placement retired or never installed)
 // clears the store so stale shards from an old catalog version are never
-// served.
+// served. The new store is published before it is prewarmed, and prewarmed
+// outside the mutex: a store materializes shards on demand under its own
+// locks, so a shipped scan arriving meanwhile waits for the one shard it
+// needs, not for the whole prewarm (or a concurrent refresh's fetch).
 func (b *storeBox) refresh() error {
+	st, m, err := b.install()
+	if err != nil || st == nil {
+		return err
+	}
+	if err := st.Prewarm(m, b.self); err != nil {
+		return fmt.Errorf("prewarm shards: %w", err)
+	}
+	return nil
+}
+
+// install is refresh's locked half: fetch, compare fingerprints, publish. It
+// returns the newly published store and its map, or a nil store when nothing
+// changed.
+func (b *storeBox) install() (*placement.Store, *placement.Map, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	resp, err := b.client.Get(b.daemon + "/cluster/placement")
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
@@ -368,32 +373,29 @@ func (b *storeBox) refresh() error {
 			b.fp = ""
 			b.store.Store(nil)
 		}
-		return nil
+		return nil, nil, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/cluster/placement: HTTP %d", resp.StatusCode)
+		return nil, nil, fmt.Errorf("/cluster/placement: HTTP %d", resp.StatusCode)
 	}
 	var doc placementDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if doc.Map == nil {
-		return errors.New("/cluster/placement: empty map")
+		return nil, nil, errors.New("/cluster/placement: empty map")
 	}
 	if doc.Fingerprint == b.fp {
-		return nil
+		return nil, nil, nil
 	}
 	cat, err := catalog.FromSnapshot(doc.Snapshot)
 	if err != nil {
-		return fmt.Errorf("placement snapshot: %w", err)
+		return nil, nil, fmt.Errorf("placement snapshot: %w", err)
 	}
 	st := placement.NewStore(cat, doc.Map.Seed)
-	if err := st.Prewarm(doc.Map, b.self); err != nil {
-		return fmt.Errorf("prewarm shards: %w", err)
-	}
 	b.store.Store(st)
 	b.fp = doc.Fingerprint
 	log.Printf("paroptw: placement %s installed (catalog %s, %d relations, epoch %d)",
 		doc.Fingerprint, doc.Map.CatalogVersion, len(doc.Map.Assignments), doc.Epoch)
-	return nil
+	return st, doc.Map, nil
 }

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"paropt"
 	"paropt/internal/cost"
@@ -32,12 +31,12 @@ func main() {
 		Expand:             optree.DefaultExpandOptions(),
 		Annotate:           optree.DefaultAnnotateOptions(),
 		AvoidCrossProducts: true,
-		Trace:              &search.WriterTracer{W: os.Stdout},
 	})
 	res, err := s.PODPLeftDeep()
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Print(res.Stats.TraceText(res.Best))
 
 	// 2. Per-operator cost breakdown of the winner.
 	fmt.Println("\n=== cost breakdown ===")

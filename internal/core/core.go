@@ -80,6 +80,32 @@ func (a Algorithm) String() string {
 	}
 }
 
+// ParseAlgorithm maps a command-line algorithm name to its Algorithm.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch name {
+	case "podp":
+		return PartialOrderDP, nil
+	case "podp-bushy":
+		return PartialOrderDPBushy, nil
+	case "work":
+		return WorkDP, nil
+	case "naive-rt":
+		return NaiveRTDP, nil
+	case "brute":
+		return BruteForceLeftDeep, nil
+	case "brute-bushy":
+		return BruteForceBushy, nil
+	case "two-phase":
+		return TwoPhase, nil
+	case "ii":
+		return IterativeImprovement, nil
+	case "anneal":
+		return SimulatedAnnealing, nil
+	default:
+		return 0, fmt.Errorf("unknown algorithm %q", name)
+	}
+}
+
 // Config assembles an optimization session.
 type Config struct {
 	// Machine describes the parallel machine; zero value means the default
@@ -101,8 +127,6 @@ type Config struct {
 	// of at most this many pages (§7's non-preemptable resource, modeled as
 	// a hard constraint).
 	MemoryPages int64
-	// Trace, when set, observes the search as it runs.
-	Trace search.Tracer
 	// Methods restricts the join methods enumerated; nil means all.
 	Methods []plan.JoinMethod
 	// CoverCap bounds cover sets to this many plans (beam search) when
@@ -222,7 +246,6 @@ func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer,
 			Final:              search.Comparator(final),
 			AvoidCrossProducts: avoid,
 			MemoryLimit:        cfg.MemoryPages,
-			Trace:              cfg.Trace,
 			Methods:            cfg.Methods,
 			CoverCap:           cfg.CoverCap,
 		},

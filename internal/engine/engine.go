@@ -326,7 +326,7 @@ func (e *Executor) build(n *plan.Node) (Operator, Schema, error) {
 	schema := append(append(Schema(nil), lschema...), rschema...)
 	if len(lkeys) == 0 {
 		// Cross product: nested loops over a rewindable buffered inner.
-		return &crossOp{e: e, left: lop, right: rop, bs: e.batchSize()}, schema, nil
+		return &crossOp{left: lop, right: rop, bs: e.batchSize()}, schema, nil
 	}
 	if e.Parallel > 1 {
 		op, err := e.parallelJoin(n, lop, rop, lkeys, rkeys, lspec, rspec, parts)
@@ -530,9 +530,9 @@ func (e *Executor) joinFor(method string, l, r Operator, lkeys, rkeys []int) Ope
 	case "sym":
 		return newSymJoinOp(e, l, r, lkeys, rkeys)
 	case "merge":
-		return &mergeJoinOp{e: e, left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lkeys[0], rsort: rkeys[0], bs: e.batchSize()}
+		return &mergeJoinOp{left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lkeys[0], rsort: rkeys[0], bs: e.batchSize()}
 	default: // "hash", "nl"
-		return &buildProbeOp{e: e, left: l, right: r, lkeys: lkeys, rkeys: rkeys, bs: e.batchSize()}
+		return &buildProbeOp{left: l, right: r, lkeys: lkeys, rkeys: rkeys, bs: e.batchSize()}
 	}
 }
 
@@ -595,7 +595,6 @@ func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
 // count, then each left batch probes it with one batch kernel call per
 // output batch.
 type buildProbeOp struct {
-	e            *Executor
 	left, right  Operator
 	lkeys, rkeys []int
 	bs           int
@@ -724,7 +723,6 @@ func (o *buildProbeOp) Close() {
 // rows), then merges, joining duplicate runs pairwise and emitting
 // incrementally.
 type mergeJoinOp struct {
-	e            *Executor
 	left, right  Operator
 	lkeys, rkeys []int
 	// lsort and rsort are the column each side is sorted on before the merge.
@@ -892,7 +890,6 @@ func (o *mergeJoinOp) Close() {
 // consecutive inner rows, cut at the builder's room. Each Next emits at most
 // one batch, so cancellation is polled at least that often.
 type crossOp struct {
-	e           *Executor
 	left, right Operator
 	bs          int
 

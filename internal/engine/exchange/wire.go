@@ -96,6 +96,11 @@ func remoteError(payload []byte) error {
 	return errors.New(msg)
 }
 
+// ErrBatchWidth reports an input stream whose batches changed width: a worker
+// pins each stream's width at its first batch and fails the fragment on any
+// other.
+var ErrBatchWidth = errors.New("exchange: batch width changed mid-stream")
+
 // ErrWorkerDisconnected reports a worker connection lost before the join
 // finished.
 var ErrWorkerDisconnected = errors.New("exchange: worker disconnected mid-stream")

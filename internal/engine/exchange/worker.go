@@ -219,17 +219,22 @@ func (w *Worker) handle(conn net.Conn) {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		leftOpen, rightOpen := true, true
+		// A stream's width is whatever its first batch has: the join sizes
+		// its buffers by it.
+		streams := [2]struct {
+			ch    chan Batch
+			open  bool
+			width int
+		}{{left, true, -1}, {right, true, -1}}
 		// Whatever ends the reader ends the streams it feeds and the result
 		// window. The cancel comes first, so the join reads the closes as that
 		// failure and not as exhaustion; after a finished join it is a no-op.
 		defer func() {
 			stop(ErrWorkerDisconnected)
-			if leftOpen {
-				close(left)
-			}
-			if rightOpen {
-				close(right)
+			for _, s := range streams {
+				if s.open {
+					close(s.ch)
+				}
 			}
 			resWin.close()
 		}()
@@ -244,28 +249,29 @@ func (w *Worker) handle(conn net.Conn) {
 				if err != nil {
 					return
 				}
-				in, open := left, leftOpen
-				if typ == frameRight {
-					in, open = right, rightOpen
-				}
-				if !open {
+				s := &streams[typ-frameLeft]
+				if !s.open {
 					return // a batch after its stream's end frame
+				}
+				if s.width < 0 {
+					s.width = b.Width()
+				} else if b.Width() != s.width {
+					// Fail the fragment but keep reading: closing on input a
+					// streaming coordinator still sends would reset the
+					// connection and take the error frame with it.
+					stop(fmt.Errorf("%w: %d columns after %d", ErrBatchWidth, b.Width(), s.width))
+					continue
 				}
 				// Within its window a batch always finds room; once the
 				// fragment is over, batches still in flight are dropped.
 				select {
-				case in <- b:
+				case s.ch <- b:
 				case <-ctx.Done():
 				}
-			case frameEndLeft:
-				if leftOpen {
-					close(left)
-					leftOpen = false
-				}
-			case frameEndRight:
-				if rightOpen {
-					close(right)
-					rightOpen = false
+			case frameEndLeft, frameEndRight:
+				if s := &streams[typ-frameEndLeft]; s.open {
+					close(s.ch)
+					s.open = false
 				}
 			case frameCredit:
 				if len(payload) == 1 && payload[0] == creditResult {

@@ -2,7 +2,12 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,8 +72,15 @@ func TestWorkerSurvivesHostileFragments(t *testing.T) {
 			t.Errorf("%s: err = %v (%T), want *exchange.WorkerError", name, err, err)
 		}
 	}
-	if got := ws.FragmentsFailed.Load(); got != int64(len(hostile)) {
-		t.Errorf("FragmentsFailed = %d, want %d", got, len(hostile))
+	// A build-side stream whose second batch is narrower than its first: the
+	// join's buffer, sized by the first, would index past the second's
+	// columns. No coordinator sends that, so it goes over a raw connection:
+	// the worker must answer with an error frame naming ErrBatchWidth.
+	if msg := streamWidthChange(t, lb.Addrs()[0]); !strings.Contains(msg, exchange.ErrBatchWidth.Error()) {
+		t.Errorf("width-changing stream: error frame %q, want %q", msg, exchange.ErrBatchWidth)
+	}
+	if got := ws.FragmentsFailed.Load(); got != int64(len(hostile))+1 {
+		t.Errorf("FragmentsFailed = %d, want %d", got, len(hostile)+1)
 	}
 
 	op, err := cluster.Join(context.Background(), good(), nil, nil)
@@ -87,6 +99,58 @@ func TestWorkerSurvivesHostileFragments(t *testing.T) {
 		t.Errorf("good fragment returned %d rows, single-process join %d", rows, want.Len())
 	}
 	waitWorkerIdle(t, ws)
+}
+
+// streamWidthChange sends a worker a hash-join fragment whose left side is a
+// shipped scan of R1 and whose right side is streamed as a two-column batch
+// followed by a one-column batch, and returns the payload of the error frame
+// that ends it.
+func streamWidthChange(t *testing.T, addr string) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// [u32 length][u8 type][payload], little-endian; a batch payload is
+	// [u32 rows][u32 width] and then width runs of rows int64s.
+	send := func(typ byte, payload []byte) {
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(1+len(payload)))
+		if _, err := conn.Write(append(append(frame, typ), payload...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func(rows, width uint32) []byte {
+		p := binary.LittleEndian.AppendUint32(nil, rows)
+		p = binary.LittleEndian.AppendUint32(p, width)
+		return append(p, make([]byte, 8*rows*width)...)
+	}
+	const frameFragment, frameRight, frameEndRight, frameError = 1, 3, 5, 8
+	frag, err := json.Marshal(exchange.Fragment{
+		Method: "hash", LKeys: []int{0}, RKeys: []int{1}, Parts: 1, Wire: exchange.WireVersion,
+		LeftScan: &exchange.ScanSpec{Relation: "R1", HashCol: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(frameFragment, frag)
+	send(frameRight, batch(4, 2))
+	send(frameRight, batch(4, 1))
+	send(frameEndRight, nil)
+	for {
+		var head [5]byte
+		if _, err := io.ReadFull(conn, head[:]); err != nil {
+			t.Fatalf("connection ended before an error frame: %v", err)
+		}
+		payload := make([]byte, binary.LittleEndian.Uint32(head[:4])-1)
+		if _, err := io.ReadFull(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		if head[4] == frameError {
+			return string(payload)
+		}
+	}
 }
 
 // waitWorkerIdle waits for a worker to have nothing staged and no fragment

@@ -92,7 +92,7 @@ func (e *Executor) lowerJoin(op, lin, rin *optree.Op, lsort, rsort *query.Column
 	}
 	schema := append(append(Schema(nil), lschema...), rschema...)
 	if len(op.Preds) == 0 {
-		return &crossOp{e: e, left: l, right: r, bs: e.batchSize()}, schema, nil
+		return &crossOp{left: l, right: r, bs: e.batchSize()}, schema, nil
 	}
 	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
 	lcol, rcol := -1, -1
@@ -108,7 +108,7 @@ func (e *Executor) lowerJoin(op, lin, rin *optree.Op, lsort, rsort *query.Column
 		return nil, nil, err
 	}
 	if op.Kind == optree.Merge {
-		return &mergeJoinOp{e: e, left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lcol, rsort: rcol, bs: e.batchSize()}, schema, nil
+		return &mergeJoinOp{left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lcol, rsort: rcol, bs: e.batchSize()}, schema, nil
 	}
 	return e.joinFor("nl", l, r, lkeys, rkeys), schema, nil
 }

@@ -15,7 +15,6 @@ import (
 // other side's table and buffer are freed on the spot: the exhausted side
 // sends no more probes, so nothing can ever hit them again.
 type symJoinOp struct {
-	e  *Executor
 	bs int
 	l  symSide
 	r  symSide
@@ -46,7 +45,6 @@ type symSide struct {
 
 func newSymJoinOp(e *Executor, l, r Operator, lkeys, rkeys []int) *symJoinOp {
 	return &symJoinOp{
-		e:  e,
 		bs: e.batchSize(),
 		l:  symSide{src: l, keys: lkeys},
 		r:  symSide{src: r, keys: rkeys},

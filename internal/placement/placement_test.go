@@ -3,6 +3,7 @@ package placement
 import (
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"paropt/internal/catalog"
@@ -385,5 +386,36 @@ func TestColumnarShardsMatchRowOracle(t *testing.T) {
 	}
 	if shards, rows := st.ShardStats(); shards != wantShards || rows != wantRows {
 		t.Errorf("ShardStats = %d shards, %d rows; want %d, %d", shards, rows, wantShards, wantRows)
+	}
+}
+
+// TestStoreMaterializesAShardOnce: scans racing each other (and a prewarm)
+// for one shard all get the same slab — the relation is generated once and
+// the others wait for it, instead of each building a private copy beside it.
+func TestStoreMaterializesAShardOnce(t *testing.T) {
+	st := NewStore(portfolioCat(t), 42)
+	const callers = 6
+	slabs := make([]*int64, callers)
+	var wg sync.WaitGroup
+	for i := range slabs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := st.ScanPartition(exchange.ScanSpec{Relation: "stocks", HashCol: 0}, 1, 3)
+			if err != nil || v.Len() == 0 {
+				t.Errorf("scan: %d rows, err %v", v.Len(), err)
+				return
+			}
+			slabs[i] = &v.Cols[0][0]
+		}()
+	}
+	wg.Wait()
+	for i, p := range slabs {
+		if p != slabs[0] {
+			t.Errorf("caller %d got its own copy of the shard", i)
+		}
+	}
+	if n, _ := st.ShardStats(); n != 1 {
+		t.Errorf("store holds %d shards, want 1", n)
 	}
 }

@@ -24,6 +24,9 @@ type Store struct {
 	mu     sync.Mutex
 	tables map[string]*storage.Table // optional full tables (coordinator reuse)
 	shards map[shardKey][][]int64
+	// building holds a channel per shard being materialized, closed when it
+	// lands in shards.
+	building map[shardKey]chan struct{}
 }
 
 type shardKey struct {
@@ -36,10 +39,11 @@ type shardKey struct {
 // NewStore builds a store over the catalog with the given generation seed.
 func NewStore(cat *catalog.Catalog, seed int64) *Store {
 	return &Store{
-		cat:    cat,
-		seed:   seed,
-		tables: make(map[string]*storage.Table),
-		shards: make(map[shardKey][][]int64),
+		cat:      cat,
+		seed:     seed,
+		tables:   make(map[string]*storage.Table),
+		shards:   make(map[shardKey][][]int64),
+		building: make(map[shardKey]chan struct{}),
 	}
 }
 
@@ -120,15 +124,6 @@ func (s *Store) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.Vec
 // full table if present, else generate the relation transiently and keep
 // only the requested partition.
 func (s *Store) shard(relName string, hashCol, part, parts int) ([][]int64, error) {
-	key := shardKey{rel: relName, hashCol: hashCol, part: part, parts: parts}
-	s.mu.Lock()
-	if cols, ok := s.shards[key]; ok {
-		s.mu.Unlock()
-		return cols, nil
-	}
-	t := s.tables[relName]
-	s.mu.Unlock()
-
 	rel, ok := s.cat.Relation(relName)
 	if !ok {
 		return nil, fmt.Errorf("placement: unknown relation %s", relName)
@@ -136,6 +131,29 @@ func (s *Store) shard(relName string, hashCol, part, parts int) ([][]int64, erro
 	if hashCol < 0 || hashCol >= len(rel.Columns) {
 		return nil, fmt.Errorf("placement: relation %s hash column %d out of range", relName, hashCol)
 	}
+	key := shardKey{rel: relName, hashCol: hashCol, part: part, parts: parts}
+	// One materialization per shard: a scan that needs the shard a prewarm is
+	// building waits for it instead of generating the relation a second time
+	// beside it.
+	s.mu.Lock()
+	for {
+		if cols, ok := s.shards[key]; ok {
+			s.mu.Unlock()
+			return cols, nil
+		}
+		built, busy := s.building[key]
+		if !busy {
+			break
+		}
+		s.mu.Unlock()
+		<-built
+		s.mu.Lock()
+	}
+	built := make(chan struct{})
+	s.building[key] = built
+	t := s.tables[relName]
+	s.mu.Unlock()
+
 	if t == nil {
 		t = storage.Generate(rel, s.seed)
 	}
@@ -143,7 +161,9 @@ func (s *Store) shard(relName string, hashCol, part, parts int) ([][]int64, erro
 
 	s.mu.Lock()
 	s.shards[key] = cols
+	delete(s.building, key)
 	s.mu.Unlock()
+	close(built)
 	return cols, nil
 }
 

@@ -12,7 +12,7 @@ import (
 
 // benchOptions builds one reusable option set for the PODP benchmarks (the
 // searcher itself is rebuilt per iteration; the model and workload are not).
-func benchOptions(tb testing.TB, trace Tracer) Options {
+func benchOptions(tb testing.TB) Options {
 	tb.Helper()
 	cfg := query.DefaultGenConfig()
 	cfg.Relations = 6
@@ -27,49 +27,18 @@ func benchOptions(tb testing.TB, trace Tracer) Options {
 		Model:    cost.NewModel(cat, m, est, cost.DefaultParams()),
 		Expand:   optree.DefaultExpandOptions(),
 		Annotate: optree.DefaultAnnotateOptions(),
-		Trace:    trace,
 	}
 }
 
-// BenchmarkPODP is the untraced baseline the CI smoke compares against; CI
-// additionally watches allocs/op so tracer hooks can't quietly start
-// allocating on the untraced path.
+// BenchmarkPODP is the search baseline: a 6-relation chain, left-deep. The
+// layer records are its only telemetry, so there is no traced variant.
 func BenchmarkPODP(b *testing.B) {
-	opt := benchOptions(b, nil)
+	opt := benchOptions(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := New(opt).PODPLeftDeep(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPODPTraced runs the same search with a live tracer; the CI smoke
-// fails when it is more than 10% slower than BenchmarkPODP.
-func BenchmarkPODPTraced(b *testing.B) {
-	tracer := &CountingTracer{}
-	opt := benchOptions(b, tracer)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tracer.Layers = tracer.Layers[:0]
-		tracer.Records = tracer.Records[:0]
-		if _, err := New(opt).PODPLeftDeep(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestTracerHooksAllocationFreeWhenUntraced pins the satellite guarantee: an
-// uninstalled tracer costs a nil check per emit, never an allocation.
-func TestTracerHooksAllocationFreeWhenUntraced(t *testing.T) {
-	s := New(benchOptions(t, nil))
-	set := query.NewRelSet(0, 1, 2)
-	if n := testing.AllocsPerRun(1000, func() {
-		s.emitSubset(set, 3, 17)
-		s.emitFinal(nil)
-	}); n != 0 {
-		t.Errorf("untraced emit hooks allocate %.1f per run, want 0", n)
 	}
 }

@@ -69,8 +69,6 @@ type Options struct {
 	// method/access combination rather than choosing greedily per step;
 	// exact but exponentially more expensive, meant for small n.
 	ExhaustivePhysical bool
-	// Trace, when set, observes the search as it runs.
-	Trace Tracer
 	// CoverCap, when > 0, bounds every cover set to that many plans (beam
 	// search): the worst member under Final is evicted when the cover
 	// overflows. Exactness is traded for bounded cost — the practical
@@ -90,49 +88,51 @@ type Result struct {
 	Stats Stats
 }
 
-// Stats counts the quantities Table 1 compares across algorithms. The four
-// DP algorithms are one driver, so they fill every field the same way: a
-// total-order (Figure 1) search is a partial-order search whose covers hold
-// one plan.
+// Stats is the one record a search leaves: the quantities Table 1 compares
+// across algorithms plus one LayerRecord per DP layer. Every view of a search
+// — trace text, profile table, request-trace spans, /debug/search — is a
+// function of it. The four DP algorithms are one driver, so they fill every
+// field the same way: a total-order (Figure 1) search is a partial-order
+// search whose covers hold one plan.
 type Stats struct {
 	// PlansConsidered counts joinPlan/accessPlan invocations — the "time
 	// complexity (#plans considered)" column of Table 1: one per (subplan,
 	// added relation) pair for left-deep algorithms, one per ordered subset
 	// split for bushy ones, one per permutation for brute force.
-	PlansConsidered int64
+	PlansConsidered int64 `json:"plansConsidered"`
 	// PhysicalPlans counts every method × access-path combination costed.
-	PhysicalPlans int64
+	PhysicalPlans int64 `json:"physicalPlans"`
 	// MaxLayerPlans is the peak number of plans stored for subsets of one
 	// cardinality — the "space complexity (max #plans stored)" column.
-	MaxLayerPlans int64
+	MaxLayerPlans int64 `json:"maxLayerPlans"`
 	// MaxCoverSize is the largest cover set observed (k in §6.2); 1 under a
 	// total order.
-	MaxCoverSize int
+	MaxCoverSize int `json:"maxCoverSize"`
 	// MaxOrderClasses is the largest number of distinct output orderings
 	// held in one cover — the measured counterpart of the 2^b "bindings"
 	// factor Table 1 assigns to bushy DP (plans kept per physical property
 	// of the subquery); 1 under a total order.
-	MaxOrderClasses int
+	MaxOrderClasses int `json:"maxOrderClasses"`
 	// Pruned counts physical candidates (costed method × access-path
 	// combinations) rejected by a cover set or a limit.
-	Pruned int64
+	Pruned int64 `json:"pruned"`
 	// Prune reasons: Pruned split by the test that rejected the candidate —
 	// the Theorem 3 cover-set test (PrunedDominance), the §2 work bound
 	// (PrunedWork), the memory constraint (PrunedMemory), and beam eviction
 	// under CoverCap (PrunedBeam). The four always sum to Pruned.
-	PrunedDominance int64
-	PrunedWork      int64
-	PrunedMemory    int64
-	PrunedBeam      int64
+	PrunedDominance int64 `json:"prunedDominance"`
+	PrunedWork      int64 `json:"prunedWork"`
+	PrunedMemory    int64 `json:"prunedMemory"`
+	PrunedBeam      int64 `json:"prunedBeam"`
 	// MetricDims is the dimensionality of the pruning metric actually used
 	// by a DP search (1 for total orders). On a multi-node machine this
 	// grows with the node count — every interconnect link is a
 	// resource-vector coordinate — which is what makes local and
 	// repartitioned plans incomparable.
-	MetricDims int
+	MetricDims int `json:"metricDims"`
 	// Layers holds one telemetry record per DP layer (one pseudo-layer for
 	// non-layered strategies) — the raw material of the SearchProfile.
-	Layers []LayerRecord
+	Layers []LayerRecord `json:"layers"`
 }
 
 // Searcher runs the §6 algorithms over one query and cost model.

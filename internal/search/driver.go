@@ -180,7 +180,6 @@ func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 			}
 			cur[set] = best
 			s.noteOrderClasses(best)
-			s.emitSubset(set, best.Len(), s.stats.PlansConsidered)
 		})
 		if err != nil {
 			return nil, err
@@ -259,12 +258,10 @@ func (s *Searcher) noteOrderClasses(cs *CoverSet) {
 // finish extracts the result from the full set's cover.
 func (s *Searcher) finish(cs *CoverSet) (*Result, error) {
 	if cs == nil || cs.Empty() {
-		s.emitFinal(nil)
 		return &Result{Stats: s.stats}, nil
 	}
 	frontier := append([]*Candidate(nil), cs.Plans()...)
 	best := s.bestOf(frontier)
-	s.emitFinal(best)
 	return &Result{
 		Best:     best,
 		Frontier: frontier,

@@ -103,6 +103,25 @@ func (p SearchProfile) Table() string {
 	return b.String()
 }
 
+// TraceText renders the record as the search trace: one line per layer, then
+// the winning plan (or the no-plan marker when best is nil) and the totals.
+func (st Stats) TraceText(best *Candidate) string {
+	var b strings.Builder
+	for _, l := range st.Layers {
+		fmt.Fprintf(&b, "layer %d: %d subsets, %d plans stored, pruned %d (dom %d, work %d, mem %d, beam %d), %.3fms\n",
+			l.Card, l.Subsets, l.Kept, l.Pruned(),
+			l.PrunedDominance, l.PrunedWork, l.PrunedMemory, l.PrunedBeam,
+			float64(l.WallNanos)/1e6)
+	}
+	if best == nil {
+		b.WriteString("no plan (all pruned)\n")
+		return b.String()
+	}
+	fmt.Fprintf(&b, "best: %s\nconsidered=%d physical=%d maxCover=%d pruned=%d\n",
+		best, st.PlansConsidered, st.PhysicalPlans, st.MaxCoverSize, st.Pruned)
+	return b.String()
+}
+
 // layerMark snapshots the prune/consider counters at a layer boundary so the
 // layer's record can be computed as deltas when it closes.
 type layerMark struct {
@@ -128,8 +147,7 @@ func (s *Searcher) beginLayer() layerMark {
 	}
 }
 
-// endLayer closes a layer: it appends the record to the stats (the raw
-// material of the SearchProfile) and forwards it to the tracer, if any.
+// endLayer closes a layer: it appends the record to the stats.
 func (s *Searcher) endLayer(m layerMark, card, subsets int, kept int64, maxCover int) {
 	rec := LayerRecord{
 		Card:            card,
@@ -146,9 +164,6 @@ func (s *Searcher) endLayer(m layerMark, card, subsets int, kept int64, maxCover
 		WallNanos:       time.Since(m.start).Nanoseconds(),
 	}
 	s.stats.Layers = append(s.stats.Layers, rec)
-	if s.opt.Trace != nil {
-		s.opt.Trace.Layer(rec)
-	}
 }
 
 // candidateBytes estimates the bytes one stored candidate retains: the

@@ -7,35 +7,6 @@ import (
 	"paropt/internal/query"
 )
 
-// TestMultiTracerNilMembers: nil members are skipped for every event, an
-// all-nil fan-out is a no-op, and live members still see everything.
-func TestMultiTracerNilMembers(t *testing.T) {
-	counting := &CountingTracer{}
-	var sb strings.Builder
-	tracer := MultiTracer{nil, counting, nil, &WriterTracer{W: &sb}}
-	s := newSearcher(t, cliqueCfg(4), func(o *Options) { o.Trace = tracer })
-	res, err := s.PODPLeftDeep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counting.Records) != 4 {
-		t.Errorf("counting member saw %d layer records, want 4", len(counting.Records))
-	}
-	if counting.Best != res.Best {
-		t.Error("counting member missed the final event")
-	}
-	if !strings.Contains(sb.String(), "layer 4:") || !strings.Contains(sb.String(), "best:") {
-		t.Errorf("writer member missed events:\n%s", sb.String())
-	}
-
-	// An entirely-nil fan-out must not panic on any event.
-	empty := MultiTracer{nil, nil}
-	s2 := newSearcher(t, cliqueCfg(3), func(o *Options) { o.Trace = empty })
-	if _, err := s2.PODPLeftDeep(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLayerRecordsAggregateToStats cross-checks the per-layer telemetry
 // against the search totals for every strategy that records layers: the
 // deltas captured at layer boundaries must partition the cumulative

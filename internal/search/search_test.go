@@ -121,7 +121,7 @@ func TestBruteForceBushyTable1Counts(t *testing.T) {
 }
 
 // TestTable1Golden pins (PlansConsidered, MaxLayerPlans) of all six Table 1
-// rows — what cmd/table1 prints — to the values measured before the four DP
+// rows — what `paropt report T1` prints — to the values measured before the four DP
 // loops became one driver. The DP rows equal the closed forms; the
 // partial-order rows have none, so the literals are their only guard.
 func TestTable1Golden(t *testing.T) {

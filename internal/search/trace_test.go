@@ -7,104 +7,89 @@ import (
 	"paropt/internal/query"
 )
 
-// finalCounter is a CountingTracer that also counts Final events.
-type finalCounter struct {
-	CountingTracer
-	finals int
-}
-
-func (t *finalCounter) Final(best *Candidate, st Stats) {
-	t.finals++
-	t.CountingTracer.Final(best, st)
-}
-
-// TestCountingTracerOnDPWrappers: every face of the dp driver reports one
-// layer record per cardinality, one subset event per solved subset of
-// cardinality ≥ 2, and exactly one final plan.
+// TestCountingTracerOnDPWrappers: every face of the dp driver leaves one
+// layer record per cardinality, each storing plans for no more subsets than
+// the lattice has, and the last one holding the full-set cover the result's
+// best plan comes from.
 func TestCountingTracerOnDPWrappers(t *testing.T) {
 	cfg := query.DefaultGenConfig()
 	cfg.Relations = 4
 	cfg.Shape = query.Chain
+	binom := []int{0, 4, 6, 4, 1}
 	for _, w := range dpWrappers {
-		tracer := &finalCounter{}
-		res, err := w.run(newSearcher(t, cfg, func(o *Options) { o.Trace = tracer }))
+		res, err := w.run(newSearcher(t, cfg, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tracer.Layers) != 4 {
-			t.Fatalf("%s: layers traced = %d, want 4", w.name, len(tracer.Layers))
+		layers := res.Stats.Layers
+		if len(layers) != 4 {
+			t.Fatalf("%s: %d layer records, want 4", w.name, len(layers))
 		}
-		subsets := 0
-		for i, rec := range tracer.Records {
+		for i, rec := range layers {
+			if rec.Card != i+1 {
+				t.Errorf("%s: record %d has cardinality %d", w.name, i, rec.Card)
+			}
 			if rec.Kept <= 0 {
-				t.Errorf("%s: layer %d stored %d plans", w.name, i+1, rec.Kept)
+				t.Errorf("%s: layer %d stored %d plans", w.name, rec.Card, rec.Kept)
 			}
-			if rec.Card >= 2 {
-				subsets += rec.Subsets
+			if rec.Subsets < 1 || rec.Subsets > binom[rec.Card] {
+				t.Errorf("%s: layer %d solved %d subsets, want 1..%d", w.name, rec.Card, rec.Subsets, binom[rec.Card])
 			}
 		}
-		if subsets == 0 || tracer.Subsets != subsets {
-			t.Errorf("%s: %d subset events, want Σ layer.Subsets = %d", w.name, tracer.Subsets, subsets)
+		if int(layers[3].Kept) != len(res.Frontier) {
+			t.Errorf("%s: final layer %d != frontier %d", w.name, layers[3].Kept, len(res.Frontier))
 		}
-		if tracer.finals != 1 || tracer.Best == nil || tracer.Best != res.Best {
-			t.Errorf("%s: %d final events carrying %v, want one carrying the result's best", w.name, tracer.finals, tracer.Best)
+		found := false
+		for _, c := range res.Frontier {
+			found = found || c == res.Best
 		}
-		// The last layer holds the full-set cover.
-		if int(tracer.Layers[3]) != len(res.Frontier) {
-			t.Errorf("%s: final layer %d != frontier %d", w.name, tracer.Layers[3], len(res.Frontier))
+		if res.Best == nil || !found {
+			t.Errorf("%s: best %v is not a member of the root cover", w.name, res.Best)
 		}
 	}
 }
 
+// TestCountingTracerOnDP: DP stores exactly C(4,i) plans per layer on a
+// clique, and the records say so.
 func TestCountingTracerOnDP(t *testing.T) {
-	tracer := &CountingTracer{}
-	s := newSearcher(t, cliqueCfg(4), func(o *Options) { o.Trace = tracer })
-	res, err := s.DPLeftDeep()
+	res, err := newSearcher(t, cliqueCfg(4), nil).DPLeftDeep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DP stores exactly C(4,i) plans per layer on a clique.
 	want := []int64{4, 6, 4, 1}
-	if len(tracer.Layers) != len(want) {
-		t.Fatalf("layers = %v", tracer.Layers)
+	if len(res.Stats.Layers) != len(want) {
+		t.Fatalf("layers = %+v", res.Stats.Layers)
 	}
-	for i := range want {
-		if tracer.Layers[i] != want[i] {
-			t.Errorf("layer %d stored %d, want %d", i+1, tracer.Layers[i], want[i])
+	for i, rec := range res.Stats.Layers {
+		if rec.Kept != want[i] || rec.MaxCover != 1 {
+			t.Errorf("layer %d stored %d plans (max cover %d), want %d (1)", i+1, rec.Kept, rec.MaxCover, want[i])
 		}
-	}
-	if tracer.Best != res.Best {
-		t.Error("final mismatch")
 	}
 }
 
+// TestWriterTracer: the trace text is one line per layer record, then the
+// winner and the totals — nothing per subset.
 func TestWriterTracer(t *testing.T) {
-	var sb strings.Builder
-	tracer := &WriterTracer{W: &sb, Verbose: true}
-	s := newSearcher(t, cliqueCfg(3), func(o *Options) { o.Trace = tracer })
-	if _, err := s.PODPLeftDeep(); err != nil {
+	res, err := newSearcher(t, cliqueCfg(3), nil).PODPLeftDeep()
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"layer 1:", "layer 3:", "best:", "considered="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
+	out := res.Stats.TraceText(res.Best)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 3+2 {
+		t.Fatalf("trace has %d lines, want 3 layers + best + totals:\n%s", len(lines), out)
 	}
-	// Verbose mode prints subset lines.
-	if !strings.Contains(out, "{0,1}") && !strings.Contains(out, "kept") {
-		t.Errorf("verbose trace missing subset lines:\n%s", out)
+	for i, prefix := range []string{"layer 1: 3 subsets, ", "layer 2: 3 subsets, ", "layer 3: 1 subsets, ", "best: " + res.Best.String(), "considered="} {
+		if !strings.HasPrefix(lines[i], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
+		}
 	}
 }
 
+// TestWriterTracerNoPlan: a search whose work limit prunes everything still
+// leaves its layer records, and the trace text ends in the no-plan marker.
 func TestWriterTracerNoPlan(t *testing.T) {
-	var sb strings.Builder
-	tracer := &WriterTracer{W: &sb}
-	// An impossible work limit prunes everything.
-	s := newSearcher(t, cliqueCfg(3), func(o *Options) {
-		o.Trace = tracer
-		o.WorkLimit = 0.000001
-	})
+	s := newSearcher(t, cliqueCfg(3), func(o *Options) { o.WorkLimit = 0.000001 })
 	res, err := s.PODPLeftDeep()
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +97,12 @@ func TestWriterTracerNoPlan(t *testing.T) {
 	if res.Best != nil {
 		t.Fatal("expected total pruning")
 	}
-	if !strings.Contains(sb.String(), "no plan") {
-		t.Errorf("trace missing no-plan marker:\n%s", sb.String())
+	out := res.Stats.TraceText(res.Best)
+	if !strings.HasPrefix(out, "layer 1: 0 subsets, 0 plans stored, ") || !strings.HasSuffix(out, "no plan (all pruned)\n") {
+		t.Errorf("trace of a fully pruned search:\n%s", out)
+	}
+	if res.Stats.PrunedWork == 0 || res.Stats.PrunedWork != res.Stats.Pruned {
+		t.Errorf("every prune should be a work-limit prune: %+v", res.Stats)
 	}
 }
 

@@ -15,13 +15,11 @@ import (
 // the canonical query instance the cover set was computed for, plus the
 // reusable cover set. Materialization must go through entry.opt (not a
 // per-request optimizer) because the frontier's plan nodes index relations
-// in that query instance's declaration order. searchTrace is the DP trace
-// text captured while the cover set was computed, so trace-requesting
-// explains are answered on cache hits too.
+// in that query instance's declaration order. cover.Stats is the search's
+// record, so trace-requesting explains are answered on cache hits too.
 type cacheEntry struct {
-	opt         *core.Optimizer
-	cover       *core.CoverSet
-	searchTrace string
+	opt   *core.Optimizer
+	cover *core.CoverSet
 	// logRec points at the /debug/search entry recorded when this search
 	// ran; cache hits bump its counter so replayed traces are labeled.
 	logRec *searchLogRecord
@@ -116,132 +114,150 @@ func (e *cacheEntry) rendered(c *search.Candidate) (*renderedPlan, error) {
 	return r, nil
 }
 
-// planCache is a sharded, size-bounded LRU over cache entries. Sharding
-// keeps lock contention off the serving hot path: each key hashes to one
-// shard, and shards evict independently so a burst of distinct queries
-// cannot serialize the whole cache behind one mutex.
-type planCache struct {
-	shards  []cacheShard
-	onEvict func()
+// lru is a mutex-guarded, size-bounded LRU map from string keys — the one
+// implementation under both the plan cache's shards and the negative cache.
+// Get on a hit allocates nothing. A nil *lru is an always-empty cache that
+// stores nothing.
+type lru[V any] struct {
+	mu      sync.Mutex
+	cap     int
+	ll      *list.List // of *lruItem[V]; front = most recently used
+	items   map[string]*list.Element
+	onEvict func() // optional; called once per capacity eviction, under mu
 }
 
-type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type cacheItem struct {
+type lruItem[V any] struct {
 	key string
-	val *cacheEntry
+	val V
 }
 
-// newPlanCache builds a cache with the given shard count and *total*
-// capacity, split evenly across shards (each shard holds at least one
-// entry).
-func newPlanCache(shards, capacity int, onEvict func()) *planCache {
-	if shards < 1 {
-		shards = 1
-	}
-	per := capacity / shards
-	if per < 1 {
-		per = 1
-	}
-	c := &planCache{shards: make([]cacheShard, shards), onEvict: onEvict}
-	for i := range c.shards {
-		c.shards[i].cap = per
-		c.shards[i].ll = list.New()
-		c.shards[i].items = make(map[string]*list.Element)
-	}
-	return c
+func (c *lru[V]) init(capacity int, onEvict func()) {
+	c.cap, c.onEvict = capacity, onEvict
+	c.ll = list.New()
+	c.items = make(map[string]*list.Element)
 }
 
-func (c *planCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%uint32(len(c.shards))]
-}
-
-// Get returns the entry and refreshes its recency.
-func (c *planCache) Get(key string) (*cacheEntry, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+// Get returns the value and refreshes its recency.
+func (c *lru[V]) Get(key string) (V, bool) {
+	var zero V
+	if c == nil {
+		return zero, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return zero, false
 	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*cacheItem).val, true
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruItem[V]).val, true
 }
 
-// Put inserts or refreshes an entry, evicting the least-recently-used one
-// when the shard overflows.
-func (c *planCache) Put(key string, val *cacheEntry) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheItem).val = val
-		s.ll.MoveToFront(el)
+// Put inserts or refreshes a value, evicting the least-recently-used one
+// when the map overflows.
+func (c *lru[V]) Put(key string, val V) {
+	if c == nil {
 		return
 	}
-	s.items[key] = s.ll.PushFront(&cacheItem{key: key, val: val})
-	for s.ll.Len() > s.cap {
-		back := s.ll.Back()
-		s.ll.Remove(back)
-		delete(s.items, back.Value.(*cacheItem).key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*lruItem[V]).val = val
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.items[key] = c.ll.PushFront(&lruItem[V]{key: key, val: val})
+	for c.ll.Len() > c.cap {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.items, back.Value.(*lruItem[V]).key)
 		if c.onEvict != nil {
 			c.onEvict()
 		}
 	}
 }
 
-// Len is the resident entry count across shards.
-func (c *planCache) Len() int {
+// Len is the resident entry count.
+func (c *lru[V]) Len() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+// PurgeWhere drops every entry whose key satisfies pred and returns how many
+// were dropped. Dropped entries do not count as evictions.
+func (c *lru[V]) PurgeWhere(pred func(key string) bool) int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if key := el.Value.(*lruItem[V]).key; pred(key) {
+			c.ll.Remove(el)
+			delete(c.items, key)
+			n++
+		}
+		el = next
 	}
 	return n
 }
 
-// Purge drops every entry (e.g. after a statistics refresh makes whole
-// catalog versions stale). Purged entries do not count as evictions.
-func (c *planCache) Purge() {
+// cacheShards is the plan cache's shard count.
+const cacheShards = 8
+
+// planCache is a sharded, size-bounded LRU over cache entries. Sharding
+// keeps lock contention off the serving hot path: each key hashes to one
+// shard, and shards evict independently so a burst of distinct queries
+// cannot serialize the whole cache behind one mutex.
+type planCache struct {
+	shards [cacheShards]lru[*cacheEntry]
+}
+
+// newPlanCache builds a cache with the given *total* capacity, split evenly
+// across shards (each shard holds at least one entry).
+func newPlanCache(capacity int, onEvict func()) *planCache {
+	c := &planCache{}
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.ll.Init()
-		s.items = make(map[string]*list.Element)
-		s.mu.Unlock()
+		c.shards[i].init(max(capacity/cacheShards, 1), onEvict)
 	}
+	return c
+}
+
+func (c *planCache) shard(key string) *lru[*cacheEntry] {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return &c.shards[h.Sum32()%cacheShards]
+}
+
+// Get returns the entry and refreshes its recency.
+func (c *planCache) Get(key string) (*cacheEntry, bool) { return c.shard(key).Get(key) }
+
+// Put inserts or refreshes an entry, evicting the shard's least-recently-used
+// one when it overflows.
+func (c *planCache) Put(key string, val *cacheEntry) { c.shard(key).Put(key, val) }
+
+// Len is the resident entry count across shards.
+func (c *planCache) Len() int {
+	n := 0
+	for i := range c.shards {
+		n += c.shards[i].Len()
+	}
+	return n
 }
 
 // PurgeWhere drops every entry whose key satisfies pred and returns how many
 // were dropped — the catalog-version GC path: retiring a version sweeps its
-// keys out instead of waiting for LRU pressure to age them. Dropped entries
-// do not count as evictions.
+// keys out instead of waiting for LRU pressure to age them.
 func (c *planCache) PurgeWhere(pred func(key string) bool) int {
 	n := 0
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			it := el.Value.(*cacheItem)
-			if pred(it.key) {
-				s.ll.Remove(el)
-				delete(s.items, it.key)
-				n++
-			}
-			el = next
-		}
-		s.mu.Unlock()
+		n += c.shards[i].PurgeWhere(pred)
 	}
 	return n
 }

@@ -8,7 +8,8 @@ import (
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	evicted := 0
-	c := newPlanCache(1, 3, func() { evicted++ })
+	var c lru[*cacheEntry]
+	c.init(3, func() { evicted++ })
 	e := func() *cacheEntry { return &cacheEntry{} }
 	for i := 0; i < 3; i++ {
 		c.Put(fmt.Sprintf("k%d", i), e())
@@ -32,14 +33,13 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 			t.Errorf("%s should be resident", k)
 		}
 	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("purge should empty the cache, len=%d", c.Len())
+	if n := c.PurgeWhere(func(k string) bool { return k != "k2" }); n != 2 || c.Len() != 1 || evicted != 1 {
+		t.Errorf("purging all but k2 dropped %d, left %d, evictions %d; want 2, 1, 1", n, c.Len(), evicted)
 	}
 }
 
 func TestPlanCacheShardingIsConcurrencySafe(t *testing.T) {
-	c := newPlanCache(8, 64, nil)
+	c := newPlanCache(64, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -59,7 +59,7 @@ func TestPlanCacheShardingIsConcurrencySafe(t *testing.T) {
 }
 
 func TestPlanCacheOverwriteRefreshes(t *testing.T) {
-	c := newPlanCache(1, 2, nil)
+	c := newPlanCache(2, nil)
 	a, b := &cacheEntry{}, &cacheEntry{}
 	c.Put("k", a)
 	c.Put("k", b)

@@ -15,7 +15,6 @@ import (
 	"paropt/internal/obs/workload"
 	"paropt/internal/parser"
 	"paropt/internal/placement"
-	"paropt/internal/search"
 )
 
 // HTTP surface of the daemon (stdlib net/http only):
@@ -529,11 +528,12 @@ func (s *Service) handleQueries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"queries": snaps})
 }
 
-// writeQueriesText renders the in-flight listing as a fixed-width table
-// (the ?format=text form).
+// writeQueriesText renders the in-flight listing as a fixed-width table (the
+// ?format=text form, which `paropt top` prints verbatim): one summary row per
+// query plus an indented per-operator progress row for executing ones.
 func writeQueriesText(w io.Writer, snaps []QuerySnapshot) {
 	fmt.Fprintf(w, "%d in-flight\n", len(snaps))
-	fmt.Fprintf(w, "%4s %-8s %-9s %9s %8s %10s %6s %s\n",
+	fmt.Fprintf(w, "%4s %-9s %-9s %10s %6s %12s %-6s %s\n",
 		"id", "kind", "phase", "elapsed", "pct", "eta", "drift", "query")
 	for _, qs := range snaps {
 		pct, eta, drift := "-", "-", ""
@@ -546,16 +546,26 @@ func writeQueriesText(w io.Writer, snaps []QuerySnapshot) {
 				drift = "DRIFT"
 			}
 		}
-		flags := qs.Kind
+		kind := qs.Kind
 		if qs.Distributed {
-			flags += "*"
+			kind += "*"
 		}
 		query := qs.Query
 		if len(query) > 60 {
 			query = query[:57] + "..."
 		}
-		fmt.Fprintf(w, "%4d %-8s %-9s %8.0fms %8s %10s %6s %s\n",
-			qs.ID, flags, qs.Phase, qs.ElapsedMs, pct, eta, drift, query)
+		fmt.Fprintf(w, "%4d %-9s %-9s %9.0fms %6s %12s %-6s %s\n",
+			qs.ID, kind, qs.Phase, qs.ElapsedMs, pct, eta, drift, query)
+		if qs.Progress != nil {
+			for _, op := range qs.Progress.Ops {
+				done := ""
+				if op.Done {
+					done = " done"
+				}
+				fmt.Fprintf(w, "     · %-24s %d/%d rows (%.0f%%)%s\n",
+					op.Label, op.Rows, op.PredRows, op.Percent*100, done)
+			}
+		}
 	}
 }
 
@@ -677,13 +687,7 @@ func (s *Service) handleSearchLog(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "#%d %s source=%s fingerprint=%s catalog=%s relations=%d frontier=%d elapsed=%.3fms hits=%d cached=%v\n",
 				e.ID, e.Time.Format(time.RFC3339), e.Source, e.Fingerprint, e.Catalog,
 				e.Relations, e.FrontierSize, float64(e.ElapsedMicros)/1e3, e.CacheHits, e.Cached)
-			p := search.SearchProfile{
-				Relations:         e.Relations,
-				WallNanos:         e.ElapsedMicros * 1e3,
-				PeakBytesRetained: e.PeakBytesRetained,
-				Layers:            e.Layers,
-			}
-			io.WriteString(w, p.Table()) //nolint:errcheck
+			io.WriteString(w, e.Profile().Table()) //nolint:errcheck
 			fmt.Fprintln(w)
 		}
 		return

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"paropt/internal/catalog"
+	"paropt/internal/obs"
 	"paropt/internal/parser"
 )
 
@@ -325,5 +327,51 @@ func TestReplayChangeEntersAuditLog(t *testing.T) {
 	}
 	if s.met.PlanChangesReplay.Load() != 1 {
 		t.Error("replay counter should advance")
+	}
+}
+
+// TestMissTraceLaysLayerSpansEndToEnd: the dp-layer spans of a miss are drawn
+// from the search's layer records — one per layer, each as wide as the
+// layer's measured wall time, laid end to end inside the search span — and
+// the search's /debug/search entry carries the same layers.
+func TestMissTraceLaysLayerSpansEndToEnd(t *testing.T) {
+	s := newTestService(t, nil)
+	miss, err := s.Optimize(context.Background(), OptimizeRequest{Query: chainSQL(6, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := findSpan(s.Tracer().Get(miss.TraceID).JSON().Root, "search")
+	if search == nil {
+		t.Fatal("miss trace has no search span")
+	}
+	entry := s.SearchLog()[0]
+	if entry.TraceID != miss.TraceID || len(entry.Layers) != 6 {
+		t.Fatalf("/debug/search entry: trace %q, %d layers; want %q, 6", entry.TraceID, len(entry.Layers), miss.TraceID)
+	}
+	var layers []*obs.SpanJSON
+	for _, c := range search.Children {
+		if strings.HasPrefix(c.Name, "dp-layer-") {
+			layers = append(layers, c)
+		}
+	}
+	if len(layers) != len(entry.Layers) {
+		t.Fatalf("search span has %d dp-layer children, want %d", len(layers), len(entry.Layers))
+	}
+	var sum int64
+	for i, l := range layers {
+		rec := entry.Layers[i]
+		if l.Name != fmt.Sprintf("dp-layer-%d", rec.Card) || l.Attrs["plansStored"] != fmt.Sprint(rec.Kept) {
+			t.Errorf("span %d is %s storing %s plans, record is layer %d storing %d", i, l.Name, l.Attrs["plansStored"], rec.Card, rec.Kept)
+		}
+		if l.DurMicros <= 0 || l.DurMicros > rec.WallNanos/1e3+1 {
+			t.Errorf("%s lasts %dµs, its record %dns", l.Name, l.DurMicros, rec.WallNanos)
+		}
+		if i > 0 && l.StartMicros != layers[i-1].EndMicros {
+			t.Errorf("%s starts at %dµs, %s ended at %dµs", l.Name, l.StartMicros, layers[i-1].Name, layers[i-1].EndMicros)
+		}
+		sum += l.DurMicros
+	}
+	if first, last := layers[0], layers[len(layers)-1]; first.StartMicros < search.StartMicros || last.EndMicros > search.EndMicros || sum > search.DurMicros {
+		t.Errorf("layers span [%d, %d]µs summing to %dµs; search span is [%d, %d]µs", first.StartMicros, last.EndMicros, sum, search.StartMicros, search.EndMicros)
 	}
 }

@@ -1,10 +1,5 @@
 package service
 
-import (
-	"container/list"
-	"sync"
-)
-
 // negCache is the negative cache: a bounded LRU from (raw query text,
 // catalog version) to the parse/resolve error that query produced. Parsing
 // is the serve path's only per-request cost that admission control cannot
@@ -15,18 +10,9 @@ import (
 // The catalog version is part of the key because resolution errors are
 // version-relative: a query naming a relation that does not exist yet must
 // be re-parsed after a schema refresh, not rejected from stale memory.
-// A nil *negCache disables negative caching (every method is a no-op).
-type negCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type negItem struct {
-	key string
-	err error
-}
+// A nil *negCache disables negative caching (every lru method is a no-op on
+// a nil receiver).
+type negCache = lru[error]
 
 // newNegCache builds a cache holding at most capacity errors; capacity < 1
 // disables it (returns nil).
@@ -34,78 +20,11 @@ func newNegCache(capacity int) *negCache {
 	if capacity < 1 {
 		return nil
 	}
-	return &negCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+	c := &negCache{}
+	c.init(capacity, nil)
+	return c
 }
 
 // negKey builds the lookup key. The separator cannot appear in a catalog
 // version (hex fingerprint), so keys are unambiguous.
 func negKey(query, version string) string { return query + "\x00" + version }
-
-// Get returns the cached error for the key, refreshing its recency.
-func (c *negCache) Get(key string) (error, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*negItem).err, true
-}
-
-// Put records a parse/resolve failure, evicting the least-recently-used
-// entry at capacity.
-func (c *negCache) Put(key string, err error) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*negItem).err = err
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&negItem{key: key, err: err})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*negItem).key)
-	}
-}
-
-// PurgeWhere drops every entry whose key satisfies pred and returns how many
-// were dropped (catalog-version GC: a retired version's resolution errors
-// must not outlive the version).
-func (c *negCache) PurgeWhere(pred func(key string) bool) int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		it := el.Value.(*negItem)
-		if pred(it.key) {
-			c.ll.Remove(el)
-			delete(c.items, it.key)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// Len is the resident entry count.
-func (c *negCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

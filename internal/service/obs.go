@@ -8,36 +8,34 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/obs"
 	"paropt/internal/obs/accuracy"
-	"paropt/internal/query"
 	"paropt/internal/search"
 )
 
-// spanTracer bridges search.Tracer events into the request's span tree: each
-// DP layer becomes a zero-duration event span carrying its counters, and the
-// final search statistics land as attributes on the search span itself.
-type spanTracer struct{ sp *obs.Span }
-
-// Layer implements search.Tracer.
-func (t spanTracer) Layer(rec search.LayerRecord) {
-	c := t.sp.Child(fmt.Sprintf("dp-layer-%d", rec.Card))
-	c.SetAttr("subsets", rec.Subsets)
-	c.SetAttr("plansStored", rec.Kept)
-	c.SetAttr("considered", rec.Considered)
-	c.SetAttr("pruned", rec.Pruned())
-	c.SetAttr("maxCover", rec.MaxCover)
-	c.End()
-}
-
-// Subset implements search.Tracer. Per-subset events fire in the DP's inner
-// loop; they are deliberately not recorded.
-func (t spanTracer) Subset(query.RelSet, int, int64) {}
-
-// Final implements search.Tracer.
-func (t spanTracer) Final(best *search.Candidate, stats search.Stats) {
-	t.sp.SetAttr("plansConsidered", stats.PlansConsidered)
-	t.sp.SetAttr("physicalPlans", stats.PhysicalPlans)
-	t.sp.SetAttr("maxCoverSize", stats.MaxCoverSize)
-	t.sp.SetAttr("pruned", stats.Pruned)
+// graftSearch lays a finished search's record under the search span: one
+// dp-layer-k child per layer record, end to end in layer order and ending at
+// done (when the search returned), each as wide as the layer's measured wall
+// time, carrying its counters; the search totals land as attributes on the
+// search span itself.
+func graftSearch(sp *obs.Span, st search.Stats, done time.Time) {
+	if sp == nil {
+		return
+	}
+	at := done.Add(-time.Duration(st.Profile().WallNanos))
+	for _, rec := range st.Layers {
+		c := sp.Child(fmt.Sprintf("dp-layer-%d", rec.Card))
+		end := at.Add(time.Duration(rec.WallNanos))
+		c.SetTimes(at, time.Time{}, end)
+		at = end
+		c.SetAttr("subsets", rec.Subsets)
+		c.SetAttr("plansStored", rec.Kept)
+		c.SetAttr("considered", rec.Considered)
+		c.SetAttr("pruned", rec.Pruned())
+		c.SetAttr("maxCover", rec.MaxCover)
+	}
+	sp.SetAttr("plansConsidered", st.PlansConsidered)
+	sp.SetAttr("physicalPlans", st.PhysicalPlans)
+	sp.SetAttr("maxCoverSize", st.MaxCoverSize)
+	sp.SetAttr("pruned", st.Pruned)
 }
 
 // graftAnalyze grafts an instrumented execution under the execute span: one

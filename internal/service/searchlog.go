@@ -33,15 +33,9 @@ type SearchLogEntry struct {
 	FrontierSize  int   `json:"frontierSize"`
 	ElapsedMicros int64 `json:"elapsedMicros"`
 
-	// Totals from the search counters.
-	PlansConsidered int64 `json:"plansConsidered"`
-	PhysicalPlans   int64 `json:"physicalPlans"`
-	MaxCoverSize    int   `json:"maxCoverSize"`
-	Pruned          int64 `json:"pruned"`
-	PrunedDominance int64 `json:"prunedDominance"`
-	PrunedWork      int64 `json:"prunedWork"`
-	PrunedMemory    int64 `json:"prunedMemory"`
-	PrunedBeam      int64 `json:"prunedBeam"`
+	// Stats is the search's own record: its totals and per-layer telemetry
+	// (cardinality order), inlined field by field.
+	search.Stats
 	// PeakBytesRetained is the largest per-layer retained-bytes estimate.
 	PeakBytesRetained int64 `json:"peakBytesRetained"`
 
@@ -51,9 +45,6 @@ type SearchLogEntry struct {
 	// Cached marks a snapshot entry whose trace/profile is being replayed
 	// from cache rather than freshly computed (true iff CacheHits > 0).
 	Cached bool `json:"cached"`
-
-	// Layers is the per-layer telemetry (cardinality order).
-	Layers []search.LayerRecord `json:"layers"`
 }
 
 // searchLogRecord is the mutable stored form: the hit counter advances on

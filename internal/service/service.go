@@ -22,7 +22,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -84,9 +83,7 @@ type Config struct {
 	// QueueDepth bounds searches waiting for a worker; beyond it requests
 	// are rejected with ErrOverloaded. Default 64.
 	QueueDepth int
-	// CacheShards and CacheCapacity size the plan cache; defaults 8 shards,
-	// 512 entries total.
-	CacheShards   int
+	// CacheCapacity sizes the plan cache; default 512 entries in total.
 	CacheCapacity int
 	// RequestTimeout bounds each request end to end (queue wait + search +
 	// analyze execution); default 30s. The deadline rides the request
@@ -124,12 +121,10 @@ type Config struct {
 	// profile can be marked drifted; 0 means 2.
 	SweepMinSamples int
 	// SweepInterval enables the background drift sweeper when > 0: every
-	// interval it re-runs the DP search for up to SweepLimit drifted
+	// interval it re-runs the DP search for up to sweepLimit drifted
 	// templates against the current default catalog and swaps the cached
 	// cover sets. 0 disables the goroutine (SweepNow still works).
 	SweepInterval time.Duration
-	// SweepLimit bounds re-optimizations per sweeper pass; 0 means 4.
-	SweepLimit int
 	// NegCacheCapacity sizes the negative cache over parse/resolve failures;
 	// 0 means 256; negative disables it.
 	NegCacheCapacity int
@@ -240,9 +235,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 8
-	}
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 512
 	}
@@ -251,9 +243,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.DataSeed == 0 {
 		cfg.DataSeed = 1
-	}
-	if cfg.SweepLimit <= 0 {
-		cfg.SweepLimit = 4
 	}
 	s := &Service{
 		cfg:             cfg,
@@ -288,7 +277,7 @@ func New(cfg Config) (*Service, error) {
 		s.tracer = obs.NewTracer(cfg.TraceCapacity)
 	}
 	s.met.ensureInit()
-	s.cache = newPlanCache(cfg.CacheShards, cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
+	s.cache = newPlanCache(cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
 	s.sessKey = fmt.Sprintf("m=%dc%dd%dn%dN,cs%g,ds%g,ns%g,nl%g,agg%t,aggl%t|alg=%d,cover=%d,mem=%d",
 		mcfg.CPUs, mcfg.Disks, mcfg.Networks, mcfg.Nodes, mcfg.CPUSpeed, mcfg.DiskSpeed, mcfg.NetSpeed,
 		mcfg.NetLatency, mcfg.AggregateDisks, mcfg.AggregateLinks, cfg.Algorithm, cfg.CoverCap, cfg.MemoryPages)
@@ -372,7 +361,7 @@ func (s *Service) CacheLen() int { return s.cache.Len() }
 // out-of-band statistics refresh, and for benchmarks that need a cold
 // cache. (In-band refreshes need no invalidation: a changed catalog has a
 // new fingerprint and misses naturally.)
-func (s *Service) InvalidateCache() { s.cache.Purge() }
+func (s *Service) InvalidateCache() { s.cache.PurgeWhere(func(string) bool { return true }) }
 
 // RegisterCatalog registers a catalog under its version fingerprint and
 // returns the version. Idempotent.
@@ -672,30 +661,25 @@ func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *ca
 	return e, false, deduped, err
 }
 
-// runSearch builds a session and computes the reusable cover set. The DP is
-// always observed by a text tracer (the trace rides the cache entry for
-// trace-requesting explains) and, when sp is live, by a span adapter feeding
-// the request trace. source attributes the search ("search" for request
-// misses, "sweeper" for drift re-optimizations) in the search-telemetry log,
-// the layer-seconds histogram, the prune-reason counters, and — when the
-// representative plan swapped — the plan-change audit log.
+// runSearch builds a session and computes the reusable cover set. What the
+// search did is cover.Stats, which rides the cache entry: the request trace's
+// dp-layer spans, the /debug/search entry and a trace-requesting explain's
+// text are all derived from it. source attributes the search ("search" for
+// request misses, "sweeper" for drift re-optimizations) in the
+// search-telemetry log, the layer-seconds histogram, the prune-reason
+// counters, and — when the representative plan swapped — the plan-change
+// audit log.
 func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, placed map[string]cost.PlacedRelation, sp *obs.Span, source, version string) (*cacheEntry, error) {
 	if hook := s.searchHook; hook != nil {
 		hook()
 	}
 	s.met.FullSearch.Add(1)
 	start := time.Now()
-	var buf bytes.Buffer
-	trace := search.MultiTracer{&search.WriterTracer{W: &buf}}
-	if sp != nil {
-		trace = append(trace, spanTracer{sp})
-	}
 	opt, err := core.NewOptimizer(cat, q, core.Config{
 		Machine:     s.mcfg,
 		Algorithm:   s.cfg.Algorithm,
 		CoverCap:    s.cfg.CoverCap,
 		MemoryPages: s.cfg.MemoryPages,
-		Trace:       trace,
 		Placed:      placed,
 		BatchRows:   s.cfg.BatchRows,
 	})
@@ -706,10 +690,12 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 	if err != nil {
 		return nil, err
 	}
+	done := time.Now()
+	graftSearch(sp, cover.Stats, done)
 	sp.SetAttr("frontier", len(cover.Frontier))
-	logRec := s.recordSearch(source, sp.TraceID(), fp, version, len(q.Relations), cover, time.Since(start))
+	logRec := s.recordSearch(source, sp.TraceID(), fp, version, len(q.Relations), cover, done.Sub(start))
 	s.notePlan(source, sp.TraceID(), fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
-	return &cacheEntry{opt: opt, cover: cover, searchTrace: buf.String(), logRec: logRec}, nil
+	return &cacheEntry{opt: opt, cover: cover, logRec: logRec}, nil
 }
 
 // recordSearch feeds one finished search into the telemetry surfaces: the
@@ -733,16 +719,8 @@ func (s *Service) recordSearch(source, traceID, fp, version string, relations in
 		Relations:         relations,
 		FrontierSize:      len(cover.Frontier),
 		ElapsedMicros:     elapsed.Microseconds(),
-		PlansConsidered:   st.PlansConsidered,
-		PhysicalPlans:     st.PhysicalPlans,
-		MaxCoverSize:      st.MaxCoverSize,
-		Pruned:            st.Pruned,
-		PrunedDominance:   st.PrunedDominance,
-		PrunedWork:        st.PrunedWork,
-		PrunedMemory:      st.PrunedMemory,
-		PrunedBeam:        st.PrunedBeam,
+		Stats:             st,
 		PeakBytesRetained: st.Profile().PeakBytesRetained,
-		Layers:            st.Layers,
 	}}
 	s.searchlog.Add(rec)
 	return rec
@@ -795,10 +773,11 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 	}
 	p.resp = &out.OptimizeResponse // finish stamps the final latency here
 	if req.Trace {
-		out.SearchTrace = p.entry.searchTrace
+		cover := p.entry.cover
+		out.SearchTrace = cover.Stats.TraceText(search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
 		if out.Cache == "hit" {
-			// The trace was captured when the cover set was computed, not by
-			// this request; say so in-band for text consumers too.
+			// The search ran when the cover set was computed, not for this
+			// request; say so in-band for text consumers too.
 			out.SearchTraceCached = true
 			out.SearchTrace = "replayed from cache (captured when the cover set was computed)\n" + out.SearchTrace
 		}

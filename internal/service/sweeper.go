@@ -18,8 +18,10 @@ import (
 // entries under the new version before the next request pays a search.
 //
 // Sweeps run on the sweeper goroutine, not through the worker pool: they are
-// background work that must not consume the pool's admission slots, and
-// SweepLimit bounds how many searches one pass may run.
+// background work that must not consume the pool's admission slots.
+
+// sweepLimit bounds how many searches one sweeper pass may run.
+const sweepLimit = 4
 
 // sweeperLoop ticks until Close.
 func (s *Service) sweeperLoop(interval time.Duration) {
@@ -37,7 +39,7 @@ func (s *Service) sweeperLoop(interval time.Duration) {
 }
 
 // SweepNow runs one sweeper pass immediately (also the loop body): it
-// re-optimizes up to SweepLimit drifted templates, hottest first, and
+// re-optimizes up to sweepLimit drifted templates, hottest first, and
 // returns how many cache entries it replaced. Exported so tests and
 // operators can force a pass without waiting for the ticker.
 func (s *Service) SweepNow() int {
@@ -47,7 +49,7 @@ func (s *Service) SweepNow() int {
 	s.met.SweepRuns.Add(1)
 	n := 0
 	for _, d := range s.prof.Drifted() {
-		if n >= s.cfg.SweepLimit {
+		if n >= sweepLimit {
 			break
 		}
 		if s.sweepOne(d) {

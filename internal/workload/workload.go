@@ -6,10 +6,37 @@ package workload
 
 import (
 	"fmt"
+	"os"
 
 	"paropt/internal/catalog"
+	"paropt/internal/parser"
 	"paropt/internal/query"
 )
+
+// DefaultCatalog is the default-catalog selection the daemon and the
+// in-process replay share: a schema DDL file when one is named, else a
+// built-in workload's catalog, else (name "none" or empty) nil.
+func DefaultCatalog(schemaFile, name string, disks int) (*catalog.Catalog, error) {
+	if schemaFile != "" {
+		src, err := os.ReadFile(schemaFile)
+		if err != nil {
+			return nil, err
+		}
+		return parser.ParseSchema(string(src))
+	}
+	switch name {
+	case "portfolio":
+		cat, _ := Portfolio(disks)
+		return cat, nil
+	case "tpch":
+		cat, _ := TPCHLike(disks, 1)
+		return cat, nil
+	case "none", "":
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("unknown workload %q (portfolio, tpch or none)", name)
+	}
+}
 
 // Portfolio builds the §1 scenario: "a system for stock portfolio managers
 // ... running a non-trivial query at the click of a button" — a star schema

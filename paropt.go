@@ -216,6 +216,12 @@ func Simulate(op *Op, m *CostModel) (*SimResult, error) { return sim.Simulate(op
 // fact table star-joined to stocks, sectors, accounts and dates.
 func PortfolioWorkload(disks int) (*Catalog, *Query) { return workload.Portfolio(disks) }
 
+// DefaultCatalog is the default-catalog selection paroptd and the in-process
+// replay share: a schema DDL file, a built-in workload's catalog, or none.
+func DefaultCatalog(schemaFile, name string, disks int) (*Catalog, error) {
+	return workload.DefaultCatalog(schemaFile, name, disks)
+}
+
 // PortfolioWorkloadSmall is the same schema scaled down ~1000× for in-memory
 // execution.
 func PortfolioWorkloadSmall(disks int) (*Catalog, *Query) { return workload.PortfolioSmall(disks) }

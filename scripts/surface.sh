@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# Surface scoreboard: what a user can run, set, call and scrape, plus how much
+# code carries it. Prints the five numbers and fails when a count differs from
+# scripts/surface.golden or the line count exceeds its ceiling there — so an
+# added binary, flag, route or metric family is a visible diff of the golden,
+# not a side effect. Needs no build and starts nothing.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+loc=$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*' -print0 | xargs -0 cat | wc -l)
+counts=$(
+  echo "binaries $(ls cmd | wc -l)"
+  echo "paroptd_flags $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paroptd/main.go)"
+  echo "routes $(grep -c 'mux\.HandleFunc("' internal/service/http.go)"
+  echo "metric_families $(grep -c '^# TYPE' internal/service/testdata/metrics.golden)"
+)
+echo "$counts"
+echo "nontest_loc $loc"
+
+if ! diff -u <(grep -v '^nontest_loc_max ' scripts/surface.golden) <(echo "$counts"); then
+  echo "surface: counts drifted from scripts/surface.golden" >&2
+  exit 1
+fi
+max=$(awk '$1 == "nontest_loc_max" {print $2}' scripts/surface.golden)
+if [ "$loc" -gt "$max" ]; then
+  echo "surface: $loc non-test Go lines outside bench/, ceiling $max (scripts/surface.golden)" >&2
+  exit 1
+fi
