@@ -72,7 +72,7 @@ func main() {
 	queryText := flag.String("query", "", "SQL-ish SELECT text (requires -schema)")
 	n := flag.Int("n", 5, "relation count for generated workloads")
 	seed := flag.Int64("seed", 1, "workload seed")
-	alg := flag.String("alg", "podp", "podp, podp-bushy, work, naive-rt, brute, brute-bushy, two-phase, ii or anneal")
+	alg := flag.String("alg", "podp", core.AlgorithmFlags())
 	cpus := flag.Int("cpus", 4, "machine CPUs")
 	disks := flag.Int("disks", 4, "machine disks")
 	aggDisks := flag.Bool("aggdisks", false, "model all disks as one RAID resource (§6.3 aggregation)")

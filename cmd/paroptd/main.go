@@ -190,18 +190,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		dbg := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           obs.PprofMux(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("paroptd: debug listener: %v", err)
-			}
-		}()
-		defer dbg.Close()
-		log.Printf("paroptd: pprof on %s/debug/pprof/", *debugAddr)
+		defer obs.ServePprof(*debugAddr, "paroptd").Close()
 	}
 
 	srv := &http.Server{

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -60,6 +61,7 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/obs"
 	"paropt/internal/placement"
+	"paropt/internal/service"
 	"paropt/internal/vec"
 )
 
@@ -113,18 +115,7 @@ func main() {
 		log.Printf("paroptw: metrics on %s/metrics", httpURL)
 	}
 	if *debugAddr != "" {
-		dbg := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           obs.PprofMux(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("paroptw: debug listener: %v", err)
-			}
-		}()
-		defer dbg.Close()
-		log.Printf("paroptw: pprof on %s/debug/pprof/", *debugAddr)
+		defer obs.ServePprof(*debugAddr, "paroptw").Close()
 	}
 
 	fatalc := make(chan error, 1)
@@ -202,28 +193,31 @@ func obsMux(id string, stats *exchange.WorkerStats, box *storeBox, start time.Ti
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s := stats.Snapshot()
-		shards, rows := box.shardStats()
-		counter := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-		}
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		gauge("paroptw_uptime_seconds", "Seconds since the worker started.", int64(time.Since(start).Seconds()))
-		counter("paroptw_fragments_served_total", "Join fragments finished cleanly.", s.FragmentsServed)
-		counter("paroptw_fragments_failed_total", "Join fragments that ended in an error frame.", s.FragmentsFailed)
-		counter("paroptw_shipped_scans_total", "Scan sides sourced from the local placement store.", s.ShippedScans)
-		counter("paroptw_rows_emitted_total", "Result rows streamed back to coordinators.", s.RowsEmitted)
-		counter("paroptw_batches_emitted_total", "Result batches streamed back to coordinators.", s.BatchesEmitted)
-		fmt.Fprintf(w, "# HELP paroptw_result_stall_seconds_total Seconds blocked on the result credit window (backpressure from coordinators).\n# TYPE paroptw_result_stall_seconds_total counter\nparoptw_result_stall_seconds_total %g\n", s.ResultStallSeconds)
-		gauge("paroptw_active_fragments", "Fragments currently executing.", s.ActiveFragments)
-		gauge("paroptw_staged_bytes", "Bytes of shipped-scan partitions currently staged for in-flight fragments.", s.StagedBytes)
-		counter("paroptw_fragments_cancelled_total", "Fragments abandoned on a coordinator cancel frame.", s.Cancelled)
-		gauge("paroptw_store_shards", "Placement shards materialized in the local store.", int64(shards))
-		gauge("paroptw_store_rows", "Rows held across materialized placement shards.", rows)
+		obs.WriteFamilies(w, workerFamilies(stats, box, start))
 	})
 	return mux
+}
+
+// workerFamilies is the worker's /metrics: every family it exports, in
+// exposition order, each declared here and nowhere else (testdata/metrics.golden
+// pins the list).
+func workerFamilies(stats *exchange.WorkerStats, box *storeBox, start time.Time) []obs.Family {
+	return []obs.Family{
+		obs.Gauge("paroptw_uptime_seconds", "Seconds since the worker started.", func() int64 { return int64(time.Since(start).Seconds()) }),
+		obs.Counter("paroptw_fragments_served_total", "Join fragments finished cleanly.", stats.FragmentsServed.Load),
+		obs.Counter("paroptw_fragments_failed_total", "Join fragments that ended in an error frame.", stats.FragmentsFailed.Load),
+		obs.Counter("paroptw_shipped_scans_total", "Scan sides sourced from the local placement store.", stats.ShippedScans.Load),
+		obs.Counter("paroptw_rows_emitted_total", "Result rows streamed back to coordinators.", stats.RowsEmitted.Load),
+		obs.Counter("paroptw_batches_emitted_total", "Result batches streamed back to coordinators.", stats.BatchesEmitted.Load),
+		{Name: "paroptw_result_stall_seconds_total", Help: "Seconds blocked on the result credit window (backpressure from coordinators).", Type: "counter", Collect: func(sm *obs.Samples) {
+			sm.Float(float64(stats.ResultStallNanos.Load()) / 1e9)
+		}},
+		obs.Gauge("paroptw_active_fragments", "Fragments currently executing.", stats.ActiveFragments.Load),
+		obs.Gauge("paroptw_staged_bytes", "Bytes of shipped-scan partitions currently staged for in-flight fragments.", stats.StagedBytes.Load),
+		obs.Counter("paroptw_fragments_cancelled_total", "Fragments abandoned on a coordinator cancel frame.", stats.Cancelled.Load),
+		obs.Gauge("paroptw_store_shards", "Placement shards materialized in the local store.", func() int { n, _ := box.shardStats(); return n }),
+		obs.Gauge("paroptw_store_rows", "Rows held across materialized placement shards.", func() int64 { _, rows := box.shardStats(); return rows }),
+	}
 }
 
 // heartbeatLoop keeps the worker registered and its placement store fresh.
@@ -265,14 +259,10 @@ func heartbeatLoop(daemon, addr, httpURL string, box *storeBox, every time.Durat
 	}
 }
 
-// postCluster posts {"addr": addr} (plus the worker's HTTP base URL when it
-// has one) to the daemon's cluster endpoint.
+// postCluster posts the worker's address (plus its HTTP base URL when it has
+// one) to the daemon's cluster endpoint.
 func postCluster(base, path, addr, httpURL string) error {
-	doc := map[string]string{"addr": addr}
-	if httpURL != "" {
-		doc["http"] = httpURL
-	}
-	body, err := json.Marshal(doc)
+	body, err := json.Marshal(service.ClusterRequest{Addr: addr, HTTP: httpURL})
 	if err != nil {
 		return err
 	}
@@ -286,14 +276,6 @@ func postCluster(base, path, addr, httpURL string) error {
 		return fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
 	}
 	return nil
-}
-
-// placementDoc mirrors the daemon's GET /cluster/placement response.
-type placementDoc struct {
-	Map         *placement.Map      `json:"map"`
-	Fingerprint string              `json:"fingerprint"`
-	Epoch       int64               `json:"epoch"`
-	Snapshot    catalog.SnapshotDoc `json:"snapshot"`
 }
 
 // storeBox is the worker's exchange.Store: a swappable placement store
@@ -378,9 +360,11 @@ func (b *storeBox) install() (*placement.Store, *placement.Map, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, nil, fmt.Errorf("/cluster/placement: HTTP %d", resp.StatusCode)
 	}
-	var doc placementDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, nil, err
+	// The daemon's own body bound: a catalog snapshot is a few KB per
+	// relation, so a longer body is a misbehaving peer and fails the decode.
+	var doc service.PlacementResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, service.MaxBodyBytes)).Decode(&doc); err != nil {
+		return nil, nil, fmt.Errorf("/cluster/placement: %w", err)
 	}
 	if doc.Map == nil {
 		return nil, nil, errors.New("/cluster/placement: empty map")

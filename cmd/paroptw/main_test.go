@@ -1,0 +1,152 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"paropt/internal/engine/exchange"
+	"paropt/internal/obs"
+	"paropt/internal/parser"
+	"paropt/internal/service"
+)
+
+// TestWorkerFamilyTable: every row of the worker's family table has a valid,
+// unique name, HELP text and a known TYPE, and the rendered exposition
+// declares exactly the families testdata/metrics.golden pins, each with one
+// sample (no worker family is labeled).
+func TestWorkerFamilyTable(t *testing.T) {
+	stats := &exchange.WorkerStats{}
+	stats.FragmentsServed.Add(3)
+	stats.ResultStallNanos.Add(5e8)
+	fams := workerFamilies(stats, &storeBox{}, time.Now())
+	nameRe := regexp.MustCompile(`^paroptw_[a-z0-9_]+$`)
+	seen := map[string]bool{}
+	for _, f := range fams {
+		if !nameRe.MatchString(f.Name) || seen[f.Name] {
+			t.Errorf("family name %q invalid or duplicated", f.Name)
+		}
+		seen[f.Name] = true
+		if f.Help == "" || strings.ContainsAny(f.Help, "\n\\") {
+			t.Errorf("%s: HELP %q empty or needs escaping", f.Name, f.Help)
+		}
+		if f.Type != "counter" && f.Type != "gauge" && f.Type != "histogram" {
+			t.Errorf("%s: TYPE %q", f.Name, f.Type)
+		}
+	}
+
+	var buf bytes.Buffer
+	obs.WriteFamilies(&buf, fams)
+	var types []string
+	samples := 0
+	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# TYPE "):
+			types = append(types, line)
+		case !strings.HasPrefix(line, "#"):
+			samples++
+		}
+	}
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(types, "\n") + "\n"; got != string(want) {
+		t.Errorf("worker metric families drifted from testdata/metrics.golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if samples != len(fams) {
+		t.Errorf("%d samples for %d families", samples, len(fams))
+	}
+	for _, want := range []string{"paroptw_fragments_served_total 3\n", "paroptw_result_stall_seconds_total 0.5\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+const testDDL = `
+relation R1 card=1000 pages=10 disk=0
+column R1.a ndv=1000
+relation R2 card=2000 pages=20 disk=1
+column R2.a ndv=1000
+`
+
+// placementDaemon is a daemon with one registered worker ("w:1", registered
+// through the worker's own postCluster) and an installed placement.
+func placementDaemon(t *testing.T) (*service.Service, *httptest.Server) {
+	t.Helper()
+	cat, err := parser.ParseSchema(testDDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(service.Config{Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	if err := postCluster(srv.URL, "/cluster/register", "w:1", "http://w:2"); err != nil {
+		t.Fatal(err)
+	}
+	if addrs := svc.WorkerAddrs(); len(addrs) != 1 || addrs[0] != "w:1" {
+		t.Fatalf("registered workers = %v", addrs)
+	}
+	if _, err := svc.InstallPlacement("", nil); err != nil {
+		t.Fatal(err)
+	}
+	return svc, srv
+}
+
+// TestInstallDecodesDaemonPlacement: the worker bootstraps its store from the
+// daemon's own GET /cluster/placement document — the service's wire types,
+// not a mirror of them — and registers through the same ClusterRequest.
+func TestInstallDecodesDaemonPlacement(t *testing.T) {
+	svc, srv := placementDaemon(t)
+	box := &storeBox{daemon: srv.URL, self: "w:1", client: srv.Client()}
+	st, got, err := box.install()
+	if err != nil || st == nil {
+		t.Fatalf("install: store %v, err %v", st, err)
+	}
+	if want := svc.PlacementFor(got.CatalogVersion).Fingerprint(); got.Fingerprint() != want || box.fp != want {
+		t.Errorf("installed placement %s (box %s), daemon has %s", got.Fingerprint(), box.fp, want)
+	}
+}
+
+// TestInstallRejectsOversizedPlacement: the daemon's real placement document,
+// padded past the body bound, fails the install instead of being read without
+// limit, and leaves no store behind.
+func TestInstallRejectsOversizedPlacement(t *testing.T) {
+	_, daemon := placementDaemon(t)
+	resp, err := http.Get(daemon.URL + "/cluster/placement")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc service.PlacementResponse
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	doc.Fingerprint = strings.Repeat("x", service.MaxBodyBytes)
+	padded, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(padded) //nolint:errcheck
+	}))
+	defer srv.Close()
+	box := &storeBox{daemon: srv.URL, self: "w:1", client: srv.Client()}
+	if st, _, err := box.install(); err == nil || st != nil {
+		t.Fatalf("oversized placement installed: store %v, err %v", st, err)
+	}
+	if box.store.Load() != nil || box.fp != "" {
+		t.Error("a failed install must not publish a store")
+	}
+}

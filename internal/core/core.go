@@ -54,56 +54,62 @@ const (
 	SimulatedAnnealing
 )
 
+// algorithms is the one table behind Algorithm, indexed by its value: the
+// -alg spelling, the Table 1 name, the search it runs, and what NewOptimizer
+// prunes and ranks by (a nil metric is the resource-vector(+order) partial
+// order, sized to the machine).
+var algorithms = [...]struct {
+	flag, name string
+	run        func(*search.Searcher) (*search.Result, error)
+	metric     search.Metric
+	final      search.Comparator
+}{
+	PartialOrderDP:       {"podp", "p.o. DP for left-deep", (*search.Searcher).PODPLeftDeep, nil, search.ByRT},
+	PartialOrderDPBushy:  {"podp-bushy", "p.o. DP for bushy", (*search.Searcher).PODPBushy, nil, search.ByRT},
+	WorkDP:               {"work", "DP for left-deep (work)", (*search.Searcher).DPLeftDeep, search.WorkMetric{}, search.ByWork},
+	NaiveRTDP:            {"naive-rt", "DP for left-deep (naive RT)", (*search.Searcher).DPLeftDeep, search.RTMetric{}, search.ByRT},
+	BruteForceLeftDeep:   {"brute", "brute force for left-deep", (*search.Searcher).BruteForceLeftDeep, nil, search.ByRT},
+	BruteForceBushy:      {"brute-bushy", "brute force for bushy", (*search.Searcher).BruteForceBushy, nil, search.ByRT},
+	TwoPhase:             {"two-phase", "two-phase (work tree, then parallelize)", (*search.Searcher).TwoPhase, nil, search.ByRT},
+	IterativeImprovement: {"ii", "iterative improvement (bushy)", randomized(false), nil, search.ByRT},
+	SimulatedAnnealing:   {"anneal", "simulated annealing (bushy)", randomized(true), nil, search.ByRT},
+}
+
+func randomized(anneal bool) func(*search.Searcher) (*search.Result, error) {
+	return func(s *search.Searcher) (*search.Result, error) {
+		opts := search.DefaultRandomizedOptions()
+		opts.Anneal = anneal
+		return s.Randomized(opts)
+	}
+}
+
+func (a Algorithm) known() bool { return a >= 0 && int(a) < len(algorithms) }
+
 // String names the algorithm as in Table 1.
 func (a Algorithm) String() string {
-	switch a {
-	case PartialOrderDP:
-		return "p.o. DP for left-deep"
-	case PartialOrderDPBushy:
-		return "p.o. DP for bushy"
-	case WorkDP:
-		return "DP for left-deep (work)"
-	case NaiveRTDP:
-		return "DP for left-deep (naive RT)"
-	case BruteForceLeftDeep:
-		return "brute force for left-deep"
-	case BruteForceBushy:
-		return "brute force for bushy"
-	case TwoPhase:
-		return "two-phase (work tree, then parallelize)"
-	case IterativeImprovement:
-		return "iterative improvement (bushy)"
-	case SimulatedAnnealing:
-		return "simulated annealing (bushy)"
-	default:
+	if !a.known() {
 		return fmt.Sprintf("algorithm(%d)", int(a))
 	}
+	return algorithms[a].name
 }
 
 // ParseAlgorithm maps a command-line algorithm name to its Algorithm.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "podp":
-		return PartialOrderDP, nil
-	case "podp-bushy":
-		return PartialOrderDPBushy, nil
-	case "work":
-		return WorkDP, nil
-	case "naive-rt":
-		return NaiveRTDP, nil
-	case "brute":
-		return BruteForceLeftDeep, nil
-	case "brute-bushy":
-		return BruteForceBushy, nil
-	case "two-phase":
-		return TwoPhase, nil
-	case "ii":
-		return IterativeImprovement, nil
-	case "anneal":
-		return SimulatedAnnealing, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
+	for a, row := range algorithms {
+		if row.flag == name {
+			return Algorithm(a), nil
+		}
 	}
+	return 0, fmt.Errorf("unknown algorithm %q (want %s)", name, AlgorithmFlags())
+}
+
+// AlgorithmFlags lists every command-line algorithm name, for -alg help text.
+func AlgorithmFlags() string {
+	names := make([]string, len(algorithms))
+	for a, row := range algorithms {
+		names[a] = row.flag
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
 }
 
 // Config assembles an optimization session.
@@ -221,20 +227,15 @@ func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer,
 	if cfg.AvoidCrossProducts != nil {
 		avoid = *cfg.AvoidCrossProducts
 	}
-	metric := cfg.Metric
-	if metric == nil {
-		switch cfg.Algorithm {
-		case WorkDP:
-			metric = search.WorkMetric{}
-		case NaiveRTDP:
-			metric = search.RTMetric{}
-		default:
-			metric = search.OrderedMetric{Base: search.ResourceVectorMetric{L: m.NumResources()}}
+	metric, final := cfg.Metric, search.Comparator(search.ByRT)
+	if cfg.Algorithm.known() { // an unknown one is refused by Optimize
+		if metric == nil {
+			metric = algorithms[cfg.Algorithm].metric
 		}
+		final = algorithms[cfg.Algorithm].final
 	}
-	final := search.ByRT
-	if cfg.Algorithm == WorkDP {
-		final = search.ByWork
+	if metric == nil {
+		metric = search.OrderedMetric{Base: search.ResourceVectorMetric{L: m.NumResources()}}
 	}
 	return &Optimizer{
 		Cat: cat, Q: q, M: m, Est: est, Mod: mod,
@@ -243,7 +244,7 @@ func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer,
 			Expand:             expand,
 			Annotate:           annotate,
 			Metric:             metric,
-			Final:              search.Comparator(final),
+			Final:              final,
 			AvoidCrossProducts: avoid,
 			MemoryLimit:        cfg.MemoryPages,
 			Methods:            cfg.Methods,
@@ -274,31 +275,10 @@ func (o *Optimizer) Optimize() (*Plan, error) {
 		p.Baseline = bp
 		return p, nil
 	}
-	s := search.New(o.opts)
-	var res *search.Result
-	var err error
-	switch o.alg {
-	case PartialOrderDP:
-		res, err = s.PODPLeftDeep()
-	case PartialOrderDPBushy:
-		res, err = s.PODPBushy()
-	case WorkDP, NaiveRTDP:
-		res, err = s.DPLeftDeep()
-	case BruteForceLeftDeep:
-		res, err = s.BruteForceLeftDeep()
-	case BruteForceBushy:
-		res, err = s.BruteForceBushy()
-	case TwoPhase:
-		res, err = s.TwoPhase()
-	case IterativeImprovement:
-		res, err = s.Randomized(search.DefaultRandomizedOptions())
-	case SimulatedAnnealing:
-		ropts := search.DefaultRandomizedOptions()
-		ropts.Anneal = true
-		res, err = s.Randomized(ropts)
-	default:
+	if !o.alg.known() {
 		return nil, fmt.Errorf("core: unknown algorithm %v", o.alg)
 	}
+	res, err := algorithms[o.alg].run(search.New(o.opts))
 	if err != nil {
 		return nil, err
 	}

@@ -350,7 +350,7 @@ func (m *Model) placedCoLocated(child *optree.Op) bool {
 func (m *Model) producerNodes(child *optree.Op) []int {
 	pr, ok := m.placedFor(child)
 	if !ok || len(pr.Nodes) == 0 {
-		return m.cloneNodeSet(child.Clone)
+		return optree.CloneNodes(child.Clone, m.M)
 	}
 	n := m.M.Nodes()
 	seen := map[int]bool{}
@@ -363,25 +363,6 @@ func (m *Model) producerNodes(child *optree.Op) []int {
 		}
 	}
 	sort.Ints(nodes)
-	return nodes
-}
-
-// cloneNodeSet returns the distinct nodes hosting a clone set (the node of
-// CPU 0 when the operator is not cloned).
-func (m *Model) cloneNodeSet(c optree.Cloning) []int {
-	res := c.Resources
-	if len(res) == 0 {
-		res = []machine.ResourceID{m.M.CPUFor(0)}
-	}
-	seen := map[int]bool{}
-	var nodes []int
-	for _, r := range res {
-		n := m.M.NodeOf(r)
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-	}
 	return nodes
 }
 

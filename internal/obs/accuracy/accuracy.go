@@ -117,59 +117,48 @@ type Report struct {
 	Links []LinkAccuracy `json:"links,omitempty"`
 }
 
-// Analyze joins predicted descriptors against measured ones. mod prices the
-// operator tree root (the expansion of the executed join tree); stats is
-// the instrumented execution's collector.
+// Analyze joins measured descriptors onto Timeline's predicted rows. mod
+// prices the operator tree root (the expansion of the executed join tree);
+// stats is the instrumented execution's collector.
 func Analyze(mod *cost.Model, root *optree.Op, stats *engine.ExecStats) *Report {
-	// Topmost operator per join-tree node: Walk visits children before
-	// parents, so the last op written for a Source is the subtree root
-	// whose cumulative descriptor corresponds to that node's output stream.
-	topOp := make(map[*plan.Node]*optree.Op)
-	root.Walk(func(op *optree.Op) {
-		if op.Source != nil {
-			topOp[op.Source] = op
-		}
-	})
+	timeline, predRT := Timeline(mod, root)
+	pred := make(map[*plan.Node]OpTimeline, len(timeline))
+	for _, tl := range timeline {
+		pred[tl.Node] = tl
+	}
 
 	nodes := stats.Nodes()
-	rep := &Report{WallSeconds: stats.Wall().Seconds()}
+	rep := &Report{WallSeconds: stats.Wall().Seconds(), PredictedRT: predRT}
 
 	// Calibrate on the root: the executed tree's own node is the op tree
 	// root's Source.
-	rootDesc := mod.Descriptor(root)
-	rep.PredictedRT = rootDesc.RT()
-	var rootStat *engine.NodeStat
 	for _, st := range nodes {
-		if st.Node == root.Source {
-			rootStat = st
+		if st.Node == root.Source && predRT > 0 {
+			rep.Scale = st.Last.Seconds() / predRT
 		}
-	}
-	if rootStat != nil && rep.PredictedRT > 0 {
-		rep.Scale = rootStat.Last.Seconds() / rep.PredictedRT
 	}
 
 	var errSum float64
 	var errN int
 	predByNode := make(map[*plan.Node]OpAccuracy, len(nodes))
 	for _, st := range nodes {
-		op := topOp[st.Node]
-		if op == nil {
+		tl, ok := pred[st.Node]
+		if !ok {
 			continue
 		}
-		desc := mod.Descriptor(op)
 		oa := OpAccuracy{
 			Label:     st.Label,
-			PredFirst: desc.First.T,
-			PredLast:  desc.Last.T,
+			PredFirst: tl.PredFirst,
+			PredLast:  tl.PredLast,
 			ActFirst:  st.First.Seconds(),
 			ActLast:   st.Last.Seconds(),
-			EstRows:   st.Node.Card,
+			EstRows:   tl.PredRows,
 			ActRows:   st.Rows,
-			Root:      st.Node == root.Source,
+			Root:      tl.Root,
 		}
 		if rep.Scale > 0 {
-			oa.PredFirstSec = desc.First.T * rep.Scale
-			oa.PredLastSec = desc.Last.T * rep.Scale
+			oa.PredFirstSec = tl.PredFirst * rep.Scale
+			oa.PredLastSec = tl.PredLast * rep.Scale
 			if oa.ActLast > 0 {
 				oa.RelErrLast = (oa.PredLastSec - oa.ActLast) / oa.ActLast
 			}
@@ -267,9 +256,12 @@ type OpTimeline struct {
 
 // Timeline prices every join-tree node under the op tree root and returns
 // the per-node predicted schedule plus the root response time (model
-// units). It is the plan-time half of Analyze: the same topmost-op walk,
-// with no measurements to join against yet.
+// units). It is the plan-time half of Analyze, with no measurements to join
+// against yet.
 func Timeline(mod *cost.Model, root *optree.Op) ([]OpTimeline, float64) {
+	// Topmost operator per join-tree node: Walk visits children before
+	// parents, so the last op written for a Source is the subtree root whose
+	// cumulative descriptor corresponds to that node's output stream.
 	topOp := make(map[*plan.Node]*optree.Op)
 	var order []*plan.Node
 	root.Walk(func(op *optree.Op) {

@@ -77,39 +77,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum is the total of all observed values.
 func (h *Histogram) Sum() float64 { return float64(h.sumNano.Load()) / 1e9 }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the bucket containing it; 0 when nothing was observed. The +Inf
-// bucket reports its lower bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.ensure()
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if float64(cum)+float64(n) >= target {
-			lo := 0.0
-			if i > 0 {
-				lo = h.buckets[i-1]
-			}
-			if i >= len(h.buckets) {
-				return lo
-			}
-			hi := h.buckets[i]
-			if n == 0 {
-				return hi
-			}
-			frac := (target - float64(cum)) / float64(n)
-			return lo + frac*(hi-lo)
-		}
-		cum += n
-	}
-	return h.buckets[len(h.buckets)-1]
-}
-
 // WritePrometheus renders the histogram in Prometheus text exposition
 // format under the given metric name, with optional extra labels rendered
 // verbatim inside the braces (e.g. `phase="parse"`). HELP/TYPE headers are

@@ -7,9 +7,6 @@ import (
 
 func TestHistogramZeroValueDefaults(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram should report 0")
-	}
 	for i := 0; i < 100; i++ {
 		h.Observe(0.0009)
 	}
@@ -19,15 +16,12 @@ func TestHistogramZeroValueDefaults(t *testing.T) {
 	if h.Count() != 110 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	p50, p95, p99 := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99)
-	if p50 < 0.0005 || p50 > 0.001 {
-		t.Errorf("p50 = %g, want within (0.0005, 0.001]", p50)
-	}
-	if p99 < 0.05 || p99 > 0.1 {
-		t.Errorf("p99 = %g, want within (0.05, 0.1]", p99)
-	}
-	if !(p50 <= p95 && p95 <= p99) {
-		t.Errorf("quantiles not monotone: p50=%g p95=%g p99=%g", p50, p95, p99)
+	var b strings.Builder
+	h.WritePrometheus(&b, "x", "")
+	for _, want := range []string{`x_bucket{le="0.0005"} 0`, `x_bucket{le="0.001"} 100`, `x_bucket{le="0.05"} 100`, `x_bucket{le="0.1"} 110`} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("zero-value histogram should use the default latency buckets; missing %q in:\n%s", want, b.String())
+		}
 	}
 }
 

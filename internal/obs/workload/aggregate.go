@@ -8,9 +8,6 @@ func Aggregate(recs []Record, threshold float64, minSamples int) []ProfileSnapsh
 	p := NewProfiler(0, len(recs)+1, threshold, minSamples)
 	for _, rec := range recs {
 		p.Observe(rec)
-		if rec.QErr > 0 || rec.RelErr > 0 {
-			p.ObserveAccuracy(rec.Fingerprint, rec.RelErr, rec.QErr)
-		}
 	}
 	return p.Snapshot()
 }

@@ -166,7 +166,10 @@ func (p *Profiler) profile(fp string) *Profile {
 // Observe feeds one finished request. Nil-safe; records without a
 // fingerprint are ignored (requests that failed before fingerprinting are
 // the negative cache's concern, not the profiler's). A failed request counts
-// as an error and contributes no latency sample.
+// as an error and contributes no latency sample. A record that carries an
+// analyze accuracy report (QErr or RelErr set: the report's worst row q-error
+// and its mean |relative error| over calibrated (tf, tl) predictions) also
+// feeds the drift EWMAs, which seed with the first sample.
 func (p *Profiler) Observe(rec Record) {
 	if p == nil || rec.Fingerprint == "" {
 		return
@@ -202,28 +205,15 @@ func (p *Profiler) Observe(rec Record) {
 	if !failed {
 		pr.lat.Observe(float64(rec.ElapsedMicros) / 1e6)
 	}
-	pr.mu.Unlock()
-}
-
-// ObserveAccuracy feeds one explain-analyze accuracy sample: the report's
-// mean |relative error| over calibrated (tf, tl) predictions and its worst
-// row q-error. Both EWMAs seed with the first sample. Nil-safe.
-func (p *Profiler) ObserveAccuracy(fp string, relErr, qErr float64) {
-	if p == nil || fp == "" {
-		return
+	if rec.QErr > 0 || rec.RelErr > 0 {
+		if pr.accSamples == 0 {
+			pr.ewmaRelErr, pr.ewmaQErr = rec.RelErr, rec.QErr
+		} else {
+			pr.ewmaRelErr = ewmaAlpha*rec.RelErr + (1-ewmaAlpha)*pr.ewmaRelErr
+			pr.ewmaQErr = ewmaAlpha*rec.QErr + (1-ewmaAlpha)*pr.ewmaQErr
+		}
+		pr.accSamples++
 	}
-	pr := p.profile(fp)
-	if pr == nil {
-		return
-	}
-	pr.mu.Lock()
-	if pr.accSamples == 0 {
-		pr.ewmaRelErr, pr.ewmaQErr = relErr, qErr
-	} else {
-		pr.ewmaRelErr = ewmaAlpha*relErr + (1-ewmaAlpha)*pr.ewmaRelErr
-		pr.ewmaQErr = ewmaAlpha*qErr + (1-ewmaAlpha)*pr.ewmaQErr
-	}
-	pr.accSamples++
 	pr.mu.Unlock()
 }
 

@@ -54,12 +54,12 @@ func TestProfilerDriftMarking(t *testing.T) {
 	p.Observe(Record{Fingerprint: "hot", Cache: "miss", Query: "q"})
 
 	// One huge sample is not enough (minSamples = 2)...
-	p.ObserveAccuracy("hot", 0.5, 50)
+	p.Observe(Record{Fingerprint: "hot", Cache: "hit", RelErr: 0.5, QErr: 50})
 	if d := p.Drifted(); len(d) != 0 {
 		t.Fatalf("one sample should not mark drift, got %v", d)
 	}
 	// ...a second consistent one is.
-	p.ObserveAccuracy("hot", 0.5, 50)
+	p.Observe(Record{Fingerprint: "hot", Cache: "hit", RelErr: 0.5, QErr: 50})
 	d := p.Drifted()
 	if len(d) != 1 || d[0].Fingerprint != "hot" {
 		t.Fatalf("expected hot marked drifted, got %v", d)
@@ -79,8 +79,8 @@ func TestProfilerDriftMarking(t *testing.T) {
 	}
 
 	// Accurate samples never mark.
-	p.ObserveAccuracy("hot", 0.1, 1.05)
-	p.ObserveAccuracy("hot", 0.1, 1.05)
+	p.Observe(Record{Fingerprint: "hot", Cache: "hit", RelErr: 0.1, QErr: 1.05})
+	p.Observe(Record{Fingerprint: "hot", Cache: "hit", RelErr: 0.1, QErr: 1.05})
 	if d := p.Drifted(); len(d) != 0 {
 		t.Fatalf("accurate template marked drifted: %v", d)
 	}
@@ -113,10 +113,11 @@ func TestProfilerConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				fp := fmt.Sprintf("fp-%d", i%20)
-				p.Observe(Record{Fingerprint: fp, Cache: "hit", ElapsedMicros: 100})
+				rec := Record{Fingerprint: fp, Cache: "hit", ElapsedMicros: 100}
 				if i%50 == 0 {
-					p.ObserveAccuracy(fp, 0.2, 1.5)
+					rec.RelErr, rec.QErr = 0.2, 1.5
 				}
+				p.Observe(rec)
 			}
 		}(g)
 	}
@@ -162,7 +163,7 @@ func TestSortByAndFormatTable(t *testing.T) {
 func TestNilProfilerIsNoOp(t *testing.T) {
 	var p *Profiler
 	p.Observe(Record{Fingerprint: "x"})
-	p.ObserveAccuracy("x", 1, 1)
+	p.Observe(Record{Fingerprint: "x", Cache: "hit", RelErr: 1, QErr: 1})
 	p.MarkSwept("x")
 	if p.Len() != 0 || p.Overflow() != 0 || p.Snapshot() != nil || p.Drifted() != nil || p.DriftedCount() != 0 {
 		t.Error("nil profiler should be inert")

@@ -77,15 +77,16 @@ func Annotate(root *Op, m *machine.Machine, est *plan.Estimator, opts AnnotateOp
 			if in.Redistribute {
 				in.RedistAttr = est.Canon(op.Clone.Attribute)
 				if m.Nodes() > 1 {
-					in.RedistTargets = cloneNodes(op.Clone, m)
+					in.RedistTargets = CloneNodes(op.Clone, m)
 				}
 			}
 		}
 	})
 }
 
-// cloneNodes returns the sorted distinct nodes hosting a clone set.
-func cloneNodes(c Cloning, m *machine.Machine) []int {
+// CloneNodes returns the sorted distinct nodes hosting a clone set (the node
+// of CPU 0 when the operator is not cloned).
+func CloneNodes(c Cloning, m *machine.Machine) []int {
 	res := c.Resources
 	if len(res) == 0 {
 		res = []machine.ResourceID{m.CPUFor(0)}

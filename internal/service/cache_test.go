@@ -71,31 +71,3 @@ func TestPlanCacheOverwriteRefreshes(t *testing.T) {
 		t.Error("overwrite should replace the value")
 	}
 }
-
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram should report 0")
-	}
-	// 100 observations at ~1ms, 10 at ~100ms: p50 in the 1ms bucket, p99
-	// in the 100ms bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.0009)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(0.09)
-	}
-	if h.Count() != 110 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	p50, p95, p99 := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99)
-	if p50 < 0.0005 || p50 > 0.001 {
-		t.Errorf("p50 = %g, want within (0.0005, 0.001]", p50)
-	}
-	if p99 < 0.05 || p99 > 0.1 {
-		t.Errorf("p99 = %g, want within (0.05, 0.1]", p99)
-	}
-	if !(p50 <= p95 && p95 <= p99) {
-		t.Errorf("quantiles not monotone: p50=%g p95=%g p99=%g", p50, p95, p99)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"sync"
@@ -48,18 +49,6 @@ func (s *Service) RegisterWorker(addr, httpURL string) (int, error) {
 	return len(s.workers), nil
 }
 
-// workerHTTP returns the registered workers' HTTP base URLs keyed by
-// exchange address ("" for workers that registered without one).
-func (s *Service) workerHTTP() map[string]string {
-	s.clusterMu.Lock()
-	defer s.clusterMu.Unlock()
-	out := make(map[string]string, len(s.workers))
-	for a, h := range s.workers {
-		out[a] = h
-	}
-	return out
-}
-
 // DeregisterWorker removes a worker address, reporting whether it was
 // registered, and the remaining count.
 func (s *Service) DeregisterWorker(addr string) (bool, int) {
@@ -84,12 +73,7 @@ func (s *Service) WorkerAddrs() []string {
 func (s *Service) Members() ([]string, int64) {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
-	addrs := make([]string, 0, len(s.workers))
-	for a := range s.workers {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	return addrs, s.epoch
+	return sortedKeys(s.workers), s.epoch
 }
 
 // Epoch returns the current cluster-membership epoch.
@@ -266,21 +250,10 @@ func (s *Service) recordExchange(sp *obs.Span, c *exchange.Cluster) {
 	s.clusterMu.Unlock()
 }
 
-// fallbackReasonCounts copies the cumulative fallback-reason counters.
-func (s *Service) fallbackReasonCounts() map[string]int64 {
-	s.clusterMu.Lock()
-	defer s.clusterMu.Unlock()
-	out := make(map[string]int64, len(s.fallbackReasons))
-	for k, v := range s.fallbackReasons {
-		out[k] = v
-	}
-	return out
-}
-
 // Worker federation: GET /cluster/metrics scrapes every registered worker's
 // own /healthz and returns one snapshot of the fleet. The scrape is also the
 // daemon's liveness probe — its outcome feeds the per-worker
-// paroptd_cluster_worker_up gauge on /metrics.
+// worker_up gauge on /metrics.
 
 // scrapeTimeout bounds one worker health probe; a worker that cannot answer
 // within it is reported down rather than stalling the federated response.
@@ -314,12 +287,10 @@ type ClusterMetrics struct {
 func (s *Service) scrapeWorkers(ctx context.Context) ClusterMetrics {
 	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
-	targets := s.workerHTTP()
-	addrs := make([]string, 0, len(targets))
-	for a := range targets {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
+	s.clusterMu.Lock()
+	targets := maps.Clone(s.workers) // exchange addr → HTTP base URL ("" when unknown)
+	s.clusterMu.Unlock()
+	addrs := sortedKeys(targets)
 	out := ClusterMetrics{
 		Workers: make([]WorkerStatus, len(addrs)),
 		Total:   len(addrs),
@@ -348,7 +319,7 @@ func (s *Service) scrapeWorkers(ctx context.Context) ClusterMetrics {
 				return
 			}
 			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+			body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
 			if err != nil {
 				ws.Error = err.Error()
 				return
@@ -374,18 +345,6 @@ func (s *Service) scrapeWorkers(ctx context.Context) ClusterMetrics {
 		if ws.Up {
 			out.Live++
 		}
-	}
-	return out
-}
-
-// workerLiveness copies the per-worker liveness from the last scrape.
-// Workers registered since the last scrape are absent (unknown), not false.
-func (s *Service) workerLiveness() map[string]bool {
-	s.clusterMu.Lock()
-	defer s.clusterMu.Unlock()
-	out := make(map[string]bool, len(s.workerUp))
-	for k, v := range s.workerUp {
-		out[k] = v
 	}
 	return out
 }

@@ -206,7 +206,10 @@ func TestRegisterWorkerKeepsEpochOnHTTPUpdate(t *testing.T) {
 	if got := s.Epoch(); got != epoch {
 		t.Errorf("epoch advanced %d -> %d on a same-address re-register", epoch, got)
 	}
-	if got := s.workerHTTP()["w:1"]; got != "http://127.0.0.1:9" {
+	s.clusterMu.Lock()
+	got := s.workers["w:1"]
+	s.clusterMu.Unlock()
+	if got != "http://127.0.0.1:9" {
 		t.Errorf("http URL not updated: %q", got)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,12 +93,12 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// maxBodyBytes bounds request bodies (schemas can be large; queries are
-// small).
-const maxBodyBytes = 4 << 20
+// MaxBodyBytes bounds every HTTP body the daemon reads (schemas can be large;
+// queries are small) and every daemon response a worker reads.
+const MaxBodyBytes = 4 << 20
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -269,7 +270,7 @@ type SchemaResponse struct {
 }
 
 func (s *Service) handleSchema(w http.ResponseWriter, r *http.Request) {
-	s.met.SchemaRequests.Add(1)
+	s.met.Requests.Add("schema", 1)
 	var req SchemaRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -375,12 +376,7 @@ func (s *Service) handleClusterPlacementInstall(w http.ResponseWriter, r *http.R
 		writeServiceError(w, err)
 		return
 	}
-	s.mu.RLock()
-	cat := s.catalogs[p.m.CatalogVersion]
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, PlacementResponse{
-		Map: p.m, Fingerprint: p.fp, Epoch: s.Epoch(), Snapshot: cat.Snapshot(),
-	})
+	s.writePlacement(w, p.m.CatalogVersion, p)
 }
 
 func (s *Service) handleClusterPlacement(w http.ResponseWriter, r *http.Request) {
@@ -395,10 +391,16 @@ func (s *Service) handleClusterPlacement(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusNotFound, fmt.Errorf("no placement installed for catalog %q", version))
 		return
 	}
+	s.writePlacement(w, version, p)
+}
+
+// writePlacement answers both placement routes: the installed map beside the
+// catalog snapshot a worker rebuilds its store from.
+func (s *Service) writePlacement(w http.ResponseWriter, version string, p installedPlacement) {
 	s.mu.RLock()
 	cat := s.catalogs[version]
 	s.mu.RUnlock()
-	if cat == nil {
+	if cat == nil { // retired between the placement lookup and here
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown catalog version %q", version))
 		return
 	}
@@ -427,37 +429,13 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// gauges samples the point-in-time values the exposition combines with the
-// cumulative counters. Every source is nil-safe, so disabled subsystems
-// contribute zeros.
-func (s *Service) gauges() Gauges {
-	records, dropped, rotations := s.qlog.Stats()
-	return Gauges{
-		QueueDepth:           s.pool.QueueDepth(),
-		CacheEntries:         s.cache.Len(),
-		TracesRetained:       s.tracer.Len(),
-		Uptime:               time.Since(s.start),
-		WorkloadFingerprints: s.prof.Len(),
-		WorkloadDrifted:      s.prof.DriftedCount(),
-		WorkloadOverflow:     s.prof.Overflow(),
-		NegCacheEntries:      s.neg.Len(),
-		ClusterWorkers:       len(s.WorkerAddrs()),
-		ClusterEpoch:         s.Epoch(),
-		Placements:           s.placementCount(),
-		Links:                s.linkSnapshots(),
-		FallbackReasons:      s.fallbackReasonCounts(),
-		WorkerUp:             s.workerLiveness(),
-		QueryLogRecords:      records,
-		QueryLogDropped:      dropped,
-		QueryLogRotations:    rotations,
-		InflightQueries:      s.inflight.len(),
-		ProgressDrift:        s.inflight.driftCount(),
-	}
-}
-
+// handleMetrics renders into memory first: some families sample under
+// clusterMu, which must not be held across a write to a slow scraper.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var buf bytes.Buffer
+	obs.WriteFamilies(&buf, s.families())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.WritePrometheus(w, s.gauges())
+	w.Write(buf.Bytes()) //nolint:errcheck // nothing to do about a failed write
 }
 
 // TraceEntry summarizes one retained trace for the ring listing: how many

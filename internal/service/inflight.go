@@ -13,8 +13,8 @@ import (
 	"paropt/internal/plan"
 )
 
-// Cancellation reasons, used as the {reason} label of
-// paroptd_query_cancelled_total and as the request record's Cancelled field.
+// Cancellation reasons, used as the {reason} label of the cancelled-queries
+// counter and as the request record's Cancelled field.
 const (
 	CancelClient   = "client"   // DELETE /debug/queries/{id}
 	CancelDeadline = "deadline" // request deadline (Config.RequestTimeout)
@@ -371,8 +371,7 @@ func (r *inflightRegistry) cancelAll(reason string) int {
 	return len(qs)
 }
 
-// driftCount is how many in-flight queries currently report progress drift
-// (the paroptd_query_progress_drift gauge).
+// driftCount is how many in-flight queries currently report progress drift.
 func (r *inflightRegistry) driftCount() int {
 	n := 0
 	for _, s := range r.snapshots() {

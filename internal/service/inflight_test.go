@@ -147,7 +147,7 @@ func TestHTTPDeadlineCancelsRequest(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline expiry returned %d (%s), want 504", resp.StatusCode, body)
 	}
-	waitFor(t, func() bool { return s.met.QueryCancelledDeadline.Load() == 1 })
+	waitFor(t, func() bool { return s.met.QueryCancelled.Load(CancelDeadline) == 1 })
 }
 
 func TestServiceShutdownCancelsInflight(t *testing.T) {
@@ -181,7 +181,7 @@ func TestServiceShutdownCancelsInflight(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown did not return after the pool was released")
 	}
-	if got := s.met.QueryCancelledShutdown.Load(); got != 1 {
+	if got := s.met.QueryCancelled.Load(CancelShutdown); got != 1 {
 		t.Errorf("QueryCancelledShutdown = %d, want 1", got)
 	}
 	// Shutdown implies Close: new requests are rejected.

@@ -325,7 +325,7 @@ func TestReplayChangeEntersAuditLog(t *testing.T) {
 		c.PrevRT != 10 || c.NewRT != 8 || len(c.Diff) != 2 {
 		t.Errorf("replay change mismatch: %+v", c)
 	}
-	if s.met.PlanChangesReplay.Load() != 1 {
+	if s.met.PlanChanges.Load("replay") != 1 {
 		t.Error("replay counter should advance")
 	}
 }

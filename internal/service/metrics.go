@@ -1,8 +1,6 @@
 package service
 
 import (
-	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -23,10 +21,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Histogram is the general bucketed histogram (internal/obs). The zero value
-// is ready to use and adopts the default latency buckets.
-type Histogram = obs.Histogram
-
 // buildVersion resolves the module version stamped into the binary, or
 // "dev" for test binaries and plain `go build` without VCS info.
 func buildVersion() string {
@@ -38,297 +32,146 @@ func buildVersion() string {
 	return "dev"
 }
 
-// Metrics aggregates the service counters exported at /metrics. All fields
-// are safe for concurrent use.
+// Metrics holds the cumulative counters and histograms the serving path
+// feeds. All fields are safe for concurrent use; what each one means is its
+// row's HELP text in families, where every exported family is declared.
 type Metrics struct {
-	// Per-endpoint request counters.
-	OptimizeRequests atomic.Int64
-	ExplainRequests  atomic.Int64
-	SchemaRequests   atomic.Int64
+	Requests       *obs.LabelCounter // by endpoint
+	Pruned         *obs.LabelCounter // by rejecting test, summed over every DP search run
+	PlanChanges    *obs.LabelCounter // by source (planlog.go)
+	QueryCancelled *obs.LabelCounter // by reason (inflight.go)
 
-	// Plan-cache traffic.
-	CacheHits   atomic.Int64
-	CacheMisses atomic.Int64
-	Evictions   atomic.Int64
+	CacheHits, CacheMisses, Evictions atomic.Int64
+	CoverReuse, FullSearch, Deduped   atomic.Int64
+	AnalyzeRuns, Rejected, Errors     atomic.Int64
+	NegCacheHits, CatalogRetired      atomic.Int64
+	SweepRuns, SweepReoptimized       atomic.Int64
 
-	// CoverReuse counts requests answered by re-filtering a cached cover
-	// set (no DP search); FullSearch counts DP searches actually run;
-	// Deduped counts requests that joined an identical in-flight search
-	// via singleflight instead of running their own.
-	CoverReuse atomic.Int64
-	FullSearch atomic.Int64
-	Deduped    atomic.Int64
+	// Cumulative over distributed analyze runs (recordExchange).
+	ExchangeFragments, ShippedScans, ExchangeRetries, ExchangeFallbacks atomic.Int64
 
-	// AnalyzeRuns counts explain-analyze executions against synthetic data.
-	AnalyzeRuns atomic.Int64
-
-	// Admission control and failures.
-	Rejected atomic.Int64 // 429s: queue full
-	Errors   atomic.Int64
-
-	// NegCacheHits counts parse/resolve failures answered from the negative
-	// cache (no re-parse).
-	NegCacheHits atomic.Int64
-
-	// SweepRuns counts drift-sweeper passes; SweepReoptimized counts cache
-	// entries the sweeper replaced with a fresh search.
-	SweepRuns        atomic.Int64
-	SweepReoptimized atomic.Int64
-
-	// Search prune counters by rejecting test, accumulated across every DP
-	// search run: the Theorem 3 cover-set dominance test, the §2 work bound,
-	// the memory constraint, and beam (cover-cap) eviction.
-	PrunedDominance atomic.Int64
-	PrunedWork      atomic.Int64
-	PrunedMemory    atomic.Int64
-	PrunedBeam      atomic.Int64
-
-	// Plan-change audit counters by source (see planlog.go): "search" swaps
-	// under unchanged inputs, "refresh" after a catalog move, "sweeper" drift
-	// re-optimizations, "replay" regressions reported by replay runs.
-	PlanChangesSearch  atomic.Int64
-	PlanChangesRefresh atomic.Int64
-	PlanChangesSweeper atomic.Int64
-	PlanChangesReplay  atomic.Int64
-
-	// Live-query cancellations by reason: client (DELETE /debug/queries/id),
-	// deadline (RequestTimeout expired mid-request), shutdown (drain timeout
-	// at daemon stop).
-	QueryCancelledClient   atomic.Int64
-	QueryCancelledDeadline atomic.Int64
-	QueryCancelledShutdown atomic.Int64
-
-	// CatalogRetired counts catalog versions retired by RefreshCatalog (each
-	// retirement sweeps the version's plan-cache and negative-cache entries).
-	CatalogRetired atomic.Int64
-
-	// ExchangeFragments counts join fragments dispatched to worker processes
-	// by distributed analyze runs (a re-dispatch after a failure counts
-	// again). ShippedScans counts leaf-scan sides sourced at workers instead
-	// of streamed from the coordinator; ExchangeRetries counts fragment
-	// re-dispatches after worker failures; ExchangeFallbacks counts
-	// fragments the coordinator ran itself after every worker dispatch
-	// failed.
-	ExchangeFragments atomic.Int64
-	ShippedScans      atomic.Int64
-	ExchangeRetries   atomic.Int64
-	ExchangeFallbacks atomic.Int64
-
-	// Latency is the end-to-end request latency histogram.
-	Latency Histogram
-
-	// Per-phase latency: one request decomposes into parse (resolve +
-	// fingerprint), search (cache lookup through cover-set computation),
-	// select (§2 re-filtering + plan materialization), render (JSON), and —
-	// for analyze requests — execute (instrumented engine run).
-	PhaseParse   Histogram
-	PhaseSearch  Histogram
-	PhaseSelect  Histogram
-	PhaseRender  Histogram
-	PhaseExecute Histogram
-
-	// CostRelErr observes |relative error| of calibrated per-operator
-	// (tf, tl) predictions from analyze runs — the live fidelity signal of
-	// the §5 cost model. Buckets are obs.RelErrorBuckets.
-	CostRelErr Histogram
-
-	// SearchLayerSeconds observes the wall time of every DP layer (one
-	// observation per layer per search) — where time goes inside the lattice.
-	SearchLayerSeconds Histogram
+	// Latency is end to end; a request decomposes into parse (resolve +
+	// fingerprint), search (cache lookup through cover-set computation), select
+	// (§2 re-filtering), render and — for analyze requests — execute.
+	Latency                                                         obs.Histogram
+	PhaseParse, PhaseSearch, PhaseSelect, PhaseRender, PhaseExecute obs.Histogram
+	CostRelErr, SearchLayerSeconds                                  obs.Histogram
 }
 
-// notePlanChange bumps the audit counter for one plan-change source.
-func (m *Metrics) notePlanChange(source string) {
-	switch source {
-	case "search":
-		m.PlanChangesSearch.Add(1)
-	case "refresh":
-		m.PlanChangesRefresh.Add(1)
-	case "sweeper":
-		m.PlanChangesSweeper.Add(1)
-	case "replay":
-		m.PlanChangesReplay.Add(1)
-	}
-}
-
-// ensureInit pins non-default bucket bounds; called from New and defensively
-// before rendering (a zero-value Metrics must still expose correct buckets).
-func (m *Metrics) ensureInit() {
+// init builds the fixed-label counters and pins non-default bucket bounds.
+func (m *Metrics) init() {
+	m.Requests = obs.NewLabelCounter("endpoint", "optimize", "explain", "schema")
+	m.Pruned = obs.NewLabelCounter("reason", "dominance", "work", "memory", "beam")
+	m.PlanChanges = obs.NewLabelCounter("source", "search", "refresh", "sweeper", "replay")
+	m.QueryCancelled = obs.NewLabelCounter("reason", CancelClient, CancelDeadline, CancelShutdown)
 	m.CostRelErr.EnsureBuckets(obs.RelErrorBuckets)
 }
 
-// Gauges carries the point-in-time values sampled by the service when the
-// exposition is rendered — queue and cache occupancy, workload-profiler and
-// query-log state — plus the uptime. The query-log fields are cumulative
-// counters maintained by the log's writer goroutine; they are sampled here
-// rather than mirrored into Metrics so the log remains usable standalone.
-type Gauges struct {
-	QueueDepth     int
-	CacheEntries   int
-	TracesRetained int
-	Uptime         time.Duration
-
-	// Workload profiler occupancy (internal/obs/workload).
-	WorkloadFingerprints int
-	WorkloadDrifted      int
-	WorkloadOverflow     int64
-
-	// Negative-cache occupancy.
-	NegCacheEntries int
-
-	// ClusterWorkers is the registered worker-process count; ClusterEpoch
-	// the membership epoch (bumped per register/deregister); Placements the
-	// installed placement-map count; Links carries the cumulative per-link
-	// exchange traffic (one entry per worker address that has ever carried
-	// a distributed join).
-	ClusterWorkers int
-	ClusterEpoch   int64
-	Placements     int
-	Links          []exchange.LinkSnapshot
-
-	// FallbackReasons are the cumulative coordinator-fallback counts by typed
-	// reason (worker_died, worker_unreachable, worker_error). WorkerUp is the
-	// per-worker liveness outcome of the last /cluster/metrics scrape.
-	FallbackReasons map[string]int64
-	WorkerUp        map[string]bool
-
-	// Query-log cumulative counters.
-	QueryLogRecords   int64
-	QueryLogDropped   int64
-	QueryLogRotations int64
-
-	// InflightQueries is the live-registry occupancy; ProgressDrift counts
-	// in-flight queries whose measured progress currently lags the model's
-	// predicted timeline.
-	InflightQueries int
-	ProgressDrift   int
-}
-
-// WritePrometheus renders the metrics in Prometheus text exposition format,
-// combining the cumulative counters with the sampled gauges.
-func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
-	m.ensureInit()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// families is the daemon's /metrics: every family it exports, in exposition
+// order, each declared here and nowhere else. Counter rows read the Metrics
+// field the serving path bumps; gauge rows sample their source (queue, caches,
+// profiler, query log, live registry, cluster maps under clusterMu) when the
+// scrape happens. Every source is nil-safe, so a disabled subsystem reads 0.
+// Adding a family is one row here plus its line in testdata/metrics.golden.
+func (s *Service) families() []obs.Family {
+	m := &s.met
+	qlog := func(i int) func() int64 {
+		return func() int64 { rec, drop, rot := s.qlog.Stats(); return [3]int64{rec, drop, rot}[i] }
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	perLink := func(name, help string, emit func(*obs.Samples, exchange.LinkSnapshot)) obs.Family {
+		return obs.Family{Name: name, Help: help, Type: "counter", Collect: func(sm *obs.Samples) {
+			for _, l := range s.linkSnapshots() {
+				emit(sm, l)
+			}
+		}}
 	}
-	fmt.Fprintf(w, "# HELP paroptd_build_info Build metadata; the value is always 1.\n# TYPE paroptd_build_info gauge\n")
-	fmt.Fprintf(w, "paroptd_build_info{version=%q,goversion=%q} 1\n", buildVersion(), runtime.Version())
-	fmt.Fprintf(w, "# HELP paroptd_uptime_seconds Seconds since the service started.\n# TYPE paroptd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "paroptd_uptime_seconds %g\n", g.Uptime.Seconds())
-	fmt.Fprintf(w, "# HELP paroptd_requests_total Requests by endpoint.\n# TYPE paroptd_requests_total counter\n")
-	fmt.Fprintf(w, "paroptd_requests_total{endpoint=\"optimize\"} %d\n", m.OptimizeRequests.Load())
-	fmt.Fprintf(w, "paroptd_requests_total{endpoint=\"explain\"} %d\n", m.ExplainRequests.Load())
-	fmt.Fprintf(w, "paroptd_requests_total{endpoint=\"schema\"} %d\n", m.SchemaRequests.Load())
-	counter("paroptd_cache_hits_total", "Plan-cache hits.", m.CacheHits.Load())
-	counter("paroptd_cache_misses_total", "Plan-cache misses.", m.CacheMisses.Load())
-	counter("paroptd_cache_evictions_total", "Plan-cache LRU evictions.", m.Evictions.Load())
-	counter("paroptd_cover_reuse_total", "Requests answered by re-filtering a cached cover set (no search).", m.CoverReuse.Load())
-	counter("paroptd_full_search_total", "Partial-order DP searches run.", m.FullSearch.Load())
-	counter("paroptd_deduped_total", "Requests deduplicated onto an identical in-flight search.", m.Deduped.Load())
-	counter("paroptd_analyze_total", "Explain-analyze executions against synthetic data.", m.AnalyzeRuns.Load())
-	counter("paroptd_rejected_total", "Requests rejected by admission control (429).", m.Rejected.Load())
-	counter("paroptd_errors_total", "Requests that failed.", m.Errors.Load())
-	counter("paroptd_negcache_hits_total", "Parse/resolve failures answered from the negative cache.", m.NegCacheHits.Load())
-	counter("paroptd_sweeper_runs_total", "Drift-sweeper passes.", m.SweepRuns.Load())
-	counter("paroptd_sweeper_reoptimized_total", "Cache entries re-optimized by the drift sweeper.", m.SweepReoptimized.Load())
-	fmt.Fprintf(w, "# HELP paroptd_search_pruned_total Candidates pruned during DP search, by rejecting test.\n# TYPE paroptd_search_pruned_total counter\n")
-	fmt.Fprintf(w, "paroptd_search_pruned_total{reason=\"dominance\"} %d\n", m.PrunedDominance.Load())
-	fmt.Fprintf(w, "paroptd_search_pruned_total{reason=\"work\"} %d\n", m.PrunedWork.Load())
-	fmt.Fprintf(w, "paroptd_search_pruned_total{reason=\"memory\"} %d\n", m.PrunedMemory.Load())
-	fmt.Fprintf(w, "paroptd_search_pruned_total{reason=\"beam\"} %d\n", m.PrunedBeam.Load())
-	fmt.Fprintf(w, "# HELP paroptd_plan_changes_total Cached-plan swaps recorded in the plan-change audit log, by source.\n# TYPE paroptd_plan_changes_total counter\n")
-	fmt.Fprintf(w, "paroptd_plan_changes_total{source=\"search\"} %d\n", m.PlanChangesSearch.Load())
-	fmt.Fprintf(w, "paroptd_plan_changes_total{source=\"refresh\"} %d\n", m.PlanChangesRefresh.Load())
-	fmt.Fprintf(w, "paroptd_plan_changes_total{source=\"sweeper\"} %d\n", m.PlanChangesSweeper.Load())
-	fmt.Fprintf(w, "paroptd_plan_changes_total{source=\"replay\"} %d\n", m.PlanChangesReplay.Load())
-	fmt.Fprintf(w, "# HELP paroptd_query_cancelled_total In-flight queries cancelled, by reason.\n# TYPE paroptd_query_cancelled_total counter\n")
-	fmt.Fprintf(w, "paroptd_query_cancelled_total{reason=\"client\"} %d\n", m.QueryCancelledClient.Load())
-	fmt.Fprintf(w, "paroptd_query_cancelled_total{reason=\"deadline\"} %d\n", m.QueryCancelledDeadline.Load())
-	fmt.Fprintf(w, "paroptd_query_cancelled_total{reason=\"shutdown\"} %d\n", m.QueryCancelledShutdown.Load())
-	counter("paroptd_catalog_versions_retired", "Catalog versions retired by statistics refreshes (plan + negative caches swept).", m.CatalogRetired.Load())
-	counter("paroptd_exchange_fragments_total", "Join fragments dispatched to worker processes (re-dispatches count again).", m.ExchangeFragments.Load())
-	counter("paroptd_exchange_shipped_scans_total", "Leaf-scan sides sourced at workers instead of streamed from the coordinator.", m.ShippedScans.Load())
-	counter("paroptd_exchange_retries_total", "Fragment re-dispatches after a worker failure.", m.ExchangeRetries.Load())
-	counter("paroptd_exchange_fallbacks_total", "Fragments the coordinator ran itself after every worker dispatch failed.", m.ExchangeFallbacks.Load())
-	counter("paroptd_workload_overflow_total", "Fingerprints dropped because the workload profiler was full.", g.WorkloadOverflow)
-	counter("paroptd_querylog_records_total", "Query-log records written to disk.", g.QueryLogRecords)
-	counter("paroptd_querylog_dropped_total", "Query-log records dropped (writer behind or log closed).", g.QueryLogDropped)
-	counter("paroptd_querylog_rotations_total", "Query-log size-based rotations.", g.QueryLogRotations)
-	gauge("paroptd_queue_depth", "Optimization jobs waiting in the worker-pool queue.", int64(g.QueueDepth))
-	gauge("paroptd_cache_entries", "Plan-cache entries resident.", int64(g.CacheEntries))
-	gauge("paroptd_traces_retained", "Request traces retained for /debug/trace.", int64(g.TracesRetained))
-	gauge("paroptd_workload_fingerprints", "Query templates tracked by the workload profiler.", int64(g.WorkloadFingerprints))
-	gauge("paroptd_workload_drifted", "Profiles whose EWMA q-error currently exceeds the drift threshold.", int64(g.WorkloadDrifted))
-	gauge("paroptd_negcache_entries", "Negative-cache entries resident.", int64(g.NegCacheEntries))
-	gauge("paroptd_cluster_workers", "Worker processes registered for distributed execution.", int64(g.ClusterWorkers))
-	gauge("paroptd_cluster_epoch", "Cluster-membership epoch (bumped per register/deregister).", g.ClusterEpoch)
-	gauge("paroptd_placements", "Installed data-placement maps (one per catalog version).", int64(g.Placements))
-	gauge("paroptd_queries_inflight", "Queries currently being served (live registry occupancy).", int64(g.InflightQueries))
-	gauge("paroptd_query_progress_drift", "In-flight queries whose measured progress lags the predicted (tf, tl) timeline.", int64(g.ProgressDrift))
-
-	fmt.Fprintf(w, "# HELP paroptd_exchange_link_bytes_total Bytes moved per worker link by distributed joins.\n# TYPE paroptd_exchange_link_bytes_total counter\n")
-	for _, l := range g.Links {
-		fmt.Fprintf(w, "paroptd_exchange_link_bytes_total{link=%q,direction=\"sent\"} %d\n", l.Addr, l.BytesSent)
-		fmt.Fprintf(w, "paroptd_exchange_link_bytes_total{link=%q,direction=\"recv\"} %d\n", l.Addr, l.BytesRecv)
+	return []obs.Family{
+		{Name: "paroptd_build_info", Help: "Build metadata; the value is always 1.", Type: "gauge", Collect: func(sm *obs.Samples) {
+			sm.Int(1, "version", buildVersion(), "goversion", runtime.Version())
+		}},
+		{Name: "paroptd_uptime_seconds", Help: "Seconds since the service started.", Type: "gauge", Collect: func(sm *obs.Samples) {
+			sm.Float(time.Since(s.start).Seconds())
+		}},
+		m.Requests.Family("paroptd_requests_total", "Requests by endpoint."),
+		obs.Counter("paroptd_cache_hits_total", "Plan-cache hits.", m.CacheHits.Load),
+		obs.Counter("paroptd_cache_misses_total", "Plan-cache misses.", m.CacheMisses.Load),
+		obs.Counter("paroptd_cache_evictions_total", "Plan-cache LRU evictions.", m.Evictions.Load),
+		obs.Counter("paroptd_cover_reuse_total", "Requests answered by re-filtering a cached cover set (no search).", m.CoverReuse.Load),
+		obs.Counter("paroptd_full_search_total", "Partial-order DP searches run.", m.FullSearch.Load),
+		obs.Counter("paroptd_deduped_total", "Requests deduplicated onto an identical in-flight search.", m.Deduped.Load),
+		obs.Counter("paroptd_analyze_total", "Explain-analyze executions against synthetic data.", m.AnalyzeRuns.Load),
+		obs.Counter("paroptd_rejected_total", "Requests rejected by admission control (429).", m.Rejected.Load),
+		obs.Counter("paroptd_errors_total", "Requests that failed.", m.Errors.Load),
+		obs.Counter("paroptd_negcache_hits_total", "Parse/resolve failures answered from the negative cache.", m.NegCacheHits.Load),
+		obs.Counter("paroptd_sweeper_runs_total", "Drift-sweeper passes.", m.SweepRuns.Load),
+		obs.Counter("paroptd_sweeper_reoptimized_total", "Cache entries re-optimized by the drift sweeper.", m.SweepReoptimized.Load),
+		m.Pruned.Family("paroptd_search_pruned_total", "Candidates pruned during DP search, by rejecting test."),
+		m.PlanChanges.Family("paroptd_plan_changes_total", "Cached-plan swaps recorded in the plan-change audit log, by source."),
+		m.QueryCancelled.Family("paroptd_query_cancelled_total", "In-flight queries cancelled, by reason."),
+		obs.Counter("paroptd_catalog_versions_retired", "Catalog versions retired by statistics refreshes (plan + negative caches swept).", m.CatalogRetired.Load),
+		obs.Counter("paroptd_exchange_fragments_total", "Join fragments dispatched to worker processes (re-dispatches count again).", m.ExchangeFragments.Load),
+		obs.Counter("paroptd_exchange_shipped_scans_total", "Leaf-scan sides sourced at workers instead of streamed from the coordinator.", m.ShippedScans.Load),
+		obs.Counter("paroptd_exchange_retries_total", "Fragment re-dispatches after a worker failure.", m.ExchangeRetries.Load),
+		obs.Counter("paroptd_exchange_fallbacks_total", "Fragments the coordinator ran itself after every worker dispatch failed.", m.ExchangeFallbacks.Load),
+		obs.Counter("paroptd_workload_overflow_total", "Fingerprints dropped because the workload profiler was full.", s.prof.Overflow),
+		obs.Counter("paroptd_querylog_records_total", "Query-log records written to disk.", qlog(0)),
+		obs.Counter("paroptd_querylog_dropped_total", "Query-log records dropped (writer behind or log closed).", qlog(1)),
+		obs.Counter("paroptd_querylog_rotations_total", "Query-log size-based rotations.", qlog(2)),
+		obs.Gauge("paroptd_queue_depth", "Optimization jobs waiting in the worker-pool queue.", s.pool.QueueDepth),
+		obs.Gauge("paroptd_cache_entries", "Plan-cache entries resident.", s.cache.Len),
+		obs.Gauge("paroptd_traces_retained", "Request traces retained for /debug/trace.", s.tracer.Len),
+		obs.Gauge("paroptd_workload_fingerprints", "Query templates tracked by the workload profiler.", s.prof.Len),
+		obs.Gauge("paroptd_workload_drifted", "Profiles whose EWMA q-error currently exceeds the drift threshold.", s.prof.DriftedCount),
+		obs.Gauge("paroptd_negcache_entries", "Negative-cache entries resident.", s.neg.Len),
+		obs.Gauge("paroptd_cluster_workers", "Worker processes registered for distributed execution.", func() int { return len(s.WorkerAddrs()) }),
+		obs.Gauge("paroptd_cluster_epoch", "Cluster-membership epoch (bumped per register/deregister).", s.Epoch),
+		obs.Gauge("paroptd_placements", "Installed data-placement maps (one per catalog version).", s.placementCount),
+		obs.Gauge("paroptd_queries_inflight", "Queries currently being served (live registry occupancy).", s.inflight.len),
+		obs.Gauge("paroptd_query_progress_drift", "In-flight queries whose measured progress lags the predicted (tf, tl) timeline.", s.inflight.driftCount),
+		perLink("paroptd_exchange_link_bytes_total", "Bytes moved per worker link by distributed joins.", func(sm *obs.Samples, l exchange.LinkSnapshot) {
+			sm.Int(l.BytesSent, "link", l.Addr, "direction", "sent")
+			sm.Int(l.BytesRecv, "link", l.Addr, "direction", "recv")
+		}),
+		perLink("paroptd_exchange_link_batches_total", "Tuple batches moved per worker link by distributed joins.", func(sm *obs.Samples, l exchange.LinkSnapshot) {
+			sm.Int(l.BatchesSent, "link", l.Addr, "direction", "sent")
+			sm.Int(l.BatchesRecv, "link", l.Addr, "direction", "recv")
+		}),
+		perLink("paroptd_exchange_stall_seconds_total", "Seconds exchange senders spent blocked on credit-window backpressure, per link and stream direction — the measured pipeline sync penalty.", func(sm *obs.Samples, l exchange.LinkSnapshot) {
+			sm.Float(float64(l.StallLeftNanos)/1e9, "link", l.Addr, "direction", "left")
+			sm.Float(float64(l.StallRightNanos)/1e9, "link", l.Addr, "direction", "right")
+			sm.Float(float64(l.StallResultNanos)/1e9, "link", l.Addr, "direction", "result")
+		}),
+		perLink("paroptd_exchange_send_seconds_total", "Seconds spent writing frames to each worker link (wire time, coordinator side).", func(sm *obs.Samples, l exchange.LinkSnapshot) {
+			sm.Float(float64(l.SendNanos)/1e9, "link", l.Addr)
+		}),
+		{Name: "paroptd_exchange_fallback_reason_total", Help: "Coordinator fallbacks by typed failure reason.", Type: "counter", Collect: func(sm *obs.Samples) {
+			s.clusterMu.Lock()
+			defer s.clusterMu.Unlock()
+			for _, reason := range sortedKeys(s.fallbackReasons) {
+				sm.Int(s.fallbackReasons[reason], "reason", reason)
+			}
+		}},
+		// Workers registered since the last scrape are absent (unknown), not 0.
+		{Name: "paroptd_cluster_worker_up", Help: "Per-worker liveness from the last /cluster/metrics scrape (1 = healthz answered).", Type: "gauge", Collect: func(sm *obs.Samples) {
+			s.clusterMu.Lock()
+			defer s.clusterMu.Unlock()
+			for _, addr := range sortedKeys(s.workerUp) {
+				var up int64
+				if s.workerUp[addr] {
+					up = 1
+				}
+				sm.Int(up, "worker", addr)
+			}
+		}},
+		obs.HistogramFamily("paroptd_optimize_latency_seconds", "End-to-end request latency.", &m.Latency),
+		{Name: "paroptd_phase_seconds", Help: "Request latency by phase.", Type: "histogram", Collect: func(sm *obs.Samples) {
+			sm.Histogram(&m.PhaseParse, "phase", "parse")
+			sm.Histogram(&m.PhaseSearch, "phase", "search")
+			sm.Histogram(&m.PhaseSelect, "phase", "select")
+			sm.Histogram(&m.PhaseRender, "phase", "render")
+			sm.Histogram(&m.PhaseExecute, "phase", "execute")
+		}},
+		obs.HistogramFamily("paroptd_cost_rel_error", "Absolute relative error of calibrated per-operator (tf, tl) predictions, from analyze runs.", &m.CostRelErr),
+		obs.HistogramFamily("paroptd_search_layer_seconds", "Wall time per DP search layer (one observation per layer per search).", &m.SearchLayerSeconds),
 	}
-	fmt.Fprintf(w, "# HELP paroptd_exchange_link_batches_total Tuple batches moved per worker link by distributed joins.\n# TYPE paroptd_exchange_link_batches_total counter\n")
-	for _, l := range g.Links {
-		fmt.Fprintf(w, "paroptd_exchange_link_batches_total{link=%q,direction=\"sent\"} %d\n", l.Addr, l.BatchesSent)
-		fmt.Fprintf(w, "paroptd_exchange_link_batches_total{link=%q,direction=\"recv\"} %d\n", l.Addr, l.BatchesRecv)
-	}
-	fmt.Fprintf(w, "# HELP paroptd_exchange_stall_seconds_total Seconds exchange senders spent blocked on credit-window backpressure, per link and stream direction — the measured pipeline sync penalty.\n# TYPE paroptd_exchange_stall_seconds_total counter\n")
-	for _, l := range g.Links {
-		fmt.Fprintf(w, "paroptd_exchange_stall_seconds_total{link=%q,direction=\"left\"} %g\n", l.Addr, float64(l.StallLeftNanos)/1e9)
-		fmt.Fprintf(w, "paroptd_exchange_stall_seconds_total{link=%q,direction=\"right\"} %g\n", l.Addr, float64(l.StallRightNanos)/1e9)
-		fmt.Fprintf(w, "paroptd_exchange_stall_seconds_total{link=%q,direction=\"result\"} %g\n", l.Addr, float64(l.StallResultNanos)/1e9)
-	}
-	fmt.Fprintf(w, "# HELP paroptd_exchange_send_seconds_total Seconds spent writing frames to each worker link (wire time, coordinator side).\n# TYPE paroptd_exchange_send_seconds_total counter\n")
-	for _, l := range g.Links {
-		fmt.Fprintf(w, "paroptd_exchange_send_seconds_total{link=%q} %g\n", l.Addr, float64(l.SendNanos)/1e9)
-	}
-	fmt.Fprintf(w, "# HELP paroptd_exchange_fallback_reason_total Coordinator fallbacks by typed failure reason.\n# TYPE paroptd_exchange_fallback_reason_total counter\n")
-	for _, reason := range sortedKeys(g.FallbackReasons) {
-		fmt.Fprintf(w, "paroptd_exchange_fallback_reason_total{reason=%q} %d\n", reason, g.FallbackReasons[reason])
-	}
-	fmt.Fprintf(w, "# HELP paroptd_cluster_worker_up Per-worker liveness from the last /cluster/metrics scrape (1 = healthz answered).\n# TYPE paroptd_cluster_worker_up gauge\n")
-	for _, addr := range sortedKeys(g.WorkerUp) {
-		up := 0
-		if g.WorkerUp[addr] {
-			up = 1
-		}
-		fmt.Fprintf(w, "paroptd_cluster_worker_up{worker=%q} %d\n", addr, up)
-	}
-
-	fmt.Fprintf(w, "# HELP paroptd_optimize_latency_seconds End-to-end request latency.\n")
-	fmt.Fprintf(w, "# TYPE paroptd_optimize_latency_seconds histogram\n")
-	m.Latency.WritePrometheus(w, "paroptd_optimize_latency_seconds", "")
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		fmt.Fprintf(w, "paroptd_optimize_latency_seconds{quantile=\"%g\"} %g\n", q, m.Latency.Quantile(q))
-	}
-
-	fmt.Fprintf(w, "# HELP paroptd_phase_seconds Request latency by phase.\n")
-	fmt.Fprintf(w, "# TYPE paroptd_phase_seconds histogram\n")
-	for _, ph := range []struct {
-		name string
-		h    *Histogram
-	}{
-		{"parse", &m.PhaseParse},
-		{"search", &m.PhaseSearch},
-		{"select", &m.PhaseSelect},
-		{"render", &m.PhaseRender},
-		{"execute", &m.PhaseExecute},
-	} {
-		ph.h.WritePrometheus(w, "paroptd_phase_seconds", fmt.Sprintf("phase=%q", ph.name))
-	}
-
-	fmt.Fprintf(w, "# HELP paroptd_cost_rel_error Absolute relative error of calibrated per-operator (tf, tl) predictions, from analyze runs.\n")
-	fmt.Fprintf(w, "# TYPE paroptd_cost_rel_error histogram\n")
-	m.CostRelErr.WritePrometheus(w, "paroptd_cost_rel_error", "")
-
-	fmt.Fprintf(w, "# HELP paroptd_search_layer_seconds Wall time per DP search layer (one observation per layer per search).\n")
-	fmt.Fprintf(w, "# TYPE paroptd_search_layer_seconds histogram\n")
-	m.SearchLayerSeconds.WritePrometheus(w, "paroptd_search_layer_seconds", "")
 }

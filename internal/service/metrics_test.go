@@ -9,6 +9,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"paropt/internal/engine"
+	"paropt/internal/engine/exchange"
+	"paropt/internal/obs"
 )
 
 var (
@@ -97,6 +101,13 @@ func validateExposition(t *testing.T, text string) []string {
 	return typeLines
 }
 
+// renderMetrics renders the service's family table as /metrics would.
+func renderMetrics(s *Service) string {
+	var buf bytes.Buffer
+	obs.WriteFamilies(&buf, s.families())
+	return buf.String()
+}
+
 // TestMetricsExpositionGolden drives real traffic, renders /metrics, checks
 // the output parses cleanly, and pins the set of exported families to the
 // golden file.
@@ -109,11 +120,9 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if _, err := s.Explain(ctx, OptimizeRequest{Query: chainSQL(6, 7), Analyze: true}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	g := s.gauges()
-	g.Uptime = time.Second
-	s.met.WritePrometheus(&buf, g)
-	got := strings.Join(validateExposition(t, buf.String()), "\n") + "\n"
+	s.start = time.Now().Add(-time.Second)
+	text := renderMetrics(s)
+	got := strings.Join(validateExposition(t, text), "\n") + "\n"
 
 	goldenPath := filepath.Join("testdata", "metrics.golden")
 	want, err := os.ReadFile(goldenPath)
@@ -126,7 +135,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 
 	// The acceptance signal: an analyze run leaves a nonzero cost-model
 	// error histogram on /metrics.
-	text := buf.String()
 	re := regexp.MustCompile(`paroptd_cost_rel_error_bucket\{le="\+Inf"\} (\d+)`)
 	m := re.FindStringSubmatch(text)
 	if m == nil || m[1] == "0" {
@@ -143,14 +151,109 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 }
 
-// TestMetricsZeroValueRenders guards the zero-value path: a fresh Metrics
-// must render parseable output with the right cost-error buckets.
+// TestMetricsZeroValueRenders guards the no-traffic path: a service nothing
+// has touched, with every optional subsystem disabled, must render parseable
+// output with the right cost-error buckets.
 func TestMetricsZeroValueRenders(t *testing.T) {
-	var m Metrics
-	var buf bytes.Buffer
-	m.WritePrometheus(&buf, Gauges{})
-	validateExposition(t, buf.String())
-	if !strings.Contains(buf.String(), `paroptd_cost_rel_error_bucket{le="0.01"} 0`) {
-		t.Error("zero-value metrics should still use the relative-error buckets")
+	s, err := New(Config{TraceCapacity: -1, WorkloadCapacity: -1, NegCacheCapacity: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	text := renderMetrics(s)
+	validateExposition(t, text)
+	if !strings.Contains(text, `paroptd_cost_rel_error_bucket{le="0.01"} 0`) {
+		t.Error("an untouched service should still use the relative-error buckets")
+	}
+}
+
+// TestFamilyTableWellFormed: every row of the daemon's family table has a
+// valid, unique name, HELP text and a TYPE the exposition format knows.
+func TestFamilyTableWellFormed(t *testing.T) {
+	nameRe := regexp.MustCompile(`^paroptd_[a-z0-9_]+$`)
+	seen := map[string]bool{}
+	for _, f := range newTestService(t, nil).families() {
+		if !nameRe.MatchString(f.Name) || seen[f.Name] {
+			t.Errorf("family name %q invalid or duplicated", f.Name)
+		}
+		seen[f.Name] = true
+		if f.Help == "" || strings.ContainsAny(f.Help, "\n\\") {
+			t.Errorf("%s: HELP %q empty or needs escaping", f.Name, f.Help)
+		}
+		if f.Type != "counter" && f.Type != "gauge" && f.Type != "histogram" {
+			t.Errorf("%s: TYPE %q", f.Name, f.Type)
+		}
+		if f.Collect == nil {
+			t.Errorf("%s: no collector", f.Name)
+		}
+	}
+}
+
+var (
+	addrRe      = regexp.MustCompile(`127\.0\.0\.1:\d+`)
+	goversionRe = regexp.MustCompile(`goversion="[^"]*"`)
+)
+
+// TestMetricsSampleSetMatchesParent is the sample-level differential against
+// the hand-rolled writer this table replaced: testdata/metrics_samples.parent
+// is the sorted, de-duplicated `name{labels}` set that writer emitted after
+// the traffic below (worker addresses and the Go version normalized). The
+// table must emit exactly that set minus the three {quantile=…} samples,
+// which were never legal under a histogram TYPE.
+func TestMetricsSampleSetMatchesParent(t *testing.T) {
+	lb, err := exchange.StartLoopback(2, engine.FragmentJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	s := newTestService(t, nil)
+	ctx := context.Background()
+	for _, addr := range lb.Addrs() {
+		if _, err := s.RegisterWorker(addr, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Optimize(ctx, OptimizeRequest{Query: chainSQL(6, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Explain(ctx, OptimizeRequest{Query: chainSQL(6, 7), Analyze: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Explain(ctx, OptimizeRequest{Query: chainSQL(4, 7), Analyze: true, Distributed: true}); err != nil {
+		t.Fatal(err)
+	}
+	s.scrapeWorkers(ctx)
+	s.clusterMu.Lock()
+	s.fallbackReasons["worker_died"]++
+	s.clusterMu.Unlock()
+
+	set := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimRight(renderMetrics(s), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.LastIndexByte(line, ' ')]
+		set[goversionRe.ReplaceAllString(addrRe.ReplaceAllString(name, "ADDR"), `goversion="GO"`)] = true
+	}
+	parent, err := os.ReadFile(filepath.Join("testdata", "metrics_samples.parent"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var quantiles int
+	for _, want := range strings.Split(strings.TrimRight(string(parent), "\n"), "\n") {
+		if strings.Contains(want, "{quantile=") {
+			quantiles++
+			continue
+		}
+		if !set[want] {
+			t.Errorf("sample %s was emitted by the parent's writer and is missing", want)
+		}
+		delete(set, want)
+	}
+	if quantiles != 3 {
+		t.Errorf("parent list holds %d quantile samples, want 3", quantiles)
+	}
+	for extra := range set {
+		t.Errorf("sample %s was not emitted by the parent's writer", extra)
 	}
 }

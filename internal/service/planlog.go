@@ -60,7 +60,7 @@ func (s *Service) recordPlanChange(c PlanChange) int64 {
 	c.Time = time.Now()
 	c.ID = int64(s.planlog.Add(c))
 	s.planfile.Write(c)
-	s.met.notePlanChange(c.Source)
+	s.met.PlanChanges.Add(c.Source, 1)
 	return c.ID
 }
 

@@ -276,7 +276,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = obs.NewTracer(cfg.TraceCapacity)
 	}
-	s.met.ensureInit()
+	s.met.init()
 	s.cache = newPlanCache(cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
 	s.sessKey = fmt.Sprintf("m=%dc%dd%dn%dN,cs%g,ds%g,ns%g,nl%g,agg%t,aggl%t|alg=%d,cover=%d,mem=%d",
 		mcfg.CPUs, mcfg.Disks, mcfg.Networks, mcfg.Nodes, mcfg.CPUSpeed, mcfg.DiskSpeed, mcfg.NetSpeed,
@@ -616,16 +616,35 @@ func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *ca
 		return e, true, false, nil
 	}
 	s.met.CacheMisses.Add(1)
-	e, deduped, err = s.flights.Do(ctx, key, func() (*cacheEntry, error) {
-		// Re-check under the flight: the entry may have landed between the
-		// miss above and this leader starting.
-		if e, ok := s.cache.Get(key); ok {
-			return e, nil
+	e, deduped, err = s.searchFor(ctx, key, fp, version, cat, q, "search")
+	switch {
+	case deduped && err == nil:
+		s.met.Deduped.Add(1)
+	case !deduped && errors.Is(err, ErrOverloaded):
+		s.met.Rejected.Add(1)
+	}
+	return e, false, deduped, err
+}
+
+// searchFor is the one door into the search, for request misses (source
+// "search") and drift sweeps ("sweeper") alike: the flight group runs one
+// search per key at a time, the worker pool bounds how many run and wait
+// (a full queue is ErrOverloaded, never a longer queue), and the result lands
+// in the cache. shared reports that this caller joined another's search.
+func (s *Service) searchFor(ctx context.Context, key, fp, version string, cat *catalog.Catalog, q *query.Query, source string) (e *cacheEntry, shared bool, err error) {
+	return s.flights.Do(ctx, key, func() (*cacheEntry, error) {
+		// A request re-checks under the flight: the entry may have landed
+		// between its miss and this leader starting. A sweep is here to
+		// replace the entry, so it searches regardless.
+		if source == "search" {
+			if e, ok := s.cache.Get(key); ok {
+				return e, nil
+			}
 		}
 		placed := s.placedConfig(version)
-		// The search span lives on the flight leader's trace; followers
-		// see only their own wait. The worker ends it, so a leader that
-		// times out still gets the span's true extent recorded.
+		// The search span lives on the flight leader's trace (a sweep has
+		// none); followers see only their own wait. The worker ends it, so a
+		// leader that times out still gets the span's true extent recorded.
 		_, sp := obs.StartSpan(ctx, "search")
 		type result struct {
 			e   *cacheEntry
@@ -633,7 +652,7 @@ func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *ca
 		}
 		ch := make(chan result, 1)
 		if !s.pool.TrySubmit(func() {
-			e, err := s.runSearch(cat, q, fp, placed, sp, "search", version)
+			e, err := s.runSearch(cat, q, fp, placed, sp, source, version)
 			sp.Err(err)
 			sp.End()
 			if err == nil {
@@ -641,7 +660,6 @@ func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *ca
 			}
 			ch <- result{e, err}
 		}) {
-			s.met.Rejected.Add(1)
 			sp.Err(ErrOverloaded)
 			sp.End()
 			return nil, ErrOverloaded
@@ -651,14 +669,10 @@ func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *ca
 			return r.e, r.err
 		case <-ctx.Done():
 			// The worker keeps searching and still populates the cache;
-			// only this request gives up.
+			// only this caller gives up.
 			return nil, ctx.Err()
 		}
 	})
-	if deduped && err == nil {
-		s.met.Deduped.Add(1)
-	}
-	return e, false, deduped, err
 }
 
 // runSearch builds a session and computes the reusable cover set. What the
@@ -703,10 +717,10 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 // prune-reason counters.
 func (s *Service) recordSearch(source, traceID, fp, version string, relations int, cover *core.CoverSet, elapsed time.Duration) *searchLogRecord {
 	st := cover.Stats
-	s.met.PrunedDominance.Add(st.PrunedDominance)
-	s.met.PrunedWork.Add(st.PrunedWork)
-	s.met.PrunedMemory.Add(st.PrunedMemory)
-	s.met.PrunedBeam.Add(st.PrunedBeam)
+	s.met.Pruned.Add("dominance", st.PrunedDominance)
+	s.met.Pruned.Add("work", st.PrunedWork)
+	s.met.Pruned.Add("memory", st.PrunedMemory)
+	s.met.Pruned.Add("beam", st.PrunedBeam)
 	for _, l := range st.Layers {
 		s.met.SearchLayerSeconds.Observe(float64(l.WallNanos) / 1e9)
 	}
@@ -739,7 +753,7 @@ func (s *Service) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeR
 // optimize is Optimize for callers that also want the served bytes (the HTTP
 // handler splices p.rend.slab into the body instead of re-encoding it).
 func (s *Service) optimize(ctx context.Context, req *OptimizeRequest) (*servedPlan, error) {
-	s.met.OptimizeRequests.Add(1)
+	s.met.Requests.Add("optimize", 1)
 	p, err := s.serve(ctx, req, "optimize")
 	if err != nil {
 		return nil, err
@@ -753,7 +767,7 @@ func (s *Service) optimize(ctx context.Context, req *OptimizeRequest) (*servedPl
 // predicted-vs-actual accuracy report of an instrumented execution
 // (req.Analyze).
 func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainResponse, error) {
-	s.met.ExplainRequests.Add(1)
+	s.met.Requests.Add("explain", 1)
 	p, err := s.serve(ctx, &req, "explain")
 	if err != nil {
 		return nil, err
@@ -841,14 +855,7 @@ func (s *Service) finish(p *servedPlan, err error) error {
 		}
 	}
 	rec := s.inflight.finish(p.iq, err)
-	switch rec.Cancelled {
-	case CancelClient:
-		s.met.QueryCancelledClient.Add(1)
-	case CancelDeadline:
-		s.met.QueryCancelledDeadline.Add(1)
-	case CancelShutdown:
-		s.met.QueryCancelledShutdown.Add(1)
-	}
+	s.met.QueryCancelled.Add(rec.Cancelled, 1)
 	rec.Time = time.Now()
 	rec.TraceID = p.root.TraceID()
 	rec.K, rec.CostBenefit = p.req.K, p.req.CostBenefit
@@ -1124,9 +1131,9 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.P
 	for _, e := range rep.Errors() {
 		s.met.CostRelErr.Observe(e)
 	}
-	// Feed the drift signal: the profiler's accuracy EWMAs decide whether
-	// this template's cached cover set still matches measured reality.
-	s.prof.ObserveAccuracy(out.Fingerprint, rep.MeanAbsRelErr, rep.MaxQErrRows)
+	// The drift signal rides the request record: finish feeds it to the
+	// profiler, whose accuracy EWMAs decide whether this template's cached
+	// cover set still matches measured reality.
 	served.relErr, served.qErr = rep.MeanAbsRelErr, rep.MaxQErrRows
 	s.met.AnalyzeRuns.Add(1)
 	out.Analyze = rep

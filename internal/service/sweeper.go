@@ -1,6 +1,8 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"time"
 
 	"paropt/internal/obs/workload"
@@ -10,15 +12,19 @@ import (
 
 // Background drift sweeper: the feedback loop from measured accuracy back
 // into the plan cache. Explain-analyze runs feed each fingerprint's EWMA row
-// q-error (profiler.ObserveAccuracy); when a template's EWMA crosses the
-// drift threshold its cached cover set was computed from statistics that no
-// longer match measured reality. The sweeper re-runs the DP search for the
-// hottest drifted templates against the *current default catalog* — so after
-// an operator refreshes statistics (RefreshCatalog), hot templates get warm
-// entries under the new version before the next request pays a search.
+// q-error (their request record carries it into Profiler.Observe); when a
+// template's EWMA crosses the drift threshold its cached cover set was
+// computed from statistics that no longer match measured reality. The
+// sweeper re-runs the DP search for the hottest drifted templates against the
+// *current default catalog* — so after an operator refreshes statistics
+// (RefreshCatalog), hot templates get warm entries under the new version
+// before the next request pays a search.
 //
-// Sweeps run on the sweeper goroutine, not through the worker pool: they are
-// background work that must not consume the pool's admission slots.
+// A sweep enters the search through searchFor, the door request misses use:
+// it shares a flight with a concurrent miss of the same key (one search, not
+// two) and runs on the worker pool, so -workers/-queue bound sweeps too. A
+// sweep that finds the queue full leaves the template drifted for the next
+// tick rather than waiting — requests own the admission slots.
 
 // sweepLimit bounds how many searches one sweeper pass may run.
 const sweepLimit = 4
@@ -60,10 +66,10 @@ func (s *Service) SweepNow() int {
 }
 
 // sweepOne re-optimizes one drifted template against the current default
-// catalog. Whatever the outcome, the profile's drift mark is cleared: a
-// successful sweep installed a fresh cover set whose accuracy must be
-// re-measured, and a template that no longer parses (relation dropped)
-// must not be retried forever.
+// catalog. Unless the pool was full, the profile's drift mark is cleared
+// whatever the outcome: a successful sweep installed a fresh cover set whose
+// accuracy must be re-measured, and a template that no longer parses
+// (relation dropped) must not be retried forever.
 func (s *Service) sweepOne(d workload.ProfileSnapshot) bool {
 	s.mu.RLock()
 	version := s.defaultVersion
@@ -80,13 +86,18 @@ func (s *Service) sweepOne(d workload.ProfileSnapshot) bool {
 		return false
 	}
 	fp := query.Fingerprint(q)
-	entry, err := s.runSearch(cat, q, fp, s.placedConfig(version), nil, "sweeper", version)
+	entry, shared, err := s.searchFor(context.Background(), s.cacheKey(fp, version), fp, version, cat, q, "sweeper")
+	if errors.Is(err, ErrOverloaded) {
+		return false
+	}
 	s.prof.MarkSwept(d.Fingerprint)
 	if err != nil {
 		s.logger.Warn("sweep: search failed", "fingerprint", fp, "err", err)
 		return false
 	}
-	s.cache.Put(s.cacheKey(fp, version), entry)
+	if shared { // a request's miss searched this key just now; nothing to replace
+		return false
+	}
 	s.met.SweepReoptimized.Add(1)
 	s.logger.Info("sweep: re-optimized", "fingerprint", fp, "catalog", version,
 		"frontier", len(entry.cover.Frontier))

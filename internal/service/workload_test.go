@@ -406,3 +406,117 @@ func TestSweeperLoopRunsInBackground(t *testing.T) {
 		t.Error("background sweep should clear the drift mark")
 	}
 }
+
+// driftedService is a service whose one served template is marked drifted and
+// whose default catalog has since been refreshed, so the next sweep pass has
+// exactly one search to run, under a key no request has populated yet.
+func driftedService(t *testing.T, mutate func(*Config)) *Service {
+	t.Helper()
+	s := newTestService(t, func(cfg *Config) {
+		cfg.Catalog = poisonedCatalog()
+		cfg.DriftThreshold = 3
+		cfg.SweepMinSamples = 1
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
+	if _, err := s.Explain(context.Background(), OptimizeRequest{Query: poisonedSQL, Analyze: true}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Workload().DriftedCount() != 1 {
+		t.Fatal("template should be marked drifted")
+	}
+	s.RefreshCatalog(refreshedCatalog())
+	return s
+}
+
+// TestSweepSharesSearchWithConcurrentMiss: a sweep and a request miss of the
+// same key are one flight — the request waits for the sweep's search instead
+// of running its own.
+func TestSweepSharesSearchWithConcurrentMiss(t *testing.T) {
+	s := driftedService(t, nil)
+	gate := make(chan struct{})
+	started := make(chan struct{}, 4)
+	s.searchHook = func() {
+		started <- struct{}{}
+		<-gate
+	}
+	searches, misses := s.met.FullSearch.Load(), s.met.CacheMisses.Load()
+
+	swept := make(chan int, 1)
+	go func() { swept <- s.SweepNow() }()
+	<-started // the sweep's search holds a worker
+	type answer struct {
+		resp *OptimizeResponse
+		err  error
+	}
+	served := make(chan answer, 1)
+	go func() {
+		resp, err := s.Optimize(context.Background(), OptimizeRequest{Query: poisonedSQL})
+		served <- answer{resp, err}
+	}()
+	waitFor(t, func() bool { return s.met.CacheMisses.Load() == misses+1 })
+	close(gate)
+
+	if n := <-swept; n != 1 {
+		t.Errorf("sweep re-optimized %d templates, want 1", n)
+	}
+	a := <-served
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if got := s.met.FullSearch.Load() - searches; got != 1 {
+		t.Errorf("a sweep and a concurrent miss of one key ran %d searches, want 1", got)
+	}
+	if len(started) != 0 {
+		t.Errorf("%d more searches entered the hook", len(started))
+	}
+}
+
+// TestSweepSkipsWhenPoolFull: sweeps run on the worker pool, so -workers and
+// -queue bound them; a sweep that finds the queue full leaves the template
+// drifted for the next tick instead of queueing or searching on the side.
+func TestSweepSkipsWhenPoolFull(t *testing.T) {
+	s := driftedService(t, func(c *Config) { c.Workers = 1; c.QueueDepth = 1 })
+	gate := make(chan struct{})
+	started := make(chan struct{}, 4)
+	s.searchHook = func() {
+		started <- struct{}{}
+		<-gate
+	}
+	results := make(chan error, 2)
+	// Two other templates: the first holds the worker, the second the queue slot.
+	for i, sql := range []string{"SELECT * FROM A, B WHERE A.b = B.a", "SELECT * FROM B, C WHERE B.b = C.a"} {
+		go func() {
+			_, err := s.Optimize(context.Background(), OptimizeRequest{Query: sql})
+			results <- err
+		}()
+		if i == 0 {
+			<-started
+		}
+	}
+	waitFor(t, func() bool { return s.pool.QueueDepth() == 1 })
+
+	searches := s.met.FullSearch.Load()
+	if n := s.SweepNow(); n != 0 {
+		t.Errorf("sweep against a full pool re-optimized %d templates, want 0", n)
+	}
+	if s.Workload().DriftedCount() != 1 {
+		t.Error("a skipped sweep must leave the template drifted for the next tick")
+	}
+	if got := s.met.Rejected.Load(); got != 0 {
+		t.Errorf("a skipped sweep is not a rejected request; rejected = %d", got)
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := s.met.FullSearch.Load() - searches; got != 2 {
+		t.Errorf("%d searches ran while the sweep was skipped, want the 2 requests' only", got)
+	}
+	if n := s.SweepNow(); n != 1 {
+		t.Errorf("the next sweep should re-optimize the template, got %d", n)
+	}
+}

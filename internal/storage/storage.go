@@ -110,32 +110,6 @@ func hashName(s string) int64 {
 	return h
 }
 
-// HashIndex maps key values of one column to row positions.
-type HashIndex struct {
-	// Col is the indexed column position.
-	Col int
-	m   map[int64][]int
-}
-
-// BuildHashIndex indexes the table on the named column.
-func BuildHashIndex(t *Table, column string) (*HashIndex, error) {
-	pos := t.ColIndex(column)
-	if pos < 0 {
-		return nil, fmt.Errorf("storage: table %s has no column %s", t.Rel.Name, column)
-	}
-	ix := &HashIndex{Col: pos, m: make(map[int64][]int)}
-	for i, row := range t.Rows {
-		ix.m[row[pos]] = append(ix.m[row[pos]], i)
-	}
-	return ix, nil
-}
-
-// Lookup returns the positions of rows whose key equals v.
-func (ix *HashIndex) Lookup(v int64) []int { return ix.m[v] }
-
-// Keys is the number of distinct keys.
-func (ix *HashIndex) Keys() int { return len(ix.m) }
-
 // OrderedIndex is a sorted (key, row-position) list supporting range scans.
 type OrderedIndex struct {
 	// Col is the indexed column position.

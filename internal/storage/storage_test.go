@@ -2,7 +2,6 @@ package storage
 
 import (
 	"testing"
-	"testing/quick"
 
 	"paropt/internal/catalog"
 )
@@ -82,33 +81,6 @@ func TestGenerateSorted(t *testing.T) {
 	}
 }
 
-func TestHashIndex(t *testing.T) {
-	rel := demoRel(t)
-	tab := Generate(rel, 1)
-	ix, err := BuildHashIndex(tab, "fk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for v := int64(0); v < 50; v++ {
-		for _, pos := range ix.Lookup(v) {
-			if tab.Rows[pos][1] != v {
-				t.Fatalf("index returned row with fk %d for key %d", tab.Rows[pos][1], v)
-			}
-			total++
-		}
-	}
-	if total != tab.NumRows() {
-		t.Errorf("index covers %d rows, want %d", total, tab.NumRows())
-	}
-	if ix.Keys() == 0 || ix.Keys() > 50 {
-		t.Errorf("Keys = %d", ix.Keys())
-	}
-	if _, err := BuildHashIndex(tab, "zz"); err == nil {
-		t.Error("unknown column should error")
-	}
-}
-
 func TestOrderedIndex(t *testing.T) {
 	rel := demoRel(t)
 	tab := Generate(rel, 2)
@@ -172,33 +144,5 @@ func TestNewDatabase(t *testing.T) {
 	}
 	if _, ok := db.Table("C"); ok {
 		t.Error("unknown table should report false")
-	}
-}
-
-// Property: hash-index lookups partition the table — every row appears under
-// exactly its own key.
-func TestQuickHashIndexPartition(t *testing.T) {
-	f := func(seed int64, ndvRaw uint8) bool {
-		ndv := int64(ndvRaw%40) + 1
-		cat := catalog.New()
-		rel := cat.MustAddRelation(catalog.Relation{
-			Name:    "Q",
-			Columns: []catalog.Column{{Name: "k", NDV: ndv}},
-			Card:    200,
-			Pages:   2,
-		})
-		tab := Generate(rel, seed)
-		ix, err := BuildHashIndex(tab, "k")
-		if err != nil {
-			return false
-		}
-		seen := 0
-		for v := int64(0); v < ndv; v++ {
-			seen += len(ix.Lookup(v))
-		}
-		return seen == tab.NumRows()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Surface scoreboard: what a user can run, set, call and scrape, plus how much
-# code carries it. Prints the five numbers and fails when a count differs from
+# code carries it. Prints the six numbers and fails when a count differs from
 # scripts/surface.golden or the line count exceeds its ceiling there — so an
 # added binary, flag, route or metric family is a visible diff of the golden,
 # not a side effect. Needs no build and starts nothing.
@@ -14,6 +14,7 @@ counts=$(
   echo "paroptd_flags $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paroptd/main.go)"
   echo "routes $(grep -c 'mux\.HandleFunc("' internal/service/http.go)"
   echo "metric_families $(grep -c '^# TYPE' internal/service/testdata/metrics.golden)"
+  echo "paroptw_metric_families $(grep -c '^# TYPE' cmd/paroptw/testdata/metrics.golden)"
 )
 echo "$counts"
 echo "nontest_loc $loc"
