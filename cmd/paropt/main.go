@@ -140,7 +140,7 @@ func main() {
 	fmt.Print(opt.Explain(p))
 	if *why {
 		fmt.Println()
-		fmt.Print(opt.PlanProvenance(p, cfg.Bound, 5).Text())
+		fmt.Print(opt.PlanProvenance(p, cfg.Bound).Text())
 	}
 	if *profile {
 		fmt.Println()

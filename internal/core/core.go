@@ -175,8 +175,11 @@ type Plan struct {
 	// Baseline is the work-optimal plan used for §2 bounds (nil when the
 	// algorithm is itself the work optimizer).
 	Baseline *Plan
-	// Frontier is the cover set at the root (partial-order algorithms).
-	Frontier []*search.Candidate
+	// Frontier is the cover set at the root (partial-order algorithms), or
+	// what a cached CoverSet kept of it; FrontierSize is the whole cover's
+	// size either way.
+	Frontier     []*search.Candidate
+	FrontierSize int
 	// Stats are the search counters.
 	Stats search.Stats
 	// Algorithm that produced the plan.
@@ -293,18 +296,18 @@ func (o *Optimizer) finish(c *search.Candidate, frontier []*search.Candidate, st
 	if c == nil {
 		return nil, fmt.Errorf("core: no plan found")
 	}
-	op, err := optree.Expand(c.Node, o.Est, o.opts.Expand)
+	desc, op, err := o.Mod.PlanCost(c.Node, o.opts.Expand, o.opts.Annotate)
 	if err != nil {
 		return nil, err
 	}
-	optree.Annotate(op, o.M, o.Est, o.opts.Annotate)
 	return &Plan{
-		Tree:      c.Node,
-		Op:        op,
-		Desc:      o.Mod.Descriptor(op),
-		Frontier:  frontier,
-		Stats:     stats,
-		Algorithm: o.alg,
+		Tree:         c.Node,
+		Op:           op,
+		Desc:         desc,
+		Frontier:     frontier,
+		FrontierSize: len(frontier),
+		Stats:        stats,
+		Algorithm:    o.alg,
 	}, nil
 }
 

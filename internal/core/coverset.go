@@ -14,16 +14,19 @@ import (
 // all) is answered by re-filtering the cached frontier; the DP search never
 // re-runs.
 
-// CoverSet is a reusable search result: the work-optimal baseline, the full
-// root cover set from an unbounded partial-order search, and the search
-// counters that produced it. It is immutable once built and safe to share
-// across goroutines.
+// CoverSet is a reusable search result: the work-optimal baseline, the part
+// of the root cover set of an unbounded partial-order search that a request
+// can reach, and the search counters that produced it. It is immutable once
+// built and safe to share across goroutines.
 type CoverSet struct {
 	// Baseline is the Figure 1 work optimum (Wo, To) the §2 bounds are
 	// relative to.
 	Baseline *search.Candidate
-	// Frontier is the complete root cover set (no bound folded in).
+	// Frontier holds the members of the root cover set (no bound folded in)
+	// that some bound can choose or a why-record can list — see reachable —
+	// in the search's order. Size is the whole root cover's size.
 	Frontier []*search.Candidate
+	Size     int
 	// Stats are the counters of the partial-order search.
 	Stats search.Stats
 }
@@ -41,7 +44,38 @@ func (o *Optimizer) CoverSet() (*CoverSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CoverSet{Baseline: baseline, Frontier: frontier, Stats: stats}, nil
+	return &CoverSet{Baseline: baseline, Frontier: reachable(frontier, o.opts.Final), Size: len(frontier), Stats: stats}, nil
+}
+
+// reachable is what a cache entry keeps of a root cover. A root is never
+// extended, so of its resource vectors only (work, rt) still matter, and both
+// §2 bounds are monotone in them (search.Bound): whenever a member is
+// admissible, so is every member that beats it — no more work, no more
+// response time, preferred by final. A bound's choice is therefore beaten by
+// nobody, and the ProvenanceTopK rejected alternatives listed next to it by
+// at most ProvenanceTopK members (the choice and the ones listed before). So
+// the members beaten by at most ProvenanceTopK others — the (K+1)-skyband
+// under (work, rt, final) — answer Choose and PlanProvenance exactly as the
+// whole cover does, for every bound; measured on the serving workload they
+// are ≈ 13 of ≈ 160.
+func reachable(frontier []*search.Candidate, final search.Comparator) []*search.Candidate {
+	work := make([]float64, len(frontier))
+	for i, c := range frontier {
+		work[i] = c.Work()
+	}
+	var out []*search.Candidate
+	for i, c := range frontier {
+		beaten := 0
+		for j, b := range frontier {
+			if work[j] <= work[i] && b.RT() <= c.RT() && final(b, c) {
+				beaten++
+			}
+		}
+		if beaten <= ProvenanceTopK {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // Choose answers one request's *choice* from a cover set: it re-filters the
@@ -72,7 +106,7 @@ func (o *Optimizer) Materialize(cs *CoverSet, c *search.Candidate) (*Plan, error
 	if err != nil {
 		return nil, err
 	}
-	p.Baseline = bp
+	p.Baseline, p.FrontierSize = bp, cs.Size
 	return p, nil
 }
 

@@ -73,7 +73,7 @@ type Provenance struct {
 	// Placements lists the data placements that shaped interconnect charges.
 	Placements []PlacementNote `json:"placements,omitempty"`
 	// FrontierSize is the root cover set's size; Rejected holds the top
-	// alternatives (by response time) that lost, with reasons.
+	// alternatives (under the final comparator) that lost, with reasons.
 	FrontierSize int                   `json:"frontierSize"`
 	Rejected     []RejectedAlternative `json:"rejected,omitempty"`
 }
@@ -105,21 +105,24 @@ func (o *Optimizer) breakdown(d cost.ResDescriptor) CostBreakdown {
 	return out
 }
 
+// ProvenanceTopK is how many rejected alternatives a why-record lists. A
+// cached cover keeps every member beaten by at most that many others
+// (reachable), so the list is the same from the cache as from the search.
+const ProvenanceTopK = 5
+
 // PlanProvenance builds the why-record for a finished plan: the chosen
-// candidate's breakdown plus up to topK rejected frontier alternatives,
-// each labeled with the §2 bound verdict or its response-time loss. The
-// plan's own Frontier and Baseline (attached by SelectBounded / Optimize)
-// supply the alternatives; a plan without a frontier yields no rejected
-// entries but still gets its breakdown.
-func (o *Optimizer) PlanProvenance(p *Plan, bound search.Bound, topK int) *Provenance {
-	if topK <= 0 {
-		topK = 5
-	}
+// candidate's breakdown plus the ProvenanceTopK best rejected frontier
+// alternatives under the session's final comparator, each labeled with the §2
+// bound verdict or its response-time loss. The plan's own Frontier and
+// Baseline (attached by SelectBounded / Optimize) supply the alternatives; a
+// plan without a frontier yields no rejected entries but still gets its
+// breakdown.
+func (o *Optimizer) PlanProvenance(p *Plan, bound search.Bound) *Provenance {
 	pv := &Provenance{
 		Algorithm:    p.Algorithm.String(),
 		Plan:         p.Tree.String(),
 		Cost:         o.breakdown(p.Desc),
-		FrontierSize: len(p.Frontier),
+		FrontierSize: p.FrontierSize,
 	}
 	if bound != nil {
 		pv.Bound = bound.Name()
@@ -136,24 +139,23 @@ func (o *Optimizer) PlanProvenance(p *Plan, bound search.Bound, topK int) *Prove
 	}
 	sort.Slice(pv.Placements, func(i, j int) bool { return pv.Placements[i].Relation < pv.Placements[j].Relation })
 
-	var rejected []RejectedAlternative
+	var rejected []*search.Candidate
 	for _, c := range p.Frontier {
-		if c.Node == p.Tree {
-			continue // the chosen plan itself
+		if c.Node != p.Tree { // not the chosen plan itself
+			rejected = append(rejected, c)
 		}
-		rejected = append(rejected, RejectedAlternative{
+	}
+	sort.SliceStable(rejected, func(i, j int) bool { return o.opts.Final(rejected[i], rejected[j]) })
+	if len(rejected) > ProvenanceTopK {
+		rejected = rejected[:ProvenanceTopK]
+	}
+	for _, c := range rejected {
+		pv.Rejected = append(pv.Rejected, RejectedAlternative{
 			Plan:   c.Node.String(),
 			Cost:   o.breakdown(c.Desc),
 			Reason: o.lossReason(c, p, bound, wo, to),
 		})
 	}
-	sort.SliceStable(rejected, func(i, j int) bool {
-		return rejected[i].Cost.ResponseTime < rejected[j].Cost.ResponseTime
-	})
-	if len(rejected) > topK {
-		rejected = rejected[:topK]
-	}
-	pv.Rejected = rejected
 	return pv
 }
 

@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"paropt/internal/catalog"
@@ -53,6 +54,15 @@ func (m *Model) Dim() int { return m.M.NumResources() }
 // redistribution transfer piped in when flagged), then composed with the
 // node's own base descriptor via Pipe (one input) or TreeDesc (two inputs).
 func (m *Model) Descriptor(op *optree.Op) ResDescriptor {
+	return m.descriptor(op, nil, ResDescriptor{})
+}
+
+// descriptor is Descriptor with the subtree done taken as costed already: its
+// descriptor is doneDesc, not recomputed.
+func (m *Model) descriptor(op, done *optree.Op, doneDesc ResDescriptor) ResDescriptor {
+	if op == done {
+		return doneDesc
+	}
 	// EffectiveInputs drops a nested-loops inner that is a base access: it
 	// is probed (or rescanned) per outer tuple, and that cost is entirely
 	// in the PureNL base formula. Charging the inner's standalone scan as
@@ -61,7 +71,7 @@ func (m *Model) Descriptor(op *optree.Op) ResDescriptor {
 	inputs := op.EffectiveInputs()
 	children := make([]ResDescriptor, len(inputs))
 	for i, in := range inputs {
-		d := m.Descriptor(in)
+		d := m.descriptor(in, done, doneDesc)
 		if in.Redistribute {
 			d = d.Pipe(m.redistribution(in), m.P.PipelineK)
 		}
@@ -280,14 +290,6 @@ func (m *Model) crossNodeRedistribution(child *optree.Op, bytes float64) ResDesc
 			targets[i] = i
 		}
 	}
-	inT := map[int]bool{}
-	for _, t := range targets {
-		inT[t] = true
-	}
-	inP := map[int]bool{}
-	for _, p := range producers {
-		inP[p] = true
-	}
 	share := bytes / (float64(len(producers)) * float64(len(targets)))
 	d := m.newDemand()
 	latency := 0.0
@@ -307,14 +309,14 @@ func (m *Model) crossNodeRedistribution(child *optree.Op, bytes float64) ResDesc
 	}
 	for _, p := range producers {
 		out := float64(len(targets))
-		if inT[p] {
+		if _, ok := slices.BinarySearch(targets, p); ok { // both sets are sorted
 			out--
 		}
 		charge(p, share*out)
 	}
 	for _, t := range targets {
 		in := float64(len(producers))
-		if inP[t] {
+		if _, ok := slices.BinarySearch(producers, t); ok {
 			in--
 		}
 		charge(t, share*in)
@@ -352,18 +354,12 @@ func (m *Model) producerNodes(child *optree.Op) []int {
 	if !ok || len(pr.Nodes) == 0 {
 		return optree.CloneNodes(child.Clone, m.M)
 	}
-	n := m.M.Nodes()
-	seen := map[int]bool{}
-	var nodes []int
-	for _, p := range pr.Nodes {
-		p %= n
-		if !seen[p] {
-			seen[p] = true
-			nodes = append(nodes, p)
-		}
+	nodes := make([]int, len(pr.Nodes))
+	for i, p := range pr.Nodes {
+		nodes[i] = p % m.M.Nodes()
 	}
 	sort.Ints(nodes)
-	return nodes
+	return slices.Compact(nodes)
 }
 
 // spillDisk picks the disk temporaries of an operator live on: the home
@@ -412,10 +408,24 @@ func (m *Model) TransferDemands(op *optree.Op) Vec {
 // PlanCost expands, annotates and costs an annotated join tree in one step.
 // It returns the descriptor and the operator tree it was computed from.
 func (m *Model) PlanCost(n *plan.Node, eopts optree.ExpandOptions, aopts optree.AnnotateOptions) (ResDescriptor, *optree.Op, error) {
-	op, err := optree.Expand(n, m.Est, eopts)
+	d, op, _, err := m.ExtendCost(n, nil, ResDescriptor{}, 0, eopts, aopts)
+	return d, op, err
+}
+
+// ExtendCost is PlanCost for a join node whose left operand was priced before,
+// on its own: left is that operand's annotated operator tree, leftDesc its
+// descriptor and leftDeg its total clone degree. Only the right operand and
+// the join's root operators are expanded, annotated (from offset leftDeg) and
+// costed — §5's tree(L, R, root) with L taken as given. The result is
+// bit-identical to PlanCost(n) because a left operand is annotated, hence
+// priced, inside the tree exactly as standalone (optree.AnnotateAbove). left
+// is not mutated; a nil left prices the whole tree. The tree's total clone
+// degree is returned as well.
+func (m *Model) ExtendCost(n *plan.Node, left *optree.Op, leftDesc ResDescriptor, leftDeg int, eopts optree.ExpandOptions, aopts optree.AnnotateOptions) (ResDescriptor, *optree.Op, int, error) {
+	op, done, err := optree.ExpandOver(n, left, m.Est, eopts)
 	if err != nil {
-		return ResDescriptor{}, nil, fmt.Errorf("cost: %w", err)
+		return ResDescriptor{}, nil, 0, fmt.Errorf("cost: %w", err)
 	}
-	optree.Annotate(op, m.M, m.Est, aopts)
-	return m.Descriptor(op), op, nil
+	deg := optree.AnnotateAbove(op, done, leftDeg, m.M, m.Est, aopts)
+	return m.descriptor(op, done, leftDesc), op, deg, nil
 }

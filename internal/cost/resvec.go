@@ -187,11 +187,6 @@ type ResDescriptor struct {
 	Last  ResVector // r⃗l
 }
 
-// ZeroDesc returns the identity descriptor of dimension l.
-func ZeroDesc(l int) ResDescriptor {
-	return ResDescriptor{First: ZeroRV(l), Last: ZeroRV(l)}
-}
-
 // String renders "first=(...) last=(...)".
 func (d ResDescriptor) String() string {
 	return fmt.Sprintf("first=%s last=%s", d.First, d.Last)

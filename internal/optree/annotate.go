@@ -1,6 +1,7 @@
 package optree
 
 import (
+	"slices"
 	"sort"
 
 	"paropt/internal/machine"
@@ -38,70 +39,101 @@ func DefaultAnnotateOptions() AnnotateOptions {
 //     cloned and the child's partitioning attribute differs (after
 //     canonicalization) from the parent's, or their degrees differ.
 func Annotate(root *Op, m *machine.Machine, est *plan.Estimator, opts AnnotateOptions) {
-	if opts.MinTuplesPerClone <= 0 {
-		opts.MinTuplesPerClone = 10_000
+	AnnotateAbove(root, nil, 0, m, est, opts)
+}
+
+// AnnotateAbove is Annotate for a tree whose leftmost subtree done was
+// annotated before, on its own: the walk is post-order, Inputs[0] first, from
+// offset 0, so done's operators are annotated in the tree exactly as they
+// were standalone and everything else depends on them only through offset,
+// done's total clone degree. It annotates the operators outside done (both
+// passes, the done→parent edge included) and returns the tree's total clone
+// degree. A nil done and offset 0 annotate the whole tree.
+func AnnotateAbove(root, done *Op, offset int, m *machine.Machine, est *plan.Estimator, opts AnnotateOptions) int {
+	a := annotator{m: m, est: est, done: done, perClone: opts.MinTuplesPerClone, maxDeg: len(m.CPUs()), offset: offset}
+	if a.perClone <= 0 {
+		a.perClone = 10_000
 	}
-	maxDeg := len(m.CPUs())
-	if opts.MaxDegree > 0 && opts.MaxDegree < maxDeg {
-		maxDeg = opts.MaxDegree
+	if opts.MaxDegree > 0 && opts.MaxDegree < a.maxDeg {
+		a.maxDeg = opts.MaxDegree
 	}
-	offset := 0
-	root.Walk(func(op *Op) {
-		size := op.InCard
-		if size < op.OutCard {
-			size = op.OutCard
-		}
-		deg := int((size + opts.MinTuplesPerClone - 1) / opts.MinTuplesPerClone)
-		if deg < 1 {
-			deg = 1
-		}
-		if deg > maxDeg {
-			deg = maxDeg
-		}
-		res := make([]machine.ResourceID, deg)
-		for i := range res {
-			res[i] = m.CPUFor(offset + i)
-		}
-		offset += deg
-		op.Clone = Cloning{Resources: res, Attribute: partitionAttr(op, est)}
-	})
-	// Second pass: redistribution on edges. On multi-node machines the edge
-	// also records which nodes the repartitioned stream is sent to (the
-	// nodes hosting the parent's clone set), so the cost model can charge
-	// the right interconnect links.
-	root.Walk(func(op *Op) {
-		for _, in := range op.Inputs {
-			in.Redistribute = needsRedistribution(in, op, est)
-			in.RedistTargets = nil
-			in.RedistAttr = query.ColumnRef{}
-			if in.Redistribute {
-				in.RedistAttr = est.Canon(op.Clone.Attribute)
-				if m.Nodes() > 1 {
-					in.RedistTargets = CloneNodes(op.Clone, m)
-				}
+	a.clone(root)
+	a.edges(root)
+	return a.offset
+}
+
+// annotator is one AnnotateAbove run: the resolved options, the rotating CPU
+// offset and the subtree to leave alone.
+type annotator struct {
+	m              *machine.Machine
+	est            *plan.Estimator
+	done           *Op
+	perClone       int64
+	maxDeg, offset int
+}
+
+// clone is the first pass: cloning degree, CPUs and partitioning attribute,
+// children before parents.
+func (a *annotator) clone(op *Op) {
+	if op == a.done {
+		return
+	}
+	for _, in := range op.Inputs {
+		a.clone(in)
+	}
+	size := op.InCard
+	if size < op.OutCard {
+		size = op.OutCard
+	}
+	deg := int((size + a.perClone - 1) / a.perClone)
+	if deg < 1 {
+		deg = 1
+	}
+	if deg > a.maxDeg {
+		deg = a.maxDeg
+	}
+	res := make([]machine.ResourceID, deg)
+	for i := range res {
+		res[i] = a.m.CPUFor(a.offset + i)
+	}
+	a.offset += deg
+	op.Clone = Cloning{Resources: res, Attribute: partitionAttr(op, a.est)}
+}
+
+// edges is the second pass: redistribution on edges. On multi-node machines
+// the edge also records which nodes the repartitioned stream is sent to (the
+// nodes hosting the parent's clone set), so the cost model can charge the
+// right interconnect links.
+func (a *annotator) edges(op *Op) {
+	if op == a.done {
+		return
+	}
+	for _, in := range op.Inputs {
+		a.edges(in)
+		in.Redistribute = needsRedistribution(in, op, a.est)
+		in.RedistTargets = nil
+		in.RedistAttr = query.ColumnRef{}
+		if in.Redistribute {
+			in.RedistAttr = a.est.Canon(op.Clone.Attribute)
+			if a.m.Nodes() > 1 {
+				in.RedistTargets = CloneNodes(op.Clone, a.m)
 			}
 		}
-	})
+	}
 }
 
 // CloneNodes returns the sorted distinct nodes hosting a clone set (the node
 // of CPU 0 when the operator is not cloned).
 func CloneNodes(c Cloning, m *machine.Machine) []int {
-	res := c.Resources
-	if len(res) == 0 {
-		res = []machine.ResourceID{m.CPUFor(0)}
+	if len(c.Resources) == 0 {
+		return []int{m.NodeOf(m.CPUFor(0))}
 	}
-	seen := map[int]bool{}
-	var nodes []int
-	for _, r := range res {
-		n := m.NodeOf(r)
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
+	nodes := make([]int, len(c.Resources))
+	for i, r := range c.Resources {
+		nodes[i] = m.NodeOf(r)
 	}
 	sort.Ints(nodes)
-	return nodes
+	return slices.Compact(nodes)
 }
 
 // partitionAttr picks the attribute an operator's input is partitioned on.

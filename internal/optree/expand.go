@@ -38,6 +38,28 @@ func Expand(n *plan.Node, est *plan.Estimator, opts ExpandOptions) (*Op, error) 
 	return op, nil
 }
 
+// ExpandOver is Expand for a join node whose left operand was expanded
+// before, into left: only the right operand and the method's root operators
+// are built and validated. The edge annotations to the new parent live on the
+// child, so left's root is shallow-copied and the caller's tree never
+// mutated; the copy is returned as done, the subtree AnnotateAbove and
+// cost.Model.ExtendCost leave alone. A nil left expands the whole tree.
+func ExpandOver(n *plan.Node, left *Op, est *plan.Estimator, opts ExpandOptions) (root, done *Op, err error) {
+	if left == nil {
+		root, err = Expand(n, est, opts)
+		return root, nil, err
+	}
+	cp := *left
+	right, err := expand(n.Right, est, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if root, err = expandJoin(n, &cp, right, est, opts); err != nil {
+		return nil, nil, err
+	}
+	return root, &cp, root.validate(&cp)
+}
+
 func expand(n *plan.Node, est *plan.Estimator, opts ExpandOptions) (*Op, error) {
 	if n.IsLeaf() {
 		kind := Scan
@@ -62,6 +84,12 @@ func expand(n *plan.Node, est *plan.Estimator, opts ExpandOptions) (*Op, error) 
 	if err != nil {
 		return nil, err
 	}
+	return expandJoin(n, left, right, est, opts)
+}
+
+// expandJoin builds the root operators of join node n over its expanded
+// operands.
+func expandJoin(n *plan.Node, left, right *Op, est *plan.Estimator, opts ExpandOptions) (*Op, error) {
 	switch n.Method {
 	case plan.SortMerge:
 		var lKey, rKey query.ColumnRef

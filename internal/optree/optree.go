@@ -175,12 +175,18 @@ func (k Kind) NumInputsWant() int {
 }
 
 // Validate checks structural arity recursively.
-func (o *Op) Validate() error {
+func (o *Op) Validate() error { return o.validate(nil) }
+
+// validate is Validate stopping at done, a subtree validated before.
+func (o *Op) validate(done *Op) error {
+	if o == done {
+		return nil
+	}
 	if got, want := len(o.Inputs), o.Kind.NumInputsWant(); got != want {
 		return fmt.Errorf("optree: %s has %d inputs, wants %d", o.Kind, got, want)
 	}
 	for _, in := range o.Inputs {
-		if err := in.Validate(); err != nil {
+		if err := in.validate(done); err != nil {
 			return err
 		}
 	}

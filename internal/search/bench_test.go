@@ -1,6 +1,7 @@
 package search
 
 import (
+	"runtime"
 	"testing"
 
 	"paropt/internal/cost"
@@ -40,5 +41,24 @@ func BenchmarkPODP(b *testing.B) {
 		if _, err := New(opt).PODPLeftDeep(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSearchAllocBudget pins what pricing by composition bought on the
+// BenchmarkPODP query: 2.19 M allocations and 198 MB per search, against
+// 6.28 M and 559 MB when every candidate's whole tree was expanded, annotated
+// and costed. The budgets sit ≈ 10 % above today's figures.
+func TestSearchAllocBudget(t *testing.T) {
+	opt := benchOptions(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := New(opt).PODPLeftDeep(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocs, mb := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/1e6
+	t.Logf("%d allocations, %.1f MB", allocs, mb)
+	if allocs > 2_400_000 || mb > 215 {
+		t.Errorf("one 6-relation chain search made %d allocations / %.1f MB, budget 2.4 M / 215 MB", allocs, mb)
 	}
 }

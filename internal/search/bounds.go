@@ -7,7 +7,10 @@ import "fmt"
 // baseline (Wo, To), obtained from a traditional work optimizer (Figure 1).
 
 // Bound is a §2 admissibility policy for plans relative to the work-optimal
-// baseline.
+// baseline. Admissible must be monotone in work and rt: a plan with no more
+// work and no more response time than an admissible one is admissible.
+// PruningLimit relies on it for work, and a cached cover keeps only members
+// no such plan beats (core.CoverSet).
 type Bound interface {
 	// Name labels the policy.
 	Name() string

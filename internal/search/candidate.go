@@ -20,6 +20,12 @@ import (
 type Candidate struct {
 	Node *plan.Node
 	Desc cost.ResDescriptor
+	// op is the annotated operator tree Desc was computed from and deg its
+	// total clone degree — what pricing a join over this plan by composition
+	// needs (extend). Set only inside a running dp: the candidates a search
+	// returns carry no operator tree.
+	op  *optree.Op
+	deg int
 }
 
 // RT is the response-time estimate (the paper's optimization metric).
@@ -148,6 +154,9 @@ type Searcher struct {
 	// once per split rather than once per node (EXPERIMENTS §HB1).
 	spanning map[[2]query.RelSet][]query.JoinPredicate
 	leaves   [][]*plan.Node // by query position; nil until first asked for
+	// priced, when set, sees every plan the search prices, still holding the
+	// operator tree it was priced from (the differential test's tap).
+	priced func(*Candidate)
 }
 
 // New builds a Searcher. It panics if the options carry no model, since
@@ -178,14 +187,35 @@ func (s *Searcher) joinsBetween(l, r query.RelSet) []query.JoinPredicate {
 	return preds
 }
 
-// cost prices a plan tree into a candidate, or nil when the work limit
-// prunes it.
+// nothing is what a leaf, or a whole tree, is composed over.
+var nothing Candidate
+
+// cost prices a whole plan tree — a composition over nothing — into a
+// candidate that keeps no operator tree, or nil when a limit prunes it: the
+// pricing of the oracles (brute force, randomized, two-phase).
 func (s *Searcher) cost(n *plan.Node) (*Candidate, error) {
-	d, op, err := s.opt.Model.PlanCost(n, s.opt.Expand, s.opt.Annotate)
+	c, err := s.extend(&nothing, n)
+	if c != nil {
+		c.op = nil
+	}
+	return c, err
+}
+
+// extend is the dynamic program's pricing: plan n, whose left operand is
+// left's plan, is priced by composition — left's operator tree and descriptor
+// are reused as they stand and only the right operand and the new root
+// operators are expanded, annotated and costed (cost.Model.ExtendCost). A
+// leaf composes over nothing. Nil when a limit prunes n.
+func (s *Searcher) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
+	d, op, deg, err := s.opt.Model.ExtendCost(n, left.op, left.Desc, left.deg, s.opt.Expand, s.opt.Annotate)
 	if err != nil {
 		return nil, err
 	}
+	c := &Candidate{Node: n, Desc: d, op: op, deg: deg}
 	s.stats.PhysicalPlans++
+	if s.priced != nil {
+		s.priced(c)
+	}
 	if s.opt.WorkLimit > 0 && d.Work() > s.opt.WorkLimit {
 		s.stats.Pruned++
 		s.stats.PrunedWork++
@@ -196,7 +226,7 @@ func (s *Searcher) cost(n *plan.Node) (*Candidate, error) {
 		s.stats.PrunedMemory++
 		return nil, nil
 	}
-	return &Candidate{Node: n, Desc: d}, nil
+	return c, nil
 }
 
 // costAll prices plan trees in order, dropping the ones cost prunes.
@@ -224,12 +254,12 @@ func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
 	return s.costAll(leaves)
 }
 
-// joinCandidates enumerates every join method over a fixed (left, right)
-// pair of subtrees, returning the costed survivors. Sort-merge and hash
-// join require an equijoin predicate; nested loops also covers cross
-// products. With right ranging over a relation's leafChoices this is the
-// paper's joinPlan(p', R) before its internal "best possible way" choice.
-func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
+// joinNodes enumerates every join method over a fixed (left, right) pair of
+// subtrees. Sort-merge and hash join require an equijoin predicate; nested
+// loops also covers cross products. With right ranging over a relation's
+// leafChoices this is the paper's joinPlan(p', R) before its internal "best
+// possible way" choice.
+func (s *Searcher) joinNodes(left, right *plan.Node) ([]*plan.Node, error) {
 	preds := s.joinsBetween(left.Rels, right.Rels)
 	methods := s.opt.Methods
 	if methods == nil {
@@ -245,6 +275,15 @@ func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) 
 			return nil, err
 		}
 		nodes = append(nodes, j)
+	}
+	return nodes, nil
+}
+
+// joinCandidates prices joinNodes tree by tree, returning the survivors.
+func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
+	nodes, err := s.joinNodes(left, right)
+	if err != nil {
+		return nil, err
 	}
 	return s.costAll(nodes)
 }

@@ -71,7 +71,7 @@ type splits struct {
 
 // joinFunc prices every join method over one (left, right) subplan pair and
 // offers the survivors to the cover of the subset being solved.
-type joinFunc func(left, right *plan.Node) error
+type joinFunc func(left *Candidate, right *plan.Node) error
 
 var (
 	leftDeepSplits = splits{each: (*Searcher).extensions}
@@ -96,7 +96,7 @@ func (s *Searcher) extensions(set query.RelSet, solved map[query.RelSet]*CoverSe
 		for _, p := range cover.Plans() { // line L1
 			s.stats.PlansConsidered++ // new := joinPlan(p, Rj) (L2)
 			for _, leaf := range leaves {
-				if err = join(p.Node, leaf); err != nil {
+				if err = join(p, leaf); err != nil {
 					return
 				}
 			}
@@ -118,7 +118,7 @@ func (s *Searcher) orderedSplits(set query.RelSet, solved map[query.RelSet]*Cove
 		for _, pl := range cl.Plans() {
 			for _, pr := range cr.Plans() {
 				s.stats.PlansConsidered++
-				if err = join(pl.Node, pr.Node); err != nil {
+				if err = join(pl, pr.Node); err != nil {
 					return
 				}
 			}
@@ -142,13 +142,13 @@ func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 	solved := make(map[query.RelSet]*CoverSet, n)
 	for i := 0; i < n; i++ {
 		s.stats.PlansConsidered++ // accessPlans(Ri)
-		cands, err := s.accessCandidates(i)
+		leaves, err := s.leafChoices(i)
 		if err != nil {
 			return nil, err
 		}
 		cs := s.newCover(metric)
-		for _, c := range cands {
-			s.insert(cs, c)
+		if err := s.extendInto(cs, &nothing, leaves); err != nil {
+			return nil, err
 		}
 		if !cs.Empty() {
 			solved[query.NewRelSet(i)] = cs
@@ -159,12 +159,12 @@ func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 	// best is the cover of the subset being solved; join, built once for the
 	// whole search, feeds whichever cover best currently names.
 	var best *CoverSet
-	join := func(left, right *plan.Node) error {
-		cands, err := s.joinCandidates(left, right)
-		for _, c := range cands {
-			s.insert(best, c)
+	join := func(left *Candidate, right *plan.Node) error {
+		nodes, err := s.joinNodes(left.Node, right)
+		if err != nil {
+			return err
 		}
-		return err
+		return s.extendInto(best, left, nodes)
 	}
 	for i := 2; i <= n; i++ {
 		mark = s.beginLayer()
@@ -194,6 +194,21 @@ func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 		}
 	}
 	return s.finish(solved[query.FullSet(n)])
+}
+
+// extendInto prices every plan of nodes over left (extend) and offers the
+// survivors to cs.
+func (s *Searcher) extendInto(cs *CoverSet, left *Candidate, nodes []*plan.Node) error {
+	for _, n := range nodes {
+		c, err := s.extend(left, n)
+		if err != nil {
+			return err
+		}
+		if c != nil {
+			s.insert(cs, c)
+		}
+	}
+	return nil
 }
 
 // closeCoverLayer records a finished layer: the space statistic (plans
@@ -246,21 +261,32 @@ func (s *Searcher) insert(cs *CoverSet, c *Candidate) {
 // noteOrderClasses updates the bindings statistic: distinct orderings in a
 // finalized cover.
 func (s *Searcher) noteOrderClasses(cs *CoverSet) {
-	seen := map[string]bool{}
+	var classes []plan.Ordering
+next:
 	for _, c := range cs.Plans() {
-		seen[c.Order().String()] = true
+		for _, o := range classes {
+			if o.Equal(c.Order()) {
+				continue next
+			}
+		}
+		classes = append(classes, c.Order())
 	}
-	if len(seen) > s.stats.MaxOrderClasses {
-		s.stats.MaxOrderClasses = len(seen)
+	if len(classes) > s.stats.MaxOrderClasses {
+		s.stats.MaxOrderClasses = len(classes)
 	}
 }
 
-// finish extracts the result from the full set's cover.
+// finish extracts the result from the full set's cover. A root is never
+// extended, so its candidates drop the operator trees they were priced from
+// (and with them every layer's below).
 func (s *Searcher) finish(cs *CoverSet) (*Result, error) {
 	if cs == nil || cs.Empty() {
 		return &Result{Stats: s.stats}, nil
 	}
 	frontier := append([]*Candidate(nil), cs.Plans()...)
+	for _, c := range frontier {
+		c.op = nil
+	}
 	best := s.bestOf(frontier)
 	return &Result{
 		Best:     best,

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unsafe"
+
+	"paropt/internal/optree"
 )
 
 // Per-layer search telemetry: the lattice of a dynamic program is layered by
@@ -45,8 +48,8 @@ type LayerRecord struct {
 	// MaxCover is the largest single cover set in the layer (k in §6.2).
 	MaxCover int `json:"maxCover"`
 	// BytesRetained estimates the memory held by the layer's stored
-	// candidates (descriptor vectors dominate; shared plan nodes are not
-	// charged per candidate).
+	// candidates (the operators each was priced from and its descriptor
+	// vectors dominate; shared plan nodes are not charged per candidate).
 	BytesRetained int64 `json:"bytesRetained"`
 	// WallNanos is the layer's wall-clock time.
 	WallNanos int64 `json:"wallNanos"`
@@ -167,12 +170,15 @@ func (s *Searcher) endLayer(m layerMark, card, subsets int, kept int64, maxCover
 }
 
 // candidateBytes estimates the bytes one stored candidate retains: the
-// Candidate struct, its resource descriptor (two vectors of T plus one work
-// coordinate per machine resource), and the cover-set slot holding it. Plan
-// nodes are shared across extensions and not charged per candidate.
+// cover-set slot and the Candidate struct (descriptor headers, operator-tree
+// pointer and clone degree included), the two work vectors (one coordinate
+// per machine resource), and the operators only it holds — the join root it
+// was priced from, the shallow copy of its left operand's root and the right
+// operand's access; auxiliary sorts and builds and the clone sets come on
+// top. Plan nodes and the left operand's operators are shared across
+// extensions and not charged per candidate.
 func (s *Searcher) candidateBytes() int64 {
-	dim := s.opt.Model.Dim()
-	const candidateOverhead = 3 * 8 // struct + slice slot + node pointer
-	vector := 8 + 24 + 8*int64(dim) // T + slice header + coordinates
-	return candidateOverhead + 2*vector
+	dim := int64(s.opt.Model.Dim())
+	const slot = 8
+	return slot + int64(unsafe.Sizeof(Candidate{})) + 2*8*dim + 3*int64(unsafe.Sizeof(optree.Op{}))
 }

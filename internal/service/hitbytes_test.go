@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"paropt/internal/core"
 	"paropt/internal/obs/workload"
 	"paropt/internal/parser"
+	"paropt/internal/search"
 )
 
 // Tests of the hits-from-bytes path: /optimize splices a per-cover-member
@@ -92,7 +94,7 @@ func referenceResponse(t testing.TB, s *Service, req OptimizeRequest, got *Optim
 		Cache:          got.Cache,
 		Deduped:        got.Deduped,
 		CoverSetReused: got.CoverSetReused,
-		CoverSize:      len(e.cover.Frontier),
+		CoverSize:      e.cover.Size,
 		PlanSignature:  plan.Tree.String(),
 		Summary:        PlanSummary{ResponseTime: plan.RT(), Work: plan.Work()},
 		Baseline:       &PlanSummary{ResponseTime: plan.Baseline.RT(), Work: plan.Baseline.Work()},
@@ -595,4 +597,74 @@ func FuzzOptimizeBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCacheEntryRetainedBudget: a cached 6-relation template costs the heap
+// at most 48 KB — the session, the part of the root cover a request can reach
+// (core.CoverSet; ≈ 13 of ≈ 160 members, whose plan trees share subtrees),
+// the search record and one rendered answer. It was ≈ 122 KB while entries
+// kept whole root covers; peak RSS follows this figure times the entries a
+// miss-heavy client leaves behind. No kept member may hold the operator tree
+// the search priced it from: that pins every layer's operators below it.
+func TestCacheEntryRetainedBudget(t *testing.T) {
+	s := newTestService(t, func(c *Config) { c.TraceCapacity = -1; c.WorkloadCapacity = -1 })
+	ctx := context.Background()
+	// Distinct templates: a chain over the six relations in a different order
+	// each time.
+	order := []int{1, 2, 3, 4, 5, 6}
+	template := func(i int) string {
+		j := 1 + i%5
+		order[0], order[j] = order[j], order[0]
+		var rels, preds []string
+		for k, r := range order {
+			rels = append(rels, fmt.Sprintf("R%d", r))
+			if k > 0 {
+				preds = append(preds, fmt.Sprintf("R%d.b = R%d.a", order[k-1], r))
+			}
+		}
+		return "SELECT * FROM " + strings.Join(rels, ", ") + " WHERE " + strings.Join(preds, " AND ")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	if _, err := s.Optimize(ctx, OptimizeRequest{Query: template(0)}); err != nil { // warm the service itself
+		t.Fatal(err)
+	}
+	const entries = 24
+	before, cached := heap(), s.cache.Len()
+	fps := map[string]bool{}
+	for i := 1; i <= entries; i++ {
+		resp, err := s.Optimize(ctx, OptimizeRequest{Query: template(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cache != "miss" {
+			t.Fatalf("template %d: cache=%s, want a miss per template", i, resp.Cache)
+		}
+		fps[s.cacheKey(resp.Fingerprint, resp.Catalog)] = true
+	}
+	perEntry := int64(heap()-before) / entries
+	if got := s.cache.Len() - cached; got != entries {
+		t.Fatalf("%d entries cached, want %d", got, entries)
+	}
+	members := 0
+	for key := range fps {
+		e, _ := s.cache.Get(key)
+		members += len(e.cover.Frontier)
+		for _, c := range append([]*search.Candidate{e.cover.Baseline}, e.cover.Frontier...) {
+			if !reflect.ValueOf(c).Elem().FieldByName("op").IsNil() {
+				t.Fatalf("cached member %s holds its operator tree", c)
+			}
+		}
+		if e.cover.Size < len(e.cover.Frontier) {
+			t.Fatalf("entry keeps %d members of a %d-member cover", len(e.cover.Frontier), e.cover.Size)
+		}
+	}
+	t.Logf("%d B of heap per cached entry, %.1f cover members kept per entry", perEntry, float64(members)/entries)
+	if perEntry > 48<<10 {
+		t.Errorf("a cached 6-relation entry retains %d B of heap, budget %d", perEntry, 48<<10)
+	}
 }

@@ -5,8 +5,9 @@
 //
 //   - canonicalizes each query into a fingerprint (internal/query), so
 //     parameter-varying instances of one template share a plan;
-//   - caches the *full cover set* — the root Pareto frontier plus the §2
-//     work-optimal baseline — in a sharded LRU keyed by (fingerprint,
+//   - caches the *cover set* — what any bound can reach of the root Pareto
+//     frontier (core.CoverSet) plus the §2 work-optimal baseline — in a
+//     sharded LRU keyed by (fingerprint,
 //     catalog version, machine config, optimizer options), so a later
 //     request with a different work bound (throughput-degradation k,
 //     cost–benefit k) is answered by re-filtering the cached frontier
@@ -505,7 +506,7 @@ type OptimizeResponse struct {
 	Cache          string `json:"cache"`
 	Deduped        bool   `json:"deduped,omitempty"`
 	CoverSetReused bool   `json:"coverSetReused"`
-	// CoverSize is the cached Pareto-frontier size; Bound names the §2
+	// CoverSize is the root Pareto frontier's size; Bound names the §2
 	// bound applied during re-filtering, if any.
 	CoverSize int    `json:"coverSize"`
 	Bound     string `json:"bound,omitempty"`
@@ -706,7 +707,7 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 	}
 	done := time.Now()
 	graftSearch(sp, cover.Stats, done)
-	sp.SetAttr("frontier", len(cover.Frontier))
+	sp.SetAttr("frontier", cover.Size)
 	logRec := s.recordSearch(source, sp.TraceID(), fp, version, len(q.Relations), cover, done.Sub(start))
 	s.notePlan(source, sp.TraceID(), fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
 	return &cacheEntry{opt: opt, cover: cover, logRec: logRec}, nil
@@ -731,7 +732,7 @@ func (s *Service) recordSearch(source, traceID, fp, version string, relations in
 		Fingerprint:       fp,
 		Catalog:           version,
 		Relations:         relations,
-		FrontierSize:      len(cover.Frontier),
+		FrontierSize:      cover.Size,
 		ElapsedMicros:     elapsed.Microseconds(),
 		Stats:             st,
 		PeakBytesRetained: st.Profile().PeakBytesRetained,
@@ -797,7 +798,7 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 		}
 	}
 	if req.Why {
-		pv := p.entry.opt.PlanProvenance(plan, req.bound(), 5)
+		pv := p.entry.opt.PlanProvenance(plan, req.bound())
 		out.Why = pv
 		out.WhyText = pv.Text()
 	}
@@ -939,7 +940,7 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 	}
 
 	// The answer is a pure function of which cover member the bound selects:
-	// re-filter (§2 — the reason the whole cover is cached), then take that
+	// re-filter (§2 — the reason a cover, not a plan, is cached), then take that
 	// member's rendered answer, derived the first time any request chooses it.
 	t = time.Now()
 	iq.setPhase("select")
@@ -967,7 +968,7 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 		Cache:          "miss",
 		Deduped:        deduped,
 		CoverSetReused: hit,
-		CoverSize:      len(entry.cover.Frontier),
+		CoverSize:      entry.cover.Size,
 		PlanSignature:  rend.sig,
 		Summary:        rend.summary,
 		Baseline:       &p.baseline,

@@ -100,6 +100,6 @@ func (s *Service) sweepOne(d workload.ProfileSnapshot) bool {
 	}
 	s.met.SweepReoptimized.Add(1)
 	s.logger.Info("sweep: re-optimized", "fingerprint", fp, "catalog", version,
-		"frontier", len(entry.cover.Frontier))
+		"frontier", entry.cover.Size)
 	return true
 }
