@@ -87,7 +87,7 @@ func main() {
 	profile := flag.Bool("profile", false, "print the per-layer search profile (time, candidates kept, prunes by reason)")
 	jsonOut := flag.Bool("json", false, "print the plan as JSON instead of text")
 	analyze := flag.Bool("analyze", false, "execute the plan on deterministic synthetic data and print per-operator predicted-vs-actual (tf, tl) descriptors")
-	analyzePar := flag.Int("analyze-parallel", 0, "engine parallelism for -analyze (0 = machine CPUs)")
+	analyzePar := flag.Int("analyze-parallel", 0, "cap on each join's annotated clone degree for -analyze (0 = machine CPUs)")
 	batchRows := flag.Int("batch-rows", 0, "columnar batch size (rows per vector) for -analyze execution (0 = engine default)")
 	flag.Parse()
 

@@ -7,6 +7,8 @@ import (
 
 	"paropt"
 	"paropt/internal/engine"
+	"paropt/internal/engine/exchange"
+	"paropt/internal/machine"
 	"paropt/internal/optree"
 	"paropt/internal/plan"
 	"paropt/internal/query"
@@ -60,10 +62,22 @@ func randomBushyPlan(est *plan.Estimator, q *paropt.Query, rng *rand.Rand) (*pla
 
 // TestIntegrationEveryPlanSameResult is the repository's central semantic
 // property: for random workloads and random plans, join-tree execution,
-// operator-tree execution and brute-force reference evaluation all agree.
+// operator-tree execution — serial, at the annotated clone degrees under
+// several caps, and over a loopback cluster — and brute-force reference
+// evaluation all agree.
 func TestIntegrationEveryPlanSameResult(t *testing.T) {
+	lb, err := exchange.StartLoopback(2, engine.FragmentJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	// One clone per 100 tuples spreads the 50–400-row tables over degrees
+	// 1..4; at the default 10 000 nothing would clone.
+	m := machine.New(machine.Config{CPUs: 4, Disks: 4})
+	annotate := optree.AnnotateOptions{MinTuplesPerClone: 100}
 	rng := rand.New(rand.NewSource(99))
 	indexLeaves, elidedSorts := 0, 0
+	degrees := map[int]int{}
 	for _, shape := range []query.Shape{query.Chain, query.Star, query.Cycle} {
 		for n := 3; n <= 4; n++ {
 			cat, q := smallWorkload(shape, n, int64(n)*7+int64(shape))
@@ -118,6 +132,28 @@ func TestIntegrationEveryPlanSameResult(t *testing.T) {
 				if gotPar.Fingerprint() != want {
 					t.Fatalf("%s: parallel result differs from reference", label)
 				}
+				// The priced tree, at its annotated degrees: capped locally,
+				// and distributed.
+				optree.Annotate(op, m, est, annotate)
+				op.Walk(func(o *optree.Op) {
+					if len(o.Preds) > 0 {
+						degrees[o.Clone.Degree()]++
+					}
+				})
+				for _, path := range []struct {
+					parallel int
+					tr       exchange.Transport
+				}{{1, nil}, {2, nil}, {3, nil}, {4, lb.Cluster(exchange.ClusterConfig{})}} {
+					e.Parallel, e.Transport = path.parallel, path.tr
+					gotAnn, err := e.ExecuteOp(op)
+					e.Parallel, e.Transport = 1, nil
+					if err != nil {
+						t.Fatalf("%s: annotated, cap %d: %v", label, path.parallel, err)
+					}
+					if gotAnn.Fingerprint() != want {
+						t.Fatalf("%s: annotated tree at cap %d (distributed %t) differs from reference", label, path.parallel, path.tr != nil)
+					}
+				}
 			}
 		}
 	}
@@ -126,7 +162,12 @@ func TestIntegrationEveryPlanSameResult(t *testing.T) {
 	if indexLeaves == 0 || elidedSorts == 0 {
 		t.Fatalf("random plans had %d index-scan leaves and %d merges with an elided sort; the generator no longer covers them", indexLeaves, elidedSorts)
 	}
-	t.Logf("%d index-scan leaves, %d merges with an elided sort", indexLeaves, elidedSorts)
+	for d := 1; d <= 4; d++ {
+		if degrees[d] == 0 {
+			t.Fatalf("annotated joins by degree %v: no join at degree %d", degrees, d)
+		}
+	}
+	t.Logf("%d index-scan leaves, %d merges with an elided sort, annotated joins by degree %v", indexLeaves, elidedSorts, degrees)
 }
 
 // TestIntegrationOptimizerPlansExecuteCorrectly: every algorithm's chosen

@@ -316,17 +316,18 @@ func (o *Optimizer) Simulate(p *Plan) (*sim.Result, error) {
 	return sim.Simulate(p.Op, o.Mod)
 }
 
-// Execute runs the plan for real on generated data with the given
-// parallelism degree.
+// Execute runs the plan's annotated operator tree for real on generated
+// data, each join at its annotated clone degree capped at parallel.
 func (o *Optimizer) Execute(p *Plan, db *storage.Database, parallel int) (*engine.Resultset, error) {
 	e := &engine.Executor{DB: db, Q: o.Q, Parallel: parallel, BatchSize: o.batchRows}
-	return e.Execute(p.Tree)
+	return e.ExecuteOp(p.Op)
 }
 
-// Analyze executes the plan with runtime-descriptor instrumentation and
-// joins the measured per-operator (tf, tl) against the cost model's
-// predictions — EXPLAIN ANALYZE for the §5 calculus. It returns the
-// accuracy report alongside the raw execution stats.
+// Analyze executes the plan's operator tree — the one the cost model priced,
+// parallel capping each join's clone degree — with runtime-descriptor
+// instrumentation and joins the measured per-operator (tf, tl) against the
+// cost model's predictions — EXPLAIN ANALYZE for the §5 calculus. It returns
+// the accuracy report alongside the raw execution stats.
 func (o *Optimizer) Analyze(p *Plan, db *storage.Database, parallel int) (*accuracy.Report, *engine.ExecStats, error) {
 	return o.AnalyzeLive(context.Background(), p, nil, db, parallel, nil, nil)
 }
@@ -352,7 +353,7 @@ func (o *Optimizer) AnalyzeLive(ctx context.Context, p *Plan, inst *query.Query,
 		q = &bound
 	}
 	e := &engine.Executor{DB: db, Q: q, Parallel: parallel, BatchSize: o.batchRows, Stats: stats, Transport: tr, Ctx: ctx}
-	if _, err := e.Execute(p.Tree); err != nil {
+	if _, err := e.ExecuteOp(p.Op); err != nil {
 		return nil, nil, err
 	}
 	return accuracy.Analyze(o.Mod, p.Op, stats), stats, nil

@@ -1,15 +1,15 @@
-// Package engine executes annotated join trees against in-memory tables
-// with a vectorized Volcano engine: operators are pull iterators exchanging
-// columnar batches (one []int64 per column plus a selection vector), scans
-// alias table column slabs without copying, and joins run as tight kernels
-// over contiguous memory. Joins can still run partitioned across workers
-// (cloning, in the paper's vocabulary) with hash redistribution between
-// stages — the Gamma-style execution model the paper's operator trees
-// describe: a cloned join hands its two input operators to the exchange
-// transport, which pulls them, and is itself the operator the transport hands
-// back. The engine exists both to demonstrate that optimizer plans actually
-// run and to verify plan semantics: every plan for a query must produce the
-// same result multiset.
+// Package engine executes the optimizer's annotated operator trees (§4.2)
+// against in-memory tables with a vectorized Volcano engine: operators are
+// pull iterators exchanging columnar batches (one []int64 per column plus a
+// selection vector), scans alias table column slabs without copying, and
+// joins run as tight kernels over contiguous memory. A join runs partitioned
+// across as many clones as its annotation says, with hash redistribution
+// between stages — the Gamma-style execution model the paper's operator
+// trees describe: a cloned join hands its two input operators to the
+// exchange transport, which pulls them, and is itself the operator the
+// transport hands back. The engine exists both to run the plans the
+// optimizer priced and to verify plan semantics: every plan for a query must
+// produce the same result multiset.
 package engine
 
 import (
@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"sort"
 
+	"paropt/internal/catalog"
 	"paropt/internal/engine/exchange"
-	"paropt/internal/plan"
 	"paropt/internal/query"
 	"paropt/internal/storage"
 	"paropt/internal/vec"
@@ -59,17 +59,12 @@ type Executor struct {
 	DB *storage.Database
 	// Q supplies selections and projection.
 	Q *query.Query
-	// Parallel is the partitioned-parallelism degree for joins (cloning);
-	// values < 2 mean serial execution.
+	// Parallel caps the clone degree of every join: a join runs
+	// min(annotated degree, Parallel) clones, and a join the annotator never
+	// saw runs Parallel. Values < 2 mean serial execution.
 	Parallel int
 	// BatchSize tunes batch granularity in rows; 0 means DefaultBatchRows.
 	BatchSize int
-	// Symmetric selects the symmetric (streaming, double-build) hash join
-	// for hash-method joins instead of the blocking build-then-probe join:
-	// both inputs are consumed incrementally, each row probing the opposite
-	// side's table before insertion, so the first output row appears without
-	// waiting for either input to finish.
-	Symmetric bool
 	// Stats, when non-nil, records each node's runtime descriptor — actual
 	// (tf, tl) and row counts — as the plan executes. Nil costs nothing.
 	Stats *ExecStats
@@ -140,19 +135,6 @@ func (r *Resultset) Rows() []storage.Row {
 		r.rows = rows
 	}
 	return r.rows
-}
-
-// Execute runs the plan to completion and returns the result, projected per
-// the query's projection list when present.
-func (e *Executor) Execute(n *plan.Node) (*Resultset, error) {
-	if n == nil {
-		return nil, fmt.Errorf("engine: nil plan")
-	}
-	op, schema, err := e.run(n)
-	if err != nil {
-		return nil, err
-	}
-	return e.result(op, schema)
 }
 
 // result pulls the root operator to exhaustion, closes it, and returns what
@@ -257,167 +239,43 @@ func (e *Executor) batchSize() int {
 	return DefaultBatchRows
 }
 
-// run recursively builds the operator tree for a subtree, wrapping each
-// node's iterator in a runtime-descriptor recorder when Stats is installed.
-func (e *Executor) run(n *plan.Node) (Operator, Schema, error) {
-	op, schema, err := e.build(n)
-	if err != nil || e.Stats == nil {
-		return op, schema, err
-	}
-	return e.newStatsOp(n, op), schema, nil
-}
-
-// build constructs the uninstrumented operator tree for a subtree.
-func (e *Executor) build(n *plan.Node) (Operator, Schema, error) {
-	if n.IsLeaf() {
-		return e.scan(n)
-	}
-	lschema, err := e.schemaOf(n.Left)
-	if err != nil {
-		return nil, nil, err
-	}
-	rschema, err := e.schemaOf(n.Right)
-	if err != nil {
-		return nil, nil, err
-	}
-	lkeys, rkeys, err := joinKeys(n.Preds, lschema, rschema)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Leaf-scan shipping: when the transport owns a leaf child's relation at
-	// the workers, don't build its local iterator at all — the fragment
-	// carries a ScanSpec and each worker sources its shard from its own
-	// store, so no base tuple of that side crosses the coordinator's links.
-	var lspec, rspec *exchange.ScanSpec
-	parts := 0
-	if e.Parallel > 1 && len(lkeys) > 0 {
-		if shipper, ok := e.Transport.(exchange.ScanShipper); ok {
-			var lparts, rparts int
-			if lspec, lparts, err = e.shipSpec(shipper, n.Left, lkeys[0]); err != nil {
-				return nil, nil, err
-			}
-			if rspec, rparts, err = e.shipSpec(shipper, n.Right, rkeys[0]); err != nil {
-				return nil, nil, err
-			}
-			if lspec != nil {
-				parts = lparts
-			} else if rspec != nil {
-				parts = rparts
-			}
-		}
-	}
-
-	var lop, rop Operator
-	if lspec == nil {
-		if lop, _, err = e.run(n.Left); err != nil {
-			return nil, nil, err
-		}
-	}
-	if rspec == nil {
-		if rop, _, err = e.run(n.Right); err != nil {
-			if lop != nil {
-				lop.Close()
-			}
-			return nil, nil, err
-		}
-	}
-
-	schema := append(append(Schema(nil), lschema...), rschema...)
-	if len(lkeys) == 0 {
-		// Cross product: nested loops over a rewindable buffered inner.
-		return &crossOp{left: lop, right: rop, bs: e.batchSize()}, schema, nil
-	}
-	if e.Parallel > 1 {
-		op, err := e.parallelJoin(n, lop, rop, lkeys, rkeys, lspec, rspec, parts)
-		return op, schema, err
-	}
-	return e.joinFor(e.wireMethod(n.Method), lop, rop, lkeys, rkeys), schema, nil
-}
-
-// schemaOf resolves a subtree's output schema without building operators:
-// a leaf delivers its relation's columns in declaration order, a join
-// concatenates left then right.
-func (e *Executor) schemaOf(n *plan.Node) (Schema, error) {
-	if n.IsLeaf() {
-		tab, ok := e.DB.Table(n.Relation)
-		if !ok {
-			return nil, fmt.Errorf("engine: no data for relation %s", n.Relation)
-		}
-		schema := make(Schema, len(tab.Rel.Columns))
-		for i, c := range tab.Rel.Columns {
-			schema[i] = query.ColumnRef{Relation: n.Relation, Column: c.Name}
-		}
-		return schema, nil
-	}
-	ls, err := e.schemaOf(n.Left)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := e.schemaOf(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	return append(append(Schema(nil), ls...), rs...), nil
-}
-
-// shipSpec builds the worker-sourced scan spec for a join input: non-nil
-// only when the input is a leaf whose relation the transport can ship, in
-// which case the spec carries the partitioning key position and the query's
-// pushed-down selections, and the returned parts is the owning-worker
-// count.
-func (e *Executor) shipSpec(shipper exchange.ScanShipper, n *plan.Node, key int) (*exchange.ScanSpec, int, error) {
-	if !n.IsLeaf() {
-		return nil, 0, nil
-	}
-	parts, ok := shipper.ShipScan(n.Relation)
+// relation resolves a base relation for a scan: its table, its schema (the
+// relation's columns in declaration order) and the query's selections on it
+// as column positions — pushed into the local scan or shipped to the workers.
+func (e *Executor) relation(rel string) (*storage.Table, Schema, []exchange.ScanFilter, error) {
+	tab, ok := e.DB.Table(rel)
 	if !ok {
-		return nil, 0, nil
+		return nil, nil, nil, fmt.Errorf("engine: no data for relation %s", rel)
 	}
-	tab, ok := e.DB.Table(n.Relation)
-	if !ok {
-		return nil, 0, fmt.Errorf("engine: no data for relation %s", n.Relation)
+	schema := make(Schema, len(tab.Rel.Columns))
+	for i, c := range tab.Rel.Columns {
+		schema[i] = query.ColumnRef{Relation: rel, Column: c.Name}
 	}
-	spec := &exchange.ScanSpec{Relation: n.Relation, HashCol: key}
-	for _, s := range e.Q.SelectionsOn(n.Relation) {
+	var sels []exchange.ScanFilter
+	for _, s := range e.Q.SelectionsOn(rel) {
 		pos := tab.ColIndex(s.Column.Column)
 		if pos < 0 {
-			return nil, 0, fmt.Errorf("engine: selection on unknown column %v", s.Column)
+			return nil, nil, nil, fmt.Errorf("engine: selection on unknown column %v", s.Column)
 		}
-		spec.Filters = append(spec.Filters, exchange.ScanFilter{Col: pos, Val: s.Value})
+		sels = append(sels, exchange.ScanFilter{Col: pos, Val: s.Value})
 	}
-	return spec, parts, nil
-}
-
-// scanSel is one pushed-down equality selection, resolved to a position.
-type scanSel struct {
-	pos int
-	val int64
+	return tab, schema, sels, nil
 }
 
 // scan builds the leaf iterator for a base table with the query's
 // selections applied. Heap scans deliver zero-copy batch views of the
-// table's columnar slabs, filters narrowing them to selection vectors;
-// index scans gather rows in key order.
-func (e *Executor) scan(n *plan.Node) (Operator, Schema, error) {
-	schema, err := e.schemaOf(n)
+// table's columnar slabs, filters narrowing them to selection vectors; a
+// scan through index ix gathers rows in key order.
+func (e *Executor) scan(rel string, ix *catalog.Index) (Operator, Schema, error) {
+	tab, schema, sels, err := e.relation(rel)
 	if err != nil {
 		return nil, nil, err
 	}
-	tab, _ := e.DB.Table(n.Relation)
-	var sels []scanSel
-	for _, s := range e.Q.SelectionsOn(n.Relation) {
-		pos := tab.ColIndex(s.Column.Column)
-		if pos < 0 {
-			return nil, nil, fmt.Errorf("engine: selection on unknown column %v", s.Column)
-		}
-		sels = append(sels, scanSel{pos: pos, val: s.Value})
-	}
 	cols := tab.Columns()
-	if n.Access == plan.IndexScan && n.Index != nil {
-		if ix, err := storage.BuildOrderedIndex(tab, n.Index.Columns[0]); err == nil {
+	if ix != nil {
+		if oix, err := storage.BuildOrderedIndex(tab, ix.Columns[0]); err == nil {
 			order := make([]int32, 0, tab.NumRows())
-			ix.Scan(func(_ int64, rowPos int) bool {
+			oix.Scan(func(_ int64, rowPos int) bool {
 				order = append(order, int32(rowPos))
 				return true
 			})
@@ -434,7 +292,7 @@ func (e *Executor) scan(n *plan.Node) (Operator, Schema, error) {
 type scanOp struct {
 	cols  [][]int64
 	nrows int
-	sels  []scanSel
+	sels  []exchange.ScanFilter
 	bs    int
 	pos   int
 }
@@ -460,12 +318,12 @@ func (o *scanOp) Next(ctx context.Context) (Batch, error) {
 func (o *scanOp) Close() { o.pos = o.nrows }
 
 // filter narrows a batch by the pushed-down selections, sharing its columns.
-func filter(b Batch, sels []scanSel) Batch {
+func filter(b Batch, sels []exchange.ScanFilter) Batch {
 	for _, s := range sels {
 		if b.Len() == 0 {
 			break
 		}
-		b = b.FilterEq(s.pos, s.val)
+		b = b.FilterEq(s.Col, s.Val)
 	}
 	return b
 }
@@ -477,7 +335,7 @@ func filter(b Batch, sels []scanSel) Batch {
 type indexScanOp struct {
 	cols  [][]int64
 	order []int32
-	sels  []scanSel
+	sels  []exchange.ScanFilter
 	bs    int
 	pos   int
 	bld   *vec.Builder
@@ -522,18 +380,15 @@ func joinKeys(preds []query.JoinPredicate, lschema, rschema Schema) (lkeys, rkey
 }
 
 // joinFor constructs the serial join iterator for a wire method name over
-// two child iterators. Unknown names fall back to nested loops — which,
-// like the hash method, is a build-then-probe over a hashed inner (the
-// create-index inflection realized); they differ only in cost model.
+// two child iterators; a merge sorts both sides on the first key. Unknown
+// names fall back to nested loops — which, like the hash method, is a
+// build-then-probe over a hashed inner (the create-index inflection
+// realized); they differ only in cost model.
 func (e *Executor) joinFor(method string, l, r Operator, lkeys, rkeys []int) Operator {
-	switch method {
-	case "sym":
-		return newSymJoinOp(e, l, r, lkeys, rkeys)
-	case "merge":
+	if method == "merge" {
 		return &mergeJoinOp{left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lkeys[0], rsort: rkeys[0], bs: e.batchSize()}
-	default: // "hash", "nl"
-		return &buildProbeOp{left: l, right: r, lkeys: lkeys, rkeys: rkeys, bs: e.batchSize()}
 	}
+	return &buildProbeOp{left: l, right: r, lkeys: lkeys, rkeys: rkeys, bs: e.batchSize()}
 }
 
 // keysFit checks join key positions against the width of the first batch of
@@ -726,9 +581,10 @@ type mergeJoinOp struct {
 	left, right  Operator
 	lkeys, rkeys []int
 	// lsort and rsort are the column each side is sorted on before the merge.
-	// A join-tree merge sorts both sides on the key; a §4.2 operator tree
+	// A cloned merge sorts both sides on the key; a §4.2 operator tree
 	// states its sorts, and a side it put none on (-1) is merged in arrival
-	// order — re-sorting it would hide a Sort the expansion forgot.
+	// order — re-sorting it would hide a Sort the expansion forgot — unless
+	// a cloned join below scrambled the order the tree relied on.
 	lsort, rsort int
 	bs           int
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 
+	"paropt/internal/catalog"
+	"paropt/internal/engine/exchange"
 	"paropt/internal/optree"
 	"paropt/internal/plan"
 	"paropt/internal/query"
@@ -10,11 +12,9 @@ import (
 
 // ExecuteOp runs a §4.2 operator tree — explicit sorts, merges, builds,
 // probes, pure nested loops and create-index operators — by lowering it onto
-// the engine's own operators rather than re-deriving them from the join
-// tree. This validates the macro expansion on the engine that serves queries:
-// for any plan p, ExecuteOp(Expand(p)) must produce exactly the same result
-// multiset as Execute(p). Execution is serial (the parallel path lives in
-// Execute); a materialized edge is the blocking drain of the operator it
+// the engine's operators: the plan the cost model priced is the plan that
+// runs. Each join runs as many clones as its cloning annotation says, capped
+// at Parallel; a materialized edge is the blocking drain of the operator it
 // feeds — the build of a probe, the buffered sides of a merge.
 func (e *Executor) ExecuteOp(root *optree.Op) (*Resultset, error) {
 	if root == nil {
@@ -23,32 +23,76 @@ func (e *Executor) ExecuteOp(root *optree.Op) (*Resultset, error) {
 	if err := root.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	op, schema, err := e.lower(root)
+	op, schema, _, err := e.lower(root)
 	if err != nil {
 		return nil, err
 	}
 	return e.result(op, schema)
 }
 
-// lower builds the engine operator a §4.2 operator subtree stands for. Build,
-// CreateIndex and Sort have no operator of their own: each is the blocking
-// phase of the join directly above it and is only accepted there.
-func (e *Executor) lower(op *optree.Op) (Operator, Schema, error) {
+// Execute runs a join tree nobody annotated: it expands the tree into the
+// operators ExecuteOp lowers — a hash join to a probe over a build, a merge
+// over a sort of each side, nested loops to a pure nested-loops join — with
+// no cloning annotation, so every join runs at Parallel.
+func (e *Executor) Execute(n *plan.Node) (*Resultset, error) {
+	if n == nil {
+		return nil, fmt.Errorf("engine: nil plan")
+	}
+	return e.ExecuteOp(e.expand(n))
+}
+
+// expand is Execute's expansion of a join-tree subtree.
+func (e *Executor) expand(n *plan.Node) *optree.Op {
+	if n.IsLeaf() {
+		kind := optree.Scan
+		if n.Access == plan.IndexScan {
+			kind = optree.IndexScanOp
+		}
+		return &optree.Op{Kind: kind, Relation: n.Relation, Index: n.Index, Source: n}
+	}
+	l, r := e.expand(n.Left), e.expand(n.Right)
+	op := &optree.Op{Kind: optree.PureNL, Inputs: []*optree.Op{l, r}, Preds: n.Preds, Source: n}
+	switch n.Method {
+	case plan.HashJoin:
+		op.Kind = optree.Probe
+		op.Inputs[1] = &optree.Op{Kind: optree.Build, Inputs: []*optree.Op{r}, Source: n}
+	case plan.SortMerge:
+		op.Kind = optree.Merge
+		if len(n.Preds) > 0 {
+			lk, rk := n.Preds[0].Left, n.Preds[0].Right
+			if !n.Left.Rels.Has(e.Q.RelationIndex(lk.Relation)) {
+				lk, rk = rk, lk
+			}
+			op.Inputs[0] = &optree.Op{Kind: optree.Sort, Inputs: []*optree.Op{l}, SortKey: lk, Source: n}
+			op.Inputs[1] = &optree.Op{Kind: optree.Sort, Inputs: []*optree.Op{r}, SortKey: rk, Source: n}
+		}
+	}
+	return op
+}
+
+// lower builds the engine operator a §4.2 operator subtree stands for, and
+// reports whether that operator delivers the order the plan credits the
+// subtree with (plan.Node.Order): a cloned join's output is its partitions
+// interleaved, so it and every nested loop or probe whose outer it feeds
+// deliver no order. Build, CreateIndex and Sort have no operator of their
+// own: each is the blocking phase of the join directly above it and is only
+// accepted there.
+func (e *Executor) lower(op *optree.Op) (Operator, Schema, bool, error) {
 	switch op.Kind {
 	case optree.Scan, optree.IndexScanOp:
-		leaf := op.Source
-		if leaf == nil || !leaf.IsLeaf() {
-			access := plan.SeqScan
-			if op.Kind == optree.IndexScanOp {
-				access = plan.IndexScan
-			}
-			leaf = &plan.Node{Relation: op.Relation, Access: access, Index: op.Index}
+		var ix *catalog.Index
+		if op.Kind == optree.IndexScanOp {
+			ix = op.Index
 		}
-		return e.scan(leaf)
+		scan, schema, err := e.scan(op.Relation, ix)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		return e.record(op, scan, 1), schema, true, nil
 	case optree.Probe:
 		build := op.Inputs[1]
 		if build.Kind != optree.Build {
-			return nil, nil, fmt.Errorf("engine: probe over %v, wants a build", build.Kind)
+			return nil, nil, false, fmt.Errorf("engine: probe over %v, wants a build", build.Kind)
 		}
 		return e.lowerJoin(op, op.Inputs[0], build.Inputs[0], nil, nil)
 	case optree.PureNL:
@@ -62,7 +106,7 @@ func (e *Executor) lower(op *optree.Op) (Operator, Schema, error) {
 		r, rsort := underSort(op.Inputs[1])
 		return e.lowerJoin(op, l, r, lsort, rsort)
 	default:
-		return nil, nil, fmt.Errorf("engine: %v is not executable where the tree has it", op.Kind)
+		return nil, nil, false, fmt.Errorf("engine: %v is not executable where the tree has it", op.Kind)
 	}
 }
 
@@ -75,42 +119,112 @@ func underSort(in *optree.Op) (*optree.Op, *query.ColumnRef) {
 	return in, nil
 }
 
-// lowerJoin lowers the two inputs of join operator op and joins them:
-// crossOp without predicates, mergeJoinOp for a Merge — sorting exactly the
-// sides the tree sorts, on the column it sorts them by — and buildProbeOp for
-// a Probe or PureNL (the hashed inner is the create-index inflection
-// realized).
-func (e *Executor) lowerJoin(op, lin, rin *optree.Op, lsort, rsort *query.ColumnRef) (Operator, Schema, error) {
-	l, lschema, err := e.lower(lin)
-	if err != nil {
-		return nil, nil, err
+// clones is how many clones join operator op runs when no input is shipped:
+// its annotated degree capped at Parallel, or Parallel itself for a join the
+// annotator never saw. Below 2 the join runs serial.
+func (e *Executor) clones(op *optree.Op) int {
+	if d := len(op.Clone.Resources); d > 0 {
+		return min(d, e.Parallel)
 	}
-	r, rschema, err := e.lower(rin)
-	if err != nil {
-		l.Close()
-		return nil, nil, err
+	return e.Parallel
+}
+
+// lowerJoin lowers the two inputs of join operator op — lin and rin, with
+// the join's own Build, CreateIndex and Sort stripped — and joins them:
+// crossOp without predicates; a cloned join through the transport when op
+// runs more than one clone or ships an input; otherwise mergeJoinOp for a
+// Merge — sorting the sides the tree sorts, on the column it sorts them by,
+// plus any side whose sort the tree elided over a child that lost its order
+// to cloning — and buildProbeOp for a Probe or PureNL (the hashed inner is
+// the create-index inflection realized).
+//
+// Leaf-scan shipping: when Parallel allows cloning and a join's input is a
+// base scan whose relation the transport owns at the workers, that input is
+// not lowered at all — the fragment carries a ScanSpec and each worker
+// sources its shard from its own store, so no base tuple of that side
+// crosses the coordinator's links. Such a join runs one clone per owning
+// worker, whatever its annotated degree: the placement decides where those
+// rows are, and shard i of it is exactly stream partition i.
+func (e *Executor) lowerJoin(op, lin, rin *optree.Op, lsort, rsort *query.ColumnRef) (Operator, Schema, bool, error) {
+	var shipper exchange.ScanShipper
+	if e.Parallel > 1 && len(op.Preds) > 0 {
+		shipper, _ = e.Transport.(exchange.ScanShipper)
 	}
-	schema := append(append(Schema(nil), lschema...), rschema...)
+	var ins [2]Operator
+	var schemas [2]Schema
+	var ordered [2]bool
+	var specs [2]*exchange.ScanSpec
+	parts := 0
+	fail := func(err error) (Operator, Schema, bool, error) {
+		for _, in := range ins {
+			if in != nil {
+				in.Close()
+			}
+		}
+		return nil, nil, false, err
+	}
+	for i, in := range [2]*optree.Op{lin, rin} {
+		if shipper != nil && (in.Kind == optree.Scan || in.Kind == optree.IndexScanOp) {
+			if owners, ok := shipper.ShipScan(in.Relation); ok {
+				_, schema, sels, err := e.relation(in.Relation)
+				if err != nil {
+					return fail(err)
+				}
+				schemas[i], specs[i] = schema, &exchange.ScanSpec{Relation: in.Relation, Filters: sels}
+				if parts == 0 {
+					parts = owners
+				}
+				continue
+			}
+		}
+		var err error
+		if ins[i], schemas[i], ordered[i], err = e.lower(in); err != nil {
+			return fail(err)
+		}
+	}
+	schema := append(append(Schema(nil), schemas[0]...), schemas[1]...)
 	if len(op.Preds) == 0 {
-		return &crossOp{left: l, right: r, bs: e.batchSize()}, schema, nil
+		return e.record(op, &crossOp{left: ins[0], right: ins[1], bs: e.batchSize()}, 1), schema, ordered[0], nil
 	}
-	lkeys, rkeys, err := joinKeys(op.Preds, lschema, rschema)
+	lkeys, rkeys, err := joinKeys(op.Preds, schemas[0], schemas[1])
 	lcol, rcol := -1, -1
 	if err == nil {
-		lcol, err = sortCol(lsort, lschema)
+		lcol, err = sortCol(lsort, schemas[0])
 	}
 	if err == nil {
-		rcol, err = sortCol(rsort, rschema)
+		rcol, err = sortCol(rsort, schemas[1])
 	}
 	if err != nil {
-		l.Close()
-		r.Close()
-		return nil, nil, err
+		return fail(err)
 	}
-	if op.Kind == optree.Merge {
-		return &mergeJoinOp{left: l, right: r, lkeys: lkeys, rkeys: rkeys, lsort: lcol, rsort: rcol, bs: e.batchSize()}, schema, nil
+	shipped := specs[0] != nil || specs[1] != nil
+	if !shipped {
+		parts = e.clones(op)
 	}
-	return e.joinFor("nl", l, r, lkeys, rkeys), schema, nil
+	switch {
+	case shipped || parts > 1:
+		if specs[0] != nil {
+			specs[0].HashCol = lkeys[0]
+		}
+		if specs[1] != nil {
+			specs[1].HashCol = rkeys[0]
+		}
+		j, err := e.parallelJoin(op, ins[0], ins[1], lkeys, rkeys, specs[0], specs[1], parts)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		return e.record(op, j, parts), schema, false, nil
+	case op.Kind == optree.Merge:
+		if lcol < 0 && !ordered[0] {
+			lcol = lkeys[0]
+		}
+		if rcol < 0 && !ordered[1] {
+			rcol = rkeys[0]
+		}
+		return e.record(op, &mergeJoinOp{left: ins[0], right: ins[1], lkeys: lkeys, rkeys: rkeys, lsort: lcol, rsort: rcol, bs: e.batchSize()}, 1), schema, true, nil
+	default:
+		return e.record(op, e.joinFor("nl", ins[0], ins[1], lkeys, rkeys), 1), schema, ordered[0], nil
+	}
 }
 
 // sortCol resolves the column a merge side is sorted by; -1 when the tree put

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"paropt/internal/catalog"
+	"paropt/internal/engine/exchange"
+	"paropt/internal/machine"
 	"paropt/internal/optree"
 	"paropt/internal/plan"
 	"paropt/internal/query"
@@ -121,6 +124,59 @@ func TestExecuteOpSortElision(t *testing.T) {
 	}
 	if wrong.Fingerprint() == ref.Fingerprint() {
 		t.Error("merge over an unsorted input matched the reference: it sorted a side the tree did not")
+	}
+}
+
+// TestSerialMergeOverClonedMerge: the tree elides a merge's sort over a child
+// merge on the same equivalence class, whose output it credits with the merge
+// order. Annotated at degree 1 over a child at degree 4, the serial merge
+// reads the child's partitions interleaved — unordered — so it must sort that
+// side itself or drop matches.
+func TestSerialMergeOverClonedMerge(t *testing.T) {
+	cat := catalog.New()
+	for _, r := range []struct {
+		name string
+		card int64
+	}{{"A", 400}, {"B", 300}, {"C", 200}} {
+		cat.MustAddRelation(catalog.Relation{
+			Name:    r.name,
+			Columns: []catalog.Column{{Name: "k", NDV: r.card / 4, Width: 8}},
+			Card:    r.card, Pages: 2,
+		})
+	}
+	k := func(rel string) query.ColumnRef { return query.ColumnRef{Relation: rel, Column: "k"} }
+	q := &query.Query{
+		Relations: []string{"A", "B", "C"},
+		Joins:     []query.JoinPredicate{{Left: k("A"), Right: k("B")}, {Left: k("B"), Right: k("C")}},
+	}
+	if err := q.Validate(cat); err != nil {
+		t.Fatal(err)
+	}
+	e := &Executor{DB: storage.NewDatabase(cat, 7), Q: q, Parallel: 4}
+	est := plan.NewEstimator(cat, q)
+	p := join(t, est, join(t, est, leaf(t, est, "A"), leaf(t, est, "B"), plan.SortMerge),
+		leaf(t, est, "C"), plan.SortMerge)
+	op := expandFor(t, e, est, p)
+	if got, want := op.String(), "merge(merge(sort(scan(A)), sort(scan(B))), sort(scan(C)))"; got != want {
+		t.Fatalf("expansion = %s, want %s", got, want)
+	}
+	optree.Annotate(op, machine.New(machine.Config{CPUs: 4, Disks: 4}), est, optree.AnnotateOptions{MinTuplesPerClone: 1})
+	op.Clone.Resources = op.Clone.Resources[:1]
+	ref, err := ReferenceJoin(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Stats = &ExecStats{}
+	got, err := e.ExecuteOp(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != ref.Len() || got.Fingerprint() != ref.Fingerprint() {
+		t.Errorf("serial merge over a cloned merge: %d rows, reference %d", got.Len(), ref.Len())
+	}
+	by := e.Stats.ByNode()
+	if top, child := by[p].Clones, by[p.Left].Clones; top != 1 || child != 4 {
+		t.Errorf("clones: top merge %d, child merge %d; want 1 over 4", top, child)
 	}
 }
 
@@ -250,5 +306,76 @@ func TestExecuteOpCrossProduct(t *testing.T) {
 	}
 	if got.Len() != 24 {
 		t.Errorf("cross product = %d rows, want 24", got.Len())
+	}
+}
+
+// TestLoweredCloneCounts pins "execute what was priced": lowering an
+// annotated operator tree runs every join at exactly min(annotated degree,
+// Parallel) clones — one when serial — and a join over a scan the transport
+// ships at that relation's owning-worker count, whatever its degree. The
+// shipped case is what guards the look-through rule: the shipped scans sit
+// under the hash join's Build, the merge's Sort and the nested loops'
+// CreateIndex, and a join that failed to see through them would stream the
+// base table from the coordinator, at its annotated degree, instead.
+func TestLoweredCloneCounts(t *testing.T) {
+	e, est, cat := placedRig(t, 600, 500, 400, 1_000)
+	ref, err := ReferenceJoin(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := join(t, est, join(t, est, join(t, est, leaf(t, est, "R1"), leaf(t, est, "R2"), plan.HashJoin),
+		leaf(t, est, "R3"), plan.SortMerge), leaf(t, est, "R4"), plan.NestedLoops)
+	op := expandFor(t, e, est, p)
+	if got, want := op.String(), "pure-nested-loops(merge(sort(probe(scan(R1), build(scan(R2)))), sort(scan(R3))), create-index(scan(R4)))"; got != want {
+		t.Fatalf("expansion = %s, want %s", got, want)
+	}
+	// Every operator gets all 4 CPUs at one tuple per clone; the joins are
+	// then cut to a mix of degrees, bottom-up.
+	optree.Annotate(op, machine.New(machine.Config{CPUs: 4, Disks: 4}), est, optree.AnnotateOptions{MinTuplesPerClone: 1})
+	var joins []*optree.Op
+	op.Walk(func(o *optree.Op) {
+		switch o.Kind {
+		case optree.Probe, optree.Merge, optree.PureNL:
+			joins = append(joins, o)
+		}
+	})
+	for i, d := range []int{1, 3, 4} {
+		joins[i].Clone.Resources = joins[i].Clone.Resources[:d]
+	}
+
+	lb, pm := placedWorkers(t, cat, []exchange.JoinFunc{FragmentJoin, FragmentJoin})
+	defer lb.Close()
+	owners := pm.OwnerMap()
+	run := func(name string, parallel int, tr exchange.Transport, want []int) {
+		t.Helper()
+		e.Parallel, e.Transport, e.Stats = parallel, tr, &ExecStats{}
+		defer func() { e.Parallel, e.Transport, e.Stats = 1, nil, nil }()
+		res, err := e.ExecuteOp(op)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Fingerprint() != ref.Fingerprint() {
+			t.Errorf("%s: %d rows differ from the reference's %d", name, res.Len(), ref.Len())
+		}
+		by := e.Stats.ByNode()
+		for i, j := range joins {
+			if got := by[j.Source].Clones; got != want[i] {
+				t.Errorf("%s: %s (degree %d) ran %d clones, want %d", name, j.Kind, j.Clone.Degree(), got, want[i])
+			}
+		}
+	}
+	for _, parallel := range []int{0, 1, 2, 3, 8} {
+		want := make([]int, len(joins))
+		for i, j := range joins {
+			want[i] = max(min(j.Clone.Degree(), parallel), 1)
+		}
+		run(fmt.Sprintf("parallel-%d", parallel), parallel, nil, want)
+	}
+	placed := lb.Cluster(exchange.ClusterConfig{Owners: owners})
+	run("shipped", 8, placed, []int{len(owners["R1"]), len(owners["R3"]), len(owners["R4"])})
+	// Every fragment ships its scan sides: both of the bottom join's, one of
+	// each join above it.
+	if got, want := placed.ShippedScans(), int64(2*len(owners["R1"])+len(owners["R3"])+len(owners["R4"])); got != want {
+		t.Errorf("shipped %d scan sides, want %d", got, want)
 	}
 }

@@ -4,34 +4,34 @@ import (
 	"fmt"
 
 	"paropt/internal/engine/exchange"
-	"paropt/internal/plan"
+	"paropt/internal/optree"
 	"paropt/internal/query"
 	"paropt/internal/storage"
 )
 
 // parallelJoin is the cloned (intra-operator parallel) join of §4.1: both
-// inputs are hash-redistributed on the join key across Parallel partitions
-// (the exchange / data-redistribution annotation of §4.2), each partition
-// pair is joined with the serial algorithm, and the partition outputs are
-// merged. Equal keys land in equal partitions, so the union of the partition
-// joins is exactly the serial join. The redistribution runs on
-// e.Transport — goroutines of this process by default, worker processes over
-// TCP with an exchange.Cluster. The transport takes the two input operators
-// as they are and pulls them from the goroutines that scatter them; what it
-// returns is the join's operator, whose Next yields the merged result
-// batches — and the join's failure, whichever side of it failed — and whose
-// Close tears the whole join down.
-//
-// lspec/rspec, when set, mark inputs the transport sources at the workers
-// (leaf-scan shipping): that side's operator is nil and parts overrides the
-// cloning degree with the relation's owning-worker count, so shard i of the
-// placement is exactly stream partition i.
-func (e *Executor) parallelJoin(n *plan.Node, lop, rop Operator, lkeys, rkeys []int, lspec, rspec *exchange.ScanSpec, parts int) (Operator, error) {
-	if parts <= 0 {
-		parts = e.Parallel
+// inputs are hash-redistributed on the join key across parts partitions (the
+// exchange / data-redistribution annotation of §4.2), each partition pair is
+// joined with the serial algorithm, and the partition outputs are merged.
+// Equal keys land in equal partitions, so the union of the partition joins is
+// exactly the serial join. The redistribution runs on e.Transport —
+// goroutines of this process by default, worker processes over TCP with an
+// exchange.Cluster. The transport takes the two input operators as they are
+// and pulls them from the goroutines that scatter them; what it returns is
+// the join's operator, whose Next yields the merged result batches — and the
+// join's failure, whichever side of it failed — and whose Close tears the
+// whole join down. lspec/rspec, when set, mark inputs the transport sources
+// at the workers (leaf-scan shipping): that side's operator is nil.
+func (e *Executor) parallelJoin(op *optree.Op, lop, rop Operator, lkeys, rkeys []int, lspec, rspec *exchange.ScanSpec, parts int) (Operator, error) {
+	method := "hash"
+	switch op.Kind {
+	case optree.Merge:
+		method = "merge"
+	case optree.PureNL:
+		method = "nl"
 	}
 	frag := exchange.Fragment{
-		Method:    e.wireMethod(n.Method),
+		Method:    method,
 		LKeys:     lkeys,
 		RKeys:     rkeys,
 		Parts:     parts,
@@ -43,17 +43,17 @@ func (e *Executor) parallelJoin(n *plan.Node, lop, rop Operator, lkeys, rkeys []
 	if tr == nil {
 		tr = &exchange.Local{Fn: FragmentJoin}
 	}
-	op, err := tr.Join(e.ctx(), frag, lop, rop)
+	j, err := tr.Join(e.ctx(), frag, lop, rop)
 	if err != nil {
 		return nil, err
 	}
 	// Cluster joins collect the workers' own measurements; the exec stats read
 	// them after the run, so EXPLAIN ANALYZE and the trace merge can see across
 	// the wire. Local joins don't implement it.
-	if sr, ok := op.(exchange.StatsReporter); ok && e.Stats != nil {
-		e.Stats.addRemote(n, e.nodeLabel(n), sr)
+	if sr, ok := j.(exchange.StatsReporter); ok && e.Stats != nil && op.Source != nil {
+		e.Stats.addRemote(op.Source, e.nodeLabel(op.Source), sr)
 	}
-	return op, nil
+	return j, nil
 }
 
 // FragmentJoin is the engine's JoinFunc for the exchange layer: it builds
@@ -69,24 +69,6 @@ func FragmentJoin(frag exchange.Fragment, left, right Operator) (Operator, error
 	}
 	e := &Executor{BatchSize: frag.BatchSize}
 	return e.joinFor(frag.Method, left, right, frag.LKeys, frag.RKeys), nil
-}
-
-// wireMethod names a join method for fragment dispatch. Hash joins dispatch
-// as the symmetric streaming variant when the executor asks for it — the
-// name selects the worker-side join construction, so distributed symmetric
-// joins need no new frame types.
-func (e *Executor) wireMethod(m plan.JoinMethod) string {
-	switch m {
-	case plan.HashJoin:
-		if e.Symmetric {
-			return "sym"
-		}
-		return "hash"
-	case plan.SortMerge:
-		return "merge"
-	default:
-		return "nl"
-	}
 }
 
 // PartitionImbalance hash-partitions a table's column into parts buckets

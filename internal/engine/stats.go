@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"paropt/internal/engine/exchange"
+	"paropt/internal/optree"
 	"paropt/internal/plan"
 )
 
@@ -17,7 +18,7 @@ import (
 // when a node's stream produced its first row and when it closed — plus the
 // rows that actually flowed, so predicted and actual descriptors can be
 // joined per node (internal/obs/accuracy). Granularity is the join-tree
-// node: each one is one Operator, and the recorder wraps exactly that.
+// node: each one lowers to one Operator, and the recorder wraps exactly that.
 
 // NodeStat is one node's measured runtime descriptor. Times are relative to
 // the execution start (ExecStats.T0).
@@ -37,6 +38,9 @@ type NodeStat struct {
 	// Rows and Batches count the node's actual output — the per-node work
 	// the cardinality model predicted as plan.Node.Card.
 	Rows, Batches int64
+	// Clones is how many clones the node's operator ran: the partition count
+	// of a cloned join, 1 for a serial one and for a scan.
+	Clones int
 
 	// Live counters, updated atomically per batch while the stream runs so
 	// an observer (the in-flight query registry) can sample progress without
@@ -194,13 +198,13 @@ func (s *ExecStats) addRemote(n *plan.Node, label string, sr exchange.StatsRepor
 }
 
 // open registers a node at stream-open time and returns its stat.
-func (s *ExecStats) open(n *plan.Node, label string) *NodeStat {
+func (s *ExecStats) open(n *plan.Node, label string, clones int) *NodeStat {
 	now := time.Now()
 	s.mu.Lock()
 	if s.T0.IsZero() {
 		s.T0 = now
 	}
-	st := &NodeStat{Node: n, Label: label, Start: now.Sub(s.T0)}
+	st := &NodeStat{Node: n, Label: label, Start: now.Sub(s.T0), Clones: clones}
 	s.nodes = append(s.nodes, st)
 	s.mu.Unlock()
 	return st
@@ -237,9 +241,14 @@ type statsOp struct {
 	finalized     bool
 }
 
-// newStatsOp registers the node with the collector and wraps its iterator.
-func (e *Executor) newStatsOp(n *plan.Node, op Operator) Operator {
-	return &statsOp{op: op, stats: e.Stats, st: e.Stats.open(n, e.nodeLabel(n))}
+// record wraps the operator lowered for op — a scan or a join, running
+// clones clones — in a recorder for op's join-tree node when stats are
+// installed. An operator tree built by hand, with no Source, runs unrecorded.
+func (e *Executor) record(op *optree.Op, o Operator, clones int) Operator {
+	if e.Stats == nil || op.Source == nil {
+		return o
+	}
+	return &statsOp{op: o, stats: e.Stats, st: e.Stats.open(op.Source, e.nodeLabel(op.Source), clones)}
 }
 
 func (s *statsOp) Next(ctx context.Context) (Batch, error) {

@@ -191,11 +191,11 @@ func TestJoinTeardown(t *testing.T) {
 					frag.LeftScan = &exchange.ScanSpec{Relation: "R1", HashCol: 0}
 					frag.RightScan = &exchange.ScanSpec{Relation: "R2", HashCol: 1}
 				} else {
-					l, _, err := e.scan(leaf(t, est, "R1"))
+					l, _, err := e.scan("R1", nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rr, _, err := e.scan(leaf(t, est, "R2"))
+					rr, _, err := e.scan("R2", nil)
 					if err != nil {
 						t.Fatal(err)
 					}

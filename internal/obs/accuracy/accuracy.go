@@ -86,6 +86,10 @@ type OpAccuracy struct {
 	EstRows  int64   `json:"estRows"`
 	ActRows  int64   `json:"actRows"`
 	QErrRows float64 `json:"qErrRows"`
+	// Clones is how many clones the node's operator ran — measured, not
+	// requested: the annotated degree capped by the execution's parallelism,
+	// or the owning-worker count of a join over shipped scans.
+	Clones int `json:"clones"`
 	// Root marks the plan root (its RelErrLast is 0 by calibration).
 	Root bool `json:"root,omitempty"`
 }
@@ -154,6 +158,7 @@ func Analyze(mod *cost.Model, root *optree.Op, stats *engine.ExecStats) *Report 
 			ActLast:   st.Last.Seconds(),
 			EstRows:   tl.PredRows,
 			ActRows:   st.Rows,
+			Clones:    st.Clones,
 			Root:      tl.Root,
 		}
 		if rep.Scale > 0 {
@@ -328,8 +333,8 @@ func (r *Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cost-model accuracy (scale: %.3g s/unit, wall %.1f ms, mean |rel err| %.2f, max q-err %.2f)\n",
 		r.Scale, r.WallSeconds*1e3, r.MeanAbsRelErr, r.MaxQErrRows)
-	fmt.Fprintf(&b, "%-24s %13s %13s %13s %13s %8s %10s %10s %8s\n",
-		"node", "pred tf (ms)", "act tf (ms)", "pred tl (ms)", "act tl (ms)", "err tl", "est rows", "act rows", "q-err")
+	fmt.Fprintf(&b, "%-24s %6s %13s %13s %13s %13s %8s %10s %10s %8s\n",
+		"node", "clones", "pred tf (ms)", "act tf (ms)", "pred tl (ms)", "act tl (ms)", "err tl", "est rows", "act rows", "q-err")
 	ms := func(s float64) string {
 		if s == 0 {
 			return "-"
@@ -345,8 +350,8 @@ func (r *Report) Table() string {
 		if oa.QErrRows > 0 {
 			qe = fmt.Sprintf("%.2f", oa.QErrRows)
 		}
-		fmt.Fprintf(&b, "%-24s %13s %13s %13s %13s %8s %10d %10d %8s\n",
-			oa.Label, ms(oa.PredFirstSec), ms(oa.ActFirst), ms(oa.PredLastSec), ms(oa.ActLast),
+		fmt.Fprintf(&b, "%-24s %6d %13s %13s %13s %13s %8s %10d %10d %8s\n",
+			oa.Label, oa.Clones, ms(oa.PredFirstSec), ms(oa.ActFirst), ms(oa.PredLastSec), ms(oa.ActLast),
 			errTl, oa.EstRows, oa.ActRows, qe)
 	}
 	if len(r.Fragments) > 0 {

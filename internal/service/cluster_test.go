@@ -298,9 +298,23 @@ func TestPlacementInstallAndShippedAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frags, shipped := s.met.ExchangeFragments.Load(), s.met.ShippedScans.Load()
 	dist, err := s.Explain(ctx, OptimizeRequest{Query: chainSQL(3, 7), Analyze: true, Distributed: true})
 	if err != nil {
 		t.Fatalf("distributed analyze with placement: %v", err)
+	}
+	// Each join has a base-scan input — seen through the hash join's Build
+	// and the merge's Sort — so each ships it and runs one fragment per
+	// owning worker: 2 × 2 fragments, the bottom join shipping both sides
+	// and the top one its scan side. The merge does so although the
+	// annotator gave it one clone: placement, not the annotation, decides
+	// where a placed relation is read. Streaming a scan through the
+	// coordinator instead changes both counts.
+	if got := s.met.ExchangeFragments.Load() - frags; got != 4 {
+		t.Errorf("distributed analyze dispatched %d fragments, want 4", got)
+	}
+	if got := s.met.ShippedScans.Load() - shipped; got != 6 {
+		t.Errorf("distributed analyze shipped %d scan sides, want 6", got)
 	}
 	rootRows := func(rep *accuracy.Report) int64 {
 		for _, op := range rep.Ops {
@@ -312,9 +326,6 @@ func TestPlacementInstallAndShippedAnalyze(t *testing.T) {
 	}
 	if lr, dr := rootRows(local.Analyze), rootRows(dist.Analyze); lr != dr || lr < 0 {
 		t.Errorf("shipped analyze root rows = %d, in-process = %d", dr, lr)
-	}
-	if got := s.met.ShippedScans.Load(); got == 0 {
-		t.Error("no leaf scans shipped despite installed placement")
 	}
 	if got := s.placementCount(); got != 1 {
 		t.Errorf("placementCount = %d, want 1", got)

@@ -346,3 +346,42 @@ column B.w ndv=7
 		t.Fatalf("fixture does not separate the literals: both return %d rows", first)
 	}
 }
+
+// TestHTTPAnalyzeParallelIsACap: analyzeParallel only caps the clone degrees
+// the annotator chose, which never exceed the model's CPUs — a client asking
+// for a billion partitions gets the plan's own degrees, not a billion
+// channels, goroutines or worker connections per join.
+func TestHTTPAnalyzeParallelIsACap(t *testing.T) {
+	s, srv := newTestServer(t, nil)
+	cpus := s.mcfg.CPUs
+	if cpus != 4 {
+		t.Fatalf("default model has %d CPUs; the fixture assumes 4", cpus)
+	}
+	var rows []int64
+	for _, par := range []int{64, 1 << 30} {
+		resp, body := postJSON(t, srv.URL+"/explain?analyze=1", OptimizeRequest{Query: chainSQL(3, 7), AnalyzeParallel: par})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyzeParallel %d: status %d: %s", par, resp.StatusCode, body)
+		}
+		var out ExplainResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		cloned := false
+		for _, op := range out.Analyze.Ops {
+			if op.Clones < 1 || op.Clones > cpus {
+				t.Errorf("analyzeParallel %d: %s ran %d clones, want 1..%d", par, op.Label, op.Clones, cpus)
+			}
+			cloned = cloned || op.Clones > 1
+			if op.Root {
+				rows = append(rows, op.ActRows)
+			}
+		}
+		if !cloned {
+			t.Errorf("analyzeParallel %d: no operator ran cloned; the fixture proves nothing", par)
+		}
+	}
+	if len(rows) != 2 || rows[0] != rows[1] {
+		t.Errorf("root actRows per request = %v, want two equal counts", rows)
+	}
+}

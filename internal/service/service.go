@@ -466,8 +466,10 @@ type OptimizeRequest struct {
 	// deterministic synthetic data and reports per-operator predicted vs
 	// actual (tf, tl) descriptors with relative errors.
 	Analyze bool `json:"analyze,omitempty"`
-	// AnalyzeParallel is the engine parallelism for Analyze; 0 means the
-	// machine's CPU count.
+	// AnalyzeParallel caps the clone degree of every join Analyze executes:
+	// each runs min(annotated degree, AnalyzeParallel) clones, so it can only
+	// lower the plan's own degrees, which never exceed the machine's CPUs. 0
+	// means the machine's CPU count.
 	AnalyzeParallel int `json:"analyzeParallel,omitempty"`
 	// Distributed (Explain+Analyze only; ?distributed=1) executes the plan's
 	// join fragments on the registered worker processes instead of

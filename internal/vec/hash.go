@@ -9,8 +9,7 @@ import "paropt/internal/storage"
 // Buffer's key column already holds them, so the table keeps only a 32-bit
 // hash per row (probe prefilter and growth rehash) and candidates are
 // confirmed against that key column — inline by ProbeBatch, by the caller of
-// Probe. Both hash joins build on it: the blocking join reserves it once for
-// the drained build side, the symmetric join grows one per input.
+// Probe. The hash join builds it once over the drained build side.
 type HashTable struct {
 	heads []int32 // bucket → 1+index of newest row in chain, 0 = empty
 	rows  []link  // dense row → its chain link
@@ -172,10 +171,4 @@ func (h *HashTable) ProbeBatch(keys []int64, sel []int32, buildKeys []int64, cur
 	}
 	cur.Pos = n
 	return lsel, rsel, true
-}
-
-// Release drops the table's storage.
-func (h *HashTable) Release() {
-	h.heads, h.rows = nil, nil
-	h.mask = 0
 }

@@ -319,8 +319,8 @@ func (t *Buffer) Gather(b *Builder, at int, idx []int32) {
 }
 
 // Release drops the column storage, returning the buffer to zero length
-// while keeping its width — the symmetric join frees the no-longer-probed
-// side this way the moment one input is exhausted.
+// while keeping its width — a join frees its buffered input this way on
+// Close.
 func (t *Buffer) Release() {
 	for c := range t.cols {
 		t.cols[c] = nil

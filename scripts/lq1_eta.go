@@ -64,7 +64,7 @@ func chainSQL(n, literal int) string {
 }
 
 func main() {
-	parallel := flag.Int("parallel", 2, "engine parallelism for the analyze")
+	parallel := flag.Int("parallel", 2, "cap on each join's clone degree for the analyze")
 	interval := flag.Duration("interval", 25*time.Millisecond, "sample interval")
 	flag.Parse()
 
