@@ -88,7 +88,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the plan as JSON instead of text")
 	analyze := flag.Bool("analyze", false, "execute the plan on deterministic synthetic data and print per-operator predicted-vs-actual (tf, tl) descriptors")
 	analyzePar := flag.Int("analyze-parallel", 0, "cap on each join's annotated clone degree for -analyze (0 = machine CPUs)")
-	batchRows := flag.Int("batch-rows", 0, "columnar batch size (rows per vector) for -analyze execution (0 = engine default)")
 	flag.Parse()
 
 	var cat *paropt.Catalog
@@ -110,7 +109,6 @@ func main() {
 		Machine:   machine.Config{CPUs: *cpus, Disks: *disks, Networks: 1, AggregateDisks: *aggDisks},
 		Algorithm: algorithm,
 		CoverCap:  *beam,
-		BatchRows: *batchRows,
 	}
 	switch {
 	case *k > 0:

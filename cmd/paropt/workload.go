@@ -12,13 +12,12 @@ import (
 // human-readable workload report built by folding the log through the same
 // aggregation the live profiler runs — top templates by traffic/latency/
 // drift, streaming latency quantiles, and the drift table (templates whose
-// recorded analyze accuracy marks their plans stale).
+// recorded analyze accuracy marks their plans stale, by the daemon's drift
+// constants).
 func workloadMain(args []string) {
 	fs := flag.NewFlagSet("paropt workload", flag.ExitOnError)
 	top := fs.Int("top", 20, "templates to show")
 	by := fs.String("by", "traffic", "order: traffic, latency or drift")
-	threshold := fs.Float64("threshold", 2, "EWMA row q-error above which a template counts as drifted")
-	minSamples := fs.Int("min-samples", 2, "minimum accuracy samples before marking drift")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: paropt workload [flags] <query-log.jsonl>")
@@ -34,7 +33,7 @@ func workloadMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	snaps := workload.Aggregate(recs, *threshold, *minSamples)
+	snaps := workload.Aggregate(recs)
 	var errors, analyzed int
 	for _, r := range recs {
 		if r.Error != "" {
@@ -64,7 +63,7 @@ func workloadMain(args []string) {
 	if len(drifted) > 0 {
 		workload.SortBy(drifted, "drift")
 		fmt.Printf("\ndrifted templates (EWMA q-error ≥ %g over ≥ %d samples) — re-optimization candidates:\n",
-			*threshold, *minSamples)
+			workload.DriftThreshold, workload.DriftMinSamples)
 		fmt.Print(workload.FormatTable(drifted))
 	}
 }

@@ -10,9 +10,7 @@
 //	        [-workers N] [-queue 64] [-cache 512]
 //	        [-timeout 30s] [-beam 0] [-traces 256] [-log text|json|none]
 //	        [-debug-addr localhost:7078]
-//	        [-query-log q.jsonl] [-profiles 4096] [-negcache 256]
-//	        [-sweep 1m] [-drift-threshold 2]
-//	        [-exchange-window 16]
+//	        [-query-log q.jsonl] [-sweep 1m] [-exchange-window 16]
 //	        [-plan-log-file changes.jsonl] [-drain 5s]
 //
 // Endpoints:
@@ -66,7 +64,10 @@
 // /debug/workload and, with -query-log, an append-only JSONL log that
 // `paropt replay` re-executes and `paropt workload` summarizes.
 // With -sweep, a background sweeper re-optimizes hot templates whose
-// explain-analyze accuracy has drifted past -drift-threshold.
+// explain-analyze row q-error EWMA has reached 2 over at least 2 samples
+// (workload.DriftThreshold, workload.DriftMinSamples). Analyze requests
+// execute at 1 024 rows per batch against synthetic data from seed 1; the
+// negative cache remembers the last 256 failed queries.
 //
 // -debug-addr starts a second listener serving net/http/pprof under
 // /debug/pprof/ — kept off the service port so profiling is never exposed
@@ -111,15 +112,9 @@ func main() {
 	traces := flag.Int("traces", 0, "request traces retained for /debug/trace (0 = default 256, negative disables tracing)")
 	logMode := flag.String("log", "text", "request log format on stderr: text, json or none")
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
-	dataSeed := flag.Int64("data-seed", 1, "seed for the synthetic data analyze requests execute against")
 	queryLog := flag.String("query-log", "", "append-only JSONL query log: one record per finished request, served, failed or cancelled (empty = disabled); feed it to `paropt replay` / `paropt workload`")
-	profiles := flag.Int("profiles", 0, "per-fingerprint workload profiles tracked for /debug/workload (0 = 4096, negative disables)")
-	driftThreshold := flag.Float64("drift-threshold", 0, "EWMA row q-error above which a cached plan counts as drifted (0 = 2)")
-	driftSamples := flag.Int("drift-samples", 0, "minimum analyze accuracy samples before marking drift (0 = 2)")
 	sweep := flag.Duration("sweep", 0, "drift-sweeper interval: re-optimize drifted hot templates in the background (0 = disabled)")
-	negCache := flag.Int("negcache", 0, "negative-cache capacity for parse/resolve failures (0 = 256, negative disables)")
-	exchWindow := flag.Int("exchange-window", 0, "credit window (frames in flight per direction) for distributed exchanges (0 = exchange default)")
-	batchRows := flag.Int("batch-rows", 0, "columnar batch size (rows per vector) for analyze executions (0 = engine default)")
+	exchWindow := flag.Int("exchange-window", 0, "credit window (frames in flight per direction, at most 1024) for distributed exchanges; fragments carry it to the workers (0 = exchange default)")
 	planLogFile := flag.String("plan-log-file", "", "additionally append plan changes as JSONL to this file (empty = memory only)")
 	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	flag.Parse()
@@ -166,24 +161,18 @@ func main() {
 			CPUs: *cpus, Disks: *disks, Networks: *networks, Nodes: *nodes,
 			NetLatency: *netLatency, AggregateDisks: *aggDisks, AggregateLinks: *aggLinks,
 		},
-		Algorithm:        algorithm,
-		CoverCap:         *beam,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheCapacity:    *cacheCap,
-		RequestTimeout:   *timeout,
-		TraceCapacity:    *traces,
-		Logger:           logger,
-		DataSeed:         *dataSeed,
-		QueryLog:         qlog,
-		WorkloadCapacity: *profiles,
-		DriftThreshold:   *driftThreshold,
-		SweepMinSamples:  *driftSamples,
-		SweepInterval:    *sweep,
-		NegCacheCapacity: *negCache,
-		ExchangeWindow:   *exchWindow,
-		BatchRows:        *batchRows,
-		PlanLogPath:      *planLogFile,
+		Algorithm:      algorithm,
+		CoverCap:       *beam,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheCapacity:  *cacheCap,
+		RequestTimeout: *timeout,
+		TraceCapacity:  *traces,
+		Logger:         logger,
+		QueryLog:       qlog,
+		SweepInterval:  *sweep,
+		ExchangeWindow: *exchWindow,
+		PlanLogPath:    *planLogFile,
 	})
 	if err != nil {
 		log.Fatalf("paroptd: %v", err)

@@ -1,7 +1,8 @@
 // Command paroptw is the shared-nothing execution worker: it serves join
 // fragments over TCP for paroptd's distributed analyze path. The daemon's
 // coordinator dials one connection per fragment and streams hash-partitioned
-// inputs under credit-based flow control; the worker runs the fragment's
+// inputs under credit-based flow control, at the credit window the fragment
+// carries (paroptd's -exchange-window); the worker runs the fragment's
 // join (the same engine.FragmentJoin the in-process transport uses) and
 // streams result batches back. When a placement map is installed at the
 // daemon, fragments arrive with leaf-scan specs instead of streamed inputs
@@ -12,7 +13,7 @@
 // Usage:
 //
 //	paroptw [-listen 127.0.0.1:0] [-daemon http://localhost:7077]
-//	        [-advertise host:port] [-window 16]
+//	        [-advertise host:port]
 //	        [-heartbeat 5s] [-max-reconnect 120]
 //	        [-http 127.0.0.1:0] [-debug-addr localhost:0]
 //
@@ -69,7 +70,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "fragment listen address")
 	daemon := flag.String("daemon", "", "paroptd base URL to register with (empty = no registration)")
 	advertise := flag.String("advertise", "", "address to register at the daemon (default: the resolved listen address)")
-	window := flag.Int("window", 0, "per-direction credit window (0 = default)")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "re-register and placement-refresh interval")
 	maxReconnect := flag.Int("max-reconnect", 120, "consecutive failed heartbeats before exiting (0 = retry forever)")
 	httpAddr := flag.String("http", "127.0.0.1:0", "listener for the worker's own /metrics and /healthz (empty = disabled)")
@@ -89,7 +89,7 @@ func main() {
 
 	box := &storeBox{daemon: *daemon, self: reg, client: &http.Client{Timeout: 10 * time.Second}}
 	stats := &exchange.WorkerStats{}
-	w := &exchange.Worker{Join: engine.FragmentJoin, Window: *window, Store: box, ID: reg, Stats: stats}
+	w := &exchange.Worker{Join: engine.FragmentJoin, Store: box, ID: reg, Stats: stats}
 	errc := make(chan error, 1)
 	go func() { errc <- w.Serve(ln) }()
 

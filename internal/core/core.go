@@ -146,22 +146,18 @@ type Config struct {
 	// interconnect while misplaced ones are charged from the real nodes —
 	// placement reshapes cover sets and plan choice.
 	Placed map[string]cost.PlacedRelation
-	// BatchRows, when positive, sets the engine's columnar batch size for
-	// plan execution (rows per Vec); zero means engine.DefaultBatchRows.
-	BatchRows int
 }
 
 // Optimizer optimizes one query against one catalog and machine.
 type Optimizer struct {
-	Cat       *catalog.Catalog
-	Q         *query.Query
-	M         *machine.Machine
-	Est       *plan.Estimator
-	Mod       *cost.Model
-	opts      search.Options
-	alg       Algorithm
-	bnd       search.Bound
-	batchRows int
+	Cat  *catalog.Catalog
+	Q    *query.Query
+	M    *machine.Machine
+	Est  *plan.Estimator
+	Mod  *cost.Model
+	opts search.Options
+	alg  Algorithm
+	bnd  search.Bound
 }
 
 // Plan is an optimized plan with its costs and provenance.
@@ -253,9 +249,8 @@ func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer,
 			Methods:            cfg.Methods,
 			CoverCap:           cfg.CoverCap,
 		},
-		alg:       cfg.Algorithm,
-		bnd:       cfg.Bound,
-		batchRows: cfg.BatchRows,
+		alg: cfg.Algorithm,
+		bnd: cfg.Bound,
 	}, nil
 }
 
@@ -319,7 +314,7 @@ func (o *Optimizer) Simulate(p *Plan) (*sim.Result, error) {
 // Execute runs the plan's annotated operator tree for real on generated
 // data, each join at its annotated clone degree capped at parallel.
 func (o *Optimizer) Execute(p *Plan, db *storage.Database, parallel int) (*engine.Resultset, error) {
-	e := &engine.Executor{DB: db, Q: o.Q, Parallel: parallel, BatchSize: o.batchRows}
+	e := &engine.Executor{DB: db, Q: o.Q, Parallel: parallel}
 	return e.ExecuteOp(p.Op)
 }
 
@@ -352,7 +347,7 @@ func (o *Optimizer) AnalyzeLive(ctx context.Context, p *Plan, inst *query.Query,
 		bound.Selections, bound.Projection = inst.Selections, inst.Projection
 		q = &bound
 	}
-	e := &engine.Executor{DB: db, Q: q, Parallel: parallel, BatchSize: o.batchRows, Stats: stats, Transport: tr, Ctx: ctx}
+	e := &engine.Executor{DB: db, Q: q, Parallel: parallel, Stats: stats, Transport: tr, Ctx: ctx}
 	if _, err := e.ExecuteOp(p.Op); err != nil {
 		return nil, nil, err
 	}

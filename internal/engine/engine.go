@@ -48,9 +48,8 @@ type Batch = exchange.Batch
 type Operator = exchange.Operator
 
 // DefaultBatchRows is the rows-per-batch granularity used when
-// Executor.BatchSize is zero — tunable per process with the -batch-rows
-// flag on paropt/paroptd. The exchange and vec builders default to the same
-// constant.
+// Executor.BatchSize is zero — what every plan execution runs at. The
+// exchange and vec builders default to the same constant.
 const DefaultBatchRows = vec.DefaultBatchRows
 
 // Executor runs plans over a database.
@@ -64,6 +63,7 @@ type Executor struct {
 	// saw runs Parallel. Values < 2 mean serial execution.
 	Parallel int
 	// BatchSize tunes batch granularity in rows; 0 means DefaultBatchRows.
+	// Only tests set it, to cut batches small.
 	BatchSize int
 	// Stats, when non-nil, records each node's runtime descriptor — actual
 	// (tf, tl) and row counts — as the plan executes. Nil costs nothing.

@@ -27,15 +27,14 @@ var ErrJoinCancelled = errors.New("exchange: join cancelled")
 // DefaultRetryBackoff is the pause before each fragment re-dispatch.
 const DefaultRetryBackoff = 50 * time.Millisecond
 
+// dialTimeout bounds worker dials.
+const dialTimeout = 5 * time.Second
+
 // ClusterConfig tunes the multi-worker transport.
 type ClusterConfig struct {
 	// Window is the per-direction credit window per link; 0 means
-	// DefaultWindow.
+	// DefaultWindow. Every fragment carries it to its worker.
 	Window int
-	// MaxFrame bounds incoming frames; 0 means DefaultMaxFrame.
-	MaxFrame uint32
-	// DialTimeout bounds worker dials; 0 means 5s.
-	DialTimeout time.Duration
 	// Owners maps relation name → owning worker addresses in shard order
 	// (from the placement map). Non-empty entries enable leaf-scan shipping
 	// for that relation: the engine asks via ShipScan, fragment i is
@@ -197,20 +196,6 @@ func (c *Cluster) window() int {
 	return DefaultWindow
 }
 
-func (c *Cluster) maxFrame() uint32 {
-	if c.cfg.MaxFrame > 0 {
-		return c.cfg.MaxFrame
-	}
-	return DefaultMaxFrame
-}
-
-func (c *Cluster) dialTimeout() time.Duration {
-	if c.cfg.DialTimeout > 0 {
-		return c.cfg.DialTimeout
-	}
-	return 5 * time.Second
-}
-
 func (c *Cluster) retryBudget() int {
 	if c.cfg.Retries < 0 {
 		return 0
@@ -352,6 +337,9 @@ func (c *Cluster) Join(ctx context.Context, frag Fragment, left, right Operator)
 	if frag.BatchSize <= 0 {
 		frag.BatchSize = vec.DefaultBatchRows
 	}
+	if frag.Window <= 0 {
+		frag.Window = c.window()
+	}
 	if _, epoch := c.members(); epoch > 0 {
 		frag.Epoch = epoch
 	}
@@ -373,13 +361,12 @@ func (c *Cluster) Join(ctx context.Context, frag Fragment, left, right Operator)
 // the goroutine that pulls the input is the one that scatters and sends it —
 // one receiver per link and one that closes the result.
 func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right Operator) (Operator, error) {
-	win := c.window()
-	p, bs := frag.Parts, frag.BatchSize
+	win, p, bs := frag.Window, frag.Parts, frag.BatchSize
 
 	j := &clusterJoin{}
 	for i := 0; i < p; i++ {
 		addr := c.ownerFor(&frag, i)
-		conn, err := net.DialTimeout("tcp", addr, c.dialTimeout())
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
 			err = conn.SetDeadline(time.Time{})
 		}
@@ -669,7 +656,7 @@ func (c *Cluster) runShipped(f Fragment, j *shippedJoin) error {
 // returning the staged result batches and the worker's FragmentStats (nil
 // when the worker predates the stats frame) on clean completion.
 func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Batch, *FragmentStats, error) {
-	conn, err := net.DialTimeout("tcp", addr, c.dialTimeout())
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, nil, &WorkerError{Addr: addr, Err: err}
 	}
@@ -718,7 +705,7 @@ func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Bat
 // Anything else is a *WorkerError — the worker's own frameError, an
 // undecodable batch, or the connection lost.
 func (c *Cluster) readFragment(conn net.Conn, addr string, stats *LinkStats, dispatched time.Time, take func(Batch) error, credit func(dir byte)) (*FragmentStats, error) {
-	fr := newFrameReader(conn, c.maxFrame())
+	fr := newFrameReader(conn, MaxFrame)
 	var fstats *FragmentStats
 	for {
 		typ, payload, err := fr.next()

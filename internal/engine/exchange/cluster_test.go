@@ -171,6 +171,43 @@ func TestLoopbackClusterMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestStreamedJoinAnyCoordinatorWindow: a worker sizes its input channels by
+// the window the fragment carries. When it sized them by a setting of its own,
+// a coordinator window above it deadlocked a hash join: the probe side filled
+// the worker's channels, and the build side the join drains first queued
+// behind it on the connection.
+func TestStreamedJoinAnyCoordinatorWindow(t *testing.T) {
+	lb, err := StartLoopback(1, testHashJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	frag := Fragment{Method: "hash", LKeys: []int{0}, RKeys: []int{0}, Parts: 1, BatchSize: 32}
+	rows := rowsOf(5_000, 5_000)
+	for _, win := range []int{1, 2, DefaultWindow, 64, 256} {
+		type result struct {
+			rows []storage.Row
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			got, err := runJoin(t, lb.Cluster(ClusterConfig{Window: win}), frag, rows, rows)
+			done <- result{got, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("window %d: %v", win, r.err)
+			}
+			if len(r.rows) != len(rows) {
+				t.Errorf("window %d: %d rows, want %d", win, len(r.rows), len(rows))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("window %d: join still running after 10s", win)
+		}
+	}
+}
+
 // TestWorkerDisconnectMidStream: a worker that dies mid-join must surface as
 // a typed *WorkerError wrapping ErrWorkerDisconnected out of the result's
 // Next, with both partitioners unwound (collect's Close waits for them).
@@ -188,7 +225,7 @@ func TestWorkerDisconnectMidStream(t *testing.T) {
 				return
 			}
 			go func(conn net.Conn) {
-				_, _, _ = newFrameReader(conn, DefaultMaxFrame).next()
+				_, _, _ = newFrameReader(conn, MaxFrame).next()
 				conn.Close()
 			}(conn)
 		}

@@ -172,6 +172,10 @@ type Fragment struct {
 	Parts int `json:"parts"`
 	// BatchSize tunes the executor granularity on the worker.
 	BatchSize int `json:"batch_size"`
+	// Window is the coordinator's per-direction credit window, stamped by
+	// Cluster.Join: the worker sizes its input channels and its result window
+	// by it, so the two ends cannot disagree. 0 means DefaultWindow.
+	Window int `json:"window,omitempty"`
 	// LeftScan / RightScan, when set, tell the worker to source that input
 	// from its own store (ScanSpec + Part/Parts) instead of the wire; the
 	// coordinator then streams nothing for that side.
@@ -211,8 +215,11 @@ func (f *Fragment) Validate() error {
 	if f.Parts < 1 || f.Part < 0 || f.Part >= f.Parts {
 		return fmt.Errorf("exchange: fragment is partition %d of %d", f.Part, f.Parts)
 	}
-	if f.BatchSize < 0 {
-		return fmt.Errorf("exchange: fragment batch size %d", f.BatchSize)
+	if f.BatchSize < 0 || f.BatchSize > MaxBatchRows {
+		return fmt.Errorf("exchange: fragment batch size %d outside 0..%d", f.BatchSize, MaxBatchRows)
+	}
+	if f.Window < 0 || f.Window > MaxWindow {
+		return fmt.Errorf("exchange: fragment credit window %d outside 0..%d", f.Window, MaxWindow)
 	}
 	for _, spec := range []*ScanSpec{f.LeftScan, f.RightScan} {
 		if spec != nil && spec.HashCol < 0 {

@@ -133,9 +133,10 @@ func TestStagedBytesFreedOnCancel(t *testing.T) {
 	lrows, rrows := rowsOf(20_000, 97), rowsOf(2_000, 97)
 	store := &memStore{rels: map[string][]storage.Row{"L": lrows, "R": rrows}}
 	ws := &WorkerStats{}
-	// Window 1 on both sides: every result batch waits out a credit round
-	// trip, so the fragment is still running when the cancel lands.
-	lb, err := StartLoopbackWorkers([]*Worker{{Join: testHashJoin, Store: store, Stats: ws, Window: 1}})
+	// Window 1, which the fragment carries to the worker: every result batch
+	// waits out a credit round trip, so the fragment is still running when the
+	// cancel lands.
+	lb, err := StartLoopbackWorkers([]*Worker{{Join: testHashJoin, Store: store, Stats: ws}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func TestWorkerServesOldCoordinatorFrames(t *testing.T) {
 		}
 	}
 	sawStats := false
-	fr := newFrameReader(conn, DefaultMaxFrame)
+	fr := newFrameReader(conn, MaxFrame)
 	for {
 		typ, payload, err := fr.next()
 		if err != nil {

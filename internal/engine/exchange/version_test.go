@@ -32,7 +32,7 @@ func skewProxy(t *testing.T, worker string, version int) string {
 			return
 		}
 		defer up.Close()
-		fr := newFrameReader(down, DefaultMaxFrame)
+		fr := newFrameReader(down, MaxFrame)
 		typ, payload, err := fr.next()
 		var frag Fragment
 		if err != nil || json.Unmarshal(payload, &frag) != nil {
@@ -96,7 +96,7 @@ func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
 	_ = fw.writeBatch(frameLeft, vec.FromRows(lrows[:16]))
 	_ = fw.write(frameEndLeft, nil)
 	_ = fw.write(frameEndRight, nil)
-	fr := newFrameReader(conn, DefaultMaxFrame)
+	fr := newFrameReader(conn, MaxFrame)
 	for refused := false; !refused; {
 		typ, payload, err := fr.next()
 		if err != nil {
@@ -180,7 +180,7 @@ func TestWorkerSurvivesBatchAfterEnd(t *testing.T) {
 	_ = fw.write(frameFragment, []byte(`{"method":"hash","lkeys":[0],"rkeys":[0],"part":0,"parts":1,"batch_size":16,"wire":1}`))
 	_ = fw.write(frameEndRight, nil)
 	_ = fw.writeBatch(frameRight, vec.FromRows(rowsOf(16, 5)))
-	fr := newFrameReader(conn, DefaultMaxFrame)
+	fr := newFrameReader(conn, MaxFrame)
 	for {
 		typ, _, err := fr.next()
 		if err != nil {

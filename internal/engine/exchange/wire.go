@@ -69,13 +69,23 @@ const (
 	creditResult byte = 2 // coordinator consumed one result batch
 )
 
-// DefaultMaxFrame bounds a single frame (16 MiB) — a corrupt or hostile
-// length prefix fails fast instead of allocating unbounded memory.
-const DefaultMaxFrame = 16 << 20
+// MaxFrame bounds a single frame (16 MiB) — a corrupt or hostile length
+// prefix fails fast instead of allocating unbounded memory.
+const MaxFrame = 16 << 20
 
 // DefaultWindow is the per-direction credit window: at most this many
-// un-acknowledged batches in flight per link direction.
+// un-acknowledged batches in flight per link direction. A coordinator may
+// run another; its fragments carry the one it runs (Fragment.Window).
 const DefaultWindow = 16
+
+// MaxWindow and MaxBatchRows bound what a fragment may ask a worker for: a
+// worker allocates a window's worth of channel slots and a batch's worth of
+// builder rows up front, and an allocation it cannot satisfy ends the process
+// rather than the fragment.
+const (
+	MaxWindow    = 1 << 10
+	MaxBatchRows = 1 << 16
+)
 
 // ErrTruncatedFrame reports a frame cut short — a short read inside the
 // length prefix or body, or a batch payload whose size disagrees with its

@@ -46,7 +46,7 @@ func TestFrameReceiveAllocationPin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fr := newFrameReader(&stream, DefaultMaxFrame)
+	fr := newFrameReader(&stream, MaxFrame)
 	recv := func() {
 		_, payload, err := fr.next()
 		if err != nil {

@@ -137,6 +137,11 @@ func FuzzFragment(f *testing.F) {
 	f.Add([]byte(`{"lkeys":[0],"rkeys":[-1],"parts":1}`))
 	f.Add([]byte(`{"lkeys":[0],"rkeys":[0],"part":3,"parts":2}`))
 	f.Add([]byte(`{"lkeys":[0],"rkeys":[0],"parts":1,"batch_size":-4}`))
+	// A batch size no allocation can satisfy ended a worker process in the
+	// builder's reserve; a window sizes the worker's channels the same way.
+	f.Add([]byte(`{"method":"hash","lkeys":[0],"rkeys":[1],"parts":1,"batch_size":1099511627776}`))
+	f.Add([]byte(`{"method":"hash","lkeys":[0],"rkeys":[1],"parts":1,"window":1025}`))
+	f.Add([]byte(`{"method":"hash","lkeys":[0],"rkeys":[1],"parts":1,"window":-1}`))
 	f.Add([]byte(`{"lkeys":null,"rkeys":{}}`))
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -144,7 +149,8 @@ func FuzzFragment(f *testing.F) {
 		if json.Unmarshal(p, &frag) != nil || frag.Validate() != nil {
 			return
 		}
-		if len(frag.LKeys) == 0 || len(frag.LKeys) != len(frag.RKeys) || frag.Part < 0 || frag.Part >= frag.Parts || frag.BatchSize < 0 {
+		if len(frag.LKeys) == 0 || len(frag.LKeys) != len(frag.RKeys) || frag.Part < 0 || frag.Part >= frag.Parts ||
+			frag.BatchSize < 0 || frag.BatchSize > MaxBatchRows || frag.Window < 0 || frag.Window > MaxWindow {
 			t.Fatalf("validated %+v", frag)
 		}
 		for i := range frag.LKeys {

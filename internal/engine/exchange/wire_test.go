@@ -129,7 +129,7 @@ func TestFrameRoundTripAndTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := append([]byte(nil), buf.Bytes()...)
-	fr := newFrameReader(bytes.NewReader(full), DefaultMaxFrame)
+	fr := newFrameReader(bytes.NewReader(full), MaxFrame)
 	typ, got, err := fr.next()
 	if err != nil || typ != frameLeft || !bytes.Equal(got, encodeBatch(src)) {
 		t.Fatalf("batch frame: typ=%d err=%v", typ, err)
@@ -146,13 +146,13 @@ func TestFrameRoundTripAndTruncation(t *testing.T) {
 	}
 	// Any cut inside the frame is a truncation.
 	for _, cut := range []int{1, 3, 4, 5, 28} {
-		if _, _, err := newFrameReader(bytes.NewReader(full[:cut]), DefaultMaxFrame).next(); !errors.Is(err, ErrTruncatedFrame) {
+		if _, _, err := newFrameReader(bytes.NewReader(full[:cut]), MaxFrame).next(); !errors.Is(err, ErrTruncatedFrame) {
 			t.Errorf("cut at %d: err = %v, want ErrTruncatedFrame", cut, err)
 		}
 	}
 	// A hostile length prefix fails fast instead of allocating.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, frameLeft}
-	hr := newFrameReader(bytes.NewReader(huge), DefaultMaxFrame)
+	hr := newFrameReader(bytes.NewReader(huge), MaxFrame)
 	if _, _, err := hr.next(); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("oversized frame: err = %v, want ErrTruncatedFrame", err)
 	}
@@ -195,7 +195,7 @@ func TestDecodedBatchSurvivesReaderReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fr := newFrameReader(&buf, DefaultMaxFrame)
+	fr := newFrameReader(&buf, MaxFrame)
 	_, payload, err := fr.next()
 	if err != nil {
 		t.Fatal(err)

@@ -24,10 +24,6 @@ type Worker struct {
 	// Nil rejects shipped fragments with a frame error, which the
 	// coordinator turns into a retry elsewhere or a local fallback.
 	Store Store
-	// Window is the per-direction credit window; 0 means DefaultWindow.
-	Window int
-	// MaxFrame bounds incoming frames; 0 means DefaultMaxFrame.
-	MaxFrame uint32
 	// ID names this worker in the FragmentStats it ships back (usually its
 	// advertised address). Empty is fine — the coordinator stamps the link
 	// address on receipt anyway.
@@ -35,20 +31,6 @@ type Worker struct {
 	// Stats, when set, accumulates process-wide counters across fragments
 	// (exported by cmd/paroptw on /metrics and /healthz). Nil disables.
 	Stats *WorkerStats
-}
-
-func (w *Worker) window() int {
-	if w.Window > 0 {
-		return w.Window
-	}
-	return DefaultWindow
-}
-
-func (w *Worker) maxFrame() uint32 {
-	if w.MaxFrame > 0 {
-		return w.MaxFrame
-	}
-	return DefaultMaxFrame
 }
 
 // Serve accepts fragment connections until the listener closes, handling
@@ -68,18 +50,18 @@ func (w *Worker) Serve(ln net.Listener) error {
 // connection.
 //
 // Deadlock-freedom: the reader delivers into channels whose buffer equals the
-// credit window, and a credit is granted only when the join's Next takes a
-// batch out of one (recvOp) — so at most Window un-credited batches exist per
-// direction and the reader never blocks on delivery. It therefore always
+// coordinator's credit window — the one the fragment carries — and a credit is
+// granted only when the join's Next takes a batch out of one (recvOp) — so at
+// most Window un-credited batches exist per direction and the reader never
+// blocks on delivery. It therefore always
 // stays responsive to result credits, whatever order the join pulls its
 // inputs in, and a join that stops pulling simply stops granting.
 func (w *Worker) handle(conn net.Conn) {
 	defer conn.Close()
-	win := w.window()
 	// The connection's one frame writer — result batches, credits and the
 	// closing stats/end frames all go through it — and its one frame reader.
 	fw := &frameWriter{w: conn}
-	fr := newFrameReader(conn, w.maxFrame())
+	fr := newFrameReader(conn, MaxFrame)
 
 	typ, payload, err := fr.next()
 	if err != nil || typ != frameFragment {
@@ -96,6 +78,10 @@ func (w *Worker) handle(conn net.Conn) {
 	// processes never need to agree on a wall clock.
 	t0 := nowNanos()
 	since := func() int64 { return nowNanos() - t0 }
+	win := frag.Window
+	if win == 0 {
+		win = DefaultWindow
+	}
 	resWin := newWindow(win)
 	ws := w.Stats
 	if ws == nil {

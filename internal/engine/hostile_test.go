@@ -58,6 +58,10 @@ func TestWorkerSurvivesHostileFragments(t *testing.T) {
 		"probe key past the width":  func(f *exchange.Fragment) { f.LKeys = []int{7} },
 		"merge keys past the width": func(f *exchange.Fragment) { f.Method, f.LKeys = "merge", []int{2} },
 		"sym keys past the width":   func(f *exchange.Fragment) { f.Method, f.RKeys = "sym", []int{2} },
+		// Both size allocations up front: a batch no allocation can satisfy
+		// ended the process in the builder, which no recover catches.
+		"batch size past the cap": func(f *exchange.Fragment) { f.BatchSize = 1 << 40 },
+		"window past the cap":     func(f *exchange.Fragment) { f.Window = exchange.MaxWindow + 1 },
 	}
 	for name, corrupt := range hostile {
 		frag := good()

@@ -21,8 +21,8 @@
 //   - Replay (replay.go): re-executes a recorded workload and reports
 //     plan-choice and latency deltas — the log turned regression harness.
 //
-// Everything is nil-safe in the style of internal/obs: a nil *Profiler or
-// nil *Log turns every method into a no-op so disabled paths cost nothing.
+// A nil *Log is an obs.Sink's no-op, so an unlogged daemon pays nothing for
+// it; the profiler is always on.
 package workload
 
 import (
@@ -39,6 +39,21 @@ import (
 // 2× drift threshold after two to three consistent samples while a single
 // outlier decays quickly.
 const ewmaAlpha = 0.3
+
+// A profile is marked drifted — a re-optimization candidate — once it has at
+// least DriftMinSamples accuracy samples and its row q-error EWMA is at least
+// DriftThreshold.
+const (
+	DriftThreshold  = 2.0
+	DriftMinSamples = 2
+)
+
+// profilerShards and profilerCapacity size the live profiler: new
+// fingerprints beyond the capacity are counted as overflow and dropped.
+const (
+	profilerShards   = 8
+	profilerCapacity = 4096
+)
 
 // Profile aggregates one fingerprint's traffic.
 type Profile struct {
@@ -97,9 +112,6 @@ type Profiler struct {
 	capacity int
 	size     atomic.Int64
 	overflow atomic.Int64
-	// Drift marking knobs, fixed at construction.
-	threshold  float64
-	minSamples int64
 }
 
 type profShard struct {
@@ -107,31 +119,11 @@ type profShard struct {
 	m  map[string]*Profile
 }
 
-// NewProfiler builds a profiler with the given shard count, total profile
-// capacity (new fingerprints beyond it are counted as overflow and
-// dropped), drift threshold (EWMA row q-error above which a profile is
-// marked drifted) and the minimum accuracy samples before marking.
-// Non-positive arguments select the defaults: 8 shards, 4096 profiles,
-// threshold 2, 2 samples.
-func NewProfiler(shards, capacity int, threshold float64, minSamples int) *Profiler {
-	if shards <= 0 {
-		shards = 8
-	}
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	if threshold <= 0 {
-		threshold = 2
-	}
-	if minSamples <= 0 {
-		minSamples = 2
-	}
-	p := &Profiler{
-		shards:     make([]profShard, shards),
-		capacity:   capacity,
-		threshold:  threshold,
-		minSamples: int64(minSamples),
-	}
+// NewProfiler builds the live profiler: 8 shards, 4096 profiles.
+func NewProfiler() *Profiler { return newProfiler(profilerCapacity) }
+
+func newProfiler(capacity int) *Profiler {
+	p := &Profiler{shards: make([]profShard, profilerShards), capacity: capacity}
 	for i := range p.shards {
 		p.shards[i].m = make(map[string]*Profile)
 	}
@@ -163,7 +155,7 @@ func (p *Profiler) profile(fp string) *Profile {
 	return pr
 }
 
-// Observe feeds one finished request. Nil-safe; records without a
+// Observe feeds one finished request. Records without a
 // fingerprint are ignored (requests that failed before fingerprinting are
 // the negative cache's concern, not the profiler's). A failed request counts
 // as an error and contributes no latency sample. A record that carries an
@@ -171,7 +163,7 @@ func (p *Profiler) profile(fp string) *Profile {
 // and its mean |relative error| over calibrated (tf, tl) predictions) also
 // feeds the drift EWMAs, which seed with the first sample.
 func (p *Profiler) Observe(rec Record) {
-	if p == nil || rec.Fingerprint == "" {
+	if rec.Fingerprint == "" {
 		return
 	}
 	pr := p.profile(rec.Fingerprint)
@@ -221,9 +213,6 @@ func (p *Profiler) Observe(rec Record) {
 // its accuracy EWMAs — the old samples measured a plan that no longer
 // serves, so the drift mark must be re-earned against the new one.
 func (p *Profiler) MarkSwept(fp string) {
-	if p == nil {
-		return
-	}
 	sh := p.shard(fp)
 	sh.mu.Lock()
 	pr := sh.m[fp]
@@ -238,8 +227,8 @@ func (p *Profiler) MarkSwept(fp string) {
 	pr.mu.Unlock()
 }
 
-// snapshotLocked copies the profile under its own lock.
-func (pr *Profile) snapshot(threshold float64, minSamples int64) ProfileSnapshot {
+// snapshot copies the profile under its own lock.
+func (pr *Profile) snapshot() ProfileSnapshot {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	s := ProfileSnapshot{
@@ -264,15 +253,12 @@ func (pr *Profile) snapshot(threshold float64, minSamples int64) ProfileSnapshot
 		FirstSeen:   pr.firstSeen.UnixMicro(),
 		LastSeen:    pr.lastSeen.UnixMicro(),
 	}
-	s.Drifted = pr.accSamples >= minSamples && pr.ewmaQErr >= threshold
+	s.Drifted = pr.accSamples >= DriftMinSamples && pr.ewmaQErr >= DriftThreshold
 	return s
 }
 
-// Snapshot copies every profile. Nil-safe (returns nil).
+// Snapshot copies every profile.
 func (p *Profiler) Snapshot() []ProfileSnapshot {
-	if p == nil {
-		return nil
-	}
 	var out []ProfileSnapshot
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -283,7 +269,7 @@ func (p *Profiler) Snapshot() []ProfileSnapshot {
 		}
 		sh.mu.Unlock()
 		for _, pr := range profiles {
-			out = append(out, pr.snapshot(p.threshold, p.minSamples))
+			out = append(out, pr.snapshot())
 		}
 	}
 	return out
@@ -292,9 +278,6 @@ func (p *Profiler) Snapshot() []ProfileSnapshot {
 // Drifted returns snapshots of the profiles currently marked drifted,
 // ordered by traffic (hottest first) — the sweeper's work queue.
 func (p *Profiler) Drifted() []ProfileSnapshot {
-	if p == nil {
-		return nil
-	}
 	var out []ProfileSnapshot
 	for _, s := range p.Snapshot() {
 		if s.Drifted {
@@ -305,20 +288,13 @@ func (p *Profiler) Drifted() []ProfileSnapshot {
 	return out
 }
 
-// Len is the number of profiles tracked; Overflow counts fingerprints
-// dropped at capacity. Nil-safe.
+// Len is the number of profiles tracked.
 func (p *Profiler) Len() int {
-	if p == nil {
-		return 0
-	}
 	return int(p.size.Load())
 }
 
 // Overflow counts new fingerprints dropped because the profiler was full.
 func (p *Profiler) Overflow() int64 {
-	if p == nil {
-		return 0
-	}
 	return p.overflow.Load()
 }
 

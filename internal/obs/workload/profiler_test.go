@@ -8,7 +8,7 @@ import (
 )
 
 func TestProfilerObserveAndSnapshot(t *testing.T) {
-	p := NewProfiler(4, 100, 2, 2)
+	p := NewProfiler()
 	for i := 0; i < 5; i++ {
 		cache := "hit"
 		if i == 0 {
@@ -50,10 +50,10 @@ func TestProfilerObserveAndSnapshot(t *testing.T) {
 }
 
 func TestProfilerDriftMarking(t *testing.T) {
-	p := NewProfiler(2, 10, 2.0, 2)
+	p := NewProfiler()
 	p.Observe(Record{Fingerprint: "hot", Cache: "miss", Query: "q"})
 
-	// One huge sample is not enough (minSamples = 2)...
+	// One huge sample is not enough (DriftMinSamples = 2)...
 	p.Observe(Record{Fingerprint: "hot", Cache: "hit", RelErr: 0.5, QErr: 50})
 	if d := p.Drifted(); len(d) != 0 {
 		t.Fatalf("one sample should not mark drift, got %v", d)
@@ -64,7 +64,7 @@ func TestProfilerDriftMarking(t *testing.T) {
 	if len(d) != 1 || d[0].Fingerprint != "hot" {
 		t.Fatalf("expected hot marked drifted, got %v", d)
 	}
-	if d[0].EWMAQErr < 2 {
+	if d[0].EWMAQErr < DriftThreshold {
 		t.Errorf("EWMA q-error should exceed threshold, got %g", d[0].EWMAQErr)
 	}
 
@@ -87,7 +87,7 @@ func TestProfilerDriftMarking(t *testing.T) {
 }
 
 func TestProfilerCapacityOverflow(t *testing.T) {
-	p := NewProfiler(2, 3, 2, 2)
+	p := newProfiler(3)
 	for i := 0; i < 10; i++ {
 		p.Observe(Record{Fingerprint: fmt.Sprintf("fp-%d", i), Cache: "miss"})
 	}
@@ -105,7 +105,7 @@ func TestProfilerCapacityOverflow(t *testing.T) {
 }
 
 func TestProfilerConcurrency(t *testing.T) {
-	p := NewProfiler(8, 1000, 2, 2)
+	p := NewProfiler()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -157,15 +157,5 @@ func TestSortByAndFormatTable(t *testing.T) {
 	table := FormatTable(snaps)
 	if !strings.Contains(table, "DRIFT") || !strings.Contains(table, "bbb") {
 		t.Errorf("table missing content:\n%s", table)
-	}
-}
-
-func TestNilProfilerIsNoOp(t *testing.T) {
-	var p *Profiler
-	p.Observe(Record{Fingerprint: "x"})
-	p.Observe(Record{Fingerprint: "x", Cache: "hit", RelErr: 1, QErr: 1})
-	p.MarkSwept("x")
-	if p.Len() != 0 || p.Overflow() != 0 || p.Snapshot() != nil || p.Drifted() != nil || p.DriftedCount() != 0 {
-		t.Error("nil profiler should be inert")
 	}
 }

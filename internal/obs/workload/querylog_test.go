@@ -154,7 +154,7 @@ func TestReadLogAcrossFormats(t *testing.T) {
 		t.Errorf("current-format record misread: %+v", cur)
 	}
 	// Both formats aggregate into the one profile.
-	snaps := Aggregate(recs, 0, 0)
+	snaps := Aggregate(recs)
 	if len(snaps) != 1 || snaps[0].Count != 2 || snaps[0].Errors != 1 {
 		t.Errorf("aggregate over mixed formats: %+v", snaps)
 	}

@@ -71,7 +71,7 @@ func TestAggregateMirrorsProfiler(t *testing.T) {
 		{Fingerprint: "b", Query: "qb", Cache: "miss", PlanSig: "P2", ElapsedMicros: 400},
 		{Query: "broken", Error: "no such relation"},
 	}
-	snaps := Aggregate(recs, 2, 2)
+	snaps := Aggregate(recs)
 	if len(snaps) != 2 {
 		t.Fatalf("expected 2 profiles, got %d", len(snaps))
 	}

@@ -116,8 +116,7 @@ func (e *cacheEntry) rendered(c *search.Candidate) (*renderedPlan, error) {
 
 // lru is a mutex-guarded, size-bounded LRU map from string keys — the one
 // implementation under both the plan cache's shards and the negative cache.
-// Get on a hit allocates nothing. A nil *lru is an always-empty cache that
-// stores nothing.
+// Get on a hit allocates nothing.
 type lru[V any] struct {
 	mu      sync.Mutex
 	cap     int
@@ -139,14 +138,11 @@ func (c *lru[V]) init(capacity int, onEvict func()) {
 
 // Get returns the value and refreshes its recency.
 func (c *lru[V]) Get(key string) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
+		var zero V
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
@@ -156,9 +152,6 @@ func (c *lru[V]) Get(key string) (V, bool) {
 // Put inserts or refreshes a value, evicting the least-recently-used one
 // when the map overflows.
 func (c *lru[V]) Put(key string, val V) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -179,9 +172,6 @@ func (c *lru[V]) Put(key string, val V) {
 
 // Len is the resident entry count.
 func (c *lru[V]) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
@@ -190,9 +180,6 @@ func (c *lru[V]) Len() int {
 // PurgeWhere drops every entry whose key satisfies pred and returns how many
 // were dropped. Dropped entries do not count as evictions.
 func (c *lru[V]) PurgeWhere(pred func(key string) bool) int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0

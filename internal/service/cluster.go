@@ -127,7 +127,7 @@ func (s *Service) installPlacement(version string, columns map[string]string) (i
 	if len(workers) == 0 {
 		return installedPlacement{}, badRequestError{errors.New("service: no workers registered to place data on")}
 	}
-	m, err := placement.Build(cat, version, workers, s.cfg.DataSeed, columns)
+	m, err := placement.Build(cat, version, workers, dataSeed, columns)
 	if err != nil {
 		return installedPlacement{}, badRequestError{err}
 	}
@@ -188,7 +188,7 @@ func (s *Service) fallbackStore(version string, cat *catalog.Catalog, db *storag
 	if st, ok := s.fstores[version]; ok {
 		return st
 	}
-	st := placement.NewStore(cat, s.cfg.DataSeed)
+	st := placement.NewStore(cat, dataSeed)
 	for _, name := range cat.RelationNames() {
 		if t, ok := db.Table(name); ok {
 			st.AddTable(t)

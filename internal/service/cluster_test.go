@@ -238,8 +238,8 @@ func TestPlacementInstallAndShippedAnalyze(t *testing.T) {
 	cat := s.catalogs[version]
 	s.mu.RUnlock()
 	lb, err := exchange.StartLoopbackWorkers([]*exchange.Worker{
-		{Join: engine.FragmentJoin, Store: placement.NewStore(cat, s.cfg.DataSeed)},
-		{Join: engine.FragmentJoin, Store: placement.NewStore(cat, s.cfg.DataSeed)},
+		{Join: engine.FragmentJoin, Store: placement.NewStore(cat, dataSeed)},
+		{Join: engine.FragmentJoin, Store: placement.NewStore(cat, dataSeed)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,16 @@ import (
 	"paropt/internal/obs"
 )
 
+// TestNewRefusesOversizedExchangeWindow: fragments carry the window to the
+// workers, which refuse one above exchange.MaxWindow — so the daemon refuses
+// it at startup instead of failing every distributed analyze.
+func TestNewRefusesOversizedExchangeWindow(t *testing.T) {
+	if s, err := New(Config{ExchangeWindow: exchange.MaxWindow + 1}); err == nil {
+		s.Close()
+		t.Fatal("New accepted an exchange window above exchange.MaxWindow")
+	}
+}
+
 // TestDistributedAnalyzeMergesWorkerTrace is the tentpole end-to-end check:
 // a ?distributed=1&analyze=1&trace=1 request must come back with ONE trace
 // spanning processes — worker fragment spans (with their join children and

@@ -307,7 +307,7 @@ func (e *cacheEntry) slabs() []*renderedPlan {
 // choose the same member share it, and a caller appending to resp.Plan
 // cannot write into it.
 func TestMemoBoundedByCoverSet(t *testing.T) {
-	s := newTestService(t, func(c *Config) { c.TraceCapacity = -1; c.WorkloadCapacity = -1 })
+	s := newTestService(t, func(c *Config) { c.TraceCapacity = -1 })
 	ctx := context.Background()
 	var fp, version string
 	for i := 0; i < 10000; i++ {
@@ -607,7 +607,7 @@ func FuzzOptimizeBody(f *testing.F) {
 // miss-heavy client leaves behind. No kept member may hold the operator tree
 // the search priced it from: that pins every layer's operators below it.
 func TestCacheEntryRetainedBudget(t *testing.T) {
-	s := newTestService(t, func(c *Config) { c.TraceCapacity = -1; c.WorkloadCapacity = -1 })
+	s := newTestService(t, func(c *Config) { c.TraceCapacity = -1 })
 	ctx := context.Background()
 	// Distinct templates: a chain over the six relations in a different order
 	// each time.

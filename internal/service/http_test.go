@@ -304,8 +304,8 @@ column B.w ndv=7
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, srv := newTestServer(t, func(c *Config) { c.Catalog = cat })
-	db := storage.NewDatabase(cat, s.cfg.DataSeed)
+	_, srv := newTestServer(t, func(c *Config) { c.Catalog = cat })
+	db := storage.NewDatabase(cat, dataSeed)
 
 	rootRows := func(lit int, wantCache string) int64 {
 		t.Helper()

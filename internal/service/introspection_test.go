@@ -234,18 +234,12 @@ func TestSweeperPlanChangeAuditLog(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "planlog.jsonl")
 	s := newTestService(t, func(cfg *Config) {
 		cfg.Catalog = poisonedCatalog()
-		cfg.DriftThreshold = 3
-		cfg.SweepMinSamples = 1
 		cfg.PlanLogPath = logPath
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	ctx := context.Background()
 
-	first, err := s.Explain(ctx, OptimizeRequest{Query: poisonedSQL, Analyze: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := analyzePoisoned(t, s)
 	s.RefreshCatalog(refreshedCatalog())
 	if n := s.SweepNow(); n != 1 {
 		t.Fatalf("sweep should re-optimize 1 template, got %d", n)

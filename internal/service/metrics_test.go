@@ -152,10 +152,10 @@ func TestMetricsExpositionGolden(t *testing.T) {
 }
 
 // TestMetricsZeroValueRenders guards the no-traffic path: a service nothing
-// has touched, with every optional subsystem disabled, must render parseable
-// output with the right cost-error buckets.
+// has touched, with tracing disabled, must render parseable output with the
+// right cost-error buckets.
 func TestMetricsZeroValueRenders(t *testing.T) {
-	s, err := New(Config{TraceCapacity: -1, WorkloadCapacity: -1, NegCacheCapacity: -1})
+	s, err := New(Config{TraceCapacity: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,18 +10,14 @@ package service
 // The catalog version is part of the key because resolution errors are
 // version-relative: a query naming a relation that does not exist yet must
 // be re-parsed after a schema refresh, not rejected from stale memory.
-// A nil *negCache disables negative caching (every lru method is a no-op on
-// a nil receiver).
 type negCache = lru[error]
 
-// newNegCache builds a cache holding at most capacity errors; capacity < 1
-// disables it (returns nil).
-func newNegCache(capacity int) *negCache {
-	if capacity < 1 {
-		return nil
-	}
+// negCacheCapacity is how many failed queries the negative cache remembers.
+const negCacheCapacity = 256
+
+func newNegCache() *negCache {
 	c := &negCache{}
-	c.init(capacity, nil)
+	c.init(negCacheCapacity, nil)
 	return c
 }
 

@@ -63,6 +63,11 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
+// dataSeed seeds the deterministic synthetic database analyze requests
+// execute against, placement shards and worker stores alike. One database is
+// generated per catalog version on first use.
+const dataSeed = 1
+
 // Config sizes the service. Zero values select the documented defaults.
 type Config struct {
 	// Catalog is the default catalog served when a request names none.
@@ -77,8 +82,6 @@ type Config struct {
 	Algorithm core.Algorithm
 	// CoverCap bounds cover sets (beam search) when > 0.
 	CoverCap int
-	// MemoryPages constrains plans' peak memory when > 0.
-	MemoryPages int64
 	// Workers bounds concurrent searches; default GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds searches waiting for a worker; beyond it requests
@@ -101,42 +104,24 @@ type Config struct {
 	// Logger receives structured per-request log lines (request ID,
 	// fingerprint, cache outcome, latency). Nil discards them.
 	Logger *slog.Logger
-	// DataSeed seeds the deterministic synthetic database analyze requests
-	// execute against; 0 means 1. One database is generated per catalog
-	// version on first use.
-	DataSeed int64
 	// QueryLog, when non-nil, receives one JSONL record per finished request
 	// — served, failed or cancelled — the durable tail of the live
 	// /debug/queries registry. The caller owns the log and closes it after
 	// the service's Close; nil disables logging at zero cost.
 	QueryLog *workload.Log
-	// WorkloadCapacity bounds the per-fingerprint profiles the workload
-	// profiler tracks; 0 means 4096; negative disables profiling entirely
-	// (the /debug/workload endpoint then reports an empty workload and the
-	// drift sweeper never finds work).
-	WorkloadCapacity int
-	// DriftThreshold is the EWMA row q-error above which a profile is marked
-	// drifted (a re-optimization candidate); 0 means 2.
-	DriftThreshold float64
-	// SweepMinSamples is the minimum analyze accuracy samples before a
-	// profile can be marked drifted; 0 means 2.
-	SweepMinSamples int
 	// SweepInterval enables the background drift sweeper when > 0: every
 	// interval it re-runs the DP search for up to sweepLimit drifted
-	// templates against the current default catalog and swaps the cached
-	// cover sets. 0 disables the goroutine (SweepNow still works).
+	// templates (workload.DriftThreshold, workload.DriftMinSamples) against
+	// the current default catalog and swaps the cached cover sets. 0
+	// disables the goroutine (SweepNow still works).
 	SweepInterval time.Duration
-	// NegCacheCapacity sizes the negative cache over parse/resolve failures;
-	// 0 means 256; negative disables it.
-	NegCacheCapacity int
 	// ExchangeWindow overrides the credit window (frames in flight per
 	// direction) for distributed exchanges when > 0; 0 keeps the exchange
-	// default. Small windows make backpressure stalls visible on /metrics,
-	// which is how EXPERIMENTS §OB3 measures the pipeline sync penalty.
+	// default, and New refuses one above exchange.MaxWindow. Every fragment
+	// carries it to its worker. Small windows make backpressure stalls
+	// visible on /metrics, which is how EXPERIMENTS §OB3 measures the
+	// pipeline sync penalty.
 	ExchangeWindow int
-	// BatchRows overrides the engine's columnar batch size (rows per Vec)
-	// for analyze executions when > 0; 0 keeps engine.DefaultBatchRows.
-	BatchRows int
 	// PlanLogPath, when non-empty, additionally appends every plan change as
 	// one JSON line to this file, so swaps survive restarts.
 	PlanLogPath string
@@ -163,8 +148,7 @@ type Service struct {
 
 	// Workload analytics: prof aggregates served traffic per fingerprint,
 	// neg short-circuits repeated parse/resolve failures, qlog persists one
-	// record per request. All three are nil when disabled; every use is
-	// nil-safe, so the disabled paths cost one nil check each.
+	// record per request (nil, and a no-op, without Config.QueryLog).
 	prof *workload.Profiler
 	neg  *negCache
 	qlog *workload.Log
@@ -242,8 +226,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.DataSeed == 0 {
-		cfg.DataSeed = 1
+	if cfg.ExchangeWindow > exchange.MaxWindow {
+		return nil, fmt.Errorf("service: exchange window %d above %d", cfg.ExchangeWindow, exchange.MaxWindow)
 	}
 	s := &Service{
 		cfg:             cfg,
@@ -262,6 +246,9 @@ func New(cfg Config) (*Service, error) {
 		searchlog:       newSearchLog(),
 		planlog:         newPlanLog(),
 		inflight:        newInflightRegistry(),
+		prof:            workload.NewProfiler(),
+		neg:             newNegCache(),
+		qlog:            cfg.QueryLog,
 		start:           time.Now(),
 	}
 	if cfg.PlanLogPath != "" {
@@ -279,20 +266,9 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.met.init()
 	s.cache = newPlanCache(cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
-	s.sessKey = fmt.Sprintf("m=%dc%dd%dn%dN,cs%g,ds%g,ns%g,nl%g,agg%t,aggl%t|alg=%d,cover=%d,mem=%d",
+	s.sessKey = fmt.Sprintf("m=%dc%dd%dn%dN,cs%g,ds%g,ns%g,nl%g,agg%t,aggl%t|alg=%d,cover=%d",
 		mcfg.CPUs, mcfg.Disks, mcfg.Networks, mcfg.Nodes, mcfg.CPUSpeed, mcfg.DiskSpeed, mcfg.NetSpeed,
-		mcfg.NetLatency, mcfg.AggregateDisks, mcfg.AggregateLinks, cfg.Algorithm, cfg.CoverCap, cfg.MemoryPages)
-	if cfg.WorkloadCapacity >= 0 {
-		s.prof = workload.NewProfiler(0, cfg.WorkloadCapacity, cfg.DriftThreshold, cfg.SweepMinSamples)
-	}
-	if cfg.NegCacheCapacity >= 0 {
-		n := cfg.NegCacheCapacity
-		if n == 0 {
-			n = 256
-		}
-		s.neg = newNegCache(n)
-	}
-	s.qlog = cfg.QueryLog
+		mcfg.NetLatency, mcfg.AggregateDisks, mcfg.AggregateLinks, cfg.Algorithm, cfg.CoverCap)
 	if cfg.Catalog != nil {
 		s.defaultVersion = s.RegisterCatalog(cfg.Catalog)
 	}
@@ -426,7 +402,7 @@ func (s *Service) retireCatalog(version string) {
 	s.logger.Info("catalog retired", "version", version, "plans", plans, "negatives", negs)
 }
 
-// Workload exposes the per-fingerprint profiler (nil when disabled).
+// Workload exposes the per-fingerprint profiler.
 func (s *Service) Workload() *workload.Profiler { return s.prof }
 
 // RegisterSchema parses schema DDL (internal/parser grammar) and registers
@@ -693,12 +669,10 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 	s.met.FullSearch.Add(1)
 	start := time.Now()
 	opt, err := core.NewOptimizer(cat, q, core.Config{
-		Machine:     s.mcfg,
-		Algorithm:   s.cfg.Algorithm,
-		CoverCap:    s.cfg.CoverCap,
-		MemoryPages: s.cfg.MemoryPages,
-		Placed:      placed,
-		BatchRows:   s.cfg.BatchRows,
+		Machine:   s.mcfg,
+		Algorithm: s.cfg.Algorithm,
+		CoverCap:  s.cfg.CoverCap,
+		Placed:    placed,
 	})
 	if err != nil {
 		return nil, badRequestError{err}
@@ -1032,7 +1006,7 @@ func (s *Service) analyzeDB(version string, cat *catalog.Catalog) (*storage.Data
 	if db, ok := s.dbs[version]; ok {
 		return db, nil
 	}
-	db := storage.NewDatabase(cat, s.cfg.DataSeed)
+	db := storage.NewDatabase(cat, dataSeed)
 	s.dbs[version] = db
 	return db, nil
 }

@@ -49,9 +49,6 @@ func (s *Service) sweeperLoop(interval time.Duration) {
 // returns how many cache entries it replaced. Exported so tests and
 // operators can force a pass without waiting for the ticker.
 func (s *Service) SweepNow() int {
-	if s.prof == nil {
-		return 0
-	}
 	s.met.SweepRuns.Add(1)
 	n := 0
 	for _, d := range s.prof.Drifted() {

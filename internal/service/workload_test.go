@@ -52,7 +52,8 @@ func TestNegativeCacheShortCircuitsParseFailures(t *testing.T) {
 }
 
 func TestNegativeCacheLRUBound(t *testing.T) {
-	c := newNegCache(2)
+	var c negCache
+	c.init(2, nil)
 	c.Put("a", errors.New("ea"))
 	c.Put("b", errors.New("eb"))
 	if _, ok := c.Get("a"); !ok {
@@ -67,11 +68,6 @@ func TestNegativeCacheLRUBound(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("len = %d, want 2", c.Len())
-	}
-	var nilCache *negCache
-	nilCache.Put("x", errors.New("x"))
-	if _, ok := nilCache.Get("x"); ok || nilCache.Len() != 0 {
-		t.Error("nil negative cache should be inert")
 	}
 }
 
@@ -134,22 +130,33 @@ func refreshedCatalog() *catalog.Catalog {
 
 const poisonedSQL = "SELECT * FROM A, B, C WHERE A.b = B.a AND B.b = C.a AND A.s = 0"
 
+// analyzePoisoned serves the poisoned template's explain-analyze
+// workload.DriftMinSamples times — what it takes the profiler to mark it
+// drifted — and returns the first response.
+func analyzePoisoned(t *testing.T, s *Service) *ExplainResponse {
+	t.Helper()
+	var first *ExplainResponse
+	for i := 0; i < workload.DriftMinSamples; i++ {
+		resp, err := s.Explain(context.Background(), OptimizeRequest{Query: poisonedSQL, Analyze: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = resp
+		}
+	}
+	return first
+}
+
 // TestSweeperReoptimizesPoisonedEntry is the acceptance scenario: wrong
 // statistics are detected by analyze (q-error drift), the operator refreshes
 // the catalog, and the sweeper re-optimizes the hot template so the next
 // request hits a warm entry with a different plan.
 func TestSweeperReoptimizesPoisonedEntry(t *testing.T) {
-	s := newTestService(t, func(cfg *Config) {
-		cfg.Catalog = poisonedCatalog()
-		cfg.DriftThreshold = 3
-		cfg.SweepMinSamples = 1
-	})
+	s := newTestService(t, func(cfg *Config) { cfg.Catalog = poisonedCatalog() })
 	ctx := context.Background()
 
-	first, err := s.Explain(ctx, OptimizeRequest{Query: poisonedSQL, Analyze: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := analyzePoisoned(t, s)
 	if first.Analyze == nil || first.Analyze.MaxQErrRows < 3 {
 		t.Fatalf("poisoned statistics should produce a large row q-error, got %+v", first.Analyze)
 	}
@@ -353,51 +360,14 @@ func TestQueryLogAndReplayInProcess(t *testing.T) {
 	}
 }
 
-// TestSweepNowDisabledProfiler: a service with profiling disabled treats
-// sweeps (and the workload surface) as no-ops.
-func TestSweepNowDisabledProfiler(t *testing.T) {
-	s := newTestService(t, func(cfg *Config) {
-		cfg.WorkloadCapacity = -1
-		cfg.NegCacheCapacity = -1
-	})
-	if _, err := s.Optimize(context.Background(), OptimizeRequest{Query: chainSQL(3, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Workload() != nil || s.SweepNow() != 0 {
-		t.Error("disabled profiler should be nil and sweeps no-ops")
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/workload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("disabled workload endpoint should still serve, got %d", resp.StatusCode)
-	}
-	var report map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := report["fingerprints"].(float64); n != 0 {
-		t.Errorf("disabled profiler should report 0 fingerprints, got %v", report["fingerprints"])
-	}
-}
-
 // TestSweeperLoopRunsInBackground: the ticker-driven loop picks up drifted
 // templates without an explicit SweepNow.
 func TestSweeperLoopRunsInBackground(t *testing.T) {
 	s := newTestService(t, func(cfg *Config) {
 		cfg.Catalog = poisonedCatalog()
-		cfg.DriftThreshold = 3
-		cfg.SweepMinSamples = 1
 		cfg.SweepInterval = 10 * time.Millisecond
 	})
-	ctx := context.Background()
-	if _, err := s.Explain(ctx, OptimizeRequest{Query: poisonedSQL, Analyze: true}); err != nil {
-		t.Fatal(err)
-	}
+	analyzePoisoned(t, s)
 	if s.Workload().DriftedCount() != 1 {
 		t.Fatal("template should be marked drifted")
 	}
@@ -414,15 +384,11 @@ func driftedService(t *testing.T, mutate func(*Config)) *Service {
 	t.Helper()
 	s := newTestService(t, func(cfg *Config) {
 		cfg.Catalog = poisonedCatalog()
-		cfg.DriftThreshold = 3
-		cfg.SweepMinSamples = 1
 		if mutate != nil {
 			mutate(cfg)
 		}
 	})
-	if _, err := s.Explain(context.Background(), OptimizeRequest{Query: poisonedSQL, Analyze: true}); err != nil {
-		t.Fatal(err)
-	}
+	analyzePoisoned(t, s)
 	if s.Workload().DriftedCount() != 1 {
 		t.Fatal("template should be marked drifted")
 	}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Surface scoreboard: what a user can run, set, call and scrape, plus how much
-# code carries it. Prints the six numbers and fails when a count differs from
+# code carries it. Prints the eight numbers and fails when a count differs from
 # scripts/surface.golden or the line count exceeds its ceiling there — so an
-# added binary, flag, route or metric family is a visible diff of the golden,
-# not a side effect. Needs no build and starts nothing.
+# added binary, flag, service.Config field, route or metric family is a
+# visible diff of the golden, not a side effect. Needs no build and starts
+# nothing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -12,6 +13,8 @@ loc=$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path 
 counts=$(
   echo "binaries $(ls cmd | wc -l)"
   echo "paroptd_flags $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paroptd/main.go)"
+  echo "paroptw_flags $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paroptw/main.go)"
+  echo "service_config_fields $(sed -n '/^type Config struct {/,/^}/p' internal/service/service.go | grep -c '^	[A-Z]')"
   echo "routes $(grep -c 'mux\.HandleFunc("' internal/service/http.go)"
   echo "metric_families $(grep -c '^# TYPE' internal/service/testdata/metrics.golden)"
   echo "paroptw_metric_families $(grep -c '^# TYPE' cmd/paroptw/testdata/metrics.golden)"
