@@ -49,17 +49,42 @@ func NewModel(cat *catalog.Catalog, m *machine.Machine, est *plan.Estimator, p P
 // Dim is the resource-vector dimensionality (the paper's l).
 func (m *Model) Dim() int { return m.M.NumResources() }
 
+// Scratch is the working memory of pricing: one plan's vectors and operators
+// are carved from it and recycled by the next, so pricing allocates nothing
+// once it has grown. It belongs to one goroutine and its owner (a search),
+// never a Model, which concurrent requests share; nil allocates on the heap.
+type Scratch struct {
+	buf  []float64
+	used int
+	ops  optree.Arena
+}
+
+// vec carves a zero vector of dimension l from s. A full chunk is replaced,
+// not grown, so the vectors carved from it stay valid.
+func (s *Scratch) vec(l int) Vec {
+	if s == nil {
+		return NewVec(l)
+	}
+	if s.used+l > len(s.buf) {
+		s.buf, s.used = make([]float64, max(2*len(s.buf), 16*l)), 0
+	}
+	v := Vec(s.buf[s.used : s.used+l : s.used+l])
+	s.used += l
+	clear(v)
+	return v
+}
+
 // Descriptor computes the resource descriptor of a whole operator tree,
 // recursively: children first (sync'd if their edge is materialized, with a
 // redistribution transfer piped in when flagged), then composed with the
 // node's own base descriptor via Pipe (one input) or TreeDesc (two inputs).
 func (m *Model) Descriptor(op *optree.Op) ResDescriptor {
-	return m.descriptor(op, nil, ResDescriptor{})
+	return m.descriptor(nil, op, nil, ResDescriptor{})
 }
 
-// descriptor is Descriptor with the subtree done taken as costed already: its
-// descriptor is doneDesc, not recomputed.
-func (m *Model) descriptor(op, done *optree.Op, doneDesc ResDescriptor) ResDescriptor {
+// descriptor is Descriptor in s with the subtree done taken as costed
+// already: its descriptor is doneDesc, not recomputed.
+func (m *Model) descriptor(s *Scratch, op, done *optree.Op, doneDesc ResDescriptor) ResDescriptor {
 	if op == done {
 		return doneDesc
 	}
@@ -69,25 +94,25 @@ func (m *Model) descriptor(op, done *optree.Op, doneDesc ResDescriptor) ResDescr
 	// well would double-count (in Example 3 the join's usage is exactly the
 	// probe I/O, not probe + one full index scan).
 	inputs := op.EffectiveInputs()
-	children := make([]ResDescriptor, len(inputs))
+	var children [2]ResDescriptor
 	for i, in := range inputs {
-		d := m.descriptor(in, done, doneDesc)
+		d := m.descriptor(s, in, done, doneDesc)
 		if in.Redistribute {
-			d = d.Pipe(m.redistribution(in), m.P.PipelineK)
+			d = d.pipe(s, m.redistribution(s, in), m.P.PipelineK)
 		}
 		if in.Composition == optree.Materialized {
 			d = d.Sync()
 		}
 		children[i] = d
 	}
-	base := m.base(op)
-	switch len(children) {
+	base := m.base(s, op)
+	switch len(inputs) {
 	case 0:
 		return base
 	case 1:
-		return children[0].Pipe(base, m.P.PipelineK)
+		return children[0].pipe(s, base, m.P.PipelineK)
 	default:
-		return TreeDesc(children[0], children[1], base, m.P.PipelineK)
+		return treeDesc(s, children[0], children[1], base, m.P.PipelineK)
 	}
 }
 
@@ -104,7 +129,7 @@ type demand struct {
 	w Vec
 }
 
-func (m *Model) newDemand() *demand { return &demand{m: m, w: NewVec(m.Dim())} }
+func (m *Model) newDemand(s *Scratch) demand { return demand{m: m, w: s.vec(m.Dim())} }
 
 // addAt charges work to one resource, normalized by its speed.
 func (d *demand) addAt(id machine.ResourceID, work float64) {
@@ -155,8 +180,8 @@ func (d *demand) addCPU(work float64, clone optree.Cloning) {
 // overlap within an operator), first-tuple usage zero for pipelined
 // operators and full for blocking ones (sort, build, create-index emit
 // nothing until done).
-func (m *Model) base(op *optree.Op) ResDescriptor {
-	d := m.newDemand()
+func (m *Model) base(s *Scratch, op *optree.Op) ResDescriptor {
+	d := m.newDemand(s)
 	p := m.P
 	switch op.Kind {
 	case optree.Scan:
@@ -239,7 +264,7 @@ func (m *Model) base(op *optree.Op) ResDescriptor {
 		// Blocking operators emit their first tuple only at the end.
 		return ResDescriptor{First: last, Last: last}
 	default:
-		return ResDescriptor{First: ZeroRV(m.Dim()), Last: last}
+		return ResDescriptor{First: ResVector{W: s.vec(m.Dim())}, Last: last}
 	}
 }
 
@@ -250,7 +275,7 @@ func (m *Model) base(op *optree.Op) ResDescriptor {
 // the stream that actually crosses node boundaries is charged, per
 // interconnect link, so a node-local repartition is cheaper than a cross-node
 // one and the two are genuinely incomparable under the partial order.
-func (m *Model) redistribution(child *optree.Op) ResDescriptor {
+func (m *Model) redistribution(s *Scratch, child *optree.Op) ResDescriptor {
 	if m.placedCoLocated(child) {
 		// A placed base relation repartitioned on its own placement column:
 		// every shard is already at the node that consumes it, so the
@@ -258,19 +283,20 @@ func (m *Model) redistribution(child *optree.Op) ResDescriptor {
 		// no latency. This is what makes co-located joins strictly cheaper
 		// on the network dimensions and therefore incomparable with (rather
 		// than dominated by) shapes that repartition.
-		return ResDescriptor{First: ZeroRV(m.Dim()), Last: ZeroRV(m.Dim())}
+		zero := ResVector{W: s.vec(m.Dim())}
+		return ResDescriptor{First: zero, Last: zero}
 	}
 	bytes := float64(child.OutCard) * float64(child.Width)
 	if m.M.Nodes() > 1 {
-		return m.crossNodeRedistribution(child, bytes)
+		return m.crossNodeRedistribution(s, child, bytes)
 	}
-	d := m.newDemand()
+	d := m.newDemand(s)
 	if net, ok := m.M.NetworkFor(0); ok {
 		d.addAt(net, bytes*m.P.NetByte)
 	} else {
 		d.addCPU(float64(child.OutCard)*m.P.CPUTuple, child.Clone)
 	}
-	return ResDescriptor{First: ZeroRV(m.Dim()), Last: RV(d.w.Max(), d.w)}
+	return ResDescriptor{First: ResVector{W: s.vec(m.Dim())}, Last: RV(d.w.Max(), d.w)}
 }
 
 // crossNodeRedistribution charges a repartitioned edge on a shared-nothing
@@ -281,7 +307,7 @@ func (m *Model) redistribution(child *optree.Op) ResDescriptor {
 // link carries its outbound share to the other targets plus its inbound
 // share from the other producers. Each used link also charges its fixed
 // startup latency once to the response time.
-func (m *Model) crossNodeRedistribution(child *optree.Op, bytes float64) ResDescriptor {
+func (m *Model) crossNodeRedistribution(s *Scratch, child *optree.Op, bytes float64) ResDescriptor {
 	producers := m.producerNodes(child)
 	targets := child.RedistTargets
 	if len(targets) == 0 {
@@ -291,7 +317,7 @@ func (m *Model) crossNodeRedistribution(child *optree.Op, bytes float64) ResDesc
 		}
 	}
 	share := bytes / (float64(len(producers)) * float64(len(targets)))
-	d := m.newDemand()
+	d := m.newDemand(s)
 	latency := 0.0
 	charge := func(node int, xfer float64) {
 		if xfer <= 0 {
@@ -321,7 +347,7 @@ func (m *Model) crossNodeRedistribution(child *optree.Op, bytes float64) ResDesc
 		}
 		charge(t, share*in)
 	}
-	return ResDescriptor{First: ZeroRV(m.Dim()), Last: RV(d.w.Max()+latency, d.w)}
+	return ResDescriptor{First: ResVector{W: s.vec(m.Dim())}, Last: RV(d.w.Max()+latency, d.w)}
 }
 
 // placedFor returns the placement entry of a base-relation access operator.
@@ -397,18 +423,17 @@ func log2(n float64) float64 {
 // OwnDemands returns the operator's own per-resource work demands (speed
 // normalized), independent of its children — the quantity a scheduler or
 // simulator charges the machine for this task.
-func (m *Model) OwnDemands(op *optree.Op) Vec { return m.base(op).Last.W.Clone() }
+func (m *Model) OwnDemands(op *optree.Op) Vec { return m.base(nil, op).Last.W }
 
 // TransferDemands returns the per-resource demands of redistributing an
 // operator's output (the §4.2 redistribution annotation).
-func (m *Model) TransferDemands(op *optree.Op) Vec {
-	return m.redistribution(op).Last.W.Clone()
-}
+func (m *Model) TransferDemands(op *optree.Op) Vec { return m.redistribution(nil, op).Last.W }
 
 // PlanCost expands, annotates and costs an annotated join tree in one step.
-// It returns the descriptor and the operator tree it was computed from.
+// It returns the descriptor and the operator tree it was computed from, on
+// the heap; like all pricing outside a search, it is safe for concurrent use.
 func (m *Model) PlanCost(n *plan.Node, eopts optree.ExpandOptions, aopts optree.AnnotateOptions) (ResDescriptor, *optree.Op, error) {
-	d, op, _, err := m.ExtendCost(n, nil, ResDescriptor{}, 0, eopts, aopts)
+	d, op, _, _, err := m.ExtendCost(nil, n, nil, ResDescriptor{}, 0, eopts, aopts)
 	return d, op, err
 }
 
@@ -419,13 +444,19 @@ func (m *Model) PlanCost(n *plan.Node, eopts optree.ExpandOptions, aopts optree.
 // costed — §5's tree(L, R, root) with L taken as given. The result is
 // bit-identical to PlanCost(n) because a left operand is annotated, hence
 // priced, inside the tree exactly as standalone (optree.AnnotateAbove). left
-// is not mutated; a nil left prices the whole tree. The tree's total clone
-// degree is returned as well.
-func (m *Model) ExtendCost(n *plan.Node, left *optree.Op, leftDesc ResDescriptor, leftDeg int, eopts optree.ExpandOptions, aopts optree.AnnotateOptions) (ResDescriptor, *optree.Op, int, error) {
-	op, done, err := optree.ExpandOver(n, left, m.Est, eopts)
-	if err != nil {
-		return ResDescriptor{}, nil, 0, fmt.Errorf("cost: %w", err)
+// is not mutated; a nil left prices the whole tree. It also returns done, the
+// copy of left's root the new operators sit on, and the total clone degree.
+// ExtendCost resets s and prices in it (on the heap for a nil s); the result
+// lives there until s's next use: Clone and optree.Promote copy out the kept.
+func (m *Model) ExtendCost(s *Scratch, n *plan.Node, left *optree.Op, leftDesc ResDescriptor, leftDeg int, eopts optree.ExpandOptions, aopts optree.AnnotateOptions) (d ResDescriptor, root, done *optree.Op, deg int, err error) {
+	var a *optree.Arena
+	if s != nil {
+		s.used, a = 0, &s.ops
+		a.Reset()
 	}
-	deg := optree.AnnotateAbove(op, done, leftDeg, m.M, m.Est, aopts)
-	return m.descriptor(op, done, leftDesc), op, deg, nil
+	if root, done, err = optree.ExpandOver(a, n, left, m.Est, eopts); err != nil {
+		return ResDescriptor{}, nil, nil, 0, fmt.Errorf("cost: %w", err)
+	}
+	deg = optree.AnnotateAbove(root, done, leftDeg, m.M, m.Est, aopts)
+	return m.descriptor(s, root, done, leftDesc), root, done, deg, nil
 }

@@ -328,7 +328,7 @@ func TestCrossNodeLatencyChargedOnce(t *testing.T) {
 			Redistribute: true, RedistTargets: []int{0, 1},
 			Clone: optree.Cloning{Resources: []machine.ResourceID{m.M.CPUs()[0]}},
 		}
-		return m.redistribution(op)
+		return m.redistribution(new(Scratch), op)
 	}
 	flat := build(0)
 	slow := build(3)
@@ -424,12 +424,12 @@ func TestPlanCost(t *testing.T) {
 func TestBlockingOperatorsHaveFullFirst(t *testing.T) {
 	m, _ := fixture(t, 2, 2)
 	scan := &optree.Op{Kind: optree.Scan, Relation: "R1", OutCard: 50_000, Width: 16}
-	base := m.base(scan)
+	base := m.base(new(Scratch), scan)
 	if base.First.T != 0 || !base.First.W.IsZero() {
 		t.Error("scan first-tuple usage should be zero (fully pipelined)")
 	}
 	sort := &optree.Op{Kind: optree.Sort, Inputs: []*optree.Op{scan}, InCard: 50_000, Width: 16}
-	bs := m.base(sort)
+	bs := m.base(new(Scratch), sort)
 	if bs.First.T != bs.Last.T {
 		t.Error("sort emits first tuple at completion")
 	}

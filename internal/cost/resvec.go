@@ -13,33 +13,31 @@ type Vec []float64
 // NewVec returns a zero vector of dimension l.
 func NewVec(l int) Vec { return make(Vec, l) }
 
-// Clone returns an independent copy.
-func (v Vec) Clone() Vec {
-	out := make(Vec, len(v))
-	copy(out, v)
-	return out
-}
-
 // Add returns v + u component-wise.
-func (v Vec) Add(u Vec) Vec {
-	out := v.Clone()
-	for i := range u {
-		out[i] += u[i]
-	}
-	return out
-}
+func (v Vec) Add(u Vec) Vec { return add(NewVec(len(v)), v, u) }
 
 // Sub returns v − u component-wise, floored at zero (work already performed
 // cannot be negative; the floor keeps residuals physical).
-func (v Vec) Sub(u Vec) Vec {
-	out := v.Clone()
-	for i := range u {
-		out[i] -= u[i]
-		if out[i] < 0 {
-			out[i] = 0
+func (v Vec) Sub(u Vec) Vec { return sub(NewVec(len(v)), v, u) }
+
+// add writes v + u into dst. The calculus writes into caller-supplied vectors
+// (lower-case twins of its operators), which the value API wraps.
+func add(dst, v, u Vec) Vec {
+	for i := range dst {
+		dst[i] = v[i] + u[i]
+	}
+	return dst
+}
+
+// sub writes v − u, floored at zero, into dst and returns it.
+func sub(dst, v, u Vec) Vec {
+	for i := range dst {
+		dst[i] = v[i] - u[i]
+		if dst[i] < 0 {
+			dst[i] = 0
 		}
 	}
-	return out
+	return dst
 }
 
 // Max is the largest component (the busiest resource's work).
@@ -109,20 +107,24 @@ func ZeroRV(l int) ResVector { return ResVector{W: NewVec(l)} }
 func (r ResVector) String() string { return fmt.Sprintf("(%g, %s)", r.T, r.W) }
 
 // Seq is r1 ; r2 = (t1 + t2, w1 + w2): sequential execution.
-func (r ResVector) Seq(u ResVector) ResVector {
-	return ResVector{T: r.T + u.T, W: r.W.Add(u.W)}
+func (r ResVector) Seq(u ResVector) ResVector { return r.seq(NewVec(len(r.W)), u) }
+
+func (r ResVector) seq(w Vec, u ResVector) ResVector {
+	return ResVector{T: r.T + u.T, W: add(w, r.W, u.W)}
 }
 
 // Minus is the vector subtraction used for residuals (the paper notes that
 // on resource vectors plain subtraction "accurately estimates the
 // subtraction of the materialized front", replacing ⊖). Both time and work
 // are floored at zero.
-func (r ResVector) Minus(u ResVector) ResVector {
+func (r ResVector) Minus(u ResVector) ResVector { return r.minus(NewVec(len(r.W)), u) }
+
+func (r ResVector) minus(w Vec, u ResVector) ResVector {
 	t := r.T - u.T
 	if t < 0 {
 		t = 0
 	}
-	return ResVector{T: t, W: r.W.Sub(u.W)}
+	return ResVector{T: t, W: sub(w, r.W, u.W)}
 }
 
 // Par is r1 || r2 with resource contention (§5.2.2):
@@ -132,16 +134,28 @@ func (r ResVector) Minus(u ResVector) ResVector {
 // Under no contention this degenerates to max(t1, t2); when both fragments
 // hammer the same resource, the shared resource's summed work dominates and
 // the IPE estimate degrades toward sequential execution — desideratum 1.
-func (r ResVector) Par(u ResVector) ResVector {
-	w := r.W.Add(u.W)
+func (r ResVector) Par(u ResVector) ResVector { return r.par(NewVec(len(r.W)), u) }
+
+func (r ResVector) par(w Vec, u ResVector) ResVector {
+	return ResVector{T: parTime(r, u), W: add(w, r.W, u.W)}
+}
+
+// parTime is the t of r || u, computed without building its work vector.
+func parTime(r, u ResVector) Time {
 	t := r.T
 	if u.T > t {
 		t = u.T
 	}
-	if m := w.Max(); m > t {
+	m := 0.0
+	for i := range r.W {
+		if x := r.W[i] + u.W[i]; x > m {
+			m = x
+		}
+	}
+	if m > t {
 		t = m
 	}
-	return ResVector{T: t, W: w}
+	return t
 }
 
 // ScaleTime stretches only the response time by factor f ≥ 1, leaving work
@@ -172,8 +186,7 @@ func Delta(k float64, p, c ResVector) float64 {
 	if denom <= 0 {
 		return 1
 	}
-	tp := p.Par(c).T
-	d := 1 + k*(tp-max)/denom
+	d := 1 + k*(parTime(p, c)-max)/denom
 	if d < 1 {
 		return 1
 	}
@@ -199,6 +212,14 @@ func (d ResDescriptor) RT() Time { return d.Last.T }
 // the traditional optimization metric of §3.
 func (d ResDescriptor) Work() float64 { return d.Last.W.Sum() }
 
+// Clone copies d into one slab of 2L floats that shares nothing with d: how a
+// descriptor priced in a Scratch is kept.
+func (d ResDescriptor) Clone() ResDescriptor {
+	l := len(d.First.W)
+	w := append(append(make(Vec, 0, 2*l), d.First.W...), d.Last.W...)
+	return ResDescriptor{First: RV(d.First.T, w[:l:l]), Last: RV(d.Last.T, w[l:])}
+}
+
 // Sync models a materialized subtree: first-tuple usage becomes last-tuple
 // usage.
 func (d ResDescriptor) Sync() ResDescriptor {
@@ -206,8 +227,11 @@ func (d ResDescriptor) Sync() ResDescriptor {
 }
 
 // Seq composes descriptors sequentially, component-wise.
-func (d ResDescriptor) Seq(u ResDescriptor) ResDescriptor {
-	return ResDescriptor{First: d.First.Seq(u.First), Last: d.Last.Seq(u.Last)}
+func (d ResDescriptor) Seq(u ResDescriptor) ResDescriptor { return d.seq(nil, u) }
+
+func (d ResDescriptor) seq(s *Scratch, u ResDescriptor) ResDescriptor {
+	l := len(d.First.W)
+	return ResDescriptor{First: d.First.seq(s.vec(l), u.First), Last: d.Last.seq(s.vec(l), u.Last)}
 }
 
 // Pipe is the pipeline composition on resource descriptors with the δ(k)
@@ -215,23 +239,31 @@ func (d ResDescriptor) Seq(u ResDescriptor) ResDescriptor {
 //
 //	r⃗f = p⃗f ; c⃗f
 //	r⃗l = p⃗f ; c⃗f ; δ(k) × ((p⃗l − p⃗f) || (c⃗l − c⃗f))
-func (p ResDescriptor) Pipe(c ResDescriptor, k float64) ResDescriptor {
-	first := p.First.Seq(c.First)
-	pres := p.Last.Minus(p.First)
-	cres := c.Last.Minus(c.First)
-	par := pres.Par(cres).ScaleTime(Delta(k, pres, cres))
-	return ResDescriptor{First: first, Last: first.Seq(par)}
+func (p ResDescriptor) Pipe(c ResDescriptor, k float64) ResDescriptor { return p.pipe(nil, c, k) }
+
+func (p ResDescriptor) pipe(s *Scratch, c ResDescriptor, k float64) ResDescriptor {
+	l := len(p.First.W)
+	first := p.First.seq(s.vec(l), c.First)
+	pres := p.Last.minus(s.vec(l), p.First)
+	cres := c.Last.minus(s.vec(l), c.First)
+	par := pres.par(s.vec(l), cres)
+	par = par.ScaleTime(Delta(k, pres, cres))
+	return ResDescriptor{First: first, Last: first.seq(s.vec(l), par)}
 }
 
 // TreeDesc is tree(L, R, root) on resource descriptors, mirroring §5.1's
 // rule: the materialized frontiers run in parallel, the residuals pipeline,
 // and the result pipes into the root.
 func TreeDesc(l, r, root ResDescriptor, k float64) ResDescriptor {
+	return treeDesc(nil, l, r, root, k)
+}
+
+func treeDesc(s *Scratch, l, r, root ResDescriptor, k float64) ResDescriptor {
 	dim := len(root.Last.W)
-	front := l.First.Par(r.First)
+	front := l.First.par(s.vec(dim), r.First)
 	t1 := ResDescriptor{First: front, Last: front}
-	lres := ResDescriptor{First: ZeroRV(dim), Last: l.Last.Minus(l.First)}
-	rres := ResDescriptor{First: ZeroRV(dim), Last: r.Last.Minus(r.First)}
-	t2 := t1.Seq(lres.Pipe(rres, k))
-	return t2.Pipe(root, k)
+	zero := ResVector{W: s.vec(dim)}
+	lres := ResDescriptor{First: zero, Last: l.Last.minus(s.vec(dim), l.First)}
+	rres := ResDescriptor{First: zero, Last: r.Last.minus(s.vec(dim), r.First)}
+	return t1.seq(s, lres.pipe(s, rres, k)).pipe(s, root, k)
 }

@@ -18,6 +18,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -124,10 +125,10 @@ type Machine struct {
 	disks     []ResourceID
 	nets      []ResourceID
 	// cpuRR and diskRR are the round-robin allocation orders used by CPUFor
-	// and DiskFor. On a single node they equal cpus/disks; on a multi-node
-	// machine they interleave across nodes so consecutive indices land on
-	// different nodes first (clone sets span nodes, declustered relations
-	// spread Gamma-style).
+	// and DiskFor (cpuRR twice over, for CPUWindow). On a single node they
+	// follow cpus/disks; on a multi-node machine they interleave across nodes
+	// so consecutive indices land on different nodes first (clone sets span
+	// nodes, declustered relations spread Gamma-style).
 	cpuRR  []ResourceID
 	diskRR []ResourceID
 	// nodeLinks[k] is node k's interconnect port; with AggregateLinks every
@@ -186,7 +187,7 @@ func New(cfg Config) *Machine {
 		for i := 0; i < cfg.Networks; i++ {
 			m.nets = append(m.nets, add(Network, fmt.Sprintf("net%d", i), speed(cfg.NetSpeed), 0, 0))
 		}
-		m.cpuRR, m.diskRR = m.cpus, m.disks
+		m.cpuRR, m.diskRR = slices.Concat(m.cpus, m.cpus), m.disks
 		return m
 	}
 	// Shared-nothing layout: node-major resource IDs (node k's CPUs, disks,
@@ -216,7 +217,8 @@ func New(cfg Config) *Machine {
 			m.nodeLinks = append(m.nodeLinks, link)
 		}
 	}
-	m.cpuRR = interleave(m.cpus, nodes)
+	rr := interleave(m.cpus, nodes)
+	m.cpuRR = slices.Concat(rr, rr)
 	m.diskRR = interleave(m.disks, nodes)
 	return m
 }
@@ -285,7 +287,14 @@ func (m *Machine) CPUFor(i int) ResourceID {
 	if i < 0 {
 		i = -i
 	}
-	return m.cpuRR[i%len(m.cpuRR)]
+	return m.cpuRR[i%len(m.cpus)]
+}
+
+// CPUWindow returns CPUFor(offset+i) for i < deg (offset ≥ 0, deg ≤
+// len(CPUs())) as a capped window of a shared table: it allocates nothing.
+func (m *Machine) CPUWindow(offset, deg int) []ResourceID {
+	o := offset % len(m.cpus)
+	return m.cpuRR[o : o+deg : o+deg]
 }
 
 // NetworkFor returns a network resource if one exists, and false otherwise.

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +81,33 @@ func TestCPUForWraps(t *testing.T) {
 	}
 	if m.CPUFor(0) == m.CPUFor(1) {
 		t.Error("distinct CPU indexes below count must map to distinct CPUs")
+	}
+}
+
+// TestCPUWindowIsCPUFor: every window is the CPUFor sequence it stands for,
+// at every offset of two turns of the round-robin and every degree, on one
+// node and on three; appending to a window leaves the shared table alone.
+func TestCPUWindowIsCPUFor(t *testing.T) {
+	for _, cfg := range []Config{{CPUs: 4, Disks: 1}, {CPUs: 2, Disks: 1, Nodes: 3}} {
+		m := New(cfg)
+		n := len(m.CPUs())
+		for offset := 0; offset < 2*n; offset++ {
+			for deg := 1; deg <= n; deg++ {
+				w := m.CPUWindow(offset, deg)
+				if len(w) != deg || cap(w) != deg {
+					t.Fatalf("%s: CPUWindow(%d, %d) has len %d cap %d", m, offset, deg, len(w), cap(w))
+				}
+				for i, r := range w {
+					if r != m.CPUFor(offset+i) {
+						t.Fatalf("%s: CPUWindow(%d, %d)[%d] = %d, CPUFor(%d) = %d", m, offset, deg, i, r, offset+i, m.CPUFor(offset+i))
+					}
+				}
+				_ = append(w, -1)
+				if slices.Contains(m.cpuRR, -1) {
+					t.Fatalf("%s: append to CPUWindow(%d, %d) wrote the shared table", m, offset, deg)
+				}
+			}
+		}
 	}
 }
 

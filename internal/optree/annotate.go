@@ -92,12 +92,8 @@ func (a *annotator) clone(op *Op) {
 	if deg > a.maxDeg {
 		deg = a.maxDeg
 	}
-	res := make([]machine.ResourceID, deg)
-	for i := range res {
-		res[i] = a.m.CPUFor(a.offset + i)
-	}
+	op.Clone = Cloning{Resources: a.m.CPUWindow(a.offset, deg), Attribute: partitionAttr(op, a.est)}
 	a.offset += deg
-	op.Clone = Cloning{Resources: res, Attribute: partitionAttr(op, a.est)}
 }
 
 // edges is the second pass: redistribution on edges. On multi-node machines

@@ -1,0 +1,53 @@
+package optree
+
+// Arena holds operators built to be priced and mostly thrown away: Reset
+// recycles them all at once and Promote copies out the ones a caller keeps.
+// An Arena belongs to one goroutine; a nil one builds on the heap.
+type Arena struct {
+	ops []Op
+	ins []*Op
+}
+
+// Reset recycles every operator carved from a.
+func (a *Arena) Reset() { a.ops, a.ins = a.ops[:0], a.ins[:0] }
+
+// op carves a copy of o from a. A full chunk is replaced, never grown.
+func (a *Arena) op(o Op) *Op {
+	if a == nil {
+		p := new(Op)
+		*p = o
+		return p
+	}
+	if len(a.ops) == cap(a.ops) {
+		a.ops = make([]Op, 0, max(2*cap(a.ops), 16))
+	}
+	a.ops = append(a.ops, o)
+	return &a.ops[len(a.ops)-1]
+}
+
+// inputs carves an Inputs slice holding in from a.
+func (a *Arena) inputs(in ...*Op) []*Op {
+	if a == nil {
+		return append([]*Op(nil), in...)
+	}
+	if len(a.ins)+len(in) > cap(a.ins) {
+		a.ins = make([]*Op, 0, max(2*cap(a.ins), 32))
+	}
+	a.ins = append(a.ins, in...)
+	return a.ins[len(a.ins)-len(in) : len(a.ins) : len(a.ins)]
+}
+
+// Promote copies op's tree to the heap down to done: done's own node is
+// copied, its inputs (already on the heap) are not; a nil done copies the
+// whole tree. Clone sets are windows of the machine's table, shared as is.
+func Promote(op, done *Op) *Op {
+	cp := new(Op)
+	*cp = *op
+	if op != done && len(op.Inputs) > 0 {
+		cp.Inputs = make([]*Op, len(op.Inputs))
+		for i, in := range op.Inputs {
+			cp.Inputs[i] = Promote(in, done)
+		}
+	}
+	return cp
+}

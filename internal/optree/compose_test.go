@@ -71,7 +71,7 @@ func TestAnnotateOperandsContextFreeUpToOffset(t *testing.T) {
 		// is above the standalone left operand gives the whole tree's
 		// annotations and total degree, and leaves the operand untouched.
 		leftTable := left.AnnotationTable()
-		root, done, err := ExpandOver(p, left, e, DefaultExpandOptions())
+		root, done, err := ExpandOver(new(Arena), p, left, e, DefaultExpandOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,48 +25,37 @@ func DefaultExpandOptions() ExpandOptions {
 // elided for inputs that already carry the merge order (the paper: "if R2 is
 // already sorted then only one sort operation needs to be stated").
 func Expand(n *plan.Node, est *plan.Estimator, opts ExpandOptions) (*Op, error) {
+	root, _, err := ExpandOver(nil, n, nil, est, opts)
+	return root, err
+}
+
+// ExpandOver is Expand into the arena a for a join node whose left operand
+// was expanded before, into left: only the right operand and the method's
+// root operators are built and validated. The edge annotations to the new
+// parent live on the child, so left's root is copied into a and the caller's
+// tree never mutated; the copy is returned as done, the subtree AnnotateAbove
+// and cost.Model.ExtendCost leave alone. A nil left expands the whole tree.
+func ExpandOver(a *Arena, n *plan.Node, left *Op, est *plan.Estimator, opts ExpandOptions) (root, done *Op, err error) {
 	if n == nil {
-		return nil, fmt.Errorf("optree: nil plan")
+		return nil, nil, fmt.Errorf("optree: nil plan")
 	}
-	op, err := expand(n, est, opts)
-	if err != nil {
-		return nil, err
+	if left != nil {
+		done = a.op(*left)
 	}
-	if err := op.Validate(); err != nil {
-		return nil, err
-	}
-	return op, nil
-}
-
-// ExpandOver is Expand for a join node whose left operand was expanded
-// before, into left: only the right operand and the method's root operators
-// are built and validated. The edge annotations to the new parent live on the
-// child, so left's root is shallow-copied and the caller's tree never
-// mutated; the copy is returned as done, the subtree AnnotateAbove and
-// cost.Model.ExtendCost leave alone. A nil left expands the whole tree.
-func ExpandOver(n *plan.Node, left *Op, est *plan.Estimator, opts ExpandOptions) (root, done *Op, err error) {
-	if left == nil {
-		root, err = Expand(n, est, opts)
-		return root, nil, err
-	}
-	cp := *left
-	right, err := expand(n.Right, est, opts)
-	if err != nil {
+	if root, err = a.expand(n, done, est, opts); err != nil {
 		return nil, nil, err
 	}
-	if root, err = expandJoin(n, &cp, right, est, opts); err != nil {
-		return nil, nil, err
-	}
-	return root, &cp, root.validate(&cp)
+	return root, done, root.validate(done)
 }
 
-func expand(n *plan.Node, est *plan.Estimator, opts ExpandOptions) (*Op, error) {
+// expand expands n, taking over as its left operand's tree when set.
+func (a *Arena) expand(n *plan.Node, over *Op, est *plan.Estimator, opts ExpandOptions) (*Op, error) {
 	if n.IsLeaf() {
 		kind := Scan
 		if n.Access == plan.IndexScan {
 			kind = IndexScanOp
 		}
-		return &Op{
+		return a.op(Op{
 			Kind:        kind,
 			Relation:    n.Relation,
 			Index:       n.Index,
@@ -74,22 +63,24 @@ func expand(n *plan.Node, est *plan.Estimator, opts ExpandOptions) (*Op, error) 
 			OutCard:     n.Card,
 			Width:       n.Width,
 			Source:      n,
-		}, nil
+		}), nil
 	}
-	left, err := expand(n.Left, est, opts)
+	left, err := over, error(nil)
+	if left == nil {
+		if left, err = a.expand(n.Left, nil, est, opts); err != nil {
+			return nil, err
+		}
+	}
+	right, err := a.expand(n.Right, nil, est, opts)
 	if err != nil {
 		return nil, err
 	}
-	right, err := expand(n.Right, est, opts)
-	if err != nil {
-		return nil, err
-	}
-	return expandJoin(n, left, right, est, opts)
+	return a.expandJoin(n, left, right, est, opts)
 }
 
 // expandJoin builds the root operators of join node n over its expanded
 // operands.
-func expandJoin(n *plan.Node, left, right *Op, est *plan.Estimator, opts ExpandOptions) (*Op, error) {
+func (a *Arena) expandJoin(n *plan.Node, left, right *Op, est *plan.Estimator, opts ExpandOptions) (*Op, error) {
 	switch n.Method {
 	case plan.SortMerge:
 		var lKey, rKey query.ColumnRef
@@ -101,38 +92,38 @@ func expandJoin(n *plan.Node, left, right *Op, est *plan.Estimator, opts ExpandO
 				lKey, rKey = rKey, lKey
 			}
 		}
-		lIn := sortIfNeeded(left, n.Left, est.MergeOrder(n.Preds, true), lKey, n)
-		rIn := sortIfNeeded(right, n.Right, est.MergeOrder(n.Preds, false), rKey, n)
-		return &Op{
+		lIn := a.sortIfNeeded(left, n.Left, est.MergeSorted(n.Left, n.Preds, true), lKey, n)
+		rIn := a.sortIfNeeded(right, n.Right, est.MergeSorted(n.Right, n.Preds, false), rKey, n)
+		return a.op(Op{
 			Kind:        Merge,
-			Inputs:      []*Op{lIn, rIn},
+			Inputs:      a.inputs(lIn, rIn),
 			Composition: Pipelined,
 			InCard:      n.Left.Card,
 			OutCard:     n.Card,
 			Width:       n.Width,
 			Preds:       n.Preds,
 			Source:      n,
-		}, nil
+		}), nil
 	case plan.HashJoin:
-		build := &Op{
+		build := a.op(Op{
 			Kind:        Build,
-			Inputs:      []*Op{right},
+			Inputs:      a.inputs(right),
 			Composition: Materialized, // probe cannot start before build completes
 			InCard:      n.Right.Card,
 			OutCard:     n.Right.Card,
 			Width:       n.Right.Width,
 			Source:      n,
-		}
-		return &Op{
+		})
+		return a.op(Op{
 			Kind:        Probe,
-			Inputs:      []*Op{left, build},
+			Inputs:      a.inputs(left, build),
 			Composition: Pipelined,
 			InCard:      n.Left.Card,
 			OutCard:     n.Card,
 			Width:       n.Width,
 			Preds:       n.Preds,
 			Source:      n,
-		}, nil
+		}), nil
 	case plan.NestedLoops:
 		inner := right
 		// A non-base inner cannot be rescanned per outer tuple; it must be
@@ -144,50 +135,50 @@ func expandJoin(n *plan.Node, left, right *Op, est *plan.Estimator, opts ExpandO
 		// inner so each outer tuple probes instead of rescanning.
 		if right.Kind == Scan && opts.CreateIndexThreshold > 0 &&
 			n.Right.Card >= opts.CreateIndexThreshold && len(n.Preds) > 0 {
-			inner = &Op{
+			inner = a.op(Op{
 				Kind:        CreateIndex,
-				Inputs:      []*Op{right},
+				Inputs:      a.inputs(right),
 				Composition: Materialized,
 				InCard:      n.Right.Card,
 				OutCard:     n.Right.Card,
 				Width:       n.Right.Width,
 				Source:      n,
-			}
+			})
 		}
-		return &Op{
+		return a.op(Op{
 			Kind:        PureNL,
-			Inputs:      []*Op{left, inner},
+			Inputs:      a.inputs(left, inner),
 			Composition: Pipelined,
 			InCard:      n.Left.Card,
 			OutCard:     n.Card,
 			Width:       n.Width,
 			Preds:       n.Preds,
 			Source:      n,
-		}, nil
+		}), nil
 	default:
 		return nil, fmt.Errorf("optree: unknown join method %v", n.Method)
 	}
 }
 
-// sortIfNeeded wraps in with an explicit Sort unless the plan subtree
-// already delivers the required merge order. key is the raw (uncanonical)
-// merge column on this side, recorded so the execution engine can sort.
-func sortIfNeeded(in *Op, sub *plan.Node, want plan.Ordering, key query.ColumnRef, join *plan.Node) *Op {
-	if !want.Empty() && want.Prefix(sub.Order) {
+// sortIfNeeded wraps in with an explicit Sort unless the plan subtree is
+// sorted already. key is the raw (uncanonical) merge column on this side,
+// recorded so the execution engine can sort.
+func (a *Arena) sortIfNeeded(in *Op, sub *plan.Node, sorted bool, key query.ColumnRef, join *plan.Node) *Op {
+	if sorted {
 		// Already ordered: the child feeds the merge directly; the merge
 		// can consume it pipelined but must still wait for the *other*
 		// side's sort, which the calculus handles via the materialized
 		// front.
 		return in
 	}
-	return &Op{
+	return a.op(Op{
 		Kind:        Sort,
-		Inputs:      []*Op{in},
+		Inputs:      a.inputs(in),
 		Composition: Materialized,
 		InCard:      sub.Card,
 		OutCard:     sub.Card,
 		Width:       sub.Width,
 		SortKey:     key,
 		Source:      join,
-	}
+	})
 }

@@ -89,7 +89,8 @@ func (c Composition) String() string {
 // a set of resources and the attribute the input is partitioned on.
 type Cloning struct {
 	// Resources are the CPU resources the clones run on; empty means the
-	// operator is not cloned.
+	// operator is not cloned. The annotator hands out windows of a table the
+	// machine shares (machine.CPUWindow): read them, never write them.
 	Resources []machine.ResourceID
 	// Attribute is the partitioning attribute.
 	Attribute query.ColumnRef

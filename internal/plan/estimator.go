@@ -196,17 +196,18 @@ func (e *Estimator) JoinOn(left, right *Node, method JoinMethod, preds []query.J
 // CrossProduct reports whether the join node has no spanning predicate.
 func CrossProduct(n *Node) bool { return !n.IsLeaf() && len(n.Preds) == 0 }
 
-// MergeOrder returns the ordering a sort-merge join over the predicates
-// needs on the given side (left or right), canonicalized.
-func (e *Estimator) MergeOrder(preds []query.JoinPredicate, leftSide bool) Ordering {
-	if len(preds) == 0 {
-		return nil
+// MergeSorted reports whether plan subtree sub already delivers the order a
+// sort-merge join over the predicates needs on the given side (left or
+// right): that side's canonical merge column leads sub's ordering.
+func (e *Estimator) MergeSorted(sub *Node, preds []query.JoinPredicate, leftSide bool) bool {
+	if len(preds) == 0 || len(sub.Order) == 0 {
+		return false
 	}
-	p := preds[0]
+	col := preds[0].Right
 	if leftSide {
-		return e.CanonOrdering(Ordering{p.Left})
+		col = preds[0].Left
 	}
-	return e.CanonOrdering(Ordering{p.Right})
+	return sub.Order[0] == e.Canon(col)
 }
 
 // JoinColumnNDV estimates the distinct values of the first join predicate's

@@ -268,13 +268,14 @@ func TestOrderingRelations(t *testing.T) {
 func TestMergeOrderAndNDV(t *testing.T) {
 	_, q, e := fixture(t)
 	preds := q.Joins[:1] // R.id = S.fk
-	lo := e.MergeOrder(preds, true)
-	ro := e.MergeOrder(preds, false)
-	if !lo.Equal(ro) {
-		t.Errorf("merge orders should canonicalize equal: %v vs %v", lo, ro)
+	for _, col := range []query.ColumnRef{preds[0].Left, preds[0].Right} {
+		sorted := &Node{Order: e.CanonOrdering(Ordering{col})}
+		if !e.MergeSorted(sorted, preds, true) || !e.MergeSorted(sorted, preds, false) {
+			t.Errorf("merge orders should canonicalize equal: %v satisfies one side, not both", col)
+		}
 	}
-	if e.MergeOrder(nil, true) != nil {
-		t.Error("no preds, no merge order")
+	if e.MergeSorted(&Node{Order: Ordering{preds[0].Left}}, nil, true) || e.MergeSorted(&Node{}, preds, true) {
+		t.Error("no preds or no order, no merge order")
 	}
 	if got := e.JoinColumnNDV(preds, true); got != 10000 {
 		t.Errorf("NDV(R.id) = %d", got)

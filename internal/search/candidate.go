@@ -154,8 +154,16 @@ type Searcher struct {
 	// once per split rather than once per node (EXPERIMENTS §HB1).
 	spanning map[[2]query.RelSet][]query.JoinPredicate
 	leaves   [][]*plan.Node // by query position; nil until first asked for
+	// scratch holds cand, the plan last priced, and done, the copy of its left
+	// operand's root its new operators sit on, until promote copies them out.
+	// root says dp is solving the full set, whose plans nothing extends.
+	scratch cost.Scratch
+	cand    Candidate
+	done    *optree.Op
+	root    bool
 	// priced, when set, sees every plan the search prices, still holding the
-	// operator tree it was priced from (the differential test's tap).
+	// operator tree it was priced from (the differential test's tap); all of
+	// it is the scratch's, valid only during the call.
 	priced func(*Candidate)
 }
 
@@ -195,26 +203,27 @@ var nothing Candidate
 // pricing of the oracles (brute force, randomized, two-phase).
 func (s *Searcher) cost(n *plan.Node) (*Candidate, error) {
 	c, err := s.extend(&nothing, n)
-	if c != nil {
-		c.op = nil
+	if c == nil {
+		return nil, err
 	}
-	return c, err
+	return &Candidate{Node: n, Desc: c.Desc.Clone()}, nil
 }
 
 // extend is the dynamic program's pricing: plan n, whose left operand is
 // left's plan, is priced by composition — left's operator tree and descriptor
 // are reused as they stand and only the right operand and the new root
 // operators are expanded, annotated and costed (cost.Model.ExtendCost). A
-// leaf composes over nothing. Nil when a limit prunes n.
+// leaf composes over nothing. The result is s.cand, valid until the next
+// extend (promote keeps it); nil when a limit prunes n.
 func (s *Searcher) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
-	d, op, deg, err := s.opt.Model.ExtendCost(n, left.op, left.Desc, left.deg, s.opt.Expand, s.opt.Annotate)
+	d, op, done, deg, err := s.opt.Model.ExtendCost(&s.scratch, n, left.op, left.Desc, left.deg, s.opt.Expand, s.opt.Annotate)
 	if err != nil {
 		return nil, err
 	}
-	c := &Candidate{Node: n, Desc: d, op: op, deg: deg}
+	s.cand, s.done = Candidate{Node: n, Desc: d, op: op, deg: deg}, done
 	s.stats.PhysicalPlans++
 	if s.priced != nil {
-		s.priced(c)
+		s.priced(&s.cand)
 	}
 	if s.opt.WorkLimit > 0 && d.Work() > s.opt.WorkLimit {
 		s.stats.Pruned++
@@ -226,7 +235,17 @@ func (s *Searcher) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
 		s.stats.PrunedMemory++
 		return nil, nil
 	}
-	return c, nil
+	return &s.cand, nil
+}
+
+// promote copies the candidate extend last priced to the heap: its descriptor
+// and, but for a root, its new operators down to (not into) its left operand's.
+func (s *Searcher) promote(c *Candidate) *Candidate {
+	kept := &Candidate{Node: c.Node, Desc: c.Desc.Clone()}
+	if !s.root {
+		kept.op, kept.deg = optree.Promote(c.op, s.done), c.deg
+	}
+	return kept
 }
 
 // costAll prices plan trees in order, dropping the ones cost prunes.

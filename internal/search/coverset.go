@@ -1,10 +1,11 @@
 package search
 
 // CoverSet maintains the set of mutually incomparable plans of Figure 2
-// (lines L3–L6): inserting a new plan rejects it if some stored plan
-// dominates it, otherwise deletes every stored plan the newcomer dominates
-// and keeps the newcomer. The invariant is that stored plans are pairwise
-// incomparable and every plan ever offered is covered by some stored plan.
+// (lines L3–L6): offering a new plan rejects it if some stored plan
+// dominates it (Dominated), otherwise deletes every stored plan the newcomer
+// dominates and keeps the newcomer (Admit). The invariant is that stored
+// plans are pairwise incomparable and every plan ever offered is covered by
+// some stored plan.
 //
 // An optional cap turns the exact cover into a beam: when the cover
 // outgrows Cap, the worst member under Rank is evicted. This forfeits the
@@ -34,14 +35,21 @@ func NewBeamCoverSet(m Metric, cap int, rank Comparator) *CoverSet {
 	return &CoverSet{metric: m, Cap: cap, Rank: rank}
 }
 
-// Insert offers a candidate; it reports whether the candidate was kept.
-func (cs *CoverSet) Insert(c *Candidate) bool {
+// Dominated is the first half of offering a candidate (line L3): it reports
+// whether some stored plan dominates c, counting c as rejected if so.
+func (cs *CoverSet) Dominated(c *Candidate) bool {
 	for _, p := range cs.plans {
 		if cs.metric.Dominates(p, c) {
 			cs.Rejected++
-			return false
+			return true
 		}
 	}
+	return false
+}
+
+// Admit is the second half (lines L4–L6): it deletes every stored plan c
+// dominates and keeps c, reporting whether c is still stored (a cap may evict it).
+func (cs *CoverSet) Admit(c *Candidate) bool {
 	kept := cs.plans[:0]
 	for _, p := range cs.plans {
 		if !cs.metric.Dominates(c, p) {

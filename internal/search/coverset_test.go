@@ -23,6 +23,10 @@ func vecCand(name string, w ...float64) *Candidate {
 	}
 }
 
+// Insert offers c the way the search does (insert): the dominance test, then
+// the admit step. It reports whether c was kept.
+func (cs *CoverSet) Insert(c *Candidate) bool { return !cs.Dominated(c) && cs.Admit(c) }
+
 func TestCoverSetInsert(t *testing.T) {
 	cs := NewCoverSet(ResourceVectorMetric{L: 2})
 	a := vecCand("a", 1, 5)

@@ -140,6 +140,7 @@ func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 
 	mark := s.beginLayer()
 	solved := make(map[query.RelSet]*CoverSet, n)
+	s.root = n == 1
 	for i := 0; i < n; i++ {
 		s.stats.PlansConsidered++ // accessPlans(Ri)
 		leaves, err := s.leafChoices(i)
@@ -169,6 +170,7 @@ func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 	for i := 2; i <= n; i++ {
 		mark = s.beginLayer()
 		cur := make(map[query.RelSet]*CoverSet)
+		s.root = i == n
 		var err error
 		query.SubsetsOfSize(n, i, func(set query.RelSet) {
 			if err != nil {
@@ -197,7 +199,7 @@ func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 }
 
 // extendInto prices every plan of nodes over left (extend) and offers the
-// survivors to cs.
+// survivors to cs (insert).
 func (s *Searcher) extendInto(cs *CoverSet, left *Candidate, nodes []*plan.Node) error {
 	for _, n := range nodes {
 		c, err := s.extend(left, n)
@@ -239,19 +241,18 @@ func (s *Searcher) newCover(metric Metric) *CoverSet {
 	return NewCoverSet(metric)
 }
 
-// insert adds a candidate to a cover set, tracking statistics. A rejected
+// insert offers the candidate extend just priced to a cover set, promoting it
+// only once no stored plan dominates it, and tracks statistics. A rejected
 // candidate is classified by what rejected it: the Theorem 3 dominance test
-// (some stored plan covers it) or beam eviction (it survived dominance but
-// was the cap's eviction victim).
+// or beam eviction (it survived dominance but was the cap's victim).
 func (s *Searcher) insert(cs *CoverSet, c *Candidate) {
-	rejected := cs.Rejected
-	if !cs.Insert(c) {
+	switch {
+	case cs.Dominated(c):
 		s.stats.Pruned++
-		if cs.Rejected > rejected {
-			s.stats.PrunedDominance++
-		} else {
-			s.stats.PrunedBeam++
-		}
+		s.stats.PrunedDominance++
+	case !cs.Admit(s.promote(c)):
+		s.stats.Pruned++
+		s.stats.PrunedBeam++
 	}
 	if cs.Len() > s.stats.MaxCoverSize {
 		s.stats.MaxCoverSize = cs.Len()
@@ -277,16 +278,13 @@ next:
 }
 
 // finish extracts the result from the full set's cover. A root is never
-// extended, so its candidates drop the operator trees they were priced from
-// (and with them every layer's below).
+// extended, so its candidates were kept without operator trees, and every
+// layer's below is garbage once the search returns.
 func (s *Searcher) finish(cs *CoverSet) (*Result, error) {
 	if cs == nil || cs.Empty() {
 		return &Result{Stats: s.stats}, nil
 	}
 	frontier := append([]*Candidate(nil), cs.Plans()...)
-	for _, c := range frontier {
-		c.op = nil
-	}
 	best := s.bestOf(frontier)
 	return &Result{
 		Best:     best,

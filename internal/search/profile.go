@@ -48,8 +48,8 @@ type LayerRecord struct {
 	// MaxCover is the largest single cover set in the layer (k in §6.2).
 	MaxCover int `json:"maxCover"`
 	// BytesRetained estimates the memory held by the layer's stored
-	// candidates (the operators each was priced from and its descriptor
-	// vectors dominate; shared plan nodes are not charged per candidate).
+	// candidates (candidateBytes: their descriptor slabs and the operators
+	// promoted with them; shared plan nodes are not charged per candidate).
 	BytesRetained int64 `json:"bytesRetained"`
 	// WallNanos is the layer's wall-clock time.
 	WallNanos int64 `json:"wallNanos"`
@@ -169,16 +169,20 @@ func (s *Searcher) endLayer(m layerMark, card, subsets int, kept int64, maxCover
 	s.stats.Layers = append(s.stats.Layers, rec)
 }
 
-// candidateBytes estimates the bytes one stored candidate retains: the
-// cover-set slot and the Candidate struct (descriptor headers, operator-tree
-// pointer and clone degree included), the two work vectors (one coordinate
-// per machine resource), and the operators only it holds — the join root it
-// was priced from, the shallow copy of its left operand's root and the right
-// operand's access; auxiliary sorts and builds and the clone sets come on
-// top. Plan nodes and the left operand's operators are shared across
-// extensions and not charged per candidate.
+// candidateBytes estimates the bytes one stored candidate retains — what
+// promote copied out for it: the cover-set slot, the Candidate, its
+// descriptor's slab of 2L floats, and (but for a root) its promoted
+// operators: the join's root operators, the right operand's access and the
+// copy of the left operand's root, four on average over the BenchmarkPODP
+// search, with three Inputs pointers. Clone sets are windows of the
+// machine's table; plan nodes and the left operand's operators are shared
+// across extensions and not charged per candidate.
 func (s *Searcher) candidateBytes() int64 {
 	dim := int64(s.opt.Model.Dim())
-	const slot = 8
-	return slot + int64(unsafe.Sizeof(Candidate{})) + 2*8*dim + 3*int64(unsafe.Sizeof(optree.Op{}))
+	const slot, ops, inputs = 8, 4, 3
+	b := slot + int64(unsafe.Sizeof(Candidate{})) + 2*8*dim
+	if !s.root {
+		b += ops*int64(unsafe.Sizeof(optree.Op{})) + inputs*8
+	}
+	return b
 }
