@@ -51,7 +51,7 @@ func replayMain(args []string) {
 	var svc *paropt.Service
 	if *addr != "" {
 		if *planLogFile != "" {
-			fatal(fmt.Errorf("replay: -plan-log-file needs in-process mode (drop -addr); a daemon keeps its own /debug/planlog"))
+			fatal(fmt.Errorf("replay: -plan-log-file needs in-process mode (drop -addr); a daemon records its plan changes as traces, listed at /debug/traces?kind=plan-change"))
 		}
 		exec = httpExecutor(*addr)
 	} else {

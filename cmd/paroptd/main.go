@@ -41,13 +41,13 @@
 //	GET  /healthz                                              → liveness
 //	GET  /metrics                                              → Prometheus text
 //	GET  /debug/traces                                         → trace IDs
-//	GET  /debug/trace/{id}                                     → one span tree, plus the
-//	                                                             search entry and plan
-//	                                                             changes it caused
+//	                        (?kind=search or ?kind=plan-change lists the
+//	                         traces holding a DP search or a plan swap)
+//	GET  /debug/trace/{id}                                     → one span tree: phases,
+//	                                                             search with per-layer
+//	                                                             spans, operators, worker
+//	                                                             fragments, plan change
 //	GET  /debug/workload                                       → per-template profiles
-//	GET  /debug/search                                         → recent searches with
-//	                                                             per-layer telemetry
-//	GET  /debug/planlog                                        → plan-change audit log
 //	GET  /debug/queries                                        → in-flight queries with
 //	                                                             live (tf, tl) progress + ETA
 //	GET  /debug/queries/{id}                                   → one in-flight query
@@ -115,7 +115,7 @@ func main() {
 	queryLog := flag.String("query-log", "", "append-only JSONL query log: one record per finished request, served, failed or cancelled (empty = disabled); feed it to `paropt replay` / `paropt workload`")
 	sweep := flag.Duration("sweep", 0, "drift-sweeper interval: re-optimize drifted hot templates in the background (0 = disabled)")
 	exchWindow := flag.Int("exchange-window", 0, "credit window (frames in flight per direction, at most 1024) for distributed exchanges; fragments carry it to the workers (0 = exchange default)")
-	planLogFile := flag.String("plan-log-file", "", "additionally append plan changes as JSONL to this file (empty = memory only)")
+	planLogFile := flag.String("plan-log-file", "", "additionally append plan changes as JSONL to this file, each naming its trace (empty = traces only)")
 	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	flag.Parse()
 

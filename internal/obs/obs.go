@@ -20,6 +20,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,23 +29,30 @@ import (
 
 // Tracer creates traces and retains the most recent ones in a Ring for the
 // /debug/trace endpoints. A trace's ID is the tracer's prefix plus the
-// trace's ring sequence number in base 36, so lookup by ID is Ring.At. Safe
-// for concurrent use.
+// trace's ring sequence number in base 36, so lookup by ID is Ring.At. Keep
+// pins a trace in a second ring so a rare one outlives the stream of ordinary
+// traces that would evict it. Safe for concurrent use.
 type Tracer struct {
 	prefix string
 	ring   *Ring[*Trace]
+	kept   *Ring[*Trace]
 }
 
+// keepCapacity is how many pinned traces Keep retains.
+const keepCapacity = 256
+
 // NewTracer builds a tracer retaining up to capacity traces (default 256
-// when capacity <= 0).
+// when capacity <= 0), plus up to keepCapacity pinned ones.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 256
 	}
 	t := &Tracer{prefix: strconv.FormatInt(time.Now().UnixNano()&0xffffff, 36) + "-"}
 	t.ring = NewRing(capacity, func(tr **Trace, seq uint64) {
+		(*tr).seq = seq
 		(*tr).id = t.prefix + strconv.FormatUint(seq, 36)
 	})
+	t.kept = NewRing[*Trace](keepCapacity, nil)
 	return t
 }
 
@@ -61,6 +69,17 @@ func (t *Tracer) Start(name string) (*Trace, *Span) {
 	return tr, tr.root
 }
 
+// Keep pins the trace s belongs to, so it stays retrievable after the ring
+// has evicted it, until keepCapacity later pins displace it. Call it at most
+// once per trace: a trace pinned twice is listed twice once the ring evicts
+// it. Nil-safe.
+func (t *Tracer) Keep(s *Span) {
+	if t == nil || s == nil {
+		return
+	}
+	t.kept.Add(s.tr)
+}
+
 // Get returns a retained trace by ID, or nil. The trace may still be in
 // flight; render it with Trace.JSON, which locks consistently.
 func (t *Tracer) Get(id string) *Trace {
@@ -75,36 +94,45 @@ func (t *Tracer) Get(id string) *Trace {
 	if err != nil {
 		return nil
 	}
-	tr, _ := t.ring.At(seq)
-	return tr
+	if tr, ok := t.ring.At(seq); ok {
+		return tr
+	}
+	for _, tr := range t.kept.Snapshot(0) {
+		if tr.seq == seq {
+			return tr
+		}
+	}
+	return nil
 }
 
-// IDs lists retained trace IDs, newest first.
-func (t *Tracer) IDs() []string {
+// Traces lists every retained trace once, newest first: the ring's, then the
+// pinned ones it has evicted.
+func (t *Tracer) Traces() []*Trace {
 	if t == nil {
 		return nil
 	}
-	traces := t.ring.Snapshot(0)
-	out := make([]string, len(traces))
-	for i, tr := range traces {
-		out[i] = tr.id
+	out := t.ring.Snapshot(0)
+	oldest := uint64(math.MaxUint64)
+	if len(out) > 0 {
+		oldest = out[len(out)-1].seq
+	}
+	for _, tr := range t.kept.Snapshot(0) {
+		if tr.seq < oldest { // the ring holds every sequence from oldest on
+			out = append(out, tr)
+		}
 	}
 	return out
 }
 
 // Len is the number of retained traces.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.ring.Len()
-}
+func (t *Tracer) Len() int { return len(t.Traces()) }
 
 // Trace is one request's span tree. All span mutation goes through the
 // trace mutex, so spans may be created and ended from different goroutines
 // (e.g. a search running on a worker-pool goroutine).
 type Trace struct {
 	id    string
+	seq   uint64
 	start time.Time
 	mu    sync.Mutex
 	root  *Span

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -107,7 +108,8 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	}
 	// Every method must be callable on nils.
 	tr.Get("x")
-	tr.IDs()
+	tr.Traces()
+	tr.Keep(span)
 	if tr.Len() != 0 {
 		t.Error("nil tracer length should be 0")
 	}
@@ -153,12 +155,37 @@ func TestTracerRingEviction(t *testing.T) {
 	if tr.Get(t1.ID()) != nil {
 		t.Error("oldest trace should be evicted")
 	}
-	ids := tr.IDs()
-	if len(ids) != 2 || ids[0] != t3.ID() || ids[1] != t2.ID() {
-		t.Errorf("IDs should be newest-first: %v (want [%s %s])", ids, t3.ID(), t2.ID())
+	traces := tr.Traces()
+	if len(traces) != 2 || traces[0] != t3 || traces[1] != t2 {
+		t.Errorf("Traces should be newest-first: %v (want [%s %s])", traces, t3.ID(), t2.ID())
 	}
 	if t1.ID() == t2.ID() || t2.ID() == t3.ID() {
 		t.Error("trace IDs must be distinct")
+	}
+}
+
+// TestTracerKeepOutlivesRing: a pinned trace stays retrievable and listed,
+// once and in sequence order, after the ring has evicted it.
+func TestTracerKeepOutlivesRing(t *testing.T) {
+	tr := NewTracer(2)
+	kept, root := tr.Start("rare")
+	tr.Keep(root.Child("plan-change"))
+	if got := tr.Traces(); len(got) != 1 || got[0] != kept {
+		t.Fatalf("a pinned trace still in the ring should be listed once, got %d", len(got))
+	}
+	var last *Trace
+	for i := 0; i < 5; i++ {
+		last, _ = tr.Start("common")
+	}
+	if tr.Get(kept.ID()) != kept {
+		t.Fatal("pinned trace should outlive ring eviction")
+	}
+	got := tr.Traces()
+	if len(got) != 3 || got[0] != last || got[2] != kept || tr.Len() != 3 {
+		t.Errorf("want the ring's 2 traces then the pinned one, got %d traces", len(got))
+	}
+	if tr.Get(tr.prefix+"2") != nil {
+		t.Error("an evicted, unpinned trace should be gone")
 	}
 }
 
@@ -186,3 +213,30 @@ func TestConcurrentSpanMutation(t *testing.T) {
 }
 
 func close2(ch chan struct{}) { ch <- struct{}{} }
+
+// TestTracerKeepConcurrent pins traces from several goroutines while others
+// start traces and read the listing, for the race detector.
+func TestTracerKeepConcurrent(t *testing.T) {
+	tr := NewTracer(4)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				trace, root := tr.Start("request")
+				if j%5 == 0 {
+					tr.Keep(root.Child("plan-change"))
+				}
+				root.End()
+				tr.Get(trace.ID())
+				tr.Traces()
+			}
+		}()
+	}
+	wg.Wait()
+	// 40 pinned traces, and the ring's 4 newest, which may be among them.
+	if got := tr.Len(); got < 40 || got > 44 {
+		t.Errorf("want the 40 pinned traces plus the ring's 4, got %d", got)
+	}
+}

@@ -4,10 +4,10 @@ import "sync"
 
 // Ring is a fixed-capacity circular buffer of the most recent values, each
 // identified by a dense sequence number (1, 2, 3, … in Add order) — the one
-// bounded-retention primitive behind the trace store, the search-telemetry
-// log and the plan-change audit log. Add is O(1) and allocates nothing once
-// constructed. Safe for concurrent use; a nil *Ring is disabled: Add is a
-// no-op returning 0 and every reader reports empty.
+// bounded-retention primitive behind the trace store and its pinned traces.
+// Add is O(1) and allocates nothing once constructed. Safe for concurrent
+// use; a nil *Ring is disabled: Add is a no-op returning 0 and every reader
+// reports empty.
 type Ring[T any] struct {
 	mu    sync.Mutex
 	buf   []T

@@ -15,8 +15,8 @@ import (
 // enough to re-execute the request (query text, bound knobs, catalog
 // version), to compare a replay against what was served (plan signature,
 // costs, latency), and to find everything else the request left behind
-// (TraceID links /debug/trace, /debug/search and /debug/planlog; QueryID is
-// the /debug/queries ID it ran under).
+// (TraceID links /debug/trace, whose span tree holds the request's search and
+// any plan change it caused; QueryID is the /debug/queries ID it ran under).
 type Record struct {
 	Time    time.Time `json:"t"`
 	Kind    string    `json:"kind"` // "optimize" or "explain"

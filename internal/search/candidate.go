@@ -96,8 +96,7 @@ type Result struct {
 
 // Stats is the one record a search leaves: the quantities Table 1 compares
 // across algorithms plus one LayerRecord per DP layer. Every view of a search
-// — trace text, profile table, request-trace spans, /debug/search — is a
-// function of it. The four DP algorithms are one driver, so they fill every
+// — trace text, profile table, request-trace spans — is a function of it. The four DP algorithms are one driver, so they fill every
 // field the same way: a total-order (Figure 1) search is a partial-order
 // search whose covers hold one plan.
 type Stats struct {

@@ -162,22 +162,6 @@ func TestOrderedMetric(t *testing.T) {
 	}
 }
 
-func TestBoundedMetric(t *testing.T) {
-	base := WorkMetric{}
-	m := BoundedMetric{Base: base, Limit: 3}
-	small := vecCand("a", 1, 1) // work 2
-	big := vecCand("b", 2, 2)   // work 4 > limit
-	if m.Dominates(big, small) {
-		t.Error("plan above the work limit must not dominate")
-	}
-	if !m.Dominates(small, big) {
-		t.Error("plan under the limit retains base dominance")
-	}
-	if m.Dims() != 2 || m.Name() != "work+bound" {
-		t.Error("BoundedMetric metadata wrong")
-	}
-}
-
 func TestComparators(t *testing.T) {
 	fast := vecCand("fast", 1, 3)   // rt 3, work 4
 	cheap := vecCand("cheap", 2, 2) // rt 2, work 4

@@ -143,27 +143,3 @@ func (m OrderedMetric) Dominates(a, b *Candidate) bool {
 	}
 	return m.Base.Dominates(a, b)
 }
-
-// BoundedMetric adds the §6.4 work bound as "a more stringent partial
-// order": dominance additionally requires the dominating plan not to exceed
-// the work limit (plans above the limit cannot stand in for ones below it).
-// Out-of-limit candidates are normally pruned outright via
-// Options.WorkLimit; this wrapper exists for metric-level composition.
-type BoundedMetric struct {
-	Base  Metric
-	Limit float64
-}
-
-// Name implements Metric.
-func (m BoundedMetric) Name() string { return m.Base.Name() + "+bound" }
-
-// Dims implements Metric.
-func (m BoundedMetric) Dims() int { return m.Base.Dims() + 1 }
-
-// Dominates implements Metric.
-func (m BoundedMetric) Dominates(a, b *Candidate) bool {
-	if m.Limit > 0 && a.Work() > m.Limit {
-		return false
-	}
-	return m.Base.Dominates(a, b)
-}

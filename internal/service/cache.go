@@ -20,9 +20,6 @@ import (
 type cacheEntry struct {
 	opt   *core.Optimizer
 	cover *core.CoverSet
-	// logRec points at the /debug/search entry recorded when this search
-	// ran; cache hits bump its counter so replayed traces are labeled.
-	logRec *searchLogRecord
 
 	// answers memoizes the rendered answer per chosen cover member. The key
 	// is a frontier member or the baseline, so the map holds at most

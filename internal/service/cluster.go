@@ -243,9 +243,7 @@ func (s *Service) recordExchange(sp *obs.Span, c *exchange.Cluster) {
 		cum.SendNanos += l.SendNanos
 		sp.SetAttr("link."+l.Addr+".sent", l.BytesSent)
 		sp.SetAttr("link."+l.Addr+".recv", l.BytesRecv)
-		if stall := l.StallLeftNanos + l.StallRightNanos + l.StallResultNanos; stall > 0 {
-			sp.SetAttr("link."+l.Addr+".stallMicros", stall/1e3)
-		}
+		sp.SetAttr("link."+l.Addr+".stallMicros", (l.StallLeftNanos+l.StallRightNanos+l.StallResultNanos)/1e3)
 	}
 	s.clusterMu.Unlock()
 }

@@ -345,3 +345,96 @@ func TestPlacementInstallAndShippedAnalyze(t *testing.T) {
 		t.Errorf("GET after retirement: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestTraceTellsTheWholeStory: one GET /debug/trace/{id} of a cache-missing,
+// distributed explain-analyze over two placed loopback workers answers what
+// the request did — the search with its per-layer spans, every operator's
+// predicted and measured (tf, tl) with rows and clones, the per-link bytes
+// and stall, and the workers' own fragment spans.
+func TestTraceTellsTheWholeStory(t *testing.T) {
+	s, srv := newTestServer(t, nil)
+	s.mu.RLock()
+	cat := s.catalogs[s.defaultVersion]
+	s.mu.RUnlock()
+	lb, err := exchange.StartLoopbackWorkers([]*exchange.Worker{
+		{Join: engine.FragmentJoin, Store: placement.NewStore(cat, dataSeed)},
+		{Join: engine.FragmentJoin, Store: placement.NewStore(cat, dataSeed)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	for _, addr := range lb.Addrs() {
+		if _, err := s.RegisterWorker(addr, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp, body := postJSON(t, srv.URL+"/cluster/placement", PlacementRequest{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("install: %d: %s", resp.StatusCode, body)
+	}
+
+	resp, body := postJSON(t, srv.URL+"/explain?analyze=1&distributed=1", OptimizeRequest{Query: chainSQL(3, 7)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: %d: %s", resp.StatusCode, body)
+	}
+	var exp ExplainResponse
+	if err := json.Unmarshal(body, &exp); err != nil {
+		t.Fatal(err)
+	}
+	if exp.Cache != "miss" {
+		t.Fatalf("want a cache miss, got %q", exp.Cache)
+	}
+	tj := fetchTrace(t, srv.URL, exp.TraceID)
+
+	search := findSpan(tj.Root, "search")
+	if search == nil {
+		t.Fatal("trace has no search span")
+	}
+	for _, key := range []string{"source", "relations", "frontier"} {
+		if search.Attrs[key] == "" {
+			t.Errorf("search span missing %q: %v", key, search.Attrs)
+		}
+	}
+	if n := attrInt(t, search, "relations"); len(layerSpans(search)) != int(n) {
+		t.Errorf("search span has %d dp-layer children for %d relations", len(layerSpans(search)), n)
+	}
+
+	execute := findSpan(tj.Root, "execute")
+	if execute == nil {
+		t.Fatal("trace has no execute span")
+	}
+	joins := 0
+	for _, op := range execute.Children {
+		if op.Name == "fragment" || strings.HasPrefix(op.Name, "scan(") {
+			continue
+		}
+		joins++
+		for _, key := range []string{"predTfMicros", "predTlMicros", "rows", "clones"} {
+			if op.Attrs[key] == "" {
+				t.Errorf("operator %s missing %q: %v", op.Name, key, op.Attrs)
+			}
+		}
+		if op.FirstMicros == nil || op.EndMicros < *op.FirstMicros {
+			t.Errorf("operator %s has no measured (tf, tl): first %v end %d", op.Name, op.FirstMicros, op.EndMicros)
+		}
+	}
+	if joins != 2 {
+		t.Errorf("a 3-relation chain runs 2 joins, trace shows %d", joins)
+	}
+	for _, addr := range lb.Addrs() {
+		for _, key := range []string{".sent", ".recv", ".stallMicros"} {
+			if execute.Attrs["link."+addr+key] == "" {
+				t.Errorf("execute span missing link.%s%s: %v", addr, key, execute.Attrs)
+			}
+		}
+	}
+	workers := map[string]bool{}
+	for _, c := range execute.Children {
+		if c.Name == "fragment" {
+			workers[c.Attrs["addr"]] = true
+		}
+	}
+	if len(workers) != 2 {
+		t.Errorf("want fragment spans from both workers, got %v", workers)
+	}
+}

@@ -23,7 +23,8 @@ import (
 //	POST /optimize          OptimizeRequest JSON  → OptimizeResponse JSON
 //	POST /explain           OptimizeRequest JSON  → ExplainResponse JSON
 //	                        (?trace=1 adds the DP search trace — labeled
-//	                         "replayed from cache" on cache hits,
+//	                         "replayed from cache" when another request's
+//	                         search produced it (a hit or a deduplicated miss),
 //	                         ?why=1 adds plan provenance: the chosen plan's
 //	                         full cost breakdown plus rejected alternatives,
 //	                         ?analyze=1 executes + reports accuracy,
@@ -44,10 +45,14 @@ import (
 //	GET  /debug/traces                            → retained trace IDs
 //	                        (?fingerprint=fp keeps traces of one query
 //	                         template, ?min_ms=N keeps traces at least that
-//	                         long — combined, both must hold)
-//	GET  /debug/trace/{id}                        → one request's span tree,
-//	                        plus the /debug/search entry and /debug/planlog
-//	                        changes stamped with its trace ID
+//	                         long, ?kind=name keeps traces holding a span of
+//	                         that name — search or plan-change; combined, all
+//	                         must hold)
+//	GET  /debug/trace/{id}                        → one trace's span tree: a
+//	                        request's phases, its search with per-layer
+//	                        spans, its operators and worker fragments, and
+//	                        any plan change it caused (sweeps and replays
+//	                        trace the same way)
 //	GET  /debug/queries                           → in-flight queries with
 //	                        live per-operator progress, model-predicted ETA
 //	                        and drift flags (?format=text renders a table)
@@ -58,11 +63,6 @@ import (
 //	GET  /debug/workload                          → per-fingerprint profiles
 //	                        (?top=K bounds rows, ?by=traffic|latency|drift
 //	                         orders them, ?format=text renders a table)
-//	GET  /debug/search                            → recent DP searches with
-//	                        per-layer telemetry (?n=K bounds entries,
-//	                         ?format=text renders layer tables)
-//	GET  /debug/planlog                           → plan-change audit log
-//	                        (?n=K bounds entries, ?format=text renders it)
 //
 // Error mapping: client errors (parse/validation/unknown catalog) → 400,
 // queue-full admission rejection → 429 with Retry-After, request timeout →
@@ -88,8 +88,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/queries/{id}", s.handleQuery)
 	mux.HandleFunc("DELETE /debug/queries/{id}", s.handleQueryCancel)
 	mux.HandleFunc("GET /debug/workload", s.handleWorkload)
-	mux.HandleFunc("GET /debug/search", s.handleSearchLog)
-	mux.HandleFunc("GET /debug/planlog", s.handlePlanLog)
 	return mux
 }
 
@@ -449,7 +447,7 @@ type TraceEntry struct {
 
 func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	wantFP := q.Get("fingerprint")
+	wantFP, wantKind := q.Get("fingerprint"), q.Get("kind")
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
@@ -459,18 +457,18 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		minDur = time.Duration(ms * float64(time.Millisecond))
 	}
-	ids := s.tracer.IDs()
-	kept := make([]string, 0, len(ids))
-	entries := make([]TraceEntry, 0, len(ids))
-	for _, id := range ids {
-		tr := s.tracer.Get(id)
+	traces := s.tracer.Traces()
+	kept := make([]string, 0, len(traces))
+	entries := make([]TraceEntry, 0, len(traces))
+	for _, tr := range traces {
 		if minDur > 0 && tr.Root().Duration() < minDur {
 			continue
 		}
-		e := TraceEntry{ID: id}
+		e := TraceEntry{ID: tr.ID()}
 		workers := map[string]bool{}
-		fpMatch := wantFP == ""
+		fpMatch, kindMatch := wantFP == "", wantKind == ""
 		tr.Walk(func(name string, attrs []obs.Attr) {
+			kindMatch = kindMatch || name == wantKind
 			for _, a := range attrs {
 				if a.Key == "fingerprint" && a.Value == wantFP {
 					fpMatch = true
@@ -483,11 +481,11 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 				e.Fragments++
 			}
 		})
-		if !fpMatch {
+		if !fpMatch || !kindMatch {
 			continue
 		}
 		e.Workers = len(workers)
-		kept = append(kept, id)
+		kept = append(kept, e.ID)
 		entries = append(entries, e)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"traces": kept, "entries": entries})
@@ -633,90 +631,6 @@ func (s *Service) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// limitParam parses an optional ?n=K bound (default def); returns -1 and
-// writes a 400 on a bad value.
-func limitParam(w http.ResponseWriter, r *http.Request, def int) int {
-	v := r.URL.Query().Get("n")
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad n %q", v))
-		return -1
-	}
-	return n
-}
-
-// handleSearchLog serves the recent-search telemetry ring: per-layer records
-// for every search actually run, newest first.
-func (s *Service) handleSearchLog(w http.ResponseWriter, r *http.Request) {
-	n := limitParam(w, r, 20)
-	if n < 0 {
-		return
-	}
-	entries := s.SearchLog()
-	if len(entries) > n {
-		entries = entries[:n]
-	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, e := range entries {
-			fmt.Fprintf(w, "#%d %s source=%s fingerprint=%s catalog=%s relations=%d frontier=%d elapsed=%.3fms hits=%d cached=%v\n",
-				e.ID, e.Time.Format(time.RFC3339), e.Source, e.Fingerprint, e.Catalog,
-				e.Relations, e.FrontierSize, float64(e.ElapsedMicros)/1e3, e.CacheHits, e.Cached)
-			io.WriteString(w, e.Profile().Table()) //nolint:errcheck
-			fmt.Fprintln(w)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"searches": entries})
-}
-
-// handlePlanLog serves the plan-change audit log, newest first.
-func (s *Service) handlePlanLog(w http.ResponseWriter, r *http.Request) {
-	n := limitParam(w, r, 50)
-	if n < 0 {
-		return
-	}
-	changes := s.planlog.Snapshot(n)
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, c := range changes {
-			fmt.Fprintf(w, "#%d %s source=%s fingerprint=%s catalog=%s->%s\n",
-				c.ID, c.Time.Format(time.RFC3339), c.Source, c.Fingerprint, c.PrevCatalog, c.Catalog)
-			fmt.Fprintf(w, "  plan: %s -> %s\n", c.PrevPlan, c.NewPlan)
-			fmt.Fprintf(w, "  rt: %.2f -> %.2f (%+.1f%%)  work: %.2f -> %.2f\n",
-				c.PrevRT, c.NewRT, pctDelta(c.PrevRT, c.NewRT), c.PrevWork, c.NewWork)
-			for _, d := range c.Diff {
-				fmt.Fprintf(w, "  %s\n", d)
-			}
-			fmt.Fprintln(w)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"changes": changes})
-}
-
-// pctDelta is the relative change in percent (0 when the base is zero).
-func pctDelta(prev, next float64) float64 {
-	if prev == 0 {
-		return 0
-	}
-	return (next - prev) / prev * 100
-}
-
-// TraceResponse is the /debug/trace/{id} payload — the single entry point for
-// "what did this request do": its span tree plus everything else stamped with
-// its trace ID. Search is the /debug/search entry when this request's miss ran
-// the search (absent on hits and on followers of another request's flight);
-// PlanChanges the /debug/planlog entries that search caused.
-type TraceResponse struct {
-	*obs.TraceJSON
-	Search      *SearchLogEntry `json:"search,omitempty"`
-	PlanChanges []PlanChange    `json:"planChanges,omitempty"`
-}
-
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tr := s.tracer.Get(id)
@@ -724,17 +638,5 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown trace %q", id))
 		return
 	}
-	resp := TraceResponse{TraceJSON: tr.JSON()}
-	for _, e := range s.SearchLog() {
-		if e.TraceID == id {
-			resp.Search = &e
-			break
-		}
-	}
-	for _, c := range s.PlanChanges() {
-		if c.TraceID == id {
-			resp.PlanChanges = append(resp.PlanChanges, c)
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, tr.JSON())
 }

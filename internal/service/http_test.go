@@ -385,3 +385,64 @@ func TestHTTPAnalyzeParallelIsACap(t *testing.T) {
 		t.Errorf("root actRows per request = %v, want two equal counts", rows)
 	}
 }
+
+// FuzzSchemaBody: any POST /schema body ends in a 200 or a 400, never a 500
+// or a panic, and a 200's catalog version is one a following /optimize
+// naming it accepts (a query that does not parse against it may still 400,
+// but never as an unknown catalog). Each body meets a fresh service serving
+// the test schema, so the "default": true seeds drive RefreshCatalog →
+// retireCatalog against a live default.
+func FuzzSchemaBody(f *testing.F) {
+	cat, err := parser.ParseSchema(testDDL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, ddl := range []string{testDDL, smallDDL, wideDDL} {
+		for _, def := range []bool{false, true} {
+			seed, _ := json.Marshal(SchemaRequest{DDL: ddl, Default: def})
+			f.Add(seed)
+		}
+	}
+	for _, seed := range []string{
+		`{"ddl":"relation A card=0 pages=0 disk=0\ncolumn A.k ndv=0\n","default":true}`,
+		`{"ddl":"relation A card=-1 pages=1 disk=9\n"}`,
+		`{"ddl":"column A.k ndv=3\n"}`, `{"ddl":""}`, `{"ddl":1}`, `{"default":true}`, `{"unknown":true}`, `{`, ``, `null`, "\x00\xff",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New(Config{Catalog: cat, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		h := s.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/schema", bytes.NewReader(body)))
+		switch {
+		case rec.Code == http.StatusBadRequest:
+			return
+		case rec.Code != http.StatusOK:
+			t.Fatalf("POST /schema: HTTP %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		var out SchemaResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Catalog == "" {
+			t.Fatalf("POST /schema: 200 body %q: %v", rec.Body.Bytes(), err)
+		}
+		sql := "SELECT * FROM A"
+		s.mu.RLock()
+		if cat := s.catalogs[out.Catalog]; cat != nil && cat.NumRelations() > 0 {
+			sql = "SELECT * FROM " + cat.RelationNames()[0]
+		}
+		s.mu.RUnlock()
+		req, _ := json.Marshal(OptimizeRequest{Query: sql, Catalog: out.Catalog})
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/optimize", bytes.NewReader(req)))
+		switch {
+		case rec.Code == http.StatusOK:
+		case rec.Code == http.StatusBadRequest && !strings.Contains(rec.Body.String(), "unknown catalog"):
+		default:
+			t.Fatalf("POST /optimize %s against catalog %s: HTTP %d: %s", sql, out.Catalog, rec.Code, rec.Body.Bytes())
+		}
+	})
+}

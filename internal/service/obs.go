@@ -36,12 +36,17 @@ func graftSearch(sp *obs.Span, st search.Stats, done time.Time) {
 	sp.SetAttr("physicalPlans", st.PhysicalPlans)
 	sp.SetAttr("maxCoverSize", st.MaxCoverSize)
 	sp.SetAttr("pruned", st.Pruned)
+	sp.SetAttr("prunedDominance", st.PrunedDominance)
+	sp.SetAttr("prunedWork", st.PrunedWork)
+	sp.SetAttr("prunedMemory", st.PrunedMemory)
+	sp.SetAttr("prunedBeam", st.PrunedBeam)
 }
 
 // graftAnalyze grafts an instrumented execution under the execute span: one
 // child span per join-tree node whose (start, first-output, end) are the
-// measured runtime descriptor, annotated with the calibrated predictions so
-// the trace tree shows predicted vs actual (tf, tl) side by side.
+// measured runtime descriptor, annotated with the clones it ran and the
+// calibrated predictions so the trace tree shows predicted vs actual (tf, tl)
+// side by side.
 func graftAnalyze(sp *obs.Span, rep *accuracy.Report, stats *engine.ExecStats) {
 	if sp == nil {
 		return
@@ -60,6 +65,7 @@ func graftAnalyze(sp *obs.Span, rep *accuracy.Report, stats *engine.ExecStats) {
 		c.SetTimes(t0.Add(st.Start), first, t0.Add(st.Last))
 		c.SetAttr("rows", st.Rows)
 		c.SetAttr("batches", st.Batches)
+		c.SetAttr("clones", st.Clones)
 		if oa, ok := byLabel[st.Label]; ok {
 			c.SetAttr("predTfMicros", int64(oa.PredFirstSec*1e6))
 			c.SetAttr("predTlMicros", int64(oa.PredLastSec*1e6))

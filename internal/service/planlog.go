@@ -11,17 +11,20 @@ import (
 // Plan-change audit log: every time the service's answer for a query
 // fingerprint *changes* — the drift sweeper re-optimized it, a statistics
 // refresh moved the catalog, or a replay regression was reported — one
-// PlanChange records the before/after plan fingerprints, the cost deltas,
-// and a structural diff of the join trees. The log is an obs.Ring served at
-// /debug/planlog, optionally persisted through an obs.Sink
-// (Config.PlanLogPath) so swaps survive a restart for post-hoc audits.
+// plan-change span records the before/after plan fingerprints, the cost
+// deltas, and a structural diff of the join trees under the trace that caused
+// it. The tracer pins that trace (obs.Tracer.Keep), so /debug/traces
+// ?kind=plan-change lists recent swaps however much traffic followed them; the
+// same record goes to the optional JSONL sink (Config.PlanLogPath) as a
+// PlanChange, stamped with the trace ID, so swaps survive a restart for
+// post-hoc audits.
 
-// PlanChange is one recorded plan swap.
+// PlanChange is one recorded plan swap as the JSONL sink writes it.
 type PlanChange struct {
-	ID   int64     `json:"id"`
 	Time time.Time `json:"time"`
-	// TraceID is the trace of the request whose search produced the swap
-	// (empty for sweeper and replay entries and when tracing is off).
+	// TraceID is the trace holding the swap's plan-change span: the request
+	// whose search produced it, or the sweep or replay trace (empty when
+	// tracing is off).
 	TraceID string `json:"traceId,omitempty"`
 	// Source attributes the swap: "search" (a later request's search chose
 	// differently under unchanged inputs — should not happen for a fixed
@@ -47,25 +50,36 @@ type PlanChange struct {
 	Diff []string `json:"diff,omitempty"`
 }
 
-// planLogCapacity is how many recent plan changes /debug/planlog retains.
-const planLogCapacity = 256
-
-func newPlanLog() *obs.Ring[PlanChange] {
-	return obs.NewRing(planLogCapacity, func(c *PlanChange, seq uint64) { c.ID = int64(seq) })
-}
-
-// recordPlanChange stamps one change into the ring (and the JSONL audit
-// file, when configured), counts it by source, and returns its ID.
-func (s *Service) recordPlanChange(c PlanChange) int64 {
+// recordPlanChange records one swap as a plan-change child of parent, pins
+// parent's trace, appends the change to the JSONL audit file (when
+// configured) and counts it by source. The span's attributes are the
+// PlanChange fields under their JSON names, the diff lines joined by
+// newlines.
+func (s *Service) recordPlanChange(parent *obs.Span, c PlanChange) {
 	c.Time = time.Now()
-	c.ID = int64(s.planlog.Add(c))
+	c.TraceID = parent.TraceID()
+	sp := parent.Child("plan-change")
+	sp.SetAttr("source", c.Source)
+	sp.SetAttr("fingerprint", c.Fingerprint)
+	sp.SetAttr("prevCatalog", c.PrevCatalog)
+	sp.SetAttr("catalog", c.Catalog)
+	sp.SetAttr("prevPlan", c.PrevPlan)
+	sp.SetAttr("newPlan", c.NewPlan)
+	sp.SetAttr("prevRT", c.PrevRT)
+	sp.SetAttr("newRT", c.NewRT)
+	sp.SetAttr("prevWork", c.PrevWork)
+	sp.SetAttr("newWork", c.NewWork)
+	sp.SetAttr("diff", strings.Join(c.Diff, "\n"))
+	sp.End()
+	s.tracer.Keep(sp)
 	s.planfile.Write(c)
 	s.met.PlanChanges.Add(c.Source, 1)
-	return c.ID
+	s.logger.Info("plan change",
+		"source", c.Source, "fingerprint", c.Fingerprint,
+		"prevRT", c.PrevRT, "newRT", c.NewRT,
+		"prevWork", c.PrevWork, "newWork", c.NewWork,
+		"traceId", c.TraceID)
 }
-
-// PlanChanges returns the retained audit-log entries, newest first.
-func (s *Service) PlanChanges() []PlanChange { return s.planlog.Snapshot(0) }
 
 // prevPlan is the last answer remembered per query fingerprint — the "before"
 // side of the next swap.
@@ -83,12 +97,12 @@ type prevPlan struct {
 const lastPlansCap = 4096
 
 // notePlan observes the representative plan a fresh search produced for a
-// fingerprint and records a PlanChange when it differs from the last one. The
-// representative is the frontier's unbounded best (minimum response time):
-// the answer an unbounded request would get, which makes swap detection
-// independent of per-request bound knobs. A swap seen under a new catalog
+// fingerprint and records a plan change under the search span sp when it
+// differs from the last one. The representative is the frontier's unbounded
+// best (minimum response time): the answer an unbounded request would get,
+// which makes swap detection independent of per-request bound knobs. A swap seen under a new catalog
 // version is reclassified from "search" to "refresh".
-func (s *Service) notePlan(source, traceID, fp, version string, best *search.Candidate) {
+func (s *Service) notePlan(sp *obs.Span, source, fp, version string, best *search.Candidate) {
 	if best == nil {
 		return
 	}
@@ -113,8 +127,7 @@ func (s *Service) notePlan(source, traceID, fp, version string, best *search.Can
 	if source == "search" && prev.catalog != version {
 		source = "refresh"
 	}
-	id := s.recordPlanChange(PlanChange{
-		TraceID:     traceID,
+	s.recordPlanChange(sp, PlanChange{
 		Source:      source,
 		Fingerprint: fp,
 		PrevCatalog: prev.catalog,
@@ -127,18 +140,16 @@ func (s *Service) notePlan(source, traceID, fp, version string, best *search.Can
 		NewWork:     next.work,
 		Diff:        diffLines(prev.lines, lines),
 	})
-	s.logger.Info("plan change",
-		"source", source, "fingerprint", fp,
-		"prevRT", prev.rt, "newRT", next.rt,
-		"prevWork", prev.work, "newWork", next.work,
-		"id", id)
 }
 
-// RecordReplayChange feeds one replay-detected regression into the audit log:
-// a replayed request whose plan signature no longer matches the recorded one.
-// Exported for the replay CLI's in-process mode.
+// RecordReplayChange feeds one replay-detected regression into the audit log,
+// under a replay trace of its own: a replayed request whose plan signature no
+// longer matches the recorded one. Exported for the replay CLI's in-process
+// mode.
 func (s *Service) RecordReplayChange(fingerprint, catalog, recordedPlan, replayedPlan string, recordedRT, replayedRT float64) {
-	s.recordPlanChange(PlanChange{
+	_, root := s.tracer.Start("replay")
+	defer root.End()
+	s.recordPlanChange(root, PlanChange{
 		Source:      "replay",
 		Fingerprint: fingerprint,
 		Catalog:     catalog,

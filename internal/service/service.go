@@ -168,13 +168,10 @@ type Service struct {
 	fallbackReasons map[string]int64 // cumulative typed fallback reasons
 	workerUp        map[string]bool  // liveness from the last /cluster/metrics scrape
 
-	// Optimizer introspection: searchlog retains recent searches' per-layer
-	// telemetry (/debug/search), planlog the plan-change audit trail
-	// (/debug/planlog) with planfile its optional JSONL persister (nil when
-	// Config.PlanLogPath is empty), lastPlans the per-fingerprint "before"
-	// side swap detection compares against.
-	searchlog *obs.Ring[*searchLogRecord]
-	planlog   *obs.Ring[PlanChange]
+	// Plan-change audit (planlog.go): planfile is the optional JSONL
+	// persister (nil when Config.PlanLogPath is empty), lastPlans the
+	// per-fingerprint "before" side swap detection compares against. The
+	// in-memory record of a search or a swap is its trace.
 	planfile  *obs.Sink[PlanChange]
 	planMu    sync.Mutex
 	lastPlans map[string]prevPlan
@@ -243,8 +240,6 @@ func New(cfg Config) (*Service, error) {
 		fallbackReasons: make(map[string]int64),
 		workerUp:        make(map[string]bool),
 		lastPlans:       make(map[string]prevPlan),
-		searchlog:       newSearchLog(),
-		planlog:         newPlanLog(),
 		inflight:        newInflightRegistry(),
 		prof:            workload.NewProfiler(),
 		neg:             newNegCache(),
@@ -591,7 +586,6 @@ func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *ca
 	if e, ok := s.cache.Get(key); ok {
 		s.met.CacheHits.Add(1)
 		s.met.CoverReuse.Add(1)
-		e.logRec.hits.Add(1)
 		return e, true, false, nil
 	}
 	s.met.CacheMisses.Add(1)
@@ -621,9 +615,10 @@ func (s *Service) searchFor(ctx context.Context, key, fp, version string, cat *c
 			}
 		}
 		placed := s.placedConfig(version)
-		// The search span lives on the flight leader's trace (a sweep has
-		// none); followers see only their own wait. The worker ends it, so a
-		// leader that times out still gets the span's true extent recorded.
+		// The search span lives on the flight leader's trace (a request's or
+		// a sweep's); followers see only their own wait. The worker ends it,
+		// so a leader that times out still gets the span's true extent
+		// recorded.
 		_, sp := obs.StartSpan(ctx, "search")
 		type result struct {
 			e   *cacheEntry
@@ -655,19 +650,17 @@ func (s *Service) searchFor(ctx context.Context, key, fp, version string, cat *c
 }
 
 // runSearch builds a session and computes the reusable cover set. What the
-// search did is cover.Stats, which rides the cache entry: the request trace's
-// dp-layer spans, the /debug/search entry and a trace-requesting explain's
-// text are all derived from it. source attributes the search ("search" for
-// request misses, "sweeper" for drift re-optimizations) in the
-// search-telemetry log, the layer-seconds histogram, the prune-reason
-// counters, and — when the representative plan swapped — the plan-change
-// audit log.
+// search did is cover.Stats, which rides the cache entry: the trace's search
+// span and its dp-layer children and a trace-requesting explain's text are
+// both derived from it. source attributes the search ("search" for request
+// misses, "sweeper" for drift re-optimizations) on the span, in the
+// layer-seconds histogram and prune-reason counters, and — when the
+// representative plan swapped — in the plan-change audit.
 func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, placed map[string]cost.PlacedRelation, sp *obs.Span, source, version string) (*cacheEntry, error) {
 	if hook := s.searchHook; hook != nil {
 		hook()
 	}
 	s.met.FullSearch.Add(1)
-	start := time.Now()
 	opt, err := core.NewOptimizer(cat, q, core.Config{
 		Machine:   s.mcfg,
 		Algorithm: s.cfg.Algorithm,
@@ -681,19 +674,12 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 	if err != nil {
 		return nil, err
 	}
-	done := time.Now()
-	graftSearch(sp, cover.Stats, done)
-	sp.SetAttr("frontier", cover.Size)
-	logRec := s.recordSearch(source, sp.TraceID(), fp, version, len(q.Relations), cover, done.Sub(start))
-	s.notePlan(source, sp.TraceID(), fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
-	return &cacheEntry{opt: opt, cover: cover, logRec: logRec}, nil
-}
-
-// recordSearch feeds one finished search into the telemetry surfaces: the
-// /debug/search ring, the per-layer wall-time histogram, and the
-// prune-reason counters.
-func (s *Service) recordSearch(source, traceID, fp, version string, relations int, cover *core.CoverSet, elapsed time.Duration) *searchLogRecord {
 	st := cover.Stats
+	graftSearch(sp, st, time.Now())
+	sp.SetAttr("source", source)
+	sp.SetAttr("relations", len(q.Relations))
+	sp.SetAttr("frontier", cover.Size)
+	sp.SetAttr("peakBytesRetained", st.Profile().PeakBytesRetained)
 	s.met.Pruned.Add("dominance", st.PrunedDominance)
 	s.met.Pruned.Add("work", st.PrunedWork)
 	s.met.Pruned.Add("memory", st.PrunedMemory)
@@ -701,20 +687,8 @@ func (s *Service) recordSearch(source, traceID, fp, version string, relations in
 	for _, l := range st.Layers {
 		s.met.SearchLayerSeconds.Observe(float64(l.WallNanos) / 1e9)
 	}
-	rec := &searchLogRecord{entry: SearchLogEntry{
-		Time:              time.Now(),
-		TraceID:           traceID,
-		Source:            source,
-		Fingerprint:       fp,
-		Catalog:           version,
-		Relations:         relations,
-		FrontierSize:      cover.Size,
-		ElapsedMicros:     elapsed.Microseconds(),
-		Stats:             st,
-		PeakBytesRetained: st.Profile().PeakBytesRetained,
-	}}
-	s.searchlog.Add(rec)
-	return rec
+	s.notePlan(sp, source, fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
+	return &cacheEntry{opt: opt, cover: cover}, nil
 }
 
 // Optimize serves one request: parse, fingerprint, cache lookup or search,
@@ -766,8 +740,9 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 	if req.Trace {
 		cover := p.entry.cover
 		out.SearchTrace = cover.Stats.TraceText(search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
-		if out.Cache == "hit" {
-			// The search ran when the cover set was computed, not for this
+		if out.Cache == "hit" || out.Deduped {
+			// The search ran when the cover set was computed — for an earlier
+			// request, or for the flight leader this one joined — not for this
 			// request; say so in-band for text consumers too.
 			out.SearchTraceCached = true
 			out.SearchTrace = "replayed from cache (captured when the cover set was computed)\n" + out.SearchTrace

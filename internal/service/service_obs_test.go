@@ -140,6 +140,47 @@ func TestExplainSearchTraceSurvivesCacheHits(t *testing.T) {
 	if !strings.HasSuffix(hit.SearchTrace, miss.SearchTrace) {
 		t.Error("cache hits should return the trace captured at search time")
 	}
+	// A deduplicated miss joins another request's search, so its trace is
+	// replayed too: the hook holds the leader until the follower has joined.
+	gate := make(chan struct{})
+	started := make(chan struct{}, 2)
+	s.searchHook = func() {
+		started <- struct{}{}
+		<-gate
+	}
+	dreq := OptimizeRequest{Query: chainSQL(5, 7), Trace: true}
+	type answer struct {
+		resp *ExplainResponse
+		err  error
+	}
+	answers := make(chan answer, 2)
+	explain := func() {
+		resp, err := s.Explain(ctx, dreq)
+		answers <- answer{resp, err}
+	}
+	misses := s.met.CacheMisses.Load()
+	go explain()
+	<-started
+	go explain()
+	waitFor(t, func() bool { return s.met.CacheMisses.Load() == misses+2 })
+	close(gate)
+	for i := 0; i < 2; i++ {
+		a := <-answers
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.resp.Cache != "miss" {
+			t.Fatalf("concurrent first requests should both miss, got %q", a.resp.Cache)
+		}
+		if a.resp.SearchTraceCached != a.resp.Deduped || strings.HasPrefix(a.resp.SearchTrace, "replayed from cache") != a.resp.Deduped {
+			t.Errorf("deduped=%v but searchTraceCached=%v, trace:\n%s", a.resp.Deduped, a.resp.SearchTraceCached, a.resp.SearchTrace)
+		}
+	}
+	if s.met.Deduped.Load() != 1 {
+		t.Fatalf("one of the two misses should have joined the other's search, deduped %d", s.met.Deduped.Load())
+	}
+	s.searchHook = nil
+
 	// Without the flag the trace stays out of the payload.
 	plain, err := s.Explain(ctx, OptimizeRequest{Query: chainSQL(6, 7)})
 	if err != nil {
@@ -253,7 +294,7 @@ func TestHTTPDebugTraceEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("debug/trace/{id}: %d: %s", resp.StatusCode, body)
 	}
-	var tj TraceResponse
+	var tj obs.TraceJSON
 	if err := json.Unmarshal(body, &tj); err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +304,12 @@ func TestHTTPDebugTraceEndpoints(t *testing.T) {
 	if findSpan(tj.Root, "execute") == nil {
 		t.Error("served trace should include the execute span")
 	}
-	// The miss ran the search, so its trace links the /debug/search entry.
-	if tj.Search == nil || tj.Search.TraceID != exp.TraceID || tj.Search.Fingerprint != exp.Fingerprint || len(tj.Search.Layers) != 6 {
-		t.Errorf("miss trace should carry its 6-layer search entry, got %+v", tj.Search)
+	// The miss ran the search, so its trace holds the 6-layer search span.
+	if sp := findSpan(tj.Root, "search"); sp == nil || tj.Root.Attrs["fingerprint"] != exp.Fingerprint || sp.Attrs["relations"] != "6" || len(layerSpans(sp)) != 6 {
+		t.Errorf("miss trace should carry its 6-layer search span, got %+v", sp)
 	}
-	if len(tj.PlanChanges) != 0 {
-		t.Errorf("a first search swaps no plan, got %+v", tj.PlanChanges)
+	if findSpan(tj.Root, "plan-change") != nil {
+		t.Error("a first search swaps no plan")
 	}
 
 	// A hit runs no search: same template, nothing linked.
@@ -278,7 +319,7 @@ func TestHTTPDebugTraceEndpoints(t *testing.T) {
 		t.Fatalf("second request should hit: %d: %s", resp.StatusCode, body)
 	}
 	_, body = getBody(t, srv.URL+"/debug/trace/"+hit.TraceID)
-	if strings.Contains(string(body), `"search"`) || strings.Contains(string(body), `"planChanges"`) {
+	if strings.Contains(string(body), `"name": "search"`) || strings.Contains(string(body), `"name": "plan-change"`) {
 		t.Errorf("hit trace should link no search and no plan changes:\n%s", body)
 	}
 
@@ -289,8 +330,8 @@ func TestHTTPDebugTraceEndpoints(t *testing.T) {
 }
 
 // TestTraceLinksPlanChange: a request whose search swaps the template's plan
-// (here: the first request after a statistics refresh) stamps the audit entry
-// with its trace ID, and /debug/trace/{id} returns it.
+// (here: the first request after a statistics refresh) records the change as
+// a span of its own trace, and /debug/trace/{id} returns it.
 func TestTraceLinksPlanChange(t *testing.T) {
 	s, srv := newTestServer(t, func(c *Config) { c.Catalog = poisonedCatalog() })
 	ctx := context.Background()
@@ -302,16 +343,12 @@ func TestTraceLinksPlanChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, body := getBody(t, srv.URL+"/debug/trace/"+swapped.TraceID)
-	var tj TraceResponse
-	if err := json.Unmarshal(body, &tj); err != nil {
-		t.Fatal(err)
+	tj := fetchTrace(t, srv.URL, swapped.TraceID)
+	if c, ok := planChangeOf(t, tj); !ok || c.Source != "refresh" || c.TraceID != swapped.TraceID {
+		t.Fatalf("trace should link its refresh plan change, got %+v", c)
 	}
-	if len(tj.PlanChanges) != 1 || tj.PlanChanges[0].Source != "refresh" || tj.PlanChanges[0].TraceID != swapped.TraceID {
-		t.Fatalf("trace should link its refresh plan change, got %+v", tj.PlanChanges)
-	}
-	if tj.Search == nil || tj.Search.Catalog != swapped.Catalog {
-		t.Errorf("trace should link the search that caused the change, got %+v", tj.Search)
+	if sp := findSpan(tj.Root, "search"); sp == nil || findSpan(sp, "plan-change") == nil || tj.Root.Attrs["catalog"] != swapped.Catalog {
+		t.Errorf("trace should link the search that caused the change, got %+v", sp)
 	}
 }
 

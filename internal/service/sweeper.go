@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
 	"paropt/internal/parser"
 	"paropt/internal/query"
@@ -19,6 +20,9 @@ import (
 // *current default catalog* — so after an operator refreshes statistics
 // (RefreshCatalog), hot templates get warm entries under the new version
 // before the next request pays a search.
+//
+// Each sweep of a template opens its own "sweep" trace, so the search it runs
+// and any plan swap it causes carry a trace ID like a request's.
 //
 // A sweep enters the search through searchFor, the door request misses use:
 // it shares a flight with a concurrent miss of the same key (one search, not
@@ -83,7 +87,13 @@ func (s *Service) sweepOne(d workload.ProfileSnapshot) bool {
 		return false
 	}
 	fp := query.Fingerprint(q)
-	entry, shared, err := s.searchFor(context.Background(), s.cacheKey(fp, version), fp, version, cat, q, "sweeper")
+	_, root := s.tracer.Start("sweep")
+	root.SetAttr("fingerprint", fp)
+	root.SetAttr("catalog", version)
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	entry, shared, err := s.searchFor(ctx, s.cacheKey(fp, version), fp, version, cat, q, "sweeper")
+	root.Err(err)
+	root.End()
 	if errors.Is(err, ErrOverloaded) {
 		return false
 	}

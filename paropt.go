@@ -172,11 +172,8 @@ type (
 	// CoverSet is a reusable search result: baseline + root Pareto
 	// frontier, re-filterable under any §2 bound.
 	CoverSet = core.CoverSet
-	// SearchLogEntry is one recorded search with per-layer telemetry
-	// (Service.SearchLog, /debug/search).
-	SearchLogEntry = service.SearchLogEntry
-	// PlanChange is one plan-change audit entry (Service.PlanChanges,
-	// /debug/planlog).
+	// PlanChange is one plan-change audit entry as ServiceConfig.PlanLogPath
+	// persists it; its TraceID resolves at /debug/trace/{id}.
 	PlanChange = service.PlanChange
 )
 
