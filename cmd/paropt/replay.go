@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"paropt"
-	"paropt/internal/core"
 	"paropt/internal/machine"
 	"paropt/internal/obs/workload"
 	"paropt/internal/service"
@@ -32,7 +31,6 @@ func replayMain(args []string) {
 	// recorded by a default daemon replays identically.
 	wl := fs.String("workload", "portfolio", "in-process default catalog (portfolio, tpch or none)")
 	schemaFile := fs.String("schema", "", "in-process schema DDL file (overrides -workload)")
-	alg := fs.String("alg", "podp", "in-process algorithm: podp or podp-bushy")
 	cpus := fs.Int("cpus", 4, "in-process machine CPUs")
 	disks := fs.Int("disks", 4, "in-process machine disks")
 	beam := fs.Int("beam", 0, "in-process cover-set cap (0 = exact)")
@@ -55,7 +53,7 @@ func replayMain(args []string) {
 		}
 		exec = httpExecutor(*addr)
 	} else {
-		svc, exec, err = inProcessExecutor(*schemaFile, *wl, *alg, *cpus, *disks, *beam, *planLogFile)
+		svc, exec, err = inProcessExecutor(*schemaFile, *wl, *cpus, *disks, *beam, *planLogFile)
 		if err != nil {
 			fatal(err)
 		}
@@ -124,19 +122,14 @@ func httpExecutor(base string) workload.Executor {
 // returned so replayMain can feed regressions into its plan-change audit
 // log). Records that name a catalog version other than the configured default
 // fail — an in-process replay can only know the catalogs its flags build.
-func inProcessExecutor(schemaFile, wl, alg string, cpus, disks, beam int, planLogFile string) (*paropt.Service, workload.Executor, error) {
+func inProcessExecutor(schemaFile, wl string, cpus, disks, beam int, planLogFile string) (*paropt.Service, workload.Executor, error) {
 	cat, err := paropt.DefaultCatalog(schemaFile, wl, disks)
-	if err != nil {
-		return nil, nil, err
-	}
-	algorithm, err := core.ParseAlgorithm(alg)
 	if err != nil {
 		return nil, nil, err
 	}
 	svc, err := paropt.NewService(paropt.ServiceConfig{
 		Catalog:     cat,
 		Machine:     machine.Config{CPUs: cpus, Disks: disks, Networks: 1},
-		Algorithm:   algorithm,
 		CoverCap:    beam,
 		PlanLogPath: planLogFile,
 	})

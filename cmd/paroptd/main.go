@@ -1,16 +1,16 @@
 // Command paroptd runs the optimizer as a long-lived HTTP daemon: a
-// fingerprint-keyed plan cache over the partial-order DP, a bounded worker
-// pool with admission control, and Prometheus-style metrics.
+// fingerprint-keyed plan cache over the left-deep partial-order DP, a bounded
+// worker pool with admission control, and Prometheus-style metrics.
 //
 // Usage:
 //
 //	paroptd [-addr :7077] [-schema schema.ddl | -workload portfolio]
-//	        [-alg podp|podp-bushy] [-cpus 4] [-disks 4] [-aggdisks]
+//	        [-cpus 4] [-disks 4] [-aggdisks]
 //	        [-nodes 1] [-networks 1] [-net-latency 0] [-agglinks]
 //	        [-workers N] [-queue 64] [-cache 512]
 //	        [-timeout 30s] [-beam 0] [-traces 256] [-log text|json|none]
 //	        [-debug-addr localhost:7078]
-//	        [-query-log q.jsonl] [-sweep 1m] [-exchange-window 16]
+//	        [-query-log q.jsonl] [-exchange-window 16]
 //	        [-plan-log-file changes.jsonl] [-drain 5s]
 //
 // Endpoints:
@@ -23,8 +23,9 @@
 //	                         registered paroptw workers)
 //	POST /schema            {"ddl": "relation R card=1000 ..."}→ catalog version
 //	                        ("default": true makes it the default — the
-//	                         statistics-refresh path the sweeper reacts to;
-//	                         the retired version's cache entries are swept)
+//	                         statistics-refresh path: the retired version's
+//	                         cache entries are swept and drifted hot
+//	                         templates re-searched before the reply)
 //	POST /cluster/register   {"addr": "host:port"}             → worker joins
 //	POST /cluster/deregister {"addr": "host:port"}             → worker leaves
 //	GET  /cluster/workers                                      → membership + link traffic
@@ -63,9 +64,10 @@
 // plan, latency) that feeds the per-fingerprint profiler behind
 // /debug/workload and, with -query-log, an append-only JSONL log that
 // `paropt replay` re-executes and `paropt workload` summarizes.
-// With -sweep, a background sweeper re-optimizes hot templates whose
-// explain-analyze row q-error EWMA has reached 2 over at least 2 samples
-// (workload.DriftThreshold, workload.DriftMinSamples). Analyze requests
+// A template whose explain-analyze row q-error EWMA has reached 2 over at
+// least 2 samples (workload.DriftThreshold, workload.DriftMinSamples) is
+// marked drifted; the next statistics refresh re-searches up to 4 of the
+// hottest before it replies. Analyze requests
 // execute at 1 024 rows per batch against synthetic data from seed 1; the
 // negative cache remembers the last 256 failed queries.
 //
@@ -86,7 +88,6 @@ import (
 	"time"
 
 	"paropt"
-	"paropt/internal/core"
 	"paropt/internal/machine"
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
@@ -96,7 +97,6 @@ func main() {
 	addr := flag.String("addr", ":7077", "listen address")
 	schemaFile := flag.String("schema", "", "schema DDL file for the default catalog")
 	wl := flag.String("workload", "portfolio", "built-in default catalog when -schema is absent (portfolio, tpch or none)")
-	alg := flag.String("alg", "podp", "podp or podp-bushy (partial-order algorithms only)")
 	cpus := flag.Int("cpus", 4, "machine CPUs")
 	disks := flag.Int("disks", 4, "machine disks")
 	networks := flag.Int("networks", 1, "machine network links")
@@ -113,7 +113,6 @@ func main() {
 	logMode := flag.String("log", "text", "request log format on stderr: text, json or none")
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	queryLog := flag.String("query-log", "", "append-only JSONL query log: one record per finished request, served, failed or cancelled (empty = disabled); feed it to `paropt replay` / `paropt workload`")
-	sweep := flag.Duration("sweep", 0, "drift-sweeper interval: re-optimize drifted hot templates in the background (0 = disabled)")
 	exchWindow := flag.Int("exchange-window", 0, "credit window (frames in flight per direction, at most 1024) for distributed exchanges; fragments carry it to the workers (0 = exchange default)")
 	planLogFile := flag.String("plan-log-file", "", "additionally append plan changes as JSONL to this file, each naming its trace (empty = traces only)")
 	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
@@ -130,11 +129,6 @@ func main() {
 		log.Fatalf("paroptd: -log must be text, json or none (got %q)", *logMode)
 	}
 
-	// NewService refuses the algorithms that produce no reusable cover set.
-	algorithm, err := core.ParseAlgorithm(*alg)
-	if err != nil {
-		log.Fatalf("paroptd: %v", err)
-	}
 	cat, err := paropt.DefaultCatalog(*schemaFile, *wl, *disks)
 	if err != nil {
 		log.Fatalf("paroptd: %v", err)
@@ -161,7 +155,6 @@ func main() {
 			CPUs: *cpus, Disks: *disks, Networks: *networks, Nodes: *nodes,
 			NetLatency: *netLatency, AggregateDisks: *aggDisks, AggregateLinks: *aggLinks,
 		},
-		Algorithm:      algorithm,
 		CoverCap:       *beam,
 		Workers:        *workers,
 		QueueDepth:     *queue,
@@ -170,7 +163,6 @@ func main() {
 		TraceCapacity:  *traces,
 		Logger:         logger,
 		QueryLog:       qlog,
-		SweepInterval:  *sweep,
 		ExchangeWindow: *exchWindow,
 		PlanLogPath:    *planLogFile,
 	})

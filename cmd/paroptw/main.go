@@ -14,17 +14,18 @@
 //
 //	paroptw [-listen 127.0.0.1:0] [-daemon http://localhost:7077]
 //	        [-advertise host:port]
-//	        [-heartbeat 5s] [-max-reconnect 120]
 //	        [-http 127.0.0.1:0] [-debug-addr localhost:0]
 //
 // With -daemon the worker registers its address at POST /cluster/register on
-// startup (retrying with backoff while the daemon is unreachable) and keeps
-// re-registering on every heartbeat — registration is idempotent, so a
+// startup (retrying once a second while the daemon is unreachable) and keeps
+// re-registering on a heartbeat every 5 s — registration is idempotent, so a
 // daemon restart that loses the membership table is healed by the next
 // heartbeat instead of the worker silently dropping out of the cluster. The
-// heartbeat also refreshes the placement map when its fingerprint changes.
-// After -max-reconnect consecutive heartbeat failures the worker exits
-// nonzero so a supervisor can restart it (0 = retry forever). -advertise
+// heartbeat also refreshes the placement map when its fingerprint changes,
+// and a shipped scan planned against other statistics than the store's
+// refetches it at once. After 120 consecutive failed registration attempts
+// or heartbeats (about 2 minutes and 10 minutes) the worker exits nonzero so
+// a supervisor can restart it. -advertise
 // overrides the registered address when the listen address is not reachable
 // as-is (e.g. binding 0.0.0.0). Without -daemon the worker just serves;
 // register it by hand.
@@ -70,8 +71,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "fragment listen address")
 	daemon := flag.String("daemon", "", "paroptd base URL to register with (empty = no registration)")
 	advertise := flag.String("advertise", "", "address to register at the daemon (default: the resolved listen address)")
-	heartbeat := flag.Duration("heartbeat", 5*time.Second, "re-register and placement-refresh interval")
-	maxReconnect := flag.Int("max-reconnect", 120, "consecutive failed heartbeats before exiting (0 = retry forever)")
 	httpAddr := flag.String("http", "127.0.0.1:0", "listener for the worker's own /metrics and /healthz (empty = disabled)")
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	flag.Parse()
@@ -122,14 +121,14 @@ func main() {
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
 	if *daemon != "" {
-		if err := registerWithRetry(*daemon, reg, httpURL, *maxReconnect); err != nil {
+		if err := registerWithRetry(*daemon, reg, httpURL); err != nil {
 			log.Fatalf("paroptw: register with %s: %v", *daemon, err)
 		}
 		log.Printf("paroptw: registered %s with %s", reg, *daemon)
 		if err := box.refresh(); err != nil {
 			log.Printf("paroptw: placement prefetch: %v", err)
 		}
-		go heartbeatLoop(*daemon, reg, httpURL, box, *heartbeat, *maxReconnect, fatalc, hbStop, hbDone)
+		go heartbeatLoop(*daemon, reg, httpURL, box, fatalc, hbStop, hbDone)
 	} else {
 		close(hbDone)
 	}
@@ -156,13 +155,21 @@ func main() {
 	ln.Close()
 }
 
+// heartbeatEvery is how often a registered worker re-registers and refreshes
+// its placement; maxFailures is how many consecutive failed registration
+// attempts or heartbeats it survives before exiting for its supervisor.
+const (
+	heartbeatEvery = 5 * time.Second
+	maxFailures    = 120
+)
+
 // registerWithRetry posts the worker's address to the daemon, retrying with
 // a fixed backoff while the daemon is unreachable (it may still be coming
-// up). maxAttempts <= 0 retries forever.
-func registerWithRetry(daemon, addr, httpURL string, maxAttempts int) error {
+// up), up to maxFailures attempts.
+func registerWithRetry(daemon, addr, httpURL string) error {
 	const backoff = time.Second
 	var lastErr error
-	for attempt := 1; maxAttempts <= 0 || attempt <= maxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxFailures; attempt++ {
 		lastErr = postCluster(daemon, "/cluster/register", addr, httpURL)
 		if lastErr == nil {
 			return nil
@@ -224,13 +231,13 @@ func workerFamilies(stats *exchange.WorkerStats, box *storeBox, start time.Time)
 // Registration is idempotent on the daemon side (the epoch only advances on
 // real membership changes), so the steady-state heartbeat is free; after a
 // daemon restart it re-establishes membership instead of letting the worker
-// drop out silently. maxFail consecutive failures abort via fatalc. Closing
-// stop ends the loop; done is closed on return so shutdown can wait out an
-// in-flight heartbeat before deregistering.
-func heartbeatLoop(daemon, addr, httpURL string, box *storeBox, every time.Duration, maxFail int, fatalc chan<- error, stop <-chan struct{}, done chan<- struct{}) {
+// drop out silently. maxFailures consecutive failures abort via fatalc.
+// Closing stop ends the loop; done is closed on return so shutdown can wait
+// out an in-flight heartbeat before deregistering.
+func heartbeatLoop(daemon, addr, httpURL string, box *storeBox, fatalc chan<- error, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	fails := 0
-	t := time.NewTicker(every)
+	t := time.NewTicker(heartbeatEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -243,7 +250,7 @@ func heartbeatLoop(daemon, addr, httpURL string, box *storeBox, every time.Durat
 			if fails == 1 || fails%10 == 0 {
 				log.Printf("paroptw: heartbeat %d failed: %v", fails, err)
 			}
-			if maxFail > 0 && fails >= maxFail {
+			if fails >= maxFailures {
 				fatalc <- fmt.Errorf("daemon unreachable for %d heartbeats: %w", fails, err)
 				return
 			}
@@ -281,9 +288,12 @@ func postCluster(base, path, addr, httpURL string) error {
 // storeBox is the worker's exchange.Store: a swappable placement store
 // bootstrapped lazily from the daemon. The first shipped scan that arrives
 // before a heartbeat has populated the store triggers a synchronous fetch,
-// so a worker started mid-placement still serves it; if the daemon has no
-// placement (or is unreachable) the scan fails cleanly and the coordinator
-// falls back or retries elsewhere.
+// so a worker started mid-placement still serves it, and so does one the
+// store refuses as planned against other statistics (the daemon re-installed
+// since the last heartbeat). If the daemon has no placement, is unreachable,
+// or holds the scan's catalog under another version than its default, the
+// scan fails cleanly and the coordinator retries elsewhere or falls back to
+// its own store.
 type storeBox struct {
 	daemon string
 	self   string
@@ -305,17 +315,21 @@ func (b *storeBox) shardStats() (int, int64) {
 
 func (b *storeBox) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.Vec, error) {
 	st := b.store.Load()
-	if st == nil {
-		if b.daemon == "" {
-			return nil, errors.New("paroptw: shipped scan but no -daemon to fetch placement from")
+	switch {
+	case st != nil:
+		v, err := st.ScanPartition(spec, part, parts)
+		if !errors.Is(err, placement.ErrStaleStats) || b.daemon == "" {
+			return v, err
 		}
-		// Install without prewarming: this scan needs one shard, now.
-		if _, _, err := b.install(); err != nil {
-			return nil, fmt.Errorf("paroptw: fetch placement: %w", err)
-		}
-		if st = b.store.Load(); st == nil {
-			return nil, errors.New("paroptw: no placement installed at daemon")
-		}
+	case b.daemon == "":
+		return nil, errors.New("paroptw: shipped scan but no -daemon to fetch placement from")
+	}
+	// Install without prewarming: this scan needs one shard, now.
+	if _, _, err := b.install(); err != nil {
+		return nil, fmt.Errorf("paroptw: fetch placement: %w", err)
+	}
+	if st = b.store.Load(); st == nil {
+		return nil, errors.New("paroptw: no placement installed at daemon")
 	}
 	return st.ScanPartition(spec, part, parts)
 }

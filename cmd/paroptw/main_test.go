@@ -150,3 +150,31 @@ func TestInstallRejectsOversizedPlacement(t *testing.T) {
 		t.Error("a failed install must not publish a store")
 	}
 }
+
+// TestStaleScanRefetchesPlacement: a daemon that re-installed its placement
+// over new statistics since the worker's last heartbeat gets a scan planned
+// against them; the worker's store refuses it, refetches the placement once
+// and serves the new statistics' rows.
+func TestStaleScanRefetchesPlacement(t *testing.T) {
+	svc, srv := placementDaemon(t)
+	box := &storeBox{daemon: srv.URL, self: "w:1", client: srv.Client()}
+	if err := box.refresh(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := parser.ParseSchema(strings.Replace(testDDL, "relation R1 card=1000", "relation R1 card=1500", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.RefreshCatalog(cat)
+	if _, err := svc.InstallPlacement("", nil); err != nil {
+		t.Fatal(err)
+	}
+	spec := exchange.ScanSpec{Relation: "R1", Stats: cat.MustRelation("R1").StatsDigest()}
+	v, err := box.ScanPartition(spec, 0, 1)
+	if err != nil {
+		t.Fatalf("scan planned against the re-installed statistics: %v", err)
+	}
+	if v.Len() != 1500 {
+		t.Errorf("scan served %d rows, the re-installed R1 has 1500", v.Len())
+	}
+}

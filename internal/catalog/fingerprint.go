@@ -24,13 +24,7 @@ func (c *Catalog) Fingerprint() string {
 	names := c.RelationNames()
 	sort.Strings(names)
 	for _, name := range names {
-		r := c.MustRelation(name)
-		fmt.Fprintf(&b, "rel %s card=%d pages=%d disk=%d decluster=%d sorted=%s\n",
-			r.Name, r.Card, r.Pages, r.Disk, r.Decluster, r.SortedBy)
-		for _, col := range r.Columns {
-			fmt.Fprintf(&b, "col %s.%s ndv=%d width=%d skew=%g\n",
-				r.Name, col.Name, col.NDV, col.Width, col.Skew)
-		}
+		c.MustRelation(name).writeStats(&b)
 	}
 	idxNames := make([]string, 0, len(c.indexes))
 	for n := range c.indexes {
@@ -44,4 +38,27 @@ func (c *Catalog) Fingerprint() string {
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
+}
+
+// writeStats renders the relation's lines of Fingerprint: its statistics and
+// placement, then each column's NDV, width and skew.
+func (r *Relation) writeStats(b *strings.Builder) {
+	fmt.Fprintf(b, "rel %s card=%d pages=%d disk=%d decluster=%d sorted=%s\n",
+		r.Name, r.Card, r.Pages, r.Disk, r.Decluster, r.SortedBy)
+	for _, col := range r.Columns {
+		fmt.Fprintf(b, "col %s.%s ndv=%d width=%d skew=%g\n",
+			r.Name, col.Name, col.NDV, col.Width, col.Skew)
+	}
+}
+
+// StatsDigest hashes the relation's lines of Fingerprint into 16 hex digits.
+// Data generated from a relation is a function of these statistics, so two
+// relations of one name with equal digests hold the same rows: a shipped
+// scan carries its relation's digest, and a store built from other
+// statistics refuses it instead of serving another catalog's rows.
+func (r *Relation) StatsDigest() string {
+	var b strings.Builder
+	r.writeStats(&b)
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:8])
 }

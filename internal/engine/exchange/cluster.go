@@ -661,25 +661,24 @@ func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Bat
 		return nil, nil, &WorkerError{Addr: addr, Err: err}
 	}
 	defer conn.Close()
-	sc := &shippedConn{conn: conn, fw: frameWriter{w: conn}}
+	// Every frame the attempt writes — fragment, credits, the cancel abandon
+	// injects — is metered on the link, as on a streamed link.
+	stats := c.linkFor(addr)
+	sc := &shippedConn{conn: conn, fw: frameWriter{w: conn, stats: stats}}
 	// Runs at once when the join is already cancelled: the attempt then fails
 	// on its first frame instead of racing the teardown.
 	defer context.AfterFunc(j.ctx, sc.abandon)()
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return nil, nil, &WorkerError{Addr: addr, Err: err}
 	}
-	stats := c.linkFor(addr)
 	dispatched := time.Now()
 	payload, err := json.Marshal(f)
 	if err != nil {
 		return nil, nil, err
 	}
-	sendStart := nowNanos()
 	if err := sc.fw.write(frameFragment, payload); err != nil {
 		return nil, nil, &WorkerError{Addr: addr, Err: err}
 	}
-	stats.SendNanos.Add(nowNanos() - sendStart)
-	stats.BytesSent.Add(int64(5 + len(payload)))
 	c.fragments.Add(1)
 	c.countShipped(&f)
 
@@ -689,7 +688,6 @@ func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Bat
 		if err := sc.fw.write(frameCredit, []byte{creditResult}); err != nil {
 			return &WorkerError{Addr: addr, Err: err}
 		}
-		stats.BytesSent.Add(6)
 		return nil
 	}, nil)
 	if err != nil {

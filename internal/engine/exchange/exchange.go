@@ -53,9 +53,13 @@ type ScanFilter struct {
 // with the query's equality selections applied. Because worker stores
 // generate relations deterministically from the catalog, any worker can
 // source any partition — the basis for fragment re-dispatch and
-// coordinator fallback.
+// coordinator fallback. Stats is the digest of the relation's statistics the
+// scan was planned against (catalog.Relation.StatsDigest): a store generating
+// the relation from other statistics holds other rows, and refuses the scan.
+// Empty skips the check.
 type ScanSpec struct {
 	Relation string       `json:"relation"`
+	Stats    string       `json:"stats,omitempty"`
 	HashCol  int          `json:"hash_col"`
 	Filters  []ScanFilter `json:"filters,omitempty"`
 }

@@ -3,8 +3,12 @@ package exchange
 import (
 	"context"
 	"errors"
+	"net"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"paropt/internal/storage"
 	"paropt/internal/vec"
@@ -272,5 +276,101 @@ func TestShippedNoFallbackWithoutStore(t *testing.T) {
 	}
 	if cluster.Fallbacks() != 0 {
 		t.Errorf("Fallbacks = %d, want 0 without Store/Fn", cluster.Fallbacks())
+	}
+}
+
+// countingListener hands the worker connections that count the bytes the
+// worker reads off them — what the coordinator's side actually wrote — and
+// lets a test wait until every connection it accepted is closed.
+type countingListener struct {
+	net.Listener
+	read  atomic.Int64
+	conns sync.WaitGroup
+}
+
+type countingConn struct {
+	net.Conn
+	l    *countingListener
+	once sync.Once
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.conns.Add(1)
+	return &countingConn{Conn: c, l: l}, nil
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.read.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Close() error {
+	c.once.Do(c.l.conns.Done)
+	return c.Conn.Close()
+}
+
+// TestShippedLinkMetersEveryFrame: a shipped attempt's link counts exactly
+// the bytes its worker reads — the fragment, every result credit and, when
+// the join is cancelled, the cancel frame — and the time spent writing them.
+func TestShippedLinkMetersEveryFrame(t *testing.T) {
+	store := &memStore{rels: map[string][]storage.Row{"L": rowsOf(2_000, 41), "R": rowsOf(400, 41)}}
+	blocking := func(frag Fragment, left, right Operator) (Operator, error) {
+		return &opFunc{left: left, right: right, next: func(ctx context.Context) (Batch, error) {
+			<-ctx.Done()
+			return nil, context.Cause(ctx)
+		}}, nil
+	}
+	for _, tc := range []struct {
+		name   string
+		join   JoinFunc
+		cancel bool
+	}{{"served", testHashJoin, false}, {"cancelled", blocking, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := &countingListener{Listener: ln}
+			ws := &WorkerStats{}
+			go (&Worker{Join: tc.join, Store: store, Stats: ws}).Serve(cl) //nolint:errcheck
+			defer ln.Close()
+			addr := ln.Addr().String()
+			cluster := NewCluster([]string{addr}, ClusterConfig{
+				Owners: map[string][]string{"L": {addr}, "R": {addr}}, Retries: -1,
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			j, err := cluster.Join(ctx, shippedFrag(1), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cancel {
+				for ws.ActiveFragments.Load() == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+			}
+			rows, err := collect(j)
+			if tc.cancel != (err != nil) || !tc.cancel && len(rows) == 0 {
+				t.Fatalf("collect: %d rows, err %v", len(rows), err)
+			}
+			cl.conns.Wait()
+			links := cluster.Links()
+			if len(links) != 1 {
+				t.Fatalf("links = %+v, want one", links)
+			}
+			l := links[0]
+			if l.BytesSent != cl.read.Load() || l.SendNanos <= 0 {
+				t.Errorf("link metered %d bytes sent in %d ns; the worker read %d bytes", l.BytesSent, l.SendNanos, cl.read.Load())
+			}
+			if !tc.cancel && l.BatchesRecv == 0 {
+				t.Error("no result batch crossed the link; no credit was metered")
+			}
+		})
 	}
 }

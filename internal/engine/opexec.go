@@ -166,11 +166,11 @@ func (e *Executor) lowerJoin(op, lin, rin *optree.Op, lsort, rsort *query.Column
 	for i, in := range [2]*optree.Op{lin, rin} {
 		if shipper != nil && (in.Kind == optree.Scan || in.Kind == optree.IndexScanOp) {
 			if owners, ok := shipper.ShipScan(in.Relation); ok {
-				_, schema, sels, err := e.relation(in.Relation)
+				tab, schema, sels, err := e.relation(in.Relation)
 				if err != nil {
 					return fail(err)
 				}
-				schemas[i], specs[i] = schema, &exchange.ScanSpec{Relation: in.Relation, Filters: sels}
+				schemas[i], specs[i] = schema, &exchange.ScanSpec{Relation: in.Relation, Stats: tab.Rel.StatsDigest(), Filters: sels}
 				if parts == 0 {
 					parts = owners
 				}

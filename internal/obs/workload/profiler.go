@@ -209,9 +209,9 @@ func (p *Profiler) Observe(rec Record) {
 	pr.mu.Unlock()
 }
 
-// MarkSwept records a background re-optimization of the template and resets
-// its accuracy EWMAs — the old samples measured a plan that no longer
-// serves, so the drift mark must be re-earned against the new one.
+// MarkSwept records a drift sweep of the template and resets its accuracy
+// EWMAs — the old samples measured a plan that no longer serves, so the drift
+// mark must be re-earned against the new one.
 func (p *Profiler) MarkSwept(fp string) {
 	sh := p.shard(fp)
 	sh.mu.Lock()
@@ -276,7 +276,7 @@ func (p *Profiler) Snapshot() []ProfileSnapshot {
 }
 
 // Drifted returns snapshots of the profiles currently marked drifted,
-// ordered by traffic (hottest first) — the sweeper's work queue.
+// ordered by traffic (hottest first) — the drift sweep's work queue.
 func (p *Profiler) Drifted() []ProfileSnapshot {
 	var out []ProfileSnapshot
 	for _, s := range p.Snapshot() {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"sync"
@@ -231,6 +232,23 @@ func TestStoreFiltersAndValidation(t *testing.T) {
 	}
 	if _, err := st.ScanPartition(exchange.ScanSpec{Relation: "sectors"}, 5, 2); err == nil {
 		t.Error("out-of-range partition must error")
+	}
+}
+
+// TestStoreRefusesOtherStatistics: a store built from catalog A refuses a scan
+// stamped with the statistics of catalog B's relation of the same name — its
+// rows would be A's — and serves one stamped from its own.
+func TestStoreRefusesOtherStatistics(t *testing.T) {
+	a, b := portfolioCat(t), portfolioCat(t)
+	b.MustRelation("sectors").Card = 300
+	st := NewStore(a, 7)
+	spec := exchange.ScanSpec{Relation: "sectors", Stats: b.MustRelation("sectors").StatsDigest()}
+	if _, err := st.ScanPartition(spec, 0, 1); !errors.Is(err, ErrStaleStats) {
+		t.Errorf("scan planned against B's sectors: err = %v, want ErrStaleStats", err)
+	}
+	spec.Stats = a.MustRelation("sectors").StatsDigest()
+	if rows := scanRows(t, st, spec, 0, 1); len(rows) != 100 {
+		t.Errorf("scan planned against the store's own sectors: %d rows, want 100", len(rows))
 	}
 }
 

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -96,15 +97,27 @@ func (s *Store) ShardStats() (shards int, rows int64) {
 	return len(s.shards), rows
 }
 
+// ErrStaleStats is what ScanPartition refuses a spec with when the spec was
+// planned against other statistics of its relation than the store generates
+// from — another catalog version's rows.
+var ErrStaleStats = errors.New("placement: scan planned against other statistics")
+
 // ScanPartition implements exchange.Store: the cached shard's columns with
 // the spec's filters applied as a selection vector. Nothing is copied, so the
 // result is read-only. A filter on a column the relation lacks keeps no row.
+// A spec stamped with another statistics digest than the store's relation is
+// refused with ErrStaleStats.
 func (s *Store) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.Vec, error) {
 	if parts < 1 {
 		parts = 1
 	}
 	if part < 0 || part >= parts {
 		return nil, fmt.Errorf("placement: partition %d of %d out of range", part, parts)
+	}
+	if rel, ok := s.cat.Relation(spec.Relation); ok && spec.Stats != "" {
+		if have := rel.StatsDigest(); have != spec.Stats {
+			return nil, fmt.Errorf("%w: relation %s is %s here, the scan wants %s", ErrStaleStats, spec.Relation, have, spec.Stats)
+		}
 	}
 	cols, err := s.shard(spec.Relation, spec.HashCol, part, parts)
 	if err != nil {

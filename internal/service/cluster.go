@@ -215,7 +215,6 @@ func (s *Service) recordExchange(sp *obs.Span, c *exchange.Cluster) {
 		sp.SetAttr("retries", n)
 	}
 	if n := c.Fallbacks(); n > 0 {
-		s.met.ExchangeFallbacks.Add(n)
 		sp.SetAttr("fallbacks", n)
 		// The typed reason distinguishes worker death from dispatch errors
 		// on both the span and the per-reason counter family.

@@ -1,18 +1,23 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"paropt/internal/catalog"
 	"paropt/internal/engine"
 	"paropt/internal/engine/exchange"
 	"paropt/internal/obs/accuracy"
 	"paropt/internal/parser"
 	"paropt/internal/placement"
+	"paropt/internal/storage"
 )
 
 // TestRefreshCatalogRetiresVersion: moving the default catalog must retire
@@ -346,6 +351,72 @@ func TestPlacementInstallAndShippedAnalyze(t *testing.T) {
 	}
 }
 
+// TestShippedScanOfAnotherVersionServesItsRows: workers bootstrap their store
+// from the default version's placement, so a distributed analyze of another
+// registered version that has a placement of its own ships scans to stores
+// holding other rows. The stores refuse them as planned against other
+// statistics, and the coordinator's fallback, which sources the request's own
+// version, returns that version's join.
+func TestShippedScanOfAnotherVersionServesItsRows(t *testing.T) {
+	s := newTestService(t, nil)
+	ctx := context.Background()
+	s.mu.RLock()
+	catA := s.catalogs[s.defaultVersion]
+	s.mu.RUnlock()
+	lb, err := exchange.StartLoopbackWorkers([]*exchange.Worker{
+		{Join: engine.FragmentJoin, Store: placement.NewStore(catA, dataSeed)},
+		{Join: engine.FragmentJoin, Store: placement.NewStore(catA, dataSeed)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	for _, addr := range lb.Addrs() {
+		if _, err := s.RegisterWorker(addr, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catB, err := parser.ParseSchema(strings.Replace(testDDL, "relation R2 card=80000", "relation R2 card=40000", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	versionB := s.RegisterCatalog(catB)
+	for _, v := range []string{"", versionB} {
+		if _, err := s.InstallPlacement(v, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sql := chainSQL(2, 7)
+	refRows := func(cat *catalog.Catalog) int64 {
+		q, err := parser.ParseQuery(sql, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := engine.ReferenceJoin(&engine.Executor{DB: storage.NewDatabase(cat, dataSeed), Q: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(ref.Len())
+	}
+	wantB := refRows(catB)
+	if wantB == 0 || wantB == refRows(catA) {
+		t.Fatalf("fixture proves nothing: version B's join has %d rows, the default's %d", wantB, refRows(catA))
+	}
+	out, err := s.Explain(ctx, OptimizeRequest{Query: sql, Catalog: versionB, Analyze: true, Distributed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range out.Analyze.Ops {
+		if op.Root && op.ActRows != wantB {
+			t.Errorf("distributed analyze of the non-default version returned %d rows, its reference join %d", op.ActRows, wantB)
+		}
+	}
+	if s.met.ShippedScans.Load() == 0 {
+		t.Error("no scan was shipped; the fixture proves nothing")
+	}
+}
+
 // TestTraceTellsTheWholeStory: one GET /debug/trace/{id} of a cache-missing,
 // distributed explain-analyze over two placed loopback workers answers what
 // the request did — the search with its per-layer spans, every operator's
@@ -437,4 +508,76 @@ func TestTraceTellsTheWholeStory(t *testing.T) {
 	if len(workers) != 2 {
 		t.Errorf("want fragment spans from both workers, got %v", workers)
 	}
+}
+
+// FuzzClusterBody: any POST body to /cluster/register, /cluster/deregister
+// or /cluster/placement ends in a 200, 400 or 404, never a 500 or a panic;
+// one padded past MaxBodyBytes is a 400; and an address a 200 registered is
+// listed by GET /cluster/workers. Each body meets a fresh service serving the
+// test schema with one worker registered, so a placement body reaches
+// placement.Build.
+func FuzzClusterBody(f *testing.F) {
+	cat, err := parser.ParseSchema(testDDL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	routes := []string{"/cluster/register", "/cluster/deregister", "/cluster/placement"}
+	for _, seed := range []struct {
+		route uint8
+		body  string
+	}{
+		{0, `{"addr":"10.0.0.2:7200"}`}, {0, `{"addr":"10.0.0.2:7200","http":"http://10.0.0.2:7300"}`},
+		{0, `{"addr":""}`}, {0, `{"addr":7}`}, {1, `{"addr":"w:1"}`}, {1, `{"addr":"nobody"}`},
+		{2, `{}`}, {2, `{"columns":{"R1":"b","R2":"a"}}`}, {2, `{"columns":{"R1":"nope"}}`},
+		{2, `{"catalog":"nope"}`}, {2, `{"columns":{"Nope":"a"}}`},
+		{0, `{"unknown":true}`}, {1, `{`}, {2, ``}, {2, `null`}, {0, "\x00\xff"},
+	} {
+		f.Add(seed.route, []byte(seed.body), false)
+	}
+	for i := range routes {
+		f.Add(uint8(i), []byte(`{"addr":"w:2"}`), true)
+	}
+	f.Fuzz(func(t *testing.T, route uint8, body []byte, oversize bool) {
+		s, err := New(Config{Catalog: cat, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.RegisterWorker("w:1", ""); err != nil {
+			t.Fatal(err)
+		}
+		path := routes[int(route)%len(routes)]
+		if oversize { // leading whitespace the decoder must read through
+			body = append(bytes.Repeat([]byte{' '}, MaxBodyBytes), body...)
+		}
+		h := s.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("POST %s: HTTP %d: %s", path, rec.Code, rec.Body.Bytes())
+		}
+		if oversize && rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST %s of %d bytes: HTTP %d, want 400", path, len(body), rec.Code)
+		}
+		if path != "/cluster/register" || rec.Code != http.StatusOK {
+			return
+		}
+		var req ClusterRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("a registered body does not decode: %v", err)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/cluster/workers", nil))
+		var list struct {
+			Workers []string `json:"workers"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+			t.Fatalf("GET /cluster/workers: %v: %s", err, rec.Body.Bytes())
+		}
+		if !slices.Contains(list.Workers, req.Addr) {
+			t.Fatalf("registered %q, /cluster/workers lists %q", req.Addr, list.Workers)
+		}
+	})
 }

@@ -254,8 +254,8 @@ func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // SchemaRequest registers a catalog from DDL text. Default additionally
 // makes it the service's default catalog (the statistics-refresh path: the
-// plan cache misses naturally under the new version and the drift sweeper
-// re-optimizes hot templates against it).
+// plan cache misses naturally under the new version, and before the reply
+// the refresh's drift sweep re-optimizes drifted hot templates against it).
 type SchemaRequest struct {
 	DDL     string `json:"ddl"`
 	Default bool   `json:"default,omitempty"`

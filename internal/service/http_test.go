@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"paropt/internal/engine"
+	"paropt/internal/machine"
 	"paropt/internal/parser"
 	"paropt/internal/storage"
 )
@@ -383,6 +385,25 @@ func TestHTTPAnalyzeParallelIsACap(t *testing.T) {
 	}
 	if len(rows) != 2 || rows[0] != rows[1] {
 		t.Errorf("root actRows per request = %v, want two equal counts", rows)
+	}
+}
+
+// TestMultiNodeAnalyzeRunsAnnotatedDegrees: on a shared-nothing machine the
+// annotator spreads a join over the CPUs of every node, so an analyze that
+// names no cap runs it that wide — not capped at one node's CPU count.
+func TestMultiNodeAnalyzeRunsAnnotatedDegrees(t *testing.T) {
+	s := newTestService(t, func(c *Config) { c.Machine = machine.Config{CPUs: 2, Disks: 2, Nodes: 3} })
+	out, err := s.Explain(context.Background(), OptimizeRequest{Query: chainSQL(3, 7), Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := 0
+	for _, op := range out.Analyze.Ops {
+		widest = max(widest, op.Clones)
+	}
+	if widest <= s.mcfg.CPUs || widest > s.mcfg.CPUs*s.mcfg.Nodes {
+		t.Errorf("widest operator ran %d clones, want more than one node's %d CPUs and at most all %d",
+			widest, s.mcfg.CPUs, s.mcfg.CPUs*s.mcfg.Nodes)
 	}
 }
 

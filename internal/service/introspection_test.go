@@ -349,7 +349,7 @@ func TestSweeperPlanChangeAuditLog(t *testing.T) {
 
 	first := analyzePoisoned(t, s)
 	s.RefreshCatalog(refreshedCatalog())
-	if n := s.SweepNow(); n != 1 {
+	if n := s.met.SweepReoptimized.Load(); n != 1 {
 		t.Fatalf("sweep should re-optimize 1 template, got %d", n)
 	}
 

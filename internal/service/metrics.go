@@ -45,10 +45,10 @@ type Metrics struct {
 	CoverReuse, FullSearch, Deduped   atomic.Int64
 	AnalyzeRuns, Rejected, Errors     atomic.Int64
 	NegCacheHits, CatalogRetired      atomic.Int64
-	SweepRuns, SweepReoptimized       atomic.Int64
+	SweepReoptimized                  atomic.Int64
 
 	// Cumulative over distributed analyze runs (recordExchange).
-	ExchangeFragments, ShippedScans, ExchangeRetries, ExchangeFallbacks atomic.Int64
+	ExchangeFragments, ShippedScans, ExchangeRetries atomic.Int64
 
 	// Latency is end to end; a request decomposes into parse (resolve +
 	// fingerprint), search (cache lookup through cover-set computation), select
@@ -103,8 +103,7 @@ func (s *Service) families() []obs.Family {
 		obs.Counter("paroptd_rejected_total", "Requests rejected by admission control (429).", m.Rejected.Load),
 		obs.Counter("paroptd_errors_total", "Requests that failed.", m.Errors.Load),
 		obs.Counter("paroptd_negcache_hits_total", "Parse/resolve failures answered from the negative cache.", m.NegCacheHits.Load),
-		obs.Counter("paroptd_sweeper_runs_total", "Drift-sweeper passes.", m.SweepRuns.Load),
-		obs.Counter("paroptd_sweeper_reoptimized_total", "Cache entries re-optimized by the drift sweeper.", m.SweepReoptimized.Load),
+		obs.Counter("paroptd_sweeper_reoptimized_total", "Cache entries re-optimized by the drift sweep a catalog refresh runs.", m.SweepReoptimized.Load),
 		m.Pruned.Family("paroptd_search_pruned_total", "Candidates pruned during DP search, by rejecting test."),
 		m.PlanChanges.Family("paroptd_plan_changes_total", "Cached-plan swaps recorded in the plan-change audit log, by source."),
 		m.QueryCancelled.Family("paroptd_query_cancelled_total", "In-flight queries cancelled, by reason."),
@@ -112,7 +111,6 @@ func (s *Service) families() []obs.Family {
 		obs.Counter("paroptd_exchange_fragments_total", "Join fragments dispatched to worker processes (re-dispatches count again).", m.ExchangeFragments.Load),
 		obs.Counter("paroptd_exchange_shipped_scans_total", "Leaf-scan sides sourced at workers instead of streamed from the coordinator.", m.ShippedScans.Load),
 		obs.Counter("paroptd_exchange_retries_total", "Fragment re-dispatches after a worker failure.", m.ExchangeRetries.Load),
-		obs.Counter("paroptd_exchange_fallbacks_total", "Fragments the coordinator ran itself after every worker dispatch failed.", m.ExchangeFallbacks.Load),
 		obs.Counter("paroptd_workload_overflow_total", "Fingerprints dropped because the workload profiler was full.", s.prof.Overflow),
 		obs.Counter("paroptd_querylog_records_total", "Query-log records written to disk.", qlog(0)),
 		obs.Counter("paroptd_querylog_dropped_total", "Query-log records dropped (writer behind or log closed).", qlog(1)),
@@ -144,7 +142,7 @@ func (s *Service) families() []obs.Family {
 		perLink("paroptd_exchange_send_seconds_total", "Seconds spent writing frames to each worker link (wire time, coordinator side).", func(sm *obs.Samples, l exchange.LinkSnapshot) {
 			sm.Float(float64(l.SendNanos)/1e9, "link", l.Addr)
 		}),
-		{Name: "paroptd_exchange_fallback_reason_total", Help: "Coordinator fallbacks by typed failure reason.", Type: "counter", Collect: func(sm *obs.Samples) {
+		{Name: "paroptd_exchange_fallback_reason_total", Help: "Fragments the coordinator ran itself after every worker dispatch failed, by typed failure reason.", Type: "counter", Collect: func(sm *obs.Samples) {
 			s.clusterMu.Lock()
 			defer s.clusterMu.Unlock()
 			for _, reason := range sortedKeys(s.fallbackReasons) {

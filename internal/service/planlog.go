@@ -9,7 +9,7 @@ import (
 )
 
 // Plan-change audit log: every time the service's answer for a query
-// fingerprint *changes* — the drift sweeper re-optimized it, a statistics
+// fingerprint *changes* — a refresh's drift sweep re-optimized it, a statistics
 // refresh moved the catalog, or a replay regression was reported — one
 // plan-change span records the before/after plan fingerprints, the cost
 // deltas, and a structural diff of the join trees under the trace that caused

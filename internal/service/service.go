@@ -77,9 +77,6 @@ type Config struct {
 	// Machine is the target machine; zero value means the default
 	// 4-CPU/4-disk/1-net node.
 	Machine machine.Config
-	// Algorithm must be a partial-order algorithm (the only ones with a
-	// reusable cover set); default PartialOrderDP.
-	Algorithm core.Algorithm
 	// CoverCap bounds cover sets (beam search) when > 0.
 	CoverCap int
 	// Workers bounds concurrent searches; default GOMAXPROCS.
@@ -109,12 +106,6 @@ type Config struct {
 	// /debug/queries registry. The caller owns the log and closes it after
 	// the service's Close; nil disables logging at zero cost.
 	QueryLog *workload.Log
-	// SweepInterval enables the background drift sweeper when > 0: every
-	// interval it re-runs the DP search for up to sweepLimit drifted
-	// templates (workload.DriftThreshold, workload.DriftMinSamples) against
-	// the current default catalog and swaps the cached cover sets. 0
-	// disables the goroutine (SweepNow still works).
-	SweepInterval time.Duration
 	// ExchangeWindow overrides the credit window (frames in flight per
 	// direction) for distributed exchanges when > 0; 0 keeps the exchange
 	// default, and New refuses one above exchange.MaxWindow. Every fragment
@@ -182,10 +173,6 @@ type Service struct {
 	inflight *inflightRegistry
 	stopped  bool // teardown ran (distinct from closed: Shutdown rejects first, tears down later)
 
-	// sweepStop/sweepWG manage the background drift sweeper (SweepInterval).
-	sweepStop chan struct{}
-	sweepWG   sync.WaitGroup
-
 	// dbMu guards dbs, the per-catalog-version synthetic databases analyze
 	// requests execute against (generated lazily, kept for reuse), and
 	// fstores, the per-version coordinator-fallback placement stores. A
@@ -200,13 +187,10 @@ type Service struct {
 	searchHook func()
 }
 
-// New builds and starts a service (its worker pool runs until Close).
+// New builds and starts a service (its worker pool runs until Close). It
+// searches with left-deep partial-order DP, whose cover set is what the plan
+// cache keeps; `paropt -alg` runs the other algorithms offline.
 func New(cfg Config) (*Service, error) {
-	switch cfg.Algorithm {
-	case core.PartialOrderDP, core.PartialOrderDPBushy:
-	default:
-		return nil, fmt.Errorf("service: algorithm %v has no reusable cover set (use PartialOrderDP or PartialOrderDPBushy)", cfg.Algorithm)
-	}
 	mcfg := cfg.Machine
 	if mcfg.CPUs == 0 && mcfg.Disks == 0 {
 		mcfg = machine.DefaultConfig()
@@ -261,22 +245,17 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.met.init()
 	s.cache = newPlanCache(cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
-	s.sessKey = fmt.Sprintf("m=%dc%dd%dn%dN,cs%g,ds%g,ns%g,nl%g,agg%t,aggl%t|alg=%d,cover=%d",
+	s.sessKey = fmt.Sprintf("m=%dc%dd%dn%dN,cs%g,ds%g,ns%g,nl%g,agg%t,aggl%t|cover=%d",
 		mcfg.CPUs, mcfg.Disks, mcfg.Networks, mcfg.Nodes, mcfg.CPUSpeed, mcfg.DiskSpeed, mcfg.NetSpeed,
-		mcfg.NetLatency, mcfg.AggregateDisks, mcfg.AggregateLinks, cfg.Algorithm, cfg.CoverCap)
+		mcfg.NetLatency, mcfg.AggregateDisks, mcfg.AggregateLinks, cfg.CoverCap)
 	if cfg.Catalog != nil {
 		s.defaultVersion = s.RegisterCatalog(cfg.Catalog)
-	}
-	if cfg.SweepInterval > 0 {
-		s.sweepStop = make(chan struct{})
-		s.sweepWG.Add(1)
-		go s.sweeperLoop(cfg.SweepInterval)
 	}
 	return s, nil
 }
 
-// Close stops accepting requests, cancels in-flight queries, stops the
-// drift sweeper and drains in-flight searches. The query log (owned by the
+// Close stops accepting requests, cancels in-flight queries and drains
+// in-flight searches. The query log (owned by the
 // caller) stays open. For a graceful stop that lets running queries finish
 // first, use Shutdown.
 func (s *Service) Close() {
@@ -287,10 +266,6 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	if !already {
 		s.inflight.cancelAll(CancelShutdown)
-		if s.sweepStop != nil {
-			close(s.sweepStop)
-			s.sweepWG.Wait()
-		}
 		s.pool.Close()
 		s.planfile.Close() //nolint:errcheck // audit file is best-effort
 	}
@@ -355,10 +330,11 @@ func (s *Service) RegisterCatalog(cat *catalog.Catalog) string {
 // default, and it *retires* the previous default version: the retired
 // catalog is dropped, its plan-cache and negative-cache entries are swept
 // eagerly (instead of aging out of the LRU while still consuming capacity),
-// and its synthetic analyze database is released. The drift sweeper closes
-// the loop: hot templates whose accuracy had drifted are re-optimized
-// against the refreshed statistics in the background, so the first
-// post-refresh request hits a warm entry instead of paying a search.
+// and its synthetic analyze database is released. Then, before it returns, the
+// drift sweep closes the loop (sweeper.go): up to sweepLimit hot templates
+// whose accuracy had drifted are re-optimized against the refreshed
+// statistics, so their first post-refresh request hits a warm entry instead
+// of paying a search.
 func (s *Service) RefreshCatalog(cat *catalog.Catalog) string {
 	v := cat.Fingerprint()
 	s.mu.Lock()
@@ -371,6 +347,7 @@ func (s *Service) RefreshCatalog(cat *catalog.Catalog) string {
 	s.mu.Unlock()
 	if old != "" && old != v {
 		s.retireCatalog(old)
+		s.resweep()
 	}
 	return v
 }
@@ -440,7 +417,7 @@ type OptimizeRequest struct {
 	// AnalyzeParallel caps the clone degree of every join Analyze executes:
 	// each runs min(annotated degree, AnalyzeParallel) clones, so it can only
 	// lower the plan's own degrees, which never exceed the machine's CPUs. 0
-	// means the machine's CPU count.
+	// means the machine's CPU count, over all its nodes.
 	AnalyzeParallel int `json:"analyzeParallel,omitempty"`
 	// Distributed (Explain+Analyze only; ?distributed=1) executes the plan's
 	// join fragments on the registered worker processes instead of
@@ -662,10 +639,9 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 	}
 	s.met.FullSearch.Add(1)
 	opt, err := core.NewOptimizer(cat, q, core.Config{
-		Machine:   s.mcfg,
-		Algorithm: s.cfg.Algorithm,
-		CoverCap:  s.cfg.CoverCap,
-		Placed:    placed,
+		Machine:  s.mcfg,
+		CoverCap: s.cfg.CoverCap,
+		Placed:   placed,
 	})
 	if err != nil {
 		return nil, badRequestError{err}
@@ -1002,10 +978,9 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.P
 	}
 	par := req.AnalyzeParallel
 	if par <= 0 {
-		par = s.mcfg.CPUs
-	}
-	if par < 1 {
-		par = 1
+		// Every CPU of the machine the plan was annotated for: on a multi-node
+		// machine that is CPUs × Nodes, the bound the annotator's degrees obey.
+		par = len(served.entry.opt.M.CPUs())
 	}
 	sp.SetAttr("parallel", par)
 	// Distributed execution: build an exchange.Cluster over the current

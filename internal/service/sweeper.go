@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"time"
 
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
@@ -11,15 +10,18 @@ import (
 	"paropt/internal/query"
 )
 
-// Background drift sweeper: the feedback loop from measured accuracy back
-// into the plan cache. Explain-analyze runs feed each fingerprint's EWMA row
-// q-error (their request record carries it into Profiler.Observe); when a
-// template's EWMA crosses the drift threshold its cached cover set was
-// computed from statistics that no longer match measured reality. The
-// sweeper re-runs the DP search for the hottest drifted templates against the
-// *current default catalog* — so after an operator refreshes statistics
-// (RefreshCatalog), hot templates get warm entries under the new version
-// before the next request pays a search.
+// Drift sweep: the feedback loop from measured accuracy back into the plan
+// cache. Explain-analyze runs feed each fingerprint's EWMA row q-error (their
+// request record carries it into Profiler.Observe); when a template's EWMA
+// crosses the drift threshold its cached cover set was computed from
+// statistics that no longer match measured reality. A search is a pure
+// function of the query, the catalog, the placement and the session options,
+// so re-running it against the same catalog re-derives the cover it would
+// replace: only a statistics refresh can change a drifted template's plan.
+// RefreshCatalog therefore runs the sweep itself, once the default version
+// has moved, so hot drifted templates get warm entries under the new version
+// before their next request pays a search. Without a refresh a drift mark
+// stays set.
 //
 // Each sweep of a template opens its own "sweep" trace, so the search it runs
 // and any plan swap it causes carry a trace ID like a request's.
@@ -27,64 +29,41 @@ import (
 // A sweep enters the search through searchFor, the door request misses use:
 // it shares a flight with a concurrent miss of the same key (one search, not
 // two) and runs on the worker pool, so -workers/-queue bound sweeps too. A
-// sweep that finds the queue full leaves the template drifted for the next
-// tick rather than waiting — requests own the admission slots.
+// sweep that finds the queue full skips the template rather than waiting —
+// requests own the admission slots — and its next request searches, as
+// after any refresh.
 
-// sweepLimit bounds how many searches one sweeper pass may run.
+// sweepLimit bounds how many drifted templates one refresh re-searches.
 const sweepLimit = 4
 
-// sweeperLoop ticks until Close.
-func (s *Service) sweeperLoop(interval time.Duration) {
-	defer s.sweepWG.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.sweepStop:
-			return
-		case <-t.C:
-			s.SweepNow()
-		}
-	}
-}
-
-// SweepNow runs one sweeper pass immediately (also the loop body): it
-// re-optimizes up to sweepLimit drifted templates, hottest first, and
-// returns how many cache entries it replaced. Exported so tests and
-// operators can force a pass without waiting for the ticker.
-func (s *Service) SweepNow() int {
-	s.met.SweepRuns.Add(1)
-	n := 0
-	for _, d := range s.prof.Drifted() {
-		if n >= sweepLimit {
+// resweep re-optimizes up to sweepLimit drifted templates, hottest first,
+// against the current default catalog, clearing the drift mark of each one it
+// tries: the entry its mark measured belonged to the retired version.
+func (s *Service) resweep() {
+	for i, d := range s.prof.Drifted() {
+		if i >= sweepLimit {
 			break
 		}
-		if s.sweepOne(d) {
-			n++
-		}
+		s.sweepOne(d)
+		s.prof.MarkSwept(d.Fingerprint)
 	}
-	return n
 }
 
 // sweepOne re-optimizes one drifted template against the current default
-// catalog. Unless the pool was full, the profile's drift mark is cleared
-// whatever the outcome: a successful sweep installed a fresh cover set whose
-// accuracy must be re-measured, and a template that no longer parses
-// (relation dropped) must not be retried forever.
-func (s *Service) sweepOne(d workload.ProfileSnapshot) bool {
+// catalog, counting it when its own search installed a fresh cover set.
+func (s *Service) sweepOne(d workload.ProfileSnapshot) {
 	s.mu.RLock()
 	version := s.defaultVersion
 	cat := s.catalogs[version]
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed || cat == nil || d.Query == "" {
-		return false
+		return
 	}
 	q, err := parser.ParseQuery(d.Query, cat)
 	if err != nil {
-		s.prof.MarkSwept(d.Fingerprint)
 		s.logger.Warn("sweep: template no longer parses", "fingerprint", d.Fingerprint, "err", err)
-		return false
+		return
 	}
 	fp := query.Fingerprint(q)
 	_, root := s.tracer.Start("sweep")
@@ -94,19 +73,17 @@ func (s *Service) sweepOne(d workload.ProfileSnapshot) bool {
 	entry, shared, err := s.searchFor(ctx, s.cacheKey(fp, version), fp, version, cat, q, "sweeper")
 	root.Err(err)
 	root.End()
-	if errors.Is(err, ErrOverloaded) {
-		return false
-	}
-	s.prof.MarkSwept(d.Fingerprint)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		s.logger.Info("sweep: pool full, template left to its next request", "fingerprint", fp)
+		return
+	case err != nil:
 		s.logger.Warn("sweep: search failed", "fingerprint", fp, "err", err)
-		return false
-	}
-	if shared { // a request's miss searched this key just now; nothing to replace
-		return false
+		return
+	case shared: // a request's miss searched this key just now; nothing to replace
+		return
 	}
 	s.met.SweepReoptimized.Add(1)
 	s.logger.Info("sweep: re-optimized", "fingerprint", fp, "catalog", version,
 		"frontier", entry.cover.Size)
-	return true
 }

@@ -150,8 +150,8 @@ func analyzePoisoned(t *testing.T, s *Service) *ExplainResponse {
 
 // TestSweeperReoptimizesPoisonedEntry is the acceptance scenario: wrong
 // statistics are detected by analyze (q-error drift), the operator refreshes
-// the catalog, and the sweeper re-optimizes the hot template so the next
-// request hits a warm entry with a different plan.
+// the catalog, and the refresh's sweep re-optimizes the hot template so the
+// next request hits a warm entry with a different plan.
 func TestSweeperReoptimizesPoisonedEntry(t *testing.T) {
 	s := newTestService(t, func(cfg *Config) { cfg.Catalog = poisonedCatalog() })
 	ctx := context.Background()
@@ -164,13 +164,10 @@ func TestSweeperReoptimizesPoisonedEntry(t *testing.T) {
 		t.Fatalf("template should be marked drifted, got %d", s.Workload().DriftedCount())
 	}
 
-	// Statistics refresh + one sweep.
+	// Statistics refresh, which runs one sweep before it returns.
 	s.RefreshCatalog(refreshedCatalog())
-	if n := s.SweepNow(); n != 1 {
-		t.Fatalf("sweep should re-optimize 1 template, got %d", n)
-	}
 	if got := s.met.SweepReoptimized.Load(); got != 1 {
-		t.Errorf("SweepReoptimized = %d, want 1", got)
+		t.Fatalf("sweep should re-optimize 1 template, got %d", got)
 	}
 	if s.Workload().DriftedCount() != 0 {
 		t.Error("sweep should clear the drift mark")
@@ -360,26 +357,9 @@ func TestQueryLogAndReplayInProcess(t *testing.T) {
 	}
 }
 
-// TestSweeperLoopRunsInBackground: the ticker-driven loop picks up drifted
-// templates without an explicit SweepNow.
-func TestSweeperLoopRunsInBackground(t *testing.T) {
-	s := newTestService(t, func(cfg *Config) {
-		cfg.Catalog = poisonedCatalog()
-		cfg.SweepInterval = 10 * time.Millisecond
-	})
-	analyzePoisoned(t, s)
-	if s.Workload().DriftedCount() != 1 {
-		t.Fatal("template should be marked drifted")
-	}
-	waitFor(t, func() bool { return s.met.SweepReoptimized.Load() >= 1 })
-	if s.Workload().DriftedCount() != 0 {
-		t.Error("background sweep should clear the drift mark")
-	}
-}
-
-// driftedService is a service whose one served template is marked drifted and
-// whose default catalog has since been refreshed, so the next sweep pass has
-// exactly one search to run, under a key no request has populated yet.
+// driftedService is a service whose one served template is marked drifted, so
+// the sweep of the next refresh has exactly one search to run, under a key no
+// request has populated yet.
 func driftedService(t *testing.T, mutate func(*Config)) *Service {
 	t.Helper()
 	s := newTestService(t, func(cfg *Config) {
@@ -392,13 +372,55 @@ func driftedService(t *testing.T, mutate func(*Config)) *Service {
 	if s.Workload().DriftedCount() != 1 {
 		t.Fatal("template should be marked drifted")
 	}
-	s.RefreshCatalog(refreshedCatalog())
 	return s
 }
 
-// TestSweepSharesSearchWithConcurrentMiss: a sweep and a request miss of the
-// same key are one flight — the request waits for the sweep's search instead
-// of running its own.
+// TestDriftMarkWaitsForRefresh is the drift contract: a search is a pure
+// function of its inputs, so a drifted template re-searches only when a
+// refresh moves the catalog. Until then its requests run no search and the
+// mark stays; once RefreshCatalog returns, the next request is a hit on the
+// refreshed plan.
+func TestDriftMarkWaitsForRefresh(t *testing.T) {
+	s := driftedService(t, nil)
+	ctx := context.Background()
+	first, err := s.Optimize(ctx, OptimizeRequest{Query: poisonedSQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	searches := s.met.FullSearch.Load()
+	for i := 0; i < 3; i++ {
+		if _, err := s.Explain(ctx, OptimizeRequest{Query: poisonedSQL, Analyze: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.met.FullSearch.Load() - searches; got != 0 {
+		t.Errorf("a drifted template's requests ran %d searches without a refresh, want 0", got)
+	}
+	if s.Workload().DriftedCount() != 1 {
+		t.Error("without a refresh the drift mark must stay set")
+	}
+
+	s.RefreshCatalog(refreshedCatalog())
+	searches = s.met.FullSearch.Load()
+	next, err := s.Optimize(ctx, OptimizeRequest{Query: poisonedSQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Cache != "hit" || s.met.FullSearch.Load() != searches {
+		t.Errorf("the first request after the refresh: cache %q, %d searches, want a hit and none",
+			next.Cache, s.met.FullSearch.Load()-searches)
+	}
+	if next.Catalog == first.Catalog || next.PlanSignature == first.PlanSignature {
+		t.Errorf("want the refreshed plan under the new catalog, got %s under %s", next.PlanSignature, next.Catalog)
+	}
+	if s.Workload().DriftedCount() != 0 {
+		t.Error("the refresh's sweep should clear the drift mark")
+	}
+}
+
+// TestSweepSharesSearchWithConcurrentMiss: a refresh's sweep and a request
+// miss of the same key are one flight — the request waits for the sweep's
+// search instead of running its own.
 func TestSweepSharesSearchWithConcurrentMiss(t *testing.T) {
 	s := driftedService(t, nil)
 	gate := make(chan struct{})
@@ -409,8 +431,11 @@ func TestSweepSharesSearchWithConcurrentMiss(t *testing.T) {
 	}
 	searches, misses := s.met.FullSearch.Load(), s.met.CacheMisses.Load()
 
-	swept := make(chan int, 1)
-	go func() { swept <- s.SweepNow() }()
+	swept := make(chan int64, 1)
+	go func() {
+		s.RefreshCatalog(refreshedCatalog())
+		swept <- s.met.SweepReoptimized.Load()
+	}()
 	<-started // the sweep's search holds a worker
 	type answer struct {
 		resp *OptimizeResponse
@@ -440,8 +465,9 @@ func TestSweepSharesSearchWithConcurrentMiss(t *testing.T) {
 }
 
 // TestSweepSkipsWhenPoolFull: sweeps run on the worker pool, so -workers and
-// -queue bound them; a sweep that finds the queue full leaves the template
-// drifted for the next tick instead of queueing or searching on the side.
+// -queue bound them; a refresh whose sweep finds the queue full skips the
+// template instead of queueing or searching on the side, and the template's
+// next request searches, as after any refresh.
 func TestSweepSkipsWhenPoolFull(t *testing.T) {
 	s := driftedService(t, func(c *Config) { c.Workers = 1; c.QueueDepth = 1 })
 	gate := make(chan struct{})
@@ -464,11 +490,12 @@ func TestSweepSkipsWhenPoolFull(t *testing.T) {
 	waitFor(t, func() bool { return s.pool.QueueDepth() == 1 })
 
 	searches := s.met.FullSearch.Load()
-	if n := s.SweepNow(); n != 0 {
+	s.RefreshCatalog(refreshedCatalog())
+	if n := s.met.SweepReoptimized.Load(); n != 0 {
 		t.Errorf("sweep against a full pool re-optimized %d templates, want 0", n)
 	}
-	if s.Workload().DriftedCount() != 1 {
-		t.Error("a skipped sweep must leave the template drifted for the next tick")
+	if s.Workload().DriftedCount() != 0 {
+		t.Error("a refresh clears the mark of every template its sweep tried, skipped or not")
 	}
 	if got := s.met.Rejected.Load(); got != 0 {
 		t.Errorf("a skipped sweep is not a rejected request; rejected = %d", got)
@@ -482,7 +509,12 @@ func TestSweepSkipsWhenPoolFull(t *testing.T) {
 	if got := s.met.FullSearch.Load() - searches; got != 2 {
 		t.Errorf("%d searches ran while the sweep was skipped, want the 2 requests' only", got)
 	}
-	if n := s.SweepNow(); n != 1 {
-		t.Errorf("the next sweep should re-optimize the template, got %d", n)
+	resp, err := s.Optimize(context.Background(), OptimizeRequest{Query: poisonedSQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Cache != "miss" || s.met.FullSearch.Load()-searches != 3 {
+		t.Errorf("the skipped template's next request: cache %q after %d searches, want a miss that searches",
+			resp.Cache, s.met.FullSearch.Load()-searches)
 	}
 }

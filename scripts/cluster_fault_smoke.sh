@@ -57,6 +57,11 @@ echo "fault_smoke: 3 workers registered"
 metric() {
   curl -fsS "http://$addr/metrics" | awk -v m="$1" '$1 == m {print $2}'
 }
+# fallbacks sums the per-reason coordinator fallback family (0 when no
+# fallback has a reason yet, so the family has no sample).
+fallbacks() {
+  curl -fsS "http://$addr/metrics" | awk '$1 ~ /^paroptd_exchange_fallback_reason_total[{]/ {n += $2} END {print n + 0}'
+}
 # run_query distributed? QUERY → root actRows. Bounded so a wedged exchange
 # fails the run with goroutine dumps instead of hanging CI.
 run_query() {
@@ -103,7 +108,7 @@ rows=$(run_query 1 "$pair")
   exit 1
 }
 retries=$(metric paroptd_exchange_retries_total)
-fallbacks=$(metric paroptd_exchange_fallbacks_total)
+fallbacks=$(fallbacks)
 if [ -z "$retries" ] || [ "$retries" -lt 1 ]; then
   echo "fault_smoke: dead worker produced no retries (retries='$retries')" >&2
   exit 1
