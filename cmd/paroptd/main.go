@@ -69,7 +69,8 @@
 // marked drifted; the next statistics refresh re-searches up to 4 of the
 // hottest before it replies. Analyze requests
 // execute at 1 024 rows per batch against synthetic data from seed 1; the
-// negative cache remembers the last 256 failed queries.
+// text cache remembers the last 1 024 query templates and failed texts of
+// at most 4 KiB.
 //
 // -debug-addr starts a second listener serving net/http/pprof under
 // /debug/pprof/ — kept off the service port so profiling is never exposed

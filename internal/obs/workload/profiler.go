@@ -157,7 +157,7 @@ func (p *Profiler) profile(fp string) *Profile {
 
 // Observe feeds one finished request. Records without a
 // fingerprint are ignored (requests that failed before fingerprinting are
-// the negative cache's concern, not the profiler's). A failed request counts
+// the service's text cache's concern, not the profiler's). A failed request counts
 // as an error and contributes no latency sample. A record that carries an
 // analyze accuracy report (QErr or RelErr set: the report's worst row q-error
 // and its mean |relative error| over calibrated (tf, tl) predictions) also

@@ -16,19 +16,26 @@ func chainSQL(literal int) string {
 	return "SELECT * FROM R1, R2, R3, R4, R5, R6 WHERE " + strings.Join(preds, " AND ")
 }
 
-// TestLexAllocatesOnce: the token slice is sized from the source length, so
-// lexing a query is one allocation, not a doubling series of them.
-func TestLexAllocatesOnce(t *testing.T) {
+// TestScanAllocatesNothing: the scanner hands out one token at a time, each
+// a substring of the source, so scanning a query — and masking it into a
+// caller's buffer — allocates nothing, however long the input.
+func TestScanAllocatesNothing(t *testing.T) {
 	src := chainSQL(7)
-	toks, err := lex(src)
-	if err != nil {
-		t.Fatal(err)
+	n, err := tokens(src)
+	if err != nil || len(n) < 20 {
+		t.Fatalf("%d tokens, err %v", len(n), err)
 	}
-	if cap(toks) != len(src)/2+2 {
-		t.Fatalf("%d tokens outgrew the %d the source length predicts", len(toks), len(src)/2+2)
+	scan := func() {
+		s := newScanner(src)
+		for s.next().kind != tokEOF {
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { lex(src) }); allocs != 1 { //nolint:errcheck
-		t.Fatalf("lex allocates %.0f times, want 1 (the token slice)", allocs)
+	if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
+		t.Fatalf("scanning allocates %.0f times, want 0", allocs)
+	}
+	buf := make([]byte, 0, len(src))
+	if allocs := testing.AllocsPerRun(100, func() { Mask(buf[:0], src) }); allocs != 0 {
+		t.Fatalf("Mask allocates %.0f times, want 0", allocs)
 	}
 }
 

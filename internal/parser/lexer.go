@@ -40,68 +40,66 @@ const (
 
 type token struct {
 	kind tokenKind
-	text string
+	text string // a substring of the source
 	pos  int
 }
 
-// lexer tokenizes one input string.
-type lexer struct {
-	src    string
-	pos    int
-	tokens []token
+// punct maps the one-byte tokens to their kinds.
+var punct = [256]tokenKind{',': tokComma, '.': tokDot, '=': tokEq, '*': tokStar, '(': tokLParen, ')': tokRParen}
+
+// scanner is a pull lexer: it holds the current token and produces the next
+// one on demand, so scanning keeps no token list and allocates nothing. An
+// unexpected character ends the stream: the scanner records the error and
+// reports EOF from then on.
+type scanner struct {
+	src string
+	pos int // where the next token's scan starts
+	tok token
+	err error
 }
 
-// lex scans the whole input up front; SPJ inputs are tiny. The token slice
-// is sized once: a token is at least one byte and in this grammar almost
-// always followed by a separator, so len(src)/2 bounds the count for
-// anything but adversarially dense input (where append still grows it).
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, tokens: make([]token, 0, len(src)/2+2)}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+func newScanner(src string) scanner {
+	s := scanner{src: src}
+	s.scan()
+	return s
+}
+
+// scan reads the token at s.pos into s.tok.
+func (s *scanner) scan() {
+	for s.pos < len(s.src) {
+		c := s.src[s.pos]
+		start := s.pos
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case c == ',':
-			l.emit(tokComma, ",")
-		case c == '.':
-			l.emit(tokDot, ".")
-		case c == '=':
-			l.emit(tokEq, "=")
-		case c == '*':
-			l.emit(tokStar, "*")
-		case c == '(':
-			l.emit(tokLParen, "(")
-		case c == ')':
-			l.emit(tokRParen, ")")
+			s.pos++
+			continue
 		case c == '#':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+			for s.pos < len(s.src) && s.src[s.pos] != '\n' {
+				s.pos++
 			}
+			continue
+		case punct[c] != tokEOF:
+			s.pos++
+			s.tok = token{punct[c], s.src[start:s.pos], start}
 		case c == '-' || (c >= '0' && c <= '9'):
-			start := l.pos
-			l.pos++
-			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-				l.pos++
+			s.pos++
+			for s.pos < len(s.src) && s.src[s.pos] >= '0' && s.src[s.pos] <= '9' {
+				s.pos++
 			}
-			l.tokens = append(l.tokens, token{tokNumber, l.src[start:l.pos], start})
+			s.tok = token{tokNumber, s.src[start:s.pos], start}
 		case isIdentStart(rune(c)):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
+			for s.pos < len(s.src) && isIdentPart(rune(s.src[s.pos])) {
+				s.pos++
 			}
-			l.tokens = append(l.tokens, token{tokIdent, l.src[start:l.pos], start})
+			s.tok = token{tokIdent, s.src[start:s.pos], start}
 		default:
-			return nil, fmt.Errorf("parser: unexpected character %q at offset %d", c, l.pos)
+			s.err = fmt.Errorf("parser: unexpected character %q at offset %d", c, start)
+			s.pos = len(s.src)
+			s.tok = token{tokEOF, "", start}
 		}
+		return
 	}
-	l.tokens = append(l.tokens, token{tokEOF, "", l.pos})
-	return l.tokens, nil
-}
-
-func (l *lexer) emit(k tokenKind, text string) {
-	l.tokens = append(l.tokens, token{k, text, l.pos})
-	l.pos += len(text)
+	s.tok = token{tokEOF, "", s.pos}
 }
 
 func isIdentStart(r rune) bool {
@@ -112,32 +110,32 @@ func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 }
 
-// stream is a token cursor shared by the parsers.
-type stream struct {
-	toks []token
-	i    int
-}
+func (s *scanner) peek() token { return s.tok }
 
-func newStream(src string) (*stream, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	return &stream{toks: toks}, nil
-}
-
-func (s *stream) peek() token { return s.toks[s.i] }
-
-func (s *stream) next() token {
-	t := s.toks[s.i]
+// next returns the current token and advances; EOF is sticky.
+func (s *scanner) next() token {
+	t := s.tok
 	if t.kind != tokEOF {
-		s.i++
+		s.scan()
 	}
 	return t
 }
 
+// result settles a parse: an unexpected character anywhere in the input
+// outranks whatever the grammar said about the tokens before it, so the
+// rest of the input is scanned for one first.
+func (s *scanner) result(err error) error {
+	for s.tok.kind != tokEOF {
+		s.scan()
+	}
+	if s.err != nil {
+		return s.err
+	}
+	return err
+}
+
 // keyword consumes an identifier equal (case-insensitively) to kw.
-func (s *stream) keyword(kw string) bool {
+func (s *scanner) keyword(kw string) bool {
 	t := s.peek()
 	if t.kind == tokIdent && strings.EqualFold(t.text, kw) {
 		s.next()
@@ -147,7 +145,7 @@ func (s *stream) keyword(kw string) bool {
 }
 
 // expect consumes a token of the given kind or fails.
-func (s *stream) expect(k tokenKind, what string) (token, error) {
+func (s *scanner) expect(k tokenKind, what string) (token, error) {
 	t := s.next()
 	if t.kind != k {
 		return t, fmt.Errorf("parser: expected %s at offset %d, got %q", what, t.pos, t.text)
@@ -156,7 +154,7 @@ func (s *stream) expect(k tokenKind, what string) (token, error) {
 }
 
 // ident consumes an identifier.
-func (s *stream) ident(what string) (string, error) {
+func (s *scanner) ident(what string) (string, error) {
 	t, err := s.expect(tokIdent, what)
 	if err != nil {
 		return "", err

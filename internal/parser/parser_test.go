@@ -144,8 +144,21 @@ func TestParseQueryErrors(t *testing.T) {
 	}
 }
 
+// tokens drains a scanner over src.
+func tokens(src string) ([]token, error) {
+	s := newScanner(src)
+	var toks []token
+	for {
+		t := s.next()
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, s.err
+		}
+	}
+}
+
 func TestLexerCoverage(t *testing.T) {
-	toks, err := lex("a.b = 12, (x) * # comment\nnext")
+	toks, err := tokens("a.b = 12, (x) * # comment\nnext")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +177,14 @@ func TestLexerCoverage(t *testing.T) {
 		}
 	}
 	// EOF is sticky.
-	s, _ := newStream("x")
+	s := newScanner("x")
 	s.next()
 	if s.next().kind != tokEOF || s.next().kind != tokEOF {
 		t.Error("EOF must be sticky")
+	}
+	// An unexpected character ends the stream with an error.
+	if _, err := tokens("a ? b"); err == nil || !strings.Contains(err.Error(), "offset 2") {
+		t.Errorf("unexpected character: err = %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -12,10 +13,18 @@ import (
 // ParseQuery parses a SELECT statement into a Query and validates it
 // against the catalog.
 func ParseQuery(src string, cat *catalog.Catalog) (*query.Query, error) {
-	s, err := newStream(src)
-	if err != nil {
+	s := newScanner(src)
+	q, err := parseQuery(&s)
+	if err = s.result(err); err != nil {
 		return nil, err
 	}
+	if err := q.Validate(cat); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+func parseQuery(s *scanner) (*query.Query, error) {
 	q := &query.Query{Name: "parsed"}
 
 	if !s.keyword("select") {
@@ -65,14 +74,55 @@ func ParseQuery(src string, cat *catalog.Catalog) (*query.Query, error) {
 	if t := s.peek(); t.kind != tokEOF {
 		return nil, fmt.Errorf("parser: trailing input %q at offset %d", t.text, t.pos)
 	}
-	if err := q.Validate(cat); err != nil {
-		return nil, err
-	}
 	return q, nil
 }
 
+// Mask appends src to dst with every integer literal replaced by '?' (a
+// character the grammar rejects, so no template holds one) and allocates
+// nothing doing it. Two texts with one mask parse to the same
+// query up to their literals — or fail alike — and since only a selection
+// can hold a number in this grammar, the i-th literal is the i-th Selection
+// (Bind). ok is false when src is not a template: it holds a character the
+// grammar does not know or a literal outside int64, and ParseQuery says
+// which.
+func Mask(dst []byte, src string) (_ []byte, ok bool) {
+	s := newScanner(src)
+	last := 0
+	for ; s.tok.kind != tokEOF; s.next() {
+		if s.tok.kind != tokNumber {
+			continue
+		}
+		if _, err := strconv.ParseInt(s.tok.text, 10, 64); err != nil {
+			return dst, false
+		}
+		dst = append(dst, src[last:s.tok.pos]...)
+		dst = append(dst, '?')
+		last = s.tok.pos + len(s.tok.text)
+	}
+	if s.err != nil {
+		return dst, false
+	}
+	return append(dst, src[last:]...), true
+}
+
+// Bind returns a copy of skel — a query ParseQuery built from a text with
+// src's mask — whose i-th selection holds src's i-th literal. The copy shares
+// skel's relation, join and projection slices, which nothing writes.
+func Bind(skel *query.Query, src string) *query.Query {
+	q := *skel
+	q.Selections = append([]query.Selection(nil), skel.Selections...)
+	s := newScanner(src)
+	for i := 0; s.tok.kind != tokEOF; s.next() {
+		if s.tok.kind == tokNumber {
+			q.Selections[i].Value, _ = strconv.ParseInt(s.tok.text, 10, 64)
+			i++
+		}
+	}
+	return &q
+}
+
 // parseColumnRef parses rel.col.
-func parseColumnRef(s *stream) (query.ColumnRef, error) {
+func parseColumnRef(s *scanner) (query.ColumnRef, error) {
 	rel, err := s.ident("relation name")
 	if err != nil {
 		return query.ColumnRef{}, err
@@ -89,7 +139,7 @@ func parseColumnRef(s *stream) (query.ColumnRef, error) {
 
 // parsePredicate parses one equality predicate: a join (rel.col = rel.col)
 // or a selection (rel.col = <int>).
-func parsePredicate(s *stream, q *query.Query) error {
+func parsePredicate(s *scanner, q *query.Query) error {
 	left, err := parseColumnRef(s)
 	if err != nil {
 		return err
@@ -132,25 +182,18 @@ func ParseSchema(src string) (*catalog.Catalog, error) {
 	type pendingIdx struct{ idx catalog.Index }
 	var idxs []pendingIdx
 
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		s, err := newStream(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
-		}
+	// statement parses one line; ParseSchema numbers its error.
+	statement := func(s *scanner) error {
 		switch {
 		case s.keyword("relation"):
 			name, err := s.ident("relation name")
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			pr := &pendingRel{rel: catalog.Relation{Name: name}}
 			opts, err := parseOptions(s)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			pr.rel.Card = opts.num("card", 1)
 			pr.rel.Pages = opts.num("pages", 1)
@@ -162,15 +205,15 @@ func ParseSchema(src string) (*catalog.Catalog, error) {
 		case s.keyword("column"):
 			col, err := parseColumnRef(s)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			pr, ok := byName[col.Relation]
 			if !ok {
-				return nil, fmt.Errorf("line %d: column for undeclared relation %s", lineNo+1, col.Relation)
+				return fmt.Errorf("column for undeclared relation %s", col.Relation)
 			}
 			opts, err := parseOptions(s)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			pr.cols = append(pr.cols, catalog.Column{
 				Name:  col.Column,
@@ -181,23 +224,23 @@ func ParseSchema(src string) (*catalog.Catalog, error) {
 		case s.keyword("index"):
 			name, err := s.ident("index name")
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			if !s.keyword("on") {
-				return nil, fmt.Errorf("line %d: expected ON", lineNo+1)
+				return errors.New("expected ON")
 			}
 			rel, err := s.ident("relation name")
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			if _, err := s.expect(tokLParen, "'('"); err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			var cols []string
 			for {
 				c, err := s.ident("column name")
 				if err != nil {
-					return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+					return err
 				}
 				cols = append(cols, c)
 				if s.peek().kind != tokComma {
@@ -206,7 +249,7 @@ func ParseSchema(src string) (*catalog.Catalog, error) {
 				s.next()
 			}
 			if _, err := s.expect(tokRParen, "')'"); err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			idx := catalog.Index{Name: name, Relation: rel, Columns: cols}
 			for {
@@ -222,14 +265,25 @@ func ParseSchema(src string) (*catalog.Catalog, error) {
 			}
 			opts, err := parseOptions(s)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+				return err
 			}
 			idx.Disk = int(opts.num("disk", 0))
 			idx.Pages = opts.num("pages", 0)
 			idxs = append(idxs, pendingIdx{idx})
 
 		default:
-			return nil, fmt.Errorf("line %d: expected relation, column or index", lineNo+1)
+			return errors.New("expected relation, column or index")
+		}
+		return nil
+	}
+	for lineNo, raw := range strings.Split(src, "\n") {
+		line := strings.TrimSpace(raw)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s := newScanner(line)
+		if err := s.result(statement(&s)); err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 		}
 	}
 
@@ -268,7 +322,7 @@ func (o options) num(key string, def int64) int64 {
 func (o options) str(key string) string { return o[key] }
 
 // parseOptions reads trailing key=value pairs until end of statement.
-func parseOptions(s *stream) (options, error) {
+func parseOptions(s *scanner) (options, error) {
 	opts := options{}
 	for s.peek().kind == tokIdent {
 		key, _ := s.ident("option name")

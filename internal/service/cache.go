@@ -112,8 +112,8 @@ func (e *cacheEntry) rendered(c *search.Candidate) (*renderedPlan, error) {
 }
 
 // lru is a mutex-guarded, size-bounded LRU map from string keys — the one
-// implementation under both the plan cache's shards and the negative cache.
-// Get on a hit allocates nothing.
+// implementation under both the plan cache's shards and the text cache.
+// Get and getBytes on a hit allocate nothing.
 type lru[V any] struct {
 	mu      sync.Mutex
 	cap     int
@@ -138,6 +138,20 @@ func (c *lru[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruItem[V]).val, true
+}
+
+// getBytes is Get for a key held in a byte slice, which the lookup does not
+// copy.
+func (c *lru[V]) getBytes(key []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[string(key)]
 	if !ok {
 		var zero V
 		return zero, false

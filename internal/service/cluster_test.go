@@ -21,7 +21,7 @@ import (
 )
 
 // TestRefreshCatalogRetiresVersion: moving the default catalog must retire
-// the previous default — its plan-cache and negative-cache entries are swept,
+// the previous default — its plan-cache and text-cache entries are swept,
 // the catalog itself is dropped, and the retirement is counted.
 func TestRefreshCatalogRetiresVersion(t *testing.T) {
 	s := newTestService(t, nil)
@@ -31,15 +31,16 @@ func TestRefreshCatalogRetiresVersion(t *testing.T) {
 	v0 := s.defaultVersion
 	s.mu.RUnlock()
 
-	// Populate the plan cache and negative cache under v0.
+	// Populate the plan cache and text cache under v0: a template and a
+	// failure.
 	if _, err := s.Optimize(ctx, OptimizeRequest{Query: chainSQL(3, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Optimize(ctx, OptimizeRequest{Query: "SELECT * FROM Nope"}); err == nil {
 		t.Fatal("bad query should fail")
 	}
-	if s.CacheLen() != 1 || s.neg.Len() != 1 {
-		t.Fatalf("precondition: cache=%d neg=%d, want 1 and 1", s.CacheLen(), s.neg.Len())
+	if s.CacheLen() != 1 || s.texts.Len() != 2 {
+		t.Fatalf("precondition: cache=%d texts=%d, want 1 and 2", s.CacheLen(), s.texts.Len())
 	}
 
 	refreshed := strings.Replace(testDDL, "relation R2 card=80000", "relation R2 card=160000", 1)
@@ -57,8 +58,8 @@ func TestRefreshCatalogRetiresVersion(t *testing.T) {
 	if s.CacheLen() != 0 {
 		t.Errorf("retired version's plan-cache entries not swept: %d resident", s.CacheLen())
 	}
-	if s.neg.Len() != 0 {
-		t.Errorf("retired version's negative-cache entries not swept: %d resident", s.neg.Len())
+	if s.texts.Len() != 0 {
+		t.Errorf("retired version's text-cache entries not swept: %d resident", s.texts.Len())
 	}
 
 	// The retired version is gone: naming it explicitly is now a 400.

@@ -95,11 +95,20 @@ func (s *Service) Handler() http.Handler {
 // queries are small) and every daemon response a worker reads.
 const MaxBodyBytes = 4 << 20
 
+// decodeJSON decodes a body holding one JSON value — nothing but whitespace
+// may follow it — into dst, rejecting unknown fields; on failure it answers
+// 400 itself. OptimizeRequest bodies take decodeOptimize instead.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, end := dec.Token(); end != io.EOF {
+			err = errTrailingData
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
@@ -154,7 +163,7 @@ func writeServiceError(w http.ResponseWriter, err error) {
 
 func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeOptimize(w, r, &req) {
 		return
 	}
 	p, err := s.optimize(r.Context(), &req)
@@ -227,7 +236,7 @@ func appendJSONString(b []byte, s string) []byte {
 
 func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeOptimize(w, r, &req) {
 		return
 	}
 	// URL query flags are the curl-friendly spelling of the body fields.

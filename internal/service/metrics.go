@@ -37,6 +37,7 @@ func buildVersion() string {
 // row's HELP text in families, where every exported family is declared.
 type Metrics struct {
 	Requests       *obs.LabelCounter // by endpoint
+	TextCacheHits  *obs.LabelCounter // by result: a template or a recorded failure
 	Pruned         *obs.LabelCounter // by rejecting test, summed over every DP search run
 	PlanChanges    *obs.LabelCounter // by source (planlog.go)
 	QueryCancelled *obs.LabelCounter // by reason (inflight.go)
@@ -44,8 +45,7 @@ type Metrics struct {
 	CacheHits, CacheMisses, Evictions atomic.Int64
 	CoverReuse, FullSearch, Deduped   atomic.Int64
 	AnalyzeRuns, Rejected, Errors     atomic.Int64
-	NegCacheHits, CatalogRetired      atomic.Int64
-	SweepReoptimized                  atomic.Int64
+	CatalogRetired, SweepReoptimized  atomic.Int64
 
 	// Cumulative over distributed analyze runs (recordExchange).
 	ExchangeFragments, ShippedScans, ExchangeRetries atomic.Int64
@@ -61,6 +61,7 @@ type Metrics struct {
 // init builds the fixed-label counters and pins non-default bucket bounds.
 func (m *Metrics) init() {
 	m.Requests = obs.NewLabelCounter("endpoint", "optimize", "explain", "schema")
+	m.TextCacheHits = obs.NewLabelCounter("result", "template", "error")
 	m.Pruned = obs.NewLabelCounter("reason", "dominance", "work", "memory", "beam")
 	m.PlanChanges = obs.NewLabelCounter("source", "search", "refresh", "sweeper", "replay")
 	m.QueryCancelled = obs.NewLabelCounter("reason", CancelClient, CancelDeadline, CancelShutdown)
@@ -102,12 +103,12 @@ func (s *Service) families() []obs.Family {
 		obs.Counter("paroptd_analyze_total", "Explain-analyze executions against synthetic data.", m.AnalyzeRuns.Load),
 		obs.Counter("paroptd_rejected_total", "Requests rejected by admission control (429).", m.Rejected.Load),
 		obs.Counter("paroptd_errors_total", "Requests that failed.", m.Errors.Load),
-		obs.Counter("paroptd_negcache_hits_total", "Parse/resolve failures answered from the negative cache.", m.NegCacheHits.Load),
+		m.TextCacheHits.Family("paroptd_textcache_hits_total", "Query texts answered from the text cache without parsing, by result: a template or a recorded parse/resolve failure."),
 		obs.Counter("paroptd_sweeper_reoptimized_total", "Cache entries re-optimized by the drift sweep a catalog refresh runs.", m.SweepReoptimized.Load),
 		m.Pruned.Family("paroptd_search_pruned_total", "Candidates pruned during DP search, by rejecting test."),
 		m.PlanChanges.Family("paroptd_plan_changes_total", "Cached-plan swaps recorded in the plan-change audit log, by source."),
 		m.QueryCancelled.Family("paroptd_query_cancelled_total", "In-flight queries cancelled, by reason."),
-		obs.Counter("paroptd_catalog_versions_retired", "Catalog versions retired by statistics refreshes (plan + negative caches swept).", m.CatalogRetired.Load),
+		obs.Counter("paroptd_catalog_versions_retired", "Catalog versions retired by statistics refreshes (plan + text caches swept).", m.CatalogRetired.Load),
 		obs.Counter("paroptd_exchange_fragments_total", "Join fragments dispatched to worker processes (re-dispatches count again).", m.ExchangeFragments.Load),
 		obs.Counter("paroptd_exchange_shipped_scans_total", "Leaf-scan sides sourced at workers instead of streamed from the coordinator.", m.ShippedScans.Load),
 		obs.Counter("paroptd_exchange_retries_total", "Fragment re-dispatches after a worker failure.", m.ExchangeRetries.Load),
@@ -120,7 +121,7 @@ func (s *Service) families() []obs.Family {
 		obs.Gauge("paroptd_traces_retained", "Request traces retained for /debug/trace.", s.tracer.Len),
 		obs.Gauge("paroptd_workload_fingerprints", "Query templates tracked by the workload profiler.", s.prof.Len),
 		obs.Gauge("paroptd_workload_drifted", "Profiles whose EWMA q-error currently exceeds the drift threshold.", s.prof.DriftedCount),
-		obs.Gauge("paroptd_negcache_entries", "Negative-cache entries resident.", s.neg.Len),
+		obs.Gauge("paroptd_textcache_entries", "Text-cache entries resident (templates and failures).", s.texts.Len),
 		obs.Gauge("paroptd_cluster_workers", "Worker processes registered for distributed execution.", func() int { return len(s.WorkerAddrs()) }),
 		obs.Gauge("paroptd_cluster_epoch", "Cluster-membership epoch (bumped per register/deregister).", s.Epoch),
 		obs.Gauge("paroptd_placements", "Installed data-placement maps (one per catalog version).", s.placementCount),

@@ -137,12 +137,13 @@ type Service struct {
 	start   time.Time
 	closed  bool
 
-	// Workload analytics: prof aggregates served traffic per fingerprint,
-	// neg short-circuits repeated parse/resolve failures, qlog persists one
-	// record per request (nil, and a no-op, without Config.QueryLog).
-	prof *workload.Profiler
-	neg  *negCache
-	qlog *workload.Log
+	// texts answers repeated query texts without parsing them (a template or
+	// a recorded failure); prof aggregates served traffic per fingerprint;
+	// qlog persists one record per request (nil, and a no-op, without
+	// Config.QueryLog).
+	texts *textCache
+	prof  *workload.Profiler
+	qlog  *workload.Log
 
 	// clusterMu guards the distributed-execution state: workers is the
 	// registered worker-process membership, epoch the membership epoch
@@ -226,7 +227,7 @@ func New(cfg Config) (*Service, error) {
 		lastPlans:       make(map[string]prevPlan),
 		inflight:        newInflightRegistry(),
 		prof:            workload.NewProfiler(),
-		neg:             newNegCache(),
+		texts:           newTextCache(),
 		qlog:            cfg.QueryLog,
 		start:           time.Now(),
 	}
@@ -328,7 +329,7 @@ func (s *Service) RegisterCatalog(cat *catalog.Catalog) string {
 // RefreshCatalog registers cat and makes it the service default — the
 // statistics-refresh entry point. Unlike RegisterCatalog it always moves the
 // default, and it *retires* the previous default version: the retired
-// catalog is dropped, its plan-cache and negative-cache entries are swept
+// catalog is dropped, its plan-cache and text-cache entries are swept
 // eagerly (instead of aging out of the LRU while still consuming capacity),
 // and its synthetic analyze database is released. Then, before it returns, the
 // drift sweep closes the loop (sweeper.go): up to sweepLimit hot templates
@@ -354,14 +355,15 @@ func (s *Service) RefreshCatalog(cat *catalog.Catalog) string {
 
 // retireCatalog garbage-collects every artifact keyed under a retired
 // catalog version. The plan cache's keys embed the version as "|version|",
-// the negative cache's as a "\x00version" suffix; both separators cannot
-// occur inside a version fingerprint (hex), so the sweeps are exact.
+// the text cache's start with it and a separator byte below ' '; neither
+// separator can occur inside a version fingerprint (hex), so the sweeps are
+// exact.
 func (s *Service) retireCatalog(version string) {
 	plans := s.cache.PurgeWhere(func(key string) bool {
 		return strings.Contains(key, "|"+version+"|")
 	})
-	negs := s.neg.PurgeWhere(func(key string) bool {
-		return strings.HasSuffix(key, "\x00"+version)
+	texts := s.texts.PurgeWhere(func(key string) bool {
+		return len(key) > len(version) && key[len(version)] < ' ' && strings.HasPrefix(key, version)
 	})
 	s.dbMu.Lock()
 	delete(s.dbs, version)
@@ -371,7 +373,7 @@ func (s *Service) retireCatalog(version string) {
 	delete(s.placements, version)
 	s.clusterMu.Unlock()
 	s.met.CatalogRetired.Add(1)
-	s.logger.Info("catalog retired", "version", version, "plans", plans, "negatives", negs)
+	s.logger.Info("catalog retired", "version", version, "plans", plans, "texts", texts)
 }
 
 // Workload exposes the per-fingerprint profiler.
@@ -501,48 +503,96 @@ type ExplainResponse struct {
 	AnalyzeTable string           `json:"analyzeTable,omitempty"`
 }
 
-// resolve parses the request against its catalog and builds the cache key.
-func (s *Service) resolve(req *OptimizeRequest) (cat *catalog.Catalog, version string, q *query.Query, fp, key string, err error) {
+// resolved is what resolve established about a request: its catalog, its
+// template's fingerprint and plan-cache key, and its query — parsed (q), or
+// on a text-cache hit the template's (tmpl), which servedPlan.query binds to
+// the request's literals where a query is read.
+type resolved struct {
+	cat              *catalog.Catalog
+	version, fp, key string
+	q, tmpl          *query.Query
+}
+
+// resolve finds the request's catalog and answers its text from the text
+// cache (textcache.go) or parses it there. A template hit allocates nothing.
+func (s *Service) resolve(req *OptimizeRequest) (r resolved, err error) {
 	switch {
 	case req.Schema != "":
-		version, err = s.RegisterSchema(req.Schema)
+		r.version, err = s.RegisterSchema(req.Schema)
 		if err != nil {
-			return nil, "", nil, "", "", err
+			return r, err
 		}
 	case req.Catalog != "":
-		version = req.Catalog
+		r.version = req.Catalog
 	default:
 		s.mu.RLock()
-		version = s.defaultVersion
+		r.version = s.defaultVersion
 		s.mu.RUnlock()
-		if version == "" {
-			return nil, "", nil, "", "", badRequestError{errors.New("service: no default catalog; supply schema DDL or a catalog version")}
+		if r.version == "" {
+			return r, badRequestError{errors.New("service: no default catalog; supply schema DDL or a catalog version")}
 		}
 	}
 	s.mu.RLock()
-	cat = s.catalogs[version]
+	r.cat = s.catalogs[r.version]
 	s.mu.RUnlock()
-	if cat == nil {
-		return nil, "", nil, "", "", badRequestError{fmt.Errorf("service: unknown catalog version %q", version)}
+	if r.cat == nil {
+		return r, badRequestError{fmt.Errorf("service: unknown catalog version %q", r.version)}
 	}
 	if req.Query == "" {
-		return nil, "", nil, "", "", badRequestError{errors.New("service: empty query")}
+		return r, badRequestError{errors.New("service: empty query")}
 	}
-	// Negative cache: a query text that already failed to parse or resolve
-	// against this catalog version fails again without re-parsing.
-	nk := negKey(req.Query, version)
-	if negErr, ok := s.neg.Get(nk); ok {
-		s.met.NegCacheHits.Add(1)
-		return nil, "", nil, "", "", negErr
+	if len(r.version)+1+len(req.Query) > textKeyMax {
+		return s.parse(r, req.Query, nil)
 	}
-	q, err = parser.ParseQuery(req.Query, cat)
+	var buf [textKeyMax]byte
+	k, tmpl := parser.Mask(append(append(buf[:0], r.version...), templateSep), req.Query)
+	if !tmpl {
+		k = append(append(k[:len(r.version)], failureSep), req.Query...)
+	}
+	if e, ok := s.texts.getBytes(k); ok {
+		switch {
+		case e.err == nil:
+			s.met.TextCacheHits.Add("template", 1)
+			r.tmpl, r.fp, r.key = e.q, e.fp, s.templateKey(e, r.version)
+			return r, nil
+		case e.text == req.Query:
+			s.met.TextCacheHits.Add("error", 1)
+			return r, e.err
+		}
+	}
+	return s.parse(r, req.Query, k)
+}
+
+// parse is resolve's miss: parse and fingerprint the text, and — when k is a
+// text-cache key — record the outcome under it (a text that is not a
+// template, keyed as such, can only fail).
+func (s *Service) parse(r resolved, text string, k []byte) (resolved, error) {
+	q, err := parser.ParseQuery(text, r.cat)
 	if err != nil {
 		err = badRequestError{err}
-		s.neg.Put(nk, err)
-		return nil, "", nil, "", "", err
+		if k != nil {
+			s.texts.Put(string(k), &textEntry{text: text, err: err})
+		}
+		return r, err
 	}
-	fp = query.Fingerprint(q)
-	return cat, version, q, fp, s.cacheKey(fp, version), nil
+	e := &textEntry{q: q, fp: query.Fingerprint(q)}
+	r.q, r.fp, r.key = q, e.fp, s.templateKey(e, r.version)
+	if k != nil {
+		s.texts.Put(string(k), e)
+	}
+	return r, nil
+}
+
+// templateKey is e's plan-cache key under version's current placement,
+// rebuilt only when an install has changed the placement since it was built.
+func (s *Service) templateKey(e *textEntry, version string) string {
+	pfp := s.placementFP(version)
+	if pk := e.key.Load(); pk != nil && pk.placement == pfp {
+		return pk.key
+	}
+	pk := &placedKey{pfp, s.keyFor(e.fp, version, pfp)}
+	e.key.Store(pk)
+	return pk.key
 }
 
 // cacheKey builds a plan-cache key. It embeds the catalog version between
@@ -550,23 +600,32 @@ func (s *Service) resolve(req *OptimizeRequest) (cat *catalog.Catalog, version s
 // placement's fingerprint, so installing or changing a placement re-costs
 // plans instead of serving cover sets computed without it.
 func (s *Service) cacheKey(fp, version string) string {
-	pfp := "none"
+	return s.keyFor(fp, version, s.placementFP(version))
+}
+
+func (s *Service) keyFor(fp, version, placementFP string) string {
+	return fp + "|" + version + "|pl=" + placementFP + "|" + s.sessKey
+}
+
+// placementFP is the fingerprint of version's installed placement, "none"
+// without one.
+func (s *Service) placementFP(version string) string {
 	if p := s.placementFor(version); p.m != nil {
-		pfp = p.fp
+		return p.fp
 	}
-	return fp + "|" + version + "|pl=" + pfp + "|" + s.sessKey
+	return "none"
 }
 
 // entryFor returns the cache entry for the key, running (or joining) a
 // search on miss. hit reports a cache hit, deduped a joined search.
-func (s *Service) entryFor(ctx context.Context, key, fp, version string, cat *catalog.Catalog, q *query.Query) (e *cacheEntry, hit, deduped bool, err error) {
-	if e, ok := s.cache.Get(key); ok {
+func (s *Service) entryFor(ctx context.Context, p *servedPlan, r *resolved) (e *cacheEntry, hit, deduped bool, err error) {
+	if e, ok := s.cache.Get(r.key); ok {
 		s.met.CacheHits.Add(1)
 		s.met.CoverReuse.Add(1)
 		return e, true, false, nil
 	}
 	s.met.CacheMisses.Add(1)
-	e, deduped, err = s.searchFor(ctx, key, fp, version, cat, q, "search")
+	e, deduped, err = s.searchFor(ctx, r.key, r.fp, r.version, r.cat, p.query(), "search")
 	switch {
 	case deduped && err == nil:
 		s.met.Deduped.Add(1)
@@ -758,10 +817,11 @@ type servedPlan struct {
 	// baseline backs resp.Baseline, so the response's copy of the shared
 	// rendered scalars costs no allocation of its own.
 	baseline PlanSummary
-	// q is the request's own parsed query. The cache entry's optimizer holds
-	// whichever instance of the template was searched first; analyze executes
-	// this one's selection literals.
-	q *query.Query
+	// q is the request's own query, read through query(): the cache entry's
+	// optimizer holds whichever instance of the template was searched first,
+	// and a search or an analyze needs this one's selection literals. On a
+	// text-cache hit it starts nil and tmpl holds the template to bind.
+	q, tmpl *query.Query
 	// relErr/qErr hold the analyze accuracy summary (explain-analyze only) so
 	// the request record carries the same drift signal the profiler saw.
 	relErr float64
@@ -839,20 +899,21 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 
 	t := time.Now()
 	sp := root.Child("parse")
-	cat, version, q, fp, key, err := s.resolve(req)
+	r, err := s.resolve(req)
 	sp.End()
 	s.met.PhaseParse.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return nil, s.finish(p, err)
 	}
-	p.q = q
+	p.q, p.tmpl = r.q, r.tmpl
+	fp, version := r.fp, r.version
 	root.SetAttr("fingerprint", fp)
 	root.SetAttr("catalog", version)
 	iq.note(fp, version)
 
 	t = time.Now()
 	iq.setPhase("search")
-	entry, hit, deduped, err := s.entryFor(ctx, key, fp, version, cat, q)
+	entry, hit, deduped, err := s.entryFor(ctx, p, &r)
 	s.met.PhaseSearch.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return nil, s.finish(p, err)
@@ -911,6 +972,15 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 	s.met.Latency.Observe(time.Since(start).Seconds())
 	p.resp = resp
 	return p, nil
+}
+
+// query returns the request's own query, binding the text-cache template to
+// the request's literals on first use.
+func (p *servedPlan) query() *query.Query {
+	if p.q == nil {
+		p.q = parser.Bind(p.tmpl, p.req.Query)
+	}
+	return p.q
 }
 
 // materialize builds the full plan behind the served answer — operator tree,
@@ -1031,7 +1101,7 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.P
 	// tree, and every distributed join under it sends its workers a cancel
 	// frame, so they abandon their fragments and free staged partitions.
 	ctx := served.ctx
-	rep, _, err := served.entry.opt.AnalyzeLive(ctx, plan, served.q, db, par, tr, stats)
+	rep, _, err := served.entry.opt.AnalyzeLive(ctx, plan, served.query(), db, par, tr, stats)
 	if cluster != nil {
 		// Record traffic even on failure: partial transfers are exactly
 		// what an operator debugging a dead worker wants to see.

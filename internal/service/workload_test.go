@@ -30,11 +30,11 @@ func TestNegativeCacheShortCircuitsParseFailures(t *testing.T) {
 			t.Fatalf("attempt %d: want badRequestError, got %v", i, err)
 		}
 	}
-	if got := s.met.NegCacheHits.Load(); got != 2 {
-		t.Errorf("negative-cache hits = %d, want 2 (first failure parses, repeats do not)", got)
+	if got := s.met.TextCacheHits.Load("error"); got != 2 {
+		t.Errorf("text-cache failure hits = %d, want 2 (first failure parses, repeats do not)", got)
 	}
-	if got := s.neg.Len(); got != 1 {
-		t.Errorf("negative-cache entries = %d, want 1", got)
+	if got := s.texts.Len(); got != 1 {
+		t.Errorf("text-cache entries = %d, want 1", got)
 	}
 	// A valid query is unaffected.
 	if _, err := s.Optimize(ctx, OptimizeRequest{Query: chainSQL(3, 7)}); err != nil {
@@ -52,7 +52,7 @@ func TestNegativeCacheShortCircuitsParseFailures(t *testing.T) {
 }
 
 func TestNegativeCacheLRUBound(t *testing.T) {
-	var c negCache
+	var c lru[error]
 	c.init(2, nil)
 	c.Put("a", errors.New("ea"))
 	c.Put("b", errors.New("eb"))
