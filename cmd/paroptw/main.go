@@ -352,6 +352,33 @@ func (b *storeBox) refresh() error {
 	return nil
 }
 
+// decodePlacement reads a GET /cluster/placement body: the document and —
+// unless its fingerprint is known, which means nothing changed — the catalog
+// this worker generates its shards from. A catalog over the rows the daemon
+// itself may generate is refused here, before any shard is.
+func decodePlacement(body io.Reader, known string) (*service.PlacementResponse, *catalog.Catalog, error) {
+	// The daemon's own body bound: a catalog snapshot is a few KB per
+	// relation, so a longer body is a misbehaving peer and fails the decode.
+	var doc service.PlacementResponse
+	if err := json.NewDecoder(io.LimitReader(body, service.MaxBodyBytes)).Decode(&doc); err != nil {
+		return nil, nil, fmt.Errorf("/cluster/placement: %w", err)
+	}
+	if doc.Map == nil {
+		return nil, nil, errors.New("/cluster/placement: empty map")
+	}
+	if doc.Fingerprint == known {
+		return &doc, nil, nil
+	}
+	cat, err := catalog.FromSnapshot(doc.Snapshot)
+	if err == nil {
+		err = service.CheckDataRows(cat)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("placement snapshot: %w", err)
+	}
+	return &doc, cat, nil
+}
+
 // install is refresh's locked half: fetch, compare fingerprints, publish. It
 // returns the newly published store and its map, or a nil store when nothing
 // changed.
@@ -374,21 +401,9 @@ func (b *storeBox) install() (*placement.Store, *placement.Map, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, nil, fmt.Errorf("/cluster/placement: HTTP %d", resp.StatusCode)
 	}
-	// The daemon's own body bound: a catalog snapshot is a few KB per
-	// relation, so a longer body is a misbehaving peer and fails the decode.
-	var doc service.PlacementResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, service.MaxBodyBytes)).Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("/cluster/placement: %w", err)
-	}
-	if doc.Map == nil {
-		return nil, nil, errors.New("/cluster/placement: empty map")
-	}
-	if doc.Fingerprint == b.fp {
-		return nil, nil, nil
-	}
-	cat, err := catalog.FromSnapshot(doc.Snapshot)
-	if err != nil {
-		return nil, nil, fmt.Errorf("placement snapshot: %w", err)
+	doc, cat, err := decodePlacement(resp.Body, b.fp)
+	if err != nil || cat == nil {
+		return nil, nil, err
 	}
 	st := placement.NewStore(cat, doc.Map.Seed)
 	b.store.Store(st)

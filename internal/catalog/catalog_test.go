@@ -224,18 +224,6 @@ func TestJoinCardFloor(t *testing.T) {
 	}
 }
 
-func TestNDVAfter(t *testing.T) {
-	if got := NDVAfter(1000, 10); got != 10 {
-		t.Errorf("NDVAfter = %d, want 10", got)
-	}
-	if got := NDVAfter(5, 10); got != 5 {
-		t.Errorf("NDVAfter = %d, want 5", got)
-	}
-	if got := NDVAfter(0, 0); got != 1 {
-		t.Errorf("NDVAfter floor = %d, want 1", got)
-	}
-}
-
 // Property: selectivities are always in (0, 1] and JoinCard is monotone in
 // its selectivity argument.
 func TestQuickSelectivityBounds(t *testing.T) {

@@ -1,9 +1,6 @@
 package catalog
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // SnapshotDoc is the wire form of a catalog: the full relation and index
 // metadata, JSON-encodable. Workers fetch it from the coordinator's
@@ -54,18 +51,4 @@ func FromSnapshot(doc SnapshotDoc) (*Catalog, error) {
 		}
 	}
 	return c, nil
-}
-
-// MarshalSnapshot renders the catalog as snapshot JSON.
-func (c *Catalog) MarshalSnapshot() ([]byte, error) {
-	return json.Marshal(c.Snapshot())
-}
-
-// UnmarshalSnapshot parses snapshot JSON into a fresh catalog.
-func UnmarshalSnapshot(data []byte) (*Catalog, error) {
-	var doc SnapshotDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("catalog: snapshot: %w", err)
-	}
-	return FromSnapshot(doc)
 }

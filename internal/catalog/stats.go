@@ -35,15 +35,3 @@ func JoinCard(leftCard, rightCard int64, sel float64) int64 {
 	}
 	return int64(est)
 }
-
-// NDVAfter estimates the distinct-value count of a column after a filter
-// reduces the relation to card tuples: min(ndv, card).
-func NDVAfter(ndv, card int64) int64 {
-	if ndv > card {
-		ndv = card
-	}
-	if ndv < 1 {
-		ndv = 1
-	}
-	return ndv
-}

@@ -19,7 +19,6 @@ package machine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -265,9 +264,6 @@ func (m *Machine) Networks() []ResourceID { return m.nets }
 // PhysicalDisks is the number of physical disks, independent of aggregation.
 func (m *Machine) PhysicalDisks() int { return m.physicalDisks }
 
-// Aggregated reports whether disks are modeled as one logical resource.
-func (m *Machine) Aggregated() bool { return m.aggregated }
-
 // DiskFor maps a placement index (e.g. a relation's home disk number in the
 // catalog) to a disk resource, wrapping modulo the disk count. Under
 // aggregation every placement maps to the single logical disk (per node on a
@@ -329,19 +325,6 @@ func (m *Machine) LinkFor(node int) (ResourceID, bool) {
 	return m.nodeLinks[node%len(m.nodeLinks)], true
 }
 
-// ByKind returns the IDs of resources of the given kind, in ID order.
-func (m *Machine) ByKind(k Kind) []ResourceID {
-	switch k {
-	case CPU:
-		return m.cpus
-	case Disk:
-		return m.disks
-	case Network:
-		return m.nets
-	}
-	return nil
-}
-
 // String summarizes the machine, e.g. "machine(4 cpu, 4 disk, 1 net)" or
 // "machine(4 nodes × 2 cpu, 2 disk; 4 links)".
 func (m *Machine) String() string {
@@ -377,19 +360,4 @@ func (m *Machine) Names() []string {
 		names[i] = r.Name
 	}
 	return names
-}
-
-// SortedKinds returns the distinct kinds present on the machine in ascending
-// order, used by reporting code.
-func (m *Machine) SortedKinds() []Kind {
-	seen := map[Kind]bool{}
-	for _, r := range m.resources {
-		seen[r.Kind] = true
-	}
-	kinds := make([]Kind, 0, len(seen))
-	for k := range seen {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
 }

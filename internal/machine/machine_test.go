@@ -14,9 +14,6 @@ func TestNewDefault(t *testing.T) {
 	if len(m.CPUs()) != 4 || len(m.Disks()) != 4 || len(m.Networks()) != 1 {
 		t.Fatalf("unexpected resource split: %v", m)
 	}
-	if m.Aggregated() {
-		t.Error("default machine should not aggregate disks")
-	}
 }
 
 func TestNewPanicsWithoutCPU(t *testing.T) {
@@ -48,9 +45,6 @@ func TestAggregateDisks(t *testing.T) {
 	agg := m.Resource(m.Disks()[0])
 	if agg.Speed != 8 {
 		t.Fatalf("aggregate disk speed = %v, want 8 (sum of members)", agg.Speed)
-	}
-	if !m.Aggregated() {
-		t.Error("Aggregated() = false, want true")
 	}
 }
 
@@ -145,22 +139,6 @@ func TestResourcePanicsOnBadID(t *testing.T) {
 	m.Resource(ResourceID(99))
 }
 
-func TestByKind(t *testing.T) {
-	m := New(Config{CPUs: 2, Disks: 3, Networks: 1})
-	if got := len(m.ByKind(CPU)); got != 2 {
-		t.Errorf("ByKind(CPU) = %d, want 2", got)
-	}
-	if got := len(m.ByKind(Disk)); got != 3 {
-		t.Errorf("ByKind(Disk) = %d, want 3", got)
-	}
-	if got := len(m.ByKind(Network)); got != 1 {
-		t.Errorf("ByKind(Network) = %d, want 1", got)
-	}
-	if got := m.ByKind(Kind(42)); got != nil {
-		t.Errorf("ByKind(invalid) = %v, want nil", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{CPU: "cpu", Disk: "disk", Network: "network", Kind(9): "kind(9)"}
 	for k, want := range cases {
@@ -182,19 +160,6 @@ func TestNamesMatchResources(t *testing.T) {
 			t.Fatalf("duplicate resource name %q", n)
 		}
 		seen[n] = true
-	}
-}
-
-func TestSortedKinds(t *testing.T) {
-	m := New(Config{CPUs: 1, Disks: 1, Networks: 1})
-	kinds := m.SortedKinds()
-	if len(kinds) != 3 {
-		t.Fatalf("SortedKinds = %v, want 3 kinds", kinds)
-	}
-	for i := 1; i < len(kinds); i++ {
-		if kinds[i-1] >= kinds[i] {
-			t.Fatalf("kinds not ascending: %v", kinds)
-		}
 	}
 }
 

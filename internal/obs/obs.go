@@ -25,6 +25,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Tracer creates traces and retains the most recent ones in a Ring for the
@@ -273,13 +274,28 @@ func (s *Span) SetAttr(key string, value any) {
 	s.tr.mu.Unlock()
 }
 
+// errMsgMax caps the error message a span keeps. A message can quote a whole
+// request (a parse error quoting a 1 MiB token), and every retained trace
+// would pin it.
+const errMsgMax = 1 << 10
+
 // Err records an error on the span (last one wins). Nil errors are ignored.
+// A message over errMsgMax bytes is kept as its first errMsgMax bytes, cut at
+// a rune boundary, and its length.
 func (s *Span) Err(err error) {
 	if s == nil || err == nil {
 		return
 	}
+	msg := err.Error()
+	if len(msg) > errMsgMax {
+		cut := errMsgMax
+		for cut > 0 && !utf8.RuneStart(msg[cut]) {
+			cut--
+		}
+		msg = msg[:cut] + "… (" + strconv.Itoa(len(msg)) + " bytes)"
+	}
 	s.tr.mu.Lock()
-	s.errMsg = err.Error()
+	s.errMsg = msg
 	s.tr.mu.Unlock()
 }
 

@@ -2,9 +2,12 @@ package obs
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestTraceTreeAndJSON(t *testing.T) {
@@ -238,5 +241,26 @@ func TestTracerKeepConcurrent(t *testing.T) {
 	// 40 pinned traces, and the ring's 4 newest, which may be among them.
 	if got := tr.Len(); got < 40 || got > 44 {
 		t.Errorf("want the 40 pinned traces plus the ring's 4, got %d", got)
+	}
+}
+
+// TestSpanErrKeepsABoundedMessage: a span keeps a short error message whole
+// and a long one as a valid-UTF-8 prefix of at most errMsgMax bytes plus the
+// message's length, so a retained trace cannot pin a request-sized message.
+func TestSpanErrKeepsABoundedMessage(t *testing.T) {
+	tr := NewTracer(4)
+	trace, root := tr.Start("request")
+	root.Err(errors.New("short"))
+	if got := trace.JSON().Root.Error; got != "short" {
+		t.Fatalf("short message kept as %q", got)
+	}
+	long := "bad token " + strings.Repeat("é", 1<<19) // 1 MiB of 2-byte runes after an odd prefix
+	root.Err(errors.New(long))
+	got := trace.JSON().Root.Error
+	if len(got) > errMsgMax+32 || !utf8.ValidString(got) {
+		t.Fatalf("long message kept as %d bytes (valid UTF-8 %t), want at most %d", len(got), utf8.ValidString(got), errMsgMax+32)
+	}
+	if cut := strings.LastIndex(got, "… ("); cut < 0 || !strings.HasPrefix(long, got[:cut]) || !strings.HasSuffix(got, "(1048586 bytes)") {
+		t.Fatalf("long message kept as %q…, want its prefix and length", got[:64])
 	}
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sort"
@@ -289,11 +290,15 @@ func TestPrewarmCachesOwnedShards(t *testing.T) {
 // bit-identical generated shards — what worker bootstrap relies on.
 func TestSnapshotRoundTripPreservesPlacementInputs(t *testing.T) {
 	cat := portfolioCat(t)
-	data, err := cat.MarshalSnapshot()
+	data, err := json.Marshal(cat.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat2, err := catalog.UnmarshalSnapshot(data)
+	var doc catalog.SnapshotDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	cat2, err := catalog.FromSnapshot(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/obs"
 	"paropt/internal/placement"
-	"paropt/internal/storage"
 )
 
 // Worker membership for distributed execution: paroptw processes announce
@@ -123,6 +122,10 @@ func (s *Service) installPlacement(version string, columns map[string]string) (i
 	if cat == nil {
 		return installedPlacement{}, badRequestError{fmt.Errorf("service: unknown catalog version %q", version)}
 	}
+	// Every worker generates its shards from this catalog's cardinalities.
+	if err := CheckDataRows(cat); err != nil {
+		return installedPlacement{}, badRequestError{fmt.Errorf("service: placement refused: %w", err)}
+	}
 	workers, epoch := s.Members()
 	if len(workers) == 0 {
 		return installedPlacement{}, badRequestError{errors.New("service: no workers registered to place data on")}
@@ -179,23 +182,21 @@ func (s *Service) placedConfig(version string) map[string]cost.PlacedRelation {
 	return out
 }
 
-// fallbackStore returns the coordinator-side placement store for a catalog
-// version, building it on first use seeded with the analyze database's
-// tables (so fallback scans slice instead of regenerating).
-func (s *Service) fallbackStore(version string, cat *catalog.Catalog, db *storage.Database) *placement.Store {
+// fallbackStore returns a catalog version's coordinator-side placement
+// store, building it on first use seeded with the analyze database's tables
+// (so fallback scans slice instead of regenerating).
+func (s *Service) fallbackStore(d *analyzeData, cat *catalog.Catalog) *placement.Store {
 	s.dbMu.Lock()
 	defer s.dbMu.Unlock()
-	if st, ok := s.fstores[version]; ok {
-		return st
-	}
-	st := placement.NewStore(cat, dataSeed)
-	for _, name := range cat.RelationNames() {
-		if t, ok := db.Table(name); ok {
-			st.AddTable(t)
+	if d.fstore == nil {
+		d.fstore = placement.NewStore(cat, dataSeed)
+		for _, name := range cat.RelationNames() {
+			if t, ok := d.db.Table(name); ok {
+				d.fstore.AddTable(t)
+			}
 		}
 	}
-	s.fstores[version] = st
-	return st
+	return d.fstore
 }
 
 // recordExchange folds one request's cluster traffic into the daemon's

@@ -221,6 +221,27 @@ func TestDistributedAnalyze(t *testing.T) {
 	}
 }
 
+// TestPlacementRefusesOversizedCatalogs: every worker generates its shards
+// from the placed catalog's cardinalities, so a placement over more rows than
+// an analyze may generate is a 400 and installs nothing.
+func TestPlacementRefusesOversizedCatalogs(t *testing.T) {
+	s, srv := newTestServer(t, nil)
+	if _, err := s.RegisterWorker("w:1", ""); err != nil {
+		t.Fatal(err)
+	}
+	version, err := s.RegisterSchema(bigDDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, srv.URL+"/cluster/placement", PlacementRequest{Catalog: version})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "placement refused") {
+		t.Fatalf("oversized placement: status %d: %s, want 400", resp.StatusCode, body)
+	}
+	if s.PlacementFor(version) != nil {
+		t.Error("a refused placement must not be installed")
+	}
+}
+
 // TestPlacementInstallAndShippedAnalyze drives the full placement flow over
 // HTTP: install a placement map, bootstrap worker stores from the same
 // catalog + seed, and verify a distributed analyze ships leaf scans to the

@@ -554,40 +554,36 @@ func writeQueriesText(w io.Writer, snaps []QuerySnapshot) {
 	}
 }
 
-// queryID parses the {id} path segment; -1 and a 400 on garbage.
-func queryID(w http.ResponseWriter, r *http.Request) int64 {
+// liveQuery is the in-flight request the {id} path segment names; nil after
+// answering a 400 on garbage or a 404 when no such request is in flight.
+func (s *Service) liveQuery(w http.ResponseWriter, r *http.Request) *servedPlan {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil || id < 1 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad query id %q", r.PathValue("id")))
-		return -1
+		return nil
 	}
-	return id
+	p := s.inflight.get(id)
+	if p == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no in-flight query %d", id))
+	}
+	return p
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	id := queryID(w, r)
-	if id < 0 {
-		return
+	if p := s.liveQuery(w, r); p != nil {
+		writeJSON(w, http.StatusOK, p.snapshot(time.Now()))
 	}
-	snap, ok := s.InflightQuery(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no in-flight query %d", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
+// handleQueryCancel cancels one live request with reason "client".
 func (s *Service) handleQueryCancel(w http.ResponseWriter, r *http.Request) {
-	id := queryID(w, r)
-	if id < 0 {
+	p := s.liveQuery(w, r)
+	if p == nil {
 		return
 	}
-	if !s.CancelQuery(id) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no in-flight query %d", id))
-		return
-	}
-	s.logger.Info("query cancelled by client", "queryId", id)
-	writeJSON(w, http.StatusOK, map[string]any{"cancelled": id})
+	p.cancel(CancelClient)
+	s.logger.Info("query cancelled by client", "queryId", p.id)
+	writeJSON(w, http.StatusOK, map[string]any{"cancelled": p.id})
 }
 
 // handleWorkload serves the live per-fingerprint workload report: top-K

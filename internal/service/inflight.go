@@ -1,15 +1,13 @@
 package service
 
 import (
-	"context"
-	"errors"
 	"sort"
 	"sync"
 	"time"
 
 	"paropt/internal/engine"
+	"paropt/internal/obs"
 	"paropt/internal/obs/accuracy"
-	"paropt/internal/obs/workload"
 	"paropt/internal/plan"
 )
 
@@ -35,62 +33,69 @@ func (e *QueryCancelledError) Error() string {
 // the query is flagged as drifting.
 const progressDriftThreshold = 0.15
 
-// inflightQuery is one live entry of the registry: identity and phase from
-// the serving path, plus — once execution starts — the live engine counters
-// and the plan's predicted (tf, tl) timeline to map them against.
-type inflightQuery struct {
-	id    int64
-	kind  string
-	start time.Time
+// phase names a row of phases: the stages a served request passes through.
+type phase uint8
 
-	// cancelCause cancels the request context with a typed cause;
-	// stopTimeout releases the deadline timer. Both set at admission.
-	cancelCause context.CancelCauseFunc
-	stopTimeout context.CancelFunc
+const (
+	phaseParse phase = iota
+	phaseSearch
+	phaseSelect
+	phaseRender
+	phaseExecute
+	phaseDone // enter(phaseDone) closes the open phase and opens none
+)
 
-	mu          sync.Mutex
-	query       string
-	fingerprint string
-	catalog     string
-	phase       string // parse → search → select → execute
-	distributed bool
-	reason      string // cancellation reason, "" while running
-	stats       *engine.ExecStats
-	timeline    []accuracy.OpTimeline
-	predRT      float64
+// phases is what entering each phase means: name labels its
+// paroptd_phase_seconds histogram and its span; live is the phase
+// /debug/queries and the request record report (rendering the chosen member
+// still reports as select); span says whether the request opens a span for it
+// — the search span is the flight leader's, opened where the search runs.
+var phases = [phaseDone]struct {
+	name, live string
+	span       bool
+}{
+	phaseParse:   {"parse", "parse", true},
+	phaseSearch:  {"search", "search", false},
+	phaseSelect:  {"select", "select", true},
+	phaseRender:  {"render", "select", true},
+	phaseExecute: {"execute", "execute", true},
 }
 
-func (q *inflightQuery) setPhase(p string) {
-	q.mu.Lock()
-	q.phase = p
-	q.mu.Unlock()
-}
-
-func (q *inflightQuery) note(fp, catalog string) {
-	q.mu.Lock()
-	q.fingerprint, q.catalog = fp, catalog
-	q.mu.Unlock()
-}
-
-// attachExec arms live progress: the pre-registered stats collector the
-// executor will update and the predicted per-operator timeline.
-func (q *inflightQuery) attachExec(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT float64) {
-	q.mu.Lock()
-	q.stats, q.timeline, q.predRT = stats, tl, predRT
-	q.mu.Unlock()
+// enter is a phase change, the one way a request moves on: it closes the open
+// phase — samples its histogram, ends its span — and, unless next is
+// phaseDone, opens next, returning next's span (nil without one). Only the
+// request's own goroutine calls it.
+func (p *servedPlan) enter(next phase) *obs.Span {
+	now := time.Now()
+	if !p.since.IsZero() {
+		p.met.Phase[p.phase].Observe(now.Sub(p.since).Seconds())
+		p.span.End()
+		p.since, p.span = time.Time{}, nil
+	}
+	if next == phaseDone {
+		return nil
+	}
+	p.mu.Lock()
+	p.phase = next
+	p.mu.Unlock()
+	p.since = now
+	if phases[next].span {
+		p.span = p.root.Child(phases[next].name)
+	}
+	return p.span
 }
 
 // cancel installs the typed cause and cancels the context. The first reason
 // wins; later cancels are no-ops.
-func (q *inflightQuery) cancel(reason string) {
-	q.mu.Lock()
-	if q.reason != "" {
-		q.mu.Unlock()
+func (p *servedPlan) cancel(reason string) {
+	p.mu.Lock()
+	if p.reason != "" {
+		p.mu.Unlock()
 		return
 	}
-	q.reason = reason
-	q.mu.Unlock()
-	q.cancelCause(&QueryCancelledError{Reason: reason})
+	p.reason = reason
+	p.mu.Unlock()
+	p.cancelCause(&QueryCancelledError{Reason: reason})
 }
 
 // OpProgressSnapshot is one operator's live progress joined against its
@@ -144,25 +149,26 @@ type QuerySnapshot struct {
 	Progress    *ProgressSnapshot `json:"progress,omitempty"`
 }
 
-// snapshot samples the query's state without stalling its execution: the
-// engine counters are atomics, so holding q.mu never blocks an operator.
-func (q *inflightQuery) snapshot(now time.Time) QuerySnapshot {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// snapshot samples the request's state without stalling its execution: the
+// engine counters are atomics, so holding p.mu never blocks an operator.
+func (p *servedPlan) snapshot(now time.Time) QuerySnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	snap := QuerySnapshot{
-		ID:          q.id,
-		Kind:        q.kind,
-		Query:       q.query,
-		Fingerprint: q.fingerprint,
-		Catalog:     q.catalog,
-		Phase:       q.phase,
-		Distributed: q.distributed,
-		Start:       q.start,
-		ElapsedMs:   float64(now.Sub(q.start)) / 1e6,
-		Cancelled:   q.reason,
+		ID:          p.id,
+		Kind:        p.kind,
+		Query:       p.req.Query,
+		Phase:       phases[p.phase].live,
+		Distributed: p.req.Distributed,
+		Start:       p.start,
+		ElapsedMs:   float64(now.Sub(p.start)) / 1e6,
+		Cancelled:   p.reason,
 	}
-	if q.stats != nil && len(q.timeline) > 0 {
-		snap.Progress = liveProgress(q.stats, q.timeline, q.predRT, now)
+	if p.phase > phaseParse { // set before the search phase was entered
+		snap.Fingerprint, snap.Catalog = p.fp, p.version
+	}
+	if p.stats != nil && len(p.timeline) > 0 {
+		snap.Progress = liveProgress(p.stats, p.timeline, p.predRT, now)
 	}
 	return snap
 }
@@ -264,61 +270,32 @@ func liveProgress(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT floa
 type inflightRegistry struct {
 	mu      sync.Mutex
 	nextID  int64
-	queries map[int64]*inflightQuery
+	queries map[int64]*servedPlan
 }
 
 func newInflightRegistry() *inflightRegistry {
-	return &inflightRegistry{queries: make(map[int64]*inflightQuery)}
+	return &inflightRegistry{queries: make(map[int64]*servedPlan)}
 }
 
-// add admits one request. cancelCause/stopTimeout release the request's
-// context when the query finishes or is cancelled.
-func (r *inflightRegistry) add(kind, query string, distributed bool, cancelCause context.CancelCauseFunc, stopTimeout context.CancelFunc) *inflightQuery {
-	q := &inflightQuery{
-		kind:        kind,
-		query:       query,
-		distributed: distributed,
-		start:       time.Now(),
-		phase:       "parse",
-		cancelCause: cancelCause,
-		stopTimeout: stopTimeout,
-	}
+// add admits one request under the next ID.
+func (r *inflightRegistry) add(p *servedPlan) {
 	r.mu.Lock()
 	r.nextID++
-	q.id = r.nextID
-	r.queries[q.id] = q
+	p.id = r.nextID
+	r.queries[p.id] = p
 	r.mu.Unlock()
-	return q
 }
 
-// finish retires a query: removes it, releases its context, and returns the
-// registry's half of the request's record — who it was, the last phase it
-// entered and the cancellation reason ("" for a normal finish). Deadline
-// expiry counts as a cancellation even though nobody called cancel
-// explicitly.
-func (r *inflightRegistry) finish(q *inflightQuery, err error) workload.Record {
+// finish retires a request: removes it and releases its context.
+func (r *inflightRegistry) finish(p *servedPlan) {
 	r.mu.Lock()
-	delete(r.queries, q.id)
+	delete(r.queries, p.id)
 	r.mu.Unlock()
-	q.cancelCause(nil)
-	q.stopTimeout()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.reason == "" && errors.Is(err, context.DeadlineExceeded) {
-		q.reason = CancelDeadline
-	}
-	return workload.Record{
-		Kind:        q.kind,
-		QueryID:     q.id,
-		Query:       q.query,
-		Fingerprint: q.fingerprint,
-		Catalog:     q.catalog,
-		Phase:       q.phase,
-		Cancelled:   q.reason,
-	}
+	p.cancelCause(nil)
+	p.stopTimeout()
 }
 
-func (r *inflightRegistry) get(id int64) *inflightQuery {
+func (r *inflightRegistry) get(id int64) *servedPlan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.queries[id]
@@ -330,45 +307,36 @@ func (r *inflightRegistry) len() int {
 	return len(r.queries)
 }
 
-// snapshots returns every in-flight query's state, oldest first.
-func (r *inflightRegistry) snapshots() []QuerySnapshot {
+// list returns every in-flight request, oldest first.
+func (r *inflightRegistry) list() []*servedPlan {
 	r.mu.Lock()
-	qs := make([]*inflightQuery, 0, len(r.queries))
-	for _, q := range r.queries {
-		qs = append(qs, q)
+	ps := make([]*servedPlan, 0, len(r.queries))
+	for _, p := range r.queries {
+		ps = append(ps, p)
 	}
 	r.mu.Unlock()
-	sort.Slice(qs, func(i, j int) bool { return qs[i].id < qs[j].id })
+	sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
+	return ps
+}
+
+// snapshots returns every in-flight request's state, oldest first.
+func (r *inflightRegistry) snapshots() []QuerySnapshot {
+	ps := r.list()
 	now := time.Now()
-	out := make([]QuerySnapshot, 0, len(qs))
-	for _, q := range qs {
-		out = append(out, q.snapshot(now))
+	out := make([]QuerySnapshot, len(ps))
+	for i, p := range ps {
+		out[i] = p.snapshot(now)
 	}
 	return out
 }
 
-// cancel cancels one query by ID; false when no such query is in flight.
-func (r *inflightRegistry) cancel(id int64, reason string) bool {
-	q := r.get(id)
-	if q == nil {
-		return false
-	}
-	q.cancel(reason)
-	return true
-}
-
-// cancelAll cancels every in-flight query and returns how many.
+// cancelAll cancels every in-flight request and returns how many.
 func (r *inflightRegistry) cancelAll(reason string) int {
-	r.mu.Lock()
-	qs := make([]*inflightQuery, 0, len(r.queries))
-	for _, q := range r.queries {
-		qs = append(qs, q)
+	ps := r.list()
+	for _, p := range ps {
+		p.cancel(reason)
 	}
-	r.mu.Unlock()
-	for _, q := range qs {
-		q.cancel(reason)
-	}
-	return len(qs)
+	return len(ps)
 }
 
 // driftCount is how many in-flight queries currently report progress drift.

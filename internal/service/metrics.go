@@ -50,12 +50,13 @@ type Metrics struct {
 	// Cumulative over distributed analyze runs (recordExchange).
 	ExchangeFragments, ShippedScans, ExchangeRetries atomic.Int64
 
-	// Latency is end to end; a request decomposes into parse (resolve +
-	// fingerprint), search (cache lookup through cover-set computation), select
-	// (§2 re-filtering), render and — for analyze requests — execute.
-	Latency                                                         obs.Histogram
-	PhaseParse, PhaseSearch, PhaseSelect, PhaseRender, PhaseExecute obs.Histogram
-	CostRelErr, SearchLayerSeconds                                  obs.Histogram
+	// Latency is end to end; Phase, indexed by the rows of phases, decomposes
+	// a request into parse (resolve + fingerprint), search (cache lookup
+	// through cover-set computation), select (§2 re-filtering), render and —
+	// for analyze requests — execute.
+	Latency                        obs.Histogram
+	Phase                          [phaseDone]obs.Histogram
+	CostRelErr, SearchLayerSeconds obs.Histogram
 }
 
 // init builds the fixed-label counters and pins non-default bucket bounds.
@@ -164,11 +165,9 @@ func (s *Service) families() []obs.Family {
 		}},
 		obs.HistogramFamily("paroptd_optimize_latency_seconds", "End-to-end request latency.", &m.Latency),
 		{Name: "paroptd_phase_seconds", Help: "Request latency by phase.", Type: "histogram", Collect: func(sm *obs.Samples) {
-			sm.Histogram(&m.PhaseParse, "phase", "parse")
-			sm.Histogram(&m.PhaseSearch, "phase", "search")
-			sm.Histogram(&m.PhaseSelect, "phase", "select")
-			sm.Histogram(&m.PhaseRender, "phase", "render")
-			sm.Histogram(&m.PhaseExecute, "phase", "execute")
+			for i := range m.Phase {
+				sm.Histogram(&m.Phase[i], "phase", phases[i].name)
+			}
 		}},
 		obs.HistogramFamily("paroptd_cost_rel_error", "Absolute relative error of calibrated per-operator (tf, tl) predictions, from analyze runs.", &m.CostRelErr),
 		obs.HistogramFamily("paroptd_search_layer_seconds", "Wall time per DP search layer (one observation per layer per search).", &m.SearchLayerSeconds),

@@ -7,8 +7,8 @@
 //     parameter-varying instances of one template share a plan;
 //   - caches the *cover set* — what any bound can reach of the root Pareto
 //     frontier (core.CoverSet) plus the §2 work-optimal baseline — in a
-//     sharded LRU keyed by (fingerprint,
-//     catalog version, machine config, optimizer options), so a later
+//     sharded LRU keyed by (fingerprint, catalog version, placement) — the
+//     machine and optimizer options are the Service's own — so a later
 //     request with a different work bound (throughput-degradation k,
 //     cost–benefit k) is answered by re-filtering the cached frontier
 //     without re-running the search, and what the response says about the
@@ -120,9 +120,8 @@ type Config struct {
 
 // Service is the optimizer daemon. Safe for concurrent use.
 type Service struct {
-	cfg     Config
-	mcfg    machine.Config
-	sessKey string // machine + optimizer-options component of cache keys
+	cfg  Config
+	mcfg machine.Config
 
 	mu             sync.RWMutex
 	catalogs       map[string]*catalog.Catalog // keyed by version fingerprint
@@ -174,13 +173,12 @@ type Service struct {
 	inflight *inflightRegistry
 	stopped  bool // teardown ran (distinct from closed: Shutdown rejects first, tears down later)
 
-	// dbMu guards dbs, the per-catalog-version synthetic databases analyze
-	// requests execute against (generated lazily, kept for reuse), and
-	// fstores, the per-version coordinator-fallback placement stores. A
-	// separate mutex so generation never blocks the serving path's s.mu.
-	dbMu    sync.Mutex
-	dbs     map[string]*storage.Database
-	fstores map[string]*placement.Store
+	// dbs holds the synthetic data of the analyzeVersions catalog versions
+	// analyzed last, generated lazily. dbMu serializes generating a database
+	// and building a fallback store: a mutex of their own, so neither ever
+	// blocks the serving path's s.mu.
+	dbMu sync.Mutex
+	dbs  lru[*analyzeData]
 
 	// searchHook, when non-nil, runs at the start of every search on the
 	// worker goroutine — a test hook that makes overload and timeout
@@ -217,8 +215,6 @@ func New(cfg Config) (*Service, error) {
 		catalogs:        make(map[string]*catalog.Catalog),
 		pool:            newWorkerPool(cfg.Workers, cfg.QueueDepth),
 		logger:          cfg.Logger,
-		dbs:             make(map[string]*storage.Database),
-		fstores:         make(map[string]*placement.Store),
 		workers:         make(map[string]string),
 		placements:      make(map[string]installedPlacement),
 		links:           make(map[string]*exchange.LinkSnapshot),
@@ -246,9 +242,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.met.init()
 	s.cache = newPlanCache(cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
-	s.sessKey = fmt.Sprintf("m=%dc%dd%dn%dN,cs%g,ds%g,ns%g,nl%g,agg%t,aggl%t|cover=%d",
-		mcfg.CPUs, mcfg.Disks, mcfg.Networks, mcfg.Nodes, mcfg.CPUSpeed, mcfg.DiskSpeed, mcfg.NetSpeed,
-		mcfg.NetLatency, mcfg.AggregateDisks, mcfg.AggregateLinks, cfg.CoverCap)
+	s.dbs.init(analyzeVersions, nil)
 	if cfg.Catalog != nil {
 		s.defaultVersion = s.RegisterCatalog(cfg.Catalog)
 	}
@@ -365,10 +359,7 @@ func (s *Service) retireCatalog(version string) {
 	texts := s.texts.PurgeWhere(func(key string) bool {
 		return len(key) > len(version) && key[len(version)] < ' ' && strings.HasPrefix(key, version)
 	})
-	s.dbMu.Lock()
-	delete(s.dbs, version)
-	delete(s.fstores, version)
-	s.dbMu.Unlock()
+	s.dbs.PurgeWhere(func(key string) bool { return key == version })
 	s.clusterMu.Lock()
 	delete(s.placements, version)
 	s.clusterMu.Unlock()
@@ -448,8 +439,8 @@ type PlanSummary struct {
 // OptimizeResponse is the service's answer.
 type OptimizeResponse struct {
 	// Fingerprint is the query's canonical fingerprint; Catalog the catalog
-	// version — together with the daemon's machine/options they key the
-	// plan cache.
+	// version — together with the version's installed placement they key
+	// the plan cache.
 	Fingerprint string `json:"fingerprint"`
 	Catalog     string `json:"catalog"`
 	// Cache is "hit" or "miss"; Deduped marks misses that joined another
@@ -598,13 +589,15 @@ func (s *Service) templateKey(e *textEntry, version string) string {
 // cacheKey builds a plan-cache key. It embeds the catalog version between
 // "|" separators (retireCatalog's purge matches on that) and the installed
 // placement's fingerprint, so installing or changing a placement re-costs
-// plans instead of serving cover sets computed without it.
+// plans instead of serving cover sets computed without it. The machine and
+// the optimizer options, the rest of what a cover set depends on, are fixed
+// for the Service that owns the cache, so no key spells them out.
 func (s *Service) cacheKey(fp, version string) string {
 	return s.keyFor(fp, version, s.placementFP(version))
 }
 
 func (s *Service) keyFor(fp, version, placementFP string) string {
-	return fp + "|" + version + "|pl=" + placementFP + "|" + s.sessKey
+	return fp + "|" + version + "|pl=" + placementFP + "|"
 }
 
 // placementFP is the fingerprint of version's installed placement, "none"
@@ -797,18 +790,44 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 	return out, nil
 }
 
-// servedPlan is one admitted request from serve to finish: its trace and
-// live-registry entry and — once a plan is served — the response, the cover
-// member it chose and that member's rendered answer.
+// servedPlan is one admitted request from serve to finish, and its own entry
+// in the live registry (inflight.go): who it is, its trace and context, the
+// phase it is in, its live execution progress and — once a plan is served —
+// the response, the cover member it chose and that member's rendered answer.
+// finish builds the request's one workload.Record from it.
 type servedPlan struct {
+	id    int64  // registry ID, set at admission
+	kind  string // "optimize" or "explain"
 	start time.Time
 	req   *OptimizeRequest
 	root  *obs.Span
+	met   *Metrics
 	// ctx is the request context with the end-to-end deadline and the
-	// registry's cancel cause; iq the live-registry entry. Analyze threads
-	// ctx into the engine; finish retires iq.
-	ctx context.Context
-	iq  *inflightQuery
+	// registry's cancel cause; analyze threads it into the engine.
+	// cancelCause cancels it with a typed cause, stopTimeout releases the
+	// deadline timer; the registry's finish calls both.
+	ctx         context.Context
+	cancelCause context.CancelCauseFunc
+	stopTimeout context.CancelFunc
+	// since is when the open phase began (zero when none is open), span its
+	// span.
+	since time.Time
+	span  *obs.Span
+	// fp and version are the template fingerprint and catalog version,
+	// written before the search phase is entered and read by other
+	// goroutines only after it.
+	fp, version string
+
+	// mu guards what /debug/queries reads while the request runs: the phase
+	// last entered, the cancellation reason ("" while running) and, once
+	// execution is armed, the live engine counters with the plan's predicted
+	// (tf, tl) timeline to map them against.
+	mu       sync.Mutex
+	phase    phase
+	reason   string
+	stats    *engine.ExecStats
+	timeline []accuracy.OpTimeline
+	predRT   float64
 
 	resp   *OptimizeResponse
 	entry  *cacheEntry
@@ -829,20 +848,36 @@ type servedPlan struct {
 }
 
 // finish is the one end of every admitted request, served or failed. It
-// retires the live-registry entry (counting a cancellation on its per-reason
-// metric), closes the root span, and builds the request's single
-// workload.Record — the registry's view of who it was and how far it got, the
+// closes the open phase, retires the live-registry entry (counting a
+// cancellation on its per-reason metric), closes the root span, and builds
+// the request's single workload.Record — who it was and how far it got, the
 // plan it was served, how it ended — which then feeds the workload profiler,
-// the query log and the structured request log line alike. It returns err
+// the query log and the structured request log line alike. Deadline expiry
+// counts as a cancellation even though nobody called cancel. It returns err
 // with a bare context cancellation replaced by its installed cause, so
 // clients and logs see *why*.
 func (s *Service) finish(p *servedPlan, err error) error {
+	p.enter(phaseDone)
 	if errors.Is(err, context.Canceled) {
 		if cause := context.Cause(p.ctx); cause != nil {
 			err = cause
 		}
 	}
-	rec := s.inflight.finish(p.iq, err)
+	s.inflight.finish(p)
+	p.mu.Lock()
+	if p.reason == "" && errors.Is(err, context.DeadlineExceeded) {
+		p.reason = CancelDeadline
+	}
+	rec := workload.Record{
+		Kind:        p.kind,
+		QueryID:     p.id,
+		Query:       p.req.Query,
+		Fingerprint: p.fp,
+		Catalog:     p.version,
+		Phase:       phases[p.phase].live,
+		Cancelled:   p.reason,
+	}
+	p.mu.Unlock()
 	s.met.QueryCancelled.Add(rec.Cancelled, 1)
 	rec.Time = time.Now()
 	rec.TraceID = p.root.TraceID()
@@ -888,33 +923,25 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 	// after it returns); finish releases both cancels.
 	ctx, stopTimeout := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	ctx, cancelCause := context.WithCancelCause(ctx)
-	iq := s.inflight.add(kind, req.Query, req.Distributed, cancelCause, stopTimeout)
-
 	// Root span of the request; phase child spans hang off it and the
 	// search span joins via the context (entryFor). Everything is nil-safe,
 	// so a disabled tracer costs nothing here.
 	tr, root := s.tracer.Start(kind)
-	ctx = obs.ContextWithSpan(ctx, root)
-	p := &servedPlan{start: start, req: req, root: root, ctx: ctx, iq: iq}
+	p := &servedPlan{kind: kind, start: start, req: req, root: root, met: &s.met,
+		ctx: obs.ContextWithSpan(ctx, root), cancelCause: cancelCause, stopTimeout: stopTimeout}
+	s.inflight.add(p)
 
-	t := time.Now()
-	sp := root.Child("parse")
+	p.enter(phaseParse)
 	r, err := s.resolve(req)
-	sp.End()
-	s.met.PhaseParse.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return nil, s.finish(p, err)
 	}
-	p.q, p.tmpl = r.q, r.tmpl
-	fp, version := r.fp, r.version
-	root.SetAttr("fingerprint", fp)
-	root.SetAttr("catalog", version)
-	iq.note(fp, version)
+	p.q, p.tmpl, p.fp, p.version = r.q, r.tmpl, r.fp, r.version
+	root.SetAttr("fingerprint", r.fp)
+	root.SetAttr("catalog", r.version)
 
-	t = time.Now()
-	iq.setPhase("search")
-	entry, hit, deduped, err := s.entryFor(ctx, p, &r)
-	s.met.PhaseSearch.Observe(time.Since(t).Seconds())
+	p.enter(phaseSearch)
+	entry, hit, deduped, err := s.entryFor(p.ctx, p, &r)
 	if err != nil {
 		return nil, s.finish(p, err)
 	}
@@ -930,29 +957,23 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 	// The answer is a pure function of which cover member the bound selects:
 	// re-filter (§2 — the reason a cover, not a plan, is cached), then take that
 	// member's rendered answer, derived the first time any request chooses it.
-	t = time.Now()
-	iq.setPhase("select")
-	sp = root.Child("select")
+	p.enter(phaseSelect)
 	bound := req.bound()
 	chosen, err := entry.opt.Choose(entry.cover, bound)
-	sp.End()
-	s.met.PhaseSelect.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return nil, s.finish(p, err)
 	}
 
-	t = time.Now()
-	sp = root.Child("render")
+	p.enter(phaseRender)
 	rend, err := entry.rendered(chosen)
-	sp.End()
-	s.met.PhaseRender.Observe(time.Since(t).Seconds())
 	if err != nil {
 		return nil, s.finish(p, err)
 	}
+	p.enter(phaseDone)
 	p.entry, p.chosen, p.rend, p.baseline = entry, chosen, rend, rend.baseline
 	resp := &OptimizeResponse{
-		Fingerprint:    fp,
-		Catalog:        version,
+		Fingerprint:    r.fp,
+		Catalog:        r.version,
 		Cache:          "miss",
 		Deduped:        deduped,
 		CoverSetReused: hit,
@@ -993,43 +1014,52 @@ func (p *servedPlan) materialize() (*core.Plan, error) {
 // InflightQueries snapshots the live registry (the /debug/queries payload).
 func (s *Service) InflightQueries() []QuerySnapshot { return s.inflight.snapshots() }
 
-// InflightQuery snapshots one live query by ID.
-func (s *Service) InflightQuery(id int64) (QuerySnapshot, bool) {
-	q := s.inflight.get(id)
-	if q == nil {
-		return QuerySnapshot{}, false
-	}
-	return q.snapshot(time.Now()), true
-}
+// maxDataRows bounds the synthetic rows one catalog version may make anyone
+// generate: the daemon for an analyze, a worker for its placement shards.
+const maxDataRows = 4 << 20
 
-// CancelQuery cancels one live query (reason "client" — the DELETE
-// /debug/queries/{id} path); false when no such query is in flight.
-func (s *Service) CancelQuery(id int64) bool {
-	return s.inflight.cancel(id, CancelClient)
-}
-
-// analyzeMaxRows bounds the synthetic data an analyze request may generate
-// and join — an admission guard, since execution happens inline.
-const analyzeMaxRows = 4 << 20
-
-// analyzeDB returns the synthetic database for a catalog version, generating
-// it on first use.
-func (s *Service) analyzeDB(version string, cat *catalog.Catalog) (*storage.Database, error) {
+// CheckDataRows refuses a catalog whose relations hold more base rows than a
+// daemon generates for an analyze or a worker for its placement shards — an
+// admission guard, since generation happens inline. The daemon checks it
+// before an analyze or a placement install, a worker on every placement
+// snapshot it fetches.
+func CheckDataRows(cat *catalog.Catalog) error {
 	var rows int64
 	for _, name := range cat.RelationNames() {
-		rows += cat.MustRelation(name).Card
+		// Clamping each term keeps the sum from overflowing before it is refused.
+		if rows += min(cat.MustRelation(name).Card, maxDataRows+1); rows > maxDataRows {
+			return fmt.Errorf("catalog has more than %d base rows", int64(maxDataRows))
+		}
 	}
-	if rows > analyzeMaxRows {
-		return nil, badRequestError{fmt.Errorf("service: analyze refused: catalog has %d base rows (limit %d)", rows, int64(analyzeMaxRows))}
+	return nil
+}
+
+// analyzeVersions is how many catalog versions' synthetic data the daemon
+// keeps, least recently analyzed out first.
+const analyzeVersions = 4
+
+// analyzeData is one catalog version's synthetic data: the database analyze
+// requests execute against and, once a distributed analyze needs it, the
+// coordinator-fallback placement store seeded from its tables.
+type analyzeData struct {
+	db     *storage.Database
+	fstore *placement.Store
+}
+
+// analyzeData returns the synthetic data for a catalog version, generating
+// its database on first use.
+func (s *Service) analyzeData(version string, cat *catalog.Catalog) (*analyzeData, error) {
+	if err := CheckDataRows(cat); err != nil {
+		return nil, badRequestError{fmt.Errorf("service: analyze refused: %w", err)}
 	}
 	s.dbMu.Lock()
 	defer s.dbMu.Unlock()
-	if db, ok := s.dbs[version]; ok {
-		return db, nil
+	if d, ok := s.dbs.Get(version); ok {
+		return d, nil
 	}
-	db := storage.NewDatabase(cat, dataSeed)
-	s.dbs[version] = db
-	return db, nil
+	d := &analyzeData{db: storage.NewDatabase(cat, dataSeed)}
+	s.dbs.Put(version, d)
+	return d, nil
 }
 
 // analyze executes the served plan with engine instrumentation, joins the
@@ -1037,14 +1067,37 @@ func (s *Service) analyzeDB(version string, cat *catalog.Catalog) (*storage.Data
 // per-operator timings into the request trace, and feeds the cost-model
 // error histogram.
 func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.Plan, out *ExplainResponse) error {
-	t := time.Now()
-	served.iq.setPhase("execute")
-	sp := served.root.Child("execute")
-	db, err := s.analyzeDB(out.Catalog, served.entry.opt.Cat)
+	sp := served.enter(phaseExecute)
+	rep, stats, err := s.execute(req, served, plan, sp)
+	sp.Err(err)
+	served.enter(phaseDone)
 	if err != nil {
-		sp.Err(err)
-		sp.End()
 		return err
+	}
+	graftAnalyze(sp, rep, stats)
+	// Merge the workers' span trees into this request's trace.
+	graftRemote(sp, stats)
+	for _, e := range rep.Errors() {
+		s.met.CostRelErr.Observe(e)
+	}
+	// The drift signal rides the request record: finish feeds it to the
+	// profiler, whose accuracy EWMAs decide whether this template's cached
+	// cover set still matches measured reality.
+	served.relErr, served.qErr = rep.MeanAbsRelErr, rep.MaxQErrRows
+	s.met.AnalyzeRuns.Add(1)
+	out.Analyze = rep
+	out.AnalyzeTable = rep.Table()
+	return nil
+}
+
+// execute is analyze's execute phase: it runs the served plan against the
+// catalog version's synthetic data, in-process or on the registered workers,
+// with live progress armed for /debug/queries.
+func (s *Service) execute(req *OptimizeRequest, served *servedPlan, plan *core.Plan, sp *obs.Span) (*accuracy.Report, *engine.ExecStats, error) {
+	cat := served.entry.opt.Cat
+	data, err := s.analyzeData(served.version, cat)
+	if err != nil {
+		return nil, nil, err
 	}
 	par := req.AnalyzeParallel
 	if par <= 0 {
@@ -1062,10 +1115,7 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.P
 	if req.Distributed {
 		addrs := s.WorkerAddrs()
 		if len(addrs) == 0 {
-			err := badRequestError{errors.New("service: distributed analyze requested but no workers are registered")}
-			sp.Err(err)
-			sp.End()
-			return err
+			return nil, nil, badRequestError{errors.New("service: distributed analyze requested but no workers are registered")}
 		}
 		ccfg := exchange.ClusterConfig{
 			Members: s.Members,
@@ -1074,14 +1124,14 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.P
 			// worker-side spans come home tagged with it.
 			TraceID: served.root.TraceID(),
 		}
-		if p := s.placementFor(out.Catalog); p.m != nil {
+		if p := s.placementFor(served.version); p.m != nil {
 			// Ship leaf scans to the data: restrict ownership to live
 			// members (any worker can materialize any shard, so pruning
 			// just re-shards across survivors), and arm the coordinator
 			// fallback so a query outlives the last owner.
 			live := p.m.Prune(addrs)
 			ccfg.Owners = live.OwnerMap()
-			ccfg.Store = s.fallbackStore(out.Catalog, served.entry.opt.Cat, db)
+			ccfg.Store = s.fallbackStore(data, cat)
 			ccfg.Fn = engine.FragmentJoin
 			sp.SetAttr("placement", p.fp)
 		}
@@ -1089,51 +1139,34 @@ func (s *Service) analyze(req *OptimizeRequest, served *servedPlan, plan *core.P
 		sp.SetAttr("workers", len(addrs))
 		tr = cluster
 	}
-	// Arm live progress before execution starts: the registry entry holds
-	// the stats collector the executor will update lock-free plus the
-	// plan's predicted (tf, tl) timeline, so /debug/queries can sample
-	// per-operator percent-complete and a model-predicted ETA mid-run.
+	// Arm live progress before execution starts: the request holds the stats
+	// collector the executor will update lock-free plus the plan's predicted
+	// (tf, tl) timeline, so /debug/queries can sample per-operator
+	// percent-complete and a model-predicted ETA mid-run.
 	stats := &engine.ExecStats{}
 	timeline, predRT := accuracy.Timeline(served.entry.opt.Mod, plan.Op)
-	served.iq.attachExec(stats, timeline, predRT)
+	served.mu.Lock()
+	served.stats, served.timeline, served.predRT = stats, timeline, predRT
+	served.mu.Unlock()
 	// Cancellation is the context's: the moment it dies — client DELETE,
 	// deadline, shutdown — the executor stops pulling and closes its operator
 	// tree, and every distributed join under it sends its workers a cancel
 	// frame, so they abandon their fragments and free staged partitions.
 	ctx := served.ctx
-	rep, _, err := served.entry.opt.AnalyzeLive(ctx, plan, served.query(), db, par, tr, stats)
+	rep, _, err := served.entry.opt.AnalyzeLive(ctx, plan, served.query(), data.db, par, tr, stats)
 	if cluster != nil {
 		// Record traffic even on failure: partial transfers are exactly
 		// what an operator debugging a dead worker wants to see.
 		s.recordExchange(sp, cluster)
 	}
-	if err != nil && errors.Is(err, context.Canceled) {
+	switch {
+	case errors.Is(err, context.Canceled):
 		if cause := context.Cause(ctx); cause != nil {
 			err = cause
 		}
-	}
-	sp.Err(err)
-	sp.End()
-	s.met.PhaseExecute.Observe(time.Since(t).Seconds())
-	if err != nil {
-		return err
-	}
-	if cluster != nil {
-		// Join the interconnect predictions against observed wire time and
-		// merge the workers' span trees into this request's trace.
+	case err == nil && cluster != nil:
+		// Join the interconnect predictions against observed wire time.
 		rep.AttachLinks(cluster.Links())
 	}
-	graftAnalyze(sp, rep, stats)
-	graftRemote(sp, stats)
-	for _, e := range rep.Errors() {
-		s.met.CostRelErr.Observe(e)
-	}
-	// The drift signal rides the request record: finish feeds it to the
-	// profiler, whose accuracy EWMAs decide whether this template's cached
-	// cover set still matches measured reality.
-	served.relErr, served.qErr = rep.MeanAbsRelErr, rep.MaxQErrRows
-	s.met.AnalyzeRuns.Add(1)
-	out.Analyze = rep
-	out.AnalyzeTable = rep.Table()
-	return nil
+	return rep, stats, err
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -104,7 +105,7 @@ func TestTracingDisabled(t *testing.T) {
 		t.Error("Tracer() should be nil when disabled")
 	}
 	// Phase metrics still work without a tracer.
-	if s.met.PhaseParse.Count() == 0 || s.met.PhaseSearch.Count() == 0 {
+	if s.met.Phase[phaseParse].Count() == 0 || s.met.Phase[phaseSearch].Count() == 0 {
 		t.Error("phase histograms should observe even with tracing disabled")
 	}
 }
@@ -219,7 +220,7 @@ func TestExplainAnalyzeJoinsPredictedAndActual(t *testing.T) {
 	if s.met.CostRelErr.Count() == 0 {
 		t.Error("a real execution should produce error samples")
 	}
-	if s.met.PhaseExecute.Count() != 1 || s.met.AnalyzeRuns.Load() != 1 {
+	if s.met.Phase[phaseExecute].Count() != 1 || s.met.AnalyzeRuns.Load() != 1 {
 		t.Error("execute phase and analyze counter should record the run")
 	}
 
@@ -246,10 +247,7 @@ func TestExplainAnalyzeJoinsPredictedAndActual(t *testing.T) {
 	if _, err := s.Explain(ctx, OptimizeRequest{Query: chainSQL(6, 8), Analyze: true}); err != nil {
 		t.Fatal(err)
 	}
-	s.dbMu.Lock()
-	n := len(s.dbs)
-	s.dbMu.Unlock()
-	if n != 1 {
+	if n := s.dbs.Len(); n != 1 {
 		t.Errorf("one catalog version should generate one database, got %d", n)
 	}
 }
@@ -364,14 +362,16 @@ func TestHTTPDebugTraceDisabled(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRefusesOversizedCatalogs(t *testing.T) {
-	s := newTestService(t, nil)
-	const bigDDL = `
+// bigDDL is a catalog over the rows an analyze or a placement may generate.
+const bigDDL = `
 relation BIG card=10000000 pages=100000 disk=0
 column BIG.a ndv=1000
 relation TINY card=10 pages=1 disk=1
 column TINY.a ndv=1000
 `
+
+func TestAnalyzeRefusesOversizedCatalogs(t *testing.T) {
+	s := newTestService(t, nil)
 	_, err := s.Explain(context.Background(), OptimizeRequest{
 		Query:   "SELECT * FROM BIG, TINY WHERE BIG.a = TINY.a",
 		Schema:  bigDDL,
@@ -379,5 +379,51 @@ column TINY.a ndv=1000
 	})
 	if err == nil || !strings.Contains(err.Error(), "analyze refused") {
 		t.Fatalf("oversized catalog should be refused, got %v", err)
+	}
+}
+
+// TestFailedExecuteLandsInPhaseHistogram: an execute phase that fails before
+// the engine starts — its database refused, no workers registered for a
+// distributed run — is sampled in paroptd_phase_seconds{phase="execute"} like
+// any other failed phase, and its span carries the error.
+func TestFailedExecuteLandsInPhaseHistogram(t *testing.T) {
+	s := newTestService(t, nil)
+	ctx := context.Background()
+	for _, req := range []OptimizeRequest{
+		{Query: "SELECT * FROM BIG, TINY WHERE BIG.a = TINY.a", Schema: bigDDL, Analyze: true},
+		{Query: chainSQL(3, 1), Analyze: true, Distributed: true},
+	} {
+		if _, err := s.Explain(ctx, req); err == nil {
+			t.Fatalf("%+v: want an execute failure", req)
+		}
+	}
+	if n := s.met.Phase[phaseExecute].Count(); n != 2 {
+		t.Errorf("execute histogram has %d samples, want 2", n)
+	}
+	if n := s.met.AnalyzeRuns.Load(); n != 0 {
+		t.Errorf("%d analyze runs counted, want 0", n)
+	}
+	for _, tr := range s.Tracer().Traces() {
+		if exec := findSpan(tr.JSON().Root, "execute"); exec == nil || exec.Error == "" {
+			t.Errorf("trace %s: execute span %+v, want one with the error", tr.ID(), exec)
+		}
+	}
+}
+
+// TestAnalyzeDataIsBounded: analyzes under more distinct inline schemas than
+// analyzeVersions leave at most analyzeVersions catalog versions' synthetic
+// data behind, so a client cannot grow the daemon one schema at a time.
+func TestAnalyzeDataIsBounded(t *testing.T) {
+	s := newTestService(t, nil)
+	for i := 0; i <= analyzeVersions; i++ {
+		ddl := fmt.Sprintf("relation A card=%d pages=1 disk=0\ncolumn A.a ndv=10\nrelation B card=10 pages=1 disk=1\ncolumn B.a ndv=10\n", 10+i)
+		if _, err := s.Explain(context.Background(), OptimizeRequest{
+			Query: "SELECT * FROM A, B WHERE A.a = B.a", Schema: ddl, Analyze: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.dbs.Len(); n > analyzeVersions {
+		t.Fatalf("%d analyzed catalog versions hold %d databases, want at most %d", analyzeVersions+1, n, analyzeVersions)
 	}
 }

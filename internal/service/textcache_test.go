@@ -152,11 +152,10 @@ func TestHitResolveAllocatesNothing(t *testing.T) {
 // TestLongInvalidQueriesAreNotCached: a failure is remembered only for a
 // text of at most a few KiB. 64 distinct 1 MiB queries whose error message
 // quotes a 1 MiB token must leave the heap within 8 MiB of where it was;
-// caching them would keep 128 MiB of texts and messages. Tracing is off: a
-// trace ring keeps each request's error message too, a bound of its own
-// (its capacity).
+// caching them would keep 128 MiB of texts and messages. Tracing is on: each
+// retained trace keeps its request's error message, cut to a bounded length.
 func TestLongInvalidQueriesAreNotCached(t *testing.T) {
-	s := newTestService(t, func(c *Config) { c.TraceCapacity = -1 })
+	s := newTestService(t, nil)
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
@@ -177,5 +176,24 @@ func TestLongInvalidQueriesAreNotCached(t *testing.T) {
 	}
 	if n := s.texts.Len(); n != 0 {
 		t.Fatalf("%d long texts cached, want 0", n)
+	}
+}
+
+// TestTraceKeepsABoundedParseError: a parse error quoting a 1 MiB token
+// reaches the client whole, but the request's retained trace keeps about a
+// KiB of it.
+func TestTraceKeepsABoundedParseError(t *testing.T) {
+	s := newTestService(t, nil)
+	bad := "SELECT * FROM R1 " + strings.Repeat("x", 1<<20)
+	_, err := s.Optimize(context.Background(), OptimizeRequest{Query: bad})
+	if err == nil || len(err.Error()) < 1<<20 {
+		t.Fatalf("want a parse error quoting the token, got %d bytes", len(fmt.Sprint(err)))
+	}
+	traces := s.Tracer().Traces()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces retained, want 1", len(traces))
+	}
+	if msg := traces[0].JSON().Root.Error; msg == "" || len(msg) > 2<<10 {
+		t.Fatalf("trace keeps a %d-byte error message, want 1..%d", len(msg), 2<<10)
 	}
 }

@@ -84,20 +84,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// MaxAbsRelErr returns max_i |a_i − b_i| / max(|b_i|, eps).
-func MaxAbsRelErr(a, b []float64) float64 {
-	const eps = 1e-12
-	worst := 0.0
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		den := math.Abs(b[i])
-		if den < eps {
-			den = eps
-		}
-		if r := d / den; r > worst {
-			worst = r
-		}
-	}
-	return worst
-}

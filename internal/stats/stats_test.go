@@ -62,15 +62,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMaxAbsRelErr(t *testing.T) {
-	if got := MaxAbsRelErr([]float64{11, 20}, []float64{10, 20}); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("rel err = %g", got)
-	}
-	if got := MaxAbsRelErr(nil, nil); got != 0 {
-		t.Errorf("empty rel err = %g", got)
-	}
-}
-
 // Property: Spearman is bounded in [-1, 1].
 func TestQuickSpearmanBounds(t *testing.T) {
 	f := func(raw []int16) bool {
