@@ -57,7 +57,8 @@ func (o *Optimizer) CoverSet() (*CoverSet, error) {
 // the members beaten by at most ProvenanceTopK others — the (K+1)-skyband
 // under (work, rt, final) — answer Choose and PlanProvenance exactly as the
 // whole cover does, for every bound; measured on the serving workload they
-// are ≈ 13 of ≈ 160.
+// are ≈ 13 of ≈ 160. A member is not compared with itself: final is strict,
+// and the tie it would have to break (ByRT's plan strings) costs allocations.
 func reachable(frontier []*search.Candidate, final search.Comparator) []*search.Candidate {
 	work := make([]float64, len(frontier))
 	for i, c := range frontier {
@@ -67,7 +68,7 @@ func reachable(frontier []*search.Candidate, final search.Comparator) []*search.
 	for i, c := range frontier {
 		beaten := 0
 		for j, b := range frontier {
-			if work[j] <= work[i] && b.RT() <= c.RT() && final(b, c) {
+			if j != i && work[j] <= work[i] && b.RT() <= c.RT() && final(b, c) {
 				beaten++
 			}
 		}

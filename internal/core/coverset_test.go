@@ -98,3 +98,36 @@ func TestCoverSetKeepsWhatRequestsReach(t *testing.T) {
 		t.Errorf("kept %d of %d root cover members: the cache entry is not shrinking", kept, full)
 	}
 }
+
+// TestReachableAllocatesOnlyItsSlices: filtering a real 6-relation root
+// cover allocates the work column and the growing result slice, nothing
+// else — no member is compared with itself, where work and response time
+// tie and ByRT would render both plans to break the tie.
+func TestReachableAllocatesOnlyItsSlices(t *testing.T) {
+	cfg := query.DefaultGenConfig()
+	cfg.Relations, cfg.Shape = 6, query.Cycle
+	cat, q := query.Generate(cfg)
+	o, err := NewOptimizer(cat, q, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, frontier, _, err := search.FullCoverSet(o.opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := reachable(frontier, o.opts.Final)
+	if len(out) == 0 || len(out) == len(frontier) {
+		t.Fatalf("reachable kept %d of %d members, want a proper subset", len(out), len(frontier))
+	}
+	want := 1.0 // the work column
+	var grown []*search.Candidate
+	for range out {
+		if len(grown) == cap(grown) {
+			want++
+		}
+		grown = append(grown, nil)
+	}
+	if got := testing.AllocsPerRun(5, func() { reachable(frontier, o.opts.Final) }); got != want {
+		t.Errorf("reachable over %d members made %.0f allocations, want %.0f (its own slices)", len(frontier), got, want)
+	}
+}

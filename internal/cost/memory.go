@@ -34,9 +34,20 @@ type MemoryEstimate struct {
 // MemoryEstimate computes the peak memory demand of an operator tree under
 // the model's page geometry.
 func (m *Model) MemoryEstimate(op *optree.Op) MemoryEstimate {
+	return m.MemoryAbove(op, nil, MemoryEstimate{})
+}
+
+// MemoryAbove is MemoryEstimate with the subtree done taken as estimated
+// already: its estimate is doneMem, and nothing below done is read — the
+// boundary cost.Model.ExtendCost's descriptor stops at. The estimate of a
+// subtree depends only on its own operators, so composing is exact.
+func (m *Model) MemoryAbove(op, done *optree.Op, doneMem MemoryEstimate) MemoryEstimate {
+	if op == done {
+		return doneMem
+	}
 	var frontSum, pipePeaks, residents int64
 	for _, in := range op.EffectiveInputs() {
-		child := m.MemoryEstimate(in)
+		child := m.MemoryAbove(in, done, doneMem)
 		if in.Composition == optree.Materialized {
 			frontSum += child.PeakPages
 			residents += child.ResidentPages

@@ -390,16 +390,24 @@ func (m *Model) producerNodes(child *optree.Op) []int {
 
 // spillDisk picks the disk temporaries of an operator live on: the home
 // disk of the leftmost base relation beneath it, a deterministic stand-in
-// for a real system's temp-space placement.
+// for a real system's temp-space placement. The walk stops at an operator
+// whose inputs were cut (a search keeps only a plan's root operator); the
+// leftmost leaf of the join tree it was expanded from is the same relation.
 func (m *Model) spillDisk(op *optree.Op) machine.ResourceID {
 	cur := op
 	for cur.Relation == "" && len(cur.Inputs) > 0 {
 		cur = cur.Inputs[0]
 	}
-	if cur.Relation != "" {
-		if rel, ok := m.Cat.Relation(cur.Relation); ok {
-			return m.M.DiskFor(rel.Disk)
+	name := cur.Relation
+	if name == "" && cur.Source != nil {
+		src := cur.Source
+		for !src.IsLeaf() {
+			src = src.Left
 		}
+		name = src.Relation
+	}
+	if rel, ok := m.Cat.Relation(name); ok {
+		return m.M.DiskFor(rel.Disk)
 	}
 	return m.M.DiskFor(0)
 }
@@ -447,7 +455,7 @@ func (m *Model) PlanCost(n *plan.Node, eopts optree.ExpandOptions, aopts optree.
 // is not mutated; a nil left prices the whole tree. It also returns done, the
 // copy of left's root the new operators sit on, and the total clone degree.
 // ExtendCost resets s and prices in it (on the heap for a nil s); the result
-// lives there until s's next use: Clone and optree.Promote copy out the kept.
+// lives there until s's next use: a caller copies out what it keeps.
 func (m *Model) ExtendCost(s *Scratch, n *plan.Node, left *optree.Op, leftDesc ResDescriptor, leftDeg int, eopts optree.ExpandOptions, aopts optree.AnnotateOptions) (d ResDescriptor, root, done *optree.Op, deg int, err error) {
 	var a *optree.Arena
 	if s != nil {

@@ -1,7 +1,7 @@
 package optree
 
 // Arena holds operators built to be priced and mostly thrown away: Reset
-// recycles them all at once and Promote copies out the ones a caller keeps.
+// recycles them all at once, and a caller copies out the ones it keeps.
 // An Arena belongs to one goroutine; a nil one builds on the heap.
 type Arena struct {
 	ops []Op
@@ -35,19 +35,4 @@ func (a *Arena) inputs(in ...*Op) []*Op {
 	}
 	a.ins = append(a.ins, in...)
 	return a.ins[len(a.ins)-len(in) : len(a.ins) : len(a.ins)]
-}
-
-// Promote copies op's tree to the heap down to done: done's own node is
-// copied, its inputs (already on the heap) are not; a nil done copies the
-// whole tree. Clone sets are windows of the machine's table, shared as is.
-func Promote(op, done *Op) *Op {
-	cp := new(Op)
-	*cp = *op
-	if op != done && len(op.Inputs) > 0 {
-		cp.Inputs = make([]*Op, len(op.Inputs))
-		for i, in := range op.Inputs {
-			cp.Inputs[i] = Promote(in, done)
-		}
-	}
-	return cp
 }

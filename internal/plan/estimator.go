@@ -154,22 +154,28 @@ func (e *Estimator) Leaf(rel string, access Access, idx *catalog.Index) (*Node, 
 // properties. Joining two subtrees with no spanning predicate is a cross
 // product; it is permitted (Card multiplies) but flagged by CrossProduct.
 func (e *Estimator) Join(left, right *Node, method JoinMethod) (*Node, error) {
-	return e.JoinOn(left, right, method, e.Q.JoinsBetween(left.Rels, right.Rels))
+	preds := e.Q.JoinsBetween(left.Rels, right.Rels)
+	n := new(Node)
+	if err := e.JoinInto(n, left, right, method, preds, e.MergeOrder(preds)); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
-// JoinOn is Join for a caller that already holds the spanning predicates:
-// preds must be Q.JoinsBetween(left.Rels, right.Rels). The node keeps the
-// slice itself, so every node built from one pair of relation sets can share
-// one — the predicates are read, never written, downstream.
-func (e *Estimator) JoinOn(left, right *Node, method JoinMethod, preds []query.JoinPredicate) (*Node, error) {
+// JoinInto is Join writing the join node into n, for a caller that owns the
+// node's memory and already holds the spanning predicates: preds must be
+// Q.JoinsBetween(left.Rels, right.Rels) and mergeOrder MergeOrder(preds).
+// The node keeps both slices, so every node built from one pair of relation
+// sets can share them — they are read, never written, downstream.
+func (e *Estimator) JoinInto(n, left, right *Node, method JoinMethod, preds []query.JoinPredicate, mergeOrder Ordering) error {
 	if !left.Rels.Intersect(right.Rels).Empty() {
-		return nil, fmt.Errorf("plan: join operands overlap: %v and %v", left.Rels, right.Rels)
+		return fmt.Errorf("plan: join operands overlap: %v and %v", left.Rels, right.Rels)
 	}
 	sel := 1.0
 	for _, p := range preds {
 		sel *= e.joinSelectivity(p)
 	}
-	n := &Node{
+	*n = Node{
 		Left:   left,
 		Right:  right,
 		Method: method,
@@ -184,13 +190,20 @@ func (e *Estimator) JoinOn(left, right *Node, method JoinMethod, preds []query.J
 		n.Order = left.Order
 	case SortMerge:
 		// Output is ordered on the (canonicalized) merge column.
-		if len(preds) > 0 {
-			n.Order = e.CanonOrdering(Ordering{preds[0].Left})
-		}
+		n.Order = mergeOrder
 	case HashJoin:
 		// Hash partitioning destroys order.
 	}
-	return n, nil
+	return nil
+}
+
+// MergeOrder is the output ordering of a sort-merge join over preds: the
+// canonical merge column, or none for a cross product.
+func (e *Estimator) MergeOrder(preds []query.JoinPredicate) Ordering {
+	if len(preds) == 0 {
+		return nil
+	}
+	return e.CanonOrdering(Ordering{preds[0].Left})
 }
 
 // CrossProduct reports whether the join node has no spanning predicate.

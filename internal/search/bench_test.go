@@ -46,13 +46,15 @@ func BenchmarkPODP(b *testing.B) {
 	}
 }
 
-// TestSearchAllocBudget pins what pricing in scratch bought on the
-// BenchmarkPODP query, where a quarter of the priced candidates are kept:
-// left-deep 0.139 M allocations and 18.3 MB per search, against 2.18 M and
-// 198 MB when every priced candidate allocated its descriptor temporaries and
-// operators; bushy, which re-expands multi-operator right operands, 0.56 M
-// and 64 MB against 26.7 M and 2.4 GB. The budgets sit ≈ 10 % above today's
-// figures.
+// TestSearchAllocBudget pins what pricing in scratch and keeping only a
+// plan's root bought on the BenchmarkPODP query, where a quarter of the
+// priced candidates are kept: left-deep 43 k allocations and 7.1 MB per
+// search, against 0.139 M and 18.3 MB when a kept candidate held its new
+// operators and every priced one its plan node, and 2.18 M and 198 MB when
+// every priced candidate allocated its descriptor temporaries and operators;
+// bushy, which re-expands multi-operator right operands, 83 k and 13.4 MB
+// against 0.56 M and 64 MB, and 26.7 M and 2.4 GB. The budgets sit ≈ 10 %
+// above today's figures.
 func TestSearchAllocBudget(t *testing.T) {
 	opt := benchOptions(t)
 	for _, tc := range []struct {
@@ -61,8 +63,8 @@ func TestSearchAllocBudget(t *testing.T) {
 		allocs uint64
 		mb     float64
 	}{
-		{"PODPLeftDeep", (*Searcher).PODPLeftDeep, 153_000, 20},
-		{"PODPBushy", (*Searcher).PODPBushy, 617_000, 70},
+		{"PODPLeftDeep", (*Searcher).PODPLeftDeep, 48_000, 8},
+		{"PODPBushy", (*Searcher).PODPBushy, 92_000, 15},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -113,10 +115,11 @@ func (s *Searcher) mustLeaves(t *testing.T, pos int) []*plan.Node {
 }
 
 // TestDominatedCandidateAllocatesNothing pins "allocate what the cover
-// keeps": pricing a join by composition and offering it to a cover a stored
-// plan of which dominates it allocates nothing. Every join of a {R0, R1}
-// plan with R2 is offered once, then again — when some stored plan (its own
-// first copy, or what beat it) dominates it — under AllocsPerRun.
+// keeps": building a join's plan node, pricing the join by composition and
+// offering it to a cover a stored plan of which dominates it allocates
+// nothing. Every join of a {R0, R1} plan with R2 is offered once, then again —
+// when some stored plan (its own first copy, or what beat it) dominates it —
+// under AllocsPerRun, joinNodes included.
 func TestDominatedCandidateAllocatesNothing(t *testing.T) {
 	s := New(benchOptions(t))
 	cover := s.newCover(s.partialMetric())
@@ -133,7 +136,11 @@ func TestDominatedCandidateAllocatesNothing(t *testing.T) {
 			for i, n := range nodes {
 				rejected := cover.Rejected
 				allocs := testing.AllocsPerRun(10, func() {
-					if err := s.extendInto(cover, left, nodes[i:i+1]); err != nil {
+					again, err := s.joinNodes(left.Node, leaf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.extendInto(cover, left, again[i:i+1]); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -152,16 +159,65 @@ func TestDominatedCandidateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestKeptCandidateHoldsOneOperator: what a cover keeps is a plan's root,
+// not its operator tree. A kept leaf or join holds exactly one operator, its
+// inputs cut and its source the candidate's own plan node, beside the
+// memory estimate of the whole tree below it; a kept root, which nothing
+// extends, holds none.
+func TestKeptCandidateHoldsOneOperator(t *testing.T) {
+	opt := benchOptions(t)
+	s := New(opt)
+	single := s.newCover(s.partialMetric())
+	if err := s.extendInto(single, &nothing, s.mustLeaves(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	layers := map[string][]*Candidate{"leaf": single.Plans(), "join": pairCover(t, s).Plans()}
+	for name, kept := range layers {
+		if len(kept) == 0 {
+			t.Fatalf("no %s kept", name)
+		}
+		for _, c := range kept {
+			if c.op == nil || c.op.Inputs != nil || c.op.Source != c.Node {
+				t.Fatalf("kept %s %s holds %+v, want one operator with no inputs over its own plan node", name, c.Node, c.op)
+			}
+			_, whole, err := opt.Model.PlanCost(c.Node, opt.Expand, opt.Annotate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := opt.Model.MemoryEstimate(whole); c.mem != want {
+				t.Fatalf("kept %s %s carries memory %+v, whole tree %+v", name, c.Node, c.mem, want)
+			}
+		}
+	}
+	res, err := New(opt).PODPLeftDeep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Frontier {
+		if c.op != nil {
+			t.Fatalf("root %s holds operator %s", c.Node, c.op)
+		}
+	}
+}
+
 // TestKeptCandidateOutlivesScratch: a kept candidate shares nothing with the
-// scratch it was priced in. Its operator tree and descriptor are the same,
-// bit for bit, before and after a thousand more pricings reuse the scratch.
+// scratch it was priced in — neither the arena its root operator was built
+// in nor the join node joinNodes built for it. Its operator, plan node and
+// descriptor are the same, bit for bit, before and after a thousand more
+// pricings reuse the scratch.
 func TestKeptCandidateOutlivesScratch(t *testing.T) {
 	s := New(benchOptions(t))
 	kept := pairCover(t, s).Plans()
 	descs := make([]cost.ResDescriptor, len(kept))
-	trees := make([]*optree.Op, len(kept))
+	ops := make([]optree.Op, len(kept))
+	nodes := make([]plan.Node, len(kept))
 	for i, c := range kept {
-		descs[i], trees[i] = c.Desc.Clone(), optree.Promote(c.op, nil)
+		descs[i], ops[i], nodes[i] = c.Desc.Clone(), *c.op, *c.Node
+		for j := range s.joins {
+			if c.Node == &s.joins[j] {
+				t.Fatalf("%s: kept candidate's plan node is joinNodes' scratch", c.Node)
+			}
+		}
 	}
 	cover := s.newCover(s.partialMetric())
 	for start := s.stats.PhysicalPlans; s.stats.PhysicalPlans-start < 1000; {
@@ -178,9 +234,9 @@ func TestKeptCandidateOutlivesScratch(t *testing.T) {
 		}
 	}
 	for i, c := range kept {
-		if !sameBits(c.Desc, descs[i]) || !reflect.DeepEqual(c.op, trees[i]) {
-			t.Fatalf("%s changed while the scratch was reused\nnow    %v\n%s\nbefore %v\n%s",
-				c.Node, c.Desc, c.op.AnnotationTable(), descs[i], trees[i].AnnotationTable())
+		if !sameBits(c.Desc, descs[i]) || !reflect.DeepEqual(*c.op, ops[i]) || !reflect.DeepEqual(*c.Node, nodes[i]) {
+			t.Fatalf("%s changed while the scratch was reused\nnow    %v %+v\n%+v\nbefore %v %+v\n%+v",
+				c.Node, c.Desc, *c.op, *c.Node, descs[i], ops[i], nodes[i])
 		}
 	}
 }

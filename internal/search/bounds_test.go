@@ -3,6 +3,7 @@ package search
 import (
 	"testing"
 
+	"paropt/internal/plan"
 	"paropt/internal/query"
 )
 
@@ -156,5 +157,41 @@ func TestOptimizeBoundedBushy(t *testing.T) {
 	}
 	if best == nil || stats.PlansConsidered == 0 {
 		t.Fatal("bushy bounded search returned nothing")
+	}
+}
+
+// joinMethods collects the join methods of a plan tree.
+func joinMethods(n *plan.Node, seen map[plan.JoinMethod]bool) map[plan.JoinMethod]bool {
+	if !n.IsLeaf() {
+		seen[n.Method] = true
+		joinMethods(n.Left, seen)
+		joinMethods(n.Right, seen)
+	}
+	return seen
+}
+
+// TestWorkOptimalBaselineHonorsMethods: the §2 baseline (Wo, To) every k·Wo
+// bound is relative to comes from the plan space the search may use, so
+// restricting Options.Methods restricts the baseline too.
+func TestWorkOptimalBaselineHonorsMethods(t *testing.T) {
+	cfg := query.DefaultGenConfig()
+	cfg.Relations, cfg.Shape, cfg.IndexProb = 4, query.Clique, 1
+	opt := freeOpts(t, cfg)
+	free, err := New(opt).WorkOptimalBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if used := joinMethods(free.Node, map[plan.JoinMethod]bool{}); len(used) == 1 && used[plan.HashJoin] {
+		t.Fatalf("unrestricted baseline %s uses only hash joins: the query cannot tell a restricted baseline apart", free.Node)
+	}
+	opt.Methods = []plan.JoinMethod{plan.HashJoin}
+	hash, err := New(opt).WorkOptimalBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range joinMethods(hash.Node, map[plan.JoinMethod]bool{}) {
+		if m != plan.HashJoin {
+			t.Errorf("baseline under Methods = {hash-join} is %s, which joins by %s", hash.Node, m)
+		}
 	}
 }

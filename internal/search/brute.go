@@ -261,6 +261,7 @@ func (s *Searcher) WorkOptimalBaseline() (*Candidate, error) {
 		Metric:             WorkMetric{},
 		Final:              ByWork,
 		AvoidCrossProducts: s.opt.AvoidCrossProducts,
+		Methods:            s.opt.Methods,
 	})
 	res, err := base.DPLeftDeep()
 	if err != nil {

@@ -20,12 +20,16 @@ import (
 type Candidate struct {
 	Node *plan.Node
 	Desc cost.ResDescriptor
-	// op is the annotated operator tree Desc was computed from and deg its
-	// total clone degree — what pricing a join over this plan by composition
-	// needs (extend). Set only inside a running dp: the candidates a search
-	// returns carry no operator tree.
+	// op is the root operator of the tree Desc was computed from, deg the
+	// tree's total clone degree and mem its memory estimate — what pricing a
+	// join over this plan by composition needs (extend), which reads nothing
+	// below the left operand's root. Set only inside a running dp: the
+	// scratch candidate's op heads its whole tree, a kept one's is a single
+	// operator with its inputs cut, and the candidates a search returns
+	// carry none.
 	op  *optree.Op
 	deg int
+	mem cost.MemoryEstimate
 }
 
 // RT is the response-time estimate (the paper's optimization metric).
@@ -147,22 +151,27 @@ type Searcher struct {
 	q     *query.Query
 	stats Stats
 	// spanning and leaves memoize what is a function of relation sets alone:
-	// the predicates spanning a (left, right) pair and the leaf nodes of a
-	// relation. Every plan pair of one split then shares one predicate slice
-	// and one set of leaves, so a cover set a plan cache retains holds them
-	// once per split rather than once per node (EXPERIMENTS §HB1).
-	spanning map[[2]query.RelSet][]query.JoinPredicate
+	// the joins of a (left, right) pair and the leaf nodes of a relation.
+	// Every plan pair of one split then shares one predicate slice, one
+	// sort-merge order and one set of leaves, so a cover set a plan cache
+	// retains holds them once per split rather than once per node
+	// (EXPERIMENTS §HB1).
+	spanning map[[2]query.RelSet]pairJoins
 	leaves   [][]*plan.Node // by query position; nil until first asked for
 	// scratch holds cand, the plan last priced, and done, the copy of its left
-	// operand's root its new operators sit on, until promote copies them out.
+	// operand's root its new operators sit on; joins holds the plan nodes
+	// joinNodes built last, one per method, and joined the slice of them it
+	// returned. All of it lives until promote copies out what a cover admits.
 	// root says dp is solving the full set, whose plans nothing extends.
 	scratch cost.Scratch
 	cand    Candidate
 	done    *optree.Op
+	joins   []plan.Node
+	joined  []*plan.Node
 	root    bool
 	// priced, when set, sees every plan the search prices, still holding the
-	// operator tree it was priced from (the differential test's tap); all of
-	// it is the scratch's, valid only during the call.
+	// operators it was priced from down to done (the differential test's
+	// tap); all of it is the scratch's, valid only during the call.
 	priced func(*Candidate)
 }
 
@@ -175,23 +184,38 @@ func New(opt Options) *Searcher {
 	if opt.Final == nil {
 		opt.Final = ByRT
 	}
+	if opt.Methods == nil {
+		opt.Methods = plan.AllJoinMethods
+	}
 	q := opt.Model.Est.Q
 	return &Searcher{
 		opt: opt, est: opt.Model.Est, q: q,
-		spanning: make(map[[2]query.RelSet][]query.JoinPredicate),
+		spanning: make(map[[2]query.RelSet]pairJoins),
 		leaves:   make([][]*plan.Node, len(q.Relations)),
+		joins:    make([]plan.Node, len(opt.Methods)),
+		joined:   make([]*plan.Node, 0, len(opt.Methods)),
 	}
 }
 
-// joinsBetween is Query.JoinsBetween, computed once per pair of sets.
-func (s *Searcher) joinsBetween(l, r query.RelSet) []query.JoinPredicate {
+// pairJoins is what every join of one (left, right) pair of relation sets
+// shares: the predicates spanning the pair and the order a sort-merge join
+// over them delivers.
+type pairJoins struct {
+	preds      []query.JoinPredicate
+	mergeOrder plan.Ordering
+}
+
+// pair computes a pair's pairJoins once; its preds are
+// Query.JoinsBetween(l, r).
+func (s *Searcher) pair(l, r query.RelSet) pairJoins {
 	key := [2]query.RelSet{l, r}
-	preds, ok := s.spanning[key]
+	pj, ok := s.spanning[key]
 	if !ok {
-		preds = s.q.JoinsBetween(l, r)
-		s.spanning[key] = preds
+		pj.preds = s.q.JoinsBetween(l, r)
+		pj.mergeOrder = s.est.MergeOrder(pj.preds)
+		s.spanning[key] = pj
 	}
-	return preds
+	return pj
 }
 
 // nothing is what a leaf, or a whole tree, is composed over.
@@ -209,17 +233,20 @@ func (s *Searcher) cost(n *plan.Node) (*Candidate, error) {
 }
 
 // extend is the dynamic program's pricing: plan n, whose left operand is
-// left's plan, is priced by composition — left's operator tree and descriptor
-// are reused as they stand and only the right operand and the new root
-// operators are expanded, annotated and costed (cost.Model.ExtendCost). A
-// leaf composes over nothing. The result is s.cand, valid until the next
-// extend (promote keeps it); nil when a limit prunes n.
+// left's plan, is priced by composition — left's root operator, descriptor
+// and memory estimate are reused as they stand and only the right operand and
+// the new root operators are expanded, annotated and costed
+// (cost.Model.ExtendCost, cost.Model.MemoryAbove). A leaf composes over
+// nothing. The result is s.cand, valid until the next extend (promote keeps
+// it); nil when a limit prunes n.
 func (s *Searcher) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
-	d, op, done, deg, err := s.opt.Model.ExtendCost(&s.scratch, n, left.op, left.Desc, left.deg, s.opt.Expand, s.opt.Annotate)
+	m := s.opt.Model
+	d, op, done, deg, err := m.ExtendCost(&s.scratch, n, left.op, left.Desc, left.deg, s.opt.Expand, s.opt.Annotate)
 	if err != nil {
 		return nil, err
 	}
-	s.cand, s.done = Candidate{Node: n, Desc: d, op: op, deg: deg}, done
+	mem := m.MemoryAbove(op, done, left.mem)
+	s.cand, s.done = Candidate{Node: n, Desc: d, op: op, deg: deg, mem: mem}, done
 	s.stats.PhysicalPlans++
 	if s.priced != nil {
 		s.priced(&s.cand)
@@ -229,7 +256,7 @@ func (s *Searcher) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
 		s.stats.PrunedWork++
 		return nil, nil
 	}
-	if s.opt.MemoryLimit > 0 && s.opt.Model.MemoryEstimate(op).PeakPages > s.opt.MemoryLimit {
+	if s.opt.MemoryLimit > 0 && mem.PeakPages > s.opt.MemoryLimit {
 		s.stats.Pruned++
 		s.stats.PrunedMemory++
 		return nil, nil
@@ -237,14 +264,29 @@ func (s *Searcher) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
 	return &s.cand, nil
 }
 
-// promote copies the candidate extend last priced to the heap: its descriptor
-// and, but for a root, its new operators down to (not into) its left operand's.
+// promote copies the candidate extend last priced to the heap: its descriptor,
+// its plan node (a join's is joinNodes' scratch; a leaf is shared already)
+// and, but for a root, which nothing extends, its root operator with the
+// inputs cut, its clone degree and its memory estimate.
 func (s *Searcher) promote(c *Candidate) *Candidate {
 	kept := &Candidate{Node: c.Node, Desc: c.Desc.Clone()}
+	if !c.Node.IsLeaf() {
+		kept.Node = heapNode(c.Node)
+	}
 	if !s.root {
-		kept.op, kept.deg = optree.Promote(c.op, s.done), c.deg
+		op := new(optree.Op)
+		*op = *c.op
+		op.Inputs, op.Source = nil, kept.Node
+		kept.op, kept.deg, kept.mem = op, c.deg, c.mem
 	}
 	return kept
+}
+
+// heapNode copies a plan node to the heap; what it points to is shared.
+func heapNode(n *plan.Node) *plan.Node {
+	cp := new(plan.Node)
+	*cp = *n
+	return cp
 }
 
 // costAll prices plan trees in order, dropping the ones cost prunes.
@@ -276,34 +318,36 @@ func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
 // subtrees. Sort-merge and hash join require an equijoin predicate; nested
 // loops also covers cross products. With right ranging over a relation's
 // leafChoices this is the paper's joinPlan(p', R) before its internal "best
-// possible way" choice.
+// possible way" choice. The nodes are the Searcher's scratch, rebuilt by the
+// next call: a caller that keeps one copies it (promote, joinCandidates).
 func (s *Searcher) joinNodes(left, right *plan.Node) ([]*plan.Node, error) {
-	preds := s.joinsBetween(left.Rels, right.Rels)
-	methods := s.opt.Methods
-	if methods == nil {
-		methods = plan.AllJoinMethods
-	}
-	nodes := make([]*plan.Node, 0, len(methods))
-	for _, m := range methods {
-		if len(preds) == 0 && m != plan.NestedLoops {
+	pj := s.pair(left.Rels, right.Rels)
+	s.joined = s.joined[:0]
+	for i, m := range s.opt.Methods {
+		if len(pj.preds) == 0 && m != plan.NestedLoops {
 			continue
 		}
-		j, err := s.est.JoinOn(left, right, m, preds)
-		if err != nil {
+		j := &s.joins[i]
+		if err := s.est.JoinInto(j, left, right, m, pj.preds, pj.mergeOrder); err != nil {
 			return nil, err
 		}
-		nodes = append(nodes, j)
+		s.joined = append(s.joined, j)
 	}
-	return nodes, nil
+	return s.joined, nil
 }
 
-// joinCandidates prices joinNodes tree by tree, returning the survivors.
+// joinCandidates prices joinNodes tree by tree, returning the survivors, each
+// on its own heap copy of its plan node.
 func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
 	nodes, err := s.joinNodes(left, right)
 	if err != nil {
 		return nil, err
 	}
-	return s.costAll(nodes)
+	cands, err := s.costAll(nodes)
+	for _, c := range cands {
+		c.Node = heapNode(c.Node)
+	}
+	return cands, err
 }
 
 // leafChoices returns the raw leaf nodes for a relation (uncosted).
@@ -336,7 +380,7 @@ func (s *Searcher) skipSplit(l, r query.RelSet) bool {
 	if !s.opt.AvoidCrossProducts {
 		return false
 	}
-	if len(s.joinsBetween(l, r)) > 0 {
+	if len(s.pair(l, r).preds) > 0 {
 		return false
 	}
 	return s.q.Connected(l.Union(r))

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"paropt/internal/optree"
+	"paropt/internal/plan"
 )
 
 // Per-layer search telemetry: the lattice of a dynamic program is layered by
@@ -48,8 +49,8 @@ type LayerRecord struct {
 	// MaxCover is the largest single cover set in the layer (k in §6.2).
 	MaxCover int `json:"maxCover"`
 	// BytesRetained estimates the memory held by the layer's stored
-	// candidates (candidateBytes: their descriptor slabs and the operators
-	// promoted with them; shared plan nodes are not charged per candidate).
+	// candidates: what promote allocated for them (candidateBytes — the
+	// Candidate, its descriptor slab, its plan node and its one operator).
 	BytesRetained int64 `json:"bytesRetained"`
 	// WallNanos is the layer's wall-clock time.
 	WallNanos int64 `json:"wallNanos"`
@@ -163,26 +164,25 @@ func (s *Searcher) endLayer(m layerMark, card, subsets int, kept int64, maxCover
 		PrunedMemory:    s.stats.PrunedMemory - m.prunedMem,
 		PrunedBeam:      s.stats.PrunedBeam - m.prunedBeam,
 		MaxCover:        maxCover,
-		BytesRetained:   kept * s.candidateBytes(),
+		BytesRetained:   kept * s.candidateBytes(card),
 		WallNanos:       time.Since(m.start).Nanoseconds(),
 	}
 	s.stats.Layers = append(s.stats.Layers, rec)
 }
 
-// candidateBytes estimates the bytes one stored candidate retains — what
-// promote copied out for it: the cover-set slot, the Candidate, its
-// descriptor's slab of 2L floats, and (but for a root) its promoted
-// operators: the join's root operators, the right operand's access and the
-// copy of the left operand's root, four on average over the BenchmarkPODP
-// search, with three Inputs pointers. Clone sets are windows of the
-// machine's table; plan nodes and the left operand's operators are shared
-// across extensions and not charged per candidate.
-func (s *Searcher) candidateBytes() int64 {
-	dim := int64(s.opt.Model.Dim())
-	const slot, ops, inputs = 8, 4, 3
-	b := slot + int64(unsafe.Sizeof(Candidate{})) + 2*8*dim
+// candidateBytes is what promote allocates for one candidate a cover of card
+// relations keeps: the Candidate (its memory estimate inline), its
+// descriptor's slab of 2L floats, a join's plan node (a leaf's is shared)
+// and, but for a root, which nothing extends, its one operator. Clone sets,
+// predicates, orders and the operands' nodes are shared across extensions
+// and not charged per candidate.
+func (s *Searcher) candidateBytes(card int) int64 {
+	b := int64(unsafe.Sizeof(Candidate{})) + 2*8*int64(s.opt.Model.Dim())
+	if card > 1 {
+		b += int64(unsafe.Sizeof(plan.Node{}))
+	}
 	if !s.root {
-		b += ops*int64(unsafe.Sizeof(optree.Op{})) + inputs*8
+		b += int64(unsafe.Sizeof(optree.Op{}))
 	}
 	return b
 }
