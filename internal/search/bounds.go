@@ -107,25 +107,50 @@ func FullCoverSet(opt Options, bushy bool) (baseline *Candidate, frontier []*Can
 }
 
 // coverSet is FullCoverSet with the bound's pruning limit, which needs the
-// baseline (Wo, To), folded into the partial-order search.
+// baseline (Wo, To), folded into the partial-order search. Without a bound
+// the two searches are independent, so the baseline runs on a helper beside
+// the partial-order one when an idle core allows (takeSlots).
 func coverSet(opt Options, bound Bound, bushy bool) (baseline *Candidate, frontier []*Candidate, stats Stats, err error) {
-	baseline, err = New(opt).WorkOptimalBaseline()
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	if bound != nil {
-		opt.WorkLimit = bound.PruningLimit(baseline.Work(), baseline.RT())
-	}
+	searching.Add(1) // this goroutine, for both searches
+	defer searching.Add(-1)
 	s := New(opt)
+	s.counted = true
+	var (
+		rec     *LayerRecord
+		baseErr error
+		done    chan struct{}
+	)
+	if bound == nil && takeSlots(1) == 1 {
+		done = make(chan struct{})
+		go func() {
+			defer close(done)
+			defer releaseSlots(1)
+			baseline, rec, baseErr = workOptimal(opt, true)
+		}()
+	} else {
+		if baseline, rec, err = workOptimal(opt, true); err != nil {
+			return nil, nil, Stats{}, err
+		}
+		if bound != nil {
+			s.opt.WorkLimit = bound.PruningLimit(baseline.Work(), baseline.RT())
+		}
+	}
 	var res *Result
 	if bushy {
 		res, err = s.PODPBushy()
 	} else {
 		res, err = s.PODPLeftDeep()
 	}
+	if done != nil {
+		<-done
+		if baseErr != nil {
+			return nil, nil, Stats{}, baseErr
+		}
+	}
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
+	res.Stats.Baseline = rec
 	return baseline, res.Frontier, res.Stats, nil
 }
 

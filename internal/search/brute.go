@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"time"
 
 	"paropt/internal/query"
 )
@@ -90,7 +91,7 @@ func (s *Searcher) BruteForceLeftDeep() (*Result, error) {
 	}
 	// One pseudo-layer: brute force is not layered, but the record still
 	// carries the search's totals and wall time for the profile.
-	s.endLayer(mark, n, 1, kept, 1)
+	s.endLayer(mark, n, 1, 1, kept, 1)
 	if best == nil {
 		return &Result{Stats: s.stats}, nil
 	}
@@ -164,7 +165,7 @@ func (s *Searcher) BruteForceBushy() (*Result, error) {
 	if best != nil {
 		kept = 1
 	}
-	s.endLayer(mark, n, 1, kept, 1)
+	s.endLayer(mark, n, 1, 1, kept, 1)
 	if best == nil {
 		return &Result{Stats: s.stats}, nil
 	}
@@ -254,21 +255,42 @@ func pow2(n int) float64 {
 // Optimal plan under work: convenience used by the §2 bounds, which need
 // the work-optimal baseline (Wo, To).
 func (s *Searcher) WorkOptimalBaseline() (*Candidate, error) {
+	best, _, err := workOptimal(s.opt, false)
+	return best, err
+}
+
+// workOptimal is WorkOptimalBaseline over opt plus the pseudo-layer record of
+// its search. counted says the calling goroutine, a helper, holds a search
+// slot already.
+func workOptimal(opt Options, counted bool) (*Candidate, *LayerRecord, error) {
 	base := New(Options{
-		Model:              s.opt.Model,
-		Expand:             s.opt.Expand,
-		Annotate:           s.opt.Annotate,
+		Model:              opt.Model,
+		Expand:             opt.Expand,
+		Annotate:           opt.Annotate,
 		Metric:             WorkMetric{},
 		Final:              ByWork,
-		AvoidCrossProducts: s.opt.AvoidCrossProducts,
-		Methods:            s.opt.Methods,
+		AvoidCrossProducts: opt.AvoidCrossProducts,
+		Methods:            opt.Methods,
 	})
+	base.counted = counted
+	start := time.Now()
 	res, err := base.DPLeftDeep()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if res.Best == nil {
-		return nil, fmt.Errorf("search: no work-optimal baseline plan")
+		return nil, nil, fmt.Errorf("search: no work-optimal baseline plan")
 	}
-	return res.Best, nil
+	st := res.Stats
+	rec := &LayerRecord{
+		Card: len(base.q.Relations), Subsets: 1, Kept: 1, MaxCover: 1,
+		Considered: st.PlansConsidered, Physical: st.PhysicalPlans,
+		PrunedDominance: st.PrunedDominance, PrunedWork: st.PrunedWork,
+		PrunedMemory: st.PrunedMemory, PrunedBeam: st.PrunedBeam,
+		Start: start, WallNanos: time.Since(start).Nanoseconds(),
+	}
+	for _, l := range st.Layers {
+		rec.Workers = max(rec.Workers, l.Workers)
+	}
+	return res.Best, rec, nil
 }

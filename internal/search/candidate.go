@@ -8,6 +8,7 @@ package search
 
 import (
 	"fmt"
+	"runtime"
 
 	"paropt/internal/cost"
 	"paropt/internal/optree"
@@ -142,37 +143,64 @@ type Stats struct {
 	// Layers holds one telemetry record per DP layer (one pseudo-layer for
 	// non-layered strategies) — the raw material of the SearchProfile.
 	Layers []LayerRecord `json:"layers"`
+	// Baseline is the pseudo-layer of the §2 work-optimal baseline a bounded
+	// or cover-set search ran beside or before its layers; its counters are
+	// not in the totals above. Nil for a bare search.
+	Baseline *LayerRecord `json:"baseline,omitempty"`
 }
 
-// Searcher runs the §6 algorithms over one query and cost model.
+// Searcher runs the §6 algorithms over one query and cost model. It is the
+// search session — options, estimator, query, leaves and, inside dp, the
+// solved covers, all read-only while a layer is solved — plus the worker of
+// the goroutine that owns the search, whose stats are the search's.
 type Searcher struct {
-	opt   Options
-	est   *plan.Estimator
-	q     *query.Query
+	opt Options
+	est *plan.Estimator
+	q   *query.Query
+	// leaves memoizes the leaf nodes of a relation, so every plan of one
+	// split shares one set of them. dp fills every position before layer 2,
+	// which is what lets the layer's workers read it unlocked.
+	leaves [][]*plan.Node // by query position; nil until first asked for
+	// root says dp is solving the full set, whose plans nothing extends.
+	root bool
+	// counted says the goroutine running this search already holds a
+	// search slot (a helper running the §2 baseline), so dp takes none.
+	counted bool
+	// priced, when set, sees every plan the search prices, still holding the
+	// operators it was priced from down to done, and may fail its pricing
+	// (the tests' tap); all of it is the pricing worker's scratch, valid only
+	// during the call, which comes from whichever goroutine priced the plan.
+	priced func(c *Candidate, done *optree.Op) error
+	worker
+}
+
+// worker is what one goroutine prices in: the cost scratch, the candidate
+// last priced and the join nodes it was built from, the pair memo, the cover
+// it is filling and its stats. The search's owner embeds one; dp's helpers
+// take theirs from idleWorkers and add their stats to the owner's at the
+// layer barrier.
+type worker struct {
+	s     *Searcher
 	stats Stats
-	// spanning and leaves memoize what is a function of relation sets alone:
-	// the joins of a (left, right) pair and the leaf nodes of a relation.
-	// Every plan pair of one split then shares one predicate slice, one
-	// sort-merge order and one set of leaves, so a cover set a plan cache
-	// retains holds them once per split rather than once per node
-	// (EXPERIMENTS §HB1).
+	// spanning memoizes the joins of a (left, right) pair of relation sets,
+	// so every plan pair of one split shares one predicate slice and one
+	// sort-merge order, and a cover set a plan cache retains holds them once
+	// per split rather than once per node (EXPERIMENTS §HB1). A pair's key
+	// belongs to one subset, so a memo per worker computes each pair once.
 	spanning map[[2]query.RelSet]pairJoins
-	leaves   [][]*plan.Node // by query position; nil until first asked for
 	// scratch holds cand, the plan last priced, and done, the copy of its left
 	// operand's root its new operators sit on; joins holds the plan nodes
 	// joinNodes built last, one per method, and joined the slice of them it
 	// returned. All of it lives until promote copies out what a cover admits.
-	// root says dp is solving the full set, whose plans nothing extends.
 	scratch cost.Scratch
 	cand    Candidate
 	done    *optree.Op
 	joins   []plan.Node
 	joined  []*plan.Node
-	root    bool
-	// priced, when set, sees every plan the search prices, still holding the
-	// operators it was priced from down to done (the differential test's
-	// tap); all of it is the scratch's, valid only during the call.
-	priced func(*Candidate)
+	// cover is the cover of the subset being solved; on the root's pricing
+	// helper out takes its place, the chunks the owner inserts.
+	cover *CoverSet
+	out   *pipe
 }
 
 // New builds a Searcher. It panics if the options carry no model, since
@@ -187,14 +215,75 @@ func New(opt Options) *Searcher {
 	if opt.Methods == nil {
 		opt.Methods = plan.AllJoinMethods
 	}
-	q := opt.Model.Est.Q
-	return &Searcher{
-		opt: opt, est: opt.Model.Est, q: q,
-		spanning: make(map[[2]query.RelSet]pairJoins),
-		leaves:   make([][]*plan.Node, len(q.Relations)),
-		joins:    make([]plan.Node, len(opt.Methods)),
-		joined:   make([]*plan.Node, 0, len(opt.Methods)),
+	s := &Searcher{opt: opt, est: opt.Model.Est, q: opt.Model.Est.Q}
+	s.leaves = make([][]*plan.Node, len(s.q.Relations))
+	s.worker.bind(s)
+	return s
+}
+
+// bind makes w price for s, with no stats and an empty pair memo.
+func (w *worker) bind(s *Searcher) {
+	w.s, w.stats = s, Stats{}
+	if w.spanning == nil {
+		w.spanning = make(map[[2]query.RelSet]pairJoins)
 	}
+	if n := len(s.opt.Methods); cap(w.joins) < n {
+		w.joins, w.joined = make([]plan.Node, n), make([]*plan.Node, 0, n)
+	} else {
+		w.joins = w.joins[:n]
+	}
+}
+
+// unbind drops every reference w holds into a search, keeping its buffers.
+func (w *worker) unbind() {
+	clear(w.spanning)
+	clear(w.joins)
+	w.s, w.cand, w.done, w.cover, w.out = nil, Candidate{}, nil, nil, nil
+}
+
+// idle keeps up to cap(idle) unused objects for reuse. Unlike a sync.Pool it
+// survives garbage collections, which a search's allocation rate makes
+// frequent: a miss allocates about a megabyte, so a pooled helper's scratch
+// or a pipe's chunks would rarely live to their next use.
+type idle[T any] chan *T
+
+// get returns an idle object, or nil when there is none.
+func (f idle[T]) get() *T {
+	select {
+	case x := <-f:
+		return x
+	default:
+		return nil
+	}
+}
+
+// put keeps x for reuse unless enough are kept already.
+func (f idle[T]) put(x *T) {
+	select {
+	case f <- x:
+	default:
+	}
+}
+
+// idleWorkers keeps the helpers' workers, so a helper's scratch and pair
+// memo outlive the search that grew them. A process runs at most GOMAXPROCS
+// helpers at once (takeSlots).
+var idleWorkers = make(idle[worker], runtime.GOMAXPROCS(0))
+
+// takeWorker returns an idle worker bound to s.
+func takeWorker(s *Searcher) *worker {
+	w := idleWorkers.get()
+	if w == nil {
+		w = new(worker)
+	}
+	w.bind(s)
+	return w
+}
+
+// release returns a helper's worker for reuse.
+func (w *worker) release() {
+	w.unbind()
+	idleWorkers.put(w)
 }
 
 // pairJoins is what every join of one (left, right) pair of relation sets
@@ -207,13 +296,13 @@ type pairJoins struct {
 
 // pair computes a pair's pairJoins once; its preds are
 // Query.JoinsBetween(l, r).
-func (s *Searcher) pair(l, r query.RelSet) pairJoins {
+func (w *worker) pair(l, r query.RelSet) pairJoins {
 	key := [2]query.RelSet{l, r}
-	pj, ok := s.spanning[key]
+	pj, ok := w.spanning[key]
 	if !ok {
-		pj.preds = s.q.JoinsBetween(l, r)
-		pj.mergeOrder = s.est.MergeOrder(pj.preds)
-		s.spanning[key] = pj
+		pj.preds = w.s.q.JoinsBetween(l, r)
+		pj.mergeOrder = w.s.est.MergeOrder(pj.preds)
+		w.spanning[key] = pj
 	}
 	return pj
 }
@@ -224,8 +313,8 @@ var nothing Candidate
 // cost prices a whole plan tree — a composition over nothing — into a
 // candidate that keeps no operator tree, or nil when a limit prunes it: the
 // pricing of the oracles (brute force, randomized, two-phase).
-func (s *Searcher) cost(n *plan.Node) (*Candidate, error) {
-	c, err := s.extend(&nothing, n)
+func (w *worker) cost(n *plan.Node) (*Candidate, error) {
+	c, err := w.extend(&nothing, n)
 	if c == nil {
 		return nil, err
 	}
@@ -237,43 +326,45 @@ func (s *Searcher) cost(n *plan.Node) (*Candidate, error) {
 // and memory estimate are reused as they stand and only the right operand and
 // the new root operators are expanded, annotated and costed
 // (cost.Model.ExtendCost, cost.Model.MemoryAbove). A leaf composes over
-// nothing. The result is s.cand, valid until the next extend (promote keeps
+// nothing. The result is w.cand, valid until the next extend (promote keeps
 // it); nil when a limit prunes n.
-func (s *Searcher) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
-	m := s.opt.Model
-	d, op, done, deg, err := m.ExtendCost(&s.scratch, n, left.op, left.Desc, left.deg, s.opt.Expand, s.opt.Annotate)
+func (w *worker) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
+	opt := &w.s.opt
+	d, op, done, deg, err := opt.Model.ExtendCost(&w.scratch, n, left.op, left.Desc, left.deg, opt.Expand, opt.Annotate)
 	if err != nil {
 		return nil, err
 	}
-	mem := m.MemoryAbove(op, done, left.mem)
-	s.cand, s.done = Candidate{Node: n, Desc: d, op: op, deg: deg, mem: mem}, done
-	s.stats.PhysicalPlans++
-	if s.priced != nil {
-		s.priced(&s.cand)
+	mem := opt.Model.MemoryAbove(op, done, left.mem)
+	w.cand, w.done = Candidate{Node: n, Desc: d, op: op, deg: deg, mem: mem}, done
+	w.stats.PhysicalPlans++
+	if w.s.priced != nil {
+		if err := w.s.priced(&w.cand, done); err != nil {
+			return nil, err
+		}
 	}
-	if s.opt.WorkLimit > 0 && d.Work() > s.opt.WorkLimit {
-		s.stats.Pruned++
-		s.stats.PrunedWork++
+	if opt.WorkLimit > 0 && d.Work() > opt.WorkLimit {
+		w.stats.Pruned++
+		w.stats.PrunedWork++
 		return nil, nil
 	}
-	if s.opt.MemoryLimit > 0 && mem.PeakPages > s.opt.MemoryLimit {
-		s.stats.Pruned++
-		s.stats.PrunedMemory++
+	if opt.MemoryLimit > 0 && mem.PeakPages > opt.MemoryLimit {
+		w.stats.Pruned++
+		w.stats.PrunedMemory++
 		return nil, nil
 	}
-	return &s.cand, nil
+	return &w.cand, nil
 }
 
 // promote copies the candidate extend last priced to the heap: its descriptor,
 // its plan node (a join's is joinNodes' scratch; a leaf is shared already)
 // and, but for a root, which nothing extends, its root operator with the
 // inputs cut, its clone degree and its memory estimate.
-func (s *Searcher) promote(c *Candidate) *Candidate {
+func (w *worker) promote(c *Candidate) *Candidate {
 	kept := &Candidate{Node: c.Node, Desc: c.Desc.Clone()}
 	if !c.Node.IsLeaf() {
 		kept.Node = heapNode(c.Node)
 	}
-	if !s.root {
+	if !w.s.root {
 		op := new(optree.Op)
 		*op = *c.op
 		op.Inputs, op.Source = nil, kept.Node
@@ -290,10 +381,10 @@ func heapNode(n *plan.Node) *plan.Node {
 }
 
 // costAll prices plan trees in order, dropping the ones cost prunes.
-func (s *Searcher) costAll(nodes []*plan.Node) ([]*Candidate, error) {
+func (w *worker) costAll(nodes []*plan.Node) ([]*Candidate, error) {
 	out := make([]*Candidate, 0, len(nodes))
 	for _, n := range nodes {
-		c, err := s.cost(n)
+		c, err := w.cost(n)
 		if err != nil {
 			return nil, err
 		}
@@ -318,32 +409,32 @@ func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
 // subtrees. Sort-merge and hash join require an equijoin predicate; nested
 // loops also covers cross products. With right ranging over a relation's
 // leafChoices this is the paper's joinPlan(p', R) before its internal "best
-// possible way" choice. The nodes are the Searcher's scratch, rebuilt by the
+// possible way" choice. The nodes are the worker's scratch, rebuilt by the
 // next call: a caller that keeps one copies it (promote, joinCandidates).
-func (s *Searcher) joinNodes(left, right *plan.Node) ([]*plan.Node, error) {
-	pj := s.pair(left.Rels, right.Rels)
-	s.joined = s.joined[:0]
-	for i, m := range s.opt.Methods {
+func (w *worker) joinNodes(left, right *plan.Node) ([]*plan.Node, error) {
+	pj := w.pair(left.Rels, right.Rels)
+	w.joined = w.joined[:0]
+	for i, m := range w.s.opt.Methods {
 		if len(pj.preds) == 0 && m != plan.NestedLoops {
 			continue
 		}
-		j := &s.joins[i]
-		if err := s.est.JoinInto(j, left, right, m, pj.preds, pj.mergeOrder); err != nil {
+		j := &w.joins[i]
+		if err := w.s.est.JoinInto(j, left, right, m, pj.preds, pj.mergeOrder); err != nil {
 			return nil, err
 		}
-		s.joined = append(s.joined, j)
+		w.joined = append(w.joined, j)
 	}
-	return s.joined, nil
+	return w.joined, nil
 }
 
 // joinCandidates prices joinNodes tree by tree, returning the survivors, each
 // on its own heap copy of its plan node.
-func (s *Searcher) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
-	nodes, err := s.joinNodes(left, right)
+func (w *worker) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
+	nodes, err := w.joinNodes(left, right)
 	if err != nil {
 		return nil, err
 	}
-	cands, err := s.costAll(nodes)
+	cands, err := w.costAll(nodes)
 	for _, c := range cands {
 		c.Node = heapNode(c.Node)
 	}
@@ -376,14 +467,14 @@ func (s *Searcher) leafChoices(pos int) ([]*plan.Node, error) {
 // skipSplit applies the cross-product heuristic to joining l with r: when
 // their union is connected there is always a predicate-connected way to
 // build it, so predicate-less splits are skipped.
-func (s *Searcher) skipSplit(l, r query.RelSet) bool {
-	if !s.opt.AvoidCrossProducts {
+func (w *worker) skipSplit(l, r query.RelSet) bool {
+	if !w.s.opt.AvoidCrossProducts {
 		return false
 	}
-	if len(s.pair(l, r).preds) > 0 {
+	if len(w.pair(l, r).preds) > 0 {
 		return false
 	}
-	return s.q.Connected(l.Union(r))
+	return w.s.q.Connected(l.Union(r))
 }
 
 // bestOf ranks candidates under the Final comparator.

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -113,6 +114,10 @@ func composeSeeds(n int, bushy bool, mi, si int) int {
 }
 
 func TestComposedPricingMatchesWholeTree(t *testing.T) {
+	// The tap below collects into shared counters and fails the test from
+	// inside a search, which may price on helper goroutines; at GOMAXPROCS 1
+	// a search has none.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var priced, joins int64
 	for mi, mc := range composeMachines {
 		for si, shape := range []query.Shape{query.Chain, query.Star, query.Cycle, query.Clique} {
@@ -153,7 +158,7 @@ func TestComposedPricingMatchesWholeTree(t *testing.T) {
 								opt.MemoryLimit = peaks[len(peaks)/2]
 							}
 							s := New(opt)
-							s.priced = func(c *Candidate) {
+							s.priced = func(c *Candidate, done *optree.Op) error {
 								op := c.op
 								priced++
 								if !c.Node.IsLeaf() {
@@ -170,7 +175,7 @@ func TestComposedPricingMatchesWholeTree(t *testing.T) {
 								if want := mod.MemoryEstimate(wop); peak != want {
 									t.Fatalf("%s: %s: memory %+v, whole tree %+v", name, c.Node, peak, want)
 								}
-								if !sameAnnotations(op, wop, s.done) {
+								if !sameAnnotations(op, wop, done) {
 									t.Fatalf("%s: %s: annotations\n%s\nwhole tree\n%s", name, c.Node, op.AnnotationTable(), wop.AnnotationTable())
 								}
 								if c.deg != totalDegree(wop) {
@@ -179,6 +184,7 @@ func TestComposedPricingMatchesWholeTree(t *testing.T) {
 								if !limited {
 									peaks = append(peaks, peak.PeakPages)
 								}
+								return nil
 							}
 							run := s.PODPLeftDeep
 							if bushy {

@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"paropt/internal/optree"
 	"paropt/internal/plan"
 	"paropt/internal/query"
 )
@@ -22,7 +26,10 @@ var dpWrappers = []struct {
 }
 
 // TestDPReturnsCostingErrors: a failing PlanCost/est.Join must surface as
-// the search's error, not as silently dropped subsets and a nil Best.
+// the search's error, not as silently dropped subsets and a nil Best. A
+// search on helpers returns the serial search's error — that of the first
+// failing subset in enumeration order, when two subsets of a middle layer
+// fail — or the root's, priced on a helper, and leaves no goroutine behind.
 func TestDPReturnsCostingErrors(t *testing.T) {
 	for _, w := range dpWrappers {
 		s := newSearcher(t, cliqueCfg(3), func(o *Options) {
@@ -30,6 +37,40 @@ func TestDPReturnsCostingErrors(t *testing.T) {
 		})
 		if res, err := w.run(s); err == nil {
 			t.Errorf("%s: unknown join method returned err == nil (Best %v)", w.name, res.Best)
+		}
+	}
+	var layer3 []query.RelSet
+	query.SubsetsOfSize(6, 3, func(set query.RelSet) { layer3 = append(layer3, set) })
+	for _, fail := range [][]query.RelSet{{layer3[12], layer3[3]}, {query.FullSet(6)}} {
+		at := map[query.RelSet]int{}
+		for _, set := range fail {
+			at[set] = len(at)
+		}
+		var errs [2]string
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			start := runtime.NumGoroutine()
+			for _, w := range dpWrappers {
+				s := newSearcher(t, cliqueCfg(6), nil)
+				s.priced = func(c *Candidate, _ *optree.Op) error {
+					if k, ok := at[c.Node.Rels]; ok {
+						return fmt.Errorf("injected into %v (%d)", c.Node.Rels, k)
+					}
+					return nil
+				}
+				_, err := w.run(s)
+				errs[i] += fmt.Sprintf("%s: %v\n", w.name, err)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > start {
+				t.Errorf("GOMAXPROCS %d: %d goroutines after the failed searches, %d before", procs, n, start)
+			}
+			runtime.GOMAXPROCS(prev)
+		}
+		if errs[0] != errs[1] || !strings.Contains(errs[0], fmt.Sprintf("injected into %v", fail[len(fail)-1])) {
+			t.Errorf("injected into %v: on helpers\n%sserially\n%s", fail, errs[1], errs[0])
 		}
 	}
 }

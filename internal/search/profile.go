@@ -11,12 +11,18 @@ import (
 )
 
 // Per-layer search telemetry: the lattice of a dynamic program is layered by
-// subset cardinality, and parallelizing the search (per-subset sharding with
-// cover-set merges at layer barriers) will live or die by where the time and
-// the cover growth actually are. Every search therefore records one
-// LayerRecord per layer — wall time, subsets expanded, join pairs
-// considered, candidates kept, and prunes split by the test that rejected
-// them — aggregated into a SearchProfile on the result's Stats.
+// subset cardinality, and where the time and the cover growth are decides
+// what parallelism buys. Every search records one LayerRecord per layer —
+// start and wall time, the goroutines that solved it, subsets expanded, join
+// pairs considered, candidates kept, and prunes split by the test that
+// rejected them — aggregated into a SearchProfile on the result's Stats.
+//
+// The parallelism dp has is per-subset sharding: the subsets of one layer
+// read only covers below it, so each is solved whole by one worker and its
+// cover needs no merge at the barrier. The root layer is one subset; a
+// helper prices its joins while the owner inserts them in the serial order
+// (driver.go). Covers, counters and records other than times and Workers
+// are the serial search's.
 //
 // Collection is deliberately cheap: counters are snapshotted at layer
 // boundaries (two time.Now calls and a handful of integer deltas per layer),
@@ -52,8 +58,12 @@ type LayerRecord struct {
 	// candidates: what promote allocated for them (candidateBytes — the
 	// Candidate, its descriptor slab, its plan node and its one operator).
 	BytesRetained int64 `json:"bytesRetained"`
-	// WallNanos is the layer's wall-clock time.
-	WallNanos int64 `json:"wallNanos"`
+	// Workers is how many goroutines solved the layer: the search's own plus
+	// the helpers idle cores gave it (the root's pricing helper included).
+	Workers int `json:"workers"`
+	// Start is when the layer began; WallNanos its wall-clock time.
+	Start     time.Time `json:"-"`
+	WallNanos int64     `json:"wallNanos"`
 }
 
 // Pruned is the layer's total prune count across all reasons.
@@ -93,14 +103,14 @@ func (st Stats) Profile() SearchProfile {
 // Table renders the profile as a fixed-width text table (one row per layer).
 func (p SearchProfile) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%5s %8s %11s %9s %7s %8s %7s %7s %7s %9s %10s\n",
+	fmt.Fprintf(&b, "%5s %8s %11s %9s %7s %8s %7s %7s %7s %9s %7s %10s\n",
 		"layer", "subsets", "considered", "physical", "kept",
-		"prDom", "prWork", "prMem", "prBeam", "maxCover", "wall")
+		"prDom", "prWork", "prMem", "prBeam", "maxCover", "workers", "wall")
 	for _, l := range p.Layers {
-		fmt.Fprintf(&b, "%5d %8d %11d %9d %7d %8d %7d %7d %7d %9d %10s\n",
+		fmt.Fprintf(&b, "%5d %8d %11d %9d %7d %8d %7d %7d %7d %9d %7d %10s\n",
 			l.Card, l.Subsets, l.Considered, l.Physical, l.Kept,
 			l.PrunedDominance, l.PrunedWork, l.PrunedMemory, l.PrunedBeam,
-			l.MaxCover, time.Duration(l.WallNanos).Round(time.Microsecond))
+			l.MaxCover, l.Workers, time.Duration(l.WallNanos).Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "total: %d relations, wall %s, peak retained ≈ %d bytes\n",
 		p.Relations, time.Duration(p.WallNanos).Round(time.Microsecond), p.PeakBytesRetained)
@@ -152,7 +162,7 @@ func (s *Searcher) beginLayer() layerMark {
 }
 
 // endLayer closes a layer: it appends the record to the stats.
-func (s *Searcher) endLayer(m layerMark, card, subsets int, kept int64, maxCover int) {
+func (s *Searcher) endLayer(m layerMark, card, workers, subsets int, kept int64, maxCover int) {
 	rec := LayerRecord{
 		Card:            card,
 		Subsets:         subsets,
@@ -165,9 +175,25 @@ func (s *Searcher) endLayer(m layerMark, card, subsets int, kept int64, maxCover
 		PrunedBeam:      s.stats.PrunedBeam - m.prunedBeam,
 		MaxCover:        maxCover,
 		BytesRetained:   kept * s.candidateBytes(card),
+		Workers:         workers,
+		Start:           m.start,
 		WallNanos:       time.Since(m.start).Nanoseconds(),
 	}
 	s.stats.Layers = append(s.stats.Layers, rec)
+}
+
+// merge adds a helper's counters to the search's: sums, and maxima for the
+// largest cover and order-class count it saw.
+func (st *Stats) merge(h Stats) {
+	st.PlansConsidered += h.PlansConsidered
+	st.PhysicalPlans += h.PhysicalPlans
+	st.Pruned += h.Pruned
+	st.PrunedDominance += h.PrunedDominance
+	st.PrunedWork += h.PrunedWork
+	st.PrunedMemory += h.PrunedMemory
+	st.PrunedBeam += h.PrunedBeam
+	st.MaxCoverSize = max(st.MaxCoverSize, h.MaxCoverSize)
+	st.MaxOrderClasses = max(st.MaxOrderClasses, h.MaxOrderClasses)
 }
 
 // candidateBytes is what promote allocates for one candidate a cover of card

@@ -139,7 +139,7 @@ func (s *Searcher) Randomized(opts RandomizedOptions) (*Result, error) {
 		kept = 1
 	}
 	// One pseudo-layer covering all restarts and moves.
-	s.endLayer(mark, n, 1, kept, 1)
+	s.endLayer(mark, n, 1, 1, kept, 1)
 	if bestEver == nil {
 		return &Result{Stats: s.stats}, nil
 	}

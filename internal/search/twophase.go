@@ -41,6 +41,6 @@ func (s *Searcher) TwoPhase() (*Result, error) {
 		kept = 1
 	}
 	// One pseudo-layer spanning both phases.
-	s.endLayer(mark, len(s.q.Relations), 1, kept, 1)
+	s.endLayer(mark, len(s.q.Relations), 1, 1, kept, 1)
 	return &Result{Best: best, Frontier: []*Candidate{best}, Stats: s.stats}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
 	"paropt/internal/parser"
+	"paropt/internal/search"
 )
 
 // wideDDL is a 10-relation chain schema for the introspection acceptance
@@ -477,44 +479,87 @@ func TestPlanChangeTraceOutlivesHits(t *testing.T) {
 	}
 }
 
-// TestMissTraceLaysLayerSpansEndToEnd: the dp-layer spans of a miss are drawn
-// from the search's layer records — one per layer, each as wide as the
-// layer's measured wall time, laid end to end inside the search span — and
-// the search span names its source and query size.
-func TestMissTraceLaysLayerSpansEndToEnd(t *testing.T) {
+// TestMissTracePlacesSpansWhereTheWorkRan: the baseline and dp-layer spans
+// of a miss are drawn from the search's records — one per layer, each at its
+// measured start and as wide as its measured wall time, inside the search
+// span, the layers in order and not overlapping — and carry how many
+// goroutines did the work. At GOMAXPROCS 1 every layer has one worker and the
+// baseline runs before the layers; at GOMAXPROCS 2 the baseline runs beside
+// them, overlapping dp-layer-2. That overlap is a race between the baseline's
+// goroutine starting and two short layers ending, so up to eight fresh
+// services serve the miss until one shows it.
+func TestMissTracePlacesSpansWhereTheWorkRan(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for attempt := 1; ; attempt++ {
+				base, layers := missSpans(t)
+				if procs == 1 {
+					for _, l := range layers {
+						if l.Attrs["workers"] != "1" {
+							t.Errorf("%s at GOMAXPROCS 1 ran on %s workers", l.Name, l.Attrs["workers"])
+						}
+					}
+					if base.EndMicros > layers[0].StartMicros {
+						t.Errorf("baseline [%d, %d]µs at GOMAXPROCS 1 does not precede dp-layer-1 at %dµs", base.StartMicros, base.EndMicros, layers[0].StartMicros)
+					}
+					return
+				}
+				if l2 := layers[1]; base.StartMicros < l2.EndMicros && base.EndMicros > l2.StartMicros {
+					return
+				}
+				if attempt == 8 {
+					t.Fatalf("baseline [%d, %d]µs never overlapped dp-layer-2 [%d, %d]µs", base.StartMicros, base.EndMicros, layers[1].StartMicros, layers[1].EndMicros)
+				}
+			}
+		})
+	}
+}
+
+// missSpans serves a 6-relation miss on a fresh service, checks its search
+// span's children against the cached search record and returns its baseline
+// and dp-layer spans.
+func missSpans(t *testing.T) (base *obs.SpanJSON, layers []*obs.SpanJSON) {
+	t.Helper()
 	s := newTestService(t, nil)
 	miss, err := s.Optimize(context.Background(), OptimizeRequest{Query: chainSQL(6, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	search := findSpan(s.Tracer().Get(miss.TraceID).JSON().Root, "search")
-	if search == nil {
+	root := findSpan(s.Tracer().Get(miss.TraceID).JSON().Root, "search")
+	if root == nil {
 		t.Fatal("miss trace has no search span")
 	}
 	entry, ok := s.cache.Get(s.cacheKey(miss.Fingerprint, miss.Catalog))
-	if !ok || len(entry.cover.Stats.Layers) != 6 || search.Attrs["source"] != "search" || search.Attrs["relations"] != "6" {
-		t.Fatalf("search span %v over a cached search (%v); want source search over 6 layers", search.Attrs, ok)
+	if !ok || len(entry.cover.Stats.Layers) != 6 || root.Attrs["source"] != "search" || root.Attrs["relations"] != "6" {
+		t.Fatalf("search span %v over a cached search (%v); want source search over 6 layers", root.Attrs, ok)
 	}
-	recs := entry.cover.Stats.Layers
-	layers := layerSpans(search)
-	if len(layers) != len(recs) {
-		t.Fatalf("search span has %d dp-layer children, want %d", len(layers), len(recs))
+	st := entry.cover.Stats
+	within := func(sp *obs.SpanJSON, rec search.LayerRecord, name string) {
+		t.Helper()
+		if sp.Name != name || sp.Attrs["plansStored"] != fmt.Sprint(rec.Kept) || sp.Attrs["workers"] != fmt.Sprint(rec.Workers) {
+			t.Errorf("span %s storing %s plans on %s workers, record %s stores %d on %d", sp.Name, sp.Attrs["plansStored"], sp.Attrs["workers"], name, rec.Kept, rec.Workers)
+		}
+		if sp.DurMicros < 0 || sp.DurMicros > rec.WallNanos/1e3+1 {
+			t.Errorf("%s lasts %dµs, its record %dns", sp.Name, sp.DurMicros, rec.WallNanos)
+		}
+		if sp.StartMicros < root.StartMicros || sp.EndMicros > root.EndMicros {
+			t.Errorf("%s spans [%d, %d]µs; search span is [%d, %d]µs", sp.Name, sp.StartMicros, sp.EndMicros, root.StartMicros, root.EndMicros)
+		}
 	}
-	var sum int64
+	if base = findSpan(root, "baseline"); base == nil || st.Baseline == nil {
+		t.Fatalf("search span has no baseline child (record %v)", st.Baseline)
+	}
+	within(base, *st.Baseline, "baseline")
+	layers = layerSpans(root)
+	if len(layers) != len(st.Layers) {
+		t.Fatalf("search span has %d dp-layer children, want %d", len(layers), len(st.Layers))
+	}
 	for i, l := range layers {
-		rec := recs[i]
-		if l.Name != fmt.Sprintf("dp-layer-%d", rec.Card) || l.Attrs["plansStored"] != fmt.Sprint(rec.Kept) {
-			t.Errorf("span %d is %s storing %s plans, record is layer %d storing %d", i, l.Name, l.Attrs["plansStored"], rec.Card, rec.Kept)
+		within(l, st.Layers[i], fmt.Sprintf("dp-layer-%d", st.Layers[i].Card))
+		if i > 0 && l.StartMicros < layers[i-1].EndMicros {
+			t.Errorf("%s starts at %dµs, before %s ended at %dµs", l.Name, l.StartMicros, layers[i-1].Name, layers[i-1].EndMicros)
 		}
-		if l.DurMicros <= 0 || l.DurMicros > rec.WallNanos/1e3+1 {
-			t.Errorf("%s lasts %dµs, its record %dns", l.Name, l.DurMicros, rec.WallNanos)
-		}
-		if i > 0 && l.StartMicros != layers[i-1].EndMicros {
-			t.Errorf("%s starts at %dµs, %s ended at %dµs", l.Name, l.StartMicros, layers[i-1].Name, layers[i-1].EndMicros)
-		}
-		sum += l.DurMicros
 	}
-	if first, last := layers[0], layers[len(layers)-1]; first.StartMicros < search.StartMicros || last.EndMicros > search.EndMicros || sum > search.DurMicros {
-		t.Errorf("layers span [%d, %d]µs summing to %dµs; search span is [%d, %d]µs", first.StartMicros, last.EndMicros, sum, search.StartMicros, search.EndMicros)
-	}
+	return base, layers
 }

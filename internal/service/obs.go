@@ -11,26 +11,21 @@ import (
 	"paropt/internal/search"
 )
 
-// graftSearch lays a finished search's record under the search span: one
-// dp-layer-k child per layer record, end to end in layer order and ending at
-// done (when the search returned), each as wide as the layer's measured wall
-// time, carrying its counters; the search totals land as attributes on the
-// search span itself.
-func graftSearch(sp *obs.Span, st search.Stats, done time.Time) {
+// graftSearch lays a finished search's record under the search span: a
+// baseline child for the §2 baseline and one dp-layer-k child per layer
+// record, each placed at its measured start and as wide as its measured wall
+// time — a baseline run beside the layers overlaps them — and carrying its
+// counters and how many goroutines did its work; the search totals land as
+// attributes on the search span itself.
+func graftSearch(sp *obs.Span, st search.Stats) {
 	if sp == nil {
 		return
 	}
-	at := done.Add(-time.Duration(st.Profile().WallNanos))
+	if st.Baseline != nil {
+		graftLayer(sp, "baseline", *st.Baseline)
+	}
 	for _, rec := range st.Layers {
-		c := sp.Child(fmt.Sprintf("dp-layer-%d", rec.Card))
-		end := at.Add(time.Duration(rec.WallNanos))
-		c.SetTimes(at, time.Time{}, end)
-		at = end
-		c.SetAttr("subsets", rec.Subsets)
-		c.SetAttr("plansStored", rec.Kept)
-		c.SetAttr("considered", rec.Considered)
-		c.SetAttr("pruned", rec.Pruned())
-		c.SetAttr("maxCover", rec.MaxCover)
+		graftLayer(sp, fmt.Sprintf("dp-layer-%d", rec.Card), rec)
 	}
 	sp.SetAttr("plansConsidered", st.PlansConsidered)
 	sp.SetAttr("physicalPlans", st.PhysicalPlans)
@@ -40,6 +35,18 @@ func graftSearch(sp *obs.Span, st search.Stats, done time.Time) {
 	sp.SetAttr("prunedWork", st.PrunedWork)
 	sp.SetAttr("prunedMemory", st.PrunedMemory)
 	sp.SetAttr("prunedBeam", st.PrunedBeam)
+}
+
+// graftLayer adds one layer record as a child span of sp.
+func graftLayer(sp *obs.Span, name string, rec search.LayerRecord) {
+	c := sp.Child(name)
+	c.SetTimes(rec.Start, time.Time{}, rec.Start.Add(time.Duration(rec.WallNanos)))
+	c.SetAttr("subsets", rec.Subsets)
+	c.SetAttr("plansStored", rec.Kept)
+	c.SetAttr("considered", rec.Considered)
+	c.SetAttr("pruned", rec.Pruned())
+	c.SetAttr("maxCover", rec.MaxCover)
+	c.SetAttr("workers", rec.Workers)
 }
 
 // graftAnalyze grafts an instrumented execution under the execute span: one

@@ -703,7 +703,7 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 		return nil, err
 	}
 	st := cover.Stats
-	graftSearch(sp, st, time.Now())
+	graftSearch(sp, st)
 	sp.SetAttr("source", source)
 	sp.SetAttr("relations", len(q.Relations))
 	sp.SetAttr("frontier", cover.Size)
