@@ -26,13 +26,13 @@ func BenchmarkBaselines(b *testing.B) {
 	for _, alg := range algs {
 		b.Run(alg.String(), func(b *testing.B) {
 			cat, q := workload.Portfolio(4)
-			opt, err := paropt.NewOptimizer(cat, q, paropt.Config{Algorithm: alg})
+			opt, err := paropt.NewOptimizer(cat, q, paropt.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var p *paropt.Plan
 			for i := 0; i < b.N; i++ {
-				p, err = opt.Optimize()
+				p, err = paropt.Optimize(opt, paropt.Run{Algorithm: alg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -51,7 +51,7 @@ func BenchmarkSchedulingPolicies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, paropt.Run{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkMemoryBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pFree, err := free.Optimize()
+	pFree, err := paropt.Optimize(free, paropt.Run{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func BenchmarkMemoryBound(b *testing.B) {
 			}
 			var p *paropt.Plan
 			for i := 0; i < b.N; i++ {
-				p, err = opt.Optimize()
+				p, err = paropt.Optimize(opt, paropt.Run{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -112,14 +112,13 @@ func BenchmarkTPCH(b *testing.B) {
 		b.Run(q.Name, func(b *testing.B) {
 			opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
 				Machine: machine.Config{CPUs: 4, Disks: 4, Networks: 1},
-				Bound:   paropt.ThroughputDegradation{K: 2},
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var p *paropt.Plan
 			for i := 0; i < b.N; i++ {
-				p, err = opt.Optimize()
+				p, err = paropt.Optimize(opt, paropt.Run{Bound: paropt.ThroughputDegradation{K: 2}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -153,7 +152,7 @@ func BenchmarkCalibratedVsDefault(b *testing.B) {
 			}
 			var p *paropt.Plan
 			for i := 0; i < b.N; i++ {
-				p, err = opt.Optimize()
+				p, err = paropt.Optimize(opt, paropt.Run{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,25 +15,26 @@ import (
 	"paropt/internal/optree"
 	"paropt/internal/plan"
 	"paropt/internal/query"
+	"paropt/internal/repro"
 	"paropt/internal/search"
 	"paropt/internal/sim"
 	"paropt/internal/storage"
 	"paropt/internal/workload"
 )
 
-// cliqueSearcher builds the Table 1 counting fixture.
-func cliqueSearcher(n int) *search.Searcher {
+// cliqueOptions builds the Table 1 counting fixture.
+func cliqueOptions(n int) search.Options {
 	cat, q := query.Generate(query.GenConfig{
 		Relations: n, Shape: query.Clique,
 		MinCard: 1_000, MaxCard: 1_000_000, Disks: 4, Seed: 1,
 	})
 	est := plan.NewEstimator(cat, q)
 	m := machine.New(machine.Config{CPUs: 4, Disks: 4, Networks: 1})
-	return search.New(search.Options{
+	return search.Options{
 		Model:    cost.NewModel(cat, m, est, cost.DefaultParams()),
 		Expand:   optree.DefaultExpandOptions(),
 		Annotate: optree.DefaultAnnotateOptions(),
-	})
+	}
 }
 
 // BenchmarkTable1 regenerates Table 1: for each algorithm row it reports
@@ -42,24 +43,30 @@ func cliqueSearcher(n int) *search.Searcher {
 func BenchmarkTable1(b *testing.B) {
 	type row struct {
 		name     string
-		run      func(*search.Searcher) (*search.Result, error)
+		run      func(search.Options) (*search.Result, error)
 		maxN     int
 		analytic func(n int) (considered, stored float64)
 	}
+	dp := func(run func(*search.Searcher) (*search.Result, error)) func(search.Options) (*search.Result, error) {
+		return func(opt search.Options) (*search.Result, error) { return run(search.New(opt)) }
+	}
+	oracle := func(run func(*repro.Searcher) (*search.Result, error)) func(search.Options) (*search.Result, error) {
+		return func(opt search.Options) (*search.Result, error) { return run(repro.New(repro.Options{Options: opt})) }
+	}
 	rows := []row{
-		{"brute-leftdeep", (*search.Searcher).BruteForceLeftDeep, 7,
+		{"brute-leftdeep", oracle((*repro.Searcher).BruteForceLeftDeep), 7,
 			func(n int) (float64, float64) { return search.LeftDeepSpaceSize(n), 1 }},
-		{"dp-leftdeep", (*search.Searcher).DPLeftDeep, 8,
+		{"dp-leftdeep", dp((*search.Searcher).DPLeftDeep), 8,
 			func(n int) (float64, float64) {
 				return search.DPLeftDeepPlansFormula(n), search.DPLeftDeepSpaceFormula(n)
 			}},
-		{"podp-leftdeep", (*search.Searcher).PODPLeftDeep, 7,
+		{"podp-leftdeep", dp((*search.Searcher).PODPLeftDeep), 7,
 			func(n int) (float64, float64) { return -1, -1 }},
-		{"brute-bushy", (*search.Searcher).BruteForceBushy, 5,
+		{"brute-bushy", oracle((*repro.Searcher).BruteForceBushy), 5,
 			func(n int) (float64, float64) { return search.BushySpaceSize(n), 1 }},
-		{"dp-bushy", (*search.Searcher).DPBushy, 7,
+		{"dp-bushy", dp((*search.Searcher).DPBushy), 7,
 			func(n int) (float64, float64) { return search.DPBushyPlansFormula(n), -1 }},
-		{"podp-bushy", (*search.Searcher).PODPBushy, 5,
+		{"podp-bushy", dp((*search.Searcher).PODPBushy), 5,
 			func(n int) (float64, float64) { return -1, -1 }},
 	}
 	for _, r := range rows {
@@ -67,7 +74,7 @@ func BenchmarkTable1(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", r.name, n), func(b *testing.B) {
 				var stats search.Stats
 				for i := 0; i < b.N; i++ {
-					res, err := r.run(cliqueSearcher(n))
+					res, err := r.run(cliqueOptions(n))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -89,13 +96,13 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTheorem3CoverSet regenerates the Theorem 3 experiment: measured
 // expected cover size vs the bound, per (m, l), for both coordinate models.
 func BenchmarkTheorem3CoverSet(b *testing.B) {
-	for _, dist := range []search.Dist{search.Binary, search.Continuous} {
+	for _, dist := range []repro.Dist{repro.Binary, repro.Continuous} {
 		for _, l := range []int{2, 3, 4} {
 			for _, m := range []int{16, 64, 256} {
 				b.Run(fmt.Sprintf("%s/l=%d/m=%d", dist, l, m), func(b *testing.B) {
 					var mean, bound float64
 					for i := 0; i < b.N; i++ {
-						mean, bound = search.Theorem3Experiment(m, l, 50, dist, 7)
+						mean, bound = repro.Theorem3Experiment(m, l, 50, dist, 7)
 					}
 					b.ReportMetric(mean, "measured-cover")
 					b.ReportMetric(bound, "bound")
@@ -180,7 +187,7 @@ func BenchmarkDeltaAblation(b *testing.B) {
 			}
 			var rt float64
 			for i := 0; i < b.N; i++ {
-				p, err := opt.Optimize()
+				p, err := paropt.Optimize(opt, paropt.Run{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -244,17 +251,17 @@ func BenchmarkWorkBoundPruning(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cat, q := workload.Portfolio(4)
-			cfg := paropt.Config{Machine: machine.Config{CPUs: 4, Disks: 4, Networks: 1}}
+			var r paropt.Run
 			if k > 0 {
-				cfg.Bound = search.ThroughputDegradation{K: k}
+				r.Bound = search.ThroughputDegradation{K: k}
 			}
-			opt, err := paropt.NewOptimizer(cat, q, cfg)
+			opt, err := paropt.NewOptimizer(cat, q, paropt.Config{Machine: machine.Config{CPUs: 4, Disks: 4, Networks: 1}})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var p *paropt.Plan
 			for i := 0; i < b.N; i++ {
-				p, err = opt.Optimize()
+				p, err = paropt.Optimize(opt, r)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -284,7 +291,7 @@ func BenchmarkResourceAggregation(b *testing.B) {
 			}
 			var p *paropt.Plan
 			for i := 0; i < b.N; i++ {
-				p, err = opt.Optimize()
+				p, err = paropt.Optimize(opt, paropt.Run{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -310,15 +317,14 @@ func BenchmarkBushyVsLeftDeep(b *testing.B) {
 		b.Run(a.name, func(b *testing.B) {
 			cat, q := workload.Portfolio(4)
 			opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
-				Machine:   machine.Config{CPUs: 4, Disks: 4, Networks: 1},
-				Algorithm: a.alg,
+				Machine: machine.Config{CPUs: 4, Disks: 4, Networks: 1},
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var p *paropt.Plan
 			for i := 0; i < b.N; i++ {
-				p, err = opt.Optimize()
+				p, err = paropt.Optimize(opt, paropt.Run{Algorithm: a.alg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,14 +343,14 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, paropt.Run{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *sim.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = opt.Simulate(p)
+		res, err = paropt.Simulate(p.Op, opt.Mod)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,16 +363,14 @@ func BenchmarkSimulator(b *testing.B) {
 // execute on real data with parallel goroutines.
 func BenchmarkEndToEnd(b *testing.B) {
 	cat, q := workload.PortfolioSmall(4)
-	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
-		Bound: search.ThroughputDegradation{K: 2},
-	})
+	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	db := storage.NewDatabase(cat, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := opt.Optimize()
+		p, err := paropt.Optimize(opt, paropt.Run{Bound: search.ThroughputDegradation{K: 2}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -450,7 +454,7 @@ func BenchmarkOptimizerScaling(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := opt.Optimize(); err != nil {
+				if _, err := paropt.Optimize(opt, paropt.Run{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,7 +38,7 @@ func calibrateMain(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		p, err := opt.Optimize()
+		p, err := paropt.Optimize(opt, paropt.Run{})
 		if err != nil {
 			fatal(err)
 		}

@@ -38,9 +38,9 @@ import (
 	"os"
 
 	"paropt"
-	"paropt/internal/core"
 	"paropt/internal/machine"
 	"paropt/internal/parser"
+	"paropt/internal/repro"
 	"paropt/internal/search"
 	"paropt/internal/storage"
 )
@@ -72,7 +72,7 @@ func main() {
 	queryText := flag.String("query", "", "SQL-ish SELECT text (requires -schema)")
 	n := flag.Int("n", 5, "relation count for generated workloads")
 	seed := flag.Int64("seed", 1, "workload seed")
-	alg := flag.String("alg", "podp", core.AlgorithmFlags())
+	alg := flag.String("alg", "podp", repro.AlgorithmFlags())
 	cpus := flag.Int("cpus", 4, "machine CPUs")
 	disks := flag.Int("disks", 4, "machine disks")
 	aggDisks := flag.Bool("aggdisks", false, "model all disks as one RAID resource (§6.3 aggregation)")
@@ -101,26 +101,25 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	algorithm, err := core.ParseAlgorithm(*alg)
+	algorithm, err := repro.ParseAlgorithm(*alg)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := paropt.Config{
-		Machine:   machine.Config{CPUs: *cpus, Disks: *disks, Networks: 1, AggregateDisks: *aggDisks},
-		Algorithm: algorithm,
-		CoverCap:  *beam,
-	}
+	run := paropt.Run{Algorithm: algorithm}
 	switch {
 	case *k > 0:
-		cfg.Bound = search.ThroughputDegradation{K: *k}
+		run.Bound = search.ThroughputDegradation{K: *k}
 	case *cb > 0:
-		cfg.Bound = search.CostBenefit{K: *cb}
+		run.Bound = search.CostBenefit{K: *cb}
 	}
-	opt, err := paropt.NewOptimizer(cat, q, cfg)
+	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
+		Machine:  machine.Config{CPUs: *cpus, Disks: *disks, Networks: 1, AggregateDisks: *aggDisks},
+		CoverCap: *beam,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, run)
 	if err != nil {
 		fatal(err)
 	}
@@ -138,11 +137,11 @@ func main() {
 	fmt.Print(opt.Explain(p))
 	if *why {
 		fmt.Println()
-		fmt.Print(opt.PlanProvenance(p, cfg.Bound).Text())
+		fmt.Print(opt.PlanProvenance(p, run.Bound).Text())
 	}
 	if *profile {
 		fmt.Println()
-		fmt.Print(p.Profile().Table())
+		fmt.Print(p.Stats.Profile().Table())
 	}
 	if *dot {
 		fmt.Println()
@@ -150,7 +149,7 @@ func main() {
 	}
 
 	if *simulate {
-		res, err := opt.Simulate(p)
+		res, err := paropt.Simulate(p.Op, opt.Mod)
 		if err != nil {
 			fatal(err)
 		}

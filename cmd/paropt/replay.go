@@ -14,6 +14,7 @@ import (
 	"paropt/internal/machine"
 	"paropt/internal/obs/workload"
 	"paropt/internal/service"
+	workloads "paropt/internal/workload"
 )
 
 // replayMain implements `paropt replay <query-log.jsonl>`: it re-executes a
@@ -123,7 +124,7 @@ func httpExecutor(base string) workload.Executor {
 // log). Records that name a catalog version other than the configured default
 // fail — an in-process replay can only know the catalogs its flags build.
 func inProcessExecutor(schemaFile, wl string, cpus, disks, beam int, planLogFile string) (*paropt.Service, workload.Executor, error) {
-	cat, err := paropt.DefaultCatalog(schemaFile, wl, disks)
+	cat, err := workloads.DefaultCatalog(schemaFile, wl, disks)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -88,10 +88,11 @@ import (
 	"syscall"
 	"time"
 
-	"paropt"
 	"paropt/internal/machine"
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
+	"paropt/internal/service"
+	workloads "paropt/internal/workload"
 )
 
 func main() {
@@ -130,7 +131,7 @@ func main() {
 		log.Fatalf("paroptd: -log must be text, json or none (got %q)", *logMode)
 	}
 
-	cat, err := paropt.DefaultCatalog(*schemaFile, *wl, *disks)
+	cat, err := workloads.DefaultCatalog(*schemaFile, *wl, *disks)
 	if err != nil {
 		log.Fatalf("paroptd: %v", err)
 	}
@@ -150,7 +151,7 @@ func main() {
 		log.Printf("paroptd: query log at %s", *queryLog)
 	}
 
-	svc, err := paropt.NewService(paropt.ServiceConfig{
+	svc, err := service.New(service.Config{
 		Catalog: cat,
 		Machine: machine.Config{
 			CPUs: *cpus, Disks: *disks, Networks: *networks, Nodes: *nodes,

@@ -63,7 +63,7 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/obs"
 	"paropt/internal/placement"
-	"paropt/internal/service"
+	"paropt/internal/storage"
 	"paropt/internal/vec"
 )
 
@@ -269,7 +269,7 @@ func heartbeatLoop(daemon, addr, httpURL string, box *storeBox, fatalc chan<- er
 // postCluster posts the worker's address (plus its HTTP base URL when it has
 // one) to the daemon's cluster endpoint.
 func postCluster(base, path, addr, httpURL string) error {
-	body, err := json.Marshal(service.ClusterRequest{Addr: addr, HTTP: httpURL})
+	body, err := json.Marshal(placement.Register{Addr: addr, HTTP: httpURL})
 	if err != nil {
 		return err
 	}
@@ -356,11 +356,11 @@ func (b *storeBox) refresh() error {
 // unless its fingerprint is known, which means nothing changed — the catalog
 // this worker generates its shards from. A catalog over the rows the daemon
 // itself may generate is refused here, before any shard is.
-func decodePlacement(body io.Reader, known string) (*service.PlacementResponse, *catalog.Catalog, error) {
+func decodePlacement(body io.Reader, known string) (*placement.Document, *catalog.Catalog, error) {
 	// The daemon's own body bound: a catalog snapshot is a few KB per
 	// relation, so a longer body is a misbehaving peer and fails the decode.
-	var doc service.PlacementResponse
-	if err := json.NewDecoder(io.LimitReader(body, service.MaxBodyBytes)).Decode(&doc); err != nil {
+	var doc placement.Document
+	if err := json.NewDecoder(io.LimitReader(body, placement.MaxBodyBytes)).Decode(&doc); err != nil {
 		return nil, nil, fmt.Errorf("/cluster/placement: %w", err)
 	}
 	if doc.Map == nil {
@@ -371,7 +371,7 @@ func decodePlacement(body io.Reader, known string) (*service.PlacementResponse, 
 	}
 	cat, err := catalog.FromSnapshot(doc.Snapshot)
 	if err == nil {
-		err = service.CheckDataRows(cat)
+		err = storage.CheckDataRows(cat)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("placement snapshot: %w", err)

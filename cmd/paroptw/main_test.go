@@ -14,7 +14,9 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/obs"
 	"paropt/internal/parser"
+	"paropt/internal/placement"
 	"paropt/internal/service"
+	"paropt/internal/storage"
 )
 
 // TestWorkerFamilyTable: every row of the worker's family table has a valid,
@@ -105,7 +107,7 @@ func placementDaemon(t testing.TB) (*service.Service, *httptest.Server) {
 }
 
 // placementBody is the daemon's GET /cluster/placement document, decoded.
-func placementBody(t testing.TB) service.PlacementResponse {
+func placementBody(t testing.TB) placement.Document {
 	t.Helper()
 	_, daemon := placementDaemon(t)
 	resp, err := http.Get(daemon.URL + "/cluster/placement")
@@ -113,7 +115,7 @@ func placementBody(t testing.TB) service.PlacementResponse {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc service.PlacementResponse
+	var doc placement.Document
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +123,9 @@ func placementBody(t testing.TB) service.PlacementResponse {
 }
 
 // TestInstallDecodesDaemonPlacement: the worker bootstraps its store from the
-// daemon's own GET /cluster/placement document — the service's wire types,
-// not a mirror of them — and registers through the same ClusterRequest.
+// daemon's own GET /cluster/placement document — the wire types both sides
+// take from placement, not a mirror of them — and registers through the same
+// Register body.
 func TestInstallDecodesDaemonPlacement(t *testing.T) {
 	svc, srv := placementDaemon(t)
 	box := &storeBox{daemon: srv.URL, self: "w:1", client: srv.Client()}
@@ -140,7 +143,7 @@ func TestInstallDecodesDaemonPlacement(t *testing.T) {
 // limit, and leaves no store behind.
 func TestInstallRejectsOversizedPlacement(t *testing.T) {
 	doc := placementBody(t)
-	doc.Fingerprint = strings.Repeat("x", service.MaxBodyBytes)
+	doc.Fingerprint = strings.Repeat("x", placement.MaxBodyBytes)
 	padded, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +215,7 @@ func FuzzPlacementSnapshot(f *testing.F) {
 		if got.Map == nil || cat == nil {
 			t.Fatalf("accepted %q without a map or a catalog", body)
 		}
-		if err := service.CheckDataRows(cat); err != nil {
+		if err := storage.CheckDataRows(cat); err != nil {
 			t.Fatalf("accepted %q over the row bound: %v", body, err)
 		}
 	})

@@ -16,10 +16,11 @@
 //     synchronization penalty, and sync() for materialized fronts.
 //   - Search (§6): System R dynamic programming (Figure 1), its
 //     partial-order generalization over cover sets (Figure 2), bushy-tree
-//     variants, brute-force enumerators, pruning metrics (work, resource
-//     vector, interesting orders), and the §2 work bounds
-//     (throughput-degradation factor and cost–benefit ratio) folded into
-//     the search.
+//     variants, pruning metrics (work, resource vector, interesting
+//     orders), and the §2 work bounds (throughput-degradation factor and
+//     cost–benefit ratio) folded into the search. Optimize runs any row of
+//     Table 1 — the DPs, brute force, two-phase, randomized search — under
+//     any bound.
 //
 // Supporting substrates: a catalog with System R statistics, a parallel
 // machine model of preemptable resources, a discrete-event machine
@@ -31,11 +32,9 @@
 // Quick start:
 //
 //	cat, q := paropt.PortfolioWorkload(4)
-//	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
-//	    Bound: paropt.ThroughputDegradation{K: 2},
-//	})
+//	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{})
 //	if err != nil { ... }
-//	p, err := opt.Optimize()
+//	p, err := paropt.Optimize(opt, paropt.Run{Bound: paropt.ThroughputDegradation{K: 2}})
 //	fmt.Println(opt.Explain(p))
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the

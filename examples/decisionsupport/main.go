@@ -25,18 +25,11 @@ func main() {
 		cat, q := paropt.PortfolioWorkload(size.disks)
 		mc := paropt.MachineConfig{CPUs: size.cpus, Disks: size.disks, Networks: 1}
 
-		workOpt := optimize(cat, q, paropt.Config{Machine: mc, Algorithm: paropt.WorkDP})
-		rtOpt := optimize(cat, q, paropt.Config{
-			Machine:   mc,
-			Algorithm: paropt.PartialOrderDP,
-			Bound:     paropt.ThroughputDegradation{K: 2},
-		})
-
-		simW := simulateRT(cat, q, paropt.Config{Machine: mc, Algorithm: paropt.WorkDP})
-		simR := simulateRT(cat, q, paropt.Config{
-			Machine: mc, Algorithm: paropt.PartialOrderDP,
-			Bound: paropt.ThroughputDegradation{K: 2},
-		})
+		cfg := paropt.Config{Machine: mc}
+		work := paropt.Run{Algorithm: paropt.WorkDP}
+		rt := paropt.Run{Algorithm: paropt.PartialOrderDP, Bound: paropt.ThroughputDegradation{K: 2}}
+		workOpt, simW := optimize(cat, q, cfg, work)
+		rtOpt, simR := optimize(cat, q, cfg, rt)
 
 		fmt.Printf("%3dc/%2dd | %12.1f %12.1f | %12.1f %12.1f | %8.1f %8.1f\n",
 			size.cpus, size.disks,
@@ -49,30 +42,19 @@ func main() {
 	fmt.Println("latency with bounded extra work, the §2 dual objective.")
 }
 
-func optimize(cat *paropt.Catalog, q *paropt.Query, cfg paropt.Config) *paropt.Plan {
+// optimize returns the plan r chooses and its simulated response time.
+func optimize(cat *paropt.Catalog, q *paropt.Query, cfg paropt.Config, r paropt.Run) (*paropt.Plan, float64) {
 	opt, err := paropt.NewOptimizer(cat, q, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, r)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return p
-}
-
-func simulateRT(cat *paropt.Catalog, q *paropt.Query, cfg paropt.Config) float64 {
-	opt, err := paropt.NewOptimizer(cat, q, cfg)
+	res, err := paropt.Simulate(p.Op, opt.Mod)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := opt.Optimize()
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := opt.Simulate(p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res.RT
+	return p, res.RT
 }

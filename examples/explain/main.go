@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, paropt.Run{})
 	if err != nil {
 		log.Fatal(err)
 	}

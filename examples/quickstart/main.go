@@ -60,19 +60,18 @@ func main() {
 	// the paper's §2 formulation with a throughput-degradation bound.
 	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
 		Machine: paropt.MachineConfig{CPUs: 4, Disks: 4, Networks: 1},
-		Bound:   paropt.ThroughputDegradation{K: 1.5},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, paropt.Run{Bound: paropt.ThroughputDegradation{K: 1.5}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(opt.Explain(p))
 
 	// Validate the prediction on the machine simulator.
-	res, err := opt.Simulate(p)
+	res, err := paropt.Simulate(p.Op, opt.Mod)
 	if err != nil {
 		log.Fatal(err)
 	}

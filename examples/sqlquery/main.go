@@ -53,12 +53,11 @@ func main() {
 
 	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
 		Machine: paropt.MachineConfig{CPUs: 4, Disks: 4, Networks: 1},
-		Bound:   paropt.ThroughputDegradation{K: 2},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, paropt.Run{Bound: paropt.ThroughputDegradation{K: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}

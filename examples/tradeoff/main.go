@@ -16,20 +16,21 @@ func main() {
 	cat, q := paropt.PortfolioWorkload(8)
 	mc := paropt.MachineConfig{CPUs: 8, Disks: 8, Networks: 1}
 
-	baselinePlan := mustOptimize(cat, q, paropt.Config{Machine: mc, Algorithm: paropt.WorkDP})
+	cfg := paropt.Config{Machine: mc}
+	baselinePlan := mustOptimize(cat, q, cfg, paropt.Run{Algorithm: paropt.WorkDP})
 	wo, to := baselinePlan.Work(), baselinePlan.RT()
 	fmt.Printf("work-optimal baseline: Wo=%.1f To=%.1f\n\n", wo, to)
 
 	fmt.Println("Throughput-degradation bound Wp ≤ k·Wo:")
 	fmt.Printf("%6s %12s %12s %10s %10s %12s\n", "k", "RT", "work", "RT/To", "W/Wo", "considered")
 	for _, k := range []float64{1.0, 1.1, 1.25, 1.5, 2, 3, 5, 0} {
-		cfg := paropt.Config{Machine: mc, Algorithm: paropt.PartialOrderDP}
+		r := paropt.Run{Algorithm: paropt.PartialOrderDP}
 		label := "∞"
 		if k > 0 {
-			cfg.Bound = paropt.ThroughputDegradation{K: k}
+			r.Bound = paropt.ThroughputDegradation{K: k}
 			label = fmt.Sprintf("%.2f", k)
 		}
-		p := mustOptimize(cat, q, cfg)
+		p := mustOptimize(cat, q, cfg, r)
 		fmt.Printf("%6s %12.1f %12.1f %10.2f %10.2f %12d\n",
 			label, p.RT(), p.Work(), p.RT()/to, p.Work()/wo, p.Stats.PlansConsidered)
 	}
@@ -37,11 +38,7 @@ func main() {
 	fmt.Println("\nCost-benefit bound (extra work ≤ k × seconds saved):")
 	fmt.Printf("%6s %12s %12s %10s %10s\n", "k", "RT", "work", "RT/To", "W/Wo")
 	for _, k := range []float64{0.5, 1, 2, 5, 20} {
-		p := mustOptimize(cat, q, paropt.Config{
-			Machine:   mc,
-			Algorithm: paropt.PartialOrderDP,
-			Bound:     paropt.CostBenefit{K: k},
-		})
+		p := mustOptimize(cat, q, cfg, paropt.Run{Algorithm: paropt.PartialOrderDP, Bound: paropt.CostBenefit{K: k}})
 		fmt.Printf("%6.1f %12.1f %12.1f %10.2f %10.2f\n",
 			k, p.RT(), p.Work(), p.RT()/to, p.Work()/wo)
 	}
@@ -51,12 +48,12 @@ func main() {
 	fmt.Println("bounds also prune the search (smaller 'considered').")
 }
 
-func mustOptimize(cat *paropt.Catalog, q *paropt.Query, cfg paropt.Config) *paropt.Plan {
+func mustOptimize(cat *paropt.Catalog, q *paropt.Query, cfg paropt.Config, r paropt.Run) *paropt.Plan {
 	opt, err := paropt.NewOptimizer(cat, q, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := paropt.Optimize(opt, r)
 	if err != nil {
 		log.Fatal(err)
 	}

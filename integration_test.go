@@ -184,11 +184,11 @@ func TestIntegrationOptimizerPlansExecuteCorrectly(t *testing.T) {
 		paropt.PartialOrderDP, paropt.PartialOrderDPBushy, paropt.WorkDP,
 		paropt.NaiveRTDP, paropt.TwoPhase, paropt.SimulatedAnnealing,
 	} {
-		opt, err := paropt.NewOptimizer(cat, q, paropt.Config{Algorithm: alg})
+		opt, err := paropt.NewOptimizer(cat, q, paropt.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := opt.Optimize()
+		p, err := paropt.Optimize(opt, paropt.Run{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -207,11 +207,11 @@ func TestIntegrationOptimizerPlansExecuteCorrectly(t *testing.T) {
 func TestIntegrationModelSimulatorWorkAgreement(t *testing.T) {
 	cat, q := smallWorkload(query.Chain, 5, 4)
 	for _, alg := range []paropt.Algorithm{paropt.PartialOrderDP, paropt.WorkDP} {
-		opt, err := paropt.NewOptimizer(cat, q, paropt.Config{Algorithm: alg})
+		opt, err := paropt.NewOptimizer(cat, q, paropt.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := opt.Optimize()
+		p, err := paropt.Optimize(opt, paropt.Run{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}

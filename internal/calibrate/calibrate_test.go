@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"paropt/internal/workload"
-
 	"paropt/internal/core"
 	"paropt/internal/cost"
+	"paropt/internal/repro"
+	"paropt/internal/workload"
 )
 
 func TestRunProducesPositiveParams(t *testing.T) {
@@ -75,7 +75,7 @@ func TestFittedParamsDriveOptimizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
-// Package core assembles the paper's contribution into one component: a
-// parallel query optimizer that minimizes response time subject to bounds
-// on extra work (§2), over the operator-tree execution space (§4), using
-// the resource-descriptor cost calculus (§5) and partial-order dynamic
-// programming (§6). It also wires the optimizer to the machine simulator
-// and the execution engine so optimized plans can be run and verified.
+// Package core assembles the paper's contribution into the served optimizer
+// session: a parallel query optimizer that minimizes response time subject
+// to bounds on extra work (§2), over the operator-tree execution space (§4),
+// using the resource-descriptor cost calculus (§5) and partial-order dynamic
+// programming over left-deep trees (§6, Figure 2). A session searches once
+// for a reusable cover set, answers any §2 bound from it, explains its plans
+// and runs them on the execution engine. The other rows of Table 1 are
+// internal/repro.
 package core
 
 import (
@@ -21,96 +23,8 @@ import (
 	"paropt/internal/plan"
 	"paropt/internal/query"
 	"paropt/internal/search"
-	"paropt/internal/sim"
 	"paropt/internal/storage"
 )
-
-// Algorithm selects the search strategy (the rows of Table 1).
-type Algorithm int
-
-const (
-	// PartialOrderDP is Figure 2 over left-deep trees with the
-	// resource-vector(+order) metric — the paper's recommendation.
-	PartialOrderDP Algorithm = iota
-	// PartialOrderDPBushy is Figure 2 over bushy trees ([GHK92]).
-	PartialOrderDPBushy
-	// WorkDP is the traditional Figure 1 optimizer on total work.
-	WorkDP
-	// NaiveRTDP is Figure 1 with response time as a total order — unsound
-	// per Example 3; provided for comparison experiments.
-	NaiveRTDP
-	// BruteForceLeftDeep enumerates all n! join orders.
-	BruteForceLeftDeep
-	// BruteForceBushy enumerates all bushy shapes.
-	BruteForceBushy
-	// TwoPhase is the XPRS-style baseline: pick the work-optimal tree
-	// first, then parallelize it ([HS91]; contrasted in §1).
-	TwoPhase
-	// IterativeImprovement is non-exhaustive bushy search by greedy descent
-	// from random starts (§7's outlook).
-	IterativeImprovement
-	// SimulatedAnnealing is non-exhaustive bushy search with an annealing
-	// schedule (§7's outlook).
-	SimulatedAnnealing
-)
-
-// algorithms is the one table behind Algorithm, indexed by its value: the
-// -alg spelling, the Table 1 name, the search it runs, and what NewOptimizer
-// prunes and ranks by (a nil metric is the resource-vector(+order) partial
-// order, sized to the machine).
-var algorithms = [...]struct {
-	flag, name string
-	run        func(*search.Searcher) (*search.Result, error)
-	metric     search.Metric
-	final      search.Comparator
-}{
-	PartialOrderDP:       {"podp", "p.o. DP for left-deep", (*search.Searcher).PODPLeftDeep, nil, search.ByRT},
-	PartialOrderDPBushy:  {"podp-bushy", "p.o. DP for bushy", (*search.Searcher).PODPBushy, nil, search.ByRT},
-	WorkDP:               {"work", "DP for left-deep (work)", (*search.Searcher).DPLeftDeep, search.WorkMetric{}, search.ByWork},
-	NaiveRTDP:            {"naive-rt", "DP for left-deep (naive RT)", (*search.Searcher).DPLeftDeep, search.RTMetric{}, search.ByRT},
-	BruteForceLeftDeep:   {"brute", "brute force for left-deep", (*search.Searcher).BruteForceLeftDeep, nil, search.ByRT},
-	BruteForceBushy:      {"brute-bushy", "brute force for bushy", (*search.Searcher).BruteForceBushy, nil, search.ByRT},
-	TwoPhase:             {"two-phase", "two-phase (work tree, then parallelize)", (*search.Searcher).TwoPhase, nil, search.ByRT},
-	IterativeImprovement: {"ii", "iterative improvement (bushy)", randomized(false), nil, search.ByRT},
-	SimulatedAnnealing:   {"anneal", "simulated annealing (bushy)", randomized(true), nil, search.ByRT},
-}
-
-func randomized(anneal bool) func(*search.Searcher) (*search.Result, error) {
-	return func(s *search.Searcher) (*search.Result, error) {
-		opts := search.DefaultRandomizedOptions()
-		opts.Anneal = anneal
-		return s.Randomized(opts)
-	}
-}
-
-func (a Algorithm) known() bool { return a >= 0 && int(a) < len(algorithms) }
-
-// String names the algorithm as in Table 1.
-func (a Algorithm) String() string {
-	if !a.known() {
-		return fmt.Sprintf("algorithm(%d)", int(a))
-	}
-	return algorithms[a].name
-}
-
-// ParseAlgorithm maps a command-line algorithm name to its Algorithm.
-func ParseAlgorithm(name string) (Algorithm, error) {
-	for a, row := range algorithms {
-		if row.flag == name {
-			return Algorithm(a), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (want %s)", name, AlgorithmFlags())
-}
-
-// AlgorithmFlags lists every command-line algorithm name, for -alg help text.
-func AlgorithmFlags() string {
-	names := make([]string, len(algorithms))
-	for a, row := range algorithms {
-		names[a] = row.flag
-	}
-	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
-}
 
 // Config assembles an optimization session.
 type Config struct {
@@ -119,13 +33,6 @@ type Config struct {
 	Machine machine.Config
 	// Params is the work model; zero value means cost.DefaultParams().
 	Params *cost.Params
-	// Algorithm defaults to PartialOrderDP.
-	Algorithm Algorithm
-	// Bound optionally constrains extra work (§2). Nil means unbounded.
-	Bound search.Bound
-	// Metric overrides the pruning metric; nil picks the algorithm's
-	// canonical one.
-	Metric search.Metric
 	// AvoidCrossProducts enables the System R heuristic (default on via
 	// NewOptimizer).
 	AvoidCrossProducts *bool
@@ -156,8 +63,6 @@ type Optimizer struct {
 	Est  *plan.Estimator
 	Mod  *cost.Model
 	opts search.Options
-	alg  Algorithm
-	bnd  search.Bound
 }
 
 // Plan is an optimized plan with its costs and provenance.
@@ -168,8 +73,8 @@ type Plan struct {
 	Op *optree.Op
 	// Desc is the resource descriptor under the session model.
 	Desc cost.ResDescriptor
-	// Baseline is the work-optimal plan used for §2 bounds (nil when the
-	// algorithm is itself the work optimizer).
+	// Baseline is the work-optimal plan used for §2 bounds (nil for an
+	// unbounded plan).
 	Baseline *Plan
 	// Frontier is the cover set at the root (partial-order algorithms), or
 	// what a cached CoverSet kept of it; FrontierSize is the whole cover's
@@ -178,8 +83,8 @@ type Plan struct {
 	FrontierSize int
 	// Stats are the search counters.
 	Stats search.Stats
-	// Algorithm that produced the plan.
-	Algorithm Algorithm
+	// Algorithm names, as in Table 1, the search that produced the plan.
+	Algorithm string
 }
 
 // RT is the estimated response time.
@@ -187,11 +92,6 @@ func (p *Plan) RT() float64 { return p.Desc.RT() }
 
 // Work is the estimated total work.
 func (p *Plan) Work() float64 { return p.Desc.Work() }
-
-// Profile aggregates the search's per-layer telemetry records into the
-// white-box SearchProfile (layer wall times, frontier sizes, prunes by
-// reason) — attached to every optimize result via Stats.
-func (p *Plan) Profile() search.SearchProfile { return p.Stats.Profile() }
 
 // NewOptimizer validates the query and assembles the session.
 func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer, error) {
@@ -226,65 +126,25 @@ func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer,
 	if cfg.AvoidCrossProducts != nil {
 		avoid = *cfg.AvoidCrossProducts
 	}
-	metric, final := cfg.Metric, search.Comparator(search.ByRT)
-	if cfg.Algorithm.known() { // an unknown one is refused by Optimize
-		if metric == nil {
-			metric = algorithms[cfg.Algorithm].metric
-		}
-		final = algorithms[cfg.Algorithm].final
-	}
-	if metric == nil {
-		metric = search.OrderedMetric{Base: search.ResourceVectorMetric{L: m.NumResources()}}
-	}
 	return &Optimizer{
 		Cat: cat, Q: q, M: m, Est: est, Mod: mod,
 		opts: search.Options{
 			Model:              mod,
 			Expand:             expand,
 			Annotate:           annotate,
-			Metric:             metric,
-			Final:              final,
+			Metric:             search.OrderedMetric{Base: search.ResourceVectorMetric{L: m.NumResources()}},
+			Final:              search.ByRT,
 			AvoidCrossProducts: avoid,
 			MemoryLimit:        cfg.MemoryPages,
 			Methods:            cfg.Methods,
 			CoverCap:           cfg.CoverCap,
 		},
-		alg: cfg.Algorithm,
-		bnd: cfg.Bound,
 	}, nil
 }
 
-// Optimize runs the configured algorithm (with the §2 bound pipeline when a
-// bound is set) and returns the winning plan.
-func (o *Optimizer) Optimize() (*Plan, error) {
-	if o.bnd != nil && (o.alg == PartialOrderDP || o.alg == PartialOrderDPBushy) {
-		best, baseline, stats, err := search.OptimizeBounded(o.opts, o.bnd, o.alg == PartialOrderDPBushy)
-		if err != nil {
-			return nil, err
-		}
-		bp, err := o.finish(baseline, nil, stats)
-		if err != nil {
-			return nil, err
-		}
-		p, err := o.finish(best, nil, stats)
-		if err != nil {
-			return nil, err
-		}
-		p.Baseline = bp
-		return p, nil
-	}
-	if !o.alg.known() {
-		return nil, fmt.Errorf("core: unknown algorithm %v", o.alg)
-	}
-	res, err := algorithms[o.alg].run(search.New(o.opts))
-	if err != nil {
-		return nil, err
-	}
-	if res.Best == nil {
-		return nil, fmt.Errorf("core: no plan found (over-tight bound?)")
-	}
-	return o.finish(res.Best, res.Frontier, res.Stats)
-}
+// SearchOptions returns a copy of the options the session's cover set is
+// searched with: model, operator-tree tuning, limits, metric and ranking.
+func (o *Optimizer) SearchOptions() search.Options { return o.opts }
 
 // finish materializes a search candidate into a full Plan.
 func (o *Optimizer) finish(c *search.Candidate, frontier []*search.Candidate, stats search.Stats) (*Plan, error) {
@@ -302,13 +162,8 @@ func (o *Optimizer) finish(c *search.Candidate, frontier []*search.Candidate, st
 		Frontier:     frontier,
 		FrontierSize: len(frontier),
 		Stats:        stats,
-		Algorithm:    o.alg,
+		Algorithm:    "p.o. DP for left-deep", // the session's one search; repro.Optimize names its other rows
 	}, nil
-}
-
-// Simulate executes the plan's operator tree on the machine simulator.
-func (o *Optimizer) Simulate(p *Plan) (*sim.Result, error) {
-	return sim.Simulate(p.Op, o.Mod)
 }
 
 // Execute runs the plan's annotated operator tree for real on generated

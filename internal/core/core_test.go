@@ -1,21 +1,24 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
+	"paropt/internal/core"
 	"paropt/internal/cost"
 	"paropt/internal/engine"
 	"paropt/internal/machine"
+	"paropt/internal/repro"
 	"paropt/internal/search"
+	"paropt/internal/sim"
 	"paropt/internal/storage"
 	"paropt/internal/workload"
 )
 
-func portfolioOptimizer(t testing.TB, cfg Config) *Optimizer {
+func portfolioOptimizer(t testing.TB, cfg core.Config) *core.Optimizer {
 	t.Helper()
 	cat, q := workload.Portfolio(4)
-	o, err := NewOptimizer(cat, q, cfg)
+	o, err := core.NewOptimizer(cat, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +26,8 @@ func portfolioOptimizer(t testing.TB, cfg Config) *Optimizer {
 }
 
 func TestOptimizeDefault(t *testing.T) {
-	o := portfolioOptimizer(t, Config{})
-	p, err := o.Optimize()
+	o := portfolioOptimizer(t, core.Config{})
+	p, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +46,11 @@ func TestOptimizeDefault(t *testing.T) {
 }
 
 func TestRTOptimizerBeatsWorkOptimizerOnRT(t *testing.T) {
-	rt, err := portfolioOptimizer(t, Config{Algorithm: PartialOrderDP}).Optimize()
+	rt, err := repro.Optimize(portfolioOptimizer(t, core.Config{}), repro.Run{Algorithm: repro.PartialOrderDP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	work, err := portfolioOptimizer(t, Config{Algorithm: WorkDP}).Optimize()
+	work, err := repro.Optimize(portfolioOptimizer(t, core.Config{}), repro.Run{Algorithm: repro.WorkDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +63,8 @@ func TestRTOptimizerBeatsWorkOptimizerOnRT(t *testing.T) {
 }
 
 func TestBoundedOptimize(t *testing.T) {
-	o := portfolioOptimizer(t, Config{
-		Algorithm: PartialOrderDP,
-		Bound:     search.ThroughputDegradation{K: 2},
-	})
-	p, err := o.Optimize()
+	o := portfolioOptimizer(t, core.Config{})
+	p, err := repro.Optimize(o, repro.Run{Algorithm: repro.PartialOrderDP, Bound: search.ThroughputDegradation{K: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,34 +83,34 @@ func TestAllAlgorithmsProducePlans(t *testing.T) {
 	cat, q := workload.PortfolioSmall(2)
 	// Brute force needs a small n; the portfolio has 5 relations (120
 	// orders), fine for left-deep; bushy uses the same 5 (1680 shapes).
-	for _, alg := range []Algorithm{
-		PartialOrderDP, PartialOrderDPBushy, WorkDP, NaiveRTDP,
-		BruteForceLeftDeep, BruteForceBushy,
+	for _, alg := range []repro.Algorithm{
+		repro.PartialOrderDP, repro.PartialOrderDPBushy, repro.WorkDP, repro.NaiveRTDP,
+		repro.BruteForceLeftDeep, repro.BruteForceBushy,
 	} {
-		o, err := NewOptimizer(cat, q, Config{Algorithm: alg})
+		o, err := core.NewOptimizer(cat, q, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := o.Optimize()
+		p, err := repro.Optimize(o, repro.Run{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if p.RT() <= 0 {
 			t.Errorf("%v: rt = %g", alg, p.RT())
 		}
-		if p.Algorithm.String() == "" {
+		if p.Algorithm == "" {
 			t.Errorf("%v: empty name", alg)
 		}
 	}
 }
 
 func TestSimulatePlan(t *testing.T) {
-	o := portfolioOptimizer(t, Config{})
-	p, err := o.Optimize()
+	o := portfolioOptimizer(t, core.Config{})
+	p, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := o.Simulate(p)
+	res, err := sim.Simulate(p.Op, o.Mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestSimulatePlan(t *testing.T) {
 
 func TestExecutePlan(t *testing.T) {
 	cat, q := workload.PortfolioSmall(2)
-	o, err := NewOptimizer(cat, q, Config{})
+	o, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,8 @@ func TestExecutePlan(t *testing.T) {
 }
 
 func TestExplain(t *testing.T) {
-	o := portfolioOptimizer(t, Config{
-		Algorithm: PartialOrderDP,
-		Bound:     search.ThroughputDegradation{K: 3},
-	})
-	p, err := o.Optimize()
+	o := portfolioOptimizer(t, core.Config{})
+	p, err := repro.Optimize(o, repro.Run{Algorithm: repro.PartialOrderDP, Bound: search.ThroughputDegradation{K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,19 +174,19 @@ func TestExplain(t *testing.T) {
 
 func TestNewOptimizerErrors(t *testing.T) {
 	cat, q := workload.Portfolio(2)
-	if _, err := NewOptimizer(nil, q, Config{}); err == nil {
+	if _, err := core.NewOptimizer(nil, q, core.Config{}); err == nil {
 		t.Error("nil catalog should error")
 	}
-	if _, err := NewOptimizer(cat, nil, Config{}); err == nil {
+	if _, err := core.NewOptimizer(cat, nil, core.Config{}); err == nil {
 		t.Error("nil query should error")
 	}
 	bad := *q
 	bad.Relations = append([]string{"ghost"}, q.Relations...)
-	if _, err := NewOptimizer(cat, &bad, Config{}); err == nil {
+	if _, err := core.NewOptimizer(cat, &bad, core.Config{}); err == nil {
 		t.Error("invalid query should error")
 	}
-	o, _ := NewOptimizer(cat, q, Config{Algorithm: Algorithm(99)})
-	if _, err := o.Optimize(); err == nil {
+	o, _ := core.NewOptimizer(cat, q, core.Config{})
+	if _, err := repro.Optimize(o, repro.Run{Algorithm: repro.Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm should error")
 	}
 }
@@ -199,11 +196,10 @@ func TestConfigOverrides(t *testing.T) {
 	params := cost.DefaultParams()
 	params.PipelineK = 0
 	avoid := false
-	o, err := NewOptimizer(cat, q, Config{
+	o, err := core.NewOptimizer(cat, q, core.Config{
 		Machine:            machine.Config{CPUs: 2, Disks: 2},
 		Params:             &params,
 		AvoidCrossProducts: &avoid,
-		Metric:             search.WorkMetric{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +210,7 @@ func TestConfigOverrides(t *testing.T) {
 	if o.Mod.P.PipelineK != 0 {
 		t.Error("params override ignored")
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{Metric: search.WorkMetric{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +220,14 @@ func TestConfigOverrides(t *testing.T) {
 }
 
 func TestAlgorithmStrings(t *testing.T) {
-	if Algorithm(99).String() != "algorithm(99)" {
+	if repro.Algorithm(99).String() != "algorithm(99)" {
 		t.Error("unknown algorithm string wrong")
 	}
-	names := map[Algorithm]string{
-		PartialOrderDP:      "p.o. DP for left-deep",
-		PartialOrderDPBushy: "p.o. DP for bushy",
-		WorkDP:              "DP for left-deep (work)",
-		BruteForceBushy:     "brute force for bushy",
+	names := map[repro.Algorithm]string{
+		repro.PartialOrderDP:      "p.o. DP for left-deep",
+		repro.PartialOrderDPBushy: "p.o. DP for bushy",
+		repro.WorkDP:              "DP for left-deep (work)",
+		repro.BruteForceBushy:     "brute force for bushy",
 	}
 	for a, want := range names {
 		if a.String() != want {

@@ -32,15 +32,9 @@ type CoverSet struct {
 }
 
 // CoverSet runs the work-optimal baseline plus an unbounded partial-order
-// search and returns both for caching. Only the partial-order algorithms
-// produce a reusable frontier; other algorithms return an error.
+// search over left-deep trees and returns both for caching.
 func (o *Optimizer) CoverSet() (*CoverSet, error) {
-	switch o.alg {
-	case PartialOrderDP, PartialOrderDPBushy:
-	default:
-		return nil, fmt.Errorf("core: algorithm %v has no reusable cover set (use PartialOrderDP or PartialOrderDPBushy)", o.alg)
-	}
-	baseline, frontier, stats, err := search.FullCoverSet(o.opts, o.alg == PartialOrderDPBushy)
+	baseline, frontier, stats, err := search.FullCoverSet(o.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -97,17 +91,19 @@ func (o *Optimizer) Choose(cs *CoverSet, bound search.Bound) (*search.Candidate,
 }
 
 // Materialize expands a member of cs chosen by Choose into a full Plan
-// (operator tree, descriptor) with the materialized baseline attached.
+// (operator tree, descriptor) with the materialized baseline, if cs has one,
+// attached.
 func (o *Optimizer) Materialize(cs *CoverSet, c *search.Candidate) (*Plan, error) {
-	bp, err := o.finish(cs.Baseline, nil, cs.Stats)
-	if err != nil {
-		return nil, err
-	}
 	p, err := o.finish(c, cs.Frontier, cs.Stats)
 	if err != nil {
 		return nil, err
 	}
-	p.Baseline, p.FrontierSize = bp, cs.Size
+	if cs.Baseline != nil {
+		if p.Baseline, err = o.finish(cs.Baseline, nil, cs.Stats); err != nil {
+			return nil, err
+		}
+	}
+	p.FrontierSize = cs.Size
 	return p, nil
 }
 

@@ -53,7 +53,7 @@ func TestCoverSetKeepsWhatRequestsReach(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseline, frontier, stats, err := search.FullCoverSet(o.opts, false)
+			baseline, frontier, stats, err := search.FullCoverSet(o.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestReachableAllocatesOnlyItsSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, frontier, _, err := search.FullCoverSet(o.opts, false)
+	_, frontier, _, err := search.FullCoverSet(o.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

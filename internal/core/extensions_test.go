@@ -1,26 +1,28 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"paropt/internal/core"
+	"paropt/internal/repro"
 	"paropt/internal/workload"
 )
 
 func TestTwoPhaseAlgorithm(t *testing.T) {
 	cat, q := workload.Portfolio(4)
-	two, err := NewOptimizer(cat, q, Config{Algorithm: TwoPhase})
+	two, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pTwo, err := two.Optimize()
+	pTwo, err := repro.Optimize(two, repro.Run{Algorithm: repro.TwoPhase})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := NewOptimizer(cat, q, Config{Algorithm: PartialOrderDP})
+	one, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pOne, err := one.Optimize()
+	pOne, err := repro.Optimize(one, repro.Run{Algorithm: repro.PartialOrderDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +31,11 @@ func TestTwoPhaseAlgorithm(t *testing.T) {
 		t.Errorf("one-phase rt %.2f lost to two-phase rt %.2f", pOne.RT(), pTwo.RT())
 	}
 	// Two-phase's tree is the work-optimal one.
-	work, err := NewOptimizer(cat, q, Config{Algorithm: WorkDP})
+	work, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pWork, err := work.Optimize()
+	pWork, err := repro.Optimize(work, repro.Run{Algorithm: repro.WorkDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +46,12 @@ func TestTwoPhaseAlgorithm(t *testing.T) {
 
 func TestRandomizedAlgorithms(t *testing.T) {
 	cat, q := workload.Portfolio(4)
-	for _, alg := range []Algorithm{IterativeImprovement, SimulatedAnnealing} {
-		o, err := NewOptimizer(cat, q, Config{Algorithm: alg})
+	for _, alg := range []repro.Algorithm{repro.IterativeImprovement, repro.SimulatedAnnealing} {
+		o, err := core.NewOptimizer(cat, q, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := o.Optimize()
+		p, err := repro.Optimize(o, repro.Run{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -64,11 +66,11 @@ func TestRandomizedAlgorithms(t *testing.T) {
 
 func TestMemoryBoundChangesPlans(t *testing.T) {
 	cat, q := workload.Portfolio(4)
-	free, err := NewOptimizer(cat, q, Config{})
+	free, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pFree, err := free.Optimize()
+	pFree, err := repro.Optimize(free, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +81,11 @@ func TestMemoryBoundChangesPlans(t *testing.T) {
 	if limit < 1 {
 		t.Skip("unconstrained plan already runs in minimal memory")
 	}
-	tight, err := NewOptimizer(cat, q, Config{MemoryPages: limit})
+	tight, err := core.NewOptimizer(cat, q, core.Config{MemoryPages: limit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pTight, err := tight.Optimize()
+	pTight, err := repro.Optimize(tight, repro.Run{})
 	if err != nil {
 		// Acceptable: everything pruned is reported as an error.
 		t.Logf("no plan fits in %d pages: %v", limit, err)
@@ -100,18 +102,18 @@ func TestMemoryBoundChangesPlans(t *testing.T) {
 
 func TestExplainNewAlgorithms(t *testing.T) {
 	cat, q := workload.PortfolioSmall(2)
-	o, err := NewOptimizer(cat, q, Config{Algorithm: SimulatedAnnealing})
+	o, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{Algorithm: repro.SimulatedAnnealing})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Explain(p); len(got) == 0 {
 		t.Error("empty explain")
 	}
-	if p.Algorithm != SimulatedAnnealing {
+	if p.Algorithm != repro.SimulatedAnnealing.String() {
 		t.Error("plan provenance lost")
 	}
 }

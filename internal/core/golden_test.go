@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"paropt/internal/core"
 	"paropt/internal/query"
+	"paropt/internal/repro"
 	"paropt/internal/search"
 	"paropt/internal/workload"
 )
@@ -15,11 +17,11 @@ import (
 
 func TestGoldenPortfolioPlan(t *testing.T) {
 	cat, q := workload.Portfolio(4)
-	o, err := NewOptimizer(cat, q, Config{})
+	o, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +39,11 @@ func TestGoldenPortfolioPlan(t *testing.T) {
 
 func TestGoldenWorkOptimalPlan(t *testing.T) {
 	cat, q := workload.Portfolio(4)
-	o, err := NewOptimizer(cat, q, Config{Algorithm: WorkDP})
+	o, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{Algorithm: repro.WorkDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,16 +59,16 @@ func TestGoldenWorkOptimalPlan(t *testing.T) {
 // relation to a handful of rows must pull it to the outer position — the
 // textbook behavior that validates selectivity propagation through search.
 func TestSelectiveFilterFlipsJoinOrder(t *testing.T) {
-	build := func(withFilter bool) *Plan {
+	build := func(withFilter bool) *core.Plan {
 		cat, q := workload.Portfolio(4)
 		if !withFilter {
 			q.Selections = nil
 		}
-		o, err := NewOptimizer(cat, q, Config{Algorithm: WorkDP})
+		o, err := core.NewOptimizer(cat, q, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := o.Optimize()
+		p, err := repro.Optimize(o, repro.Run{Algorithm: repro.WorkDP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +97,11 @@ func TestGoldenStats(t *testing.T) {
 		Relations: 5, Shape: query.Clique,
 		MinCard: 1_000, MaxCard: 1_000_000, Disks: 4, Seed: 1,
 	})
-	o, err := NewOptimizer(cat, q, Config{Algorithm: WorkDP, Metric: search.WorkMetric{}})
+	o, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{Algorithm: repro.WorkDP, Metric: search.WorkMetric{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestGoldenStats(t *testing.T) {
 func TestMisestimationRegret(t *testing.T) {
 	cat, q := workload.Portfolio(4)
 	for _, factor := range []float64{0.1, 0.5, 1, 2, 10} {
-		chosen, optimum, err := MisestimationRegret(cat, q, Config{}, factor)
+		chosen, optimum, err := repro.MisestimationRegret(cat, q, core.Config{}, factor)
 		if err != nil {
 			t.Fatalf("factor %g: %v", factor, err)
 		}
@@ -130,7 +132,7 @@ func TestMisestimationRegret(t *testing.T) {
 
 func TestDistortNDVs(t *testing.T) {
 	cat, _ := workload.Portfolio(2)
-	d := DistortNDVs(cat, 0.01)
+	d := repro.DistortNDVs(cat, 0.01)
 	rel := d.MustRelation("trades")
 	if got := rel.MustColumn("stock_id").NDV; got != 200 {
 		t.Errorf("distorted NDV = %d, want 200 (20000 × 0.01)", got)
@@ -142,11 +144,11 @@ func TestDistortNDVs(t *testing.T) {
 		t.Error("indexes lost in distortion")
 	}
 	// Clamp to [1, Card].
-	tiny := DistortNDVs(cat, 1e-9)
+	tiny := repro.DistortNDVs(cat, 1e-9)
 	if tiny.MustRelation("sectors").MustColumn("sector_id").NDV != 1 {
 		t.Error("NDV floor not applied")
 	}
-	huge := DistortNDVs(cat, 1e9)
+	huge := repro.DistortNDVs(cat, 1e9)
 	if got := huge.MustRelation("sectors").MustColumn("sector_id").NDV; got != 100 {
 		t.Errorf("NDV cap = %d, want card 100", got)
 	}

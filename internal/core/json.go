@@ -68,7 +68,7 @@ type BaselineRef struct {
 // ExplainJSON renders the plan as indented JSON.
 func (o *Optimizer) ExplainJSON(p *Plan) ([]byte, error) {
 	out := PlanJSON{
-		Algorithm: p.Algorithm.String(),
+		Algorithm: p.Algorithm,
 		RT:        p.RT(),
 		Work:      p.Work(),
 		Tree:      nodeJSON(p.Tree),

@@ -1,20 +1,22 @@
-package core
+package core_test
 
 import (
 	"encoding/json"
 	"testing"
 
+	"paropt/internal/core"
+	"paropt/internal/repro"
 	"paropt/internal/search"
 	"paropt/internal/workload"
 )
 
 func TestExplainJSON(t *testing.T) {
 	cat, q := workload.Portfolio(4)
-	o, err := NewOptimizer(cat, q, Config{Bound: search.ThroughputDegradation{K: 2}})
+	o, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{Bound: search.ThroughputDegradation{K: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func TestExplainJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded PlanJSON
+	var decoded core.PlanJSON
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
@@ -37,8 +39,8 @@ func TestExplainJSON(t *testing.T) {
 	}
 	// Leaf count of the JSON tree equals the query's relation count.
 	leaves := 0
-	var walk func(n *NodeJSON)
-	walk = func(n *NodeJSON) {
+	var walk func(n *core.NodeJSON)
+	walk = func(n *core.NodeJSON) {
 		if n == nil {
 			return
 		}
@@ -70,11 +72,11 @@ func TestExplainJSON(t *testing.T) {
 
 func TestExplainJSONUnbounded(t *testing.T) {
 	cat, q := workload.PortfolioSmall(2)
-	o, err := NewOptimizer(cat, q, Config{})
+	o, err := core.NewOptimizer(cat, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestExplainJSONUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded PlanJSON
+	var decoded core.PlanJSON
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,8 @@ type Provenance struct {
 	// breakdown.
 	Plan string        `json:"plan"`
 	Cost CostBreakdown `json:"cost"`
-	// Baseline is the §2 work-optimal baseline (nil when the algorithm was
-	// itself the work optimizer or no baseline was computed).
+	// Baseline is the §2 work-optimal baseline (nil for an unbounded offline
+	// run, which computes none).
 	Baseline *BaselineRef `json:"baseline,omitempty"`
 	// Placements lists the data placements that shaped interconnect charges.
 	Placements []PlacementNote `json:"placements,omitempty"`
@@ -114,12 +114,12 @@ const ProvenanceTopK = 5
 // candidate's breakdown plus the ProvenanceTopK best rejected frontier
 // alternatives under the session's final comparator, each labeled with the §2
 // bound verdict or its response-time loss. The plan's own Frontier and
-// Baseline (attached by SelectBounded / Optimize) supply the alternatives; a
-// plan without a frontier yields no rejected entries but still gets its
-// breakdown.
+// Baseline (attached by SelectBounded or repro.Optimize) supply the
+// alternatives; a plan without a frontier yields no rejected entries but
+// still gets its breakdown.
 func (o *Optimizer) PlanProvenance(p *Plan, bound search.Bound) *Provenance {
 	pv := &Provenance{
-		Algorithm:    p.Algorithm.String(),
+		Algorithm:    p.Algorithm,
 		Plan:         p.Tree.String(),
 		Cost:         o.breakdown(p.Desc),
 		FrontierSize: p.FrontierSize,

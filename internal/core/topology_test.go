@@ -1,14 +1,16 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"paropt/internal/catalog"
+	"paropt/internal/core"
 	"paropt/internal/cost"
 	"paropt/internal/machine"
 	"paropt/internal/optree"
 	"paropt/internal/plan"
 	"paropt/internal/query"
+	"paropt/internal/repro"
 	"paropt/internal/workload"
 )
 
@@ -78,7 +80,7 @@ func TestTopologyPlanChangeIsCostMotivated(t *testing.T) {
 	}
 
 	// Price the shared-memory tree on the shared-nothing machine.
-	o4, err := NewOptimizer(cat, q, Config{Machine: fourNode})
+	o4, err := core.NewOptimizer(cat, q, core.Config{Machine: fourNode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ var portfolioPlacement = map[string]cost.PlacedRelation{
 func TestPlacementDiscountsCoLocatedJoin(t *testing.T) {
 	cat, q := placementSubquery(t)
 	price := func(placed map[string]cost.PlacedRelation) cost.ResDescriptor {
-		o, err := NewOptimizer(cat, q, Config{Machine: fourNode, Placed: placed})
+		o, err := core.NewOptimizer(cat, q, core.Config{Machine: fourNode, Placed: placed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,11 +181,11 @@ func TestPlacementDiscountsCoLocatedJoin(t *testing.T) {
 func TestPlacementWidensCoverSet(t *testing.T) {
 	cat, q := placementSubquery(t)
 	base := optimizeOn(t, cat, q, fourNode)
-	o, err := NewOptimizer(cat, q, Config{Machine: fourNode, Placed: portfolioPlacement})
+	o, err := core.NewOptimizer(cat, q, core.Config{Machine: fourNode, Placed: portfolioPlacement})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := o.Optimize()
+	pp, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestPlacementWidensCoverSet(t *testing.T) {
 	}
 }
 
-func mustLeaf(t *testing.T, o *Optimizer, rel string) *plan.Node {
+func mustLeaf(t *testing.T, o *core.Optimizer, rel string) *plan.Node {
 	t.Helper()
 	n, err := o.Est.Leaf(rel, plan.SeqScan, nil)
 	if err != nil {
@@ -208,13 +210,13 @@ func mustLeaf(t *testing.T, o *Optimizer, rel string) *plan.Node {
 	return n
 }
 
-func optimizeOn(t *testing.T, cat *catalog.Catalog, q *query.Query, cfg machine.Config) *Plan {
+func optimizeOn(t *testing.T, cat *catalog.Catalog, q *query.Query, cfg machine.Config) *core.Plan {
 	t.Helper()
-	o, err := NewOptimizer(cat, q, Config{Machine: cfg})
+	o, err := core.NewOptimizer(cat, q, core.Config{Machine: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := o.Optimize()
+	p, err := repro.Optimize(o, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

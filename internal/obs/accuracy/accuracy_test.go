@@ -8,6 +8,7 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/machine"
 	"paropt/internal/parser"
+	"paropt/internal/repro"
 	"paropt/internal/storage"
 )
 
@@ -37,7 +38,7 @@ func analyzeFixture(t *testing.T) (*core.Optimizer, *core.Plan, *storage.Databas
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := repro.Optimize(opt, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestAnalyzeChargesInterconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := repro.Optimize(opt, repro.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,3 +178,28 @@ func (m *Map) Fingerprint() string {
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:8])
 }
+
+// Register names one worker process by its exchange listen address — the
+// body of POST /cluster/register and /cluster/deregister, a daemon↔worker
+// document kept here so the worker links no serving code. HTTP, when
+// present, is the worker's own HTTP base URL (its /metrics and /healthz),
+// which GET /cluster/metrics federates.
+type Register struct {
+	Addr string `json:"addr"`
+	HTTP string `json:"http,omitempty"`
+}
+
+// Document describes an installed placement map — the body of both
+// /cluster/placement routes. Workers bootstrap from the GET form: Snapshot
+// carries the full catalog (statistics included), Map the assignments and
+// generation seed, Epoch the membership epoch sampled with it.
+type Document struct {
+	Map         *Map                `json:"map"`
+	Fingerprint string              `json:"fingerprint"`
+	Epoch       int64               `json:"epoch"`
+	Snapshot    catalog.SnapshotDoc `json:"snapshot"`
+}
+
+// MaxBodyBytes bounds every HTTP body the daemon reads (schemas can be large;
+// queries are small) and every daemon response a worker reads.
+const MaxBodyBytes = 4 << 20

@@ -1,6 +1,9 @@
 package search
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // The §2 optimization metric: minimize response time subject to a bound on
 // extra work. Two bounding policies are provided. Both need the work-optimal
@@ -100,17 +103,10 @@ func FilterFrontier(frontier []*Candidate, bound Bound, wo, to float64, final Co
 // search, returning the baseline and the root cover set. With
 // opt.WorkLimit unset no bound is folded into the search, so the frontier is
 // the full Pareto set and can be re-filtered under any later bound via
-// FilterFrontier — the amortization a plan cache relies on. bushy selects
-// the bushy-tree space.
-func FullCoverSet(opt Options, bushy bool) (baseline *Candidate, frontier []*Candidate, stats Stats, err error) {
-	return coverSet(opt, nil, bushy)
-}
-
-// coverSet is FullCoverSet with the bound's pruning limit, which needs the
-// baseline (Wo, To), folded into the partial-order search. Without a bound
-// the two searches are independent, so the baseline runs on a helper beside
-// the partial-order one when an idle core allows (takeSlots).
-func coverSet(opt Options, bound Bound, bushy bool) (baseline *Candidate, frontier []*Candidate, stats Stats, err error) {
+// FilterFrontier — the amortization a plan cache relies on. The two searches
+// are independent, so the baseline runs on a helper beside the left-deep
+// partial-order one when an idle core allows (takeSlots).
+func FullCoverSet(opt Options) (baseline *Candidate, frontier []*Candidate, stats Stats, err error) {
 	searching.Add(1) // this goroutine, for both searches
 	defer searching.Add(-1)
 	s := New(opt)
@@ -120,27 +116,17 @@ func coverSet(opt Options, bound Bound, bushy bool) (baseline *Candidate, fronti
 		baseErr error
 		done    chan struct{}
 	)
-	if bound == nil && takeSlots(1) == 1 {
+	if takeSlots(1) == 1 {
 		done = make(chan struct{})
 		go func() {
 			defer close(done)
 			defer releaseSlots(1)
 			baseline, rec, baseErr = workOptimal(opt, true)
 		}()
-	} else {
-		if baseline, rec, err = workOptimal(opt, true); err != nil {
-			return nil, nil, Stats{}, err
-		}
-		if bound != nil {
-			s.opt.WorkLimit = bound.PruningLimit(baseline.Work(), baseline.RT())
-		}
+	} else if baseline, rec, err = workOptimal(opt, true); err != nil {
+		return nil, nil, Stats{}, err
 	}
-	var res *Result
-	if bushy {
-		res, err = s.PODPBushy()
-	} else {
-		res, err = s.PODPLeftDeep()
-	}
+	res, err := s.PODPLeftDeep()
 	if done != nil {
 		<-done
 		if baseErr != nil {
@@ -154,25 +140,76 @@ func coverSet(opt Options, bound Bound, bushy bool) (baseline *Candidate, fronti
 	return baseline, res.Frontier, res.Stats, nil
 }
 
-// OptimizeBounded runs the full §2 pipeline on this searcher's model:
+// OptimizeBounded runs the full §2 pipeline with run as the response-time
+// search:
 //  1. a work optimizer (Figure 1) establishes the baseline (Wo, To);
-//  2. a partial-order response-time search runs with the bound's pruning
-//     limit folded in ("work bounds ... in fact cut down the search space",
-//     §6.4);
-//  3. the frontier is filtered by the bound and the best admissible plan
+//  2. run searches with the bound's pruning limit folded in ("work bounds
+//     ... in fact cut down the search space", §6.4);
+//  3. its frontier is filtered by the bound and the best admissible plan
 //     under Final is returned, together with the baseline.
 //
-// bushy selects the bushy-tree search space. A nil bound means unbounded.
-func OptimizeBounded(opt Options, bound Bound, bushy bool) (best, baseline *Candidate, stats Stats, err error) {
-	baseline, frontier, stats, err := coverSet(opt, bound, bushy)
+// A nil bound means unbounded.
+func OptimizeBounded(opt Options, bound Bound, run func(Options) (*Result, error)) (best, baseline *Candidate, stats Stats, err error) {
+	baseline, rec, err := workOptimal(opt, false)
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
-	best = FilterFrontier(frontier, bound, baseline.Work(), baseline.RT(), opt.Final)
+	if bound != nil {
+		opt.WorkLimit = bound.PruningLimit(baseline.Work(), baseline.RT())
+	}
+	res, err := run(opt)
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	res.Stats.Baseline = rec
+	best = FilterFrontier(res.Frontier, bound, baseline.Work(), baseline.RT(), opt.Final)
 	if best == nil {
 		// Everything admissible was pruned; the baseline itself is always
 		// admissible under both policies (Wp = Wo).
 		best = baseline
 	}
-	return best, baseline, stats, nil
+	return best, baseline, res.Stats, nil
+}
+
+// WorkOptimalBaseline is the work-optimal plan the §2 bounds are relative
+// to: Figure 1 on work over the session's model, ignoring its limits.
+func (s *Searcher) WorkOptimalBaseline() (*Candidate, error) {
+	best, _, err := workOptimal(s.opt, false)
+	return best, err
+}
+
+// workOptimal is WorkOptimalBaseline over opt plus the pseudo-layer record of
+// its search. counted says the calling goroutine, a helper, holds a search
+// slot already.
+func workOptimal(opt Options, counted bool) (*Candidate, *LayerRecord, error) {
+	base := New(Options{
+		Model:              opt.Model,
+		Expand:             opt.Expand,
+		Annotate:           opt.Annotate,
+		Metric:             WorkMetric{},
+		Final:              ByWork,
+		AvoidCrossProducts: opt.AvoidCrossProducts,
+		Methods:            opt.Methods,
+	})
+	base.counted = counted
+	start := time.Now()
+	res, err := base.DPLeftDeep()
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.Best == nil {
+		return nil, nil, fmt.Errorf("search: no work-optimal baseline plan")
+	}
+	st := res.Stats
+	rec := &LayerRecord{
+		Card: len(base.q.Relations), Subsets: 1, Kept: 1, MaxCover: 1,
+		Considered: st.PlansConsidered, Physical: st.PhysicalPlans,
+		PrunedDominance: st.PrunedDominance, PrunedWork: st.PrunedWork,
+		PrunedMemory: st.PrunedMemory, PrunedBeam: st.PrunedBeam,
+		Start: start, WallNanos: time.Since(start).Nanoseconds(),
+	}
+	for _, l := range st.Layers {
+		rec.Workers = max(rec.Workers, l.Workers)
+	}
+	return res.Best, rec, nil
 }

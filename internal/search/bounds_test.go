@@ -85,6 +85,9 @@ func freeOpts(t *testing.T, cfg query.GenConfig) Options {
 	return newSearcher(t, cfg, nil).opt
 }
 
+// podp is the left-deep partial-order search OptimizeBounded runs.
+func podp(o Options) (*Result, error) { return New(o).PODPLeftDeep() }
+
 func TestOptimizeBoundedPipeline(t *testing.T) {
 	cfg := query.DefaultGenConfig()
 	cfg.Relations = 5
@@ -92,7 +95,7 @@ func TestOptimizeBoundedPipeline(t *testing.T) {
 
 	opt := freeOpts(t, cfg)
 	// Unbounded: best RT overall.
-	bestFree, baseline, _, err := OptimizeBounded(opt, nil, false)
+	bestFree, baseline, _, err := OptimizeBounded(opt, nil, podp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestOptimizeBoundedPipeline(t *testing.T) {
 
 	// k = 1: no extra work allowed; the result's work must equal Wo (within
 	// the frontier's granularity it can only be ≤).
-	bestK1, base1, _, err := OptimizeBounded(opt, ThroughputDegradation{K: 1}, false)
+	bestK1, base1, _, err := OptimizeBounded(opt, ThroughputDegradation{K: 1}, podp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +117,11 @@ func TestOptimizeBoundedPipeline(t *testing.T) {
 	}
 
 	// Larger k must not produce a slower plan than smaller k.
-	best2, _, _, err := OptimizeBounded(opt, ThroughputDegradation{K: 2}, false)
+	best2, _, _, err := OptimizeBounded(opt, ThroughputDegradation{K: 2}, podp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best4, _, _, err := OptimizeBounded(opt, ThroughputDegradation{K: 4}, false)
+	best4, _, _, err := OptimizeBounded(opt, ThroughputDegradation{K: 4}, podp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestOptimizeBoundedCostBenefit(t *testing.T) {
 	cfg.Relations = 4
 	cfg.Shape = query.Chain
 	opt := freeOpts(t, cfg)
-	best, baseline, _, err := OptimizeBounded(opt, CostBenefit{K: 1}, false)
+	best, baseline, _, err := OptimizeBounded(opt, CostBenefit{K: 1}, podp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestOptimizeBoundedBushy(t *testing.T) {
 	cfg.Relations = 4
 	cfg.Shape = query.Star
 	opt := freeOpts(t, cfg)
-	best, _, stats, err := OptimizeBounded(opt, ThroughputDegradation{K: 3}, true)
+	best, _, stats, err := OptimizeBounded(opt, ThroughputDegradation{K: 3}, func(o Options) (*Result, error) { return New(o).PODPBushy() })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package search implements the paper's §6: the System R dynamic program of
 // Figure 1, its partial-order generalization of Figure 2, the bushy-tree
-// extensions sketched in §6.4 (and the companion TR [GHK92]), brute-force
-// enumerators for both shapes, the pruning metrics of §6.3 (work, response
-// time, resource vectors, interesting orders), cover sets with the Theorem 3
-// size experiment, and the work bounds of §2 folded into the search.
+// extensions sketched in §6.4 (and the companion TR [GHK92]), the pruning
+// metrics of §6.3 (work, response time, resource vectors, interesting
+// orders), cover sets, the work bounds of §2 folded into the search and the
+// analytic columns of Table 1. The rows Table 1 compares the DP against —
+// brute force, two-phase, the randomized searches — are internal/repro.
 package search
 
 import (
@@ -76,10 +77,6 @@ type Options struct {
 	// constraint rather than a resource-vector coordinate; pruning is safe
 	// because a plan's peak never shrinks under extension.
 	MemoryLimit int64
-	// ExhaustivePhysical makes the brute-force enumerators enumerate every
-	// method/access combination rather than choosing greedily per step;
-	// exact but exponentially more expensive, meant for small n.
-	ExhaustivePhysical bool
 	// CoverCap, when > 0, bounds every cover set to that many plans (beam
 	// search): the worst member under Final is evicted when the cover
 	// overflows. Exactness is traded for bounded cost — the practical
@@ -307,19 +304,8 @@ func (w *worker) pair(l, r query.RelSet) pairJoins {
 	return pj
 }
 
-// nothing is what a leaf, or a whole tree, is composed over.
+// nothing is what a leaf is composed over.
 var nothing Candidate
-
-// cost prices a whole plan tree — a composition over nothing — into a
-// candidate that keeps no operator tree, or nil when a limit prunes it: the
-// pricing of the oracles (brute force, randomized, two-phase).
-func (w *worker) cost(n *plan.Node) (*Candidate, error) {
-	c, err := w.extend(&nothing, n)
-	if c == nil {
-		return nil, err
-	}
-	return &Candidate{Node: n, Desc: c.Desc.Clone()}, nil
-}
 
 // extend is the dynamic program's pricing: plan n, whose left operand is
 // left's plan, is priced by composition — left's root operator, descriptor
@@ -362,7 +348,8 @@ func (w *worker) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
 func (w *worker) promote(c *Candidate) *Candidate {
 	kept := &Candidate{Node: c.Node, Desc: c.Desc.Clone()}
 	if !c.Node.IsLeaf() {
-		kept.Node = heapNode(c.Node)
+		node := *c.Node // what it points to is shared
+		kept.Node = &node
 	}
 	if !w.s.root {
 		op := new(optree.Op)
@@ -373,44 +360,12 @@ func (w *worker) promote(c *Candidate) *Candidate {
 	return kept
 }
 
-// heapNode copies a plan node to the heap; what it points to is shared.
-func heapNode(n *plan.Node) *plan.Node {
-	cp := new(plan.Node)
-	*cp = *n
-	return cp
-}
-
-// costAll prices plan trees in order, dropping the ones cost prunes.
-func (w *worker) costAll(nodes []*plan.Node) ([]*Candidate, error) {
-	out := make([]*Candidate, 0, len(nodes))
-	for _, n := range nodes {
-		c, err := w.cost(n)
-		if err != nil {
-			return nil, err
-		}
-		if c != nil {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
-// accessCandidates prices every access path for the relation at the given
-// query position: the sequential scan plus one candidate per index.
-func (s *Searcher) accessCandidates(pos int) ([]*Candidate, error) {
-	leaves, err := s.leafChoices(pos)
-	if err != nil {
-		return nil, err
-	}
-	return s.costAll(leaves)
-}
-
 // joinNodes enumerates every join method over a fixed (left, right) pair of
 // subtrees. Sort-merge and hash join require an equijoin predicate; nested
 // loops also covers cross products. With right ranging over a relation's
 // leafChoices this is the paper's joinPlan(p', R) before its internal "best
 // possible way" choice. The nodes are the worker's scratch, rebuilt by the
-// next call: a caller that keeps one copies it (promote, joinCandidates).
+// next call: a caller that keeps one copies it (promote).
 func (w *worker) joinNodes(left, right *plan.Node) ([]*plan.Node, error) {
 	pj := w.pair(left.Rels, right.Rels)
 	w.joined = w.joined[:0]
@@ -425,20 +380,6 @@ func (w *worker) joinNodes(left, right *plan.Node) ([]*plan.Node, error) {
 		w.joined = append(w.joined, j)
 	}
 	return w.joined, nil
-}
-
-// joinCandidates prices joinNodes tree by tree, returning the survivors, each
-// on its own heap copy of its plan node.
-func (w *worker) joinCandidates(left, right *plan.Node) ([]*Candidate, error) {
-	nodes, err := w.joinNodes(left, right)
-	if err != nil {
-		return nil, err
-	}
-	cands, err := w.costAll(nodes)
-	for _, c := range cands {
-		c.Node = heapNode(c.Node)
-	}
-	return cands, err
 }
 
 // leafChoices returns the raw leaf nodes for a relation (uncosted).

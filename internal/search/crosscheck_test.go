@@ -61,49 +61,6 @@ func TestBushyWorkNoWorseThanLeftDeep(t *testing.T) {
 	}
 }
 
-// TestBruteForceMatchesDPOnWork: brute force with greedy physical choices
-// by work must find the DP's work optimum on a clique (same joinPlan logic,
-// exhaustive orders).
-func TestBruteForceMatchesDPOnWork(t *testing.T) {
-	cfg := cliqueCfg(5)
-	mkOpts := func(o *Options) {
-		o.Metric = WorkMetric{}
-		o.Final = ByWork
-	}
-	dp, err := newSearcher(t, cfg, mkOpts).DPLeftDeep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	brute, err := newSearcher(t, cfg, mkOpts).BruteForceLeftDeep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.Best.Work() != brute.Best.Work() {
-		t.Errorf("DP work %g != brute-force work %g", dp.Best.Work(), brute.Best.Work())
-	}
-}
-
-// TestTwoPhaseNeverBeatsExhaustive: two-phase restricts the space, so it
-// cannot find a lower RT than partial-order DP over the same trees.
-func TestTwoPhaseNeverBeatsExhaustive(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4} {
-		cfg := query.DefaultGenConfig()
-		cfg.Relations = 4
-		cfg.Seed = seed
-		two, err := newSearcher(t, cfg, nil).TwoPhase()
-		if err != nil {
-			t.Fatal(err)
-		}
-		podp, err := newSearcher(t, cfg, nil).PODPLeftDeep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if podp.Best.RT() > two.Best.RT()+1e-9 {
-			t.Errorf("seed %d: PODP rt %g lost to two-phase rt %g", seed, podp.Best.RT(), two.Best.RT())
-		}
-	}
-}
-
 // TestCoverCapBoundsSearch: a beam cap keeps covers at the cap, finds a
 // plan, and cannot beat the exact search.
 func TestCoverCapBoundsSearch(t *testing.T) {

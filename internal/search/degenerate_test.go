@@ -48,7 +48,8 @@ func degenerateSearcher(t *testing.T, rels int, joins bool) *Searcher {
 	})
 }
 
-// TestSingleRelationQuery: every algorithm reduces to access-path selection.
+// TestSingleRelationQuery: every DP reduces to access-path selection (the
+// oracles' half is internal/repro's).
 func TestSingleRelationQuery(t *testing.T) {
 	algs := []struct {
 		name string
@@ -58,9 +59,6 @@ func TestSingleRelationQuery(t *testing.T) {
 		{"podp", (*Searcher).PODPLeftDeep},
 		{"dp-bushy", (*Searcher).DPBushy},
 		{"podp-bushy", (*Searcher).PODPBushy},
-		{"brute", (*Searcher).BruteForceLeftDeep},
-		{"brute-bushy", (*Searcher).BruteForceBushy},
-		{"two-phase", (*Searcher).TwoPhase},
 	}
 	for _, a := range algs {
 		res, err := a.run(degenerateSearcher(t, 1, false))
@@ -117,13 +115,9 @@ func TestEmptyQueryErrors(t *testing.T) {
 	for _, run := range []func(*Searcher) (*Result, error){
 		(*Searcher).DPLeftDeep, (*Searcher).PODPLeftDeep,
 		(*Searcher).DPBushy, (*Searcher).PODPBushy,
-		(*Searcher).BruteForceLeftDeep, (*Searcher).BruteForceBushy,
 	} {
 		if _, err := run(s); err == nil {
 			t.Error("empty query should error")
 		}
-	}
-	if _, err := s.Randomized(DefaultRandomizedOptions()); err == nil {
-		t.Error("randomized: empty query should error")
 	}
 }

@@ -75,24 +75,6 @@ func TestDPReturnsCostingErrors(t *testing.T) {
 	}
 }
 
-// TestBruteForceReturnsCostingErrors: the oracles the DP is cross-checked
-// against must fail the same way — BruteForceBushy used to return from its
-// split closure on a costing error, coming back with a smaller plan space (or
-// none) and err == nil.
-func TestBruteForceReturnsCostingErrors(t *testing.T) {
-	for name, run := range map[string]func(*Searcher) (*Result, error){
-		"BruteForceLeftDeep": (*Searcher).BruteForceLeftDeep,
-		"BruteForceBushy":    (*Searcher).BruteForceBushy,
-	} {
-		s := newSearcher(t, cliqueCfg(3), func(o *Options) {
-			o.Methods = []plan.JoinMethod{plan.JoinMethod(99)}
-		})
-		if res, err := run(s); err == nil {
-			t.Errorf("%s: unknown join method returned err == nil (Best %v)", name, res.Best)
-		}
-	}
-}
-
 // TestPODPFrontierGolden pins the root cover sets of the partial-order
 // searches — members, order and exact costs — to the values the four
 // hand-written loops produced before they became one driver. It is the

@@ -84,14 +84,14 @@ func TestHashDominatesSortMergeOnCost(t *testing.T) {
 	rLeaf, _ := s.est.Leaf("R", plan.SeqScan, nil)
 	hj, _ := s.est.Join(sLeaf, rLeaf, plan.HashJoin)
 	sm, _ := s.est.Join(sLeaf, rLeaf, plan.SortMerge)
-	chj, err := s.cost(hj)
-	if err != nil {
-		t.Fatal(err)
+	price := func(n *plan.Node) *Candidate {
+		d, _, err := s.opt.Model.PlanCost(n, s.opt.Expand, s.opt.Annotate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Candidate{Node: n, Desc: d}
 	}
-	csm, err := s.cost(sm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chj, csm := price(hj), price(sm)
 	if !plainVector().Dominates(chj, csm) {
 		t.Fatalf("fixture broken: HJ %v should dominate SM %v", chj.Desc.Last, csm.Desc.Last)
 	}

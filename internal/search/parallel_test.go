@@ -172,7 +172,7 @@ func TestSearchRunsAloneWhenEveryCoreSearches(t *testing.T) {
 	if held != 4 {
 		t.Fatalf("took %d of 4 idle slots", held)
 	}
-	_, _, st, err := FullCoverSet(newSearcher(t, cliqueCfg(5), nil).opt, false)
+	_, _, st, err := FullCoverSet(newSearcher(t, cliqueCfg(5), nil).opt)
 	if err != nil {
 		t.Fatal(err)
 	}

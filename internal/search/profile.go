@@ -29,9 +29,9 @@ import (
 // never per subset, so the untraced hot path stays allocation-free.
 
 // LayerRecord is the telemetry of one DP layer (all subsets of one
-// cardinality). Non-layered strategies (brute force, randomized, two-phase)
-// record their whole run as a single pseudo-layer so totals stay comparable
-// across algorithms.
+// cardinality). A search that is not layered — the §2 baseline beside a
+// cover-set search, the oracles of internal/repro — records its whole run as
+// a single pseudo-layer so totals stay comparable across algorithms.
 type LayerRecord struct {
 	// Card is the subset cardinality this layer solved (the relation count
 	// for pseudo-layers).
@@ -57,6 +57,7 @@ type LayerRecord struct {
 	// BytesRetained estimates the memory held by the layer's stored
 	// candidates: what promote allocated for them (candidateBytes — the
 	// Candidate, its descriptor slab, its plan node and its one operator).
+	// A pseudo-layer keeps no cover and records none.
 	BytesRetained int64 `json:"bytesRetained"`
 	// Workers is how many goroutines solved the layer: the search's own plus
 	// the helpers idle cores gave it (the root's pricing helper included).

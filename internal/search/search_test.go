@@ -41,12 +41,10 @@ func cliqueCfg(n int) query.GenConfig {
 }
 
 // exactOpts configures the searcher so the calculus is exactly monotone
-// (δ off, no cloning), making partial-order DP provably optimal and
-// comparable with exhaustive brute force.
+// (δ off, no cloning), making partial-order DP provably optimal.
 func exactOpts(o *Options) {
 	o.Model.P.PipelineK = 0
 	o.Annotate.MaxDegree = 1
-	o.ExhaustivePhysical = true
 }
 
 func TestDPLeftDeepTable1Counts(t *testing.T) {
@@ -72,24 +70,6 @@ func TestDPLeftDeepTable1Counts(t *testing.T) {
 	}
 }
 
-func TestBruteForceLeftDeepTable1Counts(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 5} {
-		s := newSearcher(t, cliqueCfg(n), nil)
-		res, err := s.BruteForceLeftDeep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(LeftDeepSpaceSize(n))
-		if res.Stats.PlansConsidered != want {
-			t.Errorf("n=%d: plans considered = %d, want n! = %d",
-				n, res.Stats.PlansConsidered, want)
-		}
-		if res.Stats.MaxLayerPlans != 1 {
-			t.Errorf("n=%d: brute force stores %d, want 1", n, res.Stats.MaxLayerPlans)
-		}
-	}
-}
-
 func TestDPBushyTable1Counts(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5} {
 		s := newSearcher(t, cliqueCfg(n), nil)
@@ -105,40 +85,22 @@ func TestDPBushyTable1Counts(t *testing.T) {
 	}
 }
 
-func TestBruteForceBushyTable1Counts(t *testing.T) {
-	for _, n := range []int{2, 3, 4} {
-		s := newSearcher(t, cliqueCfg(n), nil)
-		res, err := s.BruteForceBushy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(BushySpaceSize(n))
-		if res.Stats.PlansConsidered != want {
-			t.Errorf("n=%d: plans considered = %d, want (2(n−1))!/(n−1)! = %d",
-				n, res.Stats.PlansConsidered, want)
-		}
-	}
-}
-
-// TestTable1Golden pins (PlansConsidered, MaxLayerPlans) of all six Table 1
-// rows — what `paropt report T1` prints — to the values measured before the four DP
-// loops became one driver. The DP rows equal the closed forms; the
-// partial-order rows have none, so the literals are their only guard.
+// TestTable1Golden pins (PlansConsidered, MaxLayerPlans) of the four DP rows
+// of Table 1 — what `paropt report T1` prints — to the values measured before
+// the four DP loops were merged into dp. The DP rows equal the closed forms;
+// the partial-order rows have none, so the literals are their only guard.
+// The brute-force rows are internal/repro's TestTable1Golden.
 func TestTable1Golden(t *testing.T) {
 	type cell struct{ considered, stored int64 }
 	rows := []struct {
 		name string
 		run  func(*Searcher) (*Result, error)
-		want []cell // n = 2, 3, ... (the bushy brute-force and p.o. rows stop at 5)
+		want []cell // n = 2, 3, ... (the bushy p.o. row stops at 5)
 	}{
-		{"brute force for left-deep", (*Searcher).BruteForceLeftDeep,
-			[]cell{{2, 1}, {6, 1}, {24, 1}, {120, 1}, {720, 1}}},
 		{"DP for left-deep", (*Searcher).DPLeftDeep,
 			[]cell{{4, 2}, {12, 3}, {32, 6}, {80, 10}, {192, 20}}},
 		{"p.o. DP for left-deep", (*Searcher).PODPLeftDeep,
 			[]cell{{4, 2}, {19, 14}, {102, 48}, {486, 132}, {2053, 506}}},
-		{"brute force for bushy", (*Searcher).BruteForceBushy,
-			[]cell{{2, 1}, {12, 1}, {120, 1}, {1680, 1}}},
 		{"DP for bushy", (*Searcher).DPBushy,
 			[]cell{{4, 2}, {15, 3}, {54, 6}, {185, 10}, {608, 20}}},
 		{"p.o. DP for bushy", (*Searcher).PODPBushy,
@@ -186,62 +148,6 @@ func TestSpaceFormulas(t *testing.T) {
 	}
 	if DPLeftDeepSpaceFormula(4) != 6 {
 		t.Error("DPLeftDeepSpaceFormula wrong")
-	}
-}
-
-// TestPODPMatchesExhaustiveBruteForce: with an exactly monotone calculus the
-// partial-order DP over left-deep trees must find the same optimal response
-// time as exhaustive enumeration — the correctness core of Figure 2.
-func TestPODPMatchesExhaustiveBruteForce(t *testing.T) {
-	for _, shape := range []query.Shape{query.Chain, query.Star, query.Clique} {
-		for _, seed := range []int64{1, 2, 3} {
-			cfg := query.DefaultGenConfig()
-			cfg.Relations = 4
-			cfg.Shape = shape
-			cfg.Seed = seed
-			cfg.IndexProb = 0.7
-			sp := newSearcher(t, cfg, func(o *Options) { exactOpts(o) })
-			podp, err := sp.PODPLeftDeep()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb := newSearcher(t, cfg, func(o *Options) { exactOpts(o) })
-			brute, err := sb.BruteForceLeftDeep()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if podp.Best == nil || brute.Best == nil {
-				t.Fatalf("%v/%d: missing plan", shape, seed)
-			}
-			if diff := podp.Best.RT() - brute.Best.RT(); diff > 1e-6 || diff < -1e-6 {
-				t.Errorf("%v/%d: PODP RT %.4f != brute-force RT %.4f (plan %s vs %s)",
-					shape, seed, podp.Best.RT(), brute.Best.RT(), podp.Best.Node, brute.Best.Node)
-			}
-		}
-	}
-}
-
-// TestPODPBushyMatchesExhaustive: same agreement over the bushy space.
-func TestPODPBushyMatchesExhaustive(t *testing.T) {
-	cfg := query.DefaultGenConfig()
-	cfg.Relations = 4
-	cfg.Shape = query.Chain
-	cfg.Seed = 7
-	sp := newSearcher(t, cfg, func(o *Options) { exactOpts(o) })
-	podp, err := sp.PODPBushy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := newSearcher(t, cfg, func(o *Options) { exactOpts(o) })
-	brute, err := sb.BruteForceBushy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if podp.Best == nil || brute.Best == nil {
-		t.Fatal("missing plan")
-	}
-	if diff := podp.Best.RT() - brute.Best.RT(); diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("PODP bushy RT %.4f != brute RT %.4f", podp.Best.RT(), brute.Best.RT())
 	}
 }
 
@@ -380,13 +286,17 @@ func TestExample3OptimalityViolation(t *testing.T) {
 // hinges on: RT(I_CT scan) < RT(I_CR scan).
 func TestExample3AccessPlanRTs(t *testing.T) {
 	s := example3Searcher(t, nil)
-	cands, err := s.accessCandidates(0) // CTR
+	leaves, err := s.leafChoices(0) // CTR
 	if err != nil {
 		t.Fatal(err)
 	}
 	rts := map[string]float64{}
-	for _, c := range cands {
-		rts[c.Node.String()] = c.RT()
+	for _, n := range leaves {
+		d, _, err := s.opt.Model.PlanCost(n, s.opt.Expand, s.opt.Annotate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts[n.String()] = d.RT()
 	}
 	if rts["indexScan(I_CT)"] != 200 || rts["indexScan(I_CR)"] != 250 {
 		t.Errorf("access RTs = %v, want I_CT:200 I_CR:250", rts)

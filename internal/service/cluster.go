@@ -17,6 +17,7 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/obs"
 	"paropt/internal/placement"
+	"paropt/internal/storage"
 )
 
 // Worker membership for distributed execution: paroptw processes announce
@@ -123,7 +124,7 @@ func (s *Service) installPlacement(version string, columns map[string]string) (i
 		return installedPlacement{}, badRequestError{fmt.Errorf("service: unknown catalog version %q", version)}
 	}
 	// Every worker generates its shards from this catalog's cardinalities.
-	if err := CheckDataRows(cat); err != nil {
+	if err := storage.CheckDataRows(cat); err != nil {
 		return installedPlacement{}, badRequestError{fmt.Errorf("service: placement refused: %w", err)}
 	}
 	workers, epoch := s.Members()
@@ -317,7 +318,7 @@ func (s *Service) scrapeWorkers(ctx context.Context) ClusterMetrics {
 				return
 			}
 			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
+			body, err := io.ReadAll(io.LimitReader(resp.Body, placement.MaxBodyBytes))
 			if err != nil {
 				ws.Error = err.Error()
 				return

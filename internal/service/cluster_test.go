@@ -288,7 +288,7 @@ func TestPlacementInstallAndShippedAnalyze(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("install: status %d: %s", resp.StatusCode, body)
 	}
-	var installed PlacementResponse
+	var installed placement.Document
 	if err := json.Unmarshal(body, &installed); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestPlacementInstallAndShippedAnalyze(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET after install: status %d", resp.StatusCode)
 	}
-	var fetched PlacementResponse
+	var fetched placement.Document
 	if err := json.Unmarshal(body, &fetched); err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestTraceTellsTheWholeStory(t *testing.T) {
 
 // FuzzClusterBody: any POST body to /cluster/register, /cluster/deregister
 // or /cluster/placement ends in a 200, 400 or 404, never a 500 or a panic;
-// one padded past MaxBodyBytes is a 400; and an address a 200 registered is
+// one padded past placement.MaxBodyBytes is a 400; and an address a 200 registered is
 // listed by GET /cluster/workers. Each body meets a fresh service serving the
 // test schema with one worker registered, so a placement body reaches
 // placement.Build.
@@ -570,7 +570,7 @@ func FuzzClusterBody(f *testing.F) {
 		}
 		path := routes[int(route)%len(routes)]
 		if oversize { // leading whitespace the decoder must read through
-			body = append(bytes.Repeat([]byte{' '}, MaxBodyBytes), body...)
+			body = append(bytes.Repeat([]byte{' '}, placement.MaxBodyBytes), body...)
 		}
 		h := s.Handler()
 		rec := httptest.NewRecorder()

@@ -13,6 +13,8 @@ import (
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
+
+	"paropt/internal/placement"
 )
 
 // OptimizeRequest bodies are decoded by hand from a pooled buffer: a
@@ -53,12 +55,12 @@ func decodeOptimize(w http.ResponseWriter, r *http.Request, req *OptimizeRequest
 	return true
 }
 
-// readBody appends r's body to buf, failing past MaxBodyBytes. A declared
+// readBody appends r's body to buf, failing past placement.MaxBodyBytes. A declared
 // length beyond buf's capacity gets a buffer of that size plus the byte that
 // detects a longer body, so a large body is read in one allocation.
 func readBody(r *http.Request, buf []byte) ([]byte, error) {
 	switch n := r.ContentLength; {
-	case n > MaxBodyBytes:
+	case n > placement.MaxBodyBytes:
 		return buf, errBodyTooLarge
 	case n > int64(cap(buf)):
 		buf = make([]byte, 0, n+1)
@@ -70,7 +72,7 @@ func readBody(r *http.Request, buf []byte) ([]byte, error) {
 		n, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		switch {
-		case len(buf) > MaxBodyBytes:
+		case len(buf) > placement.MaxBodyBytes:
 			return buf, errBodyTooLarge
 		case err == io.EOF:
 			return buf, nil

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"paropt/internal/placement"
 )
 
 // optimizeBodySeeds are FuzzOptimizeBody's seeds.
@@ -104,14 +106,14 @@ func TestJSONRoutesRejectTrailingData(t *testing.T) {
 	}
 }
 
-// TestHugeQueryAllocatesLinearly: a query body of MaxBodyBytes that fails to
+// TestHugeQueryAllocatesLinearly: a query body of placement.MaxBodyBytes that fails to
 // resolve is a 400 whose handling allocates less than twice the body: no
 // per-token or per-byte structure is built beside the text.
 func TestHugeQueryAllocatesLinearly(t *testing.T) {
 	s := newTestService(t, nil)
 	h := s.Handler()
 	prefix, suffix := `{"query":"SELECT * FROM A`, `"}`
-	body := []byte(prefix + strings.Repeat(" ", MaxBodyBytes-len(prefix)-len(suffix)) + suffix)
+	body := []byte(prefix + strings.Repeat(" ", placement.MaxBodyBytes-len(prefix)-len(suffix)) + suffix)
 	req := httptest.NewRequest("POST", "/optimize", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	var m0, m1 runtime.MemStats

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"paropt/internal/catalog"
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
 	"paropt/internal/parser"
@@ -91,15 +90,11 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// MaxBodyBytes bounds every HTTP body the daemon reads (schemas can be large;
-// queries are small) and every daemon response a worker reads.
-const MaxBodyBytes = 4 << 20
-
 // decodeJSON decodes a body holding one JSON value — nothing but whitespace
 // may follow it — into dst, rejecting unknown fields; on failure it answers
 // 400 itself. OptimizeRequest bodies take decodeOptimize instead.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, placement.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
@@ -299,13 +294,9 @@ func (s *Service) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SchemaResponse{Catalog: version, Relations: cat.NumRelations()})
 }
 
-// ClusterRequest names one worker process by its exchange listen address.
-// HTTP, when present, is the worker's own HTTP base URL (its /metrics and
-// /healthz), which GET /cluster/metrics federates.
-type ClusterRequest struct {
-	Addr string `json:"addr"`
-	HTTP string `json:"http,omitempty"`
-}
+// ClusterRequest is the register/deregister body, which the worker takes from
+// placement; the alias keeps the name for clients that post it.
+type ClusterRequest = placement.Register
 
 // ClusterResponse reports the membership after a register/deregister.
 type ClusterResponse struct {
@@ -362,17 +353,6 @@ type PlacementRequest struct {
 	Columns map[string]string `json:"columns,omitempty"`
 }
 
-// PlacementResponse describes an installed placement map. Workers bootstrap
-// from the GET form: Snapshot carries the full catalog (statistics
-// included), Map the assignments and generation seed, Epoch the membership
-// epoch sampled with it.
-type PlacementResponse struct {
-	Map         *placement.Map      `json:"map"`
-	Fingerprint string              `json:"fingerprint"`
-	Epoch       int64               `json:"epoch"`
-	Snapshot    catalog.SnapshotDoc `json:"snapshot"`
-}
-
 func (s *Service) handleClusterPlacementInstall(w http.ResponseWriter, r *http.Request) {
 	var req PlacementRequest
 	if !decodeJSON(w, r, &req) {
@@ -411,7 +391,7 @@ func (s *Service) writePlacement(w http.ResponseWriter, version string, p instal
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown catalog version %q", version))
 		return
 	}
-	writeJSON(w, http.StatusOK, PlacementResponse{
+	writeJSON(w, http.StatusOK, placement.Document{
 		Map: p.m, Fingerprint: p.fp, Epoch: s.Epoch(), Snapshot: cat.Snapshot(),
 	})
 }

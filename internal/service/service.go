@@ -1014,26 +1014,6 @@ func (p *servedPlan) materialize() (*core.Plan, error) {
 // InflightQueries snapshots the live registry (the /debug/queries payload).
 func (s *Service) InflightQueries() []QuerySnapshot { return s.inflight.snapshots() }
 
-// maxDataRows bounds the synthetic rows one catalog version may make anyone
-// generate: the daemon for an analyze, a worker for its placement shards.
-const maxDataRows = 4 << 20
-
-// CheckDataRows refuses a catalog whose relations hold more base rows than a
-// daemon generates for an analyze or a worker for its placement shards — an
-// admission guard, since generation happens inline. The daemon checks it
-// before an analyze or a placement install, a worker on every placement
-// snapshot it fetches.
-func CheckDataRows(cat *catalog.Catalog) error {
-	var rows int64
-	for _, name := range cat.RelationNames() {
-		// Clamping each term keeps the sum from overflowing before it is refused.
-		if rows += min(cat.MustRelation(name).Card, maxDataRows+1); rows > maxDataRows {
-			return fmt.Errorf("catalog has more than %d base rows", int64(maxDataRows))
-		}
-	}
-	return nil
-}
-
 // analyzeVersions is how many catalog versions' synthetic data the daemon
 // keeps, least recently analyzed out first.
 const analyzeVersions = 4
@@ -1049,7 +1029,7 @@ type analyzeData struct {
 // analyzeData returns the synthetic data for a catalog version, generating
 // its database on first use.
 func (s *Service) analyzeData(version string, cat *catalog.Catalog) (*analyzeData, error) {
-	if err := CheckDataRows(cat); err != nil {
+	if err := storage.CheckDataRows(cat); err != nil {
 		return nil, badRequestError{fmt.Errorf("service: analyze refused: %w", err)}
 	}
 	s.dbMu.Lock()

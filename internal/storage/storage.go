@@ -179,3 +179,23 @@ func (db *Database) Table(name string) (*Table, bool) {
 	t, ok := db.Tables[name]
 	return t, ok
 }
+
+// maxDataRows bounds the synthetic rows one catalog version may make anyone
+// generate: the daemon for an analyze, a worker for its placement shards.
+const maxDataRows = 4 << 20
+
+// CheckDataRows refuses a catalog whose relations hold more base rows than a
+// daemon generates for an analyze or a worker for its placement shards — an
+// admission guard, since generation happens inline. The daemon checks it
+// before an analyze or a placement install, a worker on every placement
+// snapshot it fetches.
+func CheckDataRows(cat *catalog.Catalog) error {
+	var rows int64
+	for _, name := range cat.RelationNames() {
+		// Clamping each term keeps the sum from overflowing before it is refused.
+		if rows += min(cat.MustRelation(name).Card, maxDataRows+1); rows > maxDataRows {
+			return fmt.Errorf("catalog has more than %d base rows", int64(maxDataRows))
+		}
+	}
+	return nil
+}

@@ -6,6 +6,7 @@ import (
 	"paropt/internal/core"
 	"paropt/internal/engine"
 	"paropt/internal/query"
+	"paropt/internal/repro"
 	"paropt/internal/storage"
 )
 
@@ -52,7 +53,7 @@ func TestTPCHLikeOptimizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := o.Optimize()
+		p, err := repro.Optimize(o, repro.Run{})
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -73,7 +74,7 @@ func TestTPCHLikeExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := o.Optimize()
+		p, err := repro.Optimize(o, repro.Run{})
 		if err != nil {
 			t.Fatal(err)
 		}

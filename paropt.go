@@ -9,6 +9,7 @@ import (
 	"paropt/internal/optree"
 	"paropt/internal/plan"
 	"paropt/internal/query"
+	"paropt/internal/repro"
 	"paropt/internal/search"
 	"paropt/internal/service"
 	"paropt/internal/sim"
@@ -131,8 +132,10 @@ type (
 	Optimizer = core.Optimizer
 	// Plan is an optimized plan with costs and provenance.
 	Plan = core.Plan
+	// Run selects a Table 1 algorithm, a §2 bound and a metric override.
+	Run = repro.Run
 	// Algorithm selects the search strategy.
-	Algorithm = core.Algorithm
+	Algorithm = repro.Algorithm
 	// Provenance explains why a plan was chosen: the winner's cost
 	// breakdown plus rejected frontier alternatives with loss reasons
 	// (Optimizer.PlanProvenance, `paropt -why`, /explain?why=1).
@@ -141,21 +144,25 @@ type (
 
 // Algorithms (the rows of Table 1).
 const (
-	PartialOrderDP       = core.PartialOrderDP
-	PartialOrderDPBushy  = core.PartialOrderDPBushy
-	WorkDP               = core.WorkDP
-	NaiveRTDP            = core.NaiveRTDP
-	BruteForceLeftDeep   = core.BruteForceLeftDeep
-	BruteForceBushy      = core.BruteForceBushy
-	TwoPhase             = core.TwoPhase
-	IterativeImprovement = core.IterativeImprovement
-	SimulatedAnnealing   = core.SimulatedAnnealing
+	PartialOrderDP       = repro.PartialOrderDP
+	PartialOrderDPBushy  = repro.PartialOrderDPBushy
+	WorkDP               = repro.WorkDP
+	NaiveRTDP            = repro.NaiveRTDP
+	BruteForceLeftDeep   = repro.BruteForceLeftDeep
+	BruteForceBushy      = repro.BruteForceBushy
+	TwoPhase             = repro.TwoPhase
+	IterativeImprovement = repro.IterativeImprovement
+	SimulatedAnnealing   = repro.SimulatedAnnealing
 )
 
 // NewOptimizer validates the query and assembles a session.
 func NewOptimizer(cat *Catalog, q *Query, cfg Config) (*Optimizer, error) {
 	return core.NewOptimizer(cat, q, cfg)
 }
+
+// Optimize runs one Table 1 algorithm over the session, under r's bound if
+// it has one, and returns the winning plan.
+func Optimize(opt *Optimizer, r Run) (*Plan, error) { return repro.Optimize(opt, r) }
 
 // Serving layer (the optimizer as a daemon).
 type (
@@ -213,12 +220,6 @@ func Simulate(op *Op, m *CostModel) (*SimResult, error) { return sim.Simulate(op
 // fact table star-joined to stocks, sectors, accounts and dates.
 func PortfolioWorkload(disks int) (*Catalog, *Query) { return workload.Portfolio(disks) }
 
-// DefaultCatalog is the default-catalog selection paroptd and the in-process
-// replay share: a schema DDL file, a built-in workload's catalog, or none.
-func DefaultCatalog(schemaFile, name string, disks int) (*Catalog, error) {
-	return workload.DefaultCatalog(schemaFile, name, disks)
-}
-
 // PortfolioWorkloadSmall is the same schema scaled down ~1000× for in-memory
 // execution.
 func PortfolioWorkloadSmall(disks int) (*Catalog, *Query) { return workload.PortfolioSmall(disks) }
@@ -231,10 +232,10 @@ func TPCHWorkload(disks int, scale float64) (*Catalog, []*Query) {
 
 // DistortNDVs returns a catalog copy with every NDV statistic multiplied by
 // factor — the input to misestimation-sensitivity experiments.
-func DistortNDVs(cat *Catalog, factor float64) *Catalog { return core.DistortNDVs(cat, factor) }
+func DistortNDVs(cat *Catalog, factor float64) *Catalog { return repro.DistortNDVs(cat, factor) }
 
 // MisestimationRegret optimizes under distorted statistics and re-prices
 // the chosen plan under the truth, returning (chosen RT, optimal RT).
 func MisestimationRegret(cat *Catalog, q *Query, cfg Config, factor float64) (chosen, optimum float64, err error) {
-	return core.MisestimationRegret(cat, q, cfg, factor)
+	return repro.MisestimationRegret(cat, q, cfg, factor)
 }

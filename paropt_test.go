@@ -9,13 +9,11 @@ import (
 // README's quick start does.
 func TestQuickstartFlow(t *testing.T) {
 	cat, q := PortfolioWorkload(4)
-	opt, err := NewOptimizer(cat, q, Config{
-		Bound: ThroughputDegradation{K: 2},
-	})
+	opt, err := NewOptimizer(cat, q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := Optimize(opt, Run{Bound: ThroughputDegradation{K: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +23,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if !strings.Contains(opt.Explain(p), "response time:") {
 		t.Error("Explain output incomplete")
 	}
-	res, err := opt.Simulate(p)
+	res, err := Simulate(p.Op, opt.Mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +63,7 @@ func TestHandBuiltCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := Optimize(opt, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +84,11 @@ func TestGeneratedWorkloadAllAlgorithms(t *testing.T) {
 	}
 	cat, q := Generate(cfg)
 	for _, alg := range []Algorithm{PartialOrderDP, WorkDP, PartialOrderDPBushy} {
-		opt, err := NewOptimizer(cat, q, Config{Algorithm: alg})
+		opt, err := NewOptimizer(cat, q, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := opt.Optimize(); err != nil {
+		if _, err := Optimize(opt, Run{Algorithm: alg}); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 	}
@@ -102,7 +100,7 @@ func TestSimulateViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := Optimize(opt, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestTPCHWorkloadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := opt.Optimize()
+	p, err := Optimize(opt, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Surface scoreboard: what a user can run, set, call and scrape, plus how much
-# code carries it. Prints the eight numbers and fails when a count differs from
-# scripts/surface.golden or the line count exceeds its ceiling there — so an
-# added binary, flag, service.Config field, route or metric family is a
-# visible diff of the golden, not a side effect. Needs no build and starts
+# code carries it and which of the module's packages each served binary links.
+# Prints the eight numbers and one row per linked package, and fails when a
+# row differs from scripts/surface.golden or the line count exceeds its
+# ceiling there — so an added binary, flag, service.Config field, route,
+# metric family or dependency edge is a visible diff of the golden, not a
+# side effect. Needs no build (go list only reads the sources) and starts
 # nothing.
 set -euo pipefail
 
@@ -18,6 +20,9 @@ counts=$(
   echo "routes $(grep -c 'mux\.HandleFunc("' internal/service/http.go)"
   echo "metric_families $(grep -c '^# TYPE' internal/service/testdata/metrics.golden)"
   echo "paroptw_metric_families $(grep -c '^# TYPE' cmd/paroptw/testdata/metrics.golden)"
+  for bin in paroptd paroptw; do
+    go list -deps "./cmd/$bin" | grep -E '^paropt(/|$)' | grep -v '^paropt/cmd/' | sort | sed "s|^|${bin}_dep |"
+  done
 )
 echo "$counts"
 echo "nontest_loc $loc"
