@@ -99,35 +99,62 @@ func TestCoverSetKeepsWhatRequestsReach(t *testing.T) {
 	}
 }
 
-// TestReachableAllocatesOnlyItsSlices: filtering a real 6-relation root
-// cover allocates the work column and the growing result slice, nothing
-// else — no member is compared with itself, where work and response time
-// tie and ByRT would render both plans to break the tie.
+// TestReachableAllocatesOnlyItsSlices: filtering a real root cover allocates
+// the work column and the growing result slice, nothing else — no member is
+// compared with itself, and where two members tie on work and response time
+// (a 5-relation clique has dozens of such pairs: members that differ only in
+// which CPU carries a clone), ByRT breaks the tie by plan string without
+// rendering one to the heap.
 func TestReachableAllocatesOnlyItsSlices(t *testing.T) {
-	cfg := query.DefaultGenConfig()
-	cfg.Relations, cfg.Shape = 6, query.Cycle
-	cat, q := query.Generate(cfg)
-	o, err := NewOptimizer(cat, q, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, frontier, _, err := search.FullCoverSet(o.opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := reachable(frontier, o.opts.Final)
-	if len(out) == 0 || len(out) == len(frontier) {
-		t.Fatalf("reachable kept %d of %d members, want a proper subset", len(out), len(frontier))
-	}
-	want := 1.0 // the work column
-	var grown []*search.Candidate
-	for range out {
-		if len(grown) == cap(grown) {
-			want++
+	for _, tc := range []struct {
+		shape     query.Shape
+		relations int
+		seed      int64
+		ties      bool
+	}{
+		{query.Cycle, 6, 0, false},
+		{query.Clique, 5, 3, true},
+	} {
+		cfg := query.DefaultGenConfig()
+		cfg.Relations, cfg.Shape = tc.relations, tc.shape
+		if tc.seed != 0 {
+			cfg.Seed = tc.seed
 		}
-		grown = append(grown, nil)
-	}
-	if got := testing.AllocsPerRun(5, func() { reachable(frontier, o.opts.Final) }); got != want {
-		t.Errorf("reachable over %d members made %.0f allocations, want %.0f (its own slices)", len(frontier), got, want)
+		cat, q := query.Generate(cfg)
+		o, err := NewOptimizer(cat, q, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, frontier, _, err := search.FullCoverSet(o.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for i, a := range frontier {
+			for _, b := range frontier[i+1:] {
+				if a.Work() == b.Work() && a.RT() == b.RT() {
+					ties++
+				}
+			}
+		}
+		if (ties > 0) != tc.ties {
+			t.Fatalf("%d-relation %s: %d members tie on work and response time, want ties %v", tc.relations, tc.shape, ties, tc.ties)
+		}
+		out := reachable(frontier, o.opts.Final)
+		if len(out) == 0 || len(out) == len(frontier) {
+			t.Fatalf("%d-relation %s: reachable kept %d of %d members, want a proper subset", tc.relations, tc.shape, len(out), len(frontier))
+		}
+		want := 1.0 // the work column
+		var grown []*search.Candidate
+		for range out {
+			if len(grown) == cap(grown) {
+				want++
+			}
+			grown = append(grown, nil)
+		}
+		if got := testing.AllocsPerRun(5, func() { reachable(frontier, o.opts.Final) }); got != want {
+			t.Errorf("reachable over the %d members of a %d-relation %s (%d tied pairs) made %.0f allocations, want %.0f (its own slices)",
+				len(frontier), tc.relations, tc.shape, ties, got, want)
+		}
 	}
 }

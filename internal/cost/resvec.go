@@ -214,10 +214,15 @@ func (d ResDescriptor) Work() float64 { return d.Last.W.Sum() }
 
 // Clone copies d into one slab of 2L floats that shares nothing with d: how a
 // descriptor priced in a Scratch is kept.
-func (d ResDescriptor) Clone() ResDescriptor {
+func (d ResDescriptor) Clone() ResDescriptor { return d.CopyTo(make(Vec, 2*len(d.First.W))) }
+
+// CopyTo is Clone into w, which holds at least 2L floats: the first-tuple
+// work vector, then the last-tuple one.
+func (d ResDescriptor) CopyTo(w Vec) ResDescriptor {
 	l := len(d.First.W)
-	w := append(append(make(Vec, 0, 2*l), d.First.W...), d.Last.W...)
-	return ResDescriptor{First: RV(d.First.T, w[:l:l]), Last: RV(d.Last.T, w[l:])}
+	copy(w, d.First.W)
+	copy(w[l:], d.Last.W)
+	return ResDescriptor{First: RV(d.First.T, w[:l:l]), Last: RV(d.Last.T, w[l:2*l:2*l])}
 }
 
 // Sync models a materialized subtree: first-tuple usage becomes last-tuple

@@ -208,35 +208,28 @@ func (n *Node) NumJoins() int {
 
 // String renders the plan in the paper's functional notation, e.g.
 // "NL(SM(scan(R1), scan(R2)), indexScan(I_R3))".
-func (n *Node) String() string {
-	var b strings.Builder
-	n.write(&b)
-	return b.String()
-}
+func (n *Node) String() string { return string(n.AppendString(nil)) }
 
-func (n *Node) write(b *strings.Builder) {
+// AppendString appends String's rendering of the plan to b.
+func (n *Node) AppendString(b []byte) []byte {
 	if n.IsLeaf() {
 		if n.Access == IndexScan && n.Index != nil {
-			fmt.Fprintf(b, "indexScan(%s)", n.Index.Name)
-		} else {
-			fmt.Fprintf(b, "scan(%s)", n.Relation)
+			return append(append(append(b, "indexScan("...), n.Index.Name...), ')')
 		}
-		return
+		return append(append(append(b, "scan("...), n.Relation...), ')')
 	}
 	switch n.Method {
 	case NestedLoops:
-		b.WriteString("NL(")
+		b = append(b, "NL("...)
 	case SortMerge:
-		b.WriteString("SM(")
+		b = append(b, "SM("...)
 	case HashJoin:
-		b.WriteString("HJ(")
+		b = append(b, "HJ("...)
 	default:
-		b.WriteString("J(")
+		b = append(b, "J("...)
 	}
-	n.Left.write(b)
-	b.WriteString(", ")
-	n.Right.write(b)
-	b.WriteString(")")
+	b = append(n.Left.AppendString(b), ", "...)
+	return append(n.Right.AppendString(b), ')')
 }
 
 // Indent renders a multi-line tree for explain output.

@@ -168,13 +168,16 @@ type Searcher struct {
 	// (the tests' tap); all of it is the pricing worker's scratch, valid only
 	// during the call, which comes from whichever goroutine priced the plan.
 	priced func(c *Candidate, done *optree.Op) error
-	worker
+	// slabs hold what the search's covers keep, one per goroutine slot
+	// (slabFor), until retire clears them.
+	slabs []*slab
+	*worker
 }
 
 // worker is what one goroutine prices in: the cost scratch, the candidate
 // last priced and the join nodes it was built from, the pair memo, the cover
-// it is filling and its stats. The search's owner embeds one; dp's helpers
-// take theirs from idleWorkers and add their stats to the owner's at the
+// it is filling and its stats. The search's owner and dp's helpers all take
+// theirs from idleWorkers; a helper adds its stats to the owner's at the
 // layer barrier.
 type worker struct {
 	s     *Searcher
@@ -188,12 +191,16 @@ type worker struct {
 	// scratch holds cand, the plan last priced, and done, the copy of its left
 	// operand's root its new operators sit on; joins holds the plan nodes
 	// joinNodes built last, one per method, and joined the slice of them it
-	// returned. All of it lives until promote copies out what a cover admits.
+	// returned. All of it lives until promote copies what a cover admits into
+	// slab, the slab of the worker's goroutine slot.
 	scratch cost.Scratch
 	cand    Candidate
 	done    *optree.Op
 	joins   []plan.Node
 	joined  []*plan.Node
+	slab    *slab
+	// copied maps the slab nodes finish has copied out to their copies.
+	copied map[*plan.Node]*plan.Node
 	// cover is the cover of the subset being solved; on the root's pricing
 	// helper out takes its place, the chunks the owner inserts.
 	cover *CoverSet
@@ -214,7 +221,7 @@ func New(opt Options) *Searcher {
 	}
 	s := &Searcher{opt: opt, est: opt.Model.Est, q: opt.Model.Est.Q}
 	s.leaves = make([][]*plan.Node, len(s.q.Relations))
-	s.worker.bind(s)
+	s.own()
 	return s
 }
 
@@ -223,6 +230,7 @@ func (w *worker) bind(s *Searcher) {
 	w.s, w.stats = s, Stats{}
 	if w.spanning == nil {
 		w.spanning = make(map[[2]query.RelSet]pairJoins)
+		w.copied = make(map[*plan.Node]*plan.Node)
 	}
 	if n := len(s.opt.Methods); cap(w.joins) < n {
 		w.joins, w.joined = make([]plan.Node, n), make([]*plan.Node, 0, n)
@@ -234,8 +242,9 @@ func (w *worker) bind(s *Searcher) {
 // unbind drops every reference w holds into a search, keeping its buffers.
 func (w *worker) unbind() {
 	clear(w.spanning)
+	clear(w.copied)
 	clear(w.joins)
-	w.s, w.cand, w.done, w.cover, w.out = nil, Candidate{}, nil, nil, nil
+	w.s, w.cand, w.done, w.slab, w.cover, w.out = nil, Candidate{}, nil, nil, nil, nil
 }
 
 // idle keeps up to cap(idle) unused objects for reuse. Unlike a sync.Pool it
@@ -262,10 +271,10 @@ func (f idle[T]) put(x *T) {
 	}
 }
 
-// idleWorkers keeps the helpers' workers, so a helper's scratch and pair
+// idleWorkers keeps workers between searches, so a worker's scratch and pair
 // memo outlive the search that grew them. A process runs at most GOMAXPROCS
-// helpers at once (takeSlots).
-var idleWorkers = make(idle[worker], runtime.GOMAXPROCS(0))
+// helpers at once (takeSlots), plus one owner per running search.
+var idleWorkers = make(idle[worker], 2*runtime.GOMAXPROCS(0))
 
 // takeWorker returns an idle worker bound to s.
 func takeWorker(s *Searcher) *worker {
@@ -277,7 +286,7 @@ func takeWorker(s *Searcher) *worker {
 	return w
 }
 
-// release returns a helper's worker for reuse.
+// release returns a worker for reuse.
 func (w *worker) release() {
 	w.unbind()
 	idleWorkers.put(w)
@@ -341,18 +350,22 @@ func (w *worker) extend(left *Candidate, n *plan.Node) (*Candidate, error) {
 	return &w.cand, nil
 }
 
-// promote copies the candidate extend last priced to the heap: its descriptor,
-// its plan node (a join's is joinNodes' scratch; a leaf is shared already)
-// and, but for a root, which nothing extends, its root operator with the
-// inputs cut, its clone degree and its memory estimate.
+// promote copies the candidate extend last priced into the worker's slab: its
+// descriptor, its plan node (a join's is joinNodes' scratch; a leaf is shared
+// already) and, but for a root, which nothing extends, its root operator with
+// the inputs cut, its clone degree and its memory estimate. It allocates
+// nothing once the slab has grown.
 func (w *worker) promote(c *Candidate) *Candidate {
-	kept := &Candidate{Node: c.Node, Desc: c.Desc.Clone()}
+	sl := w.slab
+	kept := sl.cands.one()
+	*kept = Candidate{Node: c.Node, Desc: sl.desc(c.Desc)}
 	if !c.Node.IsLeaf() {
-		node := *c.Node // what it points to is shared
-		kept.Node = &node
+		node := sl.nodes.one()
+		*node = *c.Node // what it points to is shared
+		kept.Node = node
 	}
 	if !w.s.root {
-		op := new(optree.Op)
+		op := sl.ops.one()
 		*op = *c.op
 		op.Inputs, op.Source = nil, kept.Node
 		kept.op, kept.deg, kept.mem = op, c.deg, c.mem
@@ -428,6 +441,3 @@ func (s *Searcher) bestOf(cands []*Candidate) *Candidate {
 	}
 	return best
 }
-
-// Stats returns the counters accumulated so far.
-func (s *Searcher) Stats() Stats { return s.stats }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"paropt/internal/cost"
 	"paropt/internal/plan"
 	"paropt/internal/query"
 )
@@ -140,12 +139,18 @@ func (w *worker) join(left *Candidate, right *plan.Node) error {
 // subsets of a layer depend only on the layers below, so the goroutine
 // running dp solves them together with the helpers idle cores allow
 // (solveLayer); with none it is the serial search. The first costing error,
-// in enumeration order, stops the search and is returned.
+// in enumeration order, stops the search and is returned. What the covers
+// keep lives in the search's slabs, which it clears once finish has copied
+// the answer out (retire).
 func (s *Searcher) dp(metric Metric, sp splits) (*Result, error) {
 	n := len(s.q.Relations)
 	if n == 0 {
 		return nil, fmt.Errorf("search: query has no relations")
 	}
+	if s.worker == nil {
+		s.own()
+	}
+	defer s.retire()
 	if !s.counted {
 		searching.Add(1)
 		defer searching.Add(-1)
@@ -241,8 +246,9 @@ func (s *Searcher) solveLayer(l *layer) (int, error) {
 		return 2, s.pipeRoot(l)
 	}
 	l.helpers = l.helpers[:0]
-	for range helpers {
+	for i := range helpers {
 		h := takeWorker(s)
+		h.slab = s.slabFor(1 + i)
 		l.helpers = append(l.helpers, h)
 		l.wg.Add(1)
 		go func() {
@@ -292,7 +298,7 @@ func (w *worker) drain(l *layer) {
 // be exact, since dominance within a tolerance is not transitive.
 func (s *Searcher) pipeRoot(l *layer) error {
 	h := takeWorker(s)
-	p := newPipe(s.opt.Model.Dim())
+	p := newPipe()
 	h.out = p
 	go func() {
 		err := l.sp.each(h, l.sets[0], l.solved)
@@ -354,31 +360,26 @@ func releaseSlots(n int) {
 // (EXPERIMENTS §SD1); a chunk pays one channel operation per 256 pricings.
 const chunkSize = 256
 
-// chunk is a run of priced candidates in enumeration order, each on the
-// chunk's own copies of its plan node and descriptor.
+// chunk is a run of priced candidates in enumeration order, each on copies
+// of its plan node and descriptor in the chunk's own slab.
 type chunk struct {
 	cands []Candidate
-	nodes []plan.Node
-	slab  []float64
+	sl    slab
 }
 
 // add copies c into the chunk and reports whether the chunk is full.
 func (ch *chunk) add(c *Candidate) bool {
-	i, l := len(ch.cands), len(c.Desc.First.W)
-	ch.nodes = append(ch.nodes, *c.Node)
-	w := ch.slab[2*l*i : 2*l*(i+1)]
-	copy(w, c.Desc.First.W)
-	copy(w[l:], c.Desc.Last.W)
-	d := cost.ResDescriptor{First: cost.RV(c.Desc.First.T, w[:l:l]), Last: cost.RV(c.Desc.Last.T, w[l:])}
-	ch.cands = append(ch.cands, Candidate{Node: &ch.nodes[i], Desc: d})
+	node := ch.sl.nodes.one()
+	*node = *c.Node
+	ch.cands = append(ch.cands, Candidate{Node: node, Desc: ch.sl.desc(c.Desc)})
 	return len(ch.cands) == chunkSize
 }
 
 // reset empties the chunk, dropping its references into the search.
 func (ch *chunk) reset() {
 	clear(ch.cands)
-	clear(ch.nodes)
-	ch.cands, ch.nodes = ch.cands[:0], ch.nodes[:0]
+	ch.cands = ch.cands[:0]
+	ch.sl.reset()
 }
 
 // pipeChunks is how many chunks one pipe cycles: one filling, one being
@@ -398,17 +399,13 @@ type pipe struct {
 	err        error
 }
 
-// newPipe builds a pipe for descriptors of l resources.
-func newPipe(l int) *pipe {
+// newPipe builds a pipe.
+func newPipe() *pipe {
 	p := &pipe{full: make(chan *chunk, pipeChunks), free: make(chan *chunk, pipeChunks)}
 	for range pipeChunks {
 		ch := idleChunks.get()
-		if ch == nil || len(ch.slab) != 2*l*chunkSize {
-			ch = &chunk{
-				cands: make([]Candidate, 0, chunkSize),
-				nodes: make([]plan.Node, 0, chunkSize),
-				slab:  make([]float64, 2*l*chunkSize),
-			}
+		if ch == nil {
+			ch = &chunk{cands: make([]Candidate, 0, chunkSize)}
 		}
 		p.free <- ch
 	}
@@ -526,14 +523,18 @@ next:
 	}
 }
 
-// finish extracts the result from the full set's cover. A root is never
-// extended, so its candidates were kept without operator trees, and every
-// layer's below is garbage once the search returns.
+// finish extracts the result from the full set's cover: each member is copied
+// out of the slabs on its own (copyOut), since the slabs are cleared for the
+// next search once this one returns. A root is never extended, so its
+// candidates were kept without operator trees.
 func (s *Searcher) finish(cs *CoverSet) (*Result, error) {
 	if cs == nil || cs.Empty() {
 		return &Result{Stats: s.stats}, nil
 	}
-	frontier := append([]*Candidate(nil), cs.Plans()...)
+	frontier := make([]*Candidate, cs.Len())
+	for i, c := range cs.Plans() {
+		frontier[i] = s.copyOut(c)
+	}
 	best := s.bestOf(frontier)
 	return &Result{
 		Best:     best,

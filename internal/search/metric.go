@@ -1,5 +1,11 @@
 package search
 
+import (
+	"bytes"
+
+	"paropt/internal/plan"
+)
+
 // Metric is a pruning metric α (§6.3): a partial order over candidates.
 // Dominates(a, b) means a ≤α b — a is at least as good as b in every
 // dimension, so b can never beat a in any extension and may be pruned
@@ -27,7 +33,7 @@ func ByRT(a, b *Candidate) bool {
 	if a.Work() != b.Work() {
 		return a.Work() < b.Work()
 	}
-	return a.Node.String() < b.Node.String()
+	return planLess(a.Node, b.Node)
 }
 
 // ByWork prefers lower total work — the traditional System R objective.
@@ -38,7 +44,15 @@ func ByWork(a, b *Candidate) bool {
 	if a.RT() != b.RT() {
 		return a.RT() < b.RT()
 	}
-	return a.Node.String() < b.Node.String()
+	return planLess(a.Node, b.Node)
+}
+
+// planLess is a.String() < b.String(), rendered into stack buffers: a tie,
+// common among members that differ only in which CPU carries a clone, costs
+// no allocation unless a plan renders longer than the buffer.
+func planLess(a, b *plan.Node) bool {
+	var ab, bb [512]byte
+	return bytes.Compare(a.AppendString(ab[:0]), b.AppendString(bb[:0])) < 0
 }
 
 // WorkMetric is the traditional 1-dimensional total order on work (§3).

@@ -35,15 +35,15 @@ func TestNetworkDimensionWidensMetric(t *testing.T) {
 	single := machine.Config{CPUs: 4, Disks: 4, Networks: 1}
 	multi := machine.Config{CPUs: 1, Disks: 1, Nodes: 4, NetLatency: 1}
 
-	s1 := searcherOn(t, cfg, single)
-	if _, err := s1.PODPLeftDeep(); err != nil {
+	r1, err := searcherOn(t, cfg, single).PODPLeftDeep()
+	if err != nil {
 		t.Fatal(err)
 	}
-	s4 := searcherOn(t, cfg, multi)
-	if _, err := s4.PODPLeftDeep(); err != nil {
+	r4, err := searcherOn(t, cfg, multi).PODPLeftDeep()
+	if err != nil {
 		t.Fatal(err)
 	}
-	d1, d4 := s1.Stats().MetricDims, s4.Stats().MetricDims
+	d1, d4 := r1.Stats.MetricDims, r4.Stats.MetricDims
 	if d1 == 0 || d4 == 0 {
 		t.Fatalf("MetricDims not recorded: single=%d multi=%d", d1, d4)
 	}

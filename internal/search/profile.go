@@ -55,9 +55,9 @@ type LayerRecord struct {
 	// MaxCover is the largest single cover set in the layer (k in §6.2).
 	MaxCover int `json:"maxCover"`
 	// BytesRetained estimates the memory held by the layer's stored
-	// candidates: what promote allocated for them (candidateBytes — the
-	// Candidate, its descriptor slab, its plan node and its one operator).
-	// A pseudo-layer keeps no cover and records none.
+	// candidates: what promote took from the search's slabs for them
+	// (candidateBytes — the Candidate, its descriptor floats, its plan node
+	// and its one operator). A pseudo-layer keeps no cover and records none.
 	BytesRetained int64 `json:"bytesRetained"`
 	// Workers is how many goroutines solved the layer: the search's own plus
 	// the helpers idle cores gave it (the root's pricing helper included).
@@ -197,10 +197,10 @@ func (st *Stats) merge(h Stats) {
 	st.MaxOrderClasses = max(st.MaxOrderClasses, h.MaxOrderClasses)
 }
 
-// candidateBytes is what promote allocates for one candidate a cover of card
-// relations keeps: the Candidate (its memory estimate inline), its
-// descriptor's slab of 2L floats, a join's plan node (a leaf's is shared)
-// and, but for a root, which nothing extends, its one operator. Clone sets,
+// candidateBytes is what promote takes from its slab for one candidate a
+// cover of card relations keeps: the Candidate (its memory estimate inline),
+// its descriptor's 2L floats, a join's plan node (a leaf's is shared) and,
+// but for a root, which nothing extends, its one operator. Clone sets,
 // predicates, orders and the operands' nodes are shared across extensions
 // and not charged per candidate.
 func (s *Searcher) candidateBytes(card int) int64 {

@@ -14,21 +14,28 @@ import (
 // newSearcher builds a searcher over a generated workload.
 func newSearcher(t testing.TB, cfg query.GenConfig, mut func(*Options)) *Searcher {
 	t.Helper()
+	opt := genOptions(t, cfg)
+	if mut != nil {
+		mut(&opt)
+	}
+	return New(opt)
+}
+
+// genOptions is the options of a search over a generated workload on a
+// 4-CPU, 4-disk machine.
+func genOptions(t testing.TB, cfg query.GenConfig) Options {
+	t.Helper()
 	cat, q := query.Generate(cfg)
 	if err := q.Validate(cat); err != nil {
 		t.Fatal(err)
 	}
 	est := plan.NewEstimator(cat, q)
 	m := machine.New(machine.Config{CPUs: 4, Disks: 4, Networks: 1})
-	opt := Options{
+	return Options{
 		Model:    cost.NewModel(cat, m, est, cost.DefaultParams()),
 		Expand:   optree.DefaultExpandOptions(),
 		Annotate: optree.DefaultAnnotateOptions(),
 	}
-	if mut != nil {
-		mut(&opt)
-	}
-	return New(opt)
 }
 
 func cliqueCfg(n int) query.GenConfig {

@@ -630,13 +630,21 @@ func TestCacheEntryRetainedBudget(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	if _, err := s.Optimize(ctx, OptimizeRequest{Query: template(0)}); err != nil { // warm the service itself
-		t.Fatal(err)
+	// Warm the service itself and the searches' idle slabs and workers, which
+	// the first misses fill and every later one reuses, on templates of their
+	// own (a selection on R1). On one core a search takes no helper, so which
+	// slab keeps what does not depend on how helpers shared the layers, and
+	// the warm slabs hold all they ever keep (slabKeep chunks of each kind).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const warm, entries = 4, 24
+	for i := range warm {
+		if _, err := s.Optimize(ctx, OptimizeRequest{Query: template(i) + " AND R1.a = 1"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const entries = 24
 	before, cached := heap(), s.cache.Len()
 	fps := map[string]bool{}
-	for i := 1; i <= entries; i++ {
+	for i := warm; i < warm+entries; i++ {
 		resp, err := s.Optimize(ctx, OptimizeRequest{Query: template(i)})
 		if err != nil {
 			t.Fatal(err)
