@@ -35,7 +35,6 @@ func replayMain(args []string) {
 	cpus := fs.Int("cpus", 4, "in-process machine CPUs")
 	disks := fs.Int("disks", 4, "in-process machine disks")
 	beam := fs.Int("beam", 0, "in-process cover-set cap (0 = exact)")
-	planLogFile := fs.String("plan-log-file", "", "append detected plan changes as JSONL audit entries to this file (in-process mode only)")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: paropt replay [flags] <query-log.jsonl>")
@@ -47,34 +46,19 @@ func replayMain(args []string) {
 		fatal(err)
 	}
 	var exec workload.Executor
-	var svc *paropt.Service
 	if *addr != "" {
-		if *planLogFile != "" {
-			fatal(fmt.Errorf("replay: -plan-log-file needs in-process mode (drop -addr); a daemon records its plan changes as traces, listed at /debug/traces?kind=plan-change"))
-		}
 		exec = httpExecutor(*addr)
 	} else {
-		svc, exec, err = inProcessExecutor(*schemaFile, *wl, *cpus, *disks, *beam, *planLogFile)
+		svc, inProc, err := inProcessExecutor(*schemaFile, *wl, *cpus, *disks, *beam)
 		if err != nil {
 			fatal(err)
 		}
 		defer svc.Close()
+		exec = inProc
 	}
 	rep := workload.Replay(recs, exec, *verbose)
-	// Feed detected regressions into the plan-change audit log: with
-	// -plan-log-file each one persists as a JSONL entry for post-hoc audits.
-	if svc != nil {
-		for _, d := range rep.Deltas {
-			if d.PlanChanged {
-				svc.RecordReplayChange(d.Fingerprint, "", d.RecordedPlan, d.ReplayedPlan, d.RecordedRT, d.ReplayedRT)
-			}
-		}
-	}
 	fmt.Print(rep.Table())
 	if *strict && (rep.PlanChanges > 0 || rep.Errors > 0) {
-		if svc != nil {
-			svc.Close() // os.Exit skips the defer, and Close is what flushes -plan-log-file
-		}
 		os.Exit(1)
 	}
 }
@@ -109,30 +93,23 @@ func httpExecutor(base string) workload.Executor {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			return workload.Outcome{Err: err}
 		}
-		return workload.Outcome{
-			PlanSig:       out.PlanSignature,
-			Cache:         out.Cache,
-			RT:            out.Summary.ResponseTime,
-			Work:          out.Summary.Work,
-			ElapsedMicros: time.Since(start).Microseconds(),
-		}
+		return workload.Outcome{PlanSig: out.PlanSignature, ElapsedMicros: time.Since(start).Microseconds()}
 	}
 }
 
-// inProcessExecutor replays against a fresh service in this process (also
-// returned so replayMain can feed regressions into its plan-change audit
-// log). Records that name a catalog version other than the configured default
-// fail — an in-process replay can only know the catalogs its flags build.
-func inProcessExecutor(schemaFile, wl string, cpus, disks, beam int, planLogFile string) (*paropt.Service, workload.Executor, error) {
+// inProcessExecutor replays against a fresh service in this process, which
+// the caller closes. Records that name a catalog version other than the
+// configured default fail — an in-process replay can only know the catalogs
+// its flags build.
+func inProcessExecutor(schemaFile, wl string, cpus, disks, beam int) (*paropt.Service, workload.Executor, error) {
 	cat, err := workloads.DefaultCatalog(schemaFile, wl, disks)
 	if err != nil {
 		return nil, nil, err
 	}
 	svc, err := paropt.NewService(paropt.ServiceConfig{
-		Catalog:     cat,
-		Machine:     machine.Config{CPUs: cpus, Disks: disks, Networks: 1},
-		CoverCap:    beam,
-		PlanLogPath: planLogFile,
+		Catalog:  cat,
+		Machine:  machine.Config{CPUs: cpus, Disks: disks, Networks: 1},
+		CoverCap: beam,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -149,12 +126,6 @@ func inProcessExecutor(schemaFile, wl string, cpus, disks, beam int, planLogFile
 		if err != nil {
 			return workload.Outcome{Err: err}
 		}
-		return workload.Outcome{
-			PlanSig:       resp.PlanSignature,
-			Cache:         resp.Cache,
-			RT:            resp.Summary.ResponseTime,
-			Work:          resp.Summary.Work,
-			ElapsedMicros: time.Since(start).Microseconds(),
-		}
+		return workload.Outcome{PlanSig: resp.PlanSignature, ElapsedMicros: time.Since(start).Microseconds()}
 	}, nil
 }

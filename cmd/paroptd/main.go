@@ -10,8 +10,7 @@
 //	        [-workers N] [-queue 64] [-cache 512]
 //	        [-timeout 30s] [-beam 0] [-traces 256] [-log text|json|none]
 //	        [-debug-addr localhost:7078]
-//	        [-query-log q.jsonl] [-exchange-window 16]
-//	        [-plan-log-file changes.jsonl] [-drain 5s]
+//	        [-query-log q.jsonl] [-exchange-window 16] [-drain 5s]
 //
 // Endpoints:
 //
@@ -116,7 +115,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	queryLog := flag.String("query-log", "", "append-only JSONL query log: one record per finished request, served, failed or cancelled (empty = disabled); feed it to `paropt replay` / `paropt workload`")
 	exchWindow := flag.Int("exchange-window", 0, "credit window (frames in flight per direction, at most 1024) for distributed exchanges; fragments carry it to the workers (0 = exchange default)")
-	planLogFile := flag.String("plan-log-file", "", "additionally append plan changes as JSONL to this file, each naming its trace (empty = traces only)")
 	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight queries before cancelling them")
 	flag.Parse()
 
@@ -166,7 +164,6 @@ func main() {
 		Logger:         logger,
 		QueryLog:       qlog,
 		ExchangeWindow: *exchWindow,
-		PlanLogPath:    *planLogFile,
 	})
 	if err != nil {
 		log.Fatalf("paroptd: %v", err)

@@ -8,10 +8,11 @@
 //
 //   - Profiler: a lock-sharded map from query fingerprint to Profile —
 //     request/hit/miss/dedup/error counts, streaming latency quantiles (P²
-//     sketches, constant space), the last selected plan signature, and EWMAs
-//     of the cost-model accuracy samples produced by obs/accuracy (mean
-//     |relative error| of calibrated (tf, tl) predictions and the worst row
-//     q-error). The q-error EWMA is the drift signal: when it exceeds a
+//     sketches, constant space), the last selected plan signature, the
+//     plan the template's last search chose (the "before" side of its next
+//     plan swap), and EWMAs of the cost-model accuracy samples produced by
+//     obs/accuracy (mean |relative error| of calibrated (tf, tl) predictions
+//     and the worst row q-error). The q-error EWMA is the drift signal: when it exceeds a
 //     threshold the cached cover set was computed from statistics that no
 //     longer match measured reality, and the entry is a candidate for
 //     background re-optimization.
@@ -76,6 +77,19 @@ type Profile struct {
 	accSamples int64
 	// sweeps counts background re-optimizations of this template.
 	sweeps int64
+	// searched is the plan the template's last search chose.
+	searched SearchedPlan
+}
+
+// SearchedPlan is the representative plan a template's last search chose
+// and the inputs that search ran under: the "before" side of the template's
+// next plan swap.
+type SearchedPlan struct {
+	Catalog   string // catalog version
+	Placement string // placement fingerprint, empty without one
+	Sig       string // join tree in functional notation
+	RT, Work  float64
+	Lines     []string // the indented tree rendering, one line per node
 }
 
 // ProfileSnapshot is a point-in-time copy of a Profile, safe to sort,
@@ -136,7 +150,8 @@ func (p *Profiler) shard(fp string) *profShard {
 	return &p.shards[h.Sum32()%uint32(len(p.shards))]
 }
 
-// profile returns (creating if capacity allows) the profile for fp.
+// profile returns (creating if capacity allows) the profile for fp; nil
+// when the profiler is full.
 func (p *Profiler) profile(fp string) *Profile {
 	sh := p.shard(fp)
 	sh.mu.Lock()
@@ -144,7 +159,6 @@ func (p *Profiler) profile(fp string) *Profile {
 	if !ok {
 		if p.size.Load() >= int64(p.capacity) {
 			sh.mu.Unlock()
-			p.overflow.Add(1)
 			return nil
 		}
 		pr = &Profile{fingerprint: fp, lat: NewLatencySketch(), firstSeen: time.Now()}
@@ -168,6 +182,7 @@ func (p *Profiler) Observe(rec Record) {
 	}
 	pr := p.profile(rec.Fingerprint)
 	if pr == nil {
+		p.overflow.Add(1)
 		return
 	}
 	failed := rec.Error != ""
@@ -207,6 +222,21 @@ func (p *Profiler) Observe(rec Record) {
 		pr.accSamples++
 	}
 	pr.mu.Unlock()
+}
+
+// SwapPlan stores next as the plan fp's last search chose and returns the
+// one it replaces; seen is false when there was none. A template the full
+// profiler does not hold keeps no plan (its request counts as overflow when
+// observed).
+func (p *Profiler) SwapPlan(fp string, next SearchedPlan) (prev SearchedPlan, seen bool) {
+	pr := p.profile(fp)
+	if pr == nil {
+		return prev, false
+	}
+	pr.mu.Lock()
+	prev, pr.searched = pr.searched, next
+	pr.mu.Unlock()
+	return prev, prev.Sig != ""
 }
 
 // MarkSwept records a drift sweep of the template and resets its accuracy

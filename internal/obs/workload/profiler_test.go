@@ -102,6 +102,20 @@ func TestProfilerCapacityOverflow(t *testing.T) {
 	if p.Overflow() != 7 {
 		t.Errorf("update of resident profile must not overflow, got %d", p.Overflow())
 	}
+	// A resident template keeps its last searched plan; one the full
+	// profiler does not hold keeps none, and counts as overflow only when
+	// its request is observed.
+	for i, want := range []bool{false, true} {
+		if prev, seen := p.SwapPlan("fp-0", SearchedPlan{Sig: fmt.Sprint("plan-", i)}); seen != want || (seen && prev.Sig != "plan-0") {
+			t.Errorf("resident swap %d: prev %+v seen %v", i, prev, seen)
+		}
+		if _, seen := p.SwapPlan("fp-new", SearchedPlan{Sig: "plan"}); seen {
+			t.Errorf("swap %d of an untracked template saw a previous plan", i)
+		}
+	}
+	if p.Len() != 3 || p.Overflow() != 7 {
+		t.Errorf("swaps changed the profiler: %d profiles, overflow %d", p.Len(), p.Overflow())
+	}
 }
 
 func TestProfilerConcurrency(t *testing.T) {
@@ -118,6 +132,7 @@ func TestProfilerConcurrency(t *testing.T) {
 					rec.RelErr, rec.QErr = 0.2, 1.5
 				}
 				p.Observe(rec)
+				p.SwapPlan(fp, SearchedPlan{Sig: fmt.Sprintf("plan-%d", g)})
 			}
 		}(g)
 	}

@@ -17,9 +17,6 @@ import (
 // Outcome is one replayed request's result.
 type Outcome struct {
 	PlanSig       string
-	Cache         string
-	RT            float64
-	Work          float64
 	ElapsedMicros int64
 	Err           error
 }
@@ -29,17 +26,15 @@ type Executor func(Record) Outcome
 
 // Delta compares one record against its replay.
 type Delta struct {
-	Index         int     `json:"index"`
-	Fingerprint   string  `json:"fingerprint"`
-	Query         string  `json:"query"`
-	RecordedPlan  string  `json:"recordedPlan"`
-	ReplayedPlan  string  `json:"replayedPlan"`
-	PlanChanged   bool    `json:"planChanged"`
-	RecordedRT    float64 `json:"recordedRT,omitempty"`
-	ReplayedRT    float64 `json:"replayedRT,omitempty"`
-	RecordedMicro int64   `json:"recordedMicros"`
-	ReplayedMicro int64   `json:"replayedMicros"`
-	Error         string  `json:"error,omitempty"`
+	Index         int    `json:"index"`
+	Fingerprint   string `json:"fingerprint"`
+	Query         string `json:"query"`
+	RecordedPlan  string `json:"recordedPlan"`
+	ReplayedPlan  string `json:"replayedPlan"`
+	PlanChanged   bool   `json:"planChanged"`
+	RecordedMicro int64  `json:"recordedMicros"`
+	ReplayedMicro int64  `json:"replayedMicros"`
+	Error         string `json:"error,omitempty"`
 }
 
 // Report aggregates a whole replay.
@@ -78,8 +73,6 @@ func Replay(recs []Record, exec Executor, verbose bool) *Report {
 			Query:         rec.Query,
 			RecordedPlan:  rec.PlanSig,
 			ReplayedPlan:  out.PlanSig,
-			RecordedRT:    rec.RT,
-			ReplayedRT:    out.RT,
 			RecordedMicro: rec.ElapsedMicros,
 			ReplayedMicro: out.ElapsedMicros,
 		}

@@ -183,10 +183,18 @@ func (s *Searcher) BruteForceBushy() (*search.Result, error) {
 // that a join order chosen without response-time information can strand the
 // optimizer on a tree whose parallelized form the one-phase DP beats.
 func (s *Searcher) TwoPhase() (*search.Result, error) {
+	res, _, err := s.twoPhase()
+	return res, err
+}
+
+// twoPhase is TwoPhase plus the annotation options phase two chose, which
+// its plan is priced under.
+func (s *Searcher) twoPhase() (*search.Result, optree.AnnotateOptions, error) {
 	start := s.begin()
+	chosen := s.opt.Annotate
 	base, err := search.New(s.opt.Options).WorkOptimalBaseline()
 	if err != nil {
-		return nil, err
+		return nil, chosen, err
 	}
 	s.stats.PlansConsidered++ // the phase-one plan
 
@@ -198,15 +206,15 @@ func (s *Searcher) TwoPhase() (*search.Result, error) {
 			ann.MinTuplesPerClone = minTuples
 			c, err := s.price(base.Node, ann)
 			if err != nil {
-				return nil, err
+				return nil, chosen, err
 			}
 			s.stats.PlansConsidered++
 			if c != nil && (best == nil || s.opt.Final(c, best)) {
-				best = c
+				best, chosen = c, ann
 			}
 		}
 	}
-	return s.result(start, best), nil
+	return s.result(start, best), chosen, nil
 }
 
 // begin starts a run: fresh counters, and the start of its pseudo-layer.

@@ -45,7 +45,7 @@ var algorithms = [...]struct {
 	NaiveRTDP:            {"naive-rt", "DP for left-deep (naive RT)", dp((*search.Searcher).DPLeftDeep), search.RTMetric{}, search.ByRT},
 	BruteForceLeftDeep:   {"brute", "brute force for left-deep", oracle((*Searcher).BruteForceLeftDeep), nil, search.ByRT},
 	BruteForceBushy:      {"brute-bushy", "brute force for bushy", oracle((*Searcher).BruteForceBushy), nil, search.ByRT},
-	TwoPhase:             {"two-phase", "two-phase (work tree, then parallelize)", oracle((*Searcher).TwoPhase), nil, search.ByRT},
+	TwoPhase:             {"two-phase", "two-phase (work tree, then parallelize)", nil, nil, search.ByRT}, // run by Optimize, which keeps phase two's annotation
 	IterativeImprovement: {"ii", "iterative improvement (bushy)", oracle(randomized(false)), nil, search.ByRT},
 	SimulatedAnnealing:   {"anneal", "simulated annealing (bushy)", oracle(randomized(true)), nil, search.ByRT},
 }
@@ -106,8 +106,8 @@ type Run struct {
 // Optimize runs r's algorithm over o's session and returns the winning plan.
 // A bound runs the §2 pipeline (search.OptimizeBounded) around whichever
 // algorithm it is; a bounded plan carries the baseline and no frontier. The
-// winner is materialized under the session's annotation options — for
-// two-phase not the parallelization phase two chose — and a plan over the
+// winner is materialized under the annotation options it was priced under —
+// for two-phase the parallelization phase two chose — and a plan over the
 // session's memory limit is refused.
 func Optimize(o *core.Optimizer, r Run) (*core.Plan, error) {
 	if !r.Algorithm.known() {
@@ -121,15 +121,22 @@ func Optimize(o *core.Optimizer, r Run) (*core.Plan, error) {
 	} else if row.metric != nil {
 		opt.Metric = row.metric
 	}
+	ann, run := opt.Annotate, row.run
+	if r.Algorithm == TwoPhase { // phase two chooses the annotation its plan is priced under
+		run = func(opt search.Options) (res *search.Result, err error) {
+			res, ann, err = New(Options{Options: opt}).twoPhase()
+			return res, err
+		}
+	}
 	cs := &core.CoverSet{}
 	var best *search.Candidate
 	if r.Bound != nil {
 		var err error
-		if best, cs.Baseline, cs.Stats, err = search.OptimizeBounded(opt, r.Bound, row.run); err != nil {
+		if best, cs.Baseline, cs.Stats, err = search.OptimizeBounded(opt, r.Bound, run); err != nil {
 			return nil, err
 		}
 	} else {
-		res, err := row.run(opt)
+		res, err := run(opt)
 		if err != nil {
 			return nil, err
 		}
@@ -141,6 +148,11 @@ func Optimize(o *core.Optimizer, r Run) (*core.Plan, error) {
 	p, err := o.Materialize(cs, best)
 	if err != nil {
 		return nil, err
+	}
+	if best != cs.Baseline && ann != opt.Annotate {
+		if p.Desc, p.Op, err = o.Mod.PlanCost(best.Node, opt.Expand, ann); err != nil {
+			return nil, err
+		}
 	}
 	if peak := o.Mod.MemoryEstimate(p.Op).PeakPages; opt.MemoryLimit > 0 && peak > opt.MemoryLimit {
 		return nil, fmt.Errorf("repro: the %v plan peaks at %d pages, over the %d-page limit", r.Algorithm, peak, opt.MemoryLimit)

@@ -12,6 +12,7 @@ import (
 	"paropt/internal/plan"
 	"paropt/internal/query"
 	"paropt/internal/search"
+	"paropt/internal/workload"
 )
 
 // newOracle builds an oracle over a generated workload.
@@ -247,6 +248,33 @@ func TestEveryAlgorithmHonoursTheBound(t *testing.T) {
 		if p.Baseline == nil || p.Baseline.Work() != wo {
 			t.Errorf("%v under %s: baseline %v, want the work optimum (Wo = %.0f)", alg, bound.Name(), p.Baseline, wo)
 		}
+	}
+}
+
+// TestTwoPhasePlanIsPhaseTwosChoice: the plan Optimize returns for
+// two-phase is the parallelization phase two chose, its descriptor and its
+// operator tree both, not the work-optimal tree re-annotated under the
+// session's defaults. On the portfolio query the two differ.
+func TestTwoPhasePlanIsPhaseTwosChoice(t *testing.T) {
+	cat, q := workload.Portfolio(4)
+	o, err := core.NewOptimizer(cat, q, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(Options{Options: o.SearchOptions()}).TwoPhase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Optimize(o, Run{Algorithm: TwoPhase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.RT() != res.Best.RT() || p.Work() != res.Best.Work() {
+		t.Errorf("plan at RT %.1f / work %.1f, phase two chose RT %.1f / work %.1f",
+			p.RT(), p.Work(), res.Best.RT(), res.Best.Work())
+	}
+	if d := o.Mod.Descriptor(p.Op); d.RT() != p.RT() || d.Work() != p.Work() {
+		t.Errorf("operator tree prices at RT %.1f / work %.1f, the plan says %.1f / %.1f", d.RT(), d.Work(), p.RT(), p.Work())
 	}
 }
 

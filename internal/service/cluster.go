@@ -153,12 +153,11 @@ func (s *Service) placementCount() int {
 	return len(s.placements)
 }
 
-// placedConfig renders the installed placement for a catalog version as the
-// cost model's Placed map: worker i of an assignment maps to shared-nothing
-// node i (mod the machine's node count). Nil when no placement is
+// placedConfig renders an installed placement map as the cost model's
+// Placed map: worker i of an assignment maps to shared-nothing node i (mod
+// the machine's node count). Nil for a nil map, when no placement is
 // installed — searches then price every redistribution as before.
-func (s *Service) placedConfig(version string) map[string]cost.PlacedRelation {
-	m := s.PlacementFor(version)
+func (s *Service) placedConfig(m *placement.Map) map[string]cost.PlacedRelation {
 	if m == nil {
 		return nil
 	}

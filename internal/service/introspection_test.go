@@ -1,21 +1,25 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"paropt/internal/catalog"
+	"paropt/internal/engine"
+	"paropt/internal/engine/exchange"
+	"paropt/internal/machine"
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
 	"paropt/internal/parser"
@@ -46,15 +50,6 @@ func mustSchema(t *testing.T, ddl string) *catalog.Catalog {
 		t.Fatal(err)
 	}
 	return cat
-}
-
-func readFileT(t *testing.T, path string) string {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // newWideServer serves the 10-relation catalog with a beam-bounded search:
@@ -119,9 +114,28 @@ func layerSpans(search *obs.SpanJSON) []*obs.SpanJSON {
 	return layers
 }
 
-// planChangeOf rebuilds the PlanChange a trace's plan-change span records —
-// the form the JSONL audit file holds; ok is false when the trace has none.
-func planChangeOf(t *testing.T, tj *obs.TraceJSON) (c PlanChange, ok bool) {
+// planChange is one plan swap as its plan-change span records it: the
+// span's attributes, its diff split into lines, the trace's ID and the
+// span's start.
+type planChange struct {
+	Time        time.Time
+	TraceID     string
+	Source      string
+	Fingerprint string
+	PrevCatalog string
+	Catalog     string
+	PrevPlan    string
+	NewPlan     string
+	PrevRT      float64
+	NewRT       float64
+	PrevWork    float64
+	NewWork     float64
+	Diff        []string
+}
+
+// planChangeOf rebuilds the planChange a trace's plan-change span records;
+// ok is false when the trace has none.
+func planChangeOf(t *testing.T, tj *obs.TraceJSON) (c planChange, ok bool) {
 	t.Helper()
 	sp := findSpan(tj.Root, "plan-change")
 	if sp == nil {
@@ -134,7 +148,7 @@ func planChangeOf(t *testing.T, tj *obs.TraceJSON) (c PlanChange, ok bool) {
 		}
 		return v
 	}
-	c = PlanChange{
+	c = planChange{
 		Time:        time.UnixMicro(tj.StartUnix + sp.StartMicros),
 		TraceID:     tj.ID,
 		Source:      sp.Attrs["source"],
@@ -156,9 +170,9 @@ func planChangeOf(t *testing.T, tj *obs.TraceJSON) (c PlanChange, ok bool) {
 
 // planChanges lists the plan changes held by the retained traces, newest
 // first.
-func planChanges(t *testing.T, s *Service) []PlanChange {
+func planChanges(t *testing.T, s *Service) []planChange {
 	t.Helper()
-	var out []PlanChange
+	var out []planChange
 	for _, tr := range s.Tracer().Traces() {
 		if c, ok := planChangeOf(t, tr.JSON()); ok {
 			out = append(out, c)
@@ -339,12 +353,13 @@ func TestExplainWhyProvenance(t *testing.T) {
 // TestSweeperPlanChangeAuditLog: a sweeper-triggered re-optimization after a
 // statistics refresh records a plan change with cost deltas and a structural
 // diff under its own sweep trace, listed at /debug/traces?kind=plan-change,
-// and the JSONL persister mirrors it with that trace's ID.
+// and the JSON request log's "plan change" line carries the same fields but
+// the diff, naming that trace.
 func TestSweeperPlanChangeAuditLog(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "planlog.jsonl")
+	var log lockedBuffer
 	s := newTestService(t, func(cfg *Config) {
 		cfg.Catalog = poisonedCatalog()
-		cfg.PlanLogPath = logPath
+		cfg.Logger = slog.New(slog.NewJSONHandler(&log, nil))
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -392,51 +407,137 @@ func TestSweeperPlanChangeAuditLog(t *testing.T) {
 		t.Errorf("endpoint serves %+v, want %+v", got, c)
 	}
 
-	// The metrics counter and the JSONL persister both saw it.
+	// The metrics counter and the request log both saw it.
 	_, body := getBody(t, srv.URL+"/metrics")
 	if !strings.Contains(string(body), `paroptd_plan_changes_total{source="sweeper"} 1`) {
 		t.Error("/metrics should count the sweeper plan change")
 	}
-	s.Close() // flushes the asynchronous audit file
-	persisted := readFileT(t, logPath)
-	var row PlanChange
-	if err := json.Unmarshal([]byte(strings.TrimSpace(persisted)), &row); err != nil {
-		t.Fatalf("JSONL row should parse: %v\n%s", err, persisted)
+	line := log.line(t, "plan change")
+	var keys map[string]any
+	if err := json.Unmarshal(line, &keys); err != nil {
+		t.Fatal(err)
 	}
-	if row.Fingerprint != c.Fingerprint || row.Source != "sweeper" || row.TraceID != c.TraceID {
-		t.Errorf("persisted row mismatch: %+v", row)
+	if _, ok := keys["diff"]; ok {
+		t.Errorf("the log line should leave the diff to the span: %s", line)
+	}
+	// The line's keys are the span's attribute names, which encoding/json
+	// matches to planChange's fields case-insensitively ("traceId" →
+	// TraceID, "time" → Time).
+	var row planChange
+	if err := json.Unmarshal(line, &row); err != nil {
+		t.Fatal(err)
+	}
+	want := c
+	want.Time, want.Diff = row.Time, nil
+	if row.Time.IsZero() || !reflect.DeepEqual(row, want) {
+		t.Errorf("log line %+v, want the span's fields but the diff %+v", row, want)
 	}
 	fetchTrace(t, srv.URL, row.TraceID)
 }
 
-// TestReplayChangeEntersAuditLog covers the replay feed-in path the CLI uses:
-// the change lands under a replay trace, and its JSONL line names that trace.
-func TestReplayChangeEntersAuditLog(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "replay.jsonl")
-	s, srv := newTestServer(t, func(c *Config) { c.PlanLogPath = logPath })
-	s.RecordReplayChange("fp123", "cat1", "join(A,B)", "join(B,A)", 10, 8)
-	changes := planChanges(t, s)
-	if len(changes) != 1 {
-		t.Fatalf("want 1 change, got %d", len(changes))
+// lockedBuffer is a log destination safe for the service's goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// line returns the one JSON log line whose msg is msg.
+func (b *lockedBuffer) line(t *testing.T, msg string) []byte {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var found [][]byte
+	for _, l := range bytes.Split(b.buf.Bytes(), []byte("\n")) {
+		var rec struct{ Msg string }
+		if json.Unmarshal(l, &rec) == nil && rec.Msg == msg {
+			found = append(found, l)
+		}
 	}
-	c := changes[0]
-	if c.Source != "replay" || c.PrevPlan != "join(A,B)" || c.NewPlan != "join(B,A)" ||
-		c.PrevRT != 10 || c.NewRT != 8 || len(c.Diff) != 2 {
-		t.Errorf("replay change mismatch: %+v", c)
+	if len(found) != 1 {
+		t.Fatalf("want 1 %q log line, got %d:\n%s", msg, len(found), b.buf.Bytes())
 	}
-	if s.met.PlanChanges.Load("replay") != 1 {
-		t.Error("replay counter should advance")
-	}
-	s.Close()
-	var row PlanChange
-	if err := json.Unmarshal([]byte(strings.TrimSpace(readFileT(t, logPath))), &row); err != nil {
+	return found[0]
+}
+
+// TestPlacementSwapIsLabelledPlacement: installing a placement re-keys the
+// template, and its search prices the placed data, so the answer moves under
+// the same catalog. The swap names the placement, the input that moved, not
+// the search.
+func TestPlacementSwapIsLabelledPlacement(t *testing.T) {
+	lb, err := exchange.StartLoopback(3, engine.FragmentJoin)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if row.TraceID == "" || row.TraceID != c.TraceID {
-		t.Fatalf("JSONL row names trace %q, want %q", row.TraceID, c.TraceID)
+	defer lb.Close()
+	s, srv := newTestServer(t, func(c *Config) {
+		c.Machine = machine.Config{CPUs: 2, Disks: 2, Nodes: 3, NetLatency: 1}
+	})
+	for _, addr := range lb.Addrs() {
+		if _, err := s.RegisterWorker(addr, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tj := fetchTrace(t, srv.URL, row.TraceID); tj.Root.Name != "replay" {
-		t.Errorf("replay change should open a replay trace, got %s", tj.Root.Name)
+	ctx := context.Background()
+	if _, err := s.Optimize(ctx, OptimizeRequest{Query: chainSQL(6, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InstallPlacement("", nil); err != nil {
+		t.Fatal(err)
+	}
+	placed, err := s.Optimize(ctx, OptimizeRequest{Query: chainSQL(6, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := planChanges(t, s)
+	if len(changes) != 1 {
+		t.Fatalf("want 1 plan change, got %+v", changes)
+	}
+	c := changes[0]
+	if c.Source != "placement" || c.TraceID != placed.TraceID || c.PrevCatalog != c.Catalog ||
+		(c.PrevRT == c.NewRT && c.PrevWork == c.NewWork) {
+		t.Errorf("plan change %+v, want a placement swap under one catalog with a cost delta", c)
+	}
+	if n, m := s.met.PlanChanges.Load("placement"), s.met.PlanChanges.Load("search"); n != 1 || m != 0 {
+		t.Errorf("counted %d placement and %d search swaps, want 1 and 0", n, m)
+	}
+	if ids := listTraces(t, srv.URL+"/debug/traces?kind=plan-change"); len(ids) != 1 || ids[0] != placed.TraceID {
+		t.Errorf("the placed request's trace should be listed, got %v", ids)
+	}
+}
+
+// TestEvictedTemplatesResearchWithoutSwaps: on a cache too small for the
+// traffic, evicted templates are searched again under unchanged inputs, and
+// every such search answers as the last one did, so no swap is recorded.
+func TestEvictedTemplatesResearchWithoutSwaps(t *testing.T) {
+	s, srv := newTestServer(t, func(c *Config) { c.CacheCapacity = 8 })
+	ctx := context.Background()
+	ks := []float64{0, 1, 1.5, 2.5}
+	const templates = 5 // chains of 2 to 6 relations
+	for round := 0; round < 3; round++ {
+		for n := 2; n < 2+templates; n++ {
+			for lit := 1; lit <= 4; lit++ {
+				req := OptimizeRequest{Query: chainSQL(n, lit), K: ks[(n+lit+round)%len(ks)]}
+				if _, err := s.Optimize(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if ev, searches := s.met.Evictions.Load(), s.met.FullSearch.Load(); ev == 0 || searches <= templates {
+		t.Fatalf("%d evictions and %d searches over %d templates: the fixture re-searches nothing", ev, searches, templates)
+	}
+	if ids := listTraces(t, srv.URL+"/debug/traces?kind=plan-change"); len(ids) != 0 {
+		t.Errorf("re-searches under unchanged inputs recorded plan changes: %v", ids)
+	}
+	_, body := getBody(t, srv.URL+"/metrics")
+	if !strings.Contains(string(body), `paroptd_plan_changes_total{source="search"} 0`) {
+		t.Error(`/metrics should count 0 swaps with source="search"`)
 	}
 }
 

@@ -64,7 +64,7 @@ func (m *Metrics) init() {
 	m.Requests = obs.NewLabelCounter("endpoint", "optimize", "explain", "schema")
 	m.TextCacheHits = obs.NewLabelCounter("result", "template", "error")
 	m.Pruned = obs.NewLabelCounter("reason", "dominance", "work", "memory", "beam")
-	m.PlanChanges = obs.NewLabelCounter("source", "search", "refresh", "sweeper", "replay")
+	m.PlanChanges = obs.NewLabelCounter("source", "search", "refresh", "sweeper", "placement")
 	m.QueryCancelled = obs.NewLabelCounter("reason", CancelClient, CancelDeadline, CancelShutdown)
 	m.CostRelErr.EnsureBuckets(obs.RelErrorBuckets)
 }
@@ -107,7 +107,7 @@ func (s *Service) families() []obs.Family {
 		m.TextCacheHits.Family("paroptd_textcache_hits_total", "Query texts answered from the text cache without parsing, by result: a template or a recorded parse/resolve failure."),
 		obs.Counter("paroptd_sweeper_reoptimized_total", "Cache entries re-optimized by the drift sweep a catalog refresh runs.", m.SweepReoptimized.Load),
 		m.Pruned.Family("paroptd_search_pruned_total", "Candidates pruned during DP search, by rejecting test."),
-		m.PlanChanges.Family("paroptd_plan_changes_total", "Cached-plan swaps recorded in the plan-change audit log, by source."),
+		m.PlanChanges.Family("paroptd_plan_changes_total", "Cached-plan swaps, by the input that moved (search: none moved, a determinism alarm)."),
 		m.QueryCancelled.Family("paroptd_query_cancelled_total", "In-flight queries cancelled, by reason."),
 		obs.Counter("paroptd_catalog_versions_retired", "Catalog versions retired by statistics refreshes (plan + text caches swept).", m.CatalogRetired.Load),
 		obs.Counter("paroptd_exchange_fragments_total", "Join fragments dispatched to worker processes (re-dispatches count again).", m.ExchangeFragments.Load),

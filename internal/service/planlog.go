@@ -2,163 +2,74 @@ package service
 
 import (
 	"strings"
-	"time"
 
 	"paropt/internal/obs"
+	"paropt/internal/obs/workload"
 	"paropt/internal/search"
 )
 
-// Plan-change audit log: every time the service's answer for a query
-// fingerprint *changes* — a refresh's drift sweep re-optimized it, a statistics
-// refresh moved the catalog, or a replay regression was reported — one
+// Plan-change record: every time the service's answer for a query
+// fingerprint *changes* — a statistics refresh moved the catalog, a placement
+// install moved the data, or a refresh's drift sweep re-optimized it — one
 // plan-change span records the before/after plan fingerprints, the cost
 // deltas, and a structural diff of the join trees under the trace that caused
 // it. The tracer pins that trace (obs.Tracer.Keep), so /debug/traces
-// ?kind=plan-change lists recent swaps however much traffic followed them; the
-// same record goes to the optional JSONL sink (Config.PlanLogPath) as a
-// PlanChange, stamped with the trace ID, so swaps survive a restart for
-// post-hoc audits.
-
-// PlanChange is one recorded plan swap as the JSONL sink writes it.
-type PlanChange struct {
-	Time time.Time `json:"time"`
-	// TraceID is the trace holding the swap's plan-change span: the request
-	// whose search produced it, or the sweep or replay trace (empty when
-	// tracing is off).
-	TraceID string `json:"traceId,omitempty"`
-	// Source attributes the swap: "search" (a later request's search chose
-	// differently under unchanged inputs — should not happen for a fixed
-	// catalog), "refresh" (catalog version moved under the template),
-	// "sweeper" (drift re-optimization), "replay" (a replay run reported a
-	// regression against a recorded log).
-	Source      string `json:"source"`
-	Fingerprint string `json:"fingerprint"`
-	// PrevCatalog/Catalog are the catalog versions before and after.
-	PrevCatalog string `json:"prevCatalog,omitempty"`
-	Catalog     string `json:"catalog"`
-	// PrevPlan/NewPlan are the plan signatures (join trees in functional
-	// notation).
-	PrevPlan string `json:"prevPlan"`
-	NewPlan  string `json:"newPlan"`
-	// Cost deltas: estimated response time and work before and after.
-	PrevRT   float64 `json:"prevRT"`
-	NewRT    float64 `json:"newRT"`
-	PrevWork float64 `json:"prevWork"`
-	NewWork  float64 `json:"newWork"`
-	// Diff is the structural plan diff: tree-rendering lines only in the
-	// previous plan ("- ") or only in the new one ("+ ").
-	Diff []string `json:"diff,omitempty"`
-}
-
-// recordPlanChange records one swap as a plan-change child of parent, pins
-// parent's trace, appends the change to the JSONL audit file (when
-// configured) and counts it by source. The span's attributes are the
-// PlanChange fields under their JSON names, the diff lines joined by
-// newlines.
-func (s *Service) recordPlanChange(parent *obs.Span, c PlanChange) {
-	c.Time = time.Now()
-	c.TraceID = parent.TraceID()
-	sp := parent.Child("plan-change")
-	sp.SetAttr("source", c.Source)
-	sp.SetAttr("fingerprint", c.Fingerprint)
-	sp.SetAttr("prevCatalog", c.PrevCatalog)
-	sp.SetAttr("catalog", c.Catalog)
-	sp.SetAttr("prevPlan", c.PrevPlan)
-	sp.SetAttr("newPlan", c.NewPlan)
-	sp.SetAttr("prevRT", c.PrevRT)
-	sp.SetAttr("newRT", c.NewRT)
-	sp.SetAttr("prevWork", c.PrevWork)
-	sp.SetAttr("newWork", c.NewWork)
-	sp.SetAttr("diff", strings.Join(c.Diff, "\n"))
-	sp.End()
-	s.tracer.Keep(sp)
-	s.planfile.Write(c)
-	s.met.PlanChanges.Add(c.Source, 1)
-	s.logger.Info("plan change",
-		"source", c.Source, "fingerprint", c.Fingerprint,
-		"prevRT", c.PrevRT, "newRT", c.NewRT,
-		"prevWork", c.PrevWork, "newWork", c.NewWork,
-		"traceId", c.TraceID)
-}
-
-// prevPlan is the last answer remembered per query fingerprint — the "before"
-// side of the next swap.
-type prevPlan struct {
-	catalog string
-	sig     string
-	rt      float64
-	work    float64
-	lines   []string
-}
-
-// lastPlansCap bounds the per-fingerprint memory; beyond it an arbitrary
-// entry is dropped (the map is advisory — a dropped fingerprint just misses
-// one swap's "before" side).
-const lastPlansCap = 4096
+// ?kind=plan-change lists recent swaps however much traffic followed them;
+// the request log's "plan change" line carries every field but the diff, so
+// a -log json stream outlives a restart. The "before" side is the plan the
+// template's workload profile holds from its last search.
 
 // notePlan observes the representative plan a fresh search produced for a
-// fingerprint and records a plan change under the search span sp when it
-// differs from the last one. The representative is the frontier's unbounded
-// best (minimum response time): the answer an unbounded request would get,
-// which makes swap detection independent of per-request bound knobs. A swap seen under a new catalog
-// version is reclassified from "search" to "refresh".
-func (s *Service) notePlan(sp *obs.Span, source, fp, version string, best *search.Candidate) {
+// fingerprint under catalog version and placement fingerprint placement, and
+// records a plan change under the search span sp when it differs from the
+// last one. The representative is the frontier's unbounded best (minimum
+// response time): the answer an unbounded request would get, which makes
+// swap detection independent of per-request bound knobs. A swap is labelled
+// by the input that moved: "sweeper" for a drift sweep's search, else
+// "refresh" when the catalog version moved, "placement" when only the
+// placement did, and "search" when the inputs are identical — which a
+// deterministic search never does.
+func (s *Service) notePlan(sp *obs.Span, source, fp, version, placement string, best *search.Candidate) {
 	if best == nil {
 		return
 	}
-	sig := best.Node.String()
-	lines := treeLines(best.Node.Indent())
-	next := prevPlan{catalog: version, sig: sig, rt: best.RT(), work: best.Work(), lines: lines}
-
-	s.planMu.Lock()
-	prev, seen := s.lastPlans[fp]
-	if !seen && len(s.lastPlans) >= lastPlansCap {
-		for k := range s.lastPlans {
-			delete(s.lastPlans, k)
-			break
-		}
+	next := workload.SearchedPlan{
+		Catalog: version, Placement: placement, Sig: best.Node.String(),
+		RT: best.RT(), Work: best.Work(), Lines: treeLines(best.Node.Indent()),
 	}
-	s.lastPlans[fp] = next
-	s.planMu.Unlock()
-
-	if !seen || (prev.sig == sig && prev.catalog == version && prev.rt == next.rt && prev.work == next.work) {
+	prev, seen := s.prof.SwapPlan(fp, next)
+	if !seen || (prev.Sig == next.Sig && prev.Catalog == version && prev.RT == next.RT && prev.Work == next.Work) {
 		return
 	}
-	if source == "search" && prev.catalog != version {
+	switch {
+	case source == "sweeper":
+	case prev.Catalog != version:
 		source = "refresh"
+	case prev.Placement != placement:
+		source = "placement"
 	}
-	s.recordPlanChange(sp, PlanChange{
-		Source:      source,
-		Fingerprint: fp,
-		PrevCatalog: prev.catalog,
-		Catalog:     version,
-		PrevPlan:    prev.sig,
-		NewPlan:     sig,
-		PrevRT:      prev.rt,
-		NewRT:       next.rt,
-		PrevWork:    prev.work,
-		NewWork:     next.work,
-		Diff:        diffLines(prev.lines, lines),
-	})
-}
-
-// RecordReplayChange feeds one replay-detected regression into the audit log,
-// under a replay trace of its own: a replayed request whose plan signature no
-// longer matches the recorded one. Exported for the replay CLI's in-process
-// mode.
-func (s *Service) RecordReplayChange(fingerprint, catalog, recordedPlan, replayedPlan string, recordedRT, replayedRT float64) {
-	_, root := s.tracer.Start("replay")
-	defer root.End()
-	s.recordPlanChange(root, PlanChange{
-		Source:      "replay",
-		Fingerprint: fingerprint,
-		Catalog:     catalog,
-		PrevPlan:    recordedPlan,
-		NewPlan:     replayedPlan,
-		PrevRT:      recordedRT,
-		NewRT:       replayedRT,
-		Diff:        diffLines([]string{recordedPlan}, []string{replayedPlan}),
-	})
+	ch := sp.Child("plan-change")
+	ch.SetAttr("source", source)
+	ch.SetAttr("fingerprint", fp)
+	ch.SetAttr("prevCatalog", prev.Catalog)
+	ch.SetAttr("catalog", version)
+	ch.SetAttr("prevPlan", prev.Sig)
+	ch.SetAttr("newPlan", next.Sig)
+	ch.SetAttr("prevRT", prev.RT)
+	ch.SetAttr("newRT", next.RT)
+	ch.SetAttr("prevWork", prev.Work)
+	ch.SetAttr("newWork", next.Work)
+	ch.SetAttr("diff", strings.Join(diffLines(prev.Lines, next.Lines), "\n"))
+	ch.End()
+	s.tracer.Keep(ch)
+	s.met.PlanChanges.Add(source, 1)
+	s.logger.Info("plan change",
+		"source", source, "fingerprint", fp,
+		"prevCatalog", prev.Catalog, "catalog", version,
+		"prevPlan", prev.Sig, "newPlan", next.Sig,
+		"prevRT", prev.RT, "newRT", next.RT,
+		"prevWork", prev.Work, "newWork", next.Work,
+		"traceId", sp.TraceID())
 }
 
 // treeLines splits an indented tree rendering into diffable lines.

@@ -35,7 +35,6 @@ import (
 
 	"paropt/internal/catalog"
 	"paropt/internal/core"
-	"paropt/internal/cost"
 	"paropt/internal/engine"
 	"paropt/internal/engine/exchange"
 	"paropt/internal/machine"
@@ -113,9 +112,6 @@ type Config struct {
 	// visible on /metrics, which is how EXPERIMENTS §OB3 measures the
 	// pipeline sync penalty.
 	ExchangeWindow int
-	// PlanLogPath, when non-empty, additionally appends every plan change as
-	// one JSON line to this file, so swaps survive restarts.
-	PlanLogPath string
 }
 
 // Service is the optimizer daemon. Safe for concurrent use.
@@ -158,14 +154,6 @@ type Service struct {
 	links           map[string]*exchange.LinkSnapshot
 	fallbackReasons map[string]int64 // cumulative typed fallback reasons
 	workerUp        map[string]bool  // liveness from the last /cluster/metrics scrape
-
-	// Plan-change audit (planlog.go): planfile is the optional JSONL
-	// persister (nil when Config.PlanLogPath is empty), lastPlans the
-	// per-fingerprint "before" side swap detection compares against. The
-	// in-memory record of a search or a swap is its trace.
-	planfile  *obs.Sink[PlanChange]
-	planMu    sync.Mutex
-	lastPlans map[string]prevPlan
 
 	// inflight is the live-query registry behind /debug/queries: every
 	// served request is admitted with a cancellable context and retired
@@ -220,19 +208,11 @@ func New(cfg Config) (*Service, error) {
 		links:           make(map[string]*exchange.LinkSnapshot),
 		fallbackReasons: make(map[string]int64),
 		workerUp:        make(map[string]bool),
-		lastPlans:       make(map[string]prevPlan),
 		inflight:        newInflightRegistry(),
 		prof:            workload.NewProfiler(),
 		texts:           newTextCache(),
 		qlog:            cfg.QueryLog,
 		start:           time.Now(),
-	}
-	if cfg.PlanLogPath != "" {
-		pf, err := obs.NewSink[PlanChange](cfg.PlanLogPath, 0)
-		if err != nil {
-			return nil, fmt.Errorf("service: plan log: %w", err)
-		}
-		s.planfile = pf
 	}
 	if s.logger == nil {
 		s.logger = obs.DiscardLogger()
@@ -262,7 +242,6 @@ func (s *Service) Close() {
 	if !already {
 		s.inflight.cancelAll(CancelShutdown)
 		s.pool.Close()
-		s.planfile.Close() //nolint:errcheck // audit file is best-effort
 	}
 }
 
@@ -643,7 +622,7 @@ func (s *Service) searchFor(ctx context.Context, key, fp, version string, cat *c
 				return e, nil
 			}
 		}
-		placed := s.placedConfig(version)
+		pl := s.placementFor(version)
 		// The search span lives on the flight leader's trace (a request's or
 		// a sweep's); followers see only their own wait. The worker ends it,
 		// so a leader that times out still gets the span's true extent
@@ -655,7 +634,7 @@ func (s *Service) searchFor(ctx context.Context, key, fp, version string, cat *c
 		}
 		ch := make(chan result, 1)
 		if !s.pool.TrySubmit(func() {
-			e, err := s.runSearch(cat, q, fp, placed, sp, source, version)
+			e, err := s.runSearch(cat, q, fp, pl, sp, source, version)
 			sp.Err(err)
 			sp.End()
 			if err == nil {
@@ -684,8 +663,8 @@ func (s *Service) searchFor(ctx context.Context, key, fp, version string, cat *c
 // both derived from it. source attributes the search ("search" for request
 // misses, "sweeper" for drift re-optimizations) on the span, in the
 // layer-seconds histogram and prune-reason counters, and — when the
-// representative plan swapped — in the plan-change audit.
-func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, placed map[string]cost.PlacedRelation, sp *obs.Span, source, version string) (*cacheEntry, error) {
+// representative plan swapped — in the plan-change record.
+func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pl installedPlacement, sp *obs.Span, source, version string) (*cacheEntry, error) {
 	if hook := s.searchHook; hook != nil {
 		hook()
 	}
@@ -693,7 +672,7 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 	opt, err := core.NewOptimizer(cat, q, core.Config{
 		Machine:  s.mcfg,
 		CoverCap: s.cfg.CoverCap,
-		Placed:   placed,
+		Placed:   s.placedConfig(pl.m),
 	})
 	if err != nil {
 		return nil, badRequestError{err}
@@ -715,7 +694,7 @@ func (s *Service) runSearch(cat *catalog.Catalog, q *query.Query, fp string, pla
 	for _, l := range st.Layers {
 		s.met.SearchLayerSeconds.Observe(float64(l.WallNanos) / 1e9)
 	}
-	s.notePlan(sp, source, fp, version, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
+	s.notePlan(sp, source, fp, version, pl.fp, search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
 	return &cacheEntry{opt: opt, cover: cover}, nil
 }
 

@@ -341,13 +341,7 @@ func TestQueryLogAndReplayInProcess(t *testing.T) {
 		if err != nil {
 			return workload.Outcome{Err: err}
 		}
-		return workload.Outcome{
-			PlanSig:       resp.PlanSignature,
-			Cache:         resp.Cache,
-			RT:            resp.Summary.ResponseTime,
-			Work:          resp.Summary.Work,
-			ElapsedMicros: time.Since(start).Microseconds(),
-		}
+		return workload.Outcome{PlanSig: resp.PlanSignature, ElapsedMicros: time.Since(start).Microseconds()}
 	}, false)
 	if rep.PlanChanges != 0 || rep.Errors != 0 {
 		t.Errorf("deterministic replay regressed:\n%s", rep.Table())

@@ -179,9 +179,6 @@ type (
 	// CoverSet is a reusable search result: baseline + root Pareto
 	// frontier, re-filterable under any §2 bound.
 	CoverSet = core.CoverSet
-	// PlanChange is one plan-change audit entry as ServiceConfig.PlanLogPath
-	// persists it; its TraceID resolves at /debug/trace/{id}.
-	PlanChange = service.PlanChange
 )
 
 // NewService builds and starts an optimizer daemon.

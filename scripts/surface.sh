@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Surface scoreboard: what a user can run, set, call and scrape, plus how much
 # code carries it and which of the module's packages each served binary links.
-# Prints the eight numbers and one row per linked package, and fails when a
+# Prints the nine numbers and one row per linked package, and fails when a
 # row differs from scripts/surface.golden or the line count exceeds its
 # ceiling there — so an added binary, flag, service.Config field, route,
 # metric family or dependency edge is a visible diff of the golden, not a
@@ -16,6 +16,8 @@ counts=$(
   echo "binaries $(ls cmd | wc -l)"
   echo "paroptd_flags $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paroptd/main.go)"
   echo "paroptw_flags $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paroptw/main.go)"
+  # paropt's own flags plus each subcommand's FlagSet flags.
+  echo "paropt_flags $(( $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paropt/main.go) + $(find cmd/paropt -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -c 'fs\.[A-Z][A-Za-z0-9]*("') ))"
   echo "service_config_fields $(sed -n '/^type Config struct {/,/^}/p' internal/service/service.go | grep -c '^	[A-Z]')"
   echo "routes $(grep -c 'mux\.HandleFunc("' internal/service/http.go)"
   echo "metric_families $(grep -c '^# TYPE' internal/service/testdata/metrics.golden)"
