@@ -203,7 +203,7 @@ func (o *Optimizer) AnalyzeLive(ctx context.Context, p *Plan, inst *query.Query,
 		q = &bound
 	}
 	e := &engine.Executor{DB: db, Q: q, Parallel: parallel, Stats: stats, Transport: tr, Ctx: ctx}
-	if _, err := e.ExecuteOp(p.Op); err != nil {
+	if _, err := e.Run(p.Op); err != nil {
 		return nil, nil, err
 	}
 	return accuracy.Analyze(o.Mod, p.Op, stats), stats, nil

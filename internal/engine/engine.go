@@ -13,8 +13,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"paropt/internal/catalog"
@@ -138,17 +140,19 @@ func (r *Resultset) Rows() []storage.Row {
 }
 
 // result pulls the root operator to exhaustion, closes it, and returns what
-// it produced, projected per the query's projection list when present.
+// it produced, projected per the query's projection list when present. A
+// result never releases its batches: they stay the caller's for as long as
+// it holds the Resultset.
 func (e *Executor) result(op Operator, schema Schema) (*Resultset, error) {
 	defer op.Close()
-	batches, rows, err := drain(e.ctx(), op)
+	res := &Resultset{Schema: schema}
+	err := drain(e.ctx(), op, func(b Batch) {
+		res.batches = append(res.batches, b.Compact()) // only a bare filtered scan emits selections
+		res.n += b.Len()
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range batches {
-		batches[i] = b.Compact() // only a bare filtered scan emits selections
-	}
-	res := &Resultset{Schema: schema, batches: batches, n: rows}
 	if len(e.Q.Projection) > 0 {
 		return res.Project(e.Q.Projection)
 	}
@@ -404,34 +408,33 @@ func keysFit(keys []int, width int) error {
 	return nil
 }
 
-// drain pulls op to exhaustion, returning its batches and their live row
-// count. Cancellation is re-checked between batches so a dying query stops
-// collecting even when the child's own checkpoints are coarser.
-func drain(ctx context.Context, op Operator) ([]Batch, int, error) {
-	var batches []Batch
-	rows := 0
+// drain pulls op to exhaustion, handing every batch to take. Cancellation is
+// re-checked between batches so a dying query stops collecting even when the
+// child's own checkpoints are coarser.
+func drain(ctx context.Context, op Operator, take func(Batch)) error {
 	for {
 		if err := ctxErr(ctx); err != nil {
-			return nil, 0, err
+			return err
 		}
 		b, err := op.Next(ctx)
-		if err != nil {
-			return nil, 0, err
+		if err != nil || b == nil {
+			return err
 		}
-		if b == nil {
-			return batches, rows, nil
-		}
-		batches = append(batches, b)
-		rows += b.Len()
+		take(b)
 	}
 }
 
 // drainBuffer pulls op to exhaustion into a columnar buffer (nil if the
 // stream was empty). The batches are only referenced while the stream runs;
-// once its row count is known the buffer is allocated at exactly that size
-// and every row is copied once.
+// once its row count is known the buffer is allocated at exactly that size,
+// every row is copied once and each batch is released once it is copied.
 func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
-	batches, rows, err := drain(ctx, op)
+	var batches []Batch
+	rows := 0
+	err := drain(ctx, op, func(b Batch) {
+		batches = append(batches, b)
+		rows += b.Len()
+	})
 	if err != nil || len(batches) == 0 {
 		return nil, err
 	}
@@ -439,6 +442,7 @@ func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
 	buf.Grow(rows)
 	for i, b := range batches {
 		buf.Append(b)
+		b.Release()
 		batches[i] = nil
 	}
 	return buf, nil
@@ -555,6 +559,7 @@ func (o *buildProbeOp) Next(ctx context.Context) (Batch, error) {
 		o.bld.AppendGather(0, o.cur.Cols, lsel)
 		o.buf.Gather(o.bld, o.lw, rsel)
 		if probed {
+			o.cur.Release() // its last matches are gathered
 			o.cur = nil
 		}
 		if o.bld.Full() {
@@ -622,22 +627,42 @@ func (o *mergeJoinOp) build(ctx context.Context) error {
 	if err := keysFit(o.rkeys, rbuf.Width()); err != nil {
 		return err
 	}
-	sortOrder := func(buf *vec.Buffer, by int) []int32 {
-		order := make([]int32, buf.Len())
-		for i := range order {
-			order[i] = int32(i)
-		}
-		if by >= 0 {
-			col := buf.Col(by)
-			sort.SliceStable(order, func(a, b int) bool { return col[order[a]] < col[order[b]] })
-		}
-		return order
-	}
 	o.lorder = sortOrder(lbuf, o.lsort)
 	o.rorder = sortOrder(rbuf, o.rsort)
 	o.lw = lbuf.Width()
 	o.bld = vec.NewBuilder(o.lw+rbuf.Width(), o.bs)
 	return nil
+}
+
+// sortOrder is the buffer's row order stably sorted on column by (arrival
+// order when by < 0): (key, row) pairs sorted on key, then row — the stable
+// order exactly, without a closure over the permutation per comparison.
+func sortOrder(buf *vec.Buffer, by int) []int32 {
+	order := make([]int32, buf.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if by < 0 {
+		return order
+	}
+	type keyRow struct {
+		key int64
+		row int32
+	}
+	pairs := make([]keyRow, len(order))
+	for i, k := range buf.Col(by) {
+		pairs[i] = keyRow{k, int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, b keyRow) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	for i, p := range pairs {
+		order[i] = p.row
+	}
+	return order
 }
 
 // matchBufPair checks extra predicates between buffered rows.

@@ -443,7 +443,8 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 			}
 			// Gather each partition's rows column at a time, cutting at the
 			// builder's room so every frame but a stream's last holds exactly
-			// bs rows.
+			// bs rows. Once they are all in the builders the batch is done
+			// with.
 			for i, sel := range sc.split(b) {
 				bld := builders[i]
 				for len(sel) > 0 {
@@ -455,11 +456,13 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 					}
 				}
 			}
+			b.Release()
 		}
 		for i, bld := range builders {
 			if bld.Len() > 0 && !ship(i) {
 				return
 			}
+			bld.Release()
 		}
 		for _, wc := range j.conns {
 			if err := wc.fw.write(endTyp, nil); err != nil {

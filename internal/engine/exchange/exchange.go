@@ -391,8 +391,10 @@ const localPartDepth = 8
 // partitionStream starts the goroutine that pulls in to exhaustion and
 // hash-partitions it into p streams on the key column without moving a value:
 // each partition receives a view of the input batch — the same columns under
-// that partition's selection vector. The goroutine closes in when it stops,
-// and fails the join with whatever in.Next returned.
+// that partition's selection vector, holding its own claim — and the
+// partitioner drops the batch's own claim once every view is out. The
+// goroutine closes in when it stops, and fails the join with whatever in.Next
+// returned.
 func partitionStream(ctx context.Context, fail func(error), wg *sync.WaitGroup, in Operator, key, p int) []*recvOp {
 	chans := make([]chan Batch, p)
 	dones := make([]chan struct{}, p)
@@ -425,13 +427,16 @@ func partitionStream(ctx context.Context, fail func(error), wg *sync.WaitGroup, 
 				if len(sel) == 0 {
 					continue
 				}
+				view := b.View(sel)
 				select {
-				case chans[i] <- &vec.Vec{Cols: b.Cols, Sel: sel}:
+				case chans[i] <- view:
 				case <-dones[i]:
+					view.Release()
 				case <-ctx.Done():
 					return
 				}
 			}
+			b.Release()
 		}
 	}()
 	return parts

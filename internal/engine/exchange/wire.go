@@ -238,9 +238,11 @@ func (fr *frameReader) next() (byte, []byte, error) {
 const maxBatchWidth = 1 << 16
 
 // decodeBatch copies an encoded batch out of the frame buffer into a dense
-// vector whose columns share one fresh slab — the only allocation of a
-// batch's hop that scales with its size. A payload whose length disagrees
-// with its header, however hostile, is ErrTruncatedFrame, never a panic.
+// vector from vec.Make: pooled chunks for a full-sized batch, which come back
+// when its last reader releases it, else one fresh slab — the only
+// allocation of a batch's hop that scales with its size. A payload whose
+// length disagrees with its header, however hostile, is ErrTruncatedFrame,
+// never a panic.
 func decodeBatch(p []byte) (Batch, error) {
 	if len(p) < 8 {
 		return nil, fmt.Errorf("%w: batch header %d bytes", ErrTruncatedFrame, len(p))
@@ -254,14 +256,11 @@ func decodeBatch(p []byte) (Batch, error) {
 		return nil, fmt.Errorf("%w: batch payload %d bytes for %d rows × %d columns", ErrTruncatedFrame, len(p), nrows, width)
 	}
 	rows := int(nrows)
-	slab := make([]int64, len(p)/8)
-	b := &vec.Vec{Cols: make([][]int64, width)}
-	for c := range b.Cols {
-		col := slab[c*rows : (c+1)*rows : (c+1)*rows]
+	b := vec.Make(int(width), rows)
+	for _, col := range b.Cols {
 		for i := range col {
 			col[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 		}
-		b.Cols[c] = col
 		p = p[8*rows:]
 	}
 	return b, nil

@@ -1,7 +1,6 @@
 package exchange
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"runtime"
@@ -29,45 +28,6 @@ func TestFrameWriterAllocationPin(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { _ = fw.write(frameCredit, []byte{creditLeft}) }); allocs != 0 {
 		t.Errorf("credit: %.1f allocations per frame written, want 0", allocs)
-	}
-}
-
-// TestFrameReceiveAllocationPin: receiving a batch — next, then decodeBatch —
-// allocates the batch and nothing else: its slab, its column headers and the
-// Vec, 8·rows·width bytes plus small change. The frame body lands in the
-// reader's reused buffer; a per-frame body slice doubles the bytes and fails
-// here.
-func TestFrameReceiveAllocationPin(t *testing.T) {
-	const rows, width, frames = vec.DefaultBatchRows, 2, 256
-	var stream bytes.Buffer
-	fw := &frameWriter{w: &stream}
-	for i := 0; i < frames+2; i++ { // AllocsPerRun runs once more than asked, and one warm-up below
-		if err := fw.writeBatch(frameResult, vec.FromRows(rowsOf(rows, 5))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := newFrameReader(&stream, MaxFrame)
-	recv := func() {
-		_, payload, err := fr.next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, err := decodeBatch(payload); err != nil || b.Len() != rows {
-			t.Fatalf("decode: %v", err)
-		}
-	}
-	recv() // grows the body buffer
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(frames, recv)
-	runtime.ReadMemStats(&after)
-	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / float64(frames+1)
-	t.Logf("%.0f B and %.1f allocations per received %d×%d frame", perFrame, allocs, rows, width)
-	if allocs > 3 {
-		t.Errorf("%.1f allocations per received frame, ceiling 3", allocs)
-	}
-	if ceiling := float64(8*rows*width + 128); perFrame > ceiling {
-		t.Errorf("%.0f B allocated per received frame, ceiling %.0f", perFrame, ceiling)
 	}
 }
 

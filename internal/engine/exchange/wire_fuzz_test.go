@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"paropt/internal/storage"
@@ -40,7 +41,11 @@ func checkDecoded(t *testing.T, payload []byte, b Batch) {
 
 // FuzzDecodeBatch: whatever the bytes, decodeBatch returns a batch the
 // payload accounts for or ErrTruncatedFrame — it never panics and never
-// sizes an allocation from a header the payload does not back.
+// sizes an allocation from a header the payload does not back. A batch
+// decodes the same after its chunks went round the pool: the payload is
+// decoded, released, the pool's chunks are dirtied by a released full-sized
+// batch of other values, and the payload is decoded again — so a value the
+// decoder left unwritten in a recycled chunk shows as a stale one.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(batchHeader(0, 0))
@@ -53,6 +58,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(encodeBatch(vec.FromRows(rowsOf(5, 3))))
 	f.Add(encodeBatch(vec.FromRows(rowsOf(40, 7)).FilterEq(0, 2)))
 	f.Add(append(encodeBatch(vec.FromRows([]storage.Row{{-1, 1 << 62}})), 0))
+	f.Add(encodeBatch(vec.FromRows(rowsOf(vec.DefaultBatchRows, 13))))
+	f.Add(encodeBatch(vec.FromRows(rowsOf(vec.DefaultBatchRows/2+1, 5))))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		b, err := decodeBatch(p)
 		if err != nil {
@@ -62,6 +69,24 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 		checkDecoded(t, p, b)
+		want := b.AppendRows(nil)
+		b.Release()
+		dirty := vec.Make(min(b.Width(), 64), vec.DefaultBatchRows)
+		for _, col := range dirty.Cols {
+			for i := range col {
+				col[i] = -7
+			}
+		}
+		dirty.Release()
+		again, err := decodeBatch(p)
+		if err != nil {
+			t.Fatalf("second decode: %v", err)
+		}
+		checkDecoded(t, p, again)
+		if got := again.AppendRows(nil); !reflect.DeepEqual(got, want) {
+			t.Fatal("a batch decoded into recycled chunks differs from its fresh decode")
+		}
+		again.Release()
 	})
 }
 

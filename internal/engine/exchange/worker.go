@@ -290,6 +290,7 @@ func (w *Worker) handle(conn net.Conn) {
 			}
 			fs.emitted(joinSpan, since(), b)
 			joinErr = fw.writeBatch(frameResult, b)
+			b.Release() // the frame holds a copy
 		}
 		op.Close()
 	}

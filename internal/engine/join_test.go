@@ -297,7 +297,7 @@ func TestDrainCancelBetweenBatches(t *testing.T) {
 	if _, err := drainBuffer(ctx, fire); !errors.Is(err, errTestCancel) {
 		t.Errorf("drainBuffer: err = %v, want cause %v", err, errTestCancel)
 	}
-	if _, _, err := drain(ctx, fire); !errors.Is(err, errTestCancel) {
+	if err := drain(ctx, fire, func(Batch) {}); !errors.Is(err, errTestCancel) {
 		t.Errorf("drain: err = %v, want cause %v", err, errTestCancel)
 	}
 }

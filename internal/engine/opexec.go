@@ -17,17 +17,43 @@ import (
 // at Parallel; a materialized edge is the blocking drain of the operator it
 // feeds — the build of a probe, the buffered sides of a merge.
 func (e *Executor) ExecuteOp(root *optree.Op) (*Resultset, error) {
-	if root == nil {
-		return nil, fmt.Errorf("engine: nil operator tree")
-	}
-	if err := root.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	op, schema, _, err := e.lower(root)
+	op, schema, err := e.open(root)
 	if err != nil {
 		return nil, err
 	}
 	return e.result(op, schema)
+}
+
+// Run executes the operator tree as ExecuteOp does but keeps no result: it
+// returns the result's row count, and releases each root batch once counted,
+// so a measured execution (EXPLAIN ANALYZE) holds what is in flight rather
+// than what it produced.
+func (e *Executor) Run(root *optree.Op) (int, error) {
+	op, _, err := e.open(root)
+	if err != nil {
+		return 0, err
+	}
+	defer op.Close()
+	rows := 0
+	if err := drain(e.ctx(), op, func(b Batch) {
+		rows += b.Len()
+		b.Release()
+	}); err != nil {
+		return 0, err
+	}
+	return rows, nil
+}
+
+// open validates an operator tree and lowers it to its root operator.
+func (e *Executor) open(root *optree.Op) (Operator, Schema, error) {
+	if root == nil {
+		return nil, nil, fmt.Errorf("engine: nil operator tree")
+	}
+	if err := root.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("engine: %w", err)
+	}
+	op, schema, _, err := e.lower(root)
+	return op, schema, err
 }
 
 // Execute runs a join tree nobody annotated: it expands the tree into the

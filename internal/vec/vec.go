@@ -13,9 +13,19 @@
 //     order; nil means all physical rows are live (a dense Vec);
 //   - a Vec is immutable once handed to a consumer — operators that narrow
 //     a batch produce a new Vec sharing the column storage.
+//
+// Ownership: a batch whose columns are pooled chunks (a Builder's at
+// DefaultBatchRows rows per batch, a full-sized one from Make) carries a
+// claim count. The batch holds one claim, each View adds one, Release drops
+// one, and the last hands the chunks back to the pool. A consumer releases a
+// batch only once it has copied out everything it reads; a batch nobody
+// releases is left to the garbage collector.
 package vec
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"paropt/internal/storage"
 )
 
@@ -26,8 +36,87 @@ const DefaultBatchRows = 1024
 // Vec is a columnar batch: Cols[c][r] is column c of physical row r, and
 // Sel (when non-nil) selects the live subset of physical rows.
 type Vec struct {
-	Cols [][]int64
-	Sel  []int32
+	Cols   [][]int64
+	Sel    []int32
+	claims *claims // nil unless the columns are pooled chunks
+}
+
+// chunk is one pooled column of a DefaultBatchRows-row batch.
+type chunk [DefaultBatchRows]int64
+
+// chunkPool recycles chunks. A chunk comes back holding its last batch's
+// values: whoever takes one writes every value it exposes before any read.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+// claims is the shared claim count of one pooled batch and its views.
+type claims struct {
+	n      atomic.Int32
+	chunks []*chunk
+}
+
+// pooled is a pooled batch with its claim count, in one allocation.
+type pooled struct {
+	v Vec
+	c claims
+}
+
+// takeChunks fills cols[c] with a fresh chunk per column, rows long and
+// capped at capacity, and returns the chunks.
+func takeChunks(cols [][]int64, rows, capacity int) []*chunk {
+	chunks := make([]*chunk, len(cols))
+	for c := range cols {
+		chunks[c] = chunkPool.Get().(*chunk)
+		cols[c] = chunks[c][:rows:capacity]
+	}
+	return chunks
+}
+
+// claimed hands out columns backed by chunks as a batch holding one claim.
+func claimed(cols [][]int64, chunks []*chunk) *Vec {
+	p := &pooled{v: Vec{Cols: cols}, c: claims{chunks: chunks}}
+	p.c.n.Store(1)
+	p.v.claims = &p.c
+	return &p.v
+}
+
+// Make returns a dense batch of width columns and rows rows — the wire
+// decoder's — whose every value the caller must write: a batch of more than
+// half and at most DefaultBatchRows rows is pooled chunks, any other one
+// fresh slab, so a short batch never holds a whole chunk per column.
+func Make(width, rows int) *Vec {
+	cols := make([][]int64, width)
+	if rows > DefaultBatchRows/2 && rows <= DefaultBatchRows {
+		return claimed(cols, takeChunks(cols, rows, rows))
+	}
+	slab := make([]int64, width*rows)
+	for c := range cols {
+		cols[c] = slab[c*rows : (c+1)*rows : (c+1)*rows]
+	}
+	return &Vec{Cols: cols}
+}
+
+// View is the batch's rows under selection sel, sharing its columns and
+// taking a claim on them — how the exchange hands a batch's partitions out.
+func (v *Vec) View(sel []int32) *Vec {
+	if v.claims != nil {
+		v.claims.n.Add(1)
+	}
+	return &Vec{Cols: v.Cols, Sel: sel, claims: v.claims}
+}
+
+// Release drops this reader's claim; nothing may read the batch afterwards.
+// Releasing a batch twice, or one that holds no claim, does nothing.
+func (v *Vec) Release() {
+	c := v.claims
+	if c == nil {
+		return
+	}
+	v.claims = nil
+	if c.n.Add(-1) == 0 {
+		for _, ch := range c.chunks {
+			chunkPool.Put(ch)
+		}
+	}
 }
 
 // Width is the number of columns.
@@ -142,7 +231,7 @@ func (v *Vec) AppendRows(dst []storage.Row) []storage.Row {
 // Window is the zero-copy view of live rows [lo, hi): a dense Vec windows
 // its columns, a selected one keeps them and windows the selection. Scans of
 // a cached shard cut their batches this way — no value moves until a join
-// buffers or the wire encodes it.
+// buffers or the wire encodes it. A window takes no claim.
 func (v *Vec) Window(lo, hi int) *Vec {
 	if v.Sel != nil {
 		return &Vec{Cols: v.Cols, Sel: v.Sel[lo:hi]}
@@ -156,11 +245,13 @@ func (v *Vec) Window(lo, hi int) *Vec {
 
 // Builder assembles an output Vec — the emit side of join and projection
 // kernels. Flushing hands off the accumulated columns and resets, so one
-// Builder serves a whole stream of batches. Each batch's columns are slices
-// of one slab, allocated when the batch receives its first row.
+// Builder serves a whole stream of batches. A batch's columns are taken when
+// it receives its first row: pooled chunks at DefaultBatchRows rows per
+// batch, else slices of one fresh slab.
 type Builder struct {
-	cols [][]int64
-	bs   int
+	cols   [][]int64
+	chunks []*chunk // the pooled chunks behind cols, if any
+	bs     int
 }
 
 // NewBuilder sizes a builder for batches of bs rows and the given width.
@@ -171,11 +262,15 @@ func NewBuilder(width, bs int) *Builder {
 	return &Builder{cols: make([][]int64, width), bs: bs}
 }
 
-// reserve allocates the batch's slab before its first row. Columns are
+// reserve takes the batch's columns before its first row. Columns are
 // capacity-capped at bs so an append past a full batch reallocates that
 // column instead of running into its neighbour.
 func (b *Builder) reserve() {
 	if len(b.cols) == 0 || cap(b.cols[0]) > 0 {
+		return
+	}
+	if b.bs == DefaultBatchRows {
+		b.chunks = takeChunks(b.cols, 0, b.bs)
 		return
 	}
 	slab := make([]int64, len(b.cols)*b.bs)
@@ -222,21 +317,41 @@ func (b *Builder) AppendGather(at int, cols [][]int64, idx []int32) {
 // encoder) pairs the two, so a stream of batches reuses one slab.
 func (b *Builder) View() *Vec { return &Vec{Cols: b.cols} }
 
-// Reset empties the builder, keeping its slab.
+// Reset empties the builder, keeping its columns.
 func (b *Builder) Reset() {
 	for c := range b.cols {
 		b.cols[c] = b.cols[c][:0]
 	}
 }
 
+// Release empties the builder and hands its pooled chunks back; the next row
+// takes new ones. A stream whose builder never flushes (the wire sender's)
+// releases it when the stream ends.
+func (b *Builder) Release() {
+	for c := range b.cols {
+		b.cols[c] = nil
+	}
+	for _, ch := range b.chunks {
+		chunkPool.Put(ch)
+	}
+	b.chunks = nil
+}
+
 // Flush returns the accumulated batch as a dense Vec and resets the
-// builder; nil when nothing accumulated.
+// builder; nil when nothing accumulated. A batch of pooled chunks holds one
+// claim.
 func (b *Builder) Flush() *Vec {
 	if b.Len() == 0 {
 		return nil
 	}
-	v := &Vec{Cols: b.cols}
+	var v *Vec
+	if b.chunks != nil {
+		v = claimed(b.cols, b.chunks)
+	} else {
+		v = &Vec{Cols: b.cols}
+	}
 	b.cols = make([][]int64, len(b.cols))
+	b.chunks = nil
 	return v
 }
 
