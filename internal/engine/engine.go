@@ -425,25 +425,23 @@ func drain(ctx context.Context, op Operator, take func(Batch)) error {
 }
 
 // drainBuffer pulls op to exhaustion into a columnar buffer (nil if the
-// stream was empty). The batches are only referenced while the stream runs;
-// once its row count is known the buffer is allocated at exactly that size,
-// every row is copied once and each batch is released once it is copied.
+// stream was empty): each batch is appended to the buffer's chunks and
+// released as it arrives, so every row is copied once and no batch outlives
+// its append. A failed drain hands back the chunks it took.
 func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
-	var batches []Batch
-	rows := 0
+	var buf *vec.Buffer
 	err := drain(ctx, op, func(b Batch) {
-		batches = append(batches, b)
-		rows += b.Len()
-	})
-	if err != nil || len(batches) == 0 {
-		return nil, err
-	}
-	buf := vec.NewBuffer(batches[0].Width())
-	buf.Grow(rows)
-	for i, b := range batches {
+		if buf == nil {
+			buf = vec.NewBuffer(b.Width())
+		}
 		buf.Append(b)
 		b.Release()
-		batches[i] = nil
+	})
+	if err != nil {
+		if buf != nil {
+			buf.Release()
+		}
+		return nil, err
 	}
 	return buf, nil
 }
@@ -452,7 +450,8 @@ func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
 // methods — the materialized edge of §4.2): the right input is drained into
 // a columnar buffer indexed by a vec.HashTable reserved once for its row
 // count, then each left batch probes it with one batch kernel call per
-// output batch.
+// output batch. Buffer and table go back to the chunk pool as soon as the
+// left input ends — the last output batch holds copies — or at Close.
 type buildProbeOp struct {
 	left, right  Operator
 	lkeys, rkeys []int
@@ -486,9 +485,18 @@ func (o *buildProbeOp) build(ctx context.Context) error {
 	if err := keysFit(o.rkeys, buf.Width()); err != nil {
 		return err
 	}
-	o.table = vec.NewHashTable()
-	o.table.InsertBatch(buf.Col(o.rkeys[0]), nil)
+	o.table = buf.Index(o.rkeys[0])
 	return nil
+}
+
+// release hands the build state back to the chunk pool.
+func (o *buildProbeOp) release() {
+	if o.buf != nil {
+		o.buf.Release()
+	}
+	if o.table != nil {
+		o.table.Release()
+	}
 }
 
 // filterPairs keeps the (probe physical row, buffered row) pairs that also
@@ -499,7 +507,7 @@ func filterPairs(lsel, rsel []int32, b Batch, buf *vec.Buffer, lkeys, rkeys []in
 		lcol, rcol := b.Cols[lkeys[i]], buf.Col(rkeys[i])
 		n := 0
 		for j, l := range lsel {
-			if lcol[l] == rcol[rsel[j]] {
+			if lcol[l] == rcol.At(rsel[j]) {
 				lsel[n], rsel[n] = l, rsel[j]
 				n++
 			}
@@ -536,6 +544,7 @@ func (o *buildProbeOp) Next(ctx context.Context) (Batch, error) {
 			}
 			if b == nil {
 				o.done = true
+				o.release()
 				if o.bld != nil {
 					return o.bld.Flush(), nil
 				}
@@ -570,10 +579,7 @@ func (o *buildProbeOp) Next(ctx context.Context) (Batch, error) {
 
 func (o *buildProbeOp) Close() {
 	o.done = true
-	o.table = nil
-	if o.buf != nil {
-		o.buf.Release()
-	}
+	o.release()
 	o.left.Close()
 	o.right.Close()
 }
@@ -606,16 +612,16 @@ type mergeJoinOp struct {
 	lsel, rsel     []int32 // joined (left row, right row) pairs awaiting emit
 }
 
+// build drains both sides; Close hands back what it buffered.
 func (o *mergeJoinOp) build(ctx context.Context) error {
-	lbuf, err := drainBuffer(ctx, o.left)
-	if err != nil {
+	var err error
+	if o.lbuf, err = drainBuffer(ctx, o.left); err != nil {
 		return err
 	}
-	rbuf, err := drainBuffer(ctx, o.right)
-	if err != nil {
+	if o.rbuf, err = drainBuffer(ctx, o.right); err != nil {
 		return err
 	}
-	o.lbuf, o.rbuf = lbuf, rbuf
+	lbuf, rbuf := o.lbuf, o.rbuf
 	o.built = true
 	if lbuf == nil || rbuf == nil || lbuf.Len() == 0 || rbuf.Len() == 0 {
 		o.done = true
@@ -650,8 +656,9 @@ func sortOrder(buf *vec.Buffer, by int) []int32 {
 		row int32
 	}
 	pairs := make([]keyRow, len(order))
-	for i, k := range buf.Col(by) {
-		pairs[i] = keyRow{k, int32(i)}
+	col := buf.Col(by)
+	for i := range pairs {
+		pairs[i] = keyRow{col.At(int32(i)), int32(i)}
 	}
 	slices.SortFunc(pairs, func(a, b keyRow) int {
 		if a.key != b.key {
@@ -727,7 +734,7 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 			o.done = true
 			return o.emit(), nil
 		}
-		lk, rk := lcol[o.lorder[o.i]], rcol[o.rorder[o.j]]
+		lk, rk := lcol.At(o.lorder[o.i]), rcol.At(o.rorder[o.j])
 		switch {
 		case lk < rk:
 			o.i++
@@ -735,11 +742,11 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 			o.j++
 		default:
 			o.i2 = o.i
-			for o.i2 < len(o.lorder) && lcol[o.lorder[o.i2]] == lk {
+			for o.i2 < len(o.lorder) && lcol.At(o.lorder[o.i2]) == lk {
 				o.i2++
 			}
 			o.j2 = o.j
-			for o.j2 < len(o.rorder) && rcol[o.rorder[o.j2]] == rk {
+			for o.j2 < len(o.rorder) && rcol.At(o.rorder[o.j2]) == rk {
 				o.j2++
 			}
 			o.a, o.b = o.i, o.j

@@ -384,6 +384,7 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 		if err != nil {
 			for _, prev := range j.conns {
 				prev.conn.Close()
+				prev.fw.release()
 			}
 			if conn != nil {
 				conn.Close()
@@ -443,9 +444,10 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 			}
 			// Gather each partition's rows column at a time, cutting at the
 			// builder's room so every frame but a stream's last holds exactly
-			// bs rows. Once they are all in the builders the batch is done
-			// with.
-			for i, sel := range sc.split(b) {
+			// bs rows. Once they are all in the builders the batch and the
+			// selection slab are done with.
+			sels, slab := sc.split(b)
+			for i, sel := range sels {
 				bld := builders[i]
 				for len(sel) > 0 {
 					take := min(len(sel), bld.Room())
@@ -456,6 +458,7 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 					}
 				}
 			}
+			vec.PutSel(slab)
 			b.Release()
 		}
 		for i, bld := range builders {
@@ -523,6 +526,7 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 			wc.stats.StallLeft.Add(wc.leftWin.stallNanos())
 			wc.stats.StallRight.Add(wc.rightWin.stallNanos())
 			wc.conn.Close()
+			wc.fw.release()
 		}
 		close(j.out)
 	}()
@@ -668,6 +672,7 @@ func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Bat
 	// injects — is metered on the link, as on a streamed link.
 	stats := c.linkFor(addr)
 	sc := &shippedConn{conn: conn, fw: frameWriter{w: conn, stats: stats}}
+	defer sc.fw.release()
 	// Runs at once when the join is already cancelled: the attempt then fails
 	// on its first frame instead of racing the teardown.
 	defer context.AfterFunc(j.ctx, sc.abandon)()
@@ -707,6 +712,7 @@ func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Bat
 // undecodable batch, or the connection lost.
 func (c *Cluster) readFragment(conn net.Conn, addr string, stats *LinkStats, dispatched time.Time, take func(Batch) error, credit func(dir byte)) (*FragmentStats, error) {
 	fr := newFrameReader(conn, MaxFrame)
+	defer fr.release()
 	var fstats *FragmentStats
 	for {
 		typ, payload, err := fr.next()

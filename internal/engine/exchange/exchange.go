@@ -391,10 +391,11 @@ const localPartDepth = 8
 // partitionStream starts the goroutine that pulls in to exhaustion and
 // hash-partitions it into p streams on the key column without moving a value:
 // each partition receives a view of the input batch — the same columns under
-// that partition's selection vector, holding its own claim — and the
-// partitioner drops the batch's own claim once every view is out. The
-// goroutine closes in when it stops, and fails the join with whatever in.Next
-// returned.
+// that partition's selection vector — and the views share one claim on the
+// batch and on the pooled slab their selections are cut from, so the last
+// partition join to release its view hands both back. The partitioner drops
+// the batch's own claim once the views hold theirs. The goroutine closes in
+// when it stops, and fails the join with whatever in.Next returned.
 func partitionStream(ctx context.Context, fail func(error), wg *sync.WaitGroup, in Operator, key, p int) []*recvOp {
 	chans := make([]chan Batch, p)
 	dones := make([]chan struct{}, p)
@@ -414,6 +415,7 @@ func partitionStream(ctx context.Context, fail func(error), wg *sync.WaitGroup, 
 			}
 		}()
 		sc := scatter{key: key, p: p}
+		var views []Batch
 		for {
 			b, err := in.Next(ctx)
 			if err != nil {
@@ -423,20 +425,26 @@ func partitionStream(ctx context.Context, fail func(error), wg *sync.WaitGroup, 
 			if b == nil {
 				return
 			}
-			for i, sel := range sc.split(b) {
-				if len(sel) == 0 {
+			sels, slab := sc.split(b)
+			views = b.Views(views[:0], sels, slab)
+			b.Release()
+			for i, view := range views {
+				if view == nil {
 					continue
 				}
-				view := b.View(sel)
 				select {
 				case chans[i] <- view:
 				case <-dones[i]:
 					view.Release()
 				case <-ctx.Done():
+					for _, v := range views[i:] {
+						if v != nil {
+							v.Release()
+						}
+					}
 					return
 				}
 			}
-			b.Release()
 		}
 	}()
 	return parts
@@ -449,13 +457,16 @@ func partitionStream(ctx context.Context, fail func(error), wg *sync.WaitGroup, 
 // gathers them into its per-link builders.
 type scatter struct {
 	key, p int
-	parts  []int32 // scratch: partition of each live row
-	counts []int   // scratch: live rows per partition
+	parts  []int32   // scratch: partition of each live row
+	counts []int     // scratch: live rows per partition
+	sels   [][]int32 // scratch: the selection vectors' headers
 }
 
-// split returns the p selection vectors of b. They share one freshly
-// allocated array, so views built on them stay valid after the next call.
-func (s *scatter) split(b Batch) [][]int32 {
+// split returns the p selection vectors of b and the vec.TakeSel slab they
+// are cut from, which the caller hands back once nothing reads them — with
+// vec.PutSel, or through the views it cuts. The vectors' headers are
+// scratch: the next call overwrites them.
+func (s *scatter) split(b Batch) ([][]int32, []int32) {
 	col := b.Cols[s.key]
 	n := b.Len()
 	if cap(s.parts) < n {
@@ -464,6 +475,7 @@ func (s *scatter) split(b Batch) [][]int32 {
 	parts := s.parts[:n]
 	if s.counts == nil {
 		s.counts = make([]int, s.p)
+		s.sels = make([][]int32, s.p)
 	}
 	counts := s.counts
 	clear(counts)
@@ -480,8 +492,8 @@ func (s *scatter) split(b Batch) [][]int32 {
 			counts[part]++
 		}
 	}
-	slab := make([]int32, n)
-	sels := make([][]int32, s.p)
+	slab := vec.TakeSel(n)
+	sels := s.sels
 	off := 0
 	for i, c := range counts {
 		sels[i] = slab[off : off : off+c]
@@ -494,5 +506,5 @@ func (s *scatter) split(b Batch) [][]int32 {
 		}
 		sels[part] = append(sels[part], r)
 	}
-	return sels
+	return sels, slab
 }

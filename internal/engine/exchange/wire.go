@@ -124,21 +124,55 @@ type WorkerError struct {
 func (e *WorkerError) Error() string { return fmt.Sprintf("exchange: worker %s: %v", e.Addr, e.Err) }
 func (e *WorkerError) Unwrap() error { return e.Err }
 
+// pooledFrameMax is the largest frame buffer a connection hands back when
+// its fragment ends: a full DefaultBatchRows batch of 16 columns. A larger
+// one — a wide stream's, a hostile peer's up to MaxFrame — is left to the
+// collector rather than pinned in the pool.
+const pooledFrameMax = 5 + 8 + 16*8*vec.DefaultBatchRows
+
+// framePool recycles the frame buffers of finished connections — writers'
+// frames and readers' bodies — so a fragment on a warm process allocates
+// none. An entry is the buffer's holder, kept with the buffer so handing it
+// back allocates nothing.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readerPool recycles the buffered readers of finished connections.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// takeFrame returns a pooled frame buffer, empty, and its holder.
+func takeFrame() ([]byte, *[]byte) {
+	home := framePool.Get().(*[]byte)
+	return (*home)[:0], home
+}
+
+// putFrame hands buf back in its holder if it is small enough to keep.
+func putFrame(buf []byte, home *[]byte) {
+	if home != nil && cap(buf) <= pooledFrameMax {
+		*home = buf[:0]
+		framePool.Put(home)
+	}
+}
+
 // frameWriter is a connection's write half: it assembles each frame — length,
 // type and payload — in one buffer it reuses and hands it to the connection
 // in a single Write, serializing the goroutines that share the connection
 // (partitioners, credits, Cancel). With stats set it meters every frame's
-// bytes and time inside Write on the link.
+// bytes and time inside Write on the link. The buffer comes from framePool
+// on the first frame and goes back on release.
 type frameWriter struct {
 	w     io.Writer
 	stats *LinkStats
 	mu    sync.Mutex
 	buf   []byte
+	home  *[]byte // buf's pool holder
 }
 
 // frame sizes buf for an n-byte payload, fills in the prefix and returns the
 // payload's place in it. mu is held.
 func (fw *frameWriter) frame(typ byte, n int) []byte {
+	if fw.home == nil {
+		fw.buf, fw.home = takeFrame()
+	}
 	if cap(fw.buf) < 5+n {
 		fw.buf = make([]byte, 5+n)
 	}
@@ -165,6 +199,15 @@ func (fw *frameWriter) write(typ byte, payload []byte) error {
 	defer fw.mu.Unlock()
 	copy(fw.frame(typ, len(payload)), payload)
 	return fw.flush()
+}
+
+// release hands the buffer back once the connection's fragment is over. A
+// frame written after it — a late cancel — takes another.
+func (fw *frameWriter) release() {
+	fw.mu.Lock()
+	putFrame(fw.buf, fw.home)
+	fw.buf, fw.home = nil, nil
+	fw.mu.Unlock()
 }
 
 // writeBatch sends one batch frame, encoding straight from the vector's
@@ -196,16 +239,31 @@ func (fw *frameWriter) writeBatch(typ byte, b Batch) error {
 
 // frameReader is a connection's read half: frames come through a buffered
 // reader (credits and headers cost no syscall of their own) into one body
-// buffer it reuses. One reading goroutine.
+// buffer it reuses. One reading goroutine. Reader and body come from their
+// pools and go back on release.
 type frameReader struct {
 	r    *bufio.Reader
 	max  uint32
 	hdr  [4]byte // length-prefix scratch (a local would escape through io.ReadFull)
 	body []byte
+	home *[]byte // body's pool holder
 }
 
 func newFrameReader(r io.Reader, maxFrame uint32) *frameReader {
-	return &frameReader{r: bufio.NewReader(r), max: maxFrame}
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	fr := &frameReader{r: br, max: maxFrame}
+	fr.body, fr.home = takeFrame()
+	return fr
+}
+
+// release hands the reader and body back once the connection's fragment is
+// over; the frameReader is not read again.
+func (fr *frameReader) release() {
+	fr.r.Reset(nil)
+	readerPool.Put(fr.r)
+	putFrame(fr.body, fr.home)
+	*fr = frameReader{}
 }
 
 // next reads one frame. The payload aliases the reader's buffer: it is valid

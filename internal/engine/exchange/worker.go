@@ -59,9 +59,12 @@ func (w *Worker) Serve(ln net.Listener) error {
 func (w *Worker) handle(conn net.Conn) {
 	defer conn.Close()
 	// The connection's one frame writer — result batches, credits and the
-	// closing stats/end frames all go through it — and its one frame reader.
+	// closing stats/end frames all go through it — and its one frame reader,
+	// whose buffers go back to their pools when the fragment ends.
 	fw := &frameWriter{w: conn}
+	defer fw.release()
 	fr := newFrameReader(conn, MaxFrame)
+	defer fr.release()
 
 	typ, payload, err := fr.next()
 	if err != nil || typ != frameFragment {

@@ -173,11 +173,16 @@ func heapNow() uint64 {
 }
 
 // TestJoinHeapBound pins what the hash join keeps per build row, as an
-// absolute number: it copies its build side once into a buffer sized exactly
-// (8 B per value) and indexes it with a table reserved once (8 B of links and
-// hashes plus at most 4 B of buckets per row). The peak is sampled mid-run
-// (post-GC live heap while the operator's structures are reachable); output
-// batches are discarded so only the join state counts.
+// absolute number: it copies its build side once into buffer chunks (8 B per
+// value, one partial chunk per column) and indexes it with a table reserved
+// once (8 B of links and hashes plus at most 4 B of buckets per row). The
+// peak is sampled mid-run (post-GC live heap while the operator's structures
+// are reachable); output batches are discarded so only the join state
+// counts. The base is taken with the chunk pools empty — sync.Pool keeps a
+// victim generation, so that is two collections — so the chunks the join
+// takes are allocated, and measured, on every run; and the tables the scans
+// read stay reachable to the end, or their collection mid-run would hide
+// the join's bytes.
 func TestJoinHeapBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement on 2×100k rows")
@@ -199,6 +204,7 @@ func TestJoinHeapBound(t *testing.T) {
 	}
 	lkeys := []int{0} // R1.id
 	rkeys := []int{1} // R2.fk
+	runtime.GC()
 	base := heapNow()
 	op := e.joinFor("hash", lop, rop, lkeys, rkeys)
 	defer op.Close()
@@ -220,12 +226,16 @@ func TestJoinHeapBound(t *testing.T) {
 			break
 		}
 	}
+	runtime.KeepAlive(e)
 
 	const perRow = 8*width + 12
 	// Slack for what is live besides the join state: the in-flight output
 	// batch, selection scratch, runtime bookkeeping.
 	const slack = 256 << 10
 	t.Logf("peak heap over base: %d B (%.1f B/build row)", peak, float64(peak)/n)
+	if peak == 0 {
+		t.Error("no heap over base measured: the join state went uncounted")
+	}
 	if limit := uint64(perRow*n + slack); peak > limit {
 		t.Errorf("hash join peak heap %d B exceeds %d B/build row (%d B)", peak, perRow, limit)
 	}

@@ -13,11 +13,13 @@ import (
 // TestRunRecyclesBatches pins what a warm measured run allocates: Run of a
 // 4-relation hash chain — serial, cloned at Parallel 2, and over a 2-worker
 // loopback cluster, whose workers run in this process and count too — takes
-// every intermediate and result batch from the chunks released batches hand
-// back, so what it allocates per result row is the build state, the
-// scatter's selection vectors, the links' frame buffers and per-batch headers
-// spread over the fan-out: measured 12.2, 18.4 and 29.0 B on 2 cores, about a
-// quarter under each ceiling — a slab per batch at the root alone costs the
+// every intermediate and result batch, every join's buffer and table, every
+// selection slab and every link's frame buffers from what finished readers
+// handed back, so what it allocates per result row is per-batch and
+// per-fragment headers spread over the fan-out: measured 1.2, 2.2–2.4 and
+// 3.8–6.6 B at -cpu 1,2,4 on 2 cores (12.2, 18.4 and 29.0 B, under ceilings
+// of 16, 24 and 36, while build state, selection slabs and frame buffers
+// were fresh per request) — a slab per batch at the root alone costs the
 // 64 B of one 8-column result row. (Built without -race: the race detector's
 // sync.Pool drops chunks on purpose.)
 func TestRunRecyclesBatches(t *testing.T) {
@@ -43,7 +45,7 @@ func TestRunRecyclesBatches(t *testing.T) {
 		parallel  int
 		transport exchange.Transport
 		ceiling   float64 // B per result row
-	}{{"serial", 1, nil, 16}, {"parallel-2", 2, nil, 24}, {"cluster", 2, lb.Cluster(exchange.ClusterConfig{}), 36}} {
+	}{{"serial", 1, nil, 2}, {"parallel-2", 2, nil, 4}, {"cluster", 2, lb.Cluster(exchange.ClusterConfig{}), 10}} {
 		t.Run(path.name, func(t *testing.T) {
 			e.Parallel, e.Transport = path.parallel, path.transport
 			defer func() { e.Parallel, e.Transport = 1, nil }()

@@ -1,16 +1,21 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"paropt/internal/catalog"
 	"paropt/internal/engine/exchange"
 	"paropt/internal/plan"
 	"paropt/internal/query"
 	"paropt/internal/storage"
+	"paropt/internal/vec"
 )
 
 // fanoutRig builds a chain query R1.id = R2.fk, R2.id = R3.fk, … whose key
@@ -69,14 +74,50 @@ func randomJoinTree(t testing.TB, est *plan.Estimator, rng *rand.Rand) *plan.Nod
 	return nodes[0]
 }
 
+// poisonPools dirties every pool a run takes from, the way FuzzDecodeBatch
+// dirties the chunk pool: column chunks full of poison values, selection
+// slabs full of out-of-range rows, and — through tables built and released —
+// link chunks and bucket arrays of every length up to 2^16 holding stale
+// chains. A value a taker reads before writing it shows as wrong rows, a
+// stale row index as a panic, a stale bucket as a chain into another join.
+func poisonPools() {
+	const poison = -0x5eed
+	for i := 0; i < 8; i++ {
+		b := vec.Make(16, vec.DefaultBatchRows)
+		for _, col := range b.Cols {
+			for r := range col {
+				col[r] = poison
+			}
+		}
+		b.Release()
+		sel := vec.TakeSel(vec.DefaultBatchRows)
+		for r := range sel {
+			sel[r] = 1 << 30
+		}
+		vec.PutSel(sel)
+	}
+	keys := make([]int64, 1<<16)
+	for i := range keys {
+		keys[i] = int64(i % 97)
+	}
+	for n := 16; n <= len(keys); n *= 2 {
+		h := vec.NewHashTable()
+		h.InsertBatch(keys[:n], nil)
+		h.Release()
+	}
+}
+
 // TestRecycledBatchesKeepResults is the use-after-release differential of
-// pooled batches: goroutines run seeded random plans — hash, merge, nested
-// loops and cross products, over fan-out, skewed and empty inputs — through
-// ExecuteOp and Run at once, locally at caps 1–3 and over a loopback cluster,
-// every batch drawing on and returning to the one chunk pool. A batch
-// released while something still read it, or a chunk reused under a result,
-// changes rows: every ExecuteOp fingerprint must equal ReferenceJoin and
-// every Run must count its rows.
+// the pools a query draws on — batch chunks, a join's buffer and table
+// chunks, bucket arrays, selection slabs: goroutines run seeded plans — a
+// hash, a merge and a cross-product tree over every world, and random bushy
+// ones mixing hash, merge, nested loops and cross products — over fan-out,
+// skewed and empty inputs through ExecuteOp and Run at once, locally at caps
+// 1–3 and over a loopback cluster, each run after poisoning the pools, while
+// other runs are cancelled mid-flight. A chunk released while something
+// still read it, reused under a result or read before it was written changes
+// rows: every ExecuteOp fingerprint must equal ReferenceJoin, every Run must
+// count its rows, and a cancelled run returns its cause or the right rows.
 func TestRecycledBatchesKeepResults(t *testing.T) {
 	lb, err := exchange.StartLoopback(2, FragmentJoin)
 	if err != nil {
@@ -96,11 +137,12 @@ func TestRecycledBatchesKeepResults(t *testing.T) {
 		}},
 	}
 	type run struct {
-		label string
-		e     *Executor
-		p     *plan.Node
-		want  uint64
-		rows  int
+		label  string
+		e      *Executor
+		p      *plan.Node
+		want   uint64
+		rows   int
+		cancel time.Duration // > 0: cancel the run this long after it starts
 	}
 	var runs []run
 	rng := rand.New(rand.NewSource(40))
@@ -114,17 +156,65 @@ func TestRecycledBatchesKeepResults(t *testing.T) {
 			t.Fatalf("%s world: reference has %d rows", w.name, ref.Len())
 		}
 		t.Logf("%s world: %d reference rows", w.name, ref.Len())
+		f := func(rel string) *plan.Node { return leaf(t, est, rel) }
+		trees := []*plan.Node{
+			join(t, est, join(t, est, f("F1"), f("F2"), plan.HashJoin), f("F3"), plan.HashJoin),
+			join(t, est, f("F1"), join(t, est, f("F2"), f("F3"), plan.SortMerge), plan.SortMerge),
+			join(t, est, join(t, est, f("F1"), f("F3"), plan.NestedLoops), f("F2"), plan.HashJoin),
+		}
 		for trial := 0; trial < 4; trial++ {
-			p := randomJoinTree(t, est, rng)
+			trees = append(trees, randomJoinTree(t, est, rng))
+		}
+		for _, p := range trees {
 			for _, par := range []int{1, 2, 3} {
 				pe := *e
 				pe.Parallel = par
-				runs = append(runs, run{fmt.Sprintf("%s/%s/cap %d", w.name, p, par), &pe, p, ref.Fingerprint(), ref.Len()})
+				runs = append(runs, run{label: fmt.Sprintf("%s/%s/cap %d", w.name, p, par), e: &pe, p: p, want: ref.Fingerprint(), rows: ref.Len()})
 			}
 			ce := *e
 			ce.Parallel, ce.Transport = 2, lb.Cluster(exchange.ClusterConfig{})
-			runs = append(runs, run{fmt.Sprintf("%s/%s/cluster", w.name, p), &ce, p, ref.Fingerprint(), ref.Len()})
+			runs = append(runs, run{label: fmt.Sprintf("%s/%s/cluster", w.name, p), e: &ce, p: p, want: ref.Fingerprint(), rows: ref.Len()})
+			for _, x := range []*Executor{e, &ce} {
+				xe := *x
+				xe.Parallel = 2
+				delay := time.Duration(1+rng.Intn(400)) * time.Microsecond
+				runs = append(runs, run{label: fmt.Sprintf("%s/%s/cancelled after %v, cluster %v", w.name, p, delay, xe.Transport != nil), e: &xe, p: p, want: ref.Fingerprint(), rows: ref.Len(), cancel: delay})
+			}
 		}
+	}
+	// check runs r after poisoning the pools: through ExecuteOp, or through
+	// Run, which releases every root batch.
+	var cancelled atomic.Int64
+	check := func(r run, execute bool) error {
+		poisonPools()
+		e := *r.e
+		if r.cancel > 0 {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			defer time.AfterFunc(r.cancel, func() { cancel(errTestCancel) }).Stop()
+			e.Ctx = ctx
+		}
+		var n int
+		var fp uint64
+		var err error
+		if execute {
+			var got *Resultset
+			if got, err = e.Execute(r.p); err == nil {
+				n, fp = got.Len(), got.Fingerprint()
+			}
+		} else {
+			n, err = e.Run(e.expand(r.p))
+			fp = r.want
+		}
+		switch {
+		case r.cancel > 0 && errors.Is(err, errTestCancel):
+			cancelled.Add(1)
+		case err != nil:
+			return fmt.Errorf("%s: %v", r.label, err)
+		case n != r.rows || fp != r.want:
+			return fmt.Errorf("%s: %d rows (fp %x), reference %d (fp %x)", r.label, n, fp, r.rows, r.want)
+		}
+		return nil
 	}
 	const goroutines = 4
 	var wg sync.WaitGroup
@@ -136,23 +226,8 @@ func TestRecycledBatchesKeepResults(t *testing.T) {
 			// Even goroutines execute, odd ones run: both at once, over
 			// every world and path.
 			for i := g; i < len(runs)*2; i += goroutines {
-				r := runs[i/2]
-				if i%2 == 0 {
-					got, err := r.e.Execute(r.p)
-					switch {
-					case err != nil:
-						errs <- fmt.Errorf("%s: ExecuteOp: %v", r.label, err)
-					case got.Len() != r.rows || got.Fingerprint() != r.want:
-						errs <- fmt.Errorf("%s: ExecuteOp returned %d rows (fp %x), reference %d (fp %x)", r.label, got.Len(), got.Fingerprint(), r.rows, r.want)
-					}
-					continue
-				}
-				n, err := r.e.Run(r.e.expand(r.p))
-				switch {
-				case err != nil:
-					errs <- fmt.Errorf("%s: Run: %v", r.label, err)
-				case n != r.rows:
-					errs <- fmt.Errorf("%s: Run counted %d rows, reference %d", r.label, n, r.rows)
+				if err := check(runs[i/2], i%2 == 0); err != nil {
+					errs <- err
 				}
 			}
 		}(g)
@@ -162,4 +237,5 @@ func TestRecycledBatchesKeepResults(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	t.Logf("%d runs, %d of them cancelled mid-flight", len(runs)*2, cancelled.Load())
 }

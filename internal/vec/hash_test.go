@@ -39,17 +39,25 @@ func oraclePairs(build []int64, probe []int64, sel []int32) []pair {
 	return out
 }
 
+// columnOf buffers vals as the chunked column ProbeBatch confirms against.
+func columnOf(vals []int64) Column {
+	buf := NewBuffer(1)
+	buf.Append(&Vec{Cols: [][]int64{vals}})
+	return buf.Col(0)
+}
+
 // probeAll drives ProbeBatch to completion with the given limits (the last
 // one repeats), checking the resumption contract on the way.
 func probeAll(t *testing.T, h *HashTable, build, probe []int64, sel []int32, limits ...int) []pair {
 	t.Helper()
+	buildKeys := columnOf(build)
 	var out []pair
 	var cur ProbeCursor
 	var lsel, rsel []int32
 	for call := 0; ; call++ {
 		limit := limits[min(call, len(limits)-1)]
 		var done bool
-		lsel, rsel, done = h.ProbeBatch(probe, sel, build, &cur, limit, lsel[:0], rsel[:0])
+		lsel, rsel, done = h.ProbeBatch(probe, sel, buildKeys, &cur, limit, lsel[:0], rsel[:0])
 		if len(lsel) != len(rsel) || len(lsel) > limit {
 			t.Fatalf("call %d: %d/%d pairs under limit %d", call, len(lsel), len(rsel), limit)
 		}
@@ -113,7 +121,7 @@ func TestBatchKernelsAgainstMapOracle(t *testing.T) {
 		"duplicate-heavy": func() int64 { return rng.Int63n(3) - 1 },
 		"wide":            func() int64 { return rng.Int63() - rng.Int63() },
 	}
-	sizes := []struct{ build, probe int }{{0, 0}, {0, 17}, {23, 0}, {1, 1}, {60, 45}, {300, 120}}
+	sizes := []struct{ build, probe int }{{0, 0}, {0, 17}, {23, 0}, {1, 1}, {60, 45}, {300, 120}, {1100, 8}}
 	for name, gen := range gens {
 		for _, sz := range sizes {
 			for _, withSel := range []bool{false, true} {
@@ -199,17 +207,19 @@ func TestProbeBatchConfirmsKeysUnderHashCollision(t *testing.T) {
 			t.Fatalf("limit %d: got %v, want %v", limit, got, want)
 		}
 	}
-	// The unconfirmed Probe does see the colliding rows — the collision is real.
-	candidates := 0
-	h.Probe(pairs[0][1], func(int32) bool { candidates++; return true })
-	if candidates == 0 {
-		t.Fatal("fixture keys do not collide in the table's hash")
+	// The probe keys' hashes are the ones stored for the built rows — the
+	// collision is real.
+	for i, p := range pairs {
+		if got := linkHash(h.links[0][2*i]); got != uint32(storage.Hash64(p[1])) {
+			t.Fatalf("pair %d: stored hash %#x, probe key hashes to %#x", i, got, uint32(storage.Hash64(p[1])))
+		}
 	}
 }
 
-// TestReserveSizesOnce: reserving the build side's row count up front
-// allocates the arrays at exactly that size and never rehashes, so the
-// blocking join's table costs 8 B/row plus at most 4 B/row of buckets.
+// TestReserveSizesOnce: reserving the build side's row count up front takes
+// the bucket array once and the link chunks the rows need, and never
+// rehashes, so the blocking join's table costs 8 B/row in ceil(n/1024) link
+// chunks plus at most 4 B/row of buckets.
 func TestReserveSizesOnce(t *testing.T) {
 	const n = 100_000
 	keys := make([]int64, n)
@@ -218,15 +228,22 @@ func TestReserveSizesOnce(t *testing.T) {
 	}
 	h := NewHashTable()
 	h.Reserve(n)
-	heads := &h.heads[0]
+	heads, links := &h.heads[0], h.links[len(h.links)-1]
 	h.InsertBatch(keys, nil)
 	if &h.heads[0] != heads {
 		t.Error("InsertBatch rehashed a reserved table")
 	}
-	if cap(h.rows) != n {
-		t.Errorf("per-row array has capacity %d, want exactly %d", cap(h.rows), n)
+	if want := (n + DefaultBatchRows - 1) / DefaultBatchRows; len(h.links) != want || h.links[want-1] != links {
+		t.Errorf("%d link chunks after inserting the reserved rows, want the %d reserved", len(h.links), want)
 	}
-	if perRow := float64(h.Bytes()) / n; perRow > 12 {
-		t.Errorf("table metadata = %.1f B/row, want <= 12", perRow)
+	if len(h.heads) > n {
+		t.Errorf("%d buckets for %d rows, want <= 4 B/row", len(h.heads), n)
+	}
+	if perRow := float64(h.Bytes()-8*DefaultBatchRows) / n; perRow > 12 {
+		t.Errorf("table metadata = %.1f B/row beyond its partial chunk, want <= 12", perRow)
+	}
+	h.Release()
+	if h.Len() != 0 || h.Bytes() != 0 {
+		t.Error("Release left the table holding rows")
 	}
 }

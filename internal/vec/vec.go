@@ -16,10 +16,12 @@
 //
 // Ownership: a batch whose columns are pooled chunks (a Builder's at
 // DefaultBatchRows rows per batch, a full-sized one from Make) carries a
-// claim count. The batch holds one claim, each View adds one, Release drops
-// one, and the last hands the chunks back to the pool. A consumer releases a
-// batch only once it has copied out everything it reads; a batch nobody
-// releases is left to the garbage collector.
+// claim count. The batch holds one claim, the views Views cuts from it hold
+// one between them, Release drops one, and the last hands the chunks back to
+// the pool. A consumer releases a batch only once it has copied out
+// everything it reads; a batch nobody releases is left to the garbage
+// collector. A join's build state — a Buffer's columns, a HashTable's links —
+// lives in the same chunks and goes back on the owner's Release.
 package vec
 
 import (
@@ -30,28 +32,80 @@ import (
 )
 
 // DefaultBatchRows is the rows-per-batch granularity of builders, scans and
-// the exchange when no batch size is configured.
-const DefaultBatchRows = 1024
+// the exchange when no batch size is configured — one chunk per column.
+const DefaultBatchRows = 1 << chunkBits
+
+// chunkBits and chunkMask address value r of chunked storage (a Buffer's
+// columns, a HashTable's links) at chunk r>>chunkBits, slot r&chunkMask.
+const (
+	chunkBits = 10
+	chunkMask = 1<<chunkBits - 1
+)
 
 // Vec is a columnar batch: Cols[c][r] is column c of physical row r, and
 // Sel (when non-nil) selects the live subset of physical rows.
 type Vec struct {
 	Cols   [][]int64
 	Sel    []int32
-	claims *claims // nil unless the columns are pooled chunks
+	claims *claims // nil unless something is handed back on the last Release
 }
 
-// chunk is one pooled column of a DefaultBatchRows-row batch.
+// chunk is 8 KiB of pooled storage: one column of a DefaultBatchRows-row
+// batch, a Buffer column's DefaultBatchRows rows, or as many HashTable links.
 type chunk [DefaultBatchRows]int64
 
-// chunkPool recycles chunks. A chunk comes back holding its last batch's
+// chunkPool recycles chunks. A chunk comes back holding its last owner's
 // values: whoever takes one writes every value it exposes before any read.
 var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
-// claims is the shared claim count of one pooled batch and its views.
+// selChunk is a pooled selection slab for a batch of up to DefaultBatchRows
+// rows; selPool recycles them under the same write-before-read rule.
+type selChunk [DefaultBatchRows]int32
+
+var selPool = sync.Pool{New: func() any { return new(selChunk) }}
+
+// TakeSel returns an n-entry selection slab whose every entry the caller
+// writes before any read: a pooled chunk's for a batch of at most
+// DefaultBatchRows rows, else a fresh one. PutSel, or the last Release of the
+// Views cut from it, hands it back.
+func TakeSel(n int) []int32 {
+	if n > DefaultBatchRows {
+		return make([]int32, n)
+	}
+	return selPool.Get().(*selChunk)[:n]
+}
+
+// PutSel hands back a TakeSel slab nothing reads any more; a slab not cut
+// from a chunk is left to the collector.
+func PutSel(s []int32) {
+	if cap(s) == DefaultBatchRows {
+		selPool.Put((*selChunk)(s[:DefaultBatchRows]))
+	}
+}
+
+// claims is the shared claim count of one pooled batch, or of the views
+// Views cut from one batch: the last claim dropped hands back the chunks and
+// the selection slab, and drops the views' claim on their batch.
 type claims struct {
 	n      atomic.Int32
 	chunks []*chunk
+	sel    []int32
+	parent *claims
+}
+
+func (c *claims) drop() {
+	if c.n.Add(-1) != 0 {
+		return
+	}
+	for _, ch := range c.chunks {
+		chunkPool.Put(ch)
+	}
+	if c.sel != nil {
+		PutSel(c.sel)
+	}
+	if c.parent != nil {
+		c.parent.drop()
+	}
 }
 
 // pooled is a pooled batch with its claim count, in one allocation.
@@ -95,13 +149,28 @@ func Make(width, rows int) *Vec {
 	return &Vec{Cols: cols}
 }
 
-// View is the batch's rows under selection sel, sharing its columns and
-// taking a claim on them — how the exchange hands a batch's partitions out.
-func (v *Vec) View(sel []int32) *Vec {
+// Views appends to dst the batch's rows under each selection of sels, nil
+// for an empty one — how the exchange hands a batch's partitions out. The
+// selections are cut from slab, a TakeSel slab, and the views share the
+// batch's columns under one claim record: it holds a claim on the batch and
+// owns slab, and the last view's Release hands slab back and drops that
+// claim.
+func (v *Vec) Views(dst []*Vec, sels [][]int32, slab []int32) []*Vec {
+	rec := &claims{sel: slab, parent: v.claims}
+	rec.n.Store(1) // Views' own, dropped below once every view holds one
 	if v.claims != nil {
 		v.claims.n.Add(1)
 	}
-	return &Vec{Cols: v.Cols, Sel: sel, claims: v.claims}
+	for _, s := range sels {
+		var view *Vec
+		if len(s) > 0 {
+			rec.n.Add(1)
+			view = &Vec{Cols: v.Cols, Sel: s, claims: rec}
+		}
+		dst = append(dst, view)
+	}
+	rec.drop()
+	return dst
 }
 
 // Release drops this reader's claim; nothing may read the batch afterwards.
@@ -112,11 +181,7 @@ func (v *Vec) Release() {
 		return
 	}
 	v.claims = nil
-	if c.n.Add(-1) == 0 {
-		for _, ch := range c.chunks {
-			chunkPool.Put(ch)
-		}
-	}
+	c.drop()
 }
 
 // Width is the number of columns.
@@ -355,89 +420,108 @@ func (b *Builder) Flush() *Vec {
 	return v
 }
 
-// Buffer is a growable columnar row store: the build side of joins and the
-// rewind buffer of re-iterated inputs. Appending compacts selections; rows
-// are addressed by dense index. The columns share one slab that doubles when
-// it fills; Grow sizes it exactly when the row count is known up front.
+// Buffer is a growable columnar row store: the build side of joins.
+// Appending compacts selections; rows are addressed by dense index. Each
+// column is a list of pooled chunks, row r at [r>>10][r&1023], so an appended
+// row never moves, a drained stream is copied once however many batches it
+// arrived in, and the buffer holds at most one partial chunk per column
+// beyond its rows. Release hands the chunks back.
 type Buffer struct {
-	cols [][]int64
+	cols []Column
+	n    int
 }
+
+// Column is one buffered column as its chunks.
+type Column []*chunk
+
+// At returns the value of row r.
+func (c Column) At(r int32) int64 { return c[r>>chunkBits][r&chunkMask] }
 
 // NewBuffer creates a buffer of the given width.
 func NewBuffer(width int) *Buffer {
-	return &Buffer{cols: make([][]int64, width)}
+	return &Buffer{cols: make([]Column, width)}
 }
 
-// Len is the number of buffered rows.
-func (t *Buffer) Len() int {
-	if len(t.cols) == 0 {
-		return 0
-	}
-	return len(t.cols[0])
-}
+// Len is the number of buffered rows; a zero-width buffer holds none.
+func (t *Buffer) Len() int { return t.n }
 
 // Width is the number of columns.
 func (t *Buffer) Width() int { return len(t.cols) }
 
 // Col exposes column c's storage (read-only by convention).
-func (t *Buffer) Col(c int) []int64 { return t.cols[c] }
+func (t *Buffer) Col(c int) Column { return t.cols[c] }
 
 // Value returns column c of buffered row r.
-func (t *Buffer) Value(c, r int) int64 { return t.cols[c][r] }
+func (t *Buffer) Value(c, r int) int64 { return t.cols[c].At(int32(r)) }
 
-// Grow makes room for n more rows: a buffer that already has it is left
-// alone, an empty one is sized to exactly n, and a filled one moves to a slab
-// of at least twice its capacity — so a drained stream is copied at most
-// twice however many batches it arrived in.
-func (t *Buffer) Grow(n int) {
-	if len(t.cols) == 0 {
-		return
-	}
-	have, need := t.Len(), t.Len()+n
-	if need <= cap(t.cols[0]) {
-		return
-	}
-	if c := 2 * cap(t.cols[0]); need < c {
-		need = c
-	}
-	slab := make([]int64, len(t.cols)*need)
-	for c, col := range t.cols {
-		t.cols[c] = slab[c*need : c*need+have : (c+1)*need]
-		copy(t.cols[c], col)
-	}
-}
-
-// Append copies the live rows of v into the buffer and returns the index
-// of the first appended row.
+// Append copies the live rows of v into the buffer, taking a chunk per
+// column each time the last one fills, and returns the index of the first
+// appended row.
 func (t *Buffer) Append(v *Vec) int {
-	start := t.Len()
-	t.Grow(v.Len())
-	for c := range t.cols {
-		col := v.Cols[c]
-		if v.Sel == nil {
-			t.cols[c] = append(t.cols[c], col...)
-		} else {
-			dst := t.cols[c]
-			for _, r := range v.Sel {
-				dst = append(dst, col[r])
-			}
-			t.cols[c] = dst
-		}
+	start := t.n
+	if len(t.cols) == 0 {
+		return start
 	}
+	for c := range t.cols {
+		src, sel, col := v.Cols[c], v.Sel, t.cols[c]
+		for at, left := start, v.Len(); left > 0; {
+			if at&chunkMask == 0 {
+				col = append(col, chunkPool.Get().(*chunk))
+			}
+			dst := col[at>>chunkBits][at&chunkMask:]
+			k := min(len(dst), left)
+			if sel == nil {
+				copy(dst, src[:k])
+				src = src[k:]
+			} else {
+				for i, r := range sel[:k] {
+					dst[i] = src[r]
+				}
+				sel = sel[k:]
+			}
+			at, left = at+k, left-k
+		}
+		t.cols[c] = col
+	}
+	t.n += v.Len()
 	return start
 }
 
 // Gather appends the buffered rows at the given indices to b starting at
 // output column at, column at a time.
 func (t *Buffer) Gather(b *Builder, at int, idx []int32) {
-	b.AppendGather(at, t.cols, idx)
+	if len(idx) == 0 {
+		return
+	}
+	b.reserve()
+	for c, col := range t.cols {
+		dst := b.cols[at+c]
+		for _, r := range idx {
+			dst = append(dst, col.At(r))
+		}
+		b.cols[at+c] = dst
+	}
 }
 
-// Release drops the column storage, returning the buffer to zero length
-// while keeping its width — a join frees its buffered input this way on
-// Close.
+// Index builds the hash table over column c of the buffered rows, reserved
+// once for their count and inserted a chunk at a time.
+func (t *Buffer) Index(c int) *HashTable {
+	h := &HashTable{}
+	h.Reserve(t.n)
+	for i, ch := range t.cols[c] {
+		h.InsertBatch(ch[:min(DefaultBatchRows, t.n-i*DefaultBatchRows)], nil)
+	}
+	return h
+}
+
+// Release hands the chunks back, returning the buffer to zero length while
+// keeping its width. Releasing twice does nothing.
 func (t *Buffer) Release() {
-	for c := range t.cols {
+	for c, col := range t.cols {
+		for _, ch := range col {
+			chunkPool.Put(ch)
+		}
 		t.cols[c] = nil
 	}
+	t.n = 0
 }

@@ -227,8 +227,12 @@ func TestBufferAppendCompactsSelection(t *testing.T) {
 	if buf.Value(1, 1) != 30 {
 		t.Fatalf("Value(1,1) = %d, want 30", buf.Value(1, 1))
 	}
-	if !reflect.DeepEqual(buf.Col(1), []int64{10, 30, 10, 20, 30}) {
-		t.Fatalf("Col(1) = %v", buf.Col(1))
+	var col []int64
+	for r := int32(0); r < int32(buf.Len()); r++ {
+		col = append(col, buf.Col(1).At(r))
+	}
+	if !reflect.DeepEqual(col, []int64{10, 30, 10, 20, 30}) {
+		t.Fatalf("Col(1) = %v", col)
 	}
 	buf.Release()
 	if buf.Len() != 0 || buf.Width() != 2 {
@@ -317,38 +321,55 @@ func TestHashTableGrowAgainstMap(t *testing.T) {
 	}
 }
 
-// TestBufferGrowth: a Grow for the drained row count sizes the slab exactly
-// (one copy per row, no slack), and open-ended appends double it — so n
-// single-row appends move the data O(log n) times, not once per 25 % of
-// growth.
+// TestBufferGrowth: a buffer's columns are chunk lists, so an appended row
+// never moves — not across single-row appends, not across batches that
+// straddle a chunk boundary — and the buffer holds its 8 B per value plus at
+// most one partial chunk per column.
 func TestBufferGrowth(t *testing.T) {
-	exact := NewBuffer(3)
-	exact.Grow(1000)
-	if c := cap(exact.Col(0)); c != 1000 {
-		t.Fatalf("Grow(1000) on an empty buffer reserved %d rows", c)
-	}
+	buf := NewBuffer(3)
 	one := FromRows(rows([]int64{1, 2, 3}))
-	home := &exact.Col(0)[:1][0]
-	for i := 0; i < 1000; i++ {
-		exact.Append(one)
+	batch := FromRows(rowsOf(700))
+	type home struct {
+		row int
+		at  *int64
 	}
-	if &exact.Col(0)[0] != home {
-		t.Fatal("appends within the reserved size moved the buffer")
-	}
-
-	grown := NewBuffer(3)
-	moves := 0
-	var at *int64
+	var homes []home
+	at := func(c, r int) *int64 { return &buf.cols[c][r>>chunkBits][r&chunkMask] }
 	for i := 0; i < 10_000; i++ {
-		grown.Append(one)
-		if p := &grown.Col(0)[0]; p != at {
-			at, moves = p, moves+1
+		var start int
+		if i%100 == 0 {
+			start = buf.Append(batch.FilterEq(1, 0))
+		} else {
+			start = buf.Append(one)
+		}
+		homes = append(homes, home{start, at(2, start)})
+	}
+	n := buf.Len()
+	for _, h := range homes {
+		if at(2, h.row) != h.at {
+			t.Fatalf("row %d moved", h.row)
 		}
 	}
-	if moves > 15 {
-		t.Fatalf("10000 single-row appends moved the buffer %d times, want doubling (<= 15)", moves)
+	chunks := (n + DefaultBatchRows - 1) / DefaultBatchRows
+	for c := range buf.cols {
+		if len(buf.cols[c]) != chunks {
+			t.Fatalf("column %d holds %d chunks for %d rows, want %d", c, len(buf.cols[c]), n, chunks)
+		}
 	}
-	if grown.Len() != 10_000 || grown.Value(2, 9_999) != 3 {
-		t.Fatal("rows lost across growth")
+	if buf.Value(2, n-1) != 3 || buf.Value(0, 1) != 7 || buf.Value(2, 100) != 3 {
+		t.Fatal("rows lost across chunks")
 	}
+	buf.Release()
+	if buf.Len() != 0 || buf.Width() != 3 || buf.cols[0] != nil {
+		t.Fatal("Release should hand the chunks back, keep width")
+	}
+}
+
+// rowsOf is n 3-column rows (i, i%7, -i).
+func rowsOf(n int) []storage.Row {
+	out := make([]storage.Row, n)
+	for i := range out {
+		out[i] = storage.Row{int64(i), int64(i % 7), -int64(i)}
+	}
+	return out
 }
