@@ -13,10 +13,8 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"paropt/internal/catalog"
@@ -322,12 +320,17 @@ func (o *scanOp) Next(ctx context.Context) (Batch, error) {
 func (o *scanOp) Close() { o.pos = o.nrows }
 
 // filter narrows a batch by the pushed-down selections, sharing its columns.
+// Each filter's result takes over its input: the input is released once the
+// narrower view holds its claim, so one Release of the result hands back
+// every selection slab and the batch beneath.
 func filter(b Batch, sels []exchange.ScanFilter) Batch {
 	for _, s := range sels {
 		if b.Len() == 0 {
 			break
 		}
-		b = b.FilterEq(s.Col, s.Val)
+		f := b.FilterEq(s.Col, s.Val)
+		b.Release()
+		b = f
 	}
 	return b
 }
@@ -448,10 +451,10 @@ func drainBuffer(ctx context.Context, op Operator) (*vec.Buffer, error) {
 
 // buildProbeOp is the blocking build-then-probe join (hash and nested-loops
 // methods — the materialized edge of §4.2): the right input is drained into
-// a columnar buffer indexed by a vec.HashTable reserved once for its row
-// count, then each left batch probes it with one batch kernel call per
-// output batch. Buffer and table go back to the chunk pool as soon as the
-// left input ends — the last output batch holds copies — or at Close.
+// a columnar buffer indexed by a vec.HashTable built once over it, then each
+// left batch probes it with one batch kernel call per output batch. Buffer,
+// table and pair lists go back to their pools as soon as the left input
+// ends — the last output batch holds copies — or at Close.
 type buildProbeOp struct {
 	left, right  Operator
 	lkeys, rkeys []int
@@ -468,7 +471,8 @@ type buildProbeOp struct {
 
 	// Matched (left physical row, buffered right row) pairs of one kernel
 	// call, gathered column-at-a-time into bld — the emit loop touches one
-	// column array at a time.
+	// column array at a time. TakeSel slabs of bs entries: a call stops at
+	// the builder's room.
 	lsel, rsel []int32
 }
 
@@ -486,10 +490,11 @@ func (o *buildProbeOp) build(ctx context.Context) error {
 		return err
 	}
 	o.table = buf.Index(o.rkeys[0])
+	o.lsel, o.rsel = vec.TakeSel(o.bs)[:0], vec.TakeSel(o.bs)[:0]
 	return nil
 }
 
-// release hands the build state back to the chunk pool.
+// release hands the build state and pair lists back to their pools.
 func (o *buildProbeOp) release() {
 	if o.buf != nil {
 		o.buf.Release()
@@ -497,6 +502,9 @@ func (o *buildProbeOp) release() {
 	if o.table != nil {
 		o.table.Release()
 	}
+	vec.PutSel(o.lsel)
+	vec.PutSel(o.rsel)
+	o.lsel, o.rsel = nil, nil
 }
 
 // filterPairs keeps the (probe physical row, buffered row) pairs that also
@@ -601,7 +609,7 @@ type mergeJoinOp struct {
 
 	built          bool
 	lbuf, rbuf     *vec.Buffer
-	lorder, rorder []int32
+	lorder, rorder vec.Column // sort orders: row indices
 	bld            *vec.Builder
 	lw             int
 	i, j           int
@@ -609,7 +617,7 @@ type mergeJoinOp struct {
 	i2, j2         int // current equal-key run bounds
 	a, b           int // positions within the run
 	done           bool
-	lsel, rsel     []int32 // joined (left row, right row) pairs awaiting emit
+	lsel, rsel     []int32 // joined (left row, right row) pairs awaiting emit: TakeSel slabs of bs entries
 }
 
 // build drains both sides; Close hands back what it buffered.
@@ -637,39 +645,26 @@ func (o *mergeJoinOp) build(ctx context.Context) error {
 	o.rorder = sortOrder(rbuf, o.rsort)
 	o.lw = lbuf.Width()
 	o.bld = vec.NewBuilder(o.lw+rbuf.Width(), o.bs)
+	o.lsel, o.rsel = vec.TakeSel(o.bs)[:0], vec.TakeSel(o.bs)[:0]
 	return nil
 }
 
-// sortOrder is the buffer's row order stably sorted on column by (arrival
-// order when by < 0): (key, row) pairs sorted on key, then row — the stable
-// order exactly, without a closure over the permutation per comparison.
-func sortOrder(buf *vec.Buffer, by int) []int32 {
-	order := make([]int32, buf.Len())
-	for i := range order {
-		order[i] = int32(i)
-	}
+// sortOrder is the buffer's row order stably sorted on column by: by key,
+// then row, in pooled chunks that Close hands back; nil is arrival order
+// (by < 0, or every key equal).
+func sortOrder(buf *vec.Buffer, by int) vec.Column {
 	if by < 0 {
-		return order
+		return nil
 	}
-	type keyRow struct {
-		key int64
-		row int32
+	return buf.Col(by).SortOrder(buf.Len())
+}
+
+// rowAt is the row at position i of a sort order.
+func rowAt(order vec.Column, i int) int32 {
+	if order == nil {
+		return int32(i)
 	}
-	pairs := make([]keyRow, len(order))
-	col := buf.Col(by)
-	for i := range pairs {
-		pairs[i] = keyRow{col.At(int32(i)), int32(i)}
-	}
-	slices.SortFunc(pairs, func(a, b keyRow) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
-		}
-		return cmp.Compare(a.row, b.row)
-	})
-	for i, p := range pairs {
-		order[i] = p.row
-	}
-	return order
+	return int32(order.At(int32(i)))
 }
 
 // matchBufPair checks extra predicates between buffered rows.
@@ -709,14 +704,14 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 	for {
 		if o.inRun {
 			for ; o.a < o.i2; o.a++ {
-				lrow := o.lorder[o.a]
+				lrow := rowAt(o.lorder, o.a)
 				for ; o.b < o.j2; o.b++ {
 					if steps++; steps%cancelCheckRows == 0 {
 						if err := ctxErr(ctx); err != nil {
 							return nil, err
 						}
 					}
-					rrow := o.rorder[o.b]
+					rrow := rowAt(o.rorder, o.b)
 					if matchBufPair(o.lbuf, int(lrow), o.rbuf, int(rrow), o.lkeys, o.rkeys) {
 						o.lsel, o.rsel = append(o.lsel, lrow), append(o.rsel, rrow)
 						if len(o.lsel) == o.bs {
@@ -730,11 +725,11 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 			o.inRun = false
 			o.i, o.j = o.i2, o.j2
 		}
-		if o.i >= len(o.lorder) || o.j >= len(o.rorder) {
+		if o.i >= o.lbuf.Len() || o.j >= o.rbuf.Len() {
 			o.done = true
 			return o.emit(), nil
 		}
-		lk, rk := lcol.At(o.lorder[o.i]), rcol.At(o.rorder[o.j])
+		lk, rk := lcol.At(rowAt(o.lorder, o.i)), rcol.At(rowAt(o.rorder, o.j))
 		switch {
 		case lk < rk:
 			o.i++
@@ -742,11 +737,11 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 			o.j++
 		default:
 			o.i2 = o.i
-			for o.i2 < len(o.lorder) && lcol.At(o.lorder[o.i2]) == lk {
+			for o.i2 < o.lbuf.Len() && lcol.At(rowAt(o.lorder, o.i2)) == lk {
 				o.i2++
 			}
 			o.j2 = o.j
-			for o.j2 < len(o.rorder) && rcol.At(o.rorder[o.j2]) == rk {
+			for o.j2 < o.rbuf.Len() && rcol.At(rowAt(o.rorder, o.j2)) == rk {
 				o.j2++
 			}
 			o.a, o.b = o.i, o.j
@@ -762,7 +757,11 @@ func (o *mergeJoinOp) Next(ctx context.Context) (Batch, error) {
 
 func (o *mergeJoinOp) Close() {
 	o.done = true
-	o.lorder, o.rorder = nil, nil
+	o.lorder.Release()
+	o.rorder.Release()
+	vec.PutSel(o.lsel)
+	vec.PutSel(o.rsel)
+	o.lorder, o.rorder, o.lsel, o.rsel = nil, nil, nil, nil
 	if o.lbuf != nil {
 		o.lbuf.Release()
 	}

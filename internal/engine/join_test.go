@@ -174,8 +174,8 @@ func heapNow() uint64 {
 
 // TestJoinHeapBound pins what the hash join keeps per build row, as an
 // absolute number: it copies its build side once into buffer chunks (8 B per
-// value, one partial chunk per column) and indexes it with a table reserved
-// once (8 B of links and hashes plus at most 4 B of buckets per row). The
+// value, one partial chunk per column) and indexes it with a table built
+// once (an 8 B hash-and-row entry plus at most 4 B of offsets per row). The
 // peak is sampled mid-run (post-GC live heap while the operator's structures
 // are reachable); output batches are discarded so only the join state
 // counts. The base is taken with the chunk pools empty — sync.Pool keeps a

@@ -76,10 +76,12 @@ func randomJoinTree(t testing.TB, est *plan.Estimator, rng *rand.Rand) *plan.Nod
 
 // poisonPools dirties every pool a run takes from, the way FuzzDecodeBatch
 // dirties the chunk pool: column chunks full of poison values, selection
-// slabs full of out-of-range rows, and — through tables built and released —
-// link chunks and bucket arrays of every length up to 2^16 holding stale
-// chains. A value a taker reads before writing it shows as wrong rows, a
-// stale row index as a panic, a stale bucket as a chain into another join.
+// slabs full of out-of-range rows, and — through tables built and released,
+// and through sorts — entry chunks and offset arrays of every length up to
+// 2^16 holding another table's buckets, and sort orders, keys and digit
+// counts of other sorts. A value a taker reads before writing it shows as
+// wrong rows, a stale row index as a panic, a stale bucket as matches from
+// another join.
 func poisonPools() {
 	const poison = -0x5eed
 	for i := 0; i < 8; i++ {
@@ -98,21 +100,24 @@ func poisonPools() {
 	}
 	keys := make([]int64, 1<<16)
 	for i := range keys {
-		keys[i] = int64(i % 97)
+		keys[i] = int64(i%97)<<33 | int64(i%3)<<15 | int64(i%5) // three radix passes
 	}
 	for n := 16; n <= len(keys); n *= 2 {
-		h := vec.NewHashTable()
-		h.InsertBatch(keys[:n], nil)
-		h.Release()
+		buf := vec.NewBuffer(1)
+		buf.Append(&vec.Vec{Cols: [][]int64{keys[:n]}})
+		buf.Index(0).Release()
+		buf.Col(0).SortOrder(n).Release()
+		buf.Release()
 	}
 }
 
 // TestRecycledBatchesKeepResults is the use-after-release differential of
 // the pools a query draws on — batch chunks, a join's buffer and table
-// chunks, bucket arrays, selection slabs: goroutines run seeded plans — a
-// hash, a merge and a cross-product tree over every world, and random bushy
-// ones mixing hash, merge, nested loops and cross products — over fan-out,
-// skewed and empty inputs through ExecuteOp and Run at once, locally at caps
+// chunks, offset arrays, sort scratch, selection slabs (a scan filter's
+// included): goroutines run seeded plans — a hash, a merge and a
+// cross-product tree over every world, and random bushy ones mixing hash,
+// merge, nested loops and cross products — over fan-out, skewed, filtered
+// and empty inputs through ExecuteOp and Run at once, locally at caps
 // 1–3 and over a loopback cluster, each run after poisoning the pools, while
 // other runs are cancelled mid-flight. A chunk released while something
 // still read it, reused under a result or read before it was written changes
@@ -130,6 +135,11 @@ func TestRecycledBatchesKeepResults(t *testing.T) {
 	}{
 		{"fanout", func(t *testing.T) (*Executor, *plan.Estimator) { return fanoutRig(t, 12, 140, 120, 100) }},
 		{"skewed", func(t *testing.T) (*Executor, *plan.Estimator) { return fanoutRig(t, 2, 90, 60, 40) }},
+		{"filtered", func(t *testing.T) (*Executor, *plan.Estimator) {
+			e, est := fanoutRig(t, 12, 140, 120, 100)
+			e.Q.Selections = []query.Selection{{Column: query.ColumnRef{Relation: "F2", Column: "fk"}, Value: 3}}
+			return e, est
+		}},
 		{"empty", func(t *testing.T) (*Executor, *plan.Estimator) {
 			e, est := fanoutRig(t, 12, 140, 120, 100)
 			e.Q.Selections = []query.Selection{{Column: query.ColumnRef{Relation: "F2", Column: "fk"}, Value: -1}}

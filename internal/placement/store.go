@@ -126,9 +126,12 @@ func (s *Store) ScanPartition(spec exchange.ScanSpec, part, parts int) (*vec.Vec
 	v := &vec.Vec{Cols: cols}
 	for _, f := range spec.Filters {
 		if f.Col < 0 || f.Col >= len(cols) {
+			v.Release()
 			return &vec.Vec{Cols: cols, Sel: []int32{}}, nil
 		}
-		v = v.FilterEq(f.Col, f.Val)
+		nv := v.FilterEq(f.Col, f.Val)
+		v.Release()
+		v = nv
 	}
 	return v, nil
 }

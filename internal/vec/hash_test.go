@@ -107,11 +107,19 @@ func collidingKeys(t *testing.T, want int) [][2]int64 {
 	return out
 }
 
+// indexOf buffers vals and indexes them, as a hash join's build does.
+func indexOf(vals []int64) (*HashTable, *Buffer) {
+	buf := NewBuffer(1)
+	buf.Append(&Vec{Cols: [][]int64{vals}})
+	return buf.Index(0), buf
+}
+
 // TestBatchKernelsAgainstMapOracle is the differential property test of the
-// join kernels: InsertBatch + ProbeBatch must produce exactly the pair
+// join kernels: Buffer.Index + ProbeBatch must produce exactly the pair
 // sequence of a map[int64][]int32 join, over uniform, Zipf, duplicate-heavy
-// and empty inputs, with and without selection vectors on either side,
-// through table growth, and when cut at every possible limit.
+// and empty inputs, with and without selection vectors on either side, over
+// a build side buffered from many batches, and when cut at every possible
+// limit.
 func TestBatchKernelsAgainstMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	zipf := rand.NewZipf(rng, 1.3, 1, 40)
@@ -126,10 +134,11 @@ func TestBatchKernelsAgainstMapOracle(t *testing.T) {
 		for _, sz := range sizes {
 			for _, withSel := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%dx%d/sel=%v", name, sz.build, sz.probe, withSel), func(t *testing.T) {
-					// Build side arrives in batches (growing the table between
-					// them); with selections only the live rows are inserted.
+					// Build side arrives in batches, buffered and then
+					// indexed; with selections only the live rows are
+					// buffered.
 					var build []int64
-					h := NewHashTable()
+					buf := NewBuffer(1)
 					for left := sz.build; left > 0; {
 						n := min(left, 1+rng.Intn(50))
 						left -= n
@@ -137,19 +146,21 @@ func TestBatchKernelsAgainstMapOracle(t *testing.T) {
 						for i := range batch {
 							batch[i] = gen()
 						}
-						var sel []int32
+						v := &Vec{Cols: [][]int64{batch}}
 						if withSel {
-							sel = randomSel(rng, n)
-							for _, r := range sel {
+							v.Sel = randomSel(rng, n)
+							for _, r := range v.Sel {
 								build = append(build, batch[r])
 							}
 						} else {
 							build = append(build, batch...)
 						}
-						h.InsertBatch(batch, sel)
+						buf.Append(v)
 					}
-					if h.Len() != len(build) {
-						t.Fatalf("table Len = %d, inserted %d", h.Len(), len(build))
+					h := buf.Index(0)
+					defer h.Release()
+					if h.n != len(build) {
+						t.Fatalf("table Len = %d, buffered %d", h.n, len(build))
 					}
 					probe := make([]int64, sz.probe)
 					for i := range probe {
@@ -187,7 +198,7 @@ func TestBatchKernelsAgainstMapOracle(t *testing.T) {
 }
 
 // TestProbeBatchConfirmsKeysUnderHashCollision: keys that share a 32-bit
-// table hash land in one chain and pass the hash prefilter; only the inline
+// table hash land in one bucket and pass the hash prefilter; only the
 // comparison against the build key column tells them apart.
 func TestProbeBatchConfirmsKeysUnderHashCollision(t *testing.T) {
 	pairs := collidingKeys(t, 3)
@@ -196,8 +207,8 @@ func TestProbeBatchConfirmsKeysUnderHashCollision(t *testing.T) {
 		build = append(build, p[0], p[0]) // only the first key of each pair is built
 		probe = append(probe, p[1], p[0])
 	}
-	h := NewHashTable()
-	h.InsertBatch(build, nil)
+	h, _ := indexOf(build)
+	defer h.Release()
 	want := oraclePairs(build, probe, nil)
 	if len(want) != 2*len(pairs) {
 		t.Fatalf("oracle found %d pairs, want %d", len(want), 2*len(pairs))
@@ -209,41 +220,163 @@ func TestProbeBatchConfirmsKeysUnderHashCollision(t *testing.T) {
 	}
 	// The probe keys' hashes are the ones stored for the built rows — the
 	// collision is real.
-	for i, p := range pairs {
-		if got := linkHash(h.links[0][2*i]); got != uint32(storage.Hash64(p[1])) {
-			t.Fatalf("pair %d: stored hash %#x, probe key hashes to %#x", i, got, uint32(storage.Hash64(p[1])))
+	for at := range len(build) {
+		e := h.ents[0][at]
+		if p := pairs[entryRow(e)/2]; entryHash(e) != uint32(storage.Hash64(p[1])) {
+			t.Fatalf("row %d: stored hash %#x, probe key hashes to %#x", entryRow(e), entryHash(e), uint32(storage.Hash64(p[1])))
 		}
 	}
 }
 
-// TestReserveSizesOnce: reserving the build side's row count up front takes
-// the bucket array once and the link chunks the rows need, and never
-// rehashes, so the blocking join's table costs 8 B/row in ceil(n/1024) link
-// chunks plus at most 4 B/row of buckets.
-func TestReserveSizesOnce(t *testing.T) {
+// TestProbeBatchMatchesSerialWalk is the sequence-exact oracle of the
+// probe: the pairs, in order, of the map join the chained table's serial
+// walk produced — probe-row order, a row's matches newest build row first —
+// under limits from one pair to more than a batch, over buckets holding
+// 1–4 000 duplicates of a key plus one bucket of 4 200 entries that two keys
+// share, so calls stop and resume inside a bucket and skip another key's
+// entries; with and without a probe selection, and with keys whose 32-bit
+// hashes collide.
+func TestProbeBatchMatchesSerialWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var build []int64
+	for k, dups := range []int{1, 2, 3, 7, 40, 300, 1000, 2500, 4000} {
+		for range dups {
+			build = append(build, int64(k))
+		}
+	}
+	for range 3000 {
+		build = append(build, 100+rng.Int63n(2000))
+	}
+	for _, p := range collidingKeys(t, 4) {
+		build = append(build, p[0], p[0], p[0])
+	}
+	// Key big shares the bucket of the 4 000 copies of key 8, with 200 of
+	// its own.
+	mask := uint32(bucketsFor(len(build)+200) - 1)
+	big := int64(1 << 40)
+	for uint32(storage.Hash64(big))&mask != uint32(storage.Hash64(8))&mask {
+		big++
+	}
+	for range 200 {
+		build = append(build, big)
+	}
+	rng.Shuffle(len(build), func(i, j int) { build[i], build[j] = build[j], build[i] })
+	h, _ := indexOf(build)
+	defer h.Release()
+	if h.mask != mask {
+		t.Fatalf("table mask %#x, the test placed keys under %#x", h.mask, mask)
+	}
+	if b := uint32(storage.Hash64(8)) & mask; h.off[b+1]-h.off[b] != 4200 {
+		t.Fatalf("shared bucket holds %d entries, want 4200", h.off[b+1]-h.off[b])
+	}
+	probe := []int64{8, 7, 0, big, -1, 8}
+	for range 2000 {
+		probe = append(probe, rng.Int63n(2100))
+	}
+	for _, p := range collidingKeys(t, 4) {
+		probe = append(probe, p[1], p[0])
+	}
+	rng.Shuffle(len(probe)-6, func(i, j int) { probe[6+i], probe[6+j] = probe[6+j], probe[6+i] })
+	for _, sel := range [][]int32{nil, randomSel(rng, len(probe))} {
+		want := oraclePairs(build, probe, sel)
+		for _, limit := range []int{1, 7, 100, 1024, 5000} {
+			if limit == 1 && len(want) > 200_000 {
+				continue
+			}
+			if got := probeAll(t, h, build, probe, sel, limit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("sel=%v limit %d: %d pairs, want %d; first difference at %d", sel != nil, limit, len(got), len(want), firstDiff(got, want))
+			}
+		}
+	}
+}
+
+// firstDiff is the first index at which two pair sequences differ.
+func firstDiff(a, b []pair) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestIndexSizesOnce: an index over n rows takes exactly ceil(n/1024) entry
+// chunks and one offset array of at most 4 B per row, so the hash join's
+// table costs 8 B/row of entries plus at most 4 B/row of offsets, and
+// Release hands everything back.
+func TestIndexSizesOnce(t *testing.T) {
 	const n = 100_000
 	keys := make([]int64, n)
 	for i := range keys {
 		keys[i] = int64(i * 7)
 	}
-	h := NewHashTable()
-	h.Reserve(n)
-	heads, links := &h.heads[0], h.links[len(h.links)-1]
-	h.InsertBatch(keys, nil)
-	if &h.heads[0] != heads {
-		t.Error("InsertBatch rehashed a reserved table")
+	h, _ := indexOf(keys)
+	if want := (n + DefaultBatchRows - 1) / DefaultBatchRows; len(h.ents) != want {
+		t.Errorf("%d entry chunks for %d rows, want %d", len(h.ents), n, want)
 	}
-	if want := (n + DefaultBatchRows - 1) / DefaultBatchRows; len(h.links) != want || h.links[want-1] != links {
-		t.Errorf("%d link chunks after inserting the reserved rows, want the %d reserved", len(h.links), want)
+	if len(h.off) != len(*h.slab) || 4*len(h.off) > 4*n {
+		t.Errorf("%d offsets for %d rows, want <= 4 B/row", len(h.off), n)
 	}
-	if len(h.heads) > n {
-		t.Errorf("%d buckets for %d rows, want <= 4 B/row", len(h.heads), n)
+	if int(h.off[len(h.off)-1]) != n || h.off[0] != 0 {
+		t.Errorf("offsets span [%d, %d), want [0, %d)", h.off[0], h.off[len(h.off)-1], n)
 	}
 	if perRow := float64(h.Bytes()-8*DefaultBatchRows) / n; perRow > 12 {
 		t.Errorf("table metadata = %.1f B/row beyond its partial chunk, want <= 12", perRow)
 	}
 	h.Release()
-	if h.Len() != 0 || h.Bytes() != 0 {
+	if h.n != 0 || h.Bytes() != 0 || h.ents != nil || h.off != nil {
 		t.Error("Release left the table holding rows")
+	}
+}
+
+// BenchmarkProbeBatch times the hash join's kernels on a 60 k-row build
+// side, indexed once per iteration ("index"), and probed by 60 k rows
+// through ProbeBatch in 1 024-pair calls, as the join's output batches cut
+// them: over distinct keys with a third of the probes missing ("probe"), and
+// over 150 keys of 400 rows each, so every probe row matches 400 ("dups").
+func BenchmarkProbeBatch(b *testing.B) {
+	const n = 60_000
+	rng := rand.New(rand.NewSource(1))
+	distinct, dups := make([]int64, n), make([]int64, n)
+	for i := range distinct {
+		distinct[i], dups[i] = int64(i)*3, int64(i%150)
+	}
+	rng.Shuffle(n, func(i, j int) { distinct[i], distinct[j] = distinct[j], distinct[i] })
+	probe := make([]int64, n)
+	for i := range probe {
+		probe[i] = rng.Int63n(3 * n / 2)
+	}
+	for _, c := range []struct {
+		name         string
+		build, probe []int64
+	}{{"probe", distinct, probe}, {"dups", dups, dups}} {
+		buf := NewBuffer(1)
+		buf.Append(&Vec{Cols: [][]int64{c.build}})
+		if c.name == "probe" {
+			b.Run("index", func(b *testing.B) {
+				for range b.N {
+					buf.Index(0).Release()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
+		b.Run(c.name, func(b *testing.B) {
+			h := buf.Index(0)
+			defer h.Release()
+			lsel, rsel := make([]int32, 0, DefaultBatchRows), make([]int32, 0, DefaultBatchRows)
+			pairs := 0
+			for range b.N {
+				for lo := 0; lo < n; lo += DefaultBatchRows {
+					keys := c.probe[lo:min(lo+DefaultBatchRows, n)]
+					var cur ProbeCursor
+					for done := false; !done; {
+						lsel, rsel, done = h.ProbeBatch(keys, nil, buf.Col(0), &cur, DefaultBatchRows, lsel[:0], rsel[:0])
+						pairs += len(lsel)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/probe")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+		})
 	}
 }

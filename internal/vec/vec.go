@@ -20,7 +20,7 @@
 // one between them, Release drops one, and the last hands the chunks back to
 // the pool. A consumer releases a batch only once it has copied out
 // everything it reads; a batch nobody releases is left to the garbage
-// collector. A join's build state — a Buffer's columns, a HashTable's links —
+// collector. A join's build state — a Buffer's columns, a HashTable's entries —
 // lives in the same chunks and goes back on the owner's Release.
 package vec
 
@@ -36,7 +36,7 @@ import (
 const DefaultBatchRows = 1 << chunkBits
 
 // chunkBits and chunkMask address value r of chunked storage (a Buffer's
-// columns, a HashTable's links) at chunk r>>chunkBits, slot r&chunkMask.
+// columns, a HashTable's entries) at chunk r>>chunkBits, slot r&chunkMask.
 const (
 	chunkBits = 10
 	chunkMask = 1<<chunkBits - 1
@@ -51,7 +51,7 @@ type Vec struct {
 }
 
 // chunk is 8 KiB of pooled storage: one column of a DefaultBatchRows-row
-// batch, a Buffer column's DefaultBatchRows rows, or as many HashTable links.
+// batch, a Buffer column's DefaultBatchRows rows, or as many HashTable entries.
 type chunk [DefaultBatchRows]int64
 
 // chunkPool recycles chunks. A chunk comes back holding its last owner's
@@ -212,26 +212,64 @@ func (v *Vec) Bytes() int64 {
 // filter rejects everything, because nil means "all physical rows live".
 var emptySel = []int32{}
 
+// b2i is 1 for true: a branch-free compaction advances by it.
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // FilterEq narrows the batch to live rows whose column col equals val,
-// sharing column storage: only the selection vector is (re)built. The
-// receiver is unchanged.
+// sharing column storage: only the selection vector is built, cut from a
+// TakeSel slab — sized to the matches, not the rows, when the batch is
+// longer than a pooled slab (a placed shard). The receiver is unchanged; the
+// result's claim record owns the slab and holds a claim on the receiver,
+// which its Release drops.
 func (v *Vec) FilterEq(col int, val int64) *Vec {
 	c := v.Cols[col]
-	sel := emptySel
+	n := v.Len()
+	if n > DefaultBatchRows {
+		n = int(v.countEq(c, val)) + 1 // the compaction writes one past the last match
+	}
+	slab := TakeSel(n)
+	m := int32(0)
 	if v.Sel != nil {
 		for _, r := range v.Sel {
-			if c[r] == val {
-				sel = append(sel, r)
-			}
+			slab[m] = r
+			m += b2i(c[r] == val)
 		}
 	} else {
-		for r := range c {
-			if c[r] == val {
-				sel = append(sel, int32(r))
-			}
+		for r, x := range c {
+			slab[m] = int32(r)
+			m += b2i(x == val)
 		}
 	}
-	return &Vec{Cols: v.Cols, Sel: sel}
+	if m == 0 {
+		PutSel(slab)
+		return &Vec{Cols: v.Cols, Sel: emptySel}
+	}
+	p := &pooled{v: Vec{Cols: v.Cols, Sel: slab[:m]}, c: claims{sel: slab, parent: v.claims}}
+	p.c.n.Store(1)
+	if v.claims != nil {
+		v.claims.n.Add(1)
+	}
+	p.v.claims = &p.c
+	return &p.v
+}
+
+// countEq is how many live rows hold val in column c.
+func (v *Vec) countEq(c []int64, val int64) (m int32) {
+	if v.Sel != nil {
+		for _, r := range v.Sel {
+			m += b2i(c[r] == val)
+		}
+		return m
+	}
+	for _, x := range c {
+		m += b2i(x == val)
+	}
+	return m
 }
 
 // Compact materializes the selection: the result is dense, with freshly
@@ -503,14 +541,10 @@ func (t *Buffer) Gather(b *Builder, at int, idx []int32) {
 	}
 }
 
-// Index builds the hash table over column c of the buffered rows, reserved
-// once for their count and inserted a chunk at a time.
+// Index builds the hash table over column c of the buffered rows.
 func (t *Buffer) Index(c int) *HashTable {
 	h := &HashTable{}
-	h.Reserve(t.n)
-	for i, ch := range t.cols[c] {
-		h.InsertBatch(ch[:min(DefaultBatchRows, t.n-i*DefaultBatchRows)], nil)
-	}
+	h.index(t.cols[c], t.n)
 	return h
 }
 

@@ -3,6 +3,7 @@ package vec
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"paropt/internal/storage"
@@ -86,6 +87,44 @@ func TestFilterEqNoMatches(t *testing.T) {
 	// Filtering the empty result again stays empty.
 	if f2 := f.FilterEq(1, 10); f2.Len() != 0 {
 		t.Fatalf("refilter of empty = %d rows", f2.Len())
+	}
+}
+
+// TestFilterEqSizesShardSelection: a batch longer than a pooled slab (a
+// placed shard) gets a selection sized to its matches — a pooled slab when
+// they fit one — not to its rows, and filters the same rows, dense and
+// selected.
+func TestFilterEqSizesShardSelection(t *testing.T) {
+	const n = 10_000
+	col := make([]int64, n)
+	for i := range col {
+		col[i] = int64(i % 7)
+	}
+	even := make([]int32, 0, n/2)
+	for r := int32(0); r < n; r += 2 {
+		even = append(even, r)
+	}
+	v := &Vec{Cols: [][]int64{col}}
+	for _, in := range []*Vec{v, {Cols: v.Cols, Sel: even}, v.FilterEq(0, 3)} {
+		f := in.FilterEq(0, 3)
+		var want []int32
+		for _, r := range in.Sel {
+			if col[r] == 3 {
+				want = append(want, r)
+			}
+		}
+		if in.Sel == nil {
+			for r := int32(3); r < n; r += 7 {
+				want = append(want, r)
+			}
+		}
+		if !slices.Equal(f.Sel, want) {
+			t.Fatalf("%d live rows: selection %v..., want %v...", in.Len(), f.Sel[:min(4, len(f.Sel))], want[:min(4, len(want))])
+		}
+		if in.Len() > DefaultBatchRows && cap(f.Sel) > max(len(want)+1, DefaultBatchRows) {
+			t.Errorf("%d live rows, %d matches: selection capacity %d", in.Len(), len(want), cap(f.Sel))
+		}
+		f.Release()
 	}
 }
 
@@ -300,8 +339,8 @@ func TestHashTableGrowAgainstMap(t *testing.T) {
 		all = append(all, k)
 		ref[k] = append(ref[k], int32(i))
 	}
-	if h.Len() != 20000 {
-		t.Fatalf("Len = %d", h.Len())
+	if h.n != 20000 {
+		t.Fatalf("Len = %d", h.n)
 	}
 	for k, want := range ref {
 		var got []int32
