@@ -64,25 +64,21 @@ func Run(scale int64, seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab := storage.Generate(rel, seed)
+	keys := storage.Generate(rel, seed).Columns()[0]
 
 	rep := &Report{Samples: map[string]Sample{}}
 
 	// Tuple scan: touch every row once.
 	scanNs := measure(func() {
 		var sink int64
-		for _, row := range tab.Rows {
-			sink += row[0]
+		for _, k := range keys {
+			sink += k
 		}
 		sinkhole = sink
 	})
 	rep.add("scan-tuple", scanNs/float64(scale), scale)
 
 	// Sort: n log2 n comparisons.
-	keys := make([]int64, scale)
-	for i, row := range tab.Rows {
-		keys[i] = row[0]
-	}
 	sortNs := measure(func() {
 		cp := append([]int64(nil), keys...)
 		sort.Slice(cp, func(a, b int) bool { return cp[a] < cp[b] })
@@ -94,8 +90,8 @@ func Run(scale int64, seed int64) (*Report, error) {
 	var built map[int64][]int
 	buildNs := measure(func() {
 		built = make(map[int64][]int, scale)
-		for i, row := range tab.Rows {
-			built[row[0]] = append(built[row[0]], i)
+		for i, k := range keys {
+			built[k] = append(built[k], i)
 		}
 	})
 	rep.add("hash-build", buildNs/float64(scale), scale)
@@ -103,8 +99,8 @@ func Run(scale int64, seed int64) (*Report, error) {
 	// Hash probe.
 	probeNs := measure(func() {
 		var sink int
-		for _, row := range tab.Rows {
-			sink += len(built[row[0]])
+		for _, k := range keys {
+			sink += len(built[k])
 		}
 		sinkhole = int64(sink)
 	})

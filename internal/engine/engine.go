@@ -245,7 +245,7 @@ func (e *Executor) batchSize() int {
 // relation's columns in declaration order) and the query's selections on it
 // as column positions — pushed into the local scan or shipped to the workers.
 func (e *Executor) relation(rel string) (*storage.Table, Schema, []exchange.ScanFilter, error) {
-	tab, ok := e.DB.Table(rel)
+	tab, ok := e.DB.Relation(rel)
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("engine: no data for relation %s", rel)
 	}
@@ -275,12 +275,7 @@ func (e *Executor) scan(rel string, ix *catalog.Index) (Operator, Schema, error)
 	}
 	cols := tab.Columns()
 	if ix != nil {
-		if oix, err := storage.BuildOrderedIndex(tab, ix.Columns[0]); err == nil {
-			order := make([]int32, 0, tab.NumRows())
-			oix.Scan(func(_ int64, rowPos int) bool {
-				order = append(order, int32(rowPos))
-				return true
-			})
+		if order, err := storage.KeyOrder(tab, ix.Columns[0]); err == nil {
 			return &indexScanOp{cols: cols, order: order, sels: sels, bs: e.batchSize()}, schema, nil
 		}
 	}
@@ -845,12 +840,17 @@ func (o *crossOp) Next(ctx context.Context) (Batch, error) {
 				return o.bld.Flush(), nil
 			}
 		}
+		o.cur.Release() // its rows are gathered into the builder
 		o.cur = nil
 	}
 }
 
 func (o *crossOp) Close() {
 	o.done = true
+	if o.cur != nil {
+		o.cur.Release()
+		o.cur = nil
+	}
 	if o.inner != nil {
 		o.inner.Release()
 	}

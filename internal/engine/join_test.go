@@ -189,11 +189,6 @@ func TestJoinHeapBound(t *testing.T) {
 	}
 	const n, width = 100_000, 2
 	e, _ := rig(t, n, n)
-	// Warm the tables' columnar caches so the measurement does not pay for
-	// them.
-	for _, rel := range []string{"R1", "R2"} {
-		e.DB.Tables[rel].Columns()
-	}
 	lop, _, err := e.scan("R1", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -257,9 +252,6 @@ func TestParallelJoinAllocationPin(t *testing.T) {
 	e, est := rig(t, n, n)
 	e.Parallel = 2
 	p := join(t, est, leaf(t, est, "R1"), leaf(t, est, "R2"), plan.HashJoin)
-	for _, rel := range []string{"R1", "R2"} {
-		e.DB.Tables[rel].Columns()
-	}
 	rows := 0
 	run := func() {
 		res, err := e.Execute(p)
@@ -355,11 +347,6 @@ func TestCrossProductCancelBetweenBatches(t *testing.T) {
 func BenchmarkPairJoinVec(b *testing.B) {
 	e, est := rig(b, 1_000_000, 1_000_000)
 	p := join(b, est, leaf(b, est, "R1"), leaf(b, est, "R2"), plan.HashJoin)
-	// Pre-warm the columnar caches so the one-time transposition stays out
-	// of the timed region.
-	for _, rel := range []string{"R1", "R2"} {
-		e.DB.Tables[rel].Columns()
-	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

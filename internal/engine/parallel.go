@@ -87,8 +87,8 @@ func PartitionImbalance(t *storage.Table, column string, parts int) (float64, er
 		parts = 1
 	}
 	sizes := make([]int, parts)
-	for _, row := range t.Rows {
-		sizes[exchange.Partition(row[pos], parts)]++
+	for _, v := range t.Columns()[pos] {
+		sizes[exchange.Partition(v, parts)]++
 	}
 	max := 0
 	for _, s := range sizes {
@@ -112,10 +112,11 @@ func ReferenceJoin(e *Executor) (*Resultset, error) {
 	var schema Schema
 	rows := []storage.Row{{}}
 	for _, rel := range rels {
-		tab, ok := e.DB.Table(rel)
+		tab, ok := e.DB.Relation(rel)
 		if !ok {
 			return nil, fmt.Errorf("engine: no data for relation %s", rel)
 		}
+		cols := tab.Columns()
 		var relSchema Schema
 		for _, c := range tab.Rel.Columns {
 			relSchema = append(relSchema, query.ColumnRef{Relation: rel, Column: c.Name})
@@ -124,10 +125,10 @@ func ReferenceJoin(e *Executor) (*Resultset, error) {
 		newSchema := append(append(Schema(nil), schema...), relSchema...)
 		var next []storage.Row
 		for _, acc := range rows {
-			for _, row := range tab.Rows {
+			for r := range tab.NumRows() {
 				keepSel := true
 				for _, s := range sels {
-					if row[tab.ColIndex(s.Column.Column)] != s.Value {
+					if cols[tab.ColIndex(s.Column.Column)][r] != s.Value {
 						keepSel = false
 						break
 					}
@@ -135,9 +136,11 @@ func ReferenceJoin(e *Executor) (*Resultset, error) {
 				if !keepSel {
 					continue
 				}
-				joined := make(storage.Row, 0, len(acc)+len(row))
+				joined := make(storage.Row, 0, len(acc)+len(cols))
 				joined = append(joined, acc...)
-				joined = append(joined, row...)
+				for _, col := range cols {
+					joined = append(joined, col[r])
+				}
 				if satisfiesAll(e, newSchema, joined) {
 					next = append(next, joined)
 				}

@@ -3,6 +3,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -32,9 +33,6 @@ func TestRunRecyclesBatches(t *testing.T) {
 	}
 	defer lb.Close()
 	e, est := rig(t, 20_000, 20_000, 20_000, 20_000)
-	for _, tab := range e.DB.Tables {
-		tab.Columns()
-	}
 	p := leaf(t, est, "R1")
 	for _, rel := range []string{"R2", "R3", "R4"} {
 		p = join(t, est, p, leaf(t, est, rel), plan.HashJoin)
@@ -74,5 +72,63 @@ func TestRunRecyclesBatches(t *testing.T) {
 				t.Errorf("%.1f B allocated per result row, ceiling %.0f", perRow, path.ceiling)
 			}
 		})
+	}
+}
+
+// TestCrossProductRecyclesOuterBatches: a cross product hands back each outer
+// batch once it has emitted it against the whole inner, and at Close the one
+// it was still reading. The outer is a hash join's output, so each of its
+// batches is four pooled chunks; a dropped one is 32 KB that the collector,
+// not the next batch, gets back. Measured 0.6 B per result row for a whole
+// run and 6.6 KB per run closed after its first batch (16.7 B and 39 KB with
+// the matching release deleted).
+func TestCrossProductRecyclesOuterBatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement over a cross product")
+	}
+	// R4 has no predicate with R1 or R2: a two-row inner.
+	e, est := rig(t, 20_000, 20_000, 2, 2)
+	root := e.expand(join(t, est, join(t, est, leaf(t, est, "R1"), leaf(t, est, "R2"), plan.HashJoin), leaf(t, est, "R4"), plan.NestedLoops))
+	perRun := func(run func()) float64 {
+		run() // fills the pool
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	rows := 0
+	whole := perRun(func() {
+		n, err := e.Run(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = n
+	})
+	if rows < 10_000 {
+		t.Fatalf("fixture cross product returned %d rows", rows)
+	}
+	t.Logf("whole run: %d result rows, %.1f B allocated per result row", rows, whole/float64(rows))
+	if whole/float64(rows) > 2 {
+		t.Errorf("%.1f B allocated per result row, ceiling 2", whole/float64(rows))
+	}
+	closed := perRun(func() {
+		op, _, err := e.open(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := op.Next(context.Background())
+		if err != nil || b == nil {
+			t.Fatalf("first batch %v, err %v", b, err)
+		}
+		b.Release()
+		op.Close()
+	})
+	t.Logf("closed after one batch: %.0f B allocated per run", closed)
+	if closed > 12<<10 {
+		t.Errorf("%.0f B allocated per run closed after one batch, ceiling 12 KB", closed)
 	}
 }

@@ -61,11 +61,7 @@ func keyTable(keys []int64) *storage.Table {
 		Columns: []catalog.Column{{Name: "k", NDV: int64(len(keys)), Width: 8}},
 		Card:    int64(len(keys)),
 	}
-	rows := make([]storage.Row, len(keys))
-	for i, k := range keys {
-		rows[i] = storage.Row{k}
-	}
-	return &storage.Table{Rel: rel, Cols: map[string]int{"k": 0}, Rows: rows}
+	return storage.NewTable(rel, [][]int64{keys})
 }
 
 // TestPartitionImbalanceSequentialKeys: sequential keys (the classic

@@ -50,9 +50,11 @@ func TestJoinTeardown(t *testing.T) {
 	}
 	// One R2 row as the whole build side: its fk hashes to one partition, so
 	// every other partition's join ends while its probe input still streams.
-	oneRow := e.DB.Tables["R2"].Rows[:1]
+	r1, _ := e.DB.Table("R1")
+	r2, _ := e.DB.Table("R2")
+	oneRow := r2.Rows[:1]
 	oneRowMatches := 0
-	for _, r := range e.DB.Tables["R1"].Rows {
+	for _, r := range r1.Rows {
 		if r[0] == oneRow[0][1] {
 			oneRowMatches++
 		}

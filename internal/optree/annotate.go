@@ -106,11 +106,11 @@ func (a *annotator) edges(op *Op) {
 	}
 	for _, in := range op.Inputs {
 		a.edges(in)
-		in.Redistribute = needsRedistribution(in, op, a.est)
+		in.Redistribute = needsRedistribution(in, op)
 		in.RedistTargets = nil
 		in.RedistAttr = query.ColumnRef{}
 		if in.Redistribute {
-			in.RedistAttr = a.est.Canon(op.Clone.Attribute)
+			in.RedistAttr = op.Clone.Attribute
 			if a.m.Nodes() > 1 {
 				in.RedistTargets = CloneNodes(op.Clone, a.m)
 			}
@@ -132,7 +132,9 @@ func CloneNodes(c Cloning, m *machine.Machine) []int {
 	return slices.Compact(nodes)
 }
 
-// partitionAttr picks the attribute an operator's input is partitioned on.
+// partitionAttr picks the attribute an operator's input is partitioned on,
+// canonical by construction: a join predicate's or a scan's column through
+// est.Canon, or the first input's attribute, already canonical.
 func partitionAttr(op *Op, est *plan.Estimator) query.ColumnRef {
 	if len(op.Preds) > 0 {
 		return est.Canon(op.Preds[0].Left)
@@ -155,7 +157,8 @@ func partitionAttr(op *Op, est *plan.Estimator) query.ColumnRef {
 }
 
 // needsRedistribution decides the redistribution flag for edge child→parent.
-func needsRedistribution(child, parent *Op, est *plan.Estimator) bool {
+// Clone attributes are canonical (partitionAttr), so they compare as they are.
+func needsRedistribution(child, parent *Op) bool {
 	pd := parent.Clone.Degree()
 	cd := child.Clone.Degree()
 	if pd == 1 && cd == 1 {
@@ -163,9 +166,7 @@ func needsRedistribution(child, parent *Op, est *plan.Estimator) bool {
 	}
 	// Build/probe pairs and merges need both inputs partitioned on the join
 	// attribute across the same clone set.
-	pAttr := est.Canon(parent.Clone.Attribute)
-	cAttr := est.Canon(child.Clone.Attribute)
-	if pAttr != cAttr {
+	if parent.Clone.Attribute != child.Clone.Attribute {
 		return true
 	}
 	if pd != cd {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"paropt/internal/catalog"
 	"paropt/internal/machine"
 	"paropt/internal/plan"
 	"paropt/internal/query"
@@ -88,7 +89,11 @@ func randomPlanOver(t *testing.T, e *plan.Estimator, q *query.Query, rng *rand.R
 	perm := rng.Perm(len(q.Relations))
 	nodes := make([]*plan.Node, len(perm))
 	for i, pos := range perm {
-		leaf, err := e.Leaf(q.Relations[pos], plan.SeqScan, nil)
+		access, ix := plan.SeqScan, (*catalog.Index)(nil)
+		if ixs := e.Cat.IndexesOn(q.Relations[pos]); len(ixs) > 0 && rng.Intn(2) == 0 {
+			access, ix = plan.IndexScan, ixs[0]
+		}
+		leaf, err := e.Leaf(q.Relations[pos], access, ix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,4 +112,37 @@ func randomPlanOver(t *testing.T, e *plan.Estimator, q *query.Query, rng *rand.R
 		nodes = append(nodes[:i], append([]*plan.Node{j}, nodes[i+2:]...)...)
 	}
 	return nodes[0]
+}
+
+// TestQuickCloneAttributesCanonical: over generated queries of every shape
+// and random plans over them, index scans included, annotation leaves every
+// operator's partitioning attribute, and every redistributed edge's target,
+// canonical — est.Canon of itself. needsRedistribution and edges compare and
+// copy the attributes as they are on the strength of it.
+func TestQuickCloneAttributesCanonical(t *testing.T) {
+	m := machine.New(machine.Config{CPUs: 4, Disks: 4})
+	for _, shape := range []query.Shape{query.Chain, query.Star, query.Cycle, query.Clique} {
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg := query.DefaultGenConfig()
+			cfg.Relations, cfg.Shape, cfg.Seed = 5, shape, seed
+			cat, q := query.Generate(cfg)
+			est := plan.NewEstimator(cat, q)
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 20; trial++ {
+				op, err := Expand(randomPlanOver(t, est, q, rng), est, DefaultExpandOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				Annotate(op, m, est, DefaultAnnotateOptions())
+				op.Walk(func(o *Op) {
+					if a := o.Clone.Attribute; est.Canon(a) != a {
+						t.Fatalf("%v seed %d: %s partitioned on %v, canonical %v", shape, seed, o.Kind, a, est.Canon(a))
+					}
+					if a := o.RedistAttr; o.Redistribute && est.Canon(a) != a {
+						t.Fatalf("%v seed %d: %s redistributed on %v, canonical %v", shape, seed, o.Kind, a, est.Canon(a))
+					}
+				})
+			}
+		}
+	}
 }

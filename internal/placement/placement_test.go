@@ -178,8 +178,7 @@ func TestStoreShardsAgreeWithStreamPartitioner(t *testing.T) {
 	cat := portfolioCat(t)
 	const seed, parts = 42, 3
 	st := NewStore(cat, seed)
-	rel := cat.MustRelation("stocks")
-	full := storage.Generate(rel, seed)
+	full, _ := storage.NewDatabase(cat, seed).Table("stocks")
 
 	var got []storage.Row
 	for part := 0; part < parts; part++ {
@@ -340,8 +339,9 @@ func TestColumnarShardsMatchRowOracle(t *testing.T) {
 	st := NewStore(cat, seed)
 	var wantShards int
 	var wantRows int64
+	db := storage.NewDatabase(cat, seed)
 	for _, name := range cat.RelationNames() {
-		tab := storage.Generate(cat.MustRelation(name), seed)
+		tab, _ := db.Table(name)
 		width := len(tab.Rel.Columns)
 		for hashCol := 0; hashCol < width; hashCol++ {
 			for _, parts := range []int{0, 1, 2, 5} {

@@ -191,7 +191,7 @@ func (s *Service) fallbackStore(d *analyzeData, cat *catalog.Catalog) *placement
 	if d.fstore == nil {
 		d.fstore = placement.NewStore(cat, dataSeed)
 		for _, name := range cat.RelationNames() {
-			if t, ok := d.db.Table(name); ok {
+			if t, ok := d.db.Relation(name); ok {
 				d.fstore.AddTable(t)
 			}
 		}

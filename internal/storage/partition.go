@@ -31,29 +31,28 @@ func Partition(v int64, parts int) int {
 // Shard is hash partition part of parts of a table on the column at
 // position hashCol — the worker-resident fragment of a placed relation — as
 // columnar slabs (Shard(...)[c][r] is column c of the shard's row r, table
-// order kept) cut from one pointer-free allocation, so a resident shard costs
-// the collector nothing to scan. parts < 2 is the single-shard placement:
-// every row, aliasing the table's own Columns. Read-only either way.
+// order kept) cut column by column from the table's slabs into one
+// pointer-free allocation, so a resident shard costs the collector nothing
+// to scan. parts < 2 is the single-shard placement: every row, aliasing the
+// table's own Columns. Read-only either way.
 func Shard(t *Table, hashCol, part, parts int) [][]int64 {
+	src := t.Columns()
 	if parts < 2 {
-		return t.Columns()
+		return src
 	}
 	var keep []int32
-	for r, row := range t.Rows {
-		if Partition(row[hashCol], parts) == part {
+	for r, v := range src[hashCol] {
+		if Partition(v, parts) == part {
 			keep = append(keep, int32(r))
 		}
 	}
 	n := len(keep)
-	cols := make([][]int64, len(t.Rel.Columns))
+	cols := make([][]int64, len(src))
 	slab := make([]int64, len(cols)*n)
-	for c := range cols {
+	for c, col := range src {
 		cols[c] = slab[c*n : (c+1)*n : (c+1)*n]
-	}
-	for i, r := range keep {
-		row := t.Rows[r]
-		for c := range cols {
-			cols[c][i] = row[c]
+		for i, r := range keep {
+			cols[c][i] = col[r]
 		}
 	}
 	return cols

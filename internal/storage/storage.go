@@ -1,15 +1,16 @@
 // Package storage is the in-memory storage substrate for the execution
-// engine: tables of int64-valued tuples generated deterministically from
-// catalog statistics, plus hash and ordered indexes. It exists so the
+// engine: tables of int64 columns generated deterministically from catalog
+// statistics, plus the key order an ordered index scans. It exists so the
 // optimizer's plans can actually be executed (package engine) and their
 // results cross-checked for semantic equivalence.
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync/atomic"
+	"slices"
+	"sync"
 
 	"paropt/internal/catalog"
 )
@@ -17,41 +18,37 @@ import (
 // Row is one tuple; values are int64 (keys, foreign keys, encoded payloads).
 type Row []int64
 
-// Table holds a base relation's data.
+// Table holds a base relation's data as column slabs: Columns()[c][r] is
+// column c of row r.
 type Table struct {
 	// Rel is the catalog entry the table instantiates.
 	Rel *catalog.Relation
-	// Cols maps column name to its position in every Row.
+	// Cols maps column name to its position in Columns() (and in every Row).
 	Cols map[string]int
-	// Rows is the tuple data.
+	// Rows is a row-major copy of the columns for row-at-a-time oracles
+	// (the benchmark's result check, tests). It is nil until Database.Table
+	// builds it; nothing that serves a request reads it, so a served table
+	// is its columns alone.
 	Rows []Row
 
-	// columnar caches the transposed layout for vectorized scans; built
-	// lazily on first use. Racing builders may each transpose once — both
-	// produce identical slabs and either published pointer is correct.
-	columnar atomic.Pointer[[][]int64]
+	cols     [][]int64
+	rowsOnce sync.Once
 }
 
-// Columns returns the table transposed into columnar slabs — Columns()[c][r]
-// is column c of row r — computing and caching the transposition on first
-// call. The engine's vectorized scan aliases these slabs directly, so callers
-// must treat them as read-only.
-func (t *Table) Columns() [][]int64 {
-	if p := t.columnar.Load(); p != nil {
-		return *p
+// NewTable is the table of rel whose column c is cols[c], aliased, not
+// copied; every column must hold the same number of rows.
+func NewTable(rel *catalog.Relation, cols [][]int64) *Table {
+	t := &Table{Rel: rel, Cols: make(map[string]int, len(rel.Columns)), cols: cols}
+	for i, c := range rel.Columns {
+		t.Cols[c.Name] = i
 	}
-	width := len(t.Rel.Columns)
-	cols := make([][]int64, width)
-	backing := make([]int64, width*len(t.Rows))
-	for c := range cols {
-		cols[c] = backing[c*len(t.Rows) : (c+1)*len(t.Rows) : (c+1)*len(t.Rows)]
-		for r, row := range t.Rows {
-			cols[c][r] = row[c]
-		}
-	}
-	t.columnar.Store(&cols)
-	return cols
+	return t
 }
+
+// Columns returns the table's columnar slabs — Columns()[c][r] is column c
+// of row r. The engine's vectorized scan aliases them directly, so callers
+// must treat them as read-only.
+func (t *Table) Columns() [][]int64 { return t.cols }
 
 // ColIndex returns the position of the named column, or -1.
 func (t *Table) ColIndex(name string) int {
@@ -62,43 +59,59 @@ func (t *Table) ColIndex(name string) int {
 }
 
 // NumRows is the table's cardinality.
-func (t *Table) NumRows() int { return len(t.Rows) }
+func (t *Table) NumRows() int { return len(t.cols[0]) }
 
 // Generate materializes a relation: column c of row i is drawn uniformly
 // from [0, NDV(c)), so the realized join selectivity between two columns
-// matches the System R estimate 1/max(NDV). Deterministic for a given seed.
+// matches the System R estimate 1/max(NDV). Values are drawn row by row into
+// one pointer-free slab holding column c at [c·n, (c+1)·n). A SortedBy
+// relation's rows are then stably ordered on the key. Deterministic for a
+// given seed.
 func Generate(rel *catalog.Relation, seed int64) *Table {
 	rng := rand.New(rand.NewSource(seed ^ int64(len(rel.Name))<<32 ^ hashName(rel.Name)))
-	t := &Table{
-		Rel:  rel,
-		Cols: make(map[string]int, len(rel.Columns)),
-		Rows: make([]Row, rel.Card),
+	n, w := int(rel.Card), len(rel.Columns)
+	slab := make([]int64, w*n)
+	cols := make([][]int64, w)
+	for c := range cols {
+		cols[c] = slab[c*n : (c+1)*n : (c+1)*n]
 	}
-	for i, c := range rel.Columns {
-		t.Cols[c.Name] = i
-	}
-	zipfs := make([]*rand.Zipf, len(rel.Columns))
+	zipfs := make([]*rand.Zipf, w)
 	for j, c := range rel.Columns {
 		if c.Skew > 0 && c.NDV > 1 {
 			zipfs[j] = rand.NewZipf(rng, 1+c.Skew, 1, uint64(c.NDV-1))
 		}
 	}
-	for i := range t.Rows {
-		row := make(Row, len(rel.Columns))
+	for i := 0; i < n; i++ {
 		for j, c := range rel.Columns {
 			if zipfs[j] != nil {
-				row[j] = int64(zipfs[j].Uint64())
+				cols[j][i] = int64(zipfs[j].Uint64())
 			} else {
-				row[j] = rng.Int63n(c.NDV)
+				cols[j][i] = rng.Int63n(c.NDV)
 			}
 		}
-		t.Rows[i] = row
 	}
+	t := NewTable(rel, cols)
 	if rel.SortedBy != "" {
-		pos := t.Cols[rel.SortedBy]
-		sort.SliceStable(t.Rows, func(a, b int) bool { return t.Rows[a][pos] < t.Rows[b][pos] })
+		// Permute one column at a time through a single scratch column.
+		order, tmp := stableOrder(cols[t.Cols[rel.SortedBy]]), make([]int64, n)
+		for _, col := range cols {
+			for i, r := range order {
+				tmp[i] = col[r]
+			}
+			copy(col, tmp)
+		}
 	}
 	return t
+}
+
+// stableOrder is the row positions of keys in key order, ties in row order.
+func stableOrder(keys []int64) []int32 {
+	order := make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	return order
 }
 
 func hashName(s string) int64 {
@@ -110,53 +123,15 @@ func hashName(s string) int64 {
 	return h
 }
 
-// OrderedIndex is a sorted (key, row-position) list supporting range scans.
-type OrderedIndex struct {
-	// Col is the indexed column position.
-	Col    int
-	keys   []int64
-	rowPos []int
-}
-
-// BuildOrderedIndex indexes the table on the named column in sorted order.
-func BuildOrderedIndex(t *Table, column string) (*OrderedIndex, error) {
+// KeyOrder is the table's row positions in ascending order of the named
+// column, rows with equal keys in table order: what an ordered index on the
+// column scans.
+func KeyOrder(t *Table, column string) ([]int32, error) {
 	pos := t.ColIndex(column)
 	if pos < 0 {
 		return nil, fmt.Errorf("storage: table %s has no column %s", t.Rel.Name, column)
 	}
-	ix := &OrderedIndex{Col: pos}
-	order := make([]int, len(t.Rows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return t.Rows[order[a]][pos] < t.Rows[order[b]][pos]
-	})
-	ix.keys = make([]int64, len(order))
-	ix.rowPos = order
-	for i, r := range order {
-		ix.keys[i] = t.Rows[r][pos]
-	}
-	return ix, nil
-}
-
-// Scan visits row positions in key order; fn returning false stops early.
-func (ix *OrderedIndex) Scan(fn func(key int64, rowPos int) bool) {
-	for i, k := range ix.keys {
-		if !fn(k, ix.rowPos[i]) {
-			return
-		}
-	}
-}
-
-// Lookup returns positions of rows with the exact key, in key order.
-func (ix *OrderedIndex) Lookup(v int64) []int {
-	lo := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] >= v })
-	var out []int
-	for i := lo; i < len(ix.keys) && ix.keys[i] == v; i++ {
-		out = append(out, ix.rowPos[i])
-	}
-	return out
+	return stableOrder(t.Columns()[pos]), nil
 }
 
 // Database is a set of generated tables keyed by relation name.
@@ -168,16 +143,39 @@ type Database struct {
 func NewDatabase(cat *catalog.Catalog, seed int64) *Database {
 	db := &Database{Tables: make(map[string]*Table)}
 	for _, name := range cat.RelationNames() {
-		rel := cat.MustRelation(name)
-		db.Tables[name] = Generate(rel, seed)
+		db.Tables[name] = Generate(cat.MustRelation(name), seed)
 	}
 	return db
 }
 
-// Table returns the named table and whether it exists.
-func (db *Database) Table(name string) (*Table, bool) {
+// Relation returns the named table and whether it exists, as its columns
+// alone: what every served path reads.
+func (db *Database) Relation(name string) (*Table, bool) {
 	t, ok := db.Tables[name]
 	return t, ok
+}
+
+// Table returns the named table and whether it exists, with its Rows view
+// built — once per table, safe for concurrent callers, every row a window of
+// one row-major slab — for a row-at-a-time oracle. Served code calls
+// Relation instead.
+func (db *Database) Table(name string) (*Table, bool) {
+	t, ok := db.Tables[name]
+	if !ok {
+		return nil, false
+	}
+	t.rowsOnce.Do(func() {
+		w := len(t.cols)
+		flat := make([]int64, t.NumRows()*w)
+		t.Rows = make([]Row, t.NumRows())
+		for r := range t.Rows {
+			t.Rows[r] = flat[r*w : (r+1)*w : (r+1)*w]
+			for c, col := range t.cols {
+				t.Rows[r][c] = col[r]
+			}
+		}
+	})
+	return t, true
 }
 
 // maxDataRows bounds the synthetic rows one catalog version may make anyone

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"paropt/internal/catalog"
@@ -29,37 +31,31 @@ func TestGenerate(t *testing.T) {
 	if tab.ColIndex("id") != 0 || tab.ColIndex("fk") != 1 || tab.ColIndex("zz") != -1 {
 		t.Error("ColIndex wrong")
 	}
-	for _, row := range tab.Rows {
-		if row[0] < 0 || row[0] >= 1000 {
-			t.Fatalf("id %d out of NDV domain", row[0])
+	cols := tab.Columns()
+	if len(cols) != 2 || len(cols[0]) != 1000 || len(cols[1]) != 1000 {
+		t.Fatalf("columns %d of %d/%d rows, want 2 of 1000", len(cols), len(cols[0]), len(cols[1]))
+	}
+	for r := range tab.NumRows() {
+		if v := cols[0][r]; v < 0 || v >= 1000 {
+			t.Fatalf("id %d out of NDV domain", v)
 		}
-		if row[1] < 0 || row[1] >= 50 {
-			t.Fatalf("fk %d out of NDV domain", row[1])
+		if v := cols[1][r]; v < 0 || v >= 50 {
+			t.Fatalf("fk %d out of NDV domain", v)
 		}
+	}
+	if tab.Rows != nil {
+		t.Error("Generate built a row view")
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
 	rel := demoRel(t)
-	a := Generate(rel, 7)
-	b := Generate(rel, 7)
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				t.Fatal("same seed must generate identical data")
-			}
-		}
+	a := Generate(rel, 7).Columns()
+	b := Generate(rel, 7).Columns()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed must generate identical data")
 	}
-	c := Generate(rel, 8)
-	same := true
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != c.Rows[i][j] {
-				same = false
-			}
-		}
-	}
-	if same {
+	if c := Generate(rel, 8).Columns(); reflect.DeepEqual(a, c) {
 		t.Error("different seeds should differ")
 	}
 }
@@ -73,58 +69,39 @@ func TestGenerateSorted(t *testing.T) {
 		Pages:    5,
 		SortedBy: "k",
 	})
-	tab := Generate(rel, 3)
-	for i := 1; i < len(tab.Rows); i++ {
-		if tab.Rows[i-1][0] > tab.Rows[i][0] {
-			t.Fatal("SortedBy relation must be generated in key order")
-		}
+	if k := Generate(rel, 3).Columns()[0]; !slices.IsSorted(k) {
+		t.Fatal("SortedBy relation must be generated in key order")
 	}
 }
 
+// TestOrderedIndex: KeyOrder visits every row once, ascending on the key,
+// rows with equal keys in table order (the fk column repeats each key ≈ 20
+// times).
 func TestOrderedIndex(t *testing.T) {
-	rel := demoRel(t)
-	tab := Generate(rel, 2)
-	ix, err := BuildOrderedIndex(tab, "id")
+	tab := Generate(demoRel(t), 2)
+	fks := tab.Columns()[1]
+	order, err := KeyOrder(tab, "fk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := int64(-1)
-	count := 0
-	ix.Scan(func(key int64, rowPos int) bool {
-		if key < prev {
-			t.Fatal("ordered index must scan ascending")
-		}
-		if tab.Rows[rowPos][0] != key {
-			t.Fatal("key/row mismatch")
-		}
-		prev = key
-		count++
-		return true
-	})
-	if count != tab.NumRows() {
-		t.Errorf("scan visited %d rows", count)
+	if len(order) != tab.NumRows() {
+		t.Fatalf("order holds %d rows, table %d", len(order), tab.NumRows())
 	}
-	// Early stop.
-	n := 0
-	ix.Scan(func(int64, int) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Errorf("early stop visited %d", n)
-	}
-	// Exact lookup agrees with a linear scan.
-	key := tab.Rows[0][0]
-	want := 0
-	for _, r := range tab.Rows {
-		if r[0] == key {
-			want++
+	seen := make([]bool, tab.NumRows())
+	for i, r := range order {
+		if seen[r] {
+			t.Fatalf("row %d visited twice", r)
+		}
+		seen[r] = true
+		if i == 0 {
+			continue
+		}
+		prev := order[i-1]
+		if fks[prev] > fks[r] || fks[prev] == fks[r] && prev > r {
+			t.Fatalf("positions %d, %d: rows %d (key %d) before %d (key %d)", i-1, i, prev, fks[prev], r, fks[r])
 		}
 	}
-	if got := len(ix.Lookup(key)); got != want {
-		t.Errorf("Lookup(%d) = %d rows, want %d", key, got, want)
-	}
-	if got := ix.Lookup(-99); got != nil {
-		t.Errorf("Lookup(missing) = %v", got)
-	}
-	if _, err := BuildOrderedIndex(tab, "zz"); err == nil {
+	if _, err := KeyOrder(tab, "zz"); err == nil {
 		t.Error("unknown column should error")
 	}
 }
