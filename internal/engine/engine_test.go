@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"paropt/internal/catalog"
@@ -250,6 +251,33 @@ func TestIndexScanDeliversSameRows(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("index scan changed the result")
+	}
+}
+
+// TestIndexScanSortsOnce: the key order an index scan walks is the table's,
+// sorted by the first scan; a second scan of the same table allocates no
+// n-sized order.
+func TestIndexScanSortsOnce(t *testing.T) {
+	const n = 20_000
+	e, _ := rig(t, 300, n)
+	ix := &catalog.Index{Name: "R2_fk", Relation: "R2", Columns: []string{"fk"}}
+	scan := func() {
+		op, _, err := e.scan("R2", ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.Close()
+	}
+	scan()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const scans = 10
+	for i := 0; i < scans; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / scans; per >= 4*n {
+		t.Errorf("a warm index scan allocates %d bytes; an order of %d rows is %d", per, n, 4*n)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // DefaultRetries is the extra dispatch attempts per fully-shipped fragment
-// after its first attempt fails.
+// after its first attempt fails, each to a live member not yet tried.
 const DefaultRetries = 2
 
 // ErrJoinCancelled is what a join still running is stopped with when its
@@ -45,16 +45,10 @@ type ClusterConfig struct {
 	// mid-query deregistrations shrink the retry candidate set instead of
 	// failing the query. Nil freezes membership at the construction addrs.
 	Members func() (addrs []string, epoch int64)
-	// Retries is the extra dispatch attempts per fully-shipped fragment
-	// after the first fails; 0 means DefaultRetries, negative disables
-	// retries entirely.
-	Retries int
-	// RetryBackoff is the pause before each re-dispatch; 0 means
-	// DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// Store and Fn enable coordinator fallback: when every dispatch of a
-	// fully-shipped fragment fails, the coordinator sources the partitions
-	// from Store and runs Fn in-process rather than failing the query.
+	// fully-shipped fragment fails, the coordinator runs it in-process as a
+	// worker would — the partitions sourced from Store, joined by Fn —
+	// rather than failing the query.
 	Store Store
 	Fn    JoinFunc
 	// TraceID, when set, is stamped into every dispatched fragment so
@@ -84,14 +78,6 @@ type Cluster struct {
 	fallbackReasons map[string]int64
 }
 
-// shippedConn pairs a dispatch attempt's connection with its frame writer,
-// through which abandon injects a clean frameCancel between the attempt's
-// own frames.
-type shippedConn struct {
-	conn net.Conn
-	fw   frameWriter
-}
-
 // NewCluster builds a transport over the given worker addresses.
 func NewCluster(addrs []string, cfg ClusterConfig) *Cluster {
 	return &Cluster{
@@ -114,7 +100,8 @@ func (c *Cluster) Fragments() int64 { return c.fragments.Load() }
 // streamed from the coordinator.
 func (c *Cluster) ShippedScans() int64 { return c.shipped.Load() }
 
-// Retries counts fragment re-dispatches after a worker failure.
+// Retries counts fragment re-dispatches after a worker failure: attempts
+// that went to another worker, not failures with none left to try.
 func (c *Cluster) Retries() int64 { return c.retries.Load() }
 
 // Fallbacks counts fragments the coordinator ran itself after every worker
@@ -196,23 +183,6 @@ func (c *Cluster) window() int {
 	return DefaultWindow
 }
 
-func (c *Cluster) retryBudget() int {
-	if c.cfg.Retries < 0 {
-		return 0
-	}
-	if c.cfg.Retries == 0 {
-		return DefaultRetries
-	}
-	return c.cfg.Retries
-}
-
-func (c *Cluster) retryBackoff() time.Duration {
-	if c.cfg.RetryBackoff > 0 {
-		return c.cfg.RetryBackoff
-	}
-	return DefaultRetryBackoff
-}
-
 // members returns the live worker set and epoch: the Members callback when
 // installed, else the static construction addresses.
 func (c *Cluster) members() ([]string, int64) {
@@ -248,44 +218,156 @@ func (c *Cluster) countShipped(frag *Fragment) {
 	}
 }
 
-// workerConn is one coordinator↔worker link of one join.
-type workerConn struct {
+// link is one dispatch of one fragment partition to one worker: the
+// connection, its frame writer — metered on the worker's LinkStats — and,
+// when the fragment streams a side, the credit windows its partitioners send
+// under.
+type link struct {
 	conn       net.Conn
 	addr       string
 	stats      *LinkStats
-	dispatched time.Time
 	fw         frameWriter
-	leftWin    *window
-	rightWin   *window
+	dispatched time.Time
+	// leftWin and rightWin are nil on a fully-shipped fragment's link.
+	leftWin, rightWin *window
 }
 
-// joinStats collects the FragmentStats of a join's committed attempts.
-type joinStats struct {
+// dispatch dials addr and sends it fragment f: the one way a fragment leaves
+// the coordinator, streamed or shipped.
+func (c *Cluster) dispatch(f Fragment, addr string) (*link, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return nil, &WorkerError{Addr: addr, Err: err}
+	}
+	stats := c.linkFor(addr)
+	l := &link{conn: conn, addr: addr, stats: stats, fw: frameWriter{w: conn, stats: stats}, dispatched: time.Now()}
+	if !f.FullyShipped() {
+		l.leftWin, l.rightWin = newWindow(f.Window), newWindow(f.Window)
+	}
+	err = conn.SetDeadline(time.Time{})
+	if err == nil {
+		var payload []byte
+		if payload, err = json.Marshal(f); err == nil {
+			err = l.fw.write(frameFragment, payload)
+		}
+	}
+	if err != nil {
+		l.close()
+		return nil, &WorkerError{Addr: addr, Err: err}
+	}
+	c.fragments.Add(1)
+	c.countShipped(&f)
+	return l, nil
+}
+
+// close closes the connection and hands the frame writer's buffer back.
+func (l *link) close() {
+	l.conn.Close()
+	l.fw.release()
+}
+
+// abandon is what a cancelled shipped join does to an open dispatch attempt:
+// a frameCancel followed by a write-half close (the worker sees the cancel,
+// abandons the fragment, and frees its staged partitions — its final
+// stats/error frames still drain cleanly instead of being reset away), with a
+// read deadline as backstop against hung workers.
+func (l *link) abandon() {
+	_ = l.fw.write(frameCancel, nil)
+	if tc, ok := l.conn.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+		_ = l.conn.SetReadDeadline(time.Now().Add(cancelGrace))
+	} else {
+		l.conn.Close()
+	}
+}
+
+// read reads what the worker sends back until its fragment ends: every result
+// batch goes to take, whose error ends the read, and is credited back; every
+// input credit opens the window of its side. It returns the worker's
+// FragmentStats (nil when the worker predates the stats frame) on a clean
+// frameEndResult. Anything else is a *WorkerError — the worker's own
+// frameError, an undecodable batch, or the connection lost — or take's error.
+// A result credit that cannot be written is not an error of its own: the
+// connection it failed on ends the read with one.
+func (l *link) read(take func(Batch) error) (*FragmentStats, error) {
+	fr := newFrameReader(l.conn, MaxFrame)
+	defer fr.release()
+	var fstats *FragmentStats
+	for {
+		typ, payload, err := fr.next()
+		if err != nil {
+			if err == io.EOF {
+				err = ErrWorkerDisconnected
+			} else {
+				err = fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)
+			}
+			return nil, &WorkerError{Addr: l.addr, Err: err}
+		}
+		l.stats.BytesRecv.Add(int64(5 + len(payload)))
+		switch typ {
+		case frameResult:
+			b, err := decodeBatch(payload)
+			if err != nil {
+				return nil, &WorkerError{Addr: l.addr, Err: err}
+			}
+			l.stats.BatchesRecv.Add(1)
+			if err := take(b); err != nil {
+				return nil, err
+			}
+			_ = l.fw.write(frameCredit, []byte{creditResult})
+		case frameCredit:
+			if len(payload) != 1 || l.leftWin == nil {
+				break
+			}
+			switch payload[0] {
+			case creditLeft:
+				l.leftWin.release(1)
+			case creditRight:
+				l.rightWin.release(1)
+			}
+		case frameStats:
+			var fs FragmentStats
+			if json.Unmarshal(payload, &fs) == nil {
+				fs.Addr = l.addr
+				fs.Dispatched = l.dispatched
+				l.stats.StallResult.Add(fs.ResultStallNanos)
+				fstats = &fs
+			}
+		case frameEndResult:
+			return fstats, nil
+		case frameError:
+			return nil, &WorkerError{Addr: l.addr, Err: remoteError(payload)}
+		}
+	}
+}
+
+// clusterJoin is a join in flight and the operator that yields its merged
+// result. A streamed join holds one link per partition for its whole run; a
+// fully-shipped join holds none — each of its dispatch attempts opens and
+// closes its own. Its FragmentStats hold one entry per committed attempt
+// (stats of failed attempts are discarded along with their staged results;
+// coordinator fallbacks appear with Worker = "coordinator").
+type clusterJoin struct {
+	mergeOp
+	links []*link
+	once  sync.Once
+
 	mu     sync.Mutex
 	fstats []*FragmentStats
 }
 
 // FragmentStats implements StatsReporter: valid once the join's result
 // operator has reported exhaustion.
-func (s *joinStats) FragmentStats() []*FragmentStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fstats
+func (j *clusterJoin) FragmentStats() []*FragmentStats {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.fstats
 }
 
-func (s *joinStats) addStats(fs *FragmentStats) {
-	s.mu.Lock()
-	s.fstats = append(s.fstats, fs)
-	s.mu.Unlock()
-}
-
-// clusterJoin is a streamed join in flight and the operator that yields its
-// result.
-type clusterJoin struct {
-	mergeOp
-	joinStats
-	conns []*workerConn
-	once  sync.Once
+func (j *clusterJoin) addStats(fs *FragmentStats) {
+	j.mu.Lock()
+	j.fstats = append(j.fstats, fs)
+	j.mu.Unlock()
 }
 
 // cancel abandons the join from the coordinator's side — an input failed, the
@@ -294,8 +376,8 @@ type clusterJoin struct {
 // free staged partitions, then the usual fail teardown.
 func (j *clusterJoin) cancel(err error) {
 	j.once.Do(func() {
-		for _, wc := range j.conns {
-			_ = wc.fw.write(frameCancel, nil)
+		for _, l := range j.links {
+			_ = l.fw.write(frameCancel, nil)
 		}
 		j.teardown(err)
 	})
@@ -307,14 +389,14 @@ func (j *clusterJoin) cancel(err error) {
 func (j *clusterJoin) fail(err error) { j.once.Do(func() { j.teardown(err) }) }
 
 // teardown cancels the join's context — partitioners stop pulling, receivers
-// stop delivering — closes the windows so partitioners stop sending and the
-// connections so receivers unblock.
+// stop delivering, shipped attempts abandon their links — closes the windows
+// so partitioners stop sending and the connections so receivers unblock.
 func (j *clusterJoin) teardown(err error) {
 	j.stop(err)
-	for _, wc := range j.conns {
-		wc.leftWin.close()
-		wc.rightWin.close()
-		wc.conn.Close()
+	for _, l := range j.links {
+		l.leftWin.close()
+		l.rightWin.close()
+		l.conn.Close()
 	}
 }
 
@@ -361,40 +443,21 @@ func (c *Cluster) Join(ctx context.Context, frag Fragment, left, right Operator)
 // the goroutine that pulls the input is the one that scatters and sends it —
 // one receiver per link and one that closes the result.
 func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right Operator) (Operator, error) {
-	win, p, bs := frag.Window, frag.Parts, frag.BatchSize
+	p, bs := frag.Parts, frag.BatchSize
 
 	j := &clusterJoin{}
 	for i := 0; i < p; i++ {
-		addr := c.ownerFor(&frag, i)
-		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-		if err == nil {
-			err = conn.SetDeadline(time.Time{})
-		}
-		stats := c.linkFor(addr)
-		wc := &workerConn{conn: conn, addr: addr, stats: stats, dispatched: time.Now(), fw: frameWriter{w: conn, stats: stats}, leftWin: newWindow(win), rightWin: newWindow(win)}
-		if err == nil {
-			f := frag
-			f.Part = i
-			var payload []byte
-			payload, err = json.Marshal(f)
-			if err == nil {
-				err = wc.fw.write(frameFragment, payload)
-			}
-		}
+		f := frag
+		f.Part = i
+		l, err := c.dispatch(f, c.ownerFor(&frag, i))
 		if err != nil {
-			for _, prev := range j.conns {
-				prev.conn.Close()
-				prev.fw.release()
-			}
-			if conn != nil {
-				conn.Close()
+			for _, prev := range j.links {
+				prev.close()
 			}
 			closeInputs(left, right)
-			return nil, &WorkerError{Addr: addr, Err: err}
+			return nil, err
 		}
-		c.fragments.Add(1)
-		c.countShipped(&frag)
-		j.conns = append(j.conns, wc)
+		j.links = append(j.links, l)
 	}
 	jctx, stop := context.WithCancelCause(ctx)
 	// The result channel holds a batch per partition. The 4-deep channel that
@@ -403,7 +466,7 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 	j.mergeOp = mergeOp{ctx: jctx, stop: stop, abort: j.cancel, out: make(chan Batch, p)}
 
 	var sendWG, recvWG sync.WaitGroup
-	partition := func(in Operator, key int, typ, endTyp byte, winOf func(*workerConn) *window) {
+	partition := func(in Operator, key int, typ, endTyp byte, winOf func(*link) *window) {
 		defer sendWG.Done()
 		defer in.Close()
 		var builders []*vec.Builder
@@ -412,18 +475,18 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 		// closed while the join still runs is a worker whose join ended before
 		// its input did (an empty build side): the rows have nowhere to go.
 		ship := func(i int) bool {
-			wc := j.conns[i]
-			if !winOf(wc).acquire() {
+			l := j.links[i]
+			if !winOf(l).acquire() {
 				builders[i].Reset()
 				return jctx.Err() == nil
 			}
-			err := wc.fw.writeBatch(typ, builders[i].View())
+			err := l.fw.writeBatch(typ, builders[i].View())
 			builders[i].Reset()
 			if err != nil {
-				j.fail(&WorkerError{Addr: wc.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
+				j.fail(&WorkerError{Addr: l.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
 				return false
 			}
-			wc.stats.BatchesSent.Add(1)
+			l.stats.BatchesSent.Add(1)
 			return true
 		}
 		sc := scatter{key: key, p: p}
@@ -467,40 +530,30 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 			}
 			bld.Release()
 		}
-		for _, wc := range j.conns {
-			if err := wc.fw.write(endTyp, nil); err != nil {
-				j.fail(&WorkerError{Addr: wc.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
+		for _, l := range j.links {
+			if err := l.fw.write(endTyp, nil); err != nil {
+				j.fail(&WorkerError{Addr: l.addr, Err: fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)})
 				return
 			}
 		}
 	}
 	if frag.LeftScan == nil {
 		sendWG.Add(1)
-		go partition(left, frag.LKeys[0], frameLeft, frameEndLeft, func(wc *workerConn) *window { return wc.leftWin })
+		go partition(left, frag.LKeys[0], frameLeft, frameEndLeft, func(l *link) *window { return l.leftWin })
 	}
 	if frag.RightScan == nil {
 		sendWG.Add(1)
-		go partition(right, frag.RKeys[0], frameRight, frameEndRight, func(wc *workerConn) *window { return wc.rightWin })
+		go partition(right, frag.RKeys[0], frameRight, frameEndRight, func(l *link) *window { return l.rightWin })
 	}
 
-	recv := func(wc *workerConn) {
+	recv := func(l *link) {
 		defer recvWG.Done()
-		fs, err := c.readFragment(wc.conn, wc.addr, wc.stats, wc.dispatched,
-			func(b Batch) error {
-				if !j.send(b) {
-					return context.Cause(jctx)
-				}
-				_ = wc.fw.write(frameCredit, []byte{creditResult})
-				return nil
-			},
-			func(dir byte) {
-				switch dir {
-				case creditLeft:
-					wc.leftWin.release(1)
-				case creditRight:
-					wc.rightWin.release(1)
-				}
-			})
+		fs, err := l.read(func(b Batch) error {
+			if !j.send(b) {
+				return context.Cause(jctx)
+			}
+			return nil
+		})
 		if err != nil {
 			j.fail(err) // a no-op after a teardown closed the connection: the first error stands
 			return
@@ -509,53 +562,27 @@ func (c *Cluster) joinStreamed(ctx context.Context, frag Fragment, left, right O
 			j.addStats(fs)
 		}
 		// The worker takes no more input: stop sending it any.
-		wc.leftWin.close()
-		wc.rightWin.close()
+		l.leftWin.close()
+		l.rightWin.close()
 	}
-	recvWG.Add(len(j.conns))
-	for _, wc := range j.conns {
-		go recv(wc)
+	recvWG.Add(len(j.links))
+	for _, l := range j.links {
+		go recv(l)
 	}
 
 	go func() {
 		recvWG.Wait()
 		sendWG.Wait()
-		for _, wc := range j.conns {
+		for _, l := range j.links {
 			// Fold this join's input-window stalls into the cumulative link
 			// counters — the per-direction backpressure /metrics reads.
-			wc.stats.StallLeft.Add(wc.leftWin.stallNanos())
-			wc.stats.StallRight.Add(wc.rightWin.stallNanos())
-			wc.conn.Close()
-			wc.fw.release()
+			l.stats.StallLeft.Add(l.leftWin.stallNanos())
+			l.stats.StallRight.Add(l.rightWin.stallNanos())
+			l.close()
 		}
 		close(j.out)
 	}()
 	return j, nil
-}
-
-// shippedJoin merges the independently-dispatched partitions of a
-// fully-shipped fragment, and is the operator that yields the result. Its
-// FragmentStats hold one entry per committed attempt (stats of failed
-// attempts are discarded along with their staged results; coordinator
-// fallbacks appear with Worker = "coordinator").
-type shippedJoin struct {
-	mergeOp
-	joinStats
-}
-
-// abandon is what a cancelled join does to an open dispatch attempt: a
-// frameCancel followed by a write-half close (the worker sees the cancel,
-// abandons the fragment, and frees its staged partitions — its final
-// stats/error frames still drain cleanly instead of being reset away), with a
-// read deadline as backstop against hung workers.
-func (sc *shippedConn) abandon() {
-	_ = sc.fw.write(frameCancel, nil)
-	if tc, ok := sc.conn.(*net.TCPConn); ok {
-		_ = tc.CloseWrite()
-		_ = sc.conn.SetReadDeadline(time.Now().Add(cancelGrace))
-	} else {
-		sc.conn.Close()
-	}
 }
 
 // joinShipped runs a fully-shipped fragment: each partition is dispatched
@@ -565,8 +592,8 @@ func (sc *shippedConn) abandon() {
 func (c *Cluster) joinShipped(ctx context.Context, frag Fragment) Operator {
 	p := frag.Parts
 	jctx, stop := context.WithCancelCause(ctx)
-	j := &shippedJoin{}
-	j.mergeOp = mergeOp{ctx: jctx, stop: stop, abort: stop, out: make(chan Batch, p)}
+	j := &clusterJoin{}
+	j.mergeOp = mergeOp{ctx: jctx, stop: stop, abort: j.cancel, out: make(chan Batch, p)}
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for i := 0; i < p; i++ {
@@ -575,7 +602,7 @@ func (c *Cluster) joinShipped(ctx context.Context, frag Fragment) Operator {
 		go func(f Fragment) {
 			defer wg.Done()
 			if err := c.runShipped(f, j); err != nil {
-				j.stop(err)
+				j.fail(err)
 			}
 		}(f)
 	}
@@ -587,35 +614,14 @@ func (c *Cluster) joinShipped(ctx context.Context, frag Fragment) Operator {
 }
 
 // runShipped dispatches one fully-shipped fragment: first to its preferred
-// owner, then — after a backoff, consulting live membership — to workers
-// not yet tried, and finally to the coordinator's own store. Only a clean
+// owner, then — consulting live membership, after a backoff — to workers not
+// yet tried, and finally runs it at the coordinator. Only a clean
 // frameEndResult commits an attempt's staged results.
-func (c *Cluster) runShipped(f Fragment, j *shippedJoin) error {
+func (c *Cluster) runShipped(f Fragment, j *clusterJoin) error {
 	tried := map[string]bool{}
 	addr := c.ownerFor(&f, f.Part)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			backoff := time.NewTimer(c.retryBackoff())
-			select {
-			case <-backoff.C:
-			case <-j.ctx.Done():
-				backoff.Stop()
-			}
-			addrs, epoch := c.members()
-			f.Epoch = epoch
-			addr = ""
-			for _, a := range addrs {
-				if !tried[a] {
-					addr = a
-					break
-				}
-			}
-			if addr == "" {
-				break // every live member tried
-			}
-		}
 		if j.ctx.Err() != nil {
 			return context.Cause(j.ctx)
 		}
@@ -623,182 +629,80 @@ func (c *Cluster) runShipped(f Fragment, j *shippedJoin) error {
 		staged, fs, err := c.attemptShipped(f, addr, j)
 		if err == nil {
 			if fs != nil {
-				if attempt > 0 {
-					fs.Retried = attempt
-				}
+				fs.Retried = attempt
 				j.addStats(fs)
 			}
 			return j.sendAll(staged)
 		}
 		lastErr = err
-		if j.ctx.Err() != nil || attempt >= c.retryBudget() {
+		if j.ctx.Err() != nil || attempt >= DefaultRetries {
 			break
+		}
+		addrs, epoch := c.members()
+		addr = ""
+		for _, a := range addrs {
+			if !tried[a] {
+				addr = a
+				break
+			}
+		}
+		if addr == "" {
+			break // every live member tried: nothing to re-dispatch
+		}
+		f.Epoch = epoch
+		c.retries.Add(1)
+		backoff := time.NewTimer(DefaultRetryBackoff)
+		select {
+		case <-backoff.C:
+		case <-j.ctx.Done():
+			backoff.Stop()
 		}
 	}
 	if j.ctx.Err() != nil {
 		return context.Cause(j.ctx)
 	}
-	if c.cfg.Store != nil && c.cfg.Fn != nil {
-		reason := failureReason(lastErr)
-		c.countFallback(reason)
-		fb := &FragmentStats{
-			TraceID:        f.TraceID,
-			Worker:         "coordinator",
-			Part:           f.Part,
-			Parts:          f.Parts,
-			FallbackReason: reason,
-			Dispatched:     time.Now(),
-		}
-		staged, err := c.runFallback(j.ctx, f, fb)
-		if err != nil {
-			return err
-		}
-		j.addStats(fb)
-		return j.sendAll(staged)
+	if c.cfg.Store == nil || c.cfg.Fn == nil {
+		return lastErr
 	}
-	return lastErr
+	// The no-replica-left degradation of last resort: the coordinator runs
+	// the fragment with the worker's own runner, over its own store.
+	reason := failureReason(lastErr)
+	c.countFallback(reason)
+	r := (&Worker{Join: c.cfg.Fn, Store: c.cfg.Store, ID: "coordinator"}).start(&f)
+	r.fs.Dispatched = time.Now()
+	var staged []Batch
+	if err := r.run(j.ctx, nil, nil, func(b Batch) error {
+		staged = append(staged, b)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("exchange: coordinator fallback: %w", err)
+	}
+	r.fs.Span.EndNanos = r.since()
+	r.fs.FallbackReason = reason
+	r.fs.Span.Attrs["fallback"] = reason
+	j.addStats(r.fs)
+	return j.sendAll(staged)
 }
 
 // attemptShipped runs one dispatch attempt of a fully-shipped fragment,
 // returning the staged result batches and the worker's FragmentStats (nil
 // when the worker predates the stats frame) on clean completion.
-func (c *Cluster) attemptShipped(f Fragment, addr string, j *shippedJoin) ([]Batch, *FragmentStats, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return nil, nil, &WorkerError{Addr: addr, Err: err}
-	}
-	defer conn.Close()
-	// Every frame the attempt writes — fragment, credits, the cancel abandon
-	// injects — is metered on the link, as on a streamed link.
-	stats := c.linkFor(addr)
-	sc := &shippedConn{conn: conn, fw: frameWriter{w: conn, stats: stats}}
-	defer sc.fw.release()
-	// Runs at once when the join is already cancelled: the attempt then fails
-	// on its first frame instead of racing the teardown.
-	defer context.AfterFunc(j.ctx, sc.abandon)()
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return nil, nil, &WorkerError{Addr: addr, Err: err}
-	}
-	dispatched := time.Now()
-	payload, err := json.Marshal(f)
+func (c *Cluster) attemptShipped(f Fragment, addr string, j *clusterJoin) ([]Batch, *FragmentStats, error) {
+	l, err := c.dispatch(f, addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := sc.fw.write(frameFragment, payload); err != nil {
-		return nil, nil, &WorkerError{Addr: addr, Err: err}
-	}
-	c.fragments.Add(1)
-	c.countShipped(&f)
-
+	defer l.close()
+	// Runs at once when the join is already cancelled: the worker then sees
+	// the cancel right behind the fragment.
+	defer context.AfterFunc(j.ctx, l.abandon)()
 	var staged []Batch
-	fstats, err := c.readFragment(conn, addr, stats, dispatched, func(b Batch) error {
+	fstats, err := l.read(func(b Batch) error {
 		staged = append(staged, b)
-		if err := sc.fw.write(frameCredit, []byte{creditResult}); err != nil {
-			return &WorkerError{Addr: addr, Err: err}
-		}
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return staged, fstats, nil
-}
-
-// readFragment reads what a worker sends back on one connection until its
-// fragment ends: every result batch goes to take, whose error ends the read,
-// every input credit to credit, and the worker's FragmentStats (nil when the
-// worker predates the stats frame) is returned on a clean frameEndResult.
-// Anything else is a *WorkerError — the worker's own frameError, an
-// undecodable batch, or the connection lost.
-func (c *Cluster) readFragment(conn net.Conn, addr string, stats *LinkStats, dispatched time.Time, take func(Batch) error, credit func(dir byte)) (*FragmentStats, error) {
-	fr := newFrameReader(conn, MaxFrame)
-	defer fr.release()
-	var fstats *FragmentStats
-	for {
-		typ, payload, err := fr.next()
-		if err != nil {
-			if err == io.EOF {
-				err = ErrWorkerDisconnected
-			} else {
-				err = fmt.Errorf("%w: %v", ErrWorkerDisconnected, err)
-			}
-			return nil, &WorkerError{Addr: addr, Err: err}
-		}
-		stats.BytesRecv.Add(int64(5 + len(payload)))
-		switch typ {
-		case frameResult:
-			b, err := decodeBatch(payload)
-			if err != nil {
-				return nil, &WorkerError{Addr: addr, Err: err}
-			}
-			stats.BatchesRecv.Add(1)
-			if err := take(b); err != nil {
-				return nil, err
-			}
-		case frameCredit:
-			if len(payload) == 1 && credit != nil {
-				credit(payload[0])
-			}
-		case frameStats:
-			var fs FragmentStats
-			if json.Unmarshal(payload, &fs) == nil {
-				fs.Addr = addr
-				fs.Dispatched = dispatched
-				stats.StallResult.Add(fs.ResultStallNanos)
-				fstats = &fs
-			}
-		case frameEndResult:
-			return fstats, nil
-		case frameError:
-			return nil, &WorkerError{Addr: addr, Err: remoteError(payload)}
-		}
-	}
-}
-
-// runFallback executes a fully-shipped fragment in the coordinator process:
-// both partitions are sourced from the configured store and joined with the
-// configured join function on the calling goroutine — the no-replica-left
-// degradation of last resort. It returns the staged result; measurements land
-// in fb so the fallback is as observable as a worker-run fragment.
-func (c *Cluster) runFallback(ctx context.Context, f Fragment, fb *FragmentStats) ([]Batch, error) {
-	t0 := nowNanos()
-	since := func() int64 { return nowNanos() - t0 }
-	root := &RemoteSpan{Name: "fragment", Attrs: map[string]string{
-		"method":   f.Method,
-		"worker":   "coordinator",
-		"fallback": fb.FallbackReason,
-	}}
-	fb.Span = root
-	lv, err := c.cfg.Store.ScanPartition(*f.LeftScan, f.Part, f.Parts)
-	if err != nil {
-		return nil, fmt.Errorf("exchange: fallback scan: %w", err)
-	}
-	rv, err := c.cfg.Store.ScanPartition(*f.RightScan, f.Part, f.Parts)
-	if err != nil {
-		return nil, fmt.Errorf("exchange: fallback scan: %w", err)
-	}
-	joinSpan := root.child("join", since())
-	op, err := c.cfg.Fn(f, newShardOp(lv, f.BatchSize, nil), newShardOp(rv, f.BatchSize, nil))
-	if err != nil {
-		return nil, fmt.Errorf("exchange: fallback join: %w", err)
-	}
-	defer op.Close()
-	var staged []Batch
-	for {
-		b, err := op.Next(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("exchange: fallback join: %w", err)
-		}
-		if b == nil {
-			break
-		}
-		fb.emitted(joinSpan, since(), b)
-		staged = append(staged, b)
-	}
-	joinSpan.EndNanos = since()
-	root.EndNanos = joinSpan.EndNanos
-	if fb.LastNanos == 0 {
-		fb.LastNanos = joinSpan.EndNanos
-	}
-	return staged, nil
 }

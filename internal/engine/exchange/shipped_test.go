@@ -144,9 +144,8 @@ func TestShippedRetryRedispatchesAndDiscardsStagedResults(t *testing.T) {
 	addrs := lb.Addrs()
 
 	cluster := lb.Cluster(ClusterConfig{
-		Owners:       map[string][]string{"L": addrs, "R": addrs},
-		Members:      func() ([]string, int64) { return addrs, 7 },
-		RetryBackoff: 1, // keep the test fast
+		Owners:  map[string][]string{"L": addrs, "R": addrs},
+		Members: func() ([]string, int64) { return addrs, 7 },
 	})
 	j, err := cluster.Join(context.Background(), shippedFrag(2), nil, nil)
 	if err != nil {
@@ -193,11 +192,10 @@ func TestShippedFallbackToCoordinator(t *testing.T) {
 	addrs := lb.Addrs()
 
 	cluster := lb.Cluster(ClusterConfig{
-		Owners:       map[string][]string{"L": addrs, "R": addrs},
-		Members:      func() ([]string, int64) { return addrs, 1 },
-		RetryBackoff: 1,
-		Store:        store,
-		Fn:           testHashJoin,
+		Owners:  map[string][]string{"L": addrs, "R": addrs},
+		Members: func() ([]string, int64) { return addrs, 1 },
+		Store:   store,
+		Fn:      testHashJoin,
 	})
 	j, err := cluster.Join(context.Background(), shippedFrag(2), nil, nil)
 	if err != nil {
@@ -229,20 +227,34 @@ func TestShippedFallbackToCoordinator(t *testing.T) {
 	if !ok {
 		t.Fatalf("shipped join %T does not implement StatsReporter", j)
 	}
+	// A fallback runs the worker's own fragment runner, so its stats have a
+	// worker's span tree and count every row it hands on.
 	sawFallback := false
+	var rows int64
 	for _, fs := range sr.FragmentStats() {
+		rows += fs.Rows
 		if fs.FallbackReason != "" {
 			sawFallback = true
 			if fs.Worker != "coordinator" {
 				t.Errorf("fallback stats Worker = %q, want coordinator", fs.Worker)
 			}
 			if fs.Span == nil || fs.Span.Name != "fragment" {
-				t.Errorf("fallback stats missing fragment span: %+v", fs.Span)
+				t.Fatalf("fallback stats missing fragment span: %+v", fs.Span)
+			}
+			var children []string
+			for _, c := range fs.Span.Children {
+				children = append(children, c.Name)
+			}
+			if want := []string{"scan-left", "scan-right", "join"}; !reflect.DeepEqual(children, want) {
+				t.Errorf("fallback fragment span children = %v, want %v", children, want)
 			}
 		}
 	}
 	if !sawFallback {
 		t.Error("no FragmentStats carried a fallback reason")
+	}
+	if rows != int64(len(got)) {
+		t.Errorf("fragment stats count %d rows, the join returned %d", rows, len(got))
 	}
 }
 
@@ -259,8 +271,7 @@ func TestShippedNoFallbackWithoutStore(t *testing.T) {
 	defer lb.Close()
 	addrs := lb.Addrs()
 	cluster := lb.Cluster(ClusterConfig{
-		Owners:       map[string][]string{"L": addrs, "R": addrs},
-		RetryBackoff: 1,
+		Owners: map[string][]string{"L": addrs, "R": addrs},
 	})
 	j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
 	if err != nil {
@@ -341,7 +352,7 @@ func TestShippedLinkMetersEveryFrame(t *testing.T) {
 			defer ln.Close()
 			addr := ln.Addr().String()
 			cluster := NewCluster([]string{addr}, ClusterConfig{
-				Owners: map[string][]string{"L": {addr}, "R": {addr}}, Retries: -1,
+				Owners: map[string][]string{"L": {addr}, "R": {addr}},
 			})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

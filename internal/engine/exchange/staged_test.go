@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,8 +78,7 @@ func TestStagedBytesFreedOnScanError(t *testing.T) {
 	addrs := lb.Addrs()
 
 	cluster := lb.Cluster(ClusterConfig{
-		Owners:       map[string][]string{"L": addrs, "R": addrs},
-		RetryBackoff: 1,
+		Owners: map[string][]string{"L": addrs, "R": addrs},
 	})
 	j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
 	if err != nil {
@@ -201,8 +201,7 @@ func TestStagedNoHeapGrowthOnRepeatedFailure(t *testing.T) {
 	defer lb.Close()
 
 	cluster := lb.Cluster(ClusterConfig{
-		Owners:       map[string][]string{"L": lb.Addrs(), "R": lb.Addrs()},
-		RetryBackoff: 1,
+		Owners: map[string][]string{"L": lb.Addrs(), "R": lb.Addrs()},
 	})
 
 	var before, after runtime.MemStats
@@ -223,5 +222,37 @@ func TestStagedNoHeapGrowthOnRepeatedFailure(t *testing.T) {
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > 32<<20 {
 		t.Fatalf("heap grew %d bytes across 20 failed fragments, want <32MB: staged partitions leaked", growth)
+	}
+}
+
+// TestHalfShippedScanFailureDrainsInput: a fragment that ships its right scan
+// and streams its left fails at the worker's store before its join starts,
+// while the coordinator is still streaming the left side. The worker must
+// drain that input behind its error frame: closing on it would reset the
+// connection and take the error frame with it, and the coordinator would see
+// a dead worker instead of the store's error.
+func TestHalfShippedScanFailureDrainsInput(t *testing.T) {
+	lrows := rowsOf(20_000, 97)
+	store := &failRightStore{inner: &memStore{rels: map[string][]storage.Row{"L": lrows}}}
+	lb, err := StartLoopbackWorkers([]*Worker{{Join: testHashJoin, Store: store}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	cluster := lb.Cluster(ClusterConfig{})
+	frag := Fragment{
+		Method: "hash", LKeys: []int{0}, RKeys: []int{0}, Parts: 1, BatchSize: 16,
+		RightScan: &ScanSpec{Relation: "R", HashCol: 0},
+	}
+	for i := 0; i < 50; i++ {
+		j, err := cluster.Join(context.Background(), frag, streamOf(lrows, frag.BatchSize), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = collect(j)
+		var we *WorkerError
+		if !errors.As(err, &we) || errors.Is(err, ErrWorkerDisconnected) || !strings.Contains(err.Error(), "simulated disk failure") {
+			t.Fatalf("run %d: err = %v, want the worker's *WorkerError carrying the store's error", i, err)
+		}
 	}
 }

@@ -56,18 +56,19 @@ type FragmentStats struct {
 	Addr           string    `json:"-"` // link the stats arrived on
 	Dispatched     time.Time `json:"-"` // when the committed attempt was dispatched
 	Retried        int       `json:"-"` // failed attempts before this one committed
-	FallbackReason string    `json:"-"` // set on synthesized fallback stats
+	FallbackReason string    `json:"-"` // set on the stats of a coordinator fallback
 }
 
-// emitted accounts one result batch leaving the fragment's join at offset
-// off: the first one marks the fragment's and the join span's tf.
-func (fs *FragmentStats) emitted(join *RemoteSpan, off int64, b Batch) {
+// emitted accounts one result batch of rows rows handed on by the
+// fragment's join at offset off: the first one marks the fragment's and the
+// join span's tf.
+func (fs *FragmentStats) emitted(join *RemoteSpan, off int64, rows int) {
 	if fs.FirstNanos == 0 {
 		fs.FirstNanos = off
 		join.FirstNanos = off
 	}
 	fs.LastNanos = off
-	fs.Rows += int64(b.Len())
+	fs.Rows += int64(rows)
 	fs.Batches++
 }
 

@@ -76,7 +76,7 @@ func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
 		return testHashJoin(frag, left, right)
 	}
 	ws := &WorkerStats{}
-	lb, err := StartLoopbackWorkers([]*Worker{{Join: never, Store: store, Stats: ws}})
+	lb, err := StartLoopbackWorkers([]*Worker{{Join: never, Store: store, Stats: ws}, {Join: never, Store: store, Stats: ws}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,30 +127,34 @@ func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
 		t.Fatalf("streamed join: err = %v, want a *WorkerError for %s wrapping ErrWireVersion", err, skewed)
 	}
 
-	cluster := NewCluster([]string{skewed}, ClusterConfig{
-		Owners:       map[string][]string{"L": {skewed}, "R": {skewed}},
-		RetryBackoff: 1,
-		Store:        store,
-		Fn:           testHashJoin,
-	})
-	j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := collect(j)
-	if err != nil {
-		t.Fatalf("shipped join must fall back to the coordinator: %v", err)
-	}
 	want, err := runJoin(t, &Local{Fn: testHashJoin}, frag, lrows, rrows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(multiset(want), multiset(got)) {
-		t.Fatalf("fallback rows differ (%d vs %d rows)", len(got), len(want))
-	}
-	if cluster.Retries() < 1 || cluster.Fallbacks() != 1 || cluster.FallbackReasons()["worker_error"] != 1 {
-		t.Errorf("retries %d, fallbacks %d, reasons %v; want ≥1 retry then one worker_error fallback",
-			cluster.Retries(), cluster.Fallbacks(), cluster.FallbackReasons())
+	// Two skewed workers, so the retry is a real re-dispatch to the second;
+	// then one, which leaves nothing to re-dispatch to, so no retry counts.
+	skewed2 := skewProxy(t, lb.Addrs()[1], WireVersion+1)
+	for _, workers := range [][]string{{skewed, skewed2}, {skewed}} {
+		cluster := NewCluster(workers, ClusterConfig{
+			Owners: map[string][]string{"L": workers, "R": workers},
+			Store:  store,
+			Fn:     testHashJoin,
+		})
+		j, err := cluster.Join(context.Background(), shippedFrag(1), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := collect(j)
+		if err != nil {
+			t.Fatalf("%d workers: shipped join must fall back to the coordinator: %v", len(workers), err)
+		}
+		if !reflect.DeepEqual(multiset(want), multiset(got)) {
+			t.Fatalf("%d workers: fallback rows differ (%d vs %d rows)", len(workers), len(got), len(want))
+		}
+		if cluster.Retries() != int64(len(workers)-1) || cluster.Fallbacks() != 1 || cluster.FallbackReasons()["worker_error"] != 1 {
+			t.Errorf("%d workers: retries %d, fallbacks %d, reasons %v; want %d retries then one worker_error fallback",
+				len(workers), cluster.Retries(), cluster.Fallbacks(), cluster.FallbackReasons(), len(workers)-1)
+		}
 	}
 	if joined.Load() {
 		t.Fatal("worker ran the join of a fragment it had to refuse")

@@ -46,8 +46,9 @@ func (w *Worker) Serve(ln net.Listener) error {
 }
 
 // handle runs one fragment connection to completion on two goroutines: this
-// one pulls the join and writes its results, a reader demultiplexes the
-// connection.
+// one runs the fragment and writes its results, a reader demultiplexes the
+// connection. It is the wire half of a fragment: the frames in and out, the
+// result window and the closing stats/end/error frames; run is the rest.
 //
 // Deadlock-freedom: the reader delivers into channels whose buffer equals the
 // coordinator's credit window — the one the fragment carries — and a credit is
@@ -76,42 +77,24 @@ func (w *Worker) handle(conn net.Conn) {
 		return
 	}
 
-	// Every timestamp below is an offset from t0 (fragment receipt): the
-	// coordinator re-anchors the whole tree at its dispatch time, so the two
-	// processes never need to agree on a wall clock.
-	t0 := nowNanos()
-	since := func() int64 { return nowNanos() - t0 }
+	r := w.start(&frag)
 	win := frag.Window
 	if win == 0 {
 		win = DefaultWindow
 	}
 	resWin := newWindow(win)
-	ws := w.Stats
-	if ws == nil {
-		ws = &WorkerStats{} // nobody reads it; saves a nil check per counter
-	}
-	ws.ActiveFragments.Add(1)
-	defer ws.ActiveFragments.Add(-1)
-	root := &RemoteSpan{Name: "fragment", Attrs: map[string]string{
-		"method": frag.Method,
-		"worker": w.ID,
-	}}
-	fs := &FragmentStats{
-		TraceID: frag.TraceID,
-		Worker:  w.ID,
-		Part:    frag.Part,
-		Parts:   frag.Parts,
-		Span:    root,
-	}
+	r.ws.ActiveFragments.Add(1)
+	defer r.ws.ActiveFragments.Add(-1)
 	// finish seals the stats and ships them ahead of the final frame. The
 	// stats frame is always sent — on errors too — so the coordinator can
 	// annotate failed attempts; old coordinators skip the unknown frame type.
 	finish := func(failErr error) {
-		root.EndNanos = since()
+		fs, ws := r.fs, r.ws
+		fs.Span.EndNanos = r.since()
 		fs.ResultStallNanos = resWin.stallNanos()
 		if failErr != nil {
 			fs.Error = failErr.Error()
-			root.Attrs["error"] = failErr.Error()
+			fs.Span.Attrs["error"] = failErr.Error()
 			ws.FragmentsFailed.Add(1)
 		} else {
 			ws.FragmentsServed.Add(1)
@@ -156,55 +139,11 @@ func (w *Worker) handle(conn net.Conn) {
 	credit := func(dir byte) func() {
 		return func() { _ = fw.write(frameCredit, []byte{dir}) }
 	}
-	var leftOp Operator = &recvOp{ch: left, taken: credit(creditLeft)}
-	var rightOp Operator = &recvOp{ch: right, taken: credit(creditRight)}
 
-	// Shipped sides are sourced from the local store before the join runs,
-	// so a store failure surfaces as a frame error with no results emitted —
-	// the coordinator can re-dispatch the fragment cleanly. A shipped side is
-	// pulled as windows of the scanned shard — no wire traffic, no credits, no
-	// copy. Its bytes are metered on the StagedBytes gauge until the shardOp is
-	// exhausted or closed, so the gauge reaches zero again on every exit path,
-	// error paths included.
-	if frag.LeftScan != nil || frag.RightScan != nil {
-		if w.Store == nil {
-			finish(errStoreMissing)
-			return
-		}
-		scan := func(name string, spec *ScanSpec) (Operator, error) {
-			sp := root.child(name, since())
-			v, err := w.Store.ScanPartition(*spec, frag.Part, frag.Parts)
-			sp.EndNanos = since()
-			sp.Attrs = map[string]string{
-				"relation": spec.Relation,
-				"rows":     strconv.Itoa(v.Len()),
-			}
-			if err != nil {
-				return nil, err
-			}
-			staged := v.Bytes()
-			ws.ShippedScans.Add(1)
-			ws.StagedBytes.Add(staged)
-			return newShardOp(v, frag.BatchSize, func() { ws.StagedBytes.Add(-staged) }), nil
-		}
-		var err error
-		if frag.LeftScan != nil {
-			leftOp, err = scan("scan-left", frag.LeftScan)
-		}
-		if err == nil && frag.RightScan != nil {
-			if rightOp, err = scan("scan-right", frag.RightScan); err != nil {
-				// Without this a fragment whose second scan fails fast pins
-				// the first side's partition bytes on the gauge until process
-				// exit.
-				leftOp.Close()
-			}
-		}
-		if err != nil {
-			finish(fmt.Errorf("exchange: shipped scan: %w", err))
-			return
-		}
-	}
-
+	// The reader runs before the fragment does: a fragment that fails before
+	// its join — a shipped scan the store cannot serve — still has its
+	// streamed side's input to drain, and closing on it would reset the
+	// connection and take the error frame with it.
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
@@ -270,42 +209,22 @@ func (w *Worker) handle(conn net.Conn) {
 				// Coordinator abandoned the fragment: the join unwinds on its
 				// context, its shardOps free the staged partitions, and the
 				// final error frame tells the coordinator we are done.
-				ws.Cancelled.Add(1)
+				r.ws.Cancelled.Add(1)
 				stop(ErrJoinCancelled)
 				return
 			}
 		}
 	}()
 
-	joinSpan := root.child("join", since())
-	op, joinErr := w.Join(frag, leftOp, rightOp)
-	if joinErr != nil {
-		closeInputs(leftOp, rightOp)
-	} else {
-		for joinErr == nil {
-			var b Batch
-			if b, joinErr = op.Next(ctx); b == nil {
-				break
-			}
+	finish(r.run(ctx, &recvOp{ch: left, taken: credit(creditLeft)}, &recvOp{ch: right, taken: credit(creditRight)},
+		func(b Batch) error {
 			if !resWin.acquire() {
-				joinErr = ErrWorkerDisconnected
-				break
+				return ErrWorkerDisconnected
 			}
-			fs.emitted(joinSpan, since(), b)
-			joinErr = fw.writeBatch(frameResult, b)
+			err := fw.writeBatch(frameResult, b)
 			b.Release() // the frame holds a copy
-		}
-		op.Close()
-	}
-	joinSpan.EndNanos = since()
-	joinSpan.Attrs = map[string]string{
-		"method": frag.Method,
-		"rows":   strconv.FormatInt(fs.Rows, 10),
-	}
-	if fs.LastNanos == 0 {
-		fs.LastNanos = joinSpan.EndNanos
-	}
-	finish(joinErr)
+			return err
+		}))
 	stop(nil) // the reader drops what a streaming coordinator still sends
 	// Wait for the coordinator to close its side before closing ours: a
 	// result credit can still be in flight for the last batch, and closing
@@ -314,4 +233,119 @@ func (w *Worker) handle(conn net.Conn) {
 	// buffer mid-frame. The coordinator always closes once it has read the
 	// end (or failed), which surfaces here as the reader's EOF.
 	<-readerDone
+}
+
+// fragmentRun is one run of a fragment and what it measures — at a worker,
+// or at the coordinator when no worker could run it.
+type fragmentRun struct {
+	w    *Worker
+	frag *Fragment
+	ws   *WorkerStats
+	// fs is the run's stats; its Span is the root "fragment" span.
+	fs *FragmentStats
+	// t0 is the fragment's receipt. Every offset in fs is from t0: the
+	// coordinator re-anchors the tree at its dispatch time, so the two
+	// processes never need to agree on a wall clock.
+	t0 int64
+}
+
+// start opens a run of frag at w.
+func (w *Worker) start(frag *Fragment) *fragmentRun {
+	ws := w.Stats
+	if ws == nil {
+		ws = &WorkerStats{} // nobody reads it; saves a nil check per counter
+	}
+	return &fragmentRun{w: w, frag: frag, ws: ws, t0: nowNanos(), fs: &FragmentStats{
+		TraceID: frag.TraceID,
+		Worker:  w.ID,
+		Part:    frag.Part,
+		Parts:   frag.Parts,
+		Span: &RemoteSpan{Name: "fragment", Attrs: map[string]string{
+			"method": frag.Method,
+			"worker": w.ID,
+		}},
+	}}
+}
+
+// since is the offset of now from the run's start.
+func (r *fragmentRun) since() int64 { return nowNanos() - r.t0 }
+
+// run executes the fragment once its streamed inputs are operators: it
+// sources the shipped sides from the worker's store, builds the worker's join
+// over both sides, pulls it and hands every result batch to emit, filling the
+// run's stats and span tree as it goes. left and right are the streamed
+// inputs; a shipped side's is not read. run closes whatever it pulls. It
+// returns what ended the run: nil, a store failure, the join's error or
+// emit's.
+//
+// Shipped sides are sourced before the join runs, so a store failure ends the
+// run with no results emitted — the coordinator can re-dispatch the fragment
+// cleanly. A shipped side is pulled as windows of the scanned shard — no wire
+// traffic, no credits, no copy. Its bytes are metered on the StagedBytes gauge
+// until the shardOp is exhausted or closed, so the gauge reaches zero again on
+// every exit path, error paths included.
+func (r *fragmentRun) run(ctx context.Context, left, right Operator, emit func(Batch) error) error {
+	frag, root, ws := r.frag, r.fs.Span, r.ws
+	scan := func(name string, spec *ScanSpec) (Operator, error) {
+		sp := root.child(name, r.since())
+		v, err := r.w.Store.ScanPartition(*spec, frag.Part, frag.Parts)
+		sp.EndNanos = r.since()
+		sp.Attrs = map[string]string{
+			"relation": spec.Relation,
+			"rows":     strconv.Itoa(v.Len()),
+		}
+		if err != nil {
+			return nil, err
+		}
+		staged := v.Bytes()
+		ws.ShippedScans.Add(1)
+		ws.StagedBytes.Add(staged)
+		return newShardOp(v, frag.BatchSize, func() { ws.StagedBytes.Add(-staged) }), nil
+	}
+	if frag.LeftScan != nil || frag.RightScan != nil {
+		if r.w.Store == nil {
+			closeInputs(left, right)
+			return errStoreMissing
+		}
+		var err error
+		if frag.LeftScan != nil {
+			left, err = scan("scan-left", frag.LeftScan)
+		}
+		if err == nil && frag.RightScan != nil {
+			right, err = scan("scan-right", frag.RightScan)
+		}
+		if err != nil {
+			// Without this a fragment whose second scan fails fast pins the
+			// first side's partition bytes on the gauge until process exit.
+			closeInputs(left, right)
+			return fmt.Errorf("exchange: shipped scan: %w", err)
+		}
+	}
+
+	joinSpan := root.child("join", r.since())
+	op, err := r.w.Join(*frag, left, right)
+	if err != nil {
+		closeInputs(left, right)
+	} else {
+		for err == nil {
+			var b Batch
+			if b, err = op.Next(ctx); b == nil {
+				break
+			}
+			rows := b.Len()
+			if err = emit(b); err == nil {
+				r.fs.emitted(joinSpan, r.since(), rows)
+			}
+		}
+		op.Close()
+	}
+	joinSpan.EndNanos = r.since()
+	joinSpan.Attrs = map[string]string{
+		"method": frag.Method,
+		"rows":   strconv.FormatInt(r.fs.Rows, 10),
+	}
+	if r.fs.LastNanos == 0 {
+		r.fs.LastNanos = joinSpan.EndNanos
+	}
+	return err
 }

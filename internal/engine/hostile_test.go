@@ -38,8 +38,8 @@ func TestWorkerSurvivesHostileFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lb.Close()
-	// No retries and no fallback: each fragment meets the worker once.
-	cluster := lb.Cluster(exchange.ClusterConfig{Retries: -1})
+	// One worker and no fallback: each fragment meets the worker once.
+	cluster := lb.Cluster(exchange.ClusterConfig{})
 
 	// R1.id = R2.fk over shipped scans: nothing but the descriptor crosses.
 	good := func() exchange.Fragment {

@@ -170,9 +170,8 @@ func TestPlacedJoinSurvivesWorkerDeathMidQuery(t *testing.T) {
 	}
 
 	cluster := lb.Cluster(exchange.ClusterConfig{
-		Owners:       pm.OwnerMap(),
-		Members:      func() ([]string, int64) { return addrs, 3 },
-		RetryBackoff: 1,
+		Owners:  pm.OwnerMap(),
+		Members: func() ([]string, int64) { return addrs, 3 },
 	})
 	e.Transport = cluster
 	distributed, err := e.Execute(p)
@@ -220,11 +219,10 @@ func TestPlacedJoinFallsBackToCoordinator(t *testing.T) {
 		}
 	}
 	cluster := lb.Cluster(exchange.ClusterConfig{
-		Owners:       pm.OwnerMap(),
-		Members:      func() ([]string, int64) { return addrs, 1 },
-		RetryBackoff: 1,
-		Store:        fstore,
-		Fn:           FragmentJoin,
+		Owners:  pm.OwnerMap(),
+		Members: func() ([]string, int64) { return addrs, 1 },
+		Store:   fstore,
+		Fn:      FragmentJoin,
 	})
 	e.Transport = cluster
 	distributed, err := e.Execute(p)

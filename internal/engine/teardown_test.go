@@ -104,12 +104,12 @@ func TestJoinTeardown(t *testing.T) {
 				return lb.Cluster(exchange.ClusterConfig{Window: 2, Owners: owners(lb.Addrs())})
 			},
 			func() exchange.Transport {
-				return dead.Cluster(exchange.ClusterConfig{Owners: owners(dead.Addrs()), RetryBackoff: 1})
+				return dead.Cluster(exchange.ClusterConfig{Owners: owners(dead.Addrs())})
 			}},
 		{"fallback", true,
 			func() exchange.Transport {
 				return refusing.Cluster(exchange.ClusterConfig{
-					Owners: owners(refusing.Addrs()), RetryBackoff: 1, Store: fstore, Fn: FragmentJoin})
+					Owners: owners(refusing.Addrs()), Store: fstore, Fn: FragmentJoin})
 			}, nil},
 	}
 	type run struct {

@@ -33,12 +33,19 @@ type Table struct {
 
 	cols     [][]int64
 	rowsOnce sync.Once
+	orders   []keyOrder // per column: KeyOrder's answer, built on first use
+}
+
+// keyOrder is one column's KeyOrder, sorted once per table.
+type keyOrder struct {
+	once  sync.Once
+	order []int32
 }
 
 // NewTable is the table of rel whose column c is cols[c], aliased, not
 // copied; every column must hold the same number of rows.
 func NewTable(rel *catalog.Relation, cols [][]int64) *Table {
-	t := &Table{Rel: rel, Cols: make(map[string]int, len(rel.Columns)), cols: cols}
+	t := &Table{Rel: rel, Cols: make(map[string]int, len(rel.Columns)), cols: cols, orders: make([]keyOrder, len(cols))}
 	for i, c := range rel.Columns {
 		t.Cols[c.Name] = i
 	}
@@ -125,13 +132,17 @@ func hashName(s string) int64 {
 
 // KeyOrder is the table's row positions in ascending order of the named
 // column, rows with equal keys in table order: what an ordered index on the
-// column scans.
+// column scans. It is sorted on the first call for a column — once per
+// table, safe for concurrent callers — and shared by every later one, so
+// callers must treat it as read-only.
 func KeyOrder(t *Table, column string) ([]int32, error) {
 	pos := t.ColIndex(column)
 	if pos < 0 {
 		return nil, fmt.Errorf("storage: table %s has no column %s", t.Rel.Name, column)
 	}
-	return stableOrder(t.Columns()[pos]), nil
+	o := &t.orders[pos]
+	o.once.Do(func() { o.order = stableOrder(t.cols[pos]) })
+	return o.order, nil
 }
 
 // Database is a set of generated tables keyed by relation name.

@@ -3,6 +3,7 @@ package storage
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"paropt/internal/catalog"
@@ -121,5 +122,39 @@ func TestNewDatabase(t *testing.T) {
 	}
 	if _, ok := db.Table("C"); ok {
 		t.Error("unknown table should report false")
+	}
+}
+
+// TestKeyOrderSortsOnce: KeyOrder sorts a column once per table — concurrent
+// first callers share one order, later callers get it without allocating —
+// and that order is the column's stable sort.
+func TestKeyOrderSortsOnce(t *testing.T) {
+	tab := Generate(demoRel(t), 4)
+	for c, col := range tab.Rel.Columns {
+		orders := make([][]int32, 8)
+		var wg sync.WaitGroup
+		for i := range orders {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				order, err := KeyOrder(tab, col.Name)
+				if err != nil {
+					t.Error(err)
+				}
+				orders[i] = order
+			}(i)
+		}
+		wg.Wait()
+		if !slices.Equal(orders[0], stableOrder(tab.Columns()[c])) {
+			t.Fatalf("%s: cached order differs from the column's stable sort", col.Name)
+		}
+		for _, order := range orders[1:] {
+			if &order[0] != &orders[0][0] {
+				t.Fatalf("%s: concurrent first callers sorted the column more than once", col.Name)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = KeyOrder(tab, col.Name) }); allocs != 0 {
+			t.Errorf("%s: a warm KeyOrder allocates %.0f times", col.Name, allocs)
+		}
 	}
 }

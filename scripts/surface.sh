@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Surface scoreboard: what a user can run, set, call and scrape, plus how much
 # code carries it and which of the module's packages each served binary links.
-# Prints the nine numbers and one row per linked package, and fails when a
+# Prints the ten numbers and one row per linked package, and fails when a
 # row differs from scripts/surface.golden or the line count exceeds its
-# ceiling there — so an added binary, flag, service.Config field, route,
-# metric family or dependency edge is a visible diff of the golden, not a
-# side effect. Needs no build (go list only reads the sources) and starts
-# nothing.
+# ceiling there — so an added binary, flag, service.Config or
+# exchange.ClusterConfig field, route, metric family or dependency edge is a
+# visible diff of the golden, not a side effect. Needs no build (go list only
+# reads the sources) and starts nothing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,6 +19,7 @@ counts=$(
   # paropt's own flags plus each subcommand's FlagSet flags.
   echo "paropt_flags $(( $(grep -c 'flag\.[A-Z][A-Za-z0-9]*("' cmd/paropt/main.go) + $(find cmd/paropt -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -c 'fs\.[A-Z][A-Za-z0-9]*("') ))"
   echo "service_config_fields $(sed -n '/^type Config struct {/,/^}/p' internal/service/service.go | grep -c '^	[A-Z]')"
+  echo "cluster_config_fields $(sed -n '/^type ClusterConfig struct {/,/^}/p' internal/engine/exchange/cluster.go | grep -c '^	[A-Z]')"
   echo "routes $(grep -c 'mux\.HandleFunc("' internal/service/http.go)"
   echo "metric_families $(grep -c '^# TYPE' internal/service/testdata/metrics.golden)"
   echo "paroptw_metric_families $(grep -c '^# TYPE' cmd/paroptw/testdata/metrics.golden)"
