@@ -12,7 +12,7 @@ func aggFixture() *Resultset {
 		{Relation: "R", Column: "cat"},
 		{Relation: "R", Column: "amt"},
 	}
-	return newRowResultset(s, []storage.Row{
+	return resultOf(s, []storage.Row{
 		{2, 10}, {1, 5}, {2, 20}, {1, 7}, {3, 1},
 	})
 }
@@ -46,7 +46,7 @@ func TestGroupByMultiKey(t *testing.T) {
 		{Relation: "R", Column: "b"},
 		{Relation: "R", Column: "v"},
 	}
-	r := newRowResultset(s, []storage.Row{
+	r := resultOf(s, []storage.Row{
 		{1, 1, 10}, {1, 2, 20}, {1, 1, 30},
 	})
 	groups, err := r.GroupBy(

@@ -8,6 +8,7 @@ import (
 
 	"paropt/internal/engine/exchange"
 	"paropt/internal/plan"
+	"paropt/internal/storage"
 )
 
 // TestDistributedJoinMatchesSingleProcess is the distributed acceptance
@@ -51,9 +52,7 @@ func TestDistributedJoinMatchesSingleProcess(t *testing.T) {
 		if !reflect.DeepEqual(ns.Schema, nd.Schema) {
 			t.Fatalf("%v: schemas differ: %v vs %v", method, ns.Schema, nd.Schema)
 		}
-		sortRows(ns)
-		sortRows(nd)
-		if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
+		if !reflect.DeepEqual(sortRows(ns), sortRows(nd)) {
 			t.Fatalf("%v: distributed rows differ from single-process (%d vs %d rows)",
 				method, nd.Len(), ns.Len())
 		}
@@ -74,9 +73,10 @@ func TestDistributedJoinMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// sortRows orders rows lexicographically so multisets compare as slices.
-func sortRows(r *Resultset) {
-	rows := r.Rows()
+// sortRows returns a copy of the result's rows ordered lexicographically, so
+// multisets compare as slices.
+func sortRows(r *Resultset) []storage.Row {
+	rows := rowsOf(r)
 	sort.Slice(rows, func(a, b int) bool {
 		for i := range rows[a] {
 			if rows[a][i] != rows[b][i] {
@@ -85,6 +85,7 @@ func sortRows(r *Resultset) {
 		}
 		return false
 	})
+	return rows
 }
 
 // TestDistributedJoinErrorSurfacesFromExecute: a dead cluster must turn into

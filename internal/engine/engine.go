@@ -102,40 +102,16 @@ func ctxErr(ctx context.Context) error {
 }
 
 // Resultset is a query result held the way the engine produced it: the
-// dense column batches the root operator emitted, untransposed. Project,
-// Normalize, Fingerprint and GroupBy work on the columns; Rows materializes
-// row-major tuples for the callers that print or diff them.
+// dense column batches the root operator emitted, untransposed. Len,
+// Project, Normalize, Fingerprint and GroupBy all work on the columns.
 type Resultset struct {
 	Schema  Schema
 	batches []Batch // dense (Sel == nil), one column per Schema entry
 	n       int
-	rows    []storage.Row // Rows' cache
-}
-
-// newRowResultset wraps row-major tuples (the reference oracle) as a result.
-func newRowResultset(schema Schema, rows []storage.Row) *Resultset {
-	r := &Resultset{Schema: schema, n: len(rows), rows: rows}
-	if len(rows) > 0 {
-		r.batches = []Batch{vec.FromRows(rows)}
-	}
-	return r
 }
 
 // Len is the number of result rows.
 func (r *Resultset) Len() int { return r.n }
-
-// Rows returns the result as row-major tuples, transposed on first use. The
-// slice is shared between calls; callers that reorder it reorder the cache.
-func (r *Resultset) Rows() []storage.Row {
-	if r.rows == nil && r.n > 0 {
-		rows := make([]storage.Row, 0, r.n)
-		for _, b := range r.batches {
-			rows = b.AppendRows(rows)
-		}
-		r.rows = rows
-	}
-	return r.rows
-}
 
 // result pulls the root operator to exhaustion, closes it, and returns what
 // it produced, projected per the query's projection list when present. A

@@ -201,7 +201,7 @@ func TestSelectionsApplied(t *testing.T) {
 	if fkPos < 0 {
 		t.Fatal("schema lacks R1.fk")
 	}
-	for _, row := range got.Rows() {
+	for _, row := range rowsOf(got) {
 		if row[fkPos] != 3 {
 			t.Fatalf("row with R1.fk = %d escaped the filter", row[fkPos])
 		}
@@ -331,19 +331,19 @@ func TestExecuteErrors(t *testing.T) {
 
 func TestFingerprintOrderIndependence(t *testing.T) {
 	s := Schema{{Relation: "R", Column: "a"}, {Relation: "R", Column: "b"}}
-	a := newRowResultset(s, []storage.Row{{1, 2}, {3, 4}})
-	b := newRowResultset(s, []storage.Row{{3, 4}, {1, 2}})
+	a := resultOf(s, []storage.Row{{1, 2}, {3, 4}})
+	b := resultOf(s, []storage.Row{{3, 4}, {1, 2}})
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("fingerprint must be row-order independent")
 	}
 	// Column order independence after normalization.
 	sRev := Schema{{Relation: "R", Column: "b"}, {Relation: "R", Column: "a"}}
-	c := newRowResultset(sRev, []storage.Row{{2, 1}, {4, 3}})
+	c := resultOf(sRev, []storage.Row{{2, 1}, {4, 3}})
 	if a.Fingerprint() != c.Fingerprint() {
 		t.Error("fingerprint must normalize column order")
 	}
 	// Different multiset must differ.
-	d := newRowResultset(s, []storage.Row{{1, 2}, {1, 2}})
+	d := resultOf(s, []storage.Row{{1, 2}, {1, 2}})
 	if a.Fingerprint() == d.Fingerprint() {
 		t.Error("different multisets should not collide")
 	}

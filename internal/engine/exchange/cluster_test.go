@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"paropt/internal/storage"
-	"paropt/internal/vec"
 )
 
 // opFunc adapts a closure to an Operator that owns two inputs — how the
@@ -84,7 +83,7 @@ func testHashJoin(frag Fragment, left, right Operator) (Operator, error) {
 			return nil, nil
 		}
 		n := min(bs, len(pending))
-		out := vec.FromRows(pending[:n])
+		out := fromRows(pending[:n])
 		pending = pending[n:]
 		return out, nil
 	}}, nil

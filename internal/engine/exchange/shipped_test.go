@@ -42,7 +42,7 @@ func (m *memStore) ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, erro
 			out = append(out, r)
 		}
 	}
-	return vec.FromRows(out), nil
+	return fromRows(out), nil
 }
 
 // shippedFrag is a fully-shipped two-relation hash-join fragment.
@@ -128,7 +128,7 @@ func TestShippedRetryRedispatchesAndDiscardsStagedResults(t *testing.T) {
 		return &opFunc{left: left, right: right, next: func(context.Context) (Batch, error) {
 			if !emitted {
 				emitted = true
-				return vec.FromRows([]storage.Row{poison}), nil // partial output the coordinator must discard
+				return fromRows([]storage.Row{poison}), nil // partial output the coordinator must discard
 			}
 			return nil, errors.New("worker killed mid-fragment")
 		}}, nil

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"paropt/internal/storage"
-	"paropt/internal/vec"
 )
 
 // skewProxy fronts a real worker and rewrites each fragment's wire version on
@@ -93,7 +92,7 @@ func TestWorkerRejectsWireVersionMismatch(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	fw := &frameWriter{w: conn}
 	_ = fw.write(frameFragment, []byte(`{"method":"hash","lkeys":[0],"rkeys":[0],"part":0,"parts":1,"batch_size":16}`))
-	_ = fw.writeBatch(frameLeft, vec.FromRows(lrows[:16]))
+	_ = fw.writeBatch(frameLeft, fromRows(lrows[:16]))
 	_ = fw.write(frameEndLeft, nil)
 	_ = fw.write(frameEndRight, nil)
 	fr := newFrameReader(conn, MaxFrame)
@@ -183,7 +182,7 @@ func TestWorkerSurvivesBatchAfterEnd(t *testing.T) {
 	fw := &frameWriter{w: conn}
 	_ = fw.write(frameFragment, []byte(`{"method":"hash","lkeys":[0],"rkeys":[0],"part":0,"parts":1,"batch_size":16,"wire":1}`))
 	_ = fw.write(frameEndRight, nil)
-	_ = fw.writeBatch(frameRight, vec.FromRows(rowsOf(16, 5)))
+	_ = fw.writeBatch(frameRight, fromRows(rowsOf(16, 5)))
 	fr := newFrameReader(conn, MaxFrame)
 	for {
 		typ, _, err := fr.next()

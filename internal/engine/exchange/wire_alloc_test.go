@@ -16,7 +16,7 @@ import (
 // size a frameWriter encodes and writes a batch frame — dense or selected —
 // without allocating. A reintroduced per-frame payload slice fails here.
 func TestFrameWriterAllocationPin(t *testing.T) {
-	dense := vec.FromRows(rowsOf(vec.DefaultBatchRows, 3))
+	dense := fromRows(rowsOf(vec.DefaultBatchRows, 3))
 	fw := &frameWriter{w: io.Discard}
 	for name, b := range map[string]Batch{"dense": dense, "selected": dense.FilterEq(0, 1)} {
 		if err := fw.writeBatch(frameLeft, dense); err != nil { // grow to the largest frame
@@ -71,7 +71,7 @@ func TestLoopbackJoinAllocationPin(t *testing.T) {
 	}
 	defer lb.Close()
 	var inputs []Batch
-	all := vec.FromRows(rowsOf(n, 997))
+	all := fromRows(rowsOf(n, 997))
 	for lo := 0; lo < n; lo += bs {
 		inputs = append(inputs, all.Window(lo, min(lo+bs, n)))
 	}

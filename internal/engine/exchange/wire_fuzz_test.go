@@ -55,11 +55,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(batchHeader(1<<29, 1<<3))  // rows*width*8 wraps to 0 in uint32
 	f.Add(batchHeader(0, 1<<32-1))
 	f.Add(append(batchHeader(1, 1), 1, 2, 3))
-	f.Add(encodeBatch(vec.FromRows(rowsOf(5, 3))))
-	f.Add(encodeBatch(vec.FromRows(rowsOf(40, 7)).FilterEq(0, 2)))
-	f.Add(append(encodeBatch(vec.FromRows([]storage.Row{{-1, 1 << 62}})), 0))
-	f.Add(encodeBatch(vec.FromRows(rowsOf(vec.DefaultBatchRows, 13))))
-	f.Add(encodeBatch(vec.FromRows(rowsOf(vec.DefaultBatchRows/2+1, 5))))
+	f.Add(encodeBatch(fromRows(rowsOf(5, 3))))
+	f.Add(encodeBatch(fromRows(rowsOf(40, 7)).FilterEq(0, 2)))
+	f.Add(append(encodeBatch(fromRows([]storage.Row{{-1, 1 << 62}})), 0))
+	f.Add(encodeBatch(fromRows(rowsOf(vec.DefaultBatchRows, 13))))
+	f.Add(encodeBatch(fromRows(rowsOf(vec.DefaultBatchRows/2+1, 5))))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		b, err := decodeBatch(p)
 		if err != nil {
@@ -104,9 +104,9 @@ func FuzzFrameReader(f *testing.F) {
 	}
 	good := frames(func(fw *frameWriter) {
 		_ = fw.write(frameFragment, []byte(`{"method":"hash","wire":1}`))
-		_ = fw.writeBatch(frameLeft, vec.FromRows(rowsOf(9, 4)))
+		_ = fw.writeBatch(frameLeft, fromRows(rowsOf(9, 4)))
 		_ = fw.write(frameCredit, []byte{creditLeft})
-		_ = fw.writeBatch(frameResult, vec.FromRows(rowsOf(30, 4)).FilterEq(0, 1))
+		_ = fw.writeBatch(frameResult, fromRows(rowsOf(30, 4)).FilterEq(0, 1))
 		_ = fw.write(frameEndLeft, nil)
 	})
 	f.Add([]byte{})

@@ -26,7 +26,7 @@ func TestFrameReceiveAllocationPin(t *testing.T) {
 	var stream bytes.Buffer
 	fw := &frameWriter{w: &stream}
 	for i := 0; i < frames+2; i++ { // AllocsPerRun runs once more than asked, and one warm-up below
-		if err := fw.writeBatch(frameResult, vec.FromRows(rowsOf(rows, 5))); err != nil {
+		if err := fw.writeBatch(frameResult, fromRows(rowsOf(rows, 5))); err != nil {
 			t.Fatal(err)
 		}
 	}

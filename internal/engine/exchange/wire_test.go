@@ -72,7 +72,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 // TestEncodeBatchHonorsSelection: a filtered batch ships only its live rows —
 // the codec must apply the selection vector, not the physical columns.
 func TestEncodeBatchHonorsSelection(t *testing.T) {
-	src := vec.FromRows([]storage.Row{{1, 10}, {2, 20}, {1, 30}})
+	src := fromRows([]storage.Row{{1, 10}, {2, 20}, {1, 30}})
 	payload := encodeBatch(src.FilterEq(0, 1))
 	if want := 8 + 2*2*8; len(payload) != want {
 		t.Fatalf("payload = %d bytes, want %d: only live rows ship", len(payload), want)
@@ -81,7 +81,7 @@ func TestEncodeBatchHonorsSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := vec.FromRows([]storage.Row{{1, 10}, {1, 30}}); !sameBatch(got, want) {
+	if want := fromRows([]storage.Row{{1, 10}, {1, 30}}); !sameBatch(got, want) {
 		t.Fatalf("rows = %v, want %v", got.AppendRows(nil), want.AppendRows(nil))
 	}
 }
@@ -95,7 +95,7 @@ func batchHeader(rows, width uint32) []byte {
 }
 
 func TestDecodeBatchTruncated(t *testing.T) {
-	full := encodeBatch(vec.FromRows([]storage.Row{{1, 2}, {3, 4}}))
+	full := encodeBatch(fromRows([]storage.Row{{1, 2}, {3, 4}}))
 	for _, cut := range []int{0, 4, 7, 8, 9, len(full) - 1} {
 		if _, err := decodeBatch(full[:cut]); !errors.Is(err, ErrTruncatedFrame) {
 			t.Errorf("decode of %d/%d bytes: err = %v, want ErrTruncatedFrame", cut, len(full), err)
@@ -118,7 +118,7 @@ func TestDecodeBatchTruncated(t *testing.T) {
 func TestFrameRoundTripAndTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	fw := &frameWriter{w: &buf}
-	src := vec.FromRows([]storage.Row{{11, 22}})
+	src := fromRows([]storage.Row{{11, 22}})
 	if err := fw.writeBatch(frameLeft, src); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFrameWriterIssuesOneWritePerFrame(t *testing.T) {
 	var cw countingWriter
 	fw := &frameWriter{w: &cw}
 	_ = fw.write(frameFragment, []byte(`{"method":"hash"}`))
-	_ = fw.writeBatch(frameResult, vec.FromRows(rowsOf(100, 7)))
+	_ = fw.writeBatch(frameResult, fromRows(rowsOf(100, 7)))
 	_ = fw.write(frameCredit, []byte{creditResult})
 	_ = fw.write(frameEndResult, nil)
 	if cw.writes != 4 {
@@ -189,8 +189,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 func TestDecodedBatchSurvivesReaderReuse(t *testing.T) {
 	var buf bytes.Buffer
 	fw := &frameWriter{w: &buf}
-	first := vec.FromRows(rowsOf(300, 11))
-	for _, b := range []Batch{first, vec.FromRows(rowsOf(300, 5)), vec.FromRows(rowsOf(17, 3)), vec.FromRows(rowsOf(300, 2))} {
+	first := fromRows(rowsOf(300, 11))
+	for _, b := range []Batch{first, fromRows(rowsOf(300, 5)), fromRows(rowsOf(17, 3)), fromRows(rowsOf(300, 2))} {
 		if err := fw.writeBatch(frameResult, b); err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,23 @@ func rowsOf(n int, keyMod int64) []storage.Row {
 	return rows
 }
 
+// fromRows transposes tuples into a dense batch; no tuples make a
+// zero-width one.
+func fromRows(in []storage.Row) Batch {
+	if len(in) == 0 {
+		return &vec.Vec{}
+	}
+	v := &vec.Vec{Cols: make([][]int64, len(in[0]))}
+	for c := range v.Cols {
+		v.Cols[c] = make([]int64, len(in))
+		for r, row := range in {
+			v.Cols[c][r] = row[c]
+		}
+	}
+	return v
+}
+
 // streamOf yields rows in bs-row batches.
 func streamOf(rows []storage.Row, bs int) Operator {
-	return newShardOp(vec.FromRows(rows), bs, nil)
+	return newShardOp(fromRows(rows), bs, nil)
 }

@@ -293,7 +293,7 @@ func (o *firehoseOp) Close()                              {}
 // TestDrainCancelBetweenBatches: drain and drainBuffer must notice a dead
 // context between batches even when the child never does.
 func TestDrainCancelBetweenBatches(t *testing.T) {
-	fire := &firehoseOp{b: vec.FromRows([]storage.Row{{1, 2}})}
+	fire := &firehoseOp{b: &vec.Vec{Cols: [][]int64{{1}, {2}}}}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errTestCancel)
 	if _, err := drainBuffer(ctx, fire); !errors.Is(err, errTestCancel) {

@@ -5,8 +5,8 @@ import (
 
 	"paropt/internal/engine/exchange"
 	"paropt/internal/optree"
-	"paropt/internal/query"
 	"paropt/internal/storage"
+	"paropt/internal/vec"
 )
 
 // parallelJoin is the cloned (intra-operator parallel) join of §4.1: both
@@ -105,68 +105,76 @@ func PartitionImbalance(t *storage.Table, column string, parts int) (float64, er
 
 // ReferenceJoin computes the query result by brute-force evaluation over
 // the database — the oracle the engine is tested against. It joins the
-// query's relations in declaration order with nested loops over all
-// predicates and applies selections and projection.
+// query's relations in declaration order with nested loops, keeping one row
+// index per joined relation for every partial result: a candidate survives
+// when its new row passes the relation's selections and every predicate
+// whose two columns are both joined holds, each read off the table columns.
+// The survivors are gathered into one dense batch, then projected.
 func ReferenceJoin(e *Executor) (*Resultset, error) {
-	rels := e.Q.Relations
-	var schema Schema
-	rows := []storage.Row{{}}
-	for _, rel := range rels {
-		tab, ok := e.DB.Relation(rel)
-		if !ok {
-			return nil, fmt.Errorf("engine: no data for relation %s", rel)
+	var (
+		schema Schema
+		cols   [][]int64 // the joined relations' columns, in schema order
+		owner  []int     // owner[c] is the position of column c's relation
+		idx    [][]int32 // idx[k][t] is relation k's row in partial result t
+	)
+	n := 1 // the one empty partial result
+	cur := make([]int32, len(e.Q.Relations))
+	for j, rel := range e.Q.Relations {
+		tab, relSchema, sels, err := e.relation(rel)
+		if err != nil {
+			return nil, err
 		}
-		cols := tab.Columns()
-		var relSchema Schema
-		for _, c := range tab.Rel.Columns {
-			relSchema = append(relSchema, query.ColumnRef{Relation: rel, Column: c.Name})
+		tcols := tab.Columns()
+		schema = append(schema, relSchema...)
+		cols = append(cols, tcols...)
+		for range tcols {
+			owner = append(owner, j)
 		}
-		sels := e.Q.SelectionsOn(rel)
-		newSchema := append(append(Schema(nil), schema...), relSchema...)
-		var next []storage.Row
-		for _, acc := range rows {
+		var preds [][2]int // both columns' schema positions
+		for _, p := range e.Q.Joins {
+			if l, r := schema.IndexOf(p.Left), schema.IndexOf(p.Right); l >= 0 && r >= 0 {
+				preds = append(preds, [2]int{l, r})
+			}
+		}
+		at := func(c int) int64 { return cols[c][cur[owner[c]]] }
+		next := make([][]int32, j+1)
+		for t := 0; t < n; t++ {
+			for k := range j {
+				cur[k] = idx[k][t]
+			}
+		rows:
 			for r := range tab.NumRows() {
-				keepSel := true
 				for _, s := range sels {
-					if cols[tab.ColIndex(s.Column.Column)][r] != s.Value {
-						keepSel = false
-						break
+					if tcols[s.Col][r] != s.Val {
+						continue rows
 					}
 				}
-				if !keepSel {
-					continue
+				cur[j] = int32(r)
+				for _, p := range preds {
+					if at(p[0]) != at(p[1]) {
+						continue rows
+					}
 				}
-				joined := make(storage.Row, 0, len(acc)+len(cols))
-				joined = append(joined, acc...)
-				for _, col := range cols {
-					joined = append(joined, col[r])
-				}
-				if satisfiesAll(e, newSchema, joined) {
-					next = append(next, joined)
+				for k := range next {
+					next[k] = append(next[k], cur[k])
 				}
 			}
 		}
-		rows = next
-		schema = newSchema
+		idx, n = next, len(next[j])
 	}
-	res := newRowResultset(schema, rows)
+	res := &Resultset{Schema: schema, n: n}
+	if n > 0 {
+		out := make([][]int64, len(cols))
+		for c, col := range cols {
+			out[c] = make([]int64, n)
+			for t, r := range idx[owner[c]] {
+				out[c][t] = col[r]
+			}
+		}
+		res.batches = []Batch{&vec.Vec{Cols: out}}
+	}
 	if len(e.Q.Projection) > 0 {
 		return res.Project(e.Q.Projection)
 	}
 	return res, nil
-}
-
-// satisfiesAll checks every join predicate whose columns are both present.
-func satisfiesAll(e *Executor, schema Schema, row storage.Row) bool {
-	for _, p := range e.Q.Joins {
-		li := schema.IndexOf(p.Left)
-		ri := schema.IndexOf(p.Right)
-		if li < 0 || ri < 0 {
-			continue
-		}
-		if row[li] != row[ri] {
-			return false
-		}
-	}
-	return true
 }

@@ -104,9 +104,7 @@ func TestPlacedJoinShipsScansAndMatchesSingleProcess(t *testing.T) {
 		e.Transport = nil
 
 		ns, nd := single.Normalize(), distributed.Normalize()
-		sortRows(ns)
-		sortRows(nd)
-		if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
+		if !reflect.DeepEqual(sortRows(ns), sortRows(nd)) {
 			t.Fatalf("%v: placed rows differ from single-process (%d vs %d rows)",
 				method, nd.Len(), ns.Len())
 		}
@@ -142,7 +140,7 @@ type killedOp struct {
 func (o *killedOp) Next(context.Context) (Batch, error) {
 	if !o.emitted {
 		o.emitted = true
-		return vec.FromRows([]storage.Row{{-9, -9, -9, -9}}), nil
+		return &vec.Vec{Cols: [][]int64{{-9}, {-9}, {-9}, {-9}}}, nil
 	}
 	return nil, errors.New("worker killed mid-join")
 }
@@ -181,9 +179,7 @@ func TestPlacedJoinSurvivesWorkerDeathMidQuery(t *testing.T) {
 	e.Transport = nil
 
 	ns, nd := single.Normalize(), distributed.Normalize()
-	sortRows(ns)
-	sortRows(nd)
-	if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
+	if !reflect.DeepEqual(sortRows(ns), sortRows(nd)) {
 		t.Fatalf("rows differ after re-dispatch (%d vs %d)", nd.Len(), ns.Len())
 	}
 	if cluster.Retries() < 1 {
@@ -232,9 +228,7 @@ func TestPlacedJoinFallsBackToCoordinator(t *testing.T) {
 	e.Transport = nil
 
 	ns, nd := single.Normalize(), distributed.Normalize()
-	sortRows(ns)
-	sortRows(nd)
-	if !reflect.DeepEqual(ns.Rows(), nd.Rows()) {
+	if !reflect.DeepEqual(sortRows(ns), sortRows(nd)) {
 		t.Fatalf("fallback rows differ (%d vs %d)", nd.Len(), ns.Len())
 	}
 	if cluster.Fallbacks() < 1 {

@@ -12,6 +12,37 @@ import (
 	"paropt/internal/vec"
 )
 
+// batchOf transposes width-column tuples into one dense batch.
+func batchOf(width int, rows []storage.Row) Batch {
+	cols := make([][]int64, width)
+	for c := range cols {
+		cols[c] = make([]int64, len(rows))
+		for r, row := range rows {
+			cols[c][r] = row[c]
+		}
+	}
+	return &vec.Vec{Cols: cols}
+}
+
+// resultOf wraps tuples as a result of the schema: one batch, none if empty.
+func resultOf(schema Schema, rows []storage.Row) *Resultset {
+	r := &Resultset{Schema: schema, n: len(rows)}
+	if len(rows) > 0 {
+		r.batches = []Batch{batchOf(len(schema), rows)}
+	}
+	return r
+}
+
+// rowsOf transposes a copy of the result's batches into tuples, in the
+// order the batches hold them; nil for an empty result.
+func rowsOf(r *Resultset) []storage.Row {
+	var rows []storage.Row
+	for _, b := range r.batches {
+		rows = b.AppendRows(rows)
+	}
+	return rows
+}
+
 // The row-at-a-time Resultset operations the columnar ones replaced, kept as
 // the oracle they are compared against.
 
@@ -103,15 +134,15 @@ func TestColumnarResultsetMatchesRowOracle(t *testing.T) {
 				rows[i][c] = rng.Int63n(9) - 4
 			}
 		}
-		// The shape Execute produces: the root's dense batches, no row cache.
+		// The shape Execute produces: the root's dense batches.
 		var batches []Batch
-		all, bs := vec.FromRows(rows), 1+rng.Intn(1024)
+		all, bs := batchOf(width, rows), 1+rng.Intn(1024)
 		for lo := 0; lo < n; lo += bs {
 			batches = append(batches, all.Window(lo, min(lo+bs, n)))
 		}
 		res := &Resultset{Schema: schema, batches: batches, n: n}
-		if res.Len() != n || len(res.Rows()) != n || (n > 0 && !reflect.DeepEqual(res.Rows(), rows)) {
-			t.Fatalf("trial %d: Rows() does not round-trip %d rows", trial, n)
+		if got := rowsOf(res); res.Len() != n || len(got) != n || (n > 0 && !reflect.DeepEqual(got, rows)) {
+			t.Fatalf("trial %d: the batches do not round-trip %d rows", trial, n)
 		}
 
 		cols := make([]query.ColumnRef, 1+rng.Intn(width))
@@ -123,21 +154,21 @@ func TestColumnarResultsetMatchesRowOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := rowProject(schema, rows, cols); !reflect.DeepEqual(proj.Schema, Schema(cols)) ||
-			proj.Len() != n || (n > 0 && !reflect.DeepEqual(proj.Rows(), want)) {
+			proj.Len() != n || (n > 0 && !reflect.DeepEqual(rowsOf(proj), want)) {
 			t.Fatalf("trial %d: Project(%v) differs from the row oracle", trial, cols)
 		}
 
 		norm := res.Normalize()
 		wantSchema, wantRows := rowNormalize(schema, rows)
-		if !reflect.DeepEqual(norm.Schema, wantSchema) || (n > 0 && !reflect.DeepEqual(norm.Rows(), wantRows)) {
+		if !reflect.DeepEqual(norm.Schema, wantSchema) || (n > 0 && !reflect.DeepEqual(rowsOf(norm), wantRows)) {
 			t.Fatalf("trial %d: Normalize differs from the row oracle", trial)
 		}
 
 		if got, want := res.Fingerprint(), rowFingerprint(schema, rows); got != want {
 			t.Fatalf("trial %d: Fingerprint = %x, row oracle %x", trial, got, want)
 		}
-		if got, want := newRowResultset(schema, rows).Fingerprint(), res.Fingerprint(); got != want {
-			t.Fatalf("trial %d: row-built and batch-built results fingerprint differently", trial)
+		if got, want := resultOf(schema, rows).Fingerprint(), res.Fingerprint(); got != want {
+			t.Fatalf("trial %d: one-batch and windowed results fingerprint differently", trial)
 		}
 
 		keys := cols[:1+rng.Intn(len(cols))]

@@ -11,7 +11,6 @@ import (
 	"paropt/internal/engine/exchange"
 	"paropt/internal/placement"
 	"paropt/internal/plan"
-	"paropt/internal/vec"
 )
 
 var errChild = errors.New("test: child operator failed")
@@ -133,7 +132,7 @@ func TestJoinTeardown(t *testing.T) {
 		}},
 		{name: "partitions that end early", streamed: true,
 			children: func(l, _ Operator) (*childOp, *childOp) {
-				return &childOp{Operator: l, failAfter: -1}, &childOp{Operator: &sliceOp{batches: []Batch{vec.FromRows(oneRow)}}, failAfter: -1}
+				return &childOp{Operator: l, failAfter: -1}, &childOp{Operator: &sliceOp{batches: []Batch{batchOf(len(oneRow[0]), oneRow)}}, failAfter: -1}
 			},
 			check: func(t *testing.T, r *run, _ bool) {
 				if rows, err := pullCtx(r.ctx, r.op); err != nil || rows != oneRowMatches {

@@ -290,27 +290,10 @@ func (v *Vec) Compact() *Vec {
 	return out
 }
 
-// FromRows transposes row-major tuples into a dense Vec. An empty slice
-// yields a zero-width, zero-length Vec.
-func FromRows(rows []storage.Row) *Vec {
-	if len(rows) == 0 {
-		return &Vec{}
-	}
-	width := len(rows[0])
-	v := &Vec{Cols: make([][]int64, width)}
-	for c := range v.Cols {
-		col := make([]int64, len(rows))
-		for r, row := range rows {
-			col[r] = row[c]
-		}
-		v.Cols[c] = col
-	}
-	return v
-}
-
 // AppendRows materializes the live rows onto dst in row-major form — the
-// boundary back to the row world (Resultset.Rows, reference oracles). The
-// rows of one call share one backing array, filled column at a time.
+// boundary back to the row world, which only tests and the benchmark's
+// vec.append_rows_ns_per_row kernel timing still cross. The rows of one call
+// share one backing array, filled column at a time.
 func (v *Vec) AppendRows(dst []storage.Row) []storage.Row {
 	n, w := v.Len(), v.Width()
 	slab := make([]int64, n*w)

@@ -17,15 +17,30 @@ func rows(vals ...[]int64) []storage.Row {
 	return out
 }
 
-func TestFromRowsRoundTrip(t *testing.T) {
-	in := rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	v := FromRows(in)
+// fromRows transposes tuples into a dense batch; no tuples make a
+// zero-width one.
+func fromRows(in []storage.Row) *Vec {
+	if len(in) == 0 {
+		return &Vec{}
+	}
+	v := &Vec{Cols: make([][]int64, len(in[0]))}
+	for c := range v.Cols {
+		v.Cols[c] = make([]int64, len(in))
+		for r, row := range in {
+			v.Cols[c][r] = row[c]
+		}
+	}
+	return v
+}
+
+func TestAppendRows(t *testing.T) {
+	v := &Vec{Cols: [][]int64{{1, 2, 3}, {10, 20, 30}}}
 	if v.Len() != 3 || v.Width() != 2 {
 		t.Fatalf("Len/Width = %d/%d, want 3/2", v.Len(), v.Width())
 	}
-	got := v.AppendRows(nil)
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("round trip = %v, want %v", got, in)
+	want := rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
+	if got := v.AppendRows(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendRows = %v, want %v", got, want)
 	}
 	if v.Bytes() != 3*2*8 {
 		t.Fatalf("Bytes = %d, want 48", v.Bytes())
@@ -33,7 +48,7 @@ func TestFromRowsRoundTrip(t *testing.T) {
 }
 
 func TestEmptyVec(t *testing.T) {
-	v := FromRows(nil)
+	v := &Vec{}
 	if v.Len() != 0 || v.Bytes() != 0 {
 		t.Fatalf("empty vec Len=%d Bytes=%d", v.Len(), v.Bytes())
 	}
@@ -47,7 +62,7 @@ func TestEmptyVec(t *testing.T) {
 }
 
 func TestFilterEqSharesStorage(t *testing.T) {
-	v := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}))
+	v := fromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}))
 	f := v.FilterEq(0, 1)
 	if f.Len() != 2 {
 		t.Fatalf("filtered Len = %d, want 2", f.Len())
@@ -73,7 +88,7 @@ func TestFilterEqSharesStorage(t *testing.T) {
 // TestFilterEqNoMatches: a filter rejecting every row must yield Len() == 0,
 // not a nil selection (which would mean "all rows live").
 func TestFilterEqNoMatches(t *testing.T) {
-	v := FromRows(rows([]int64{1, 10}, []int64{2, 20}))
+	v := fromRows(rows([]int64{1, 10}, []int64{2, 20}))
 	f := v.FilterEq(0, 99)
 	if f.Len() != 0 {
 		t.Fatalf("no-match filter Len = %d, want 0", f.Len())
@@ -129,7 +144,7 @@ func TestFilterEqSizesShardSelection(t *testing.T) {
 }
 
 func TestCompact(t *testing.T) {
-	v := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}))
+	v := fromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}))
 	f := v.FilterEq(0, 1)
 	c := f.Compact()
 	if c.Sel != nil {
@@ -150,7 +165,7 @@ func TestWindowSplit(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		in = append(in, storage.Row{i, i % 3})
 	}
-	dense := FromRows(in)
+	dense := fromRows(in)
 	for name, v := range map[string]*Vec{"dense": dense, "selected": dense.FilterEq(1, 1), "empty": dense.FilterEq(1, 9)} {
 		want := v.AppendRows(nil)
 		var got []storage.Row
@@ -180,7 +195,7 @@ func TestWindowSplit(t *testing.T) {
 // empties the builder without dropping its slab, and the next batch is
 // written over the same storage — the partition-side reuse the wire relies on.
 func TestBuilderViewResetKeepsSlab(t *testing.T) {
-	src := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
+	src := fromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
 	b := NewBuilder(2, 2)
 	b.AppendGather(0, src.Cols, []int32{0, 1})
 	first := b.View()
@@ -206,7 +221,7 @@ func TestBuilderViewResetKeepsSlab(t *testing.T) {
 }
 
 func TestBuilderFlushAndRoom(t *testing.T) {
-	src := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
+	src := fromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
 	sel := src.FilterEq(0, 2)
 	b := NewBuilder(4, 2)
 	if b.Room() != 2 {
@@ -240,9 +255,9 @@ func TestBuilderFlushAndRoom(t *testing.T) {
 // and run out of order (one probe row matching many build rows and vice
 // versa), and the two halves of a row gather from different sources.
 func TestAppendGather(t *testing.T) {
-	left := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
+	left := fromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
 	buf := NewBuffer(2)
-	buf.Append(FromRows(rows([]int64{7, 70}, []int64{8, 80})))
+	buf.Append(fromRows(rows([]int64{7, 70}, []int64{8, 80})))
 
 	b := NewBuilder(4, 8)
 	b.AppendGather(0, left.Cols, []int32{2, 0, 0, 1})
@@ -255,7 +270,7 @@ func TestAppendGather(t *testing.T) {
 
 func TestBufferAppendCompactsSelection(t *testing.T) {
 	buf := NewBuffer(2)
-	v := FromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}))
+	v := fromRows(rows([]int64{1, 10}, []int64{2, 20}, []int64{1, 30}))
 	start := buf.Append(v.FilterEq(0, 1))
 	if start != 0 || buf.Len() != 2 {
 		t.Fatalf("start=%d len=%d", start, buf.Len())
@@ -366,8 +381,8 @@ func TestHashTableGrowAgainstMap(t *testing.T) {
 // most one partial chunk per column.
 func TestBufferGrowth(t *testing.T) {
 	buf := NewBuffer(3)
-	one := FromRows(rows([]int64{1, 2, 3}))
-	batch := FromRows(rowsOf(700))
+	one := fromRows(rows([]int64{1, 2, 3}))
+	batch := fromRows(rowsOf(700))
 	type home struct {
 		row int
 		at  *int64

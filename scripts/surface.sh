@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Surface scoreboard: what a user can run, set, call and scrape, plus how much
 # code carries it and which of the module's packages each served binary links.
-# Prints the ten numbers and one row per linked package, and fails when a
+# Prints the eleven numbers and one row per linked package, and fails when a
 # row differs from scripts/surface.golden or the line count exceeds its
 # ceiling there — so an added binary, flag, service.Config or
-# exchange.ClusterConfig field, route, metric family or dependency edge is a
-# visible diff of the golden, not a side effect. Needs no build (go list only
+# exchange.ClusterConfig field, route, metric family, dependency edge or
+# non-test use of the row type outside storage is a visible diff of the
+# golden, not a side effect. Needs no build (go list only
 # reads the sources) and starts nothing.
 set -euo pipefail
 
@@ -23,6 +24,9 @@ counts=$(
   echo "routes $(grep -c 'mux\.HandleFunc("' internal/service/http.go)"
   echo "metric_families $(grep -c '^# TYPE' internal/service/testdata/metrics.golden)"
   echo "paroptw_metric_families $(grep -c '^# TYPE' cmd/paroptw/testdata/metrics.golden)"
+  # Non-test lines outside storage and the benchmark that name storage.Row:
+  # results and oracles are columnar, so only the row boundary vec keeps.
+  echo "storage_row_refs $(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './internal/storage/*' -not -path './.*' -print0 | xargs -0 cat | grep -c 'storage\.Row\b')"
   for bin in paroptd paroptw; do
     go list -deps "./cmd/$bin" | grep -E '^paropt(/|$)' | grep -v '^paropt/cmd/' | sort | sed "s|^|${bin}_dep |"
   done
