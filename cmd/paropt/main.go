@@ -75,7 +75,6 @@ func main() {
 	alg := flag.String("alg", "podp", repro.AlgorithmFlags())
 	cpus := flag.Int("cpus", 4, "machine CPUs")
 	disks := flag.Int("disks", 4, "machine disks")
-	aggDisks := flag.Bool("aggdisks", false, "model all disks as one RAID resource (§6.3 aggregation)")
 	beam := flag.Int("beam", 0, "cap cover sets at this many plans (0 = exact search)")
 	k := flag.Float64("k", 0, "throughput-degradation factor (0 = unbounded)")
 	cb := flag.Float64("costbenefit", 0, "cost-benefit ratio bound (0 = off)")
@@ -113,7 +112,7 @@ func main() {
 		run.Bound = search.CostBenefit{K: *cb}
 	}
 	opt, err := paropt.NewOptimizer(cat, q, paropt.Config{
-		Machine:  machine.Config{CPUs: *cpus, Disks: *disks, Networks: 1, AggregateDisks: *aggDisks},
+		Machine:  machine.Config{CPUs: *cpus, Disks: *disks, Networks: 1},
 		CoverCap: *beam,
 	})
 	if err != nil {

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	paroptd [-addr :7077] [-schema schema.ddl | -workload portfolio]
-//	        [-cpus 4] [-disks 4] [-aggdisks]
-//	        [-nodes 1] [-networks 1] [-net-latency 0] [-agglinks]
+//	        [-cpus 4] [-disks 4] [-nodes 1]
 //	        [-workers N] [-queue 64] [-cache 512]
 //	        [-timeout 30s] [-beam 0] [-traces 256] [-log text|json|none]
 //	        [-debug-addr localhost:7078]
@@ -100,11 +99,7 @@ func main() {
 	wl := flag.String("workload", "portfolio", "built-in default catalog when -schema is absent (portfolio, tpch or none)")
 	cpus := flag.Int("cpus", 4, "machine CPUs")
 	disks := flag.Int("disks", 4, "machine disks")
-	networks := flag.Int("networks", 1, "machine network links")
 	nodes := flag.Int("nodes", 1, "shared-nothing nodes the machine is spread across (1 = shared-memory)")
-	netLatency := flag.Float64("net-latency", 0, "per-transfer network latency in page-times (multi-node only)")
-	aggDisks := flag.Bool("aggdisks", false, "model all disks as one RAID resource (§6.3 aggregation)")
-	aggLinks := flag.Bool("agglinks", false, "model all network links as one resource (§6.3 aggregation)")
 	workers := flag.Int("workers", 0, "concurrent searches (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "search queue depth before 429s")
 	cacheCap := flag.Int("cache", 512, "plan-cache capacity (entries)")
@@ -150,11 +145,8 @@ func main() {
 	}
 
 	svc, err := service.New(service.Config{
-		Catalog: cat,
-		Machine: machine.Config{
-			CPUs: *cpus, Disks: *disks, Networks: *networks, Nodes: *nodes,
-			NetLatency: *netLatency, AggregateDisks: *aggDisks, AggregateLinks: *aggLinks,
-		},
+		Catalog:        cat,
+		Machine:        machine.Config{CPUs: *cpus, Disks: *disks, Networks: 1, Nodes: *nodes},
 		CoverCap:       *beam,
 		Workers:        *workers,
 		QueueDepth:     *queue,

@@ -60,11 +60,28 @@ func randomBushyPlan(est *plan.Estimator, q *paropt.Query, rng *rand.Rand) (*pla
 	return nodes[0], nil
 }
 
+// setJoinNDV sets the NDV of every generated relation's join columns, id and
+// fk, to ndv. paropt.Generate joins id (NDV = card) to fk around the whole
+// graph, so a cycle's closing predicate leaves one row or none;
+// storage.Generate draws each column uniformly in [0, NDV), so small join
+// NDVs keep the result non-empty.
+func setJoinNDV(cat *paropt.Catalog, ndv int64) {
+	for _, name := range cat.RelationNames() {
+		cols := cat.MustRelation(name).Columns
+		for i := range cols {
+			if cols[i].Name == "id" || cols[i].Name == "fk" {
+				cols[i].NDV = ndv
+			}
+		}
+	}
+}
+
 // TestIntegrationEveryPlanSameResult is the repository's central semantic
 // property: for random workloads and random plans, join-tree execution,
 // operator-tree execution — serial, at the annotated clone degrees under
 // several caps, and over a loopback cluster — and brute-force reference
-// evaluation all agree.
+// evaluation all agree. Every shape's reference result has rows, so a wrong
+// join cannot pass by returning nothing.
 func TestIntegrationEveryPlanSameResult(t *testing.T) {
 	lb, err := exchange.StartLoopback(2, engine.FragmentJoin)
 	if err != nil {
@@ -81,12 +98,18 @@ func TestIntegrationEveryPlanSameResult(t *testing.T) {
 	for _, shape := range []query.Shape{query.Chain, query.Star, query.Cycle} {
 		for n := 3; n <= 4; n++ {
 			cat, q := smallWorkload(shape, n, int64(n)*7+int64(shape))
+			if shape == query.Cycle {
+				setJoinNDV(cat, 20)
+			}
 			db := storage.NewDatabase(cat, 3)
 			est := plan.NewEstimator(cat, q)
 			e := &engine.Executor{DB: db, Q: q, Parallel: 1}
 			ref, err := engine.ReferenceJoin(e)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ref.Len() < 10 {
+				t.Fatalf("%v/n=%d: reference result has %d rows, want at least 10", shape, n, ref.Len())
 			}
 			want := ref.Fingerprint()
 			for trial := 0; trial < 6; trial++ {

@@ -37,9 +37,6 @@ type Operator interface {
 	Close()
 }
 
-// Partition maps a key to a partition in [0, parts) — storage.Partition.
-func Partition(v int64, parts int) int { return storage.Partition(v, parts) }
-
 // ScanFilter is one pushed-down equality selection of a shipped scan: the
 // worker keeps only rows whose column at position Col equals Val.
 type ScanFilter struct {
@@ -481,13 +478,13 @@ func (s *scatter) split(b Batch) ([][]int32, []int32) {
 	clear(counts)
 	if b.Sel == nil {
 		for i, k := range col {
-			part := Partition(k, s.p)
+			part := storage.Partition(k, s.p)
 			parts[i] = int32(part)
 			counts[part]++
 		}
 	} else {
 		for i, r := range b.Sel {
-			part := Partition(col[r], s.p)
+			part := storage.Partition(col[r], s.p)
 			parts[i] = int32(part)
 			counts[part]++
 		}

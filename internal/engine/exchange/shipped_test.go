@@ -28,7 +28,7 @@ func (m *memStore) ScanPartition(spec ScanSpec, part, parts int) (*vec.Vec, erro
 	}
 	var out []storage.Row
 	for _, r := range rows {
-		if Partition(r[spec.HashCol], parts) != part {
+		if storage.Partition(r[spec.HashCol], parts) != part {
 			continue
 		}
 		keep := true

@@ -222,7 +222,7 @@ func TestPartitionMixesAfterHash(t *testing.T) {
 		counts := make([]int, parts)
 		const n = 100_000
 		for v := int64(0); v < n; v++ {
-			p := Partition(v, parts)
+			p := storage.Partition(v, parts)
 			if p < 0 || p >= parts {
 				t.Fatalf("Partition(%d, %d) = %d out of range", v, parts, p)
 			}

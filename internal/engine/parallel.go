@@ -88,7 +88,7 @@ func PartitionImbalance(t *storage.Table, column string, parts int) (float64, er
 	}
 	sizes := make([]int, parts)
 	for _, v := range t.Columns()[pos] {
-		sizes[exchange.Partition(v, parts)]++
+		sizes[storage.Partition(v, parts)]++
 	}
 	max := 0
 	for _, s := range sizes {

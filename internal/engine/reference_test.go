@@ -19,7 +19,12 @@ type referenceCase struct {
 
 // referenceCases are the generated chain, star, cycle and clique queries at
 // n ∈ {3, 4} and seeds 1–3, plus one query each with a selection, a
-// projection, an empty result and a cross product.
+// projection, an empty result and a cross product, then the cycles and
+// cliques again over join columns of NDV 10. query.Generate joins id
+// (NDV = card) to fk around the whole graph, so a cycle's closing predicate
+// and a clique's extra ones leave few or no rows; storage.Generate draws each
+// column uniformly in [0, NDV), so small join NDVs keep those results
+// non-empty.
 func referenceCases() []referenceCase {
 	gen := func(shape query.Shape, n int, seed int64) (*catalog.Catalog, *query.Query) {
 		return query.Generate(query.GenConfig{
@@ -48,7 +53,29 @@ func referenceCases() []referenceCase {
 	cat, q = gen(query.Chain, 2, 1)
 	q.Joins = nil
 	cases = append(cases, referenceCase{"cross", cat, q})
+	for _, shape := range []query.Shape{query.Cycle, query.Clique} {
+		for n := 3; n <= 4; n++ {
+			for seed := int64(1); seed <= 3; seed++ {
+				cat, q := gen(shape, n, seed)
+				setJoinNDV(cat, 10)
+				cases = append(cases, referenceCase{fmt.Sprintf("%v/n=%d/seed=%d/ndv=10", shape, n, seed), cat, q})
+			}
+		}
+	}
 	return cases
+}
+
+// setJoinNDV sets the NDV of every generated relation's join columns, id and
+// fk, to ndv.
+func setJoinNDV(cat *catalog.Catalog, ndv int64) {
+	for _, name := range cat.RelationNames() {
+		cols := cat.MustRelation(name).Columns
+		for i := range cols {
+			if cols[i].Name == "id" || cols[i].Name == "fk" {
+				cols[i].NDV = ndv
+			}
+		}
+	}
 }
 
 // TestReferenceJoinGolden pins the oracle's answer — row count, fingerprint
@@ -89,6 +116,18 @@ func TestReferenceJoinGolden(t *testing.T) {
 		{"projection", 1773, 0xc63ab41d7e6a613c, "R2.payload,R0.id"},
 		{"empty", 0, 0x0, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload"},
 		{"cross", 13818, 0xd5629f8b9cc9ecca, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload"},
+		{"cycle/n=3/seed=1/ndv=10", 1376, 0x361b3fd3d1433674, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload"},
+		{"cycle/n=3/seed=2/ndv=10", 5113, 0x9279b88fa05ae19c, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload"},
+		{"cycle/n=3/seed=3/ndv=10", 197, 0xde6f624648579564, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload"},
+		{"cycle/n=4/seed=1/ndv=10", 26458, 0x1926d16b6bfa962e, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload,R3.id,R3.fk,R3.payload"},
+		{"cycle/n=4/seed=2/ndv=10", 57959, 0x338fce07360d0ea6, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload,R3.id,R3.fk,R3.payload"},
+		{"cycle/n=4/seed=3/ndv=10", 2410, 0x612bf346909f576e, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload,R3.id,R3.fk,R3.payload"},
+		{"clique/n=3/seed=1/ndv=10", 1428, 0x6521c84495686ac, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload"},
+		{"clique/n=3/seed=2/ndv=10", 5542, 0x2d9496105506f876, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload"},
+		{"clique/n=3/seed=3/ndv=10", 426, 0xec3ec79ca555ca0, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload"},
+		{"clique/n=4/seed=1/ndv=10", 3558, 0x475d7cba9533d0a, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload,R3.id,R3.fk,R3.payload"},
+		{"clique/n=4/seed=2/ndv=10", 5320, 0xabd37b1b3995921c, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload,R3.id,R3.fk,R3.payload"},
+		{"clique/n=4/seed=3/ndv=10", 512, 0xb6a2d5f2f7f5586c, "R0.id,R0.fk,R0.payload,R1.id,R1.fk,R1.payload,R2.id,R2.fk,R2.payload,R3.id,R3.fk,R3.payload"},
 	}
 	cases := referenceCases()
 	if len(cases) != len(golden) {

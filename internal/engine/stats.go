@@ -64,9 +64,6 @@ func (st *NodeStat) LiveBytes() int64 { return st.liveBytes.Load() }
 // stream has produced nothing yet.
 func (st *NodeStat) LiveFirst() time.Duration { return time.Duration(st.liveFirst.Load()) }
 
-// LiveDone reports whether the node's stream has closed.
-func (st *NodeStat) LiveDone() bool { return st.liveLast.Load() != 0 }
-
 // LiveLast returns the stream-close offset; zero while still running.
 func (st *NodeStat) LiveLast() time.Duration { return time.Duration(st.liveLast.Load()) }
 

@@ -6,7 +6,7 @@
 //
 // Three pieces compose:
 //
-//   - Profiler: a lock-sharded map from query fingerprint to Profile —
+//   - Profiler: a locked map from query fingerprint to Profile —
 //     request/hit/miss/dedup/error counts, streaming latency quantiles (P²
 //     sketches, constant space), the last selected plan signature, the
 //     plan the template's last search chose (the "before" side of its next
@@ -28,7 +28,6 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -49,12 +48,9 @@ const (
 	DriftMinSamples = 2
 )
 
-// profilerShards and profilerCapacity size the live profiler: new
-// fingerprints beyond the capacity are counted as overflow and dropped.
-const (
-	profilerShards   = 8
-	profilerCapacity = 4096
-)
+// profilerCapacity sizes the live profiler: new fingerprints beyond it are
+// counted as overflow and dropped.
+const profilerCapacity = 4096
 
 // Profile aggregates one fingerprint's traffic.
 type Profile struct {
@@ -118,54 +114,36 @@ type ProfileSnapshot struct {
 	LastSeen    int64   `json:"lastSeenUnixMicros"`
 }
 
-// Profiler is the lock-sharded per-fingerprint store. Safe for concurrent
-// use: the serving path touches one shard lock plus one profile lock per
-// request, so distinct templates never contend.
+// Profiler is the per-fingerprint store. Safe for concurrent use: the
+// serving path takes the map lock to find a profile and that profile's own
+// lock to update it.
 type Profiler struct {
-	shards   []profShard
+	mu       sync.Mutex
+	m        map[string]*Profile
 	capacity int
-	size     atomic.Int64
 	overflow atomic.Int64
 }
 
-type profShard struct {
-	mu sync.Mutex
-	m  map[string]*Profile
-}
-
-// NewProfiler builds the live profiler: 8 shards, 4096 profiles.
+// NewProfiler builds the live profiler: 4096 profiles.
 func NewProfiler() *Profiler { return newProfiler(profilerCapacity) }
 
 func newProfiler(capacity int) *Profiler {
-	p := &Profiler{shards: make([]profShard, profilerShards), capacity: capacity}
-	for i := range p.shards {
-		p.shards[i].m = make(map[string]*Profile)
-	}
-	return p
-}
-
-func (p *Profiler) shard(fp string) *profShard {
-	h := fnv.New32a()
-	h.Write([]byte(fp))
-	return &p.shards[h.Sum32()%uint32(len(p.shards))]
+	return &Profiler{m: make(map[string]*Profile), capacity: capacity}
 }
 
 // profile returns (creating if capacity allows) the profile for fp; nil
 // when the profiler is full.
 func (p *Profiler) profile(fp string) *Profile {
-	sh := p.shard(fp)
-	sh.mu.Lock()
-	pr, ok := sh.m[fp]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pr, ok := p.m[fp]
 	if !ok {
-		if p.size.Load() >= int64(p.capacity) {
-			sh.mu.Unlock()
+		if len(p.m) >= p.capacity {
 			return nil
 		}
 		pr = &Profile{fingerprint: fp, lat: NewLatencySketch(), firstSeen: time.Now()}
-		sh.m[fp] = pr
-		p.size.Add(1)
+		p.m[fp] = pr
 	}
-	sh.mu.Unlock()
 	return pr
 }
 
@@ -243,10 +221,9 @@ func (p *Profiler) SwapPlan(fp string, next SearchedPlan) (prev SearchedPlan, se
 // EWMAs — the old samples measured a plan that no longer serves, so the drift
 // mark must be re-earned against the new one.
 func (p *Profiler) MarkSwept(fp string) {
-	sh := p.shard(fp)
-	sh.mu.Lock()
-	pr := sh.m[fp]
-	sh.mu.Unlock()
+	p.mu.Lock()
+	pr := p.m[fp]
+	p.mu.Unlock()
 	if pr == nil {
 		return
 	}
@@ -287,20 +264,18 @@ func (pr *Profile) snapshot() ProfileSnapshot {
 	return s
 }
 
-// Snapshot copies every profile.
+// Snapshot copies every profile. The profiles are copied outside the map
+// lock, so a snapshot never holds up the serving path's lookups.
 func (p *Profiler) Snapshot() []ProfileSnapshot {
+	p.mu.Lock()
+	profiles := make([]*Profile, 0, len(p.m))
+	for _, pr := range p.m {
+		profiles = append(profiles, pr)
+	}
+	p.mu.Unlock()
 	var out []ProfileSnapshot
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		profiles := make([]*Profile, 0, len(sh.m))
-		for _, pr := range sh.m {
-			profiles = append(profiles, pr)
-		}
-		sh.mu.Unlock()
-		for _, pr := range profiles {
-			out = append(out, pr.snapshot())
-		}
+	for _, pr := range profiles {
+		out = append(out, pr.snapshot())
 	}
 	return out
 }
@@ -320,7 +295,9 @@ func (p *Profiler) Drifted() []ProfileSnapshot {
 
 // Len is the number of profiles tracked.
 func (p *Profiler) Len() int {
-	return int(p.size.Load())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.m)
 }
 
 // Overflow counts new fingerprints dropped because the profiler was full.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
-	"hash/fnv"
 	"sync"
 
 	"paropt/internal/core"
@@ -112,7 +111,7 @@ func (e *cacheEntry) rendered(c *search.Candidate) (*renderedPlan, error) {
 }
 
 // lru is a mutex-guarded, size-bounded LRU map from string keys — the one
-// implementation under both the plan cache's shards and the text cache.
+// implementation under the plan cache, the text cache and the analyze data.
 // Get and getBytes on a hit allocate nothing.
 type lru[V any] struct {
 	mu      sync.Mutex
@@ -202,60 +201,6 @@ func (c *lru[V]) PurgeWhere(pred func(key string) bool) int {
 			n++
 		}
 		el = next
-	}
-	return n
-}
-
-// cacheShards is the plan cache's shard count.
-const cacheShards = 8
-
-// planCache is a sharded, size-bounded LRU over cache entries. Sharding
-// keeps lock contention off the serving hot path: each key hashes to one
-// shard, and shards evict independently so a burst of distinct queries
-// cannot serialize the whole cache behind one mutex.
-type planCache struct {
-	shards [cacheShards]lru[*cacheEntry]
-}
-
-// newPlanCache builds a cache with the given *total* capacity, split evenly
-// across shards (each shard holds at least one entry).
-func newPlanCache(capacity int, onEvict func()) *planCache {
-	c := &planCache{}
-	for i := range c.shards {
-		c.shards[i].init(max(capacity/cacheShards, 1), onEvict)
-	}
-	return c
-}
-
-func (c *planCache) shard(key string) *lru[*cacheEntry] {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShards]
-}
-
-// Get returns the entry and refreshes its recency.
-func (c *planCache) Get(key string) (*cacheEntry, bool) { return c.shard(key).Get(key) }
-
-// Put inserts or refreshes an entry, evicting the shard's least-recently-used
-// one when it overflows.
-func (c *planCache) Put(key string, val *cacheEntry) { c.shard(key).Put(key, val) }
-
-// Len is the resident entry count across shards.
-func (c *planCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		n += c.shards[i].Len()
-	}
-	return n
-}
-
-// PurgeWhere drops every entry whose key satisfies pred and returns how many
-// were dropped — the catalog-version GC path: retiring a version sweeps its
-// keys out instead of waiting for LRU pressure to age them.
-func (c *planCache) PurgeWhere(pred func(key string) bool) int {
-	n := 0
-	for i := range c.shards {
-		n += c.shards[i].PurgeWhere(pred)
 	}
 	return n
 }

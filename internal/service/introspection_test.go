@@ -515,7 +515,7 @@ func TestPlacementSwapIsLabelledPlacement(t *testing.T) {
 // traffic, evicted templates are searched again under unchanged inputs, and
 // every such search answers as the last one did, so no swap is recorded.
 func TestEvictedTemplatesResearchWithoutSwaps(t *testing.T) {
-	s, srv := newTestServer(t, func(c *Config) { c.CacheCapacity = 8 })
+	s, srv := newTestServer(t, func(c *Config) { c.CacheCapacity = 3 })
 	ctx := context.Background()
 	ks := []float64{0, 1, 1.5, 2.5}
 	const templates = 5 // chains of 2 to 6 relations

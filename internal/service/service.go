@@ -7,7 +7,7 @@
 //     parameter-varying instances of one template share a plan;
 //   - caches the *cover set* — what any bound can reach of the root Pareto
 //     frontier (core.CoverSet) plus the §2 work-optimal baseline — in a
-//     sharded LRU keyed by (fingerprint, catalog version, placement) — the
+//     LRU keyed by (fingerprint, catalog version, placement) — the
 //     machine and optimizer options are the Service's own — so a later
 //     request with a different work bound (throughput-degradation k,
 //     cost–benefit k) is answered by re-filtering the cached frontier
@@ -83,7 +83,7 @@ type Config struct {
 	// QueueDepth bounds searches waiting for a worker; beyond it requests
 	// are rejected with ErrOverloaded. Default 64.
 	QueueDepth int
-	// CacheCapacity sizes the plan cache; default 512 entries in total.
+	// CacheCapacity sizes the plan cache; default 512 entries.
 	CacheCapacity int
 	// RequestTimeout bounds each request end to end (queue wait + search +
 	// analyze execution); default 30s. The deadline rides the request
@@ -123,7 +123,7 @@ type Service struct {
 	catalogs       map[string]*catalog.Catalog // keyed by version fingerprint
 	defaultVersion string
 
-	cache   *planCache
+	cache   lru[*cacheEntry]
 	flights flightGroup
 	pool    *workerPool
 	met     Metrics
@@ -221,7 +221,7 @@ func New(cfg Config) (*Service, error) {
 		s.tracer = obs.NewTracer(cfg.TraceCapacity)
 	}
 	s.met.init()
-	s.cache = newPlanCache(cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
+	s.cache.init(cfg.CacheCapacity, func() { s.met.Evictions.Add(1) })
 	s.dbs.init(analyzeVersions, nil)
 	if cfg.Catalog != nil {
 		s.defaultVersion = s.RegisterCatalog(cfg.Catalog)

@@ -48,7 +48,7 @@ func chainSQL(n int, literal int) string {
 	return "SELECT * FROM " + strings.Join(rels, ", ") + " WHERE " + strings.Join(preds, " AND ")
 }
 
-func newTestService(t *testing.T, mutate func(*Config)) *Service {
+func newTestService(t testing.TB, mutate func(*Config)) *Service {
 	t.Helper()
 	cat, err := parser.ParseSchema(testDDL)
 	if err != nil {
