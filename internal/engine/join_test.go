@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -173,22 +174,64 @@ func heapNow() uint64 {
 }
 
 // TestJoinHeapBound pins what the hash join keeps per build row, as an
-// absolute number: it copies its build side once into buffer chunks (8 B per
-// value, one partial chunk per column) and indexes it with a table built
-// once (an 8 B hash-and-row entry plus at most 4 B of offsets per row). The
-// peak is sampled mid-run (post-GC live heap while the operator's structures
-// are reachable); output batches are discarded so only the join state
-// counts. The base is taken with the chunk pools empty — sync.Pool keeps a
-// victim generation, so that is two collections — so the chunks the join
-// takes are allocated, and measured, on every run; and the tables the scans
-// read stay reachable to the end, or their collection mid-run would hide
-// the join's bytes.
+// absolute number stated before measuring, for each layout of its table. It
+// copies its build side once into buffer chunks (8 B per value, one partial
+// chunk per column) and indexes it with a table built once: by value when
+// the build keys span fewer than 4× as many values as rows (an 8 B entry per
+// row plus 4·(span+1)/n B of offsets), else hashed (an 8 B hash-and-row entry
+// plus at most 4 B of offsets per row). The build is R2.fk: its card/4
+// values index by value, and the same scaled by 32, spanning 8n, hash. The peak is sampled mid-run
+// (post-GC live heap while the operator's structures are reachable); output
+// batches are discarded so only the join state counts. The base is taken
+// with the chunk pools empty — sync.Pool keeps a victim generation, so that
+// is two collections — so the chunks the join takes are allocated, and
+// measured, on every run; and the tables the scans read stay reachable to
+// the end, or their collection mid-run would hide the join's bytes.
 func TestJoinHeapBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement on 2×100k rows")
 	}
 	const n, width = 100_000, 2
-	e, _ := rig(t, n, n)
+	for _, c := range []struct {
+		name    string
+		scale   int64 // of R2.fk
+		byValue bool
+	}{{"by-value", 1, true}, {"hashed", 32, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			e, _ := rig(t, n, n)
+			r2, _ := e.DB.Relation("R2")
+			fk := r2.Columns()[1]
+			for i := range fk {
+				fk[i] *= c.scale
+			}
+			span := slices.Max(fk) - slices.Min(fk) + 1
+			if byValue := span < 4*n; byValue != c.byValue {
+				t.Fatalf("R2.fk spans %d values over %d rows: by value = %v", span, n, byValue)
+			}
+			perRow := float64(8*width + 12)
+			if c.byValue {
+				perRow = float64(8*width+8) + 4*float64(span+1)/n
+			}
+			peak := joinHeapPeak(t, e)
+			// Slack for what is live besides the join state: the in-flight
+			// output batch, selection scratch, the offsets' last chunk,
+			// runtime bookkeeping.
+			const slack = 256 << 10
+			t.Logf("span %d: peak heap over base: %d B (%.1f B/build row, bound %.1f)", span, peak, float64(peak)/n, perRow)
+			if peak == 0 {
+				t.Error("no heap over base measured: the join state went uncounted")
+			}
+			if limit := uint64(perRow*n + slack); peak > limit {
+				t.Errorf("hash join peak heap %d B exceeds %.1f B/build row (%d B)", peak, perRow, limit)
+			}
+		})
+	}
+}
+
+// joinHeapPeak runs R1.id = R2.fk as a hash join over e's data and returns
+// its peak live heap over the base.
+func joinHeapPeak(t *testing.T, e *Executor) uint64 {
+	t.Helper()
 	lop, _, err := e.scan("R1", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -222,18 +265,7 @@ func TestJoinHeapBound(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(e)
-
-	const perRow = 8*width + 12
-	// Slack for what is live besides the join state: the in-flight output
-	// batch, selection scratch, runtime bookkeeping.
-	const slack = 256 << 10
-	t.Logf("peak heap over base: %d B (%.1f B/build row)", peak, float64(peak)/n)
-	if peak == 0 {
-		t.Error("no heap over base measured: the join state went uncounted")
-	}
-	if limit := uint64(perRow*n + slack); peak > limit {
-		t.Errorf("hash join peak heap %d B exceeds %d B/build row (%d B)", peak, perRow, limit)
-	}
+	return peak
 }
 
 // TestParallelJoinAllocationPin: a cloned hash join copies a row once per

@@ -77,11 +77,11 @@ func randomJoinTree(t testing.TB, est *plan.Estimator, rng *rand.Rand) *plan.Nod
 // poisonPools dirties every pool a run takes from, the way FuzzDecodeBatch
 // dirties the chunk pool: column chunks full of poison values, selection
 // slabs full of out-of-range rows, and — through tables built and released,
-// and through sorts — entry chunks and offset arrays of every length up to
-// 2^16 holding another table's buckets, and sort orders, keys and digit
-// counts of other sorts. A value a taker reads before writing it shows as
-// wrong rows, a stale row index as a panic, a stale bucket as matches from
-// another join.
+// and through sorts — entry chunks, hashed offset arrays of every length up
+// to 2^16 and by-value offset chunks holding another table's buckets, and
+// sort orders, keys and digit counts of other sorts. A value a taker reads
+// before writing it shows as wrong rows, a stale row index as a panic, a
+// stale bucket as matches from another join.
 func poisonPools() {
 	const poison = -0x5eed
 	for i := 0; i < 8; i++ {
@@ -102,12 +102,21 @@ func poisonPools() {
 	for i := range keys {
 		keys[i] = int64(i%97)<<33 | int64(i%3)<<15 | int64(i%5) // three radix passes
 	}
+	dense := make([]int64, 1<<12)
+	for i := range dense {
+		dense[i] = int64(i * 3 % len(dense))
+	}
 	for n := 16; n <= len(keys); n *= 2 {
 		buf := vec.NewBuffer(1)
 		buf.Append(&vec.Vec{Cols: [][]int64{keys[:n]}})
 		buf.Index(0).Release()
 		buf.Col(0).SortOrder(n).Release()
 		buf.Release()
+		if n <= len(dense) {
+			buf.Append(&vec.Vec{Cols: [][]int64{dense[:n]}}) // spans under 4n: by value
+			buf.Index(0).Release()
+			buf.Release()
+		}
 	}
 }
 
@@ -119,7 +128,10 @@ func poisonPools() {
 // merge, nested loops and cross products — over fan-out, skewed, filtered
 // and empty inputs through ExecuteOp and Run at once, locally at caps
 // 1–3 and over a loopback cluster, each run after poisoning the pools, while
-// other runs are cancelled mid-flight. A chunk released while something
+// other runs are cancelled mid-flight. The sparse world's keys span over 4×
+// its base relations' rows, so builds over them hash where the other
+// worlds' index by value. A chunk
+// released while something
 // still read it, reused under a result or read before it was written changes
 // rows: every ExecuteOp fingerprint must equal ReferenceJoin, every Run must
 // count its rows, and a cancelled run returns its cause or the right rows.
@@ -135,6 +147,20 @@ func TestRecycledBatchesKeepResults(t *testing.T) {
 	}{
 		{"fanout", func(t *testing.T) (*Executor, *plan.Estimator) { return fanoutRig(t, 12, 140, 120, 100) }},
 		{"skewed", func(t *testing.T) (*Executor, *plan.Estimator) { return fanoutRig(t, 2, 90, 60, 40) }},
+		{"sparse", func(t *testing.T) (*Executor, *plan.Estimator) {
+			// Keys scaled by 64 span 705 values: base builds of 100–140
+			// rows hash, builds over joined rows still index by value.
+			e, est := fanoutRig(t, 12, 140, 120, 100)
+			for _, rel := range e.Q.Relations {
+				r, _ := e.DB.Relation(rel)
+				for _, col := range r.Columns() {
+					for i := range col {
+						col[i] *= 64
+					}
+				}
+			}
+			return e, est
+		}},
 		{"filtered", func(t *testing.T) (*Executor, *plan.Estimator) {
 			e, est := fanoutRig(t, 12, 140, 120, 100)
 			e.Q.Selections = []query.Selection{{Column: query.ColumnRef{Relation: "F2", Column: "fk"}, Value: 3}}
