@@ -94,7 +94,7 @@ func benchServiceCacheHit(b *testing.B, mutate func(*paropt.ServiceConfig)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !resp.CoverSetReused {
+		if resp.Cache != "hit" {
 			b.Fatalf("iteration %d missed the cache", i)
 		}
 	}

@@ -29,7 +29,9 @@
 // workload (see internal/parser for the grammar). -analyze executes the
 // chosen plan on synthetic data (seeded by -seed) and prints an EXPLAIN
 // ANALYZE style table joining the cost model's predicted (tf, tl)
-// descriptors against the measured ones (text mode only).
+// descriptors against the measured ones (text mode only). -profile prints
+// the search's record as its one table: a row per DP layer, then the chosen
+// plan and the totals (the text /explain?trace=1 returns as searchTrace).
 package main
 
 import (
@@ -81,9 +83,8 @@ func main() {
 	simulate := flag.Bool("simulate", false, "also run the plan on the machine simulator")
 	timeline := flag.Bool("timeline", false, "with -simulate, print a Gantt timeline of the execution")
 	dot := flag.Bool("dot", false, "print the operator tree as Graphviz DOT")
-	trace := flag.Bool("trace", false, "print the search trace (one line per DP layer, then the chosen plan and the totals) to stderr")
 	why := flag.Bool("why", false, "print plan provenance: the chosen plan's cost breakdown plus rejected frontier alternatives with loss reasons")
-	profile := flag.Bool("profile", false, "print the per-layer search profile (time, candidates kept, prunes by reason)")
+	profile := flag.Bool("profile", false, "print the search profile: one row per DP layer (time, candidates kept, prunes by reason), then the chosen plan and the totals")
 	jsonOut := flag.Bool("json", false, "print the plan as JSON instead of text")
 	analyze := flag.Bool("analyze", false, "execute the plan on deterministic synthetic data and print per-operator predicted-vs-actual (tf, tl) descriptors")
 	analyzePar := flag.Int("analyze-parallel", 0, "cap on each join's annotated clone degree for -analyze (0 = machine CPUs)")
@@ -122,9 +123,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *trace {
-		fmt.Fprint(os.Stderr, p.Stats.TraceText(&search.Candidate{Node: p.Tree, Desc: p.Desc}))
-	}
 	if *jsonOut {
 		raw, err := opt.ExplainJSON(p)
 		if err != nil {
@@ -140,7 +138,7 @@ func main() {
 	}
 	if *profile {
 		fmt.Println()
-		fmt.Print(p.Stats.Profile().Table())
+		fmt.Print(p.Stats.Table(&search.Candidate{Node: p.Tree, Desc: p.Desc}))
 	}
 	if *dot {
 		fmt.Println()

@@ -39,8 +39,9 @@
 //	                        (what paroptw bootstraps its shard store from)
 //	GET  /healthz                                              → liveness
 //	GET  /metrics                                              → Prometheus text
-//	GET  /debug/traces                                         → trace IDs
-//	                        (?kind=search or ?kind=plan-change lists the
+//	GET  /debug/traces                                         → trace entries
+//	                        (each trace's ID, fragment spans and workers;
+//	                         ?kind=search or ?kind=plan-change lists the
 //	                         traces holding a DP search or a plan swap)
 //	GET  /debug/trace/{id}                                     → one span tree: phases,
 //	                                                             search with per-layer

@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.Stats.TraceText(res.Best))
+	fmt.Print(res.Stats.Table(res.Best))
 
 	// 2. Per-operator cost breakdown of the winner.
 	fmt.Println("\n=== cost breakdown ===")

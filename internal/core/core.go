@@ -33,9 +33,6 @@ type Config struct {
 	Machine machine.Config
 	// Params is the work model; zero value means cost.DefaultParams().
 	Params *cost.Params
-	// AvoidCrossProducts enables the System R heuristic (default on via
-	// NewOptimizer).
-	AvoidCrossProducts *bool
 	// MemoryPages, when positive, constrains plans to a peak memory demand
 	// of at most this many pages (§7's non-preemptable resource, modeled as
 	// a hard constraint).
@@ -45,9 +42,6 @@ type Config struct {
 	// CoverCap bounds cover sets to this many plans (beam search) when
 	// > 0, trading exactness for bounded search cost at large n.
 	CoverCap int
-	// Expand and Annotate tune operator-tree generation.
-	Expand   *optree.ExpandOptions
-	Annotate *optree.AnnotateOptions
 	// Placed maps relation name → data placement (partitioning column and
 	// owning nodes). Co-located joins of placed relations then pay no
 	// interconnect while misplaced ones are charged from the real nodes —
@@ -114,27 +108,15 @@ func NewOptimizer(cat *catalog.Catalog, q *query.Query, cfg Config) (*Optimizer,
 	mod := cost.NewModel(cat, m, est, params)
 	mod.Placed = cfg.Placed
 
-	expand := optree.DefaultExpandOptions()
-	if cfg.Expand != nil {
-		expand = *cfg.Expand
-	}
-	annotate := optree.DefaultAnnotateOptions()
-	if cfg.Annotate != nil {
-		annotate = *cfg.Annotate
-	}
-	avoid := true
-	if cfg.AvoidCrossProducts != nil {
-		avoid = *cfg.AvoidCrossProducts
-	}
 	return &Optimizer{
 		Cat: cat, Q: q, M: m, Est: est, Mod: mod,
 		opts: search.Options{
 			Model:              mod,
-			Expand:             expand,
-			Annotate:           annotate,
+			Expand:             optree.DefaultExpandOptions(),
+			Annotate:           optree.DefaultAnnotateOptions(),
 			Metric:             search.OrderedMetric{Base: search.ResourceVectorMetric{L: m.NumResources()}},
 			Final:              search.ByRT,
-			AvoidCrossProducts: avoid,
+			AvoidCrossProducts: true,
 			MemoryLimit:        cfg.MemoryPages,
 			Methods:            cfg.Methods,
 			CoverCap:           cfg.CoverCap,

@@ -195,11 +195,9 @@ func TestConfigOverrides(t *testing.T) {
 	cat, q := workload.Portfolio(2)
 	params := cost.DefaultParams()
 	params.PipelineK = 0
-	avoid := false
 	o, err := core.NewOptimizer(cat, q, core.Config{
-		Machine:            machine.Config{CPUs: 2, Disks: 2},
-		Params:             &params,
-		AvoidCrossProducts: &avoid,
+		Machine: machine.Config{CPUs: 2, Disks: 2},
+		Params:  &params,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,6 @@ type NodeStat struct {
 	// are nanosecond offsets from ExecStats.T0; liveLast non-zero means the
 	// stream has closed and Rows/First/Last above are final.
 	liveRows  atomic.Int64
-	liveBytes atomic.Int64
 	liveFirst atomic.Int64
 	liveLast  atomic.Int64
 }
@@ -56,29 +55,12 @@ type NodeStat struct {
 // LiveRows returns the rows produced so far, readable mid-execution.
 func (st *NodeStat) LiveRows() int64 { return st.liveRows.Load() }
 
-// LiveBytes returns the approximate bytes produced so far (8 bytes per
-// column value), readable mid-execution.
-func (st *NodeStat) LiveBytes() int64 { return st.liveBytes.Load() }
-
 // LiveFirst returns the first-output offset observed so far; zero when the
 // stream has produced nothing yet.
 func (st *NodeStat) LiveFirst() time.Duration { return time.Duration(st.liveFirst.Load()) }
 
 // LiveLast returns the stream-close offset; zero while still running.
 func (st *NodeStat) LiveLast() time.Duration { return time.Duration(st.liveLast.Load()) }
-
-// NodeProgress is a point-in-time sample of one node's live counters, safe
-// to take while the plan is executing.
-type NodeProgress struct {
-	Node  *plan.Node
-	Label string
-	Rows  int64
-	Bytes int64
-	// First and Last are offsets from the execution start; zero means "not
-	// yet". Last non-zero marks the stream closed.
-	First time.Duration
-	Last  time.Duration
-}
 
 // RemoteFragment groups the worker-side measurements of one distributed
 // join node: the FragmentStats every committed dispatch attempt shipped
@@ -134,28 +116,6 @@ func (s *ExecStats) Started() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.T0
-}
-
-// Progress samples every node's live counters. The mutex only guards the
-// node slice (appended to at stream-open); the counters themselves are
-// atomics the execution path updates lock-free, so sampling never stalls a
-// running operator.
-func (s *ExecStats) Progress() []NodeProgress {
-	s.mu.Lock()
-	nodes := append([]*NodeStat(nil), s.nodes...)
-	s.mu.Unlock()
-	out := make([]NodeProgress, 0, len(nodes))
-	for _, st := range nodes {
-		out = append(out, NodeProgress{
-			Node:  st.Node,
-			Label: st.Label,
-			Rows:  st.LiveRows(),
-			Bytes: st.LiveBytes(),
-			First: st.LiveFirst(),
-			Last:  st.LiveLast(),
-		})
-	}
-	return out
 }
 
 // Wall is the total measured execution time: the latest node Last.
@@ -265,7 +225,6 @@ func (s *statsOp) Next(ctx context.Context) (Batch, error) {
 	s.rows += n
 	s.batches++
 	s.st.liveRows.Store(s.rows)
-	s.st.liveBytes.Add(b.Bytes())
 	return b, nil
 }
 

@@ -125,15 +125,15 @@ func (e *p2) value() float64 {
 }
 
 // LatencySketch tracks the streaming quantiles a profile exports (p50, p90,
-// p99) plus count/sum/min/max, in constant space. Not safe for concurrent
+// p99) plus count/sum/max, in constant space. Not safe for concurrent
 // use — the owning Profile serializes access.
 type LatencySketch struct {
-	count    int64
-	sum      float64
-	min, max float64
-	q50      *p2
-	q90      *p2
-	q99      *p2
+	count int64
+	sum   float64
+	max   float64
+	q50   *p2
+	q90   *p2
+	q99   *p2
 }
 
 // NewLatencySketch builds an empty sketch.
@@ -143,9 +143,6 @@ func NewLatencySketch() *LatencySketch {
 
 // Observe feeds one latency sample (seconds).
 func (s *LatencySketch) Observe(v float64) {
-	if s.count == 0 || v < s.min {
-		s.min = v
-	}
 	if v > s.max {
 		s.max = v
 	}
@@ -180,8 +177,5 @@ func (s *LatencySketch) Quantile(p float64) float64 {
 	}
 }
 
-// Min and Max are the observed extremes (0 when empty).
-func (s *LatencySketch) Min() float64 { return s.min }
-
-// Max is the largest observed value.
+// Max is the largest observed value (0 when empty).
 func (s *LatencySketch) Max() float64 { return s.max }

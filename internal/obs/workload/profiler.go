@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // ewmaAlpha weights the newest accuracy sample; 0.3 makes the EWMA cross a
@@ -345,13 +346,19 @@ func FormatTable(snaps []ProfileSnapshot) string {
 		if s.Drifted {
 			drift = "DRIFT"
 		}
-		plan := s.PlanSig
-		if len(plan) > 60 {
-			plan = plan[:57] + "..."
-		}
 		fmt.Fprintf(&b, "%-12s %8d %6d %6d %6d %10.0f %10.0f %10.0f %8.2f %8.2f %5s  %s\n",
 			fp, s.Count, s.Hits, s.Misses, s.Errors,
-			s.P50Micros, s.P90Micros, s.P99Micros, s.EWMAQErr, s.EWMARelErr, drift, plan)
+			s.P50Micros, s.P90Micros, s.P99Micros, s.EWMAQErr, s.EWMARelErr, drift, Elide(s.PlanSig, 60))
 	}
 	return b.String()
+}
+
+// Elide shortens s to at most n runes (n > 3) for a text table's last
+// column, ending it in "..." when it cuts. It cuts between runes, so the
+// result stays valid UTF-8: identifiers may be any Unicode letter.
+func Elide(s string, n int) string {
+	if utf8.RuneCountInString(s) <= n {
+		return s
+	}
+	return string([]rune(s)[:n-3]) + "..."
 }

@@ -98,7 +98,8 @@ type Result struct {
 
 // Stats is the one record a search leaves: the quantities Table 1 compares
 // across algorithms plus one LayerRecord per DP layer. Every view of a search
-// — trace text, profile table, request-trace spans — is a function of it. The four DP algorithms are one driver, so they fill every
+// — its one text form (Table), the profile, request-trace spans — is a
+// function of it. The four DP algorithms are one driver, so they fill every
 // field the same way: a total-order (Figure 1) search is a partial-order
 // search whose covers hold one plan.
 type Stats struct {

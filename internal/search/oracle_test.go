@@ -437,7 +437,7 @@ func TestLayerRecordsAggregateToStats(t *testing.T) {
 			if len(p.Layers) != tc.wantLayers {
 				t.Errorf("profile layers = %d, want %d", len(p.Layers), tc.wantLayers)
 			}
-			table := p.Table()
+			table := st.Table(res.Best)
 			if !strings.Contains(table, "layer") || !strings.Contains(table, "total") {
 				t.Errorf("profile table incomplete:\n%s", table)
 			}

@@ -101,39 +101,28 @@ func (st Stats) Profile() SearchProfile {
 	return p
 }
 
-// Table renders the profile as a fixed-width text table (one row per layer).
-func (p SearchProfile) Table() string {
+// Table renders the record as the search's one text form: a fixed-width
+// table with one row per layer, then the winning plan (or the no-plan marker
+// when best is nil) and the totals.
+func (st Stats) Table(best *Candidate) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%5s %8s %11s %9s %7s %8s %7s %7s %7s %9s %7s %10s\n",
 		"layer", "subsets", "considered", "physical", "kept",
 		"prDom", "prWork", "prMem", "prBeam", "maxCover", "workers", "wall")
-	for _, l := range p.Layers {
+	for _, l := range st.Layers {
 		fmt.Fprintf(&b, "%5d %8d %11d %9d %7d %8d %7d %7d %7d %9d %7d %10s\n",
 			l.Card, l.Subsets, l.Considered, l.Physical, l.Kept,
 			l.PrunedDominance, l.PrunedWork, l.PrunedMemory, l.PrunedBeam,
 			l.MaxCover, l.Workers, time.Duration(l.WallNanos).Round(time.Microsecond))
 	}
-	fmt.Fprintf(&b, "total: %d relations, wall %s, peak retained ≈ %d bytes\n",
-		p.Relations, time.Duration(p.WallNanos).Round(time.Microsecond), p.PeakBytesRetained)
-	return b.String()
-}
-
-// TraceText renders the record as the search trace: one line per layer, then
-// the winning plan (or the no-plan marker when best is nil) and the totals.
-func (st Stats) TraceText(best *Candidate) string {
-	var b strings.Builder
-	for _, l := range st.Layers {
-		fmt.Fprintf(&b, "layer %d: %d subsets, %d plans stored, pruned %d (dom %d, work %d, mem %d, beam %d), %.3fms\n",
-			l.Card, l.Subsets, l.Kept, l.Pruned(),
-			l.PrunedDominance, l.PrunedWork, l.PrunedMemory, l.PrunedBeam,
-			float64(l.WallNanos)/1e6)
-	}
 	if best == nil {
 		b.WriteString("no plan (all pruned)\n")
-		return b.String()
+	} else {
+		fmt.Fprintf(&b, "best: %s\n", best)
 	}
-	fmt.Fprintf(&b, "best: %s\nconsidered=%d physical=%d maxCover=%d pruned=%d\n",
-		best, st.PlansConsidered, st.PhysicalPlans, st.MaxCoverSize, st.Pruned)
+	p := st.Profile()
+	fmt.Fprintf(&b, "total: %d relations, wall %s, peak retained ≈ %d bytes\n",
+		p.Relations, time.Duration(p.WallNanos).Round(time.Microsecond), p.PeakBytesRetained)
 	return b.String()
 }
 

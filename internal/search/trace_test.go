@@ -67,27 +67,36 @@ func TestCountingTracerOnDP(t *testing.T) {
 	}
 }
 
-// TestWriterTracer: the trace text is one line per layer record, then the
-// winner and the totals — nothing per subset.
+// TestWriterTracer: the record's text is a header, one row per layer
+// record, then the winner and the totals — nothing per subset.
 func TestWriterTracer(t *testing.T) {
 	res, err := newSearcher(t, cliqueCfg(3), nil).PODPLeftDeep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Stats.TraceText(res.Best)
+	out := res.Stats.Table(res.Best)
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	if len(lines) != 3+2 {
-		t.Fatalf("trace has %d lines, want 3 layers + best + totals:\n%s", len(lines), out)
+	if len(lines) != 1+3+2 {
+		t.Fatalf("table has %d lines, want header + 3 layers + best + totals:\n%s", len(lines), out)
 	}
-	for i, prefix := range []string{"layer 1: 3 subsets, ", "layer 2: 3 subsets, ", "layer 3: 1 subsets, ", "best: " + res.Best.String(), "considered="} {
-		if !strings.HasPrefix(lines[i], prefix) {
-			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
+	if f := strings.Fields(lines[0]); f[0] != "layer" || f[1] != "subsets" || f[4] != "kept" {
+		t.Errorf("header = %q", lines[0])
+	}
+	for i, want := range [][2]string{{"1", "3"}, {"2", "3"}, {"3", "1"}} {
+		if f := strings.Fields(lines[1+i]); f[0] != want[0] || f[1] != want[1] {
+			t.Errorf("line %d = %q, want layer %s with %s subsets", 1+i, lines[1+i], want[0], want[1])
+		}
+	}
+	for i, prefix := range []string{"best: " + res.Best.String(), "total: 3 relations, "} {
+		if !strings.HasPrefix(lines[4+i], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", 4+i, lines[4+i], prefix)
 		}
 	}
 }
 
 // TestWriterTracerNoPlan: a search whose work limit prunes everything still
-// leaves its layer records, and the trace text ends in the no-plan marker.
+// leaves its layer records, and the text carries the no-plan marker before
+// the totals.
 func TestWriterTracerNoPlan(t *testing.T) {
 	s := newSearcher(t, cliqueCfg(3), func(o *Options) { o.WorkLimit = 0.000001 })
 	res, err := s.PODPLeftDeep()
@@ -97,9 +106,16 @@ func TestWriterTracerNoPlan(t *testing.T) {
 	if res.Best != nil {
 		t.Fatal("expected total pruning")
 	}
-	out := res.Stats.TraceText(res.Best)
-	if !strings.HasPrefix(out, "layer 1: 0 subsets, 0 plans stored, ") || !strings.HasSuffix(out, "no plan (all pruned)\n") {
-		t.Errorf("trace of a fully pruned search:\n%s", out)
+	out := res.Stats.Table(res.Best)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) < 4 {
+		t.Fatalf("table of a fully pruned search:\n%s", out)
+	}
+	if f := strings.Fields(lines[1]); f[0] != "1" || f[1] != "0" || f[4] != "0" {
+		t.Errorf("layer 1 should keep 0 subsets and 0 plans: %q", lines[1])
+	}
+	if n := len(lines); lines[n-2] != "no plan (all pruned)" || !strings.HasPrefix(lines[n-1], "total: ") {
+		t.Errorf("table of a fully pruned search should end in the no-plan marker and the totals:\n%s", out)
 	}
 	if res.Stats.PrunedWork == 0 || res.Stats.PrunedWork != res.Stats.Pruned {
 		t.Errorf("every prune should be a work-limit prune: %+v", res.Stats)

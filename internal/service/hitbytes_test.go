@@ -89,18 +89,17 @@ func referenceResponse(t testing.TB, s *Service, req OptimizeRequest, got *Optim
 		t.Fatal(err)
 	}
 	want := &OptimizeResponse{
-		Fingerprint:    got.Fingerprint,
-		Catalog:        got.Catalog,
-		Cache:          got.Cache,
-		Deduped:        got.Deduped,
-		CoverSetReused: got.CoverSetReused,
-		CoverSize:      e.cover.Size,
-		PlanSignature:  plan.Tree.String(),
-		Summary:        PlanSummary{ResponseTime: plan.RT(), Work: plan.Work()},
-		Baseline:       &PlanSummary{ResponseTime: plan.Baseline.RT(), Work: plan.Baseline.Work()},
-		Plan:           planJSON,
-		ElapsedMicros:  got.ElapsedMicros,
-		TraceID:        got.TraceID,
+		Fingerprint:   got.Fingerprint,
+		Catalog:       got.Catalog,
+		Cache:         got.Cache,
+		Deduped:       got.Deduped,
+		CoverSize:     e.cover.Size,
+		PlanSignature: plan.Tree.String(),
+		Summary:       PlanSummary{ResponseTime: plan.RT(), Work: plan.Work()},
+		Baseline:      &PlanSummary{ResponseTime: plan.Baseline.RT(), Work: plan.Baseline.Work()},
+		Plan:          planJSON,
+		ElapsedMicros: got.ElapsedMicros,
+		TraceID:       got.TraceID,
 	}
 	if b := req.bound(); b != nil {
 		want.Bound = b.Name()
@@ -173,7 +172,7 @@ func TestOptimizeBytesMatchEncoder(t *testing.T) {
 
 // TestOptimizeBytesDedupedMiss drives a real deduplicated miss through HTTP:
 // followers of an in-flight search get "deduped": true between "cache" and
-// "coverSetReused", spliced like any other response.
+// "coverSize", spliced like any other response.
 func TestOptimizeBytesDedupedMiss(t *testing.T) {
 	s, srv := newTestServer(t, func(c *Config) { c.Workers = 2 })
 	gate := make(chan struct{})
@@ -219,7 +218,7 @@ func TestOptimizeBytesDedupedMiss(t *testing.T) {
 		}
 		if got := checkOptimizeBody(t, s, req, r.resp, r.body); got.Deduped {
 			deduped++
-			if !bytes.Contains(r.body, []byte("\"cache\": \"miss\",\n  \"deduped\": true,\n  \"coverSetReused\": false")) {
+			if !bytes.Contains(r.body, []byte("\"cache\": \"miss\",\n  \"deduped\": true,\n  \"coverSize\": ")) {
 				t.Fatalf("deduped field misplaced:\n%s", r.body)
 			}
 		}
@@ -246,7 +245,7 @@ func TestWriteOptimizeEscapesLikeEncoder(t *testing.T) {
 			resp := *p.resp
 			resp.Fingerprint, resp.Catalog, resp.Cache = str, nasty[(i+1)%len(nasty)], nasty[(i+2)%len(nasty)]
 			resp.Bound, resp.TraceID = nasty[(i+3)%len(nasty)], nasty[(i+4)%len(nasty)]
-			resp.Deduped, resp.CoverSetReused = deduped, !deduped
+			resp.Deduped = deduped
 			resp.CoverSize, resp.ElapsedMicros = -i, int64(i)*1e12
 			rec := httptest.NewRecorder()
 			writeOptimize(rec, &resp, p.rend.slab)
@@ -465,8 +464,8 @@ func TestExplainPathsAfterSlabHit(t *testing.T) {
 		if out.Why == nil || out.Why.Plan != out.PlanSignature || out.WhyText == "" {
 			t.Errorf("literal %d: provenance missing or about another plan: %+v", lit, out.Why)
 		}
-		if !out.SearchTraceCached || !strings.HasPrefix(out.SearchTrace, "replayed from cache") {
-			t.Errorf("literal %d: search trace not replayed: cached=%v %q", lit, out.SearchTraceCached, out.SearchTrace)
+		if !strings.HasPrefix(out.SearchTrace, "replayed from cache") {
+			t.Errorf("literal %d: search trace not replayed: %q", lit, out.SearchTrace)
 		}
 		if out.Text == "" || out.Breakdown == "" {
 			t.Errorf("literal %d: empty text/breakdown", lit)

@@ -41,7 +41,8 @@ import (
 //	                        + catalog snapshot (what paroptw bootstraps from)
 //	GET  /healthz                                 → liveness + uptime
 //	GET  /metrics                                 → Prometheus text format
-//	GET  /debug/traces                            → retained trace IDs
+//	GET  /debug/traces                            → retained traces: each
+//	                        entry's ID, fragment spans and workers
 //	                        (?fingerprint=fp keeps traces of one query
 //	                         template, ?min_ms=N keeps traces at least that
 //	                         long, ?kind=name keeps traces holding a span of
@@ -186,8 +187,6 @@ func writeOptimize(w http.ResponseWriter, resp *OptimizeResponse, slab []byte) {
 	if resp.Deduped {
 		b = append(b, ",\n  \"deduped\": true"...)
 	}
-	b = append(b, ",\n  \"coverSetReused\": "...)
-	b = strconv.AppendBool(b, resp.CoverSetReused)
 	b = append(b, ",\n  \"coverSize\": "...)
 	b = strconv.AppendInt(b, int64(resp.CoverSize), 10)
 	if resp.Bound != "" {
@@ -447,7 +446,6 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 		minDur = time.Duration(ms * float64(time.Millisecond))
 	}
 	traces := s.tracer.Traces()
-	kept := make([]string, 0, len(traces))
 	entries := make([]TraceEntry, 0, len(traces))
 	for _, tr := range traces {
 		if minDur > 0 && tr.Root().Duration() < minDur {
@@ -474,10 +472,9 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		e.Workers = len(workers)
-		kept = append(kept, e.ID)
 		entries = append(entries, e)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"traces": kept, "entries": entries})
+	writeJSON(w, http.StatusOK, map[string]any{"entries": entries})
 }
 
 // handleQueries lists the in-flight queries with live progress: per-operator
@@ -515,12 +512,8 @@ func writeQueriesText(w io.Writer, snaps []QuerySnapshot) {
 		if qs.Distributed {
 			kind += "*"
 		}
-		query := qs.Query
-		if len(query) > 60 {
-			query = query[:57] + "..."
-		}
 		fmt.Fprintf(w, "%4d %-9s %-9s %9.0fms %6s %12s %-6s %s\n",
-			qs.ID, kind, qs.Phase, qs.ElapsedMs, pct, eta, drift, query)
+			qs.ID, kind, qs.Phase, qs.ElapsedMs, pct, eta, drift, workload.Elide(qs.Query, 60))
 		if qs.Progress != nil {
 			for _, op := range qs.Progress.Ops {
 				done := ""

@@ -100,7 +100,7 @@ func TestHTTPOptimizeExplainHealthzMetrics(t *testing.T) {
 	if err := json.Unmarshal(body, &second); err != nil {
 		t.Fatal(err)
 	}
-	if !second.CoverSetReused || second.Cache != "hit" {
+	if second.Cache != "hit" || second.Deduped {
 		t.Errorf("changed-k request should re-use the cover set: %s", body)
 	}
 

@@ -8,7 +8,6 @@ import (
 	"paropt/internal/engine"
 	"paropt/internal/obs"
 	"paropt/internal/obs/accuracy"
-	"paropt/internal/plan"
 )
 
 // Cancellation reasons, used as the {reason} label of the cancelled-queries
@@ -185,8 +184,8 @@ func (p *servedPlan) snapshot(now time.Time) QuerySnapshot {
 // Progress itself is row-based: rows produced over predicted cardinality,
 // clamped, weighted by predicted rows.
 func liveProgress(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT float64, now time.Time) *ProgressSnapshot {
-	prog := stats.Progress()
-	if len(prog) == 0 {
+	byNode := stats.ByNode()
+	if len(byNode) == 0 {
 		return &ProgressSnapshot{ETAMs: -1}
 	}
 	started := stats.Started()
@@ -194,31 +193,32 @@ func liveProgress(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT floa
 	if !started.IsZero() {
 		elapsed = now.Sub(started)
 	}
-	byNode := make(map[*plan.Node]engine.NodeProgress, len(prog))
-	for _, p := range prog {
-		byNode[p.Node] = p
-	}
 	ps := &ProgressSnapshot{ETAMs: -1}
 	var wsum, wdone float64
 	var pos float64 // current position on the model timeline, in model units
 	for _, t := range tl {
-		p, ok := byNode[t.Node]
+		st, ok := byNode[t.Node]
 		if !ok {
 			continue
 		}
+		// The node's live counters are atomics the execution path updates
+		// lock-free. The close marker is read first: it is stored last, so a
+		// closed node's rows are final.
+		last := st.LiveLast()
+		first, rows := st.LiveFirst(), st.LiveRows()
 		op := OpProgressSnapshot{
-			Label:    p.Label,
-			Rows:     p.Rows,
+			Label:    st.Label,
+			Rows:     rows,
 			PredRows: t.PredRows,
-			Done:     p.Last > 0,
-			FirstMs:  float64(p.First) / 1e6,
-			LastMs:   float64(p.Last) / 1e6,
+			Done:     last > 0,
+			FirstMs:  float64(first) / 1e6,
+			LastMs:   float64(last) / 1e6,
 		}
 		switch {
 		case op.Done:
 			op.Percent = 1
 		case t.PredRows > 0:
-			op.Percent = float64(p.Rows) / float64(t.PredRows)
+			op.Percent = float64(rows) / float64(t.PredRows)
 			if op.Percent > 1 {
 				op.Percent = 1
 			}
@@ -232,7 +232,7 @@ func liveProgress(stats *engine.ExecStats, tl []accuracy.OpTimeline, predRT floa
 			if t.PredLast > pos {
 				pos = t.PredLast
 			}
-		case p.First > 0:
+		case first > 0:
 			if at := t.PredFirst + op.Percent*(t.PredLast-t.PredFirst); at > pos {
 				pos = at
 			}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"paropt/internal/obs"
 	"paropt/internal/obs/workload"
@@ -351,7 +352,7 @@ func TestHTTPTraceFilters(t *testing.T) {
 	}
 
 	type listing struct {
-		Traces []string `json:"traces"`
+		Entries []TraceEntry `json:"entries"`
 	}
 	get := func(params string) (int, listing) {
 		resp, body := getBody(t, srv.URL+"/debug/traces"+params)
@@ -360,21 +361,21 @@ func TestHTTPTraceFilters(t *testing.T) {
 		return resp.StatusCode, l
 	}
 
-	if code, l := get(""); code != http.StatusOK || len(l.Traces) != 2 {
-		t.Fatalf("unfiltered: %d, %d traces, want 2", code, len(l.Traces))
+	if code, l := get(""); code != http.StatusOK || len(l.Entries) != 2 {
+		t.Fatalf("unfiltered: %d, %d traces, want 2", code, len(l.Entries))
 	}
-	if code, l := get("?fingerprint=" + or.Fingerprint); code != http.StatusOK || len(l.Traces) != 1 {
-		t.Errorf("fingerprint filter kept %d traces, want 1", len(l.Traces))
+	if code, l := get("?fingerprint=" + or.Fingerprint); code != http.StatusOK || len(l.Entries) != 1 {
+		t.Errorf("fingerprint filter kept %d traces, want 1", len(l.Entries))
 	}
-	if code, l := get("?fingerprint=no-such-fp"); code != http.StatusOK || len(l.Traces) != 0 {
-		t.Errorf("bogus fingerprint kept %d traces, want 0", len(l.Traces))
+	if code, l := get("?fingerprint=no-such-fp"); code != http.StatusOK || len(l.Entries) != 0 {
+		t.Errorf("bogus fingerprint kept %d traces, want 0", len(l.Entries))
 	}
 	// Every real trace took well under an hour.
-	if code, l := get("?min_ms=3600000"); code != http.StatusOK || len(l.Traces) != 0 {
-		t.Errorf("min_ms=1h kept %d traces, want 0", len(l.Traces))
+	if code, l := get("?min_ms=3600000"); code != http.StatusOK || len(l.Entries) != 0 {
+		t.Errorf("min_ms=1h kept %d traces, want 0", len(l.Entries))
 	}
-	if code, l := get("?min_ms=0"); code != http.StatusOK || len(l.Traces) != 2 {
-		t.Errorf("min_ms=0 kept %d traces, want 2", len(l.Traces))
+	if code, l := get("?min_ms=0"); code != http.StatusOK || len(l.Entries) != 2 {
+		t.Errorf("min_ms=0 kept %d traces, want 2", len(l.Entries))
 	}
 	if code, _ := get("?min_ms=banana"); code != http.StatusBadRequest {
 		t.Errorf("bad min_ms returned %d, want 400", code)
@@ -431,6 +432,23 @@ func TestInflightProgressDuringAnalyze(t *testing.T) {
 			if op.Percent < 0 || op.Percent > 1 {
 				t.Errorf("op %s Percent = %g, want [0,1]", op.Label, op.Percent)
 			}
+		}
+	}
+}
+
+// TestTextTablesCutBetweenRunes: the text tables elide a long query or plan
+// signature between runes, so a non-ASCII identifier never leaves half a
+// rune. Both inputs put a two-byte "ö" at bytes 56–57, across a byte cut
+// at 57.
+func TestTextTablesCutBetweenRunes(t *testing.T) {
+	var queries strings.Builder
+	writeQueriesText(&queries, []QuerySnapshot{{ID: 1, Kind: "optimize", Phase: "search",
+		Query: "SELECT * FROM " + strings.Repeat("x", 42) + "ößen, straße WHERE ößen.id = straße.id"}})
+	profiles := workload.FormatTable([]workload.ProfileSnapshot{{Fingerprint: "fp",
+		PlanSig: "HJ(scan(" + strings.Repeat("r", 48) + "ößen), scan(straße))"}})
+	for name, out := range map[string]string{"/debug/queries": queries.String(), "/debug/workload": profiles} {
+		if !utf8.ValidString(out) || !strings.Contains(out, "...") {
+			t.Errorf("%s text table should elide between runes:\n%q", name, out)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func fetchTrace(t *testing.T, base, id string) *obs.TraceJSON {
 	return &tj
 }
 
-// listTraces GETs a /debug/traces listing and returns its trace IDs.
+// listTraces GETs a /debug/traces listing and returns its entries' trace IDs.
 func listTraces(t *testing.T, url string) []string {
 	t.Helper()
 	resp, body := getBody(t, url)
@@ -85,12 +85,16 @@ func listTraces(t *testing.T, url string) []string {
 		t.Fatalf("%s: %d: %s", url, resp.StatusCode, body)
 	}
 	var list struct {
-		Traces []string `json:"traces"`
+		Entries []TraceEntry `json:"entries"`
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	return list.Traces
+	ids := make([]string, len(list.Entries))
+	for i, e := range list.Entries {
+		ids[i] = e.ID
+	}
+	return ids
 }
 
 // attrInt reads an integer span attribute.
@@ -252,7 +256,7 @@ func TestDebugSearchPerLayerRecords(t *testing.T) {
 		t.Errorf("hit should count on the template's workload row: %+v", wl.Profiles)
 	}
 
-	// Text rendering carries the per-layer lines, replayed from the cache.
+	// Text rendering carries the per-layer table, replayed from the cache.
 	resp, body := postJSON(t, srv.URL+"/explain?trace=1", OptimizeRequest{Query: chainSQL(10, 7)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/explain?trace=1: %d: %s", resp.StatusCode, body)
@@ -261,7 +265,7 @@ func TestDebugSearchPerLayerRecords(t *testing.T) {
 	if err := json.Unmarshal(body, &exp); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"replayed from cache", "layer 10:", "best:"} {
+	for _, want := range []string{"replayed from cache", "\n   10 ", "best:", "total: 10 relations"} {
 		if !strings.Contains(exp.SearchTrace, want) {
 			t.Errorf("search trace text missing %q:\n%s", want, exp.SearchTrace)
 		}

@@ -422,12 +422,11 @@ type OptimizeResponse struct {
 	// the plan cache.
 	Fingerprint string `json:"fingerprint"`
 	Catalog     string `json:"catalog"`
-	// Cache is "hit" or "miss"; Deduped marks misses that joined another
-	// request's in-flight search. CoverSetReused is true when the plan came
-	// from re-filtering a cached cover set rather than a fresh search.
-	Cache          string `json:"cache"`
-	Deduped        bool   `json:"deduped,omitempty"`
-	CoverSetReused bool   `json:"coverSetReused"`
+	// Cache is "hit" when the plan came from re-filtering a cached cover
+	// set, "miss" when a search ran; Deduped marks misses that joined
+	// another request's in-flight search.
+	Cache   string `json:"cache"`
+	Deduped bool   `json:"deduped,omitempty"`
 	// CoverSize is the root Pareto frontier's size; Bound names the §2
 	// bound applied during re-filtering, if any.
 	CoverSize int    `json:"coverSize"`
@@ -457,11 +456,10 @@ type ExplainResponse struct {
 	// Breakdown is the per-operator cost-breakdown table (resource demands
 	// and cumulative descriptors).
 	Breakdown string `json:"breakdown"`
-	// SearchTrace is the DP search trace text (requests with Trace set);
-	// SearchTraceCached marks it as replayed from the cached cover set
-	// rather than freshly produced by this request's search.
-	SearchTrace       string `json:"searchTrace,omitempty"`
-	SearchTraceCached bool   `json:"searchTraceCached,omitempty"`
+	// SearchTrace is the DP search's profile (requests with Trace set); it
+	// begins "replayed from cache" when this request's search did not run
+	// it (a hit, or a deduplicated miss).
+	SearchTrace string `json:"searchTrace,omitempty"`
 	// Why is the plan provenance (requests with Why set): chosen-plan cost
 	// breakdown plus top rejected alternatives with loss reasons. WhyText is
 	// its report rendering.
@@ -746,12 +744,11 @@ func (s *Service) Explain(ctx context.Context, req OptimizeRequest) (*ExplainRes
 	p.resp = &out.OptimizeResponse // finish stamps the final latency here
 	if req.Trace {
 		cover := p.entry.cover
-		out.SearchTrace = cover.Stats.TraceText(search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
+		out.SearchTrace = cover.Stats.Table(search.FilterFrontier(cover.Frontier, nil, 0, 0, nil))
 		if out.Cache == "hit" || out.Deduped {
 			// The search ran when the cover set was computed — for an earlier
 			// request, or for the flight leader this one joined — not for this
-			// request; say so in-band for text consumers too.
-			out.SearchTraceCached = true
+			// request; say so in-band.
 			out.SearchTrace = "replayed from cache (captured when the cover set was computed)\n" + out.SearchTrace
 		}
 	}
@@ -951,17 +948,16 @@ func (s *Service) serve(ctx context.Context, req *OptimizeRequest, kind string) 
 	p.enter(phaseDone)
 	p.entry, p.chosen, p.rend, p.baseline = entry, chosen, rend, rend.baseline
 	resp := &OptimizeResponse{
-		Fingerprint:    r.fp,
-		Catalog:        r.version,
-		Cache:          "miss",
-		Deduped:        deduped,
-		CoverSetReused: hit,
-		CoverSize:      entry.cover.Size,
-		PlanSignature:  rend.sig,
-		Summary:        rend.summary,
-		Baseline:       &p.baseline,
-		Plan:           rend.planJSON(),
-		TraceID:        tr.ID(),
+		Fingerprint:   r.fp,
+		Catalog:       r.version,
+		Cache:         "miss",
+		Deduped:       deduped,
+		CoverSize:     entry.cover.Size,
+		PlanSignature: rend.sig,
+		Summary:       rend.summary,
+		Baseline:      &p.baseline,
+		Plan:          rend.planJSON(),
+		TraceID:       tr.ID(),
 	}
 	if hit {
 		resp.Cache = "hit"

@@ -119,11 +119,12 @@ func TestExplainSearchTraceSurvivesCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(miss.SearchTrace, "layer 2:") || !strings.Contains(miss.SearchTrace, "best:") {
+	if !strings.HasPrefix(miss.SearchTrace, "layer ") || !strings.Contains(miss.SearchTrace, "\n    2 ") ||
+		!strings.Contains(miss.SearchTrace, "best:") {
 		t.Errorf("search trace missing DP layers/final:\n%s", miss.SearchTrace)
 	}
-	if miss.SearchTraceCached {
-		t.Error("fresh search must not be labeled as replayed from cache")
+	if miss.Cache != "miss" || miss.Deduped {
+		t.Fatalf("first explain should run its own search, got cache=%q deduped=%v", miss.Cache, miss.Deduped)
 	}
 	hit, err := s.Explain(ctx, req)
 	if err != nil {
@@ -131,9 +132,6 @@ func TestExplainSearchTraceSurvivesCacheHits(t *testing.T) {
 	}
 	if hit.Cache != "hit" {
 		t.Fatalf("second explain should hit the cache, got %q", hit.Cache)
-	}
-	if !hit.SearchTraceCached {
-		t.Error("cache hits should label the replayed trace as cached")
 	}
 	if !strings.HasPrefix(hit.SearchTrace, "replayed from cache") {
 		t.Errorf("cached trace should carry a replayed-from-cache label:\n%s", hit.SearchTrace)
@@ -173,8 +171,8 @@ func TestExplainSearchTraceSurvivesCacheHits(t *testing.T) {
 		if a.resp.Cache != "miss" {
 			t.Fatalf("concurrent first requests should both miss, got %q", a.resp.Cache)
 		}
-		if a.resp.SearchTraceCached != a.resp.Deduped || strings.HasPrefix(a.resp.SearchTrace, "replayed from cache") != a.resp.Deduped {
-			t.Errorf("deduped=%v but searchTraceCached=%v, trace:\n%s", a.resp.Deduped, a.resp.SearchTraceCached, a.resp.SearchTrace)
+		if strings.HasPrefix(a.resp.SearchTrace, "replayed from cache") != a.resp.Deduped {
+			t.Errorf("deduped=%v, trace:\n%s", a.resp.Deduped, a.resp.SearchTrace)
 		}
 	}
 	if s.met.Deduped.Load() != 1 {
@@ -279,13 +277,13 @@ func TestHTTPDebugTraceEndpoints(t *testing.T) {
 		t.Fatalf("debug/traces: %d", resp.StatusCode)
 	}
 	var list struct {
-		Traces []string `json:"traces"`
+		Entries []TraceEntry `json:"entries"`
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Traces) != 1 || list.Traces[0] != exp.TraceID {
-		t.Errorf("trace listing = %v, want [%s]", list.Traces, exp.TraceID)
+	if len(list.Entries) != 1 || list.Entries[0].ID != exp.TraceID {
+		t.Errorf("trace listing = %+v, want one entry %s", list.Entries, exp.TraceID)
 	}
 
 	resp, body = getBody(t, srv.URL+"/debug/trace/"+exp.TraceID)
@@ -353,7 +351,7 @@ func TestTraceLinksPlanChange(t *testing.T) {
 func TestHTTPDebugTraceDisabled(t *testing.T) {
 	_, srv := newTestServer(t, func(c *Config) { c.TraceCapacity = -1 })
 	resp, body := getBody(t, srv.URL+"/debug/traces")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"traces": []`) {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"entries": []`) {
 		t.Errorf("disabled tracing should list no traces: %d: %s", resp.StatusCode, body)
 	}
 	resp, _ = getBody(t, srv.URL+"/debug/trace/any")

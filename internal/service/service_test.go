@@ -74,8 +74,8 @@ func TestOptimizeMissThenHitRefiltersCoverSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cache != "miss" || first.CoverSetReused {
-		t.Errorf("first request should be a miss, got cache=%s reused=%t", first.Cache, first.CoverSetReused)
+	if first.Cache != "miss" || first.Deduped {
+		t.Errorf("first request should be a miss that ran its own search, got cache=%s deduped=%t", first.Cache, first.Deduped)
 	}
 	if got := s.met.FullSearch.Load(); got != 1 {
 		t.Fatalf("first request should run exactly one search, got %d", got)
@@ -96,8 +96,8 @@ func TestOptimizeMissThenHitRefiltersCoverSet(t *testing.T) {
 	if second.Fingerprint != first.Fingerprint {
 		t.Errorf("literal change altered the fingerprint: %s vs %s", first.Fingerprint, second.Fingerprint)
 	}
-	if second.Cache != "hit" || !second.CoverSetReused {
-		t.Errorf("second request should re-use the cover set, got cache=%s reused=%t", second.Cache, second.CoverSetReused)
+	if second.Cache != "hit" || second.Deduped {
+		t.Errorf("second request should re-use the cover set, got cache=%s deduped=%t", second.Cache, second.Deduped)
 	}
 	if got := s.met.FullSearch.Load(); got != 1 {
 		t.Errorf("changed-k request must not re-run the search; searches=%d", got)

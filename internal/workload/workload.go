@@ -1,7 +1,6 @@
 // Package workload provides ready-made catalogs and queries shaped by the
 // paper's motivation: decision-support databases (a stock-portfolio star
-// schema for the §1 scenario), TPC-like relation size mixes, and parametric
-// sweeps used by the benchmark harness.
+// schema for the §1 scenario) and TPC-like relation size mixes.
 package workload
 
 import (
@@ -169,60 +168,4 @@ func PortfolioSmall(disks int) (*catalog.Catalog, *query.Query) {
 		scaled.MustAddRelation(rel)
 	}
 	return scaled, q
-}
-
-// SizeMix names a relative size distribution for generated relations.
-type SizeMix int
-
-const (
-	// Uniform draws cardinalities log-uniformly.
-	Uniform SizeMix = iota
-	// FactDimension makes R0 large and the rest small (star workloads).
-	FactDimension
-)
-
-// Sweep describes one point of a parameter sweep in the bench harness.
-type Sweep struct {
-	Relations int
-	Shape     query.Shape
-	Mix       SizeMix
-	Seed      int64
-}
-
-// Build realizes a sweep point as a catalog and query.
-func (s Sweep) Build() (*catalog.Catalog, *query.Query) {
-	cfg := query.GenConfig{
-		Relations:  s.Relations,
-		Shape:      s.Shape,
-		MinCard:    10_000,
-		MaxCard:    1_000_000,
-		Disks:      4,
-		IndexProb:  0.5,
-		SortedProb: 0.25,
-		Seed:       s.Seed,
-	}
-	cat, q := query.Generate(cfg)
-	if s.Mix == FactDimension {
-		for i, name := range q.Relations {
-			rel := cat.MustRelation(name)
-			if i == 0 {
-				rel.Card = 2_000_000
-				rel.Pages = 20_000
-			} else {
-				rel.Card = 10_000 + int64(i)*5_000
-				rel.Pages = rel.Card / 100
-			}
-			for j := range rel.Columns {
-				if rel.Columns[j].NDV > rel.Card {
-					rel.Columns[j].NDV = rel.Card
-				}
-			}
-		}
-	}
-	return cat, q
-}
-
-// String labels the sweep point in bench output.
-func (s Sweep) String() string {
-	return fmt.Sprintf("n=%d/%s/seed=%d", s.Relations, s.Shape, s.Seed)
 }

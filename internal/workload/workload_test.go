@@ -84,31 +84,3 @@ func TestPortfolioSmallExecutes(t *testing.T) {
 		t.Error("portfolio execution differs from reference")
 	}
 }
-
-func TestSweepBuild(t *testing.T) {
-	s := Sweep{Relations: 5, Shape: query.Star, Mix: FactDimension, Seed: 3}
-	cat, q := s.Build()
-	if err := q.Validate(cat); err != nil {
-		t.Fatal(err)
-	}
-	fact := cat.MustRelation(q.Relations[0])
-	for _, name := range q.Relations[1:] {
-		if cat.MustRelation(name).Card >= fact.Card {
-			t.Errorf("dimension %s as large as the fact table", name)
-		}
-	}
-	if s.String() == "" {
-		t.Error("sweep label empty")
-	}
-}
-
-func TestSweepUniform(t *testing.T) {
-	s := Sweep{Relations: 4, Shape: query.Chain, Mix: Uniform, Seed: 9}
-	cat, q := s.Build()
-	if err := q.Validate(cat); err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Joins) != 3 {
-		t.Errorf("chain joins = %d", len(q.Joins))
-	}
-}

@@ -5,10 +5,20 @@
 # valid identifier, and the exported family set matches the golden list the
 # unit tests pin (internal/service/testdata/metrics.golden,
 # cmd/paroptw/testdata/metrics.golden), so a new metric cannot ship without
-# updating its golden and its HELP text.
+# updating its golden and its HELP text. It first checks, with nothing
+# started, that README's audit table ("Who reads each family") has one row
+# per family of the two goldens, so a family cannot ship without naming
+# what reads it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+golden_families=$(awk '{print $3}' internal/service/testdata/metrics.golden cmd/paroptw/testdata/metrics.golden | sort)
+audit_rows=$(grep -o '^| `paropt[dw]_[a-z_]*` |' README.md | tr -d '|` ' | sort)
+if ! diff -u <(echo "$golden_families") <(echo "$audit_rows"); then
+  echo "metrics_lint: README's family audit table drifted from the goldens (- no row, + no family)" >&2
+  exit 1
+fi
 tmp=$(mktemp -d)
 pid= wpid=
 trap 'kill $pid $wpid 2>/dev/null || true; rm -rf "$tmp"' EXIT
